@@ -12,10 +12,3 @@ class GenerationError(RuntimeError):
 class MeasurementError(RuntimeError):
     """A measurement (e.g. occlusion level) is undefined for the given frames."""
 
-
-class KinkError(ArithmeticError):
-    """A gradient check was requested at a non-differentiable point."""
-
-
-class ScorerError(RuntimeError):
-    """A scorer failed while populating the affordance grid."""

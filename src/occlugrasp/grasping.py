@@ -2,12 +2,36 @@
 quasi-static success labels in single and cluttered contexts.
 
 The oracle replaces dynamic physics with a deterministic model: a grasp
-succeeds iff the swept gripper volume is collision free, the width is within
-the gripper limit, and both extremal contacts inside the finger-pad slab have
-surface normals within the friction cone of the closing axis. Because the
-contact and width terms depend only on the target and the table, a grasp that
-succeeds amid occluders also succeeds with them removed, so cluttered
-successes are a subset of single-scene successes by construction.
+succeeds iff the width is within the gripper limit, the swept gripper volume
+is collision free, and both extremal contacts inside the finger-pad slab have
+surface normals within the friction cone of the closing axis.
+
+`simulate_grasp` runs its tests in a fixed order and returns at the first
+failure, whose reason the result names (`SimResult.detail` says more):
+
+1. the grasp width against the gripper opening (`WIDTH_EXCEEDED`);
+2. the 24 corners of the three gripper boxes against the table plane
+   (`TABLE_BLOCK`);
+3. each occluder, in index order (`OCCLUDER_COLLISION`);
+4. the target body (`ANTIPODAL_FAIL`);
+5. the pad contacts and the friction cone (`ANTIPODAL_FAIL`).
+
+Every mesh test starts with a broad phase: an instance whose world
+axis-aligned bounding box lies farther than `BROAD_PHASE_MARGIN` from the box
+around the gripper corners is skipped. The skip is conservative. Each gripper
+box is the convex hull of its corners, so a gap between the two boxes is a gap
+of at least that size between every triangle and every gripper box, and the
+exact separating-axis test, which is complete for a triangle against a box,
+would clear every triangle too. The margin lies orders of magnitude above the
+rounding error of either computation. An instance that survives is moved into
+the grasp frame once and tested against all three boxes.
+
+Only test 3 sees the clutter; tests 1, 2, 4 and 5 see the target and the
+table alone. So the cluttered result is the single-scene result, except that
+an occluder hit after tests 1 and 2 pass makes it `OCCLUDER_COLLISION`.
+`label_pair` derives both labels that way from one single-scene simulation,
+and cluttered successes are a subset of single-scene successes by
+construction.
 
 Grasp frame: x is the closing axis joining the antipodal pair, z is the
 approach (travel) direction, y completes the right-handed frame. The grasp
@@ -18,6 +42,7 @@ backward along -z.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -27,10 +52,14 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import PointCloud, Pose, Quaternion, orthonormal_tangents
-from .meshes import TriMesh, surface_sample
-from .scenes import Scene, derive_single_scene
+from .meshes import surface_sample
+from .scenes import ObjectInstance, Scene, derive_single_scene
+
+log = logging.getLogger(__name__)
 
 DEFAULT_FRICTION = 0.4
+# gap (m) beyond which the broad phase skips an instance's exact mesh test
+BROAD_PHASE_MARGIN = 1e-6
 
 
 class FailureReason(str, Enum):
@@ -94,12 +123,14 @@ class GraspLabel:
 class SimResult:
     success: bool
     reason: FailureReason
+    detail: str = ""  # the specific cause behind `reason`
 
 
 @dataclass(frozen=True)
 class CollisionResult:
     free: bool
-    offender: int | str | None  # instance index or "table"
+    offender: int | str | None  # first entry of `offenders`
+    offenders: tuple  # "table" first, then instance indices in ascending order
 
 
 def grasp_frame(axis, approach) -> Quaternion:
@@ -142,11 +173,6 @@ def gripper_boxes(width: float, gripper: GripperModel, sweep: float | None = Non
 _BOX_CORNERS = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
 
 
-def _box_world_corners(box: np.ndarray, grasp: Grasp) -> np.ndarray:
-    local = box[0] + _BOX_CORNERS * (box[1] - box[0])
-    return grasp.rotation.rotate(local) + grasp.center
-
-
 def _tri_aabb_overlap(v0, v1, v2, half: np.ndarray) -> np.ndarray:
     """Vectorized triangle vs origin-centered AABB separating-axis test."""
     sep = np.zeros(len(v0), dtype=bool)
@@ -178,38 +204,52 @@ def _tri_aabb_overlap(v0, v1, v2, half: np.ndarray) -> np.ndarray:
     return ~sep
 
 
-def _box_intersects_mesh(box: np.ndarray, grasp: Grasp, mesh: TriMesh, pose: Pose) -> bool:
-    center_local = (box[0] + box[1]) / 2.0
-    half = (box[1] - box[0]) / 2.0
-    # mesh triangles into the grasp frame, box centered at the origin
-    to_grasp = Pose(grasp.rotation, grasp.center).inverse() * pose
-    verts = to_grasp.transform(mesh.vertices) - center_local
-    lo = verts.min(axis=0)
-    hi = verts.max(axis=0)
-    if (lo > half).any() or (hi < -half).any():
+class _SweptGripper:
+    """The three swept gripper boxes at one grasp, shared by its collision tests."""
+
+    def __init__(self, grasp: Grasp, gripper: GripperModel):
+        self.boxes = gripper_boxes(grasp.width, gripper)
+        lo, hi = self.boxes[:, None, 0], self.boxes[:, None, 1]
+        corners = grasp.rotation.rotate((lo + _BOX_CORNERS * (hi - lo)).reshape(-1, 3)) + grasp.center
+        self.lo = corners.min(axis=0)
+        self.hi = corners.max(axis=0)
+        self.to_grasp = Pose(grasp.rotation, grasp.center).inverse()
+
+    def hits_table(self) -> bool:
+        return bool(self.lo[2] < -1e-9)
+
+    def hits(self, inst: ObjectInstance) -> bool:
+        lo, hi = inst.world_aabb
+        if (lo > self.hi + BROAD_PHASE_MARGIN).any() or (hi < self.lo - BROAD_PHASE_MARGIN).any():
+            return False
+        verts = (self.to_grasp * inst.pose).transform(inst.mesh.vertices)
+        tris = inst.mesh.triangles
+        for box in self.boxes:
+            # shift the vertices so that the box is centered at the origin
+            half = (box[1] - box[0]) / 2.0
+            v = verts - (box[0] + box[1]) / 2.0
+            if (v.min(axis=0) > half).any() or (v.max(axis=0) < -half).any():
+                continue
+            if _tri_aabb_overlap(v[tris[:, 0]], v[tris[:, 1]], v[tris[:, 2]], half).any():
+                return True
         return False
-    tris = mesh.triangles
-    tv0, tv1, tv2 = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
-    return bool(_tri_aabb_overlap(tv0, tv1, tv2, half).any())
 
-
-def _collision_offenders(grasp: Grasp, scene: Scene, gripper: GripperModel) -> list[int | str]:
-    boxes = gripper_boxes(grasp.width, gripper)
-    offenders: list[int | str] = []
-    if min(_box_world_corners(b, grasp)[:, 2].min() for b in boxes) < -1e-9:
-        offenders.append("table")
-    for idx, inst in enumerate(scene.instances):
-        if any(_box_intersects_mesh(b, grasp, inst.mesh, inst.pose) for b in boxes):
-            offenders.append(idx)
-    return offenders
+    def first_occluder_hit(self, scene: Scene) -> int | None:
+        """Index of the first non-target instance the gripper hits, if any."""
+        return next((i for i, inst in enumerate(scene.instances)
+                     if i != scene.target_index and self.hits(inst)), None)
 
 
 def check_collision(grasp: Grasp, scene: Scene, gripper: GripperModel) -> CollisionResult:
-    """Swept gripper volume vs the table half-space and all scene meshes."""
-    offenders = _collision_offenders(grasp, scene, gripper)
-    if not offenders:
-        return CollisionResult(True, None)
-    return CollisionResult(False, offenders[0])
+    """Swept gripper volume vs the table half-space and all scene meshes.
+
+    Unlike `simulate_grasp`, this tests every instance and reports all
+    offenders.
+    """
+    swept = _SweptGripper(grasp, gripper)
+    offenders = ("table",) if swept.hits_table() else ()
+    offenders += tuple(i for i, inst in enumerate(scene.instances) if swept.hits(inst))
+    return CollisionResult(not offenders, offenders[0] if offenders else None, offenders)
 
 
 # ---------------------------------------------------------------------------
@@ -247,26 +287,32 @@ def _pad_slab_contacts(points_g: np.ndarray, normals_g: np.ndarray, width: float
 
 def simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel,
                    friction_mu: float = DEFAULT_FRICTION) -> SimResult:
-    """Quasi-static grasp oracle: width limit, collisions, antipodal cone."""
+    """Quasi-static grasp oracle; the first failing test, in the module's order, decides."""
+    return _simulate(grasp, scene, gripper, friction_mu)[0]
+
+
+def _simulate(grasp: Grasp, scene: Scene, gripper: GripperModel,
+              friction_mu: float) -> tuple[SimResult, _SweptGripper | None]:
+    """`simulate_grasp` and the swept gripper it tested (None after a width failure)."""
     if grasp.width > gripper.max_width + 1e-12:
-        return SimResult(False, FailureReason.WIDTH_EXCEEDED)
-    offenders = _collision_offenders(grasp, scene, gripper)
-    if "table" in offenders:
-        return SimResult(False, FailureReason.TABLE_BLOCK)
-    occluders = [o for o in offenders if o != scene.target_index]
-    if occluders:
-        return SimResult(False, FailureReason.OCCLUDER_COLLISION)
-    if offenders:  # only the target itself: gripper body crashes into it
-        return SimResult(False, FailureReason.ANTIPODAL_FAIL)
+        return SimResult(False, FailureReason.WIDTH_EXCEEDED, "grasp wider than the gripper opening"), None
+    swept = _SweptGripper(grasp, gripper)
+    if swept.hits_table():
+        return SimResult(False, FailureReason.TABLE_BLOCK, "gripper hits the table"), swept
+    hit = swept.first_occluder_hit(scene)
+    if hit is not None:
+        return SimResult(False, FailureReason.OCCLUDER_COLLISION, f"gripper hits occluder {hit}"), swept
     target = scene.target
+    if swept.hits(target):
+        return SimResult(False, FailureReason.ANTIPODAL_FAIL, "gripper body hits the target"), swept
     samples = target.mesh.contact_samples
-    to_grasp = Pose(grasp.rotation, grasp.center).inverse() * target.pose
+    to_grasp = swept.to_grasp * target.pose
     pts_g = to_grasp.transform(samples.points)
     nrm_g = to_grasp.rotate_only(samples.normals)
-    ok, _ = _pad_slab_contacts(pts_g, nrm_g, grasp.width, gripper, friction_mu)
+    ok, why = _pad_slab_contacts(pts_g, nrm_g, grasp.width, gripper, friction_mu)
     if not ok:
-        return SimResult(False, FailureReason.ANTIPODAL_FAIL)
-    return SimResult(True, FailureReason.NONE)
+        return SimResult(False, FailureReason.ANTIPODAL_FAIL, why), swept
+    return SimResult(True, FailureReason.NONE), swept
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +362,8 @@ def sample_candidate_grasps(
             out.append(Grasp(center, grasp_frame(d, approach), width))
             if len(out) >= count:
                 break
+    if len(out) < count:
+        log.warning("candidate sampling: %d of %d grasps after %d attempts", len(out), count, attempts)
     return out
 
 
@@ -325,16 +373,24 @@ def sample_candidate_grasps(
 
 def label_pair(cluttered: Scene, gripper: GripperModel, count: int, seed: int,
                friction_mu: float = DEFAULT_FRICTION) -> list[GraspLabel]:
-    """Label candidates in both the derived single scene and the cluttered scene."""
+    """Label candidates in both the derived single scene and the cluttered scene.
+
+    One single-scene simulation per candidate, then only the occluders are
+    tested for the cluttered label (see the module docstring).
+    """
     target = cluttered.target
     cloud = surface_sample(target.mesh, 1024, seed=seed ^ 0x9E3779B9).transformed(target.pose)
     candidates = sample_candidate_grasps(cloud, gripper, count, seed)
     single = derive_single_scene(cluttered, cluttered.target_index)
     labels = []
     for g in candidates:
-        sim_s = simulate_grasp(g, single, gripper, friction_mu)
-        sim_c = simulate_grasp(g, cluttered, gripper, friction_mu)
-        labels.append(GraspLabel(g, sim_s.success, sim_c.success, sim_c.reason))
+        sim_s, swept = _simulate(g, single, gripper, friction_mu)
+        reason = sim_s.reason
+        # the occluders are the only difference between the two scenes
+        if (reason not in (FailureReason.WIDTH_EXCEEDED, FailureReason.TABLE_BLOCK)
+                and swept.first_occluder_hit(cluttered) is not None):
+            reason = FailureReason.OCCLUDER_COLLISION
+        labels.append(GraspLabel(g, sim_s.success, reason == FailureReason.NONE, reason))
     return labels
 
 

@@ -55,10 +55,6 @@ class TriMesh:
         return ar
 
     @cached_property
-    def aabb(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
-    @cached_property
     def bvh(self) -> "_Bvh":
         return _Bvh(self)
 

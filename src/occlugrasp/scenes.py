@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,12 @@ class ObjectInstance:
     def world_footprint_poly(self) -> np.ndarray:
         yaw_rot = self.pose.rotation.as_matrix()[:2, :2]
         return self.footprint_poly @ yaw_rot.T + self.pose.translation[:2]
+
+    @cached_property
+    def world_aabb(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) corners of the posed mesh's axis-aligned bounding box."""
+        verts = self.pose.transform(self.mesh.vertices)
+        return verts.min(axis=0), verts.max(axis=0)
 
 
 @dataclass(frozen=True)

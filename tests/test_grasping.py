@@ -1,15 +1,21 @@
+import logging
+
 import numpy as np
 import pytest
 
 from occlugrasp.errors import InputError
-from occlugrasp.geometry import PointCloud, Quaternion
+from occlugrasp.geometry import PointCloud, Pose, Quaternion
 from occlugrasp.grasping import (
+    DEFAULT_FRICTION,
     FailureReason,
     Grasp,
     GraspLabel,
     GripperModel,
+    _pad_slab_contacts,
+    _tri_aabb_overlap,
     check_collision,
     grasp_frame,
+    gripper_boxes,
     label_pair,
     read_labels_jsonl,
     record_to_label,
@@ -19,7 +25,7 @@ from occlugrasp.grasping import (
     write_labels_jsonl,
 )
 from occlugrasp.meshes import make_sphere, surface_sample
-from occlugrasp.scenes import SceneConfig, derive_single_scene, generate_packed_scene
+from occlugrasp.scenes import CatalogConfig, SceneConfig, build_catalog, derive_single_scene, generate_packed_scene
 
 from .test_camera import box_instance, make_scene
 
@@ -28,6 +34,68 @@ GRIP = GripperModel()
 
 def side_grasp(center, axis=(1, 0, 0), approach=(0, 0, -1), width=0.055):
     return Grasp(np.asarray(center, float), grasp_frame(axis, approach), width)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: every gripper box against every instance, each mesh moved
+# into the grasp frame once per box, all offenders collected before the reason
+# is chosen. The oracle in `grasping` must give the same reasons.
+
+_CORNERS = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+
+
+def _reference_box_hits_mesh(box, grasp, mesh, pose):
+    center_local = (box[0] + box[1]) / 2.0
+    half = (box[1] - box[0]) / 2.0
+    to_grasp = Pose(grasp.rotation, grasp.center).inverse() * pose
+    verts = to_grasp.transform(mesh.vertices) - center_local
+    if (verts.min(axis=0) > half).any() or (verts.max(axis=0) < -half).any():
+        return False
+    tris = mesh.triangles
+    return bool(_tri_aabb_overlap(verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]], half).any())
+
+
+def reference_offenders(grasp, scene, gripper):
+    boxes = gripper_boxes(grasp.width, gripper)
+    corners = [grasp.rotation.rotate(b[0] + _CORNERS * (b[1] - b[0])) + grasp.center for b in boxes]
+    offenders = ["table"] if min(c[:, 2].min() for c in corners) < -1e-9 else []
+    for idx, inst in enumerate(scene.instances):
+        if any(_reference_box_hits_mesh(b, grasp, inst.mesh, inst.pose) for b in boxes):
+            offenders.append(idx)
+    return offenders
+
+
+def reference_simulate(grasp, scene, gripper, friction_mu=DEFAULT_FRICTION):
+    if grasp.width > gripper.max_width + 1e-12:
+        return FailureReason.WIDTH_EXCEEDED
+    offenders = reference_offenders(grasp, scene, gripper)
+    if "table" in offenders:
+        return FailureReason.TABLE_BLOCK
+    if any(o != scene.target_index for o in offenders):
+        return FailureReason.OCCLUDER_COLLISION
+    if offenders:
+        return FailureReason.ANTIPODAL_FAIL
+    target = scene.target
+    to_grasp = Pose(grasp.rotation, grasp.center).inverse() * target.pose
+    samples = target.mesh.contact_samples
+    ok, _ = _pad_slab_contacts(to_grasp.transform(samples.points), to_grasp.rotate_only(samples.normals),
+                               grasp.width, gripper, friction_mu)
+    return FailureReason.NONE if ok else FailureReason.ANTIPODAL_FAIL
+
+
+@pytest.fixture(scope="module")
+def dense_cases():
+    """20 seeded 8-10 object scenes, 120 candidates each, with reference reasons."""
+    catalog = build_catalog(CatalogConfig())
+    cases = []
+    for seed in range(20):
+        scene = generate_packed_scene(SceneConfig(object_count_range=(8, 10), seed=400 + seed), catalog)
+        single = derive_single_scene(scene, scene.target_index)
+        grasps = [lab.grasp for lab in label_pair(scene, GRIP, 120, seed)]
+        ref_single = [reference_simulate(g, single, GRIP) for g in grasps]
+        ref_cluttered = [reference_simulate(g, scene, GRIP) for g in grasps]
+        cases.append((seed, scene, single, grasps, ref_single, ref_cluttered))
+    return cases
 
 
 class TestTypes:
@@ -87,6 +155,14 @@ class TestSampling:
         with pytest.raises(InputError):
             sample_candidate_grasps(PointCloud(np.random.default_rng(0).normal(size=(50, 3))), GRIP, 10, seed=0)
 
+    def test_shortfall_logged(self, caplog):
+        # a flat patch has no opposing point for any sample
+        pts = np.column_stack([np.random.default_rng(0).uniform(size=(50, 2)), np.zeros(50)])
+        cloud = PointCloud(pts, np.tile([0.0, 0.0, 1.0], (50, 1)))
+        with caplog.at_level(logging.WARNING, logger="occlugrasp.grasping"):
+            assert sample_candidate_grasps(cloud, GRIP, 4, seed=0) == []
+        assert [r.getMessage() for r in caplog.records] == ["candidate sampling: 0 of 4 grasps after 200 attempts"]
+
     def test_deterministic(self):
         cloud = surface_sample(make_sphere(0.03), 1024, seed=5)
         a = sample_candidate_grasps(cloud, GRIP, 48, seed=11)
@@ -117,6 +193,32 @@ class TestCollision:
         assert not res.free
         assert res.offender == "table"
 
+    def test_all_offenders_reported(self):
+        # fingers between two walls, palm down on the target's top, tips below the table
+        target = box_instance(0.05, 0.05, 0.1, 0.15, 0.15)
+        walls = [box_instance(0.03, 0.11, 0.12, 0.15 - 0.0452, 0.15),
+                 box_instance(0.03, 0.11, 0.12, 0.15 + 0.0452, 0.15)]
+        scene = make_scene([target] + walls, target=0)
+        g = side_grasp((0.15, 0.15, -0.001))
+        res = check_collision(g, scene, GRIP)
+        assert res.offenders == ("table", 0, 1, 2)
+        assert res.offender == "table" and not res.free
+        assert list(res.offenders) == reference_offenders(g, scene, GRIP)
+        assert check_collision(side_grasp((0.15, 0.15, 0.05)), make_scene([target]), GRIP).offenders == ()
+
+    @pytest.mark.parametrize("gap,free", [(-1e-5, False), (1e-7, True), (1e-5, True)])
+    def test_broad_phase_margin_never_hides_contact(self, gap, free):
+        # occluder face `gap` beyond the outer face of the +x finger (negative: overlap)
+        outer = 0.15 + 0.055 / 2 + GRIP.finger_thickness
+        occ = box_instance(0.04, 0.05, 0.1, outer + gap + 0.02, 0.15)
+        scene = make_scene([box_instance(0.05, 0.05, 0.1, 0.15, 0.15), occ], target=0)
+        g = side_grasp((0.15, 0.15, 0.05))
+        res = check_collision(g, scene, GRIP)
+        assert res.free == free
+        assert list(res.offenders) == reference_offenders(g, scene, GRIP)
+        expected = FailureReason.NONE if free else FailureReason.OCCLUDER_COLLISION
+        assert simulate_grasp(g, scene, GRIP).reason == expected
+
 
 class TestSimulate:
     def test_valid_side_grasp_succeeds(self):
@@ -131,6 +233,13 @@ class TestSimulate:
         res = simulate_grasp(side_grasp((0.15, 0.15, 0.05)), scene, GRIP, friction_mu=0.4)
         assert not res.success
         assert res.reason == FailureReason.OCCLUDER_COLLISION
+        assert res.detail == "gripper hits occluder 1"
+
+    def test_jaws_closed_on_target_body(self):
+        scene = make_scene([box_instance(0.05, 0.05, 0.1, 0.15, 0.15)])
+        res = simulate_grasp(side_grasp((0.15, 0.15, 0.05), width=0.03), scene, GRIP)
+        assert res.reason == FailureReason.ANTIPODAL_FAIL
+        assert res.detail == "gripper body hits the target"
 
     def test_axis_45_degrees_fails_cone(self):
         # friction cone half-angle atan(0.4) ~ 21.8 deg < 45 deg
@@ -140,6 +249,7 @@ class TestSimulate:
         res = simulate_grasp(g, scene, GRIP, friction_mu=0.4)
         assert not res.success
         assert res.reason == FailureReason.ANTIPODAL_FAIL
+        assert res.detail.endswith("contact outside the friction cone")
 
     def test_deterministic(self):
         scene = generate_packed_scene(SceneConfig(object_count_range=(5, 5), seed=3))
@@ -148,6 +258,30 @@ class TestSimulate:
         a = simulate_grasp(g, scene, GRIP)
         b = simulate_grasp(g, scene, GRIP)
         assert a == b
+
+
+def _grasp_key(g):
+    return g.center.tolist(), g.rotation, g.width
+
+
+class TestMatchesReference:
+    def test_simulate_grasp_reasons(self, dense_cases):
+        seen = set()
+        for seed, scene, single, grasps, ref_single, ref_cluttered in dense_cases:
+            for g, rs, rc in zip(grasps, ref_single, ref_cluttered):
+                assert simulate_grasp(g, single, GRIP).reason == rs, seed
+                assert simulate_grasp(g, scene, GRIP).reason == rc, seed
+            seen.update(ref_cluttered)
+        assert seen == set(FailureReason), "the scenes must exercise every reason"
+
+    def test_label_pair_matches_two_pass_labels(self, dense_cases):
+        for seed, scene, single, grasps, ref_single, ref_cluttered in dense_cases:
+            labels = label_pair(scene, GRIP, 120, seed)
+            assert len(labels) == 120
+            assert [_grasp_key(lab.grasp) for lab in labels] == [_grasp_key(g) for g in grasps]
+            assert [lab.success_single for lab in labels] == [r == FailureReason.NONE for r in ref_single]
+            assert [lab.success_cluttered for lab in labels] == [r == FailureReason.NONE for r in ref_cluttered]
+            assert [lab.failure_reason for lab in labels] == ref_cluttered
 
 
 class TestLabelPair:
