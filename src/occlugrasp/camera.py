@@ -1,9 +1,12 @@
 """Pinhole depth camera: rendering, sensor noise, back-projection, persistence.
 
-Rendering is organized triangle-major for speed, but each covered pixel is
-resolved by an exact ray/triangle-plane intersection through the pixel
-center, so the result is identical to per-pixel ray casting (nearest hit
-wins via the z-buffer). Depth is the camera-frame z coordinate.
+`render` resolves each covered pixel by an exact ray/triangle intersection
+through the pixel center, so the result is identical to per-pixel ray
+casting; depth is the camera-frame z coordinate. It evaluates (triangle,
+pixel) pairs in batches, pixel-box rows of equal width together, a chunk of
+about `_CHUNK_PAIRS` pairs at a time: the nearest hit wins a pixel, and the
+lower instance index wins a tie. `back_project` works inside the bounding
+box of the retained pixels.
 """
 
 from __future__ import annotations
@@ -98,62 +101,120 @@ class DepthFrame:
         return self.instance_id != BACKGROUND_ID
 
 
+# Target number of (triangle, pixel) pairs `render` evaluates at once. A chunk
+# holds whole pixel-box rows, at least one, so it may split a triangle; the
+# size bounds the temporaries to a few hundred kilobytes.
+_CHUNK_PAIRS = 4096
+
+
 def render(scene: Scene, camera: CameraModel) -> DepthFrame:
-    """Nearest-surface depth + owning instance id per pixel."""
+    """Nearest-surface depth + owning instance id per pixel.
+
+    Triangles with a vertex at camera z <= 1e-6 are skipped. The others are
+    gathered in instance order with their pixel boxes clipped to the image;
+    each box row is one segment of (triangle, pixel) pairs. Segments are
+    sorted by width, stably, and evaluated in chunks of whole segments of
+    about `_CHUNK_PAIRS` pairs, so a chunk may split a triangle. A pair hits
+    when the ray through the pixel center meets the triangle (Moller-Trumbore,
+    barycentric tolerance 1e-12, determinant above 1e-14, t above 1e-9). The
+    three dot products are one `matmul` per segment, the BLAS call a loop over
+    triangles makes per box row, so t is bit-identical to such a loop; an
+    elementwise sum would round differently where BLAS fuses multiply-adds.
+    Each pixel keeps the smallest (t, instance index) over all chunks: the
+    nearest hit, and on equal depth the lower instance, as a strict `<`
+    z-test in instance order gives.
+    """
     h, w = camera.height, camera.width
-    zbuf = np.full((h, w), np.inf, dtype=np.float64)
-    inst = np.full((h, w), BACKGROUND_ID, dtype=np.uint16)
     world_to_cam = camera.pose.inverse()
     rot = world_to_cam.rotation.as_matrix()
     trans = world_to_cam.translation
     fx, fy, cx, cy = camera.fx, camera.fy, camera.cx, camera.cy
+    tv_parts, owner_parts = [], []
     for index, instance in enumerate(scene.instances):
         verts_cam = instance.pose.transform(instance.mesh.vertices) @ rot.T + trans
-        tris = instance.mesh.triangles
-        tv = verts_cam[tris]  # (m, 3, 3)
+        tv = verts_cam[instance.mesh.triangles]  # (m, 3, 3)
         # skip triangles touching or behind the camera plane
-        front = tv[:, :, 2].min(axis=1) > 1e-6
-        if not front.any():
-            continue
-        tv = tv[front]
-        u = tv[:, :, 0] / tv[:, :, 2] * fx + cx
-        v = tv[:, :, 1] / tv[:, :, 2] * fy + cy
-        u0 = np.maximum(np.ceil(u.min(axis=1) - 0.5), 0).astype(int)
-        u1 = np.minimum(np.floor(u.max(axis=1) - 0.5), w - 1).astype(int)
-        v0 = np.maximum(np.ceil(v.min(axis=1) - 0.5), 0).astype(int)
-        v1 = np.minimum(np.floor(v.max(axis=1) - 0.5), h - 1).astype(int)
-        keep = (u1 >= u0) & (v1 >= v0)
-        for a, b, c, iu0, iu1, iv0, iv1 in zip(
-            tv[keep, 0], tv[keep, 1], tv[keep, 2], u0[keep], u1[keep], v0[keep], v1[keep]
-        ):
-            px = np.arange(iu0, iu1 + 1)
-            py = np.arange(iv0, iv1 + 1)
-            # pixel-center rays in camera frame, z component 1 => t equals depth
-            dx = (px + 0.5 - cx) / fx
-            dy = (py + 0.5 - cy) / fy
-            dirs = np.empty((len(py), len(px), 3))
-            dirs[:, :, 0] = dx[None, :]
-            dirs[:, :, 1] = dy[:, None]
+        tv = tv[tv[:, :, 2].min(axis=1) > 1e-6]
+        tv_parts.append(tv)
+        owner_parts.append(np.full(len(tv), index, dtype=np.uint16))
+    tv = np.concatenate(tv_parts)
+    owner = np.concatenate(owner_parts)
+    u = tv[:, :, 0] / tv[:, :, 2] * fx + cx
+    v = tv[:, :, 1] / tv[:, :, 2] * fy + cy
+    u0 = np.maximum(np.ceil(u.min(axis=1) - 0.5), 0).astype(int)
+    u1 = np.minimum(np.floor(u.max(axis=1) - 0.5), w - 1).astype(int)
+    v0 = np.maximum(np.ceil(v.min(axis=1) - 0.5), 0).astype(int)
+    v1 = np.minimum(np.floor(v.max(axis=1) - 0.5), h - 1).astype(int)
+    keep = (u1 >= u0) & (v1 >= v0)
+    depth = np.zeros((h, w), dtype=np.float32)
+    inst = np.full((h, w), BACKGROUND_ID, dtype=np.uint16)
+    if not keep.any():
+        return DepthFrame(depth, inst, camera)
+    tv, owner, u0, u1, v0, v1 = tv[keep], owner[keep], u0[keep], u1[keep], v0[keep], v1[keep]
+    widths = u1 - u0 + 1
+    heights = v1 - v0 + 1
+    a = tv[:, 0]
+    e1 = tv[:, 1] - a
+    e2 = tv[:, 2] - a
+    s = -a  # ray origin is the camera center
+    qvec = np.cross(s, e1)
+    t_num = np.matmul(e2[:, None, :], qvec[:, :, None])[:, 0, 0]
+    # pixel-center rays in camera frame, z component 1 => t equals depth
+    dx = (np.arange(w) + 0.5 - cx) / fx
+    dy = (np.arange(h) + 0.5 - cy) / fy
+    # z-buffer over the union of the pixel boxes, in flat pixel order
+    bu0, bv0 = u0.min(), v0.min()
+    bw = u1.max() - bu0 + 1
+    bh = v1.max() - bv0 + 1
+    zbuf = np.full(bh * bw, np.inf)
+    owners = np.full(bh * bw, BACKGROUND_ID, dtype=np.uint16)
+
+    # one segment per box row, grouped by width, triangle order kept inside a group
+    order = np.argsort(widths, kind="stable")
+    seg_tri = np.repeat(order, heights[order])
+    first_row = np.cumsum(heights[order]) - heights[order]
+    seg_row = np.arange(len(seg_tri)) - np.repeat(first_row, heights[order]) + v0[seg_tri]
+    seg_width = widths[seg_tri]
+    bounds = np.flatnonzero(np.diff(seg_width)) + 1
+    for g0, g1 in zip(np.r_[0, bounds], np.r_[bounds, len(seg_tri)]):
+        n = int(seg_width[g0])
+        step = max(1, _CHUNK_PAIRS // n)
+        for c0 in range(g0, g1, step):
+            c1 = min(c0 + step, g1)
+            tri, py = seg_tri[c0:c1], seg_row[c0:c1]
+            px = u0[tri][:, None] + np.arange(n)
+            dirs = np.empty((len(tri), n, 3))
+            dirs[:, :, 0] = dx[px]
+            dirs[:, :, 1] = dy[py][:, None]
             dirs[:, :, 2] = 1.0
-            e1 = b - a
-            e2 = c - a
-            pvec = np.cross(dirs, e2)
-            det = pvec @ e1
+            # np.cross(dirs, e2) term by term; the factors 1.0 are exact
+            e2x, e2y, e2z = e2[tri].T[:, :, None]
+            pvec = np.empty_like(dirs)
+            pvec[:, :, 0] = dirs[:, :, 1] * e2z - e2y
+            pvec[:, :, 1] = e2x - dirs[:, :, 0] * e2z
+            pvec[:, :, 2] = dirs[:, :, 0] * e2y - dirs[:, :, 1] * e2x
+            det = np.matmul(pvec, e1[tri][:, :, None])[:, :, 0]
             ok = np.abs(det) > 1e-14
             inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-            s = -a  # ray origin is the camera center
-            uu = (pvec @ s) * inv_det
-            qvec = np.cross(s, e1)
-            vv = (dirs @ qvec) * inv_det
-            t = float(e2 @ qvec) * inv_det
+            uu = np.matmul(pvec, s[tri][:, :, None])[:, :, 0] * inv_det
+            vv = np.matmul(dirs, qvec[tri][:, :, None])[:, :, 0] * inv_det
+            t = t_num[tri][:, None] * inv_det
             hit = ok & (uu >= -1e-12) & (vv >= -1e-12) & (uu + vv <= 1 + 1e-12) & (t > 1e-9)
-            if not hit.any():
+            rows, cols = np.nonzero(hit)
+            if not len(rows):
                 continue
-            sub = zbuf[iv0 : iv1 + 1, iu0 : iu1 + 1]
-            better = hit & (t < sub)
-            sub[better] = t[better]
-            inst[iv0 : iv1 + 1, iu0 : iu1 + 1][better] = index
-    depth = np.where(np.isfinite(zbuf), zbuf, 0.0).astype(np.float32)
+            pix = (py[rows] - bv0) * bw + (px[rows, cols] - bu0)
+            t_hit = t[rows, cols]
+            # keep the smallest (depth, instance) per pixel across every chunk
+            before = zbuf[pix]
+            np.minimum.at(zbuf, pix, t_hit)
+            after = zbuf[pix]
+            owners[pix[after < before]] = BACKGROUND_ID
+            win = t_hit == after
+            np.minimum.at(owners, pix[win], owner[tri[rows[win]]])
+    box = (slice(bv0, bv0 + bh), slice(bu0, bu0 + bw))
+    depth[box] = np.where(np.isfinite(zbuf), zbuf, 0.0).reshape(bh, bw)
+    inst[box] = owners.reshape(bh, bw)
     return DepthFrame(depth, inst, camera)
 
 
@@ -187,9 +248,15 @@ def back_project(frame: DepthFrame, instance_filter: int | None = None,
         mask = frame.instance_id == instance_filter
     if not mask.any():
         return PointCloud.empty()
-    h, w = frame.depth.shape
-    vs_all, us_all = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    z = frame.depth.astype(np.float64)
+    # work inside the mask's bounding box: a neighbor outside the mask never
+    # contributes to a normal, and every value is computed per pixel
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    mask = mask[box]
+    h, w = mask.shape
+    vs_all, us_all = np.mgrid[box]
+    z = frame.depth[box].astype(np.float64)
     dx, dy = _pixel_rays(cam, us_all, vs_all)
     pts_cam = np.stack([dx * z, dy * z, z], axis=-1)
 
@@ -204,7 +271,7 @@ def back_project(frame: DepthFrame, instance_filter: int | None = None,
     dv = np.zeros_like(pts_cam)
     same_u = np.zeros((h, w), dtype=bool)
     same_v = np.zeros((h, w), dtype=bool)
-    inst = frame.instance_id
+    inst = frame.instance_id[box]
     same_u[:, :-1] = (inst[:, :-1] == inst[:, 1:]) & mask[:, :-1] & mask[:, 1:]
     same_v[:-1, :] = (inst[:-1, :] == inst[1:, :]) & mask[:-1, :] & mask[1:, :]
     du[:, :-1][same_u[:, :-1]] = (pts_cam[:, 1:] - pts_cam[:, :-1])[same_u[:, :-1]]

@@ -10,10 +10,8 @@ returns the input.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -163,13 +161,3 @@ def completion_ground_truth(scene: Scene, count: int = DEFAULT_COMPLETION_POINTS
     """Complete cloud sampled from the target mesh at its scene pose."""
     target = scene.target
     return surface_sample(target.mesh, count, seed=scene.seed ^ 0x6E0C).transformed(target.pose)
-
-
-def write_completion_csv(path, rows: list[dict]) -> None:
-    """Rows: scene_id, target, completer, cd_l1_x1000, iou_pct, occlusion_level."""
-    fields = ["scene_id", "target", "completer", "cd_l1_x1000", "iou_pct", "occlusion_level"]
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)

@@ -1,9 +1,8 @@
 """Triangle meshes: watertight primitives, BVH ray casting, surface sampling, PLY I/O.
 
 Rays against a mesh set go through a per-mesh bounding-volume hierarchy so
-single-ray queries stay cheap even for finely tessellated catalogs. The
-brute-force all-triangle path is kept (`ray_cast_brute`) as the oracle the
-BVH is tested against.
+single-ray queries stay cheap even for finely tessellated catalogs. The tests
+check the BVH against a brute-force all-triangle cast.
 """
 
 from __future__ import annotations
@@ -182,16 +181,6 @@ def _ray_triangles(origin, direction, v0, v1, v2):
     t = np.einsum("ij,ij->i", e2, q) * inv
     good = ok & (u >= -1e-12) & (v >= -1e-12) & (u + v <= 1.0 + 1e-12) & (t > 1e-9)
     return np.where(good, t, np.inf)
-
-
-def ray_cast_brute(mesh: TriMesh, origin, direction) -> tuple[float, int]:
-    """All-triangle nearest intersection: (t, face index) or (inf, -1)."""
-    v0 = mesh.vertices[mesh.triangles[:, 0]]
-    v1 = mesh.vertices[mesh.triangles[:, 1]]
-    v2 = mesh.vertices[mesh.triangles[:, 2]]
-    t = _ray_triangles(np.asarray(origin, float), np.asarray(direction, float), v0, v1, v2)
-    idx = int(np.argmin(t))
-    return float(t[idx]), (idx if np.isfinite(t[idx]) else -1)
 
 
 class _Bvh:

@@ -110,7 +110,11 @@ def splat(cloud: PointCloud, config: TsdfConfig | None = None,
         raise InputError("cannot splat an empty cloud")
     r = config.resolution
     centers = config.voxel_centers()
-    dist, _ = cKDTree(cloud.points).query(centers, k=1)
+    # beyond both radii a distance changes nothing: the value saturates at 1
+    # and the weight is 0, so the query may return inf there; the bound is
+    # exclusive, hence one step up to keep a distance exactly at a radius
+    reach = max(config.truncation, kernel_radius_voxels * config.voxel_size)
+    dist, _ = cKDTree(cloud.points).query(centers, k=1, distance_upper_bound=np.nextafter(reach, np.inf))
     values = np.minimum(dist / config.truncation, 1.0)
     weights = (dist <= kernel_radius_voxels * config.voxel_size).astype(np.float64)
     return TsdfGrid(values.reshape(r, r, r), weights.reshape(r, r, r), config)

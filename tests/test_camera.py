@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
+from occlugrasp import camera as camera_module
 from occlugrasp.camera import (
     BACKGROUND_ID,
     CameraModel,
@@ -14,12 +17,14 @@ from occlugrasp.camera import (
     save_frame,
 )
 from occlugrasp.errors import InputError
-from occlugrasp.geometry import Pose, Quaternion
-from occlugrasp.meshes import make_box, ray_cast
+from occlugrasp.geometry import PointCloud, Pose, Quaternion
+from occlugrasp.meshes import TriMesh, make_box, ray_cast
 from occlugrasp.scenes import (
+    CatalogConfig,
     ObjectInstance,
     Scene,
     SceneConfig,
+    build_catalog,
     derive_single_scene,
     generate_packed_scene,
 )
@@ -202,3 +207,279 @@ class TestPersistence:
         assert np.array_equal(frame.depth, loaded.depth)
         assert np.array_equal(frame.instance_id, loaded.instance_id)
         assert frame.camera.same_view(loaded.camera)
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the per-triangle render loop and the full-image
+# back-projection that `render` and `back_project` replaced
+
+
+def reference_render(scene: Scene, camera: CameraModel) -> DepthFrame:
+    h, w = camera.height, camera.width
+    zbuf = np.full((h, w), np.inf, dtype=np.float64)
+    inst = np.full((h, w), BACKGROUND_ID, dtype=np.uint16)
+    world_to_cam = camera.pose.inverse()
+    rot = world_to_cam.rotation.as_matrix()
+    trans = world_to_cam.translation
+    fx, fy, cx, cy = camera.fx, camera.fy, camera.cx, camera.cy
+    for index, instance in enumerate(scene.instances):
+        verts_cam = instance.pose.transform(instance.mesh.vertices) @ rot.T + trans
+        tris = instance.mesh.triangles
+        tv = verts_cam[tris]  # (m, 3, 3)
+        # skip triangles touching or behind the camera plane
+        front = tv[:, :, 2].min(axis=1) > 1e-6
+        if not front.any():
+            continue
+        tv = tv[front]
+        u = tv[:, :, 0] / tv[:, :, 2] * fx + cx
+        v = tv[:, :, 1] / tv[:, :, 2] * fy + cy
+        u0 = np.maximum(np.ceil(u.min(axis=1) - 0.5), 0).astype(int)
+        u1 = np.minimum(np.floor(u.max(axis=1) - 0.5), w - 1).astype(int)
+        v0 = np.maximum(np.ceil(v.min(axis=1) - 0.5), 0).astype(int)
+        v1 = np.minimum(np.floor(v.max(axis=1) - 0.5), h - 1).astype(int)
+        keep = (u1 >= u0) & (v1 >= v0)
+        for a, b, c, iu0, iu1, iv0, iv1 in zip(
+            tv[keep, 0], tv[keep, 1], tv[keep, 2], u0[keep], u1[keep], v0[keep], v1[keep]
+        ):
+            px = np.arange(iu0, iu1 + 1)
+            py = np.arange(iv0, iv1 + 1)
+            # pixel-center rays in camera frame, z component 1 => t equals depth
+            dx = (px + 0.5 - cx) / fx
+            dy = (py + 0.5 - cy) / fy
+            dirs = np.empty((len(py), len(px), 3))
+            dirs[:, :, 0] = dx[None, :]
+            dirs[:, :, 1] = dy[:, None]
+            dirs[:, :, 2] = 1.0
+            e1 = b - a
+            e2 = c - a
+            pvec = np.cross(dirs, e2)
+            det = pvec @ e1
+            ok = np.abs(det) > 1e-14
+            inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+            s = -a  # ray origin is the camera center
+            uu = (pvec @ s) * inv_det
+            qvec = np.cross(s, e1)
+            vv = (dirs @ qvec) * inv_det
+            t = float(e2 @ qvec) * inv_det
+            hit = ok & (uu >= -1e-12) & (vv >= -1e-12) & (uu + vv <= 1 + 1e-12) & (t > 1e-9)
+            if not hit.any():
+                continue
+            sub = zbuf[iv0 : iv1 + 1, iu0 : iu1 + 1]
+            better = hit & (t < sub)
+            sub[better] = t[better]
+            inst[iv0 : iv1 + 1, iu0 : iu1 + 1][better] = index
+    depth = np.where(np.isfinite(zbuf), zbuf, 0.0).astype(np.float32)
+    return DepthFrame(depth, inst, camera)
+
+
+def reference_back_project(frame: DepthFrame, instance_filter=None, estimate_normals=True):
+    cam = frame.camera
+    if instance_filter is None:
+        mask = frame.valid
+    else:
+        mask = frame.instance_id == instance_filter
+    if not mask.any():
+        return PointCloud.empty()
+    h, w = frame.depth.shape
+    vs_all, us_all = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    z = frame.depth.astype(np.float64)
+    dx = (us_all + 0.5 - cam.cx) / cam.fx
+    dy = (vs_all + 0.5 - cam.cy) / cam.fy
+    pts_cam = np.stack([dx * z, dy * z, z], axis=-1)
+
+    rot = cam.pose.rotation.as_matrix()
+    pts_world = pts_cam @ rot.T + cam.pose.translation
+    if not estimate_normals:
+        return PointCloud(pts_world[mask])
+
+    du = np.zeros_like(pts_cam)
+    dv = np.zeros_like(pts_cam)
+    same_u = np.zeros((h, w), dtype=bool)
+    same_v = np.zeros((h, w), dtype=bool)
+    inst = frame.instance_id
+    same_u[:, :-1] = (inst[:, :-1] == inst[:, 1:]) & mask[:, :-1] & mask[:, 1:]
+    same_v[:-1, :] = (inst[:-1, :] == inst[1:, :]) & mask[:-1, :] & mask[1:, :]
+    du[:, :-1][same_u[:, :-1]] = (pts_cam[:, 1:] - pts_cam[:, :-1])[same_u[:, :-1]]
+    dv[:-1, :][same_v[:-1, :]] = (pts_cam[1:, :] - pts_cam[:-1, :])[same_v[:-1, :]]
+    n_cam = np.cross(du, dv)
+    lens = np.linalg.norm(n_cam, axis=-1)
+    good = lens > 1e-12
+    n_cam[good] /= lens[good][..., None]
+    flip = np.einsum("hwc,hwc->hw", n_cam, pts_cam) > 0
+    n_cam[flip] *= -1.0
+    view = pts_cam / np.maximum(np.linalg.norm(pts_cam, axis=-1), 1e-12)[..., None]
+    n_cam[~good] = -view[~good]
+    n_world = n_cam @ rot.T
+    n_sel = n_world[mask]
+    n_sel /= np.linalg.norm(n_sel, axis=1)[:, None]
+    return PointCloud(pts_world[mask], n_sel)
+
+
+def assert_same_frame(got: DepthFrame, want: DepthFrame):
+    assert got.depth.tobytes() == want.depth.tobytes()
+    assert got.instance_id.tobytes() == want.instance_id.tobytes()
+
+
+def assert_same_cloud(got: PointCloud, want: PointCloud):
+    assert got.points.tobytes() == want.points.tobytes()
+    assert (got.normals is None) == (want.normals is None)
+    if want.normals is not None:
+        assert got.normals.tobytes() == want.normals.tobytes()
+
+
+@functools.cache
+def catalog():
+    return build_catalog(CatalogConfig())
+
+
+@functools.cache
+def dense_scene(seed: int) -> Scene:
+    return generate_packed_scene(SceneConfig(object_count_range=(8, 10), seed=seed), catalog())
+
+
+def scene_and_singles(scene: Scene) -> list[Scene]:
+    return [scene] + [derive_single_scene(scene, i) for i in range(len(scene.instances))]
+
+
+def mesh_instance(vertices, triangles) -> ObjectInstance:
+    """Instance at the identity pose, so vertices are world coordinates."""
+    return ObjectInstance("mesh", TriMesh(vertices, triangles), Pose.identity(), (0.0, 0.0, 0.0))
+
+
+# camera at the world origin looking along +z, +x right, +y down
+AXIS_CAMERA = CameraModel(160, 120, 100.0, 100.0, 80.0, 60.0, Pose.identity())
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Chunks of 7 pairs: most rows fill a chunk alone, so chunks split triangles."""
+    monkeypatch.setattr(camera_module, "_CHUNK_PAIRS", 7)
+
+
+class TestRenderMatchesReference:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_dense_scene_split_chunks(self, seed, monkeypatch):
+        # 61 pairs hold a few rows of a box at 160x120, so chunks split most
+        # triangles; 7 pairs would make these scenes about five times slower
+        monkeypatch.setattr(camera_module, "_CHUNK_PAIRS", 61)
+        cam = default_camera(width=160, height=120, focal=135.0)
+        for scene in scene_and_singles(dense_scene(500 + seed)):
+            assert_same_frame(render(scene, cam), reference_render(scene, cam))
+
+    def test_full_resolution(self):
+        cam = default_camera()
+        for scene in scene_and_singles(dense_scene(500))[:4]:
+            assert_same_frame(render(scene, cam), reference_render(scene, cam))
+
+    def test_triangle_straddling_camera_plane(self, small_chunks):
+        # the first triangle crosses z = 0; the second starts just in front of
+        # the camera plane, so its projected box covers the whole image
+        verts = [[-0.1, 0.0, -0.2], [0.1, 0.05, 0.5], [0.0, -0.1, 0.5],
+                 [-0.02, -0.01, 2e-6], [0.3, 0.2, 0.6], [-0.2, 0.25, 0.7]]
+        scene = make_scene([mesh_instance(verts, [[0, 1, 2], [3, 4, 5]])])
+        frame = render(scene, AXIS_CAMERA)
+        assert frame.valid.any()
+        assert_same_frame(frame, reference_render(scene, AXIS_CAMERA))
+
+    def test_offscreen_and_border_triangles(self, small_chunks):
+        # at depth 1, x = +-0.8 and y = +-0.6 are the image borders
+        tris = [
+            [[-2.0, 0.0, 1.0], [-1.5, 0.1, 1.0], [-1.8, -0.2, 1.0]],    # off the left
+            [[0.0, 2.0, 1.0], [0.1, 1.5, 1.0], [-0.1, 1.7, 1.0]],       # off the bottom
+            [[0.0, 0.0, 1.0], [0.1, 0.1, 1.0], [0.0, 0.0, -1.0]],       # touches z < 0
+            [[-1.0, -0.1, 1.0], [-0.6, 0.1, 1.1], [-0.7, -0.2, 0.9]],   # left border
+            [[1.0, 0.1, 1.0], [0.6, -0.1, 1.1], [0.7, 0.2, 0.9]],       # right border
+            [[-0.1, -0.9, 1.0], [0.1, -0.5, 1.1], [0.2, -0.7, 0.9]],    # top border
+            [[0.1, 0.9, 1.0], [-0.1, 0.5, 1.1], [-0.2, 0.7, 0.9]],      # bottom border
+            [[-1.0, -0.8, 1.0], [-0.5, -0.7, 1.0], [-0.7, -0.4, 1.0]],  # top-left corner
+        ]
+        verts = np.asarray(tris, dtype=float).reshape(-1, 3)
+        scene = make_scene([mesh_instance(verts, np.arange(len(verts)).reshape(-1, 3))])
+        frame = render(scene, AXIS_CAMERA)
+        for border in (frame.valid[:, 0], frame.valid[:, -1], frame.valid[0], frame.valid[-1]):
+            assert border.any()
+        assert_same_frame(frame, reference_render(scene, AXIS_CAMERA))
+
+    def test_zero_area_triangles(self, small_chunks):
+        verts = [[-0.2, -0.1, 1.0], [0.2, 0.1, 1.0], [0.0, 0.0, 1.0],   # collinear
+                 [0.1, 0.1, 1.0], [0.1, 0.1, 1.0], [0.3, 0.2, 1.0],     # repeated vertex
+                 [-0.1, 0.2, 0.8], [0.1, 0.2, 0.8], [0.0, 0.3, 0.8]]    # a proper one
+        scene = make_scene([mesh_instance(verts, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])])
+        frame = render(scene, AXIS_CAMERA)
+        assert frame.valid.any()
+        assert_same_frame(frame, reference_render(scene, AXIS_CAMERA))
+
+    def test_coincident_faces_lower_instance_wins(self, small_chunks):
+        box = box_instance(0.05, 0.05, 0.05, 0.15, 0.15, yaw=0.3)
+        other = box_instance(0.04, 0.06, 0.08, 0.08, 0.12)
+        scene = make_scene([other, box, box, other])
+        cam = default_camera(width=160, height=120, focal=135.0)
+        frame = render(scene, cam)
+        ids = set(np.unique(frame.instance_id)) - {BACKGROUND_ID}
+        assert ids == {0, 1}
+        assert_same_frame(frame, reference_render(scene, cam))
+
+    def test_equal_depth_from_a_narrower_box_of_a_higher_instance(self, small_chunks):
+        # both triangles lie on z = 1 with power-of-two determinants, so every
+        # pixel of the small one gets t = 1.0 exactly from both; the small one
+        # has the narrower box and is evaluated first, yet instance 0 must win
+        big = mesh_instance([[-0.5, -0.5, 1.0], [0.5, -0.5, 1.0], [-0.5, 0.5, 1.0]], [[0, 1, 2]])
+        small = mesh_instance([[-0.125, -0.125, 1.0], [0.125, -0.125, 1.0], [-0.125, 0.125, 1.0]],
+                              [[0, 1, 2]])
+        scene = make_scene([big, small])
+        frame = render(scene, AXIS_CAMERA)
+        assert (frame.depth[frame.valid] == 1.0).all()
+        assert set(np.unique(frame.instance_id)) == {0, BACKGROUND_ID}
+        assert_same_frame(frame, reference_render(scene, AXIS_CAMERA))
+
+    def test_camera_sees_nothing(self, small_chunks):
+        scene = dense_scene(500)
+        cam = CameraModel(
+            64, 48, 50.0, 50.0, 32.0, 24.0,
+            look_at_pose((0.15, 0.15, 1.0), (0.15, 0.15, 2.0), up=(0.0, 1.0, 0.0)),
+        )
+        frame = render(scene, cam)
+        assert not frame.valid.any()
+        assert_same_frame(frame, reference_render(scene, cam))
+
+
+def synthetic_frame(inst: np.ndarray, seed: int) -> DepthFrame:
+    h, w = inst.shape
+    rng = np.random.default_rng(seed)
+    vs, us = np.mgrid[0:h, 0:w]
+    depth = 0.5 + 0.002 * us + 0.001 * vs + rng.uniform(0.0, 0.003, size=(h, w))
+    depth[inst == BACKGROUND_ID] = 0.0
+    cam = default_camera(width=w, height=h, focal=0.84 * w)
+    return DepthFrame(depth.astype(np.float32), inst, cam)
+
+
+class TestBackProjectMatchesReference:
+    @pytest.mark.parametrize("estimate_normals", [True, False])
+    def test_seeded_frames(self, estimate_normals):
+        cam = default_camera(width=160, height=120, focal=135.0)
+        for seed in (500, 501):
+            scene = dense_scene(seed)
+            frame = render(scene, cam)
+            for instance_filter in [None, *range(len(scene.instances))]:
+                assert_same_cloud(back_project(frame, instance_filter, estimate_normals),
+                                  reference_back_project(frame, instance_filter, estimate_normals))
+
+    def test_full_resolution(self):
+        scene = dense_scene(500)
+        frame = render(scene, default_camera())
+        for instance_filter in (None, scene.target_index):
+            assert_same_cloud(back_project(frame, instance_filter),
+                              reference_back_project(frame, instance_filter))
+
+    @pytest.mark.parametrize("estimate_normals", [True, False])
+    def test_mask_touching_borders_and_single_pixel(self, estimate_normals):
+        inst = np.full((48, 64), BACKGROUND_ID, dtype=np.uint16)
+        inst[:20, :30] = 1   # top-left corner
+        inst[30:, 40:] = 2   # bottom-right corner
+        inst[10:40, 50:] = 3  # right border, touching instance 2
+        inst[25, 20] = 4     # one pixel
+        frame = synthetic_frame(inst, seed=5)
+        for instance_filter in (None, 1, 2, 3, 4):
+            assert_same_cloud(back_project(frame, instance_filter, estimate_normals),
+                              reference_back_project(frame, instance_filter, estimate_normals))
+        assert len(back_project(frame, 4, estimate_normals)) == 1

@@ -9,14 +9,24 @@ from occlugrasp.errors import InputError
 from occlugrasp.geometry import Pose, PointCloud, Quaternion, quaternion_about_axis
 from occlugrasp.meshes import (
     TriMesh,
+    _ray_triangles,
     make_box,
     make_cylinder,
     make_hex_prism,
     make_sphere,
     ray_cast,
-    ray_cast_brute,
     surface_sample,
 )
+
+
+def ray_cast_brute(mesh: TriMesh, origin, direction) -> tuple[float, int]:
+    """All-triangle nearest intersection: (t, face index) or (inf, -1)."""
+    v0 = mesh.vertices[mesh.triangles[:, 0]]
+    v1 = mesh.vertices[mesh.triangles[:, 1]]
+    v2 = mesh.vertices[mesh.triangles[:, 2]]
+    t = _ray_triangles(np.asarray(origin, float), np.asarray(direction, float), v0, v1, v2)
+    idx = int(np.argmin(t))
+    return float(t[idx]), (idx if np.isfinite(t[idx]) else -1)
 
 
 def random_quat(rng) -> Quaternion:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from occlugrasp.camera import BACKGROUND_ID, CameraModel, DepthFrame, default_camera, render
 from occlugrasp.errors import InputError
-from occlugrasp.geometry import PointCloud, Pose
-from occlugrasp.meshes import make_sphere, surface_sample
+from occlugrasp.geometry import PointCloud, Pose, Quaternion
+from occlugrasp.meshes import make_box, make_cylinder, make_sphere, surface_sample
 from occlugrasp.scenes import SceneConfig, generate_packed_scene
 from occlugrasp.tsdf import TsdfConfig, fuse, load_grid, near_surface_mask, save_grid, splat
 
@@ -192,6 +193,52 @@ class TestSplatAndMask:
     def test_empty_cloud_rejected(self):
         with pytest.raises(InputError):
             splat(PointCloud.empty())
+
+
+def unbounded_distances(cloud: PointCloud, config: TsdfConfig) -> np.ndarray:
+    return cKDTree(cloud.points).query(config.voxel_centers(), k=1)[0]
+
+
+class TestSplatMatchesUnboundedQuery:
+    """`splat` against its values and weights from an unbounded kd-tree query."""
+
+    def assert_same(self, cloud, config, kernel_radius_voxels=1.0, dist=None):
+        dist = unbounded_distances(cloud, config) if dist is None else dist
+        values = np.minimum(dist / config.truncation, 1.0)
+        weights = (dist <= kernel_radius_voxels * config.voxel_size).astype(np.float64)
+        grid = splat(cloud, config, kernel_radius_voxels)
+        assert grid.values.ravel().tobytes() == values.astype(np.float32).tobytes()
+        assert grid.weights.ravel().tobytes() == weights.astype(np.float32).tobytes()
+
+    def test_seeded_clouds(self):
+        meshes = [make_sphere(0.04), make_box(0.05, 0.08, 0.1), make_cylinder(0.03, 0.12)]
+        for seed, mesh in enumerate(meshes):
+            pose = Pose(Quaternion.identity(), np.array([0.1 + 0.05 * seed, 0.15, 0.0]))
+            cloud = surface_sample(mesh, 2048, seed=seed).transformed(pose)
+            dist = unbounded_distances(cloud, TsdfConfig())
+            for kernel_radius_voxels in (1.0, 2.5, 6.0):
+                self.assert_same(cloud, TsdfConfig(), kernel_radius_voxels, dist)
+
+    def test_cloud_outside_the_grid(self):
+        cloud = PointCloud(np.array([[1.0, 1.0, 1.0], [-0.5, 0.1, 0.1]]))
+        self.assert_same(cloud, TsdfConfig())
+        self.assert_same(cloud, TsdfConfig(), kernel_radius_voxels=6.0)
+        assert not splat(cloud).weights.any()
+
+    @pytest.mark.parametrize("kernel_radius_voxels", [1.0, 4.0, 6.0])
+    def test_distances_exactly_at_the_radii(self, kernel_radius_voxels):
+        # voxel size 1/8 and truncation 1/2 are exact in binary, and so is every
+        # distance along z from the point below to a voxel center of its column
+        config = TsdfConfig(resolution=8, extent=1.0)
+        reach = max(config.truncation, kernel_radius_voxels * config.voxel_size)
+        point = (np.array([3, 4, 2]) + 0.5) * config.voxel_size + np.array([0.0, 0.0, reach])
+        cloud = PointCloud(point[None, :])
+        self.assert_same(cloud, config, kernel_radius_voxels)
+        grid = splat(cloud, config, kernel_radius_voxels)
+        at_kernel = 2 + int(reach / config.voxel_size - kernel_radius_voxels)
+        assert grid.weights[3, 4, at_kernel] == 1.0
+        assert grid.weights[3, 4, at_kernel - 1] == 0.0
+        assert grid.values[3, 4, 2] == 1.0
 
 
 class TestPersistence:
