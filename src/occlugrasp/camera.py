@@ -2,11 +2,20 @@
 
 `render` resolves each covered pixel by an exact ray/triangle intersection
 through the pixel center, so the result is identical to per-pixel ray
-casting; depth is the camera-frame z coordinate. It evaluates (triangle,
-pixel) pairs in batches, pixel-box rows of equal width together, a chunk of
-about `_CHUNK_PAIRS` pairs at a time: the nearest hit wins a pixel, and the
-lower instance index wins a tie. `back_project` works inside the bounding
-box of the retained pixels.
+casting; depth is the camera-frame z coordinate. It rasterises each instance
+into its own depth layer, the nearest hit t over the instance's pixel box,
+evaluating (triangle, pixel) pairs in batches, pixel-box rows of equal width
+together, a chunk of about `_CHUNK_PAIRS` pairs at a time. A frame is
+composed from its instances' layers: the nearest hit wins a pixel, and the
+lower instance index wins a tie.
+
+The layers of the last scene rasterised stay in one module-level slot,
+keyed by the camera object and the identity of each instance, so the single
+scenes derived from a cluttered scene are composed from its layers without
+rasterising again. Identity is a sound key because cameras, instances, poses
+and mesh arrays are immutable and the slot holds strong references to what
+it keys. `back_project` works inside the bounding box of the retained
+pixels.
 """
 
 from __future__ import annotations
@@ -14,12 +23,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
 from .geometry import PointCloud, Pose, Quaternion
-from .scenes import Scene
+from .scenes import ObjectInstance, Scene
 
 BACKGROUND_ID = 65535
 
@@ -107,50 +117,112 @@ class DepthFrame:
 _CHUNK_PAIRS = 4096
 
 
+class _Layer(NamedTuple):
+    """One instance's nearest hit t per pixel of its own pixel box, inf where it misses."""
+
+    row: int
+    col: int
+    t: np.ndarray  # (rows, cols) float64, read-only
+
+
+# The last scene `render` rasterised: its camera, and {id(instance): (instance,
+# layer or None)}. `render` replaces the whole tuple and never mutates a
+# published dict, so a concurrent render sees either the old slot or the new.
+_slot: tuple[CameraModel | None, dict[int, tuple[ObjectInstance, _Layer | None]]] = (None, {})
+
+
 def render(scene: Scene, camera: CameraModel) -> DepthFrame:
     """Nearest-surface depth + owning instance id per pixel.
 
-    Triangles with a vertex at camera z <= 1e-6 are skipped. The others are
-    gathered in instance order with their pixel boxes clipped to the image;
-    each box row is one segment of (triangle, pixel) pairs. Segments are
-    sorted by width, stably, and evaluated in chunks of whole segments of
-    about `_CHUNK_PAIRS` pairs, so a chunk may split a triangle. A pair hits
-    when the ray through the pixel center meets the triangle (Moller-Trumbore,
-    barycentric tolerance 1e-12, determinant above 1e-14, t above 1e-9). The
-    three dot products are one `matmul` per segment, the BLAS call a loop over
-    triangles makes per box row, so t is bit-identical to such a loop; an
-    elementwise sum would round differently where BLAS fuses multiply-adds.
-    Each pixel keeps the smallest (t, instance index) over all chunks: the
-    nearest hit, and on equal depth the lower instance, as a strict `<`
-    z-test in instance order gives.
+    Each instance has a depth layer: the nearest hit t of every pixel of its
+    own pixel box, the union of its triangles' boxes. The frame is composed
+    from the layers in instance order with a strict `<`, so the nearest hit
+    wins a pixel and, on equal depth, the lower instance index.
+
+    The layers of the last scene rasterised stay in one module-level slot,
+    with its camera, keyed by the identity of each instance. A render with
+    the same camera object takes each instance it finds there from the slot
+    and rasterises only the rest; a render with any miss replaces the slot
+    with its own scene's layers, so the slot holds one scene. Rendering a
+    cluttered scene and then its singles (`derive_single_scene`) thus
+    rasterises each instance once. The identity key is sound because
+    `CameraModel`, `ObjectInstance`, `Pose` and the `TriMesh` arrays are
+    immutable, and because the slot holds strong references to the camera
+    and the instances, so no id it keys can be reused while it is cached.
+    The layers are read-only, and every frame gets new arrays.
+
+    Rasterising: triangles with a vertex at camera z <= 1e-6 are skipped. The
+    others are gathered in instance order with their pixel boxes clipped to
+    the image; each box row is one segment of (triangle, pixel) pairs.
+    Segments are sorted by width, stably, and evaluated in chunks of whole
+    segments of about `_CHUNK_PAIRS` pairs, so a chunk may split a triangle.
+    A pair hits when the ray through the pixel center meets the triangle
+    (Moller-Trumbore, barycentric tolerance 1e-12, determinant above 1e-14,
+    t above 1e-9). The three dot products are one `matmul` per segment, the
+    BLAS call a loop over triangles makes per box row, so t is bit-identical
+    to such a loop; an elementwise sum would round differently where BLAS
+    fuses multiply-adds.
     """
+    global _slot
+    cached_camera, cached = _slot
+    if camera is not cached_camera:
+        cached = {}
+    layers, misses = {}, []
+    for instance in scene.instances:
+        key = id(instance)
+        if key in layers:
+            continue
+        if key in cached:
+            layers[key] = cached[key]
+        else:
+            layers[key] = None
+            misses.append(instance)
+    if misses:
+        for instance, layer in zip(misses, _rasterise(misses, camera)):
+            layers[id(instance)] = (instance, layer)
+        _slot = (camera, layers)
+    return _compose([layers[id(instance)][1] for instance in scene.instances], camera)
+
+
+def _rasterise(instances: list[ObjectInstance], camera: CameraModel) -> list[_Layer | None]:
+    """The depth layer of each instance; None where every pixel box is empty."""
     h, w = camera.height, camera.width
     world_to_cam = camera.pose.inverse()
     rot = world_to_cam.rotation.as_matrix()
     trans = world_to_cam.translation
     fx, fy, cx, cy = camera.fx, camera.fy, camera.cx, camera.cy
-    tv_parts, owner_parts = [], []
-    for index, instance in enumerate(scene.instances):
+    boxes, parts = [], []
+    for instance in instances:
         verts_cam = instance.pose.transform(instance.mesh.vertices) @ rot.T + trans
         tv = verts_cam[instance.mesh.triangles]  # (m, 3, 3)
         # skip triangles touching or behind the camera plane
         tv = tv[tv[:, :, 2].min(axis=1) > 1e-6]
-        tv_parts.append(tv)
-        owner_parts.append(np.full(len(tv), index, dtype=np.uint16))
-    tv = np.concatenate(tv_parts)
-    owner = np.concatenate(owner_parts)
-    u = tv[:, :, 0] / tv[:, :, 2] * fx + cx
-    v = tv[:, :, 1] / tv[:, :, 2] * fy + cy
-    u0 = np.maximum(np.ceil(u.min(axis=1) - 0.5), 0).astype(int)
-    u1 = np.minimum(np.floor(u.max(axis=1) - 0.5), w - 1).astype(int)
-    v0 = np.maximum(np.ceil(v.min(axis=1) - 0.5), 0).astype(int)
-    v1 = np.minimum(np.floor(v.max(axis=1) - 0.5), h - 1).astype(int)
-    keep = (u1 >= u0) & (v1 >= v0)
-    depth = np.zeros((h, w), dtype=np.float32)
-    inst = np.full((h, w), BACKGROUND_ID, dtype=np.uint16)
-    if not keep.any():
-        return DepthFrame(depth, inst, camera)
-    tv, owner, u0, u1, v0, v1 = tv[keep], owner[keep], u0[keep], u1[keep], v0[keep], v1[keep]
+        u = tv[:, :, 0] / tv[:, :, 2] * fx + cx
+        v = tv[:, :, 1] / tv[:, :, 2] * fy + cy
+        u0 = np.maximum(np.ceil(u.min(axis=1) - 0.5), 0).astype(int)
+        u1 = np.minimum(np.floor(u.max(axis=1) - 0.5), w - 1).astype(int)
+        v0 = np.maximum(np.ceil(v.min(axis=1) - 0.5), 0).astype(int)
+        v1 = np.minimum(np.floor(v.max(axis=1) - 0.5), h - 1).astype(int)
+        keep = (u1 >= u0) & (v1 >= v0)
+        if not keep.any():
+            boxes.append(None)
+            continue
+        u0, u1, v0, v1 = u0[keep], u1[keep], v0[keep], v1[keep]
+        row, col = int(v0.min()), int(u0.min())
+        boxes.append((row, col, int(v1.max()) + 1 - row, int(u1.max()) + 1 - col))
+        parts.append((tv[keep], u0, u1, v0, v1))
+    drawn = [box for box in boxes if box is not None]
+    if not drawn:
+        return [None] * len(instances)
+    # all layers are blocks of one flat z-buffer: pixel (py, px) of a
+    # triangle's layer is element base + py * stride + px
+    sizes = [rows * cols for _, _, rows, cols in drawn]
+    starts = np.cumsum(sizes) - sizes
+    counts = [len(part[0]) for part in parts]
+    base = np.repeat([s - row * cols - col for s, (row, col, _, cols) in zip(starts, drawn)], counts)
+    stride = np.repeat([cols for _, _, _, cols in drawn], counts)
+    tv, u0, u1, v0, v1 = (np.concatenate(arrays) for arrays in zip(*parts))
+    zbuf = np.full(sum(sizes), np.inf)
     widths = u1 - u0 + 1
     heights = v1 - v0 + 1
     a = tv[:, 0]
@@ -162,18 +234,13 @@ def render(scene: Scene, camera: CameraModel) -> DepthFrame:
     # pixel-center rays in camera frame, z component 1 => t equals depth
     dx = (np.arange(w) + 0.5 - cx) / fx
     dy = (np.arange(h) + 0.5 - cy) / fy
-    # z-buffer over the union of the pixel boxes, in flat pixel order
-    bu0, bv0 = u0.min(), v0.min()
-    bw = u1.max() - bu0 + 1
-    bh = v1.max() - bv0 + 1
-    zbuf = np.full(bh * bw, np.inf)
-    owners = np.full(bh * bw, BACKGROUND_ID, dtype=np.uint16)
 
     # one segment per box row, grouped by width, triangle order kept inside a group
     order = np.argsort(widths, kind="stable")
     seg_tri = np.repeat(order, heights[order])
     first_row = np.cumsum(heights[order]) - heights[order]
     seg_row = np.arange(len(seg_tri)) - np.repeat(first_row, heights[order]) + v0[seg_tri]
+    seg_base = base[seg_tri] + seg_row * stride[seg_tri]
     seg_width = widths[seg_tri]
     bounds = np.flatnonzero(np.diff(seg_width)) + 1
     for g0, g1 in zip(np.r_[0, bounds], np.r_[bounds, len(seg_tri)]):
@@ -201,20 +268,42 @@ def render(scene: Scene, camera: CameraModel) -> DepthFrame:
             t = t_num[tri][:, None] * inv_det
             hit = ok & (uu >= -1e-12) & (vv >= -1e-12) & (uu + vv <= 1 + 1e-12) & (t > 1e-9)
             rows, cols = np.nonzero(hit)
-            if not len(rows):
-                continue
-            pix = (py[rows] - bv0) * bw + (px[rows, cols] - bu0)
-            t_hit = t[rows, cols]
-            # keep the smallest (depth, instance) per pixel across every chunk
-            before = zbuf[pix]
-            np.minimum.at(zbuf, pix, t_hit)
-            after = zbuf[pix]
-            owners[pix[after < before]] = BACKGROUND_ID
-            win = t_hit == after
-            np.minimum.at(owners, pix[win], owner[tri[rows[win]]])
-    box = (slice(bv0, bv0 + bh), slice(bu0, bu0 + bw))
-    depth[box] = np.where(np.isfinite(zbuf), zbuf, 0.0).reshape(bh, bw)
-    inst[box] = owners.reshape(bh, bw)
+            if len(rows):
+                np.minimum.at(zbuf, seg_base[c0:c1][rows] + px[rows, cols], t[rows, cols])
+
+    layers, blocks = [], iter(np.split(zbuf, starts[1:]))
+    for box in boxes:
+        if box is None:
+            layers.append(None)
+            continue
+        row, col, rows, cols = box
+        t = next(blocks).reshape(rows, cols).copy()  # its own buffer, freed with the layer
+        t.flags.writeable = False
+        layers.append(_Layer(row, col, t))
+    return layers
+
+
+def _compose(layers: list[_Layer | None], camera: CameraModel) -> DepthFrame:
+    """The frame of a scene from its instances' layers, in instance order."""
+    depth = np.zeros((camera.height, camera.width), dtype=np.float32)
+    inst = np.full((camera.height, camera.width), BACKGROUND_ID, dtype=np.uint16)
+    drawn = [(index, layer) for index, layer in enumerate(layers) if layer is not None]
+    if not drawn:
+        return DepthFrame(depth, inst, camera)
+    # z-buffer over the union of the layers' boxes
+    r0 = min(layer.row for _, layer in drawn)
+    c0 = min(layer.col for _, layer in drawn)
+    r1 = max(layer.row + layer.t.shape[0] for _, layer in drawn)
+    c1 = max(layer.col + layer.t.shape[1] for _, layer in drawn)
+    zbuf = np.full((r1 - r0, c1 - c0), np.inf)
+    ids = inst[r0:r1, c0:c1]
+    for index, layer in drawn:
+        rows, cols = layer.t.shape
+        box = (slice(layer.row - r0, layer.row - r0 + rows), slice(layer.col - c0, layer.col - c0 + cols))
+        nearer = layer.t < zbuf[box]
+        zbuf[box][nearer] = layer.t[nearer]
+        ids[box][nearer] = index
+    depth[r0:r1, c0:c1] = np.where(np.isfinite(zbuf), zbuf, 0.0)
     return DepthFrame(depth, inst, camera)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,7 @@ class CatalogObject:
     kind: str
     mesh: TriMesh
     footprint: tuple[float, float, float]  # (length, width, height), canonical frame
-    footprint_poly: np.ndarray  # convex CCW xy polygon bounding the solid
+    footprint_poly: np.ndarray  # convex CCW xy polygon bounding the solid, read-only
 
 
 def _convex_hull_xy(points: np.ndarray) -> np.ndarray:
@@ -82,6 +82,7 @@ def _catalog_entry(kind: str, catalog_id: str, dims, mesh: TriMesh) -> CatalogOb
     length = float(verts[:, 0].max() - verts[:, 0].min())
     width = float(verts[:, 1].max() - verts[:, 1].min())
     height = float(verts[:, 2].max())
+    poly.flags.writeable = False
     return CatalogObject(catalog_id, kind, mesh, (length, width, height), poly)
 
 
@@ -110,6 +111,12 @@ def build_catalog(config: CatalogConfig) -> list[CatalogObject]:
             r = rng.uniform(*config.sphere_radius)
             out.append(_catalog_entry(kind, cid, (r,), make_sphere(r)))
     return out
+
+
+@lru_cache(maxsize=8)
+def _shared_catalog(config: CatalogConfig) -> tuple[CatalogObject, ...]:
+    """One catalog per config for callers that pass none; its objects are immutable."""
+    return tuple(build_catalog(config))
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +210,14 @@ class SceneConfig:
     placement_margin: float = 1e-3
 
 
+def _footprint_gap(lo: np.ndarray, hi: np.ndarray, other: np.ndarray) -> float:
+    """Gap between the xy boxes (lo, hi) and `other`'s: the larger of the x and y gaps.
+
+    The distance between two polygons is at least the gap between their boxes.
+    """
+    return float(np.max(np.maximum(other.min(axis=0) - hi, lo - other.max(axis=0))))
+
+
 def _scene_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
@@ -236,10 +251,16 @@ def _place_instance(
         if (position + lo < -1e-12).any() or (position + hi > extent + 1e-12).any():
             return None
     world_poly = poly + position
+    world_lo, world_hi = lo + position, hi + position
     # all objects rest on z=0, so z-intervals always overlap and the
-    # footprint separation decides collision
+    # footprint separation decides collision. A box gap above the margin
+    # decides it too: the 1e-9 slack lies far above the rounding error of
+    # coordinates within the workspace, so no `< margin` outcome changes.
     for other in placed:
-        if polygon_distance(world_poly, other.world_footprint_poly()) < margin:
+        other_poly = other.world_footprint_poly()
+        if _footprint_gap(world_lo, world_hi, other_poly) > margin + 1e-9:
+            continue
+        if polygon_distance(world_poly, other_poly) < margin:
             return None
     pose = Pose(rot, np.array([position[0], position[1], 0.0]))
     return ObjectInstance(obj.catalog_id, obj.mesh, pose, obj.footprint, obj.footprint_poly)
@@ -252,7 +273,7 @@ def generate_packed_scene(config: SceneConfig, catalog: list[CatalogObject] | No
         raise InputError(f"object_count_range must lie within [1, 10], got {config.object_count_range}")
     if config.workspace_extent <= 0:
         raise InputError("workspace_extent must be positive")
-    catalog = build_catalog(config.catalog) if catalog is None else catalog
+    catalog = _shared_catalog(config.catalog) if catalog is None else catalog
     rng = _scene_rng(config.seed, 0)
     count = int(rng.integers(lo, hi + 1))
     placed: list[ObjectInstance] = []
@@ -330,7 +351,7 @@ def catalog_config_from_manifest(data: dict) -> CatalogConfig:
 
 def scene_from_manifest(data: dict, catalog: list[CatalogObject] | None = None, mesh_dir=None) -> Scene:
     if catalog is None:
-        catalog = build_catalog(catalog_config_from_manifest(data))
+        catalog = _shared_catalog(catalog_config_from_manifest(data))
     by_id = {obj.catalog_id: obj for obj in catalog}
     instances = []
     for rec in data["instances"]:

@@ -1,4 +1,7 @@
+import dataclasses
 import functools
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -483,3 +486,85 @@ class TestBackProjectMatchesReference:
             assert_same_cloud(back_project(frame, instance_filter, estimate_normals),
                               reference_back_project(frame, instance_filter, estimate_normals))
         assert len(back_project(frame, 4, estimate_normals)) == 1
+
+
+class TestLayerSlot:
+    """`render` reuses the last rasterised scene's per-instance layers; every frame matches the loop."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_singles_after_their_cluttered_scene(self, seed, monkeypatch):
+        monkeypatch.setattr(camera_module, "_CHUNK_PAIRS", 61)
+        cam = default_camera(width=160, height=120, focal=135.0)
+        scene = dense_scene(500 + seed)
+        singles = scene_and_singles(scene)[1:]
+        render(scene, cam)
+        slot = camera_module._slot
+        hits = [render(single, cam) for single in singles]
+        assert camera_module._slot is slot  # every single was a hit
+        for single, hit in zip(singles, hits):
+            want = reference_render(single, cam)
+            assert_same_frame(hit, want)
+            # an equal camera that is another object misses and rasterises again
+            assert_same_frame(render(single, dataclasses.replace(cam)), want)
+
+    def test_scene_mixing_two_scenes(self):
+        cam = default_camera(width=160, height=120, focal=135.0)
+        a, b = dense_scene(500), dense_scene(501)
+        render(a, cam)
+        mixed = make_scene([b.instances[0], a.instances[1], b.instances[2], a.instances[3], a.instances[0]])
+        assert_same_frame(render(mixed, cam), reference_render(mixed, cam))
+        # the slot now holds the mixed scene's layers, hits and fresh ones
+        assert {id(inst) for inst in mixed.instances} == set(camera_module._slot[1])
+        assert_same_frame(render(mixed, cam), reference_render(mixed, cam))
+
+    def test_instance_listed_twice(self):
+        cam = default_camera(width=160, height=120, focal=135.0)
+        scene = dense_scene(502)
+        x, y = scene.instances[1], scene.instances[0]
+        twice = make_scene([x, y, x])
+        fresh = make_scene([box_instance(0.05, 0.05, 0.05, 0.15, 0.15, yaw=0.3)] * 2)
+        render(scene, cam)
+        # from the slot, then rasterised; the later listing never wins a pixel
+        for listed, later in ((twice, 2), (fresh, 1)):
+            frame = render(listed, cam)
+            assert_same_frame(frame, reference_render(listed, cam))
+            assert 0 in frame.instance_id and later not in frame.instance_id
+
+    def test_second_camera_in_between(self):
+        cam = default_camera(width=160, height=120, focal=135.0)
+        other = default_camera(width=120, height=90, focal=100.0, elevation_deg=60.0)
+        scene = dense_scene(503)
+        first, second = derive_single_scene(scene, 0), derive_single_scene(scene, 1)
+        render(scene, cam)
+        assert_same_frame(render(first, other), reference_render(first, other))
+        assert camera_module._slot[0] is other
+        assert set(camera_module._slot[1]) == {id(first.instances[0])}
+        assert_same_frame(render(second, cam), reference_render(second, cam))
+        assert_same_frame(render(scene, cam), reference_render(scene, cam))
+
+    def test_slot_releases_a_replaced_scene(self):
+        cam = default_camera(width=160, height=120, focal=135.0)
+        scene = generate_packed_scene(SceneConfig(object_count_range=(3, 3), seed=77), catalog())
+        ref = weakref.ref(scene.instances[0])
+        render(scene, cam)
+        del scene
+        gc.collect()
+        assert ref() is not None  # the slot keeps its id from being reused
+        render(dense_scene(504), cam)
+        gc.collect()
+        assert ref() is None
+
+    def test_layers_read_only_and_never_aliased(self):
+        cam = default_camera(width=160, height=120, focal=135.0)
+        scene = dense_scene(505)
+        frames = [render(s, cam) for s in scene_and_singles(scene)]
+        frames.append(render(derive_single_scene(scene, 0), cam))
+        layers = [layer for _, layer in camera_module._slot[1].values() if layer is not None]
+        assert len(layers) == len(scene.instances)
+        for layer in layers:
+            with pytest.raises(ValueError):
+                layer.t[0, 0] = 0.0
+            for frame in frames:
+                assert not np.shares_memory(frame.depth, layer.t)
+                assert not np.shares_memory(frame.instance_id, layer.t)
+        assert not np.shares_memory(frames[1].depth, frames[-1].depth)

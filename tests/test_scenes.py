@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from occlugrasp import scenes as scenes_module
 from occlugrasp.errors import GenerationError, InputError
 from occlugrasp.geometry import Pose
 from occlugrasp.meshes import surface_sample
@@ -210,3 +212,70 @@ class TestManifest:
         data["instances"][0]["catalog_id"] = "mystery_999"
         with pytest.raises(InputError):
             scene_from_manifest(data)
+
+
+def scene_key(scene: Scene) -> list:
+    return [scene.target_index] + [(inst.catalog_id, inst.pose.as_7floats()) for inst in scene.instances]
+
+
+class TestPlacementBroadPhase:
+    @pytest.mark.parametrize("count_range, seeds", [((4, 6), range(100)), ((8, 10), range(100, 200))])
+    def test_matches_every_pair_loop(self, count_range, seeds, monkeypatch):
+        catalog = build_catalog(CatalogConfig())
+        configs = [SceneConfig(object_count_range=count_range, seed=seed) for seed in seeds]
+        calls = [0]
+        distance = scenes_module.polygon_distance
+
+        def counted(p, q):
+            calls[0] += 1
+            return distance(p, q)
+
+        monkeypatch.setattr(scenes_module, "polygon_distance", counted)
+        fast = [scene_key(generate_packed_scene(c, catalog)) for c in configs]
+        fast_calls, calls[0] = calls[0], 0
+        # a gap of -inf skips no pair: every placed instance meets polygon_distance
+        monkeypatch.setattr(scenes_module, "_footprint_gap", lambda *args: -math.inf)
+        assert [scene_key(generate_packed_scene(c, catalog)) for c in configs] == fast
+        assert fast_calls < calls[0] / 2
+
+    def test_margin_decided_near_the_boundary(self):
+        # two axis-aligned boxes side by side: the footprint distance is the x gap
+        box = build_catalog(CatalogConfig(size=1))[0]
+        length = box.footprint[0]
+        rng = np.random.default_rng(0)
+        first = scenes_module._place_instance(box, 0.3, [], 1e-3, rng, position=(0.1, 0.15), yaw=0.0)
+        for gap, fits in ((0.5e-3, False), (0.95e-3, False), (0.999e-3, False), (1.001e-3, True), (5e-3, True)):
+            second = scenes_module._place_instance(box, 0.3, [first], 1e-3, rng,
+                                                   position=(0.1 + length + gap, 0.15), yaw=0.0)
+            assert (second is not None) == fits, gap
+
+    def test_gap_is_a_lower_bound_on_distance(self):
+        sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1.0]])
+        for shift in ([2.0, 0.0], [2.0, 2.0], [0.5, 3.0], [0.5, 0.5], [-1.5, 0.2]):
+            other = sq + np.array(shift)
+            gap = scenes_module._footprint_gap(sq.min(axis=0), sq.max(axis=0), other)
+            assert gap <= polygon_distance(sq, other) + 1e-15
+        assert scenes_module._footprint_gap(sq.min(axis=0), sq.max(axis=0), sq + [2.0, 0.5]) == 1.0
+
+
+class TestSharedCatalog:
+    def test_calls_without_a_catalog_share_its_meshes(self):
+        cfg = SceneConfig(object_count_range=(5, 5), seed=3)
+        a = generate_packed_scene(cfg)
+        b = generate_packed_scene(cfg)
+        loaded = scene_from_manifest(scene_to_manifest(a, cfg.catalog))
+        for ia, ib, il in zip(a.instances, b.instances, loaded.instances):
+            assert ia.mesh is ib.mesh is il.mesh
+            assert ia.footprint_poly is ib.footprint_poly
+
+    def test_build_catalog_returns_a_fresh_catalog(self):
+        cfg = CatalogConfig(seed=3, size=4)
+        assert build_catalog(cfg)[0].mesh is not build_catalog(cfg)[0].mesh
+
+    def test_footprints_are_read_only(self):
+        scene = generate_packed_scene(SceneConfig(object_count_range=(3, 3), seed=4))
+        for poly in [obj.footprint_poly for obj in build_catalog(CatalogConfig(size=8))] + [
+            inst.footprint_poly for inst in scene.instances
+        ]:
+            with pytest.raises(ValueError):
+                poly[0, 0] = 1.0
