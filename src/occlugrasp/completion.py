@@ -106,7 +106,11 @@ class MirrorCompleter:
         depth = partial.points @ normal
         offsets = depth - (depth.min() + half_width)
         reflected = partial.points - 2.0 * offsets[:, None] * normal
-        keep = cKDTree(partial.points).query(reflected, k=1)[0] > self.dedupe_radius
+        # a reflection beyond the bound comes back at distance inf, which is
+        # kept as well; the bound is exclusive, so nextafter keeps a distance
+        # of exactly the radius a duplicate
+        bound = np.nextafter(self.dedupe_radius, np.inf)
+        keep = cKDTree(partial.points).query(reflected, k=1, distance_upper_bound=bound)[0] > self.dedupe_radius
         if not keep.any():
             return partial
         pts = np.vstack([partial.points, reflected[keep]])

@@ -17,6 +17,18 @@ from .errors import InputError
 _NORM_TOL = 1e-9
 
 
+def _cross(a, b) -> tuple:
+    """Cross product of two 3-vectors given as component triples.
+
+    The components may be floats or arrays that broadcast. Each component is
+    `a1 * b2 - a2 * b1` and so on, the operation order of `np.cross`, so the
+    result is bit-identical to it.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
 @dataclass(frozen=True)
 class Quaternion:
     """Unit quaternion (w, x, y, z)."""
@@ -82,12 +94,24 @@ class Quaternion:
         return self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
 
     def rotate(self, v) -> np.ndarray:
-        """Rotate vector(s) of shape (3,) or (n, 3)."""
+        """Rotate vector(s) of shape (3,) or (n, 3).
+
+        Computes v + 2 (w (u x v) + u x (u x v)) with u = (x, y, z). The
+        cross products are written per component in `np.cross`'s own
+        operation order, so the result equals that formula with `np.cross`
+        bit for bit, without its per-call argument handling. A single vector
+        is rotated in Python floats.
+        """
         v = np.asarray(v, dtype=float)
-        u = np.array([self.x, self.y, self.z])
-        uv = np.cross(u, v)
-        uuv = np.cross(u, uv)
-        return v + 2.0 * (self.w * uv + uuv)
+        u = (self.x, self.y, self.z)
+        if v.shape == (3,):
+            p = v.tolist()
+            uv = _cross(u, p)
+            uuv = _cross(u, uv)
+            return np.array([p[k] + 2.0 * (self.w * uv[k] + uuv[k]) for k in range(3)])
+        uv = np.array(_cross(u, v.T))
+        uuv = np.array(_cross(u, uv))
+        return v + (2.0 * (self.w * uv + uuv)).T
 
     def as_matrix(self) -> np.ndarray:
         w, x, y, z = self.w, self.x, self.y, self.z
@@ -217,9 +241,9 @@ class PointCloud:
 
 def orthonormal_tangents(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic right-handed (u, v) basis perpendicular to a unit axis."""
-    a = np.asarray(axis, dtype=float)
-    helper = np.array([0.0, 0.0, 1.0]) if abs(a[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    u = np.cross(a, helper)
+    a = np.asarray(axis, dtype=float).tolist()
+    helper = (0.0, 0.0, 1.0) if abs(a[2]) < 0.9 else (1.0, 0.0, 0.0)
+    u = np.array(_cross(a, helper))
     u /= np.linalg.norm(u)
-    v = np.cross(a, u)
+    v = np.array(_cross(a, u.tolist()))
     return u, v

@@ -26,6 +26,18 @@ would clear every triangle too. The margin lies orders of magnitude above the
 rounding error of either computation. An instance that survives is moved into
 the grasp frame once and tested against all three boxes.
 
+The narrow phase is the 13-axis separating-axis test of a triangle against a
+box, run in stages per box. A box that misses the box around the mesh's
+vertices is skipped. The three box-face axes run on every triangle. The
+triangle-plane axis and the nine edge axes (u_k x e for box axis u_k and
+triangle edge e) run together, and only on the triangles that no face axis
+separates. A triangle overlaps the box iff no axis separates it, so leaving
+out the triangles a face axis already separates changes no decision. The
+survivors get the projections and radii of the full test: an edge axis has a
+zero component, so each projection is its two-term sum, and the radii stay a
+BLAS matrix-vector product, which rounds differently from an explicit sum.
+The first box that a triangle overlaps ends the test.
+
 Only test 3 sees the clutter; tests 1, 2, 4 and 5 see the target and the
 table alone. So the cluttered result is the single-scene result, except that
 an occluder hit after tests 1 and 2 pass makes it `OCCLUDER_COLLISION`.
@@ -51,7 +63,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .geometry import PointCloud, Pose, Quaternion, orthonormal_tangents
+from .geometry import PointCloud, Pose, Quaternion, _cross, orthonormal_tangents
 from .meshes import surface_sample
 from .scenes import ObjectInstance, Scene, derive_single_scene
 
@@ -143,7 +155,7 @@ def grasp_frame(axis, approach) -> Quaternion:
     if n < 1e-9:
         raise InputError("approach direction parallel to the grasp axis")
     z /= n
-    y = np.cross(z, x)
+    y = np.array(_cross(z.tolist(), x.tolist()))
     return Quaternion.from_matrix(np.column_stack([x, y, z]))
 
 
@@ -173,64 +185,88 @@ def gripper_boxes(width: float, gripper: GripperModel, sweep: float | None = Non
 _BOX_CORNERS = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
 
 
-def _tri_aabb_overlap(v0, v1, v2, half: np.ndarray) -> np.ndarray:
-    """Vectorized triangle vs origin-centered AABB separating-axis test."""
-    sep = np.zeros(len(v0), dtype=bool)
-    # box face axes
-    for k in range(3):
-        lo = np.minimum(np.minimum(v0[:, k], v1[:, k]), v2[:, k])
-        hi = np.maximum(np.maximum(v0[:, k], v1[:, k]), v2[:, k])
-        sep |= (lo > half[k]) | (hi < -half[k])
-    # triangle plane
-    n = np.cross(v1 - v0, v2 - v0)
-    d = np.einsum("ij,ij->i", n, v0)
-    r = np.abs(n) @ half
-    sep |= np.abs(d) > r
-    # nine edge cross-product axes
-    edges = (v1 - v0, v2 - v1, v0 - v2)
-    for e in edges:
-        for k in range(3):
-            a = np.zeros_like(e)
-            # u_k x e
-            a[:, (k + 1) % 3] = -e[:, (k + 2) % 3]
-            a[:, (k + 2) % 3] = e[:, (k + 1) % 3]
-            p0 = np.einsum("ij,ij->i", a, v0)
-            p1 = np.einsum("ij,ij->i", a, v1)
-            p2 = np.einsum("ij,ij->i", a, v2)
-            lo = np.minimum(np.minimum(p0, p1), p2)
-            hi = np.maximum(np.maximum(p0, p1), p2)
-            r = np.abs(a) @ half
-            sep |= (lo > r) | (hi < -r)
-    return ~sep
+_NEXT = np.array([1, 2, 0])  # (k + 1) % 3
+_AFTER = np.array([2, 0, 1])  # (k + 2) % 3
+# The 10 rows of |axis| for one triangle, as flat indices into the 4 x 4 block
+# |[edges; normal]| padded with a zero column: the plane normal (row 3), then
+# for each edge e and box axis k the row |u_k x e|, which is |e| with
+# component k zeroed and the other two swapped.
+_RADIUS_INDEX = (4 * np.array([3, 0, 0, 0, 1, 1, 1, 2, 2, 2])[:, None]
+                 + np.array([[0, 1, 2]] + 3 * [[3, 2, 1], [2, 3, 0], [1, 0, 3]])).ravel()
+
+
+def _triangles_hit_box(tri: np.ndarray, half: np.ndarray) -> bool:
+    """Whether any triangle of `tri` (m, 3 vertices, 3) overlaps the box
+    centred at the origin with half-extents `half`.
+
+    The 13-axis separating-axis test in two stages (see the module
+    docstring): the three box-face axes on every triangle, then the
+    triangle-plane axis and the nine edge axes, all at once, on the
+    triangles no face axis separates.
+    """
+    lo = np.minimum(np.minimum(tri[:, 0], tri[:, 1]), tri[:, 2])
+    hi = np.maximum(np.maximum(tri[:, 0], tri[:, 1]), tri[:, 2])
+    sep = (lo > half) | (hi < -half)
+    tri = tri[~(sep[:, 0] | sep[:, 1] | sep[:, 2])]
+    m = len(tri)
+    if not m:
+        return False
+    v0 = tri[:, 0]
+    edges = tri.take(_NEXT, axis=1) - tri  # v1 - v0, v2 - v1, v0 - v2
+    normal = np.column_stack(_cross(edges[:, 0].T, (tri[:, 2] - v0).T))
+    padded = np.zeros((m, 4, 4))
+    padded[:, :3, :3] = edges
+    padded[:, 3, :3] = normal
+    # one matvec of at least 10 rows: a BLAS matvec rounds differently from an
+    # explicit sum, and a one-row product differs from a row of a longer one
+    axes = np.abs(padded).reshape(m, 16).take(_RADIUS_INDEX, axis=1)
+    r = (axes.reshape(-1, 3) @ half).reshape(m, 10)
+    plane_sep = np.abs(np.einsum("ij,ij->i", normal, v0)) > r[:, 0]
+    # the projection of vertex v on u_k x e has two non-zero terms,
+    # e_(k+1) v_(k+2) - e_(k+2) v_(k+1); p is (vertex, m, edge, k)
+    e = edges[None]
+    v = tri.transpose(1, 0, 2)[:, :, None, :]
+    p = e.take(_NEXT, axis=-1) * v.take(_AFTER, axis=-1) - e.take(_AFTER, axis=-1) * v.take(_NEXT, axis=-1)
+    p_lo = np.minimum(np.minimum(p[0], p[1]), p[2]).reshape(m, 9)
+    p_hi = np.maximum(np.maximum(p[0], p[1]), p[2]).reshape(m, 9)
+    r_edge = r[:, 1:]
+    edge_sep = ((p_lo > r_edge) | (p_hi < -r_edge)).any(axis=1)
+    return not (plane_sep | edge_sep).all()
 
 
 class _SweptGripper:
     """The three swept gripper boxes at one grasp, shared by its collision tests."""
 
     def __init__(self, grasp: Grasp, gripper: GripperModel):
-        self.boxes = gripper_boxes(grasp.width, gripper)
-        lo, hi = self.boxes[:, None, 0], self.boxes[:, None, 1]
+        boxes = gripper_boxes(grasp.width, gripper)
+        lo, hi = boxes[:, None, 0], boxes[:, None, 1]
         corners = grasp.rotation.rotate((lo + _BOX_CORNERS * (hi - lo)).reshape(-1, 3)) + grasp.center
         self.lo = corners.min(axis=0)
-        self.hi = corners.max(axis=0)
+        # the broad phase's bounds: the corners' box grown by the margin
+        self.reach_lo = self.lo - BROAD_PHASE_MARGIN
+        self.reach_hi = corners.max(axis=0) + BROAD_PHASE_MARGIN
         self.to_grasp = Pose(grasp.rotation, grasp.center).inverse()
+        self.centers = (boxes[:, 0] + boxes[:, 1]) / 2.0
+        self.halves = (boxes[:, 1] - boxes[:, 0]) / 2.0
 
     def hits_table(self) -> bool:
         return bool(self.lo[2] < -1e-9)
 
     def hits(self, inst: ObjectInstance) -> bool:
         lo, hi = inst.world_aabb
-        if (lo > self.hi + BROAD_PHASE_MARGIN).any() or (hi < self.lo - BROAD_PHASE_MARGIN).any():
+        if (lo > self.reach_hi).any() or (hi < self.reach_lo).any():
             return False
         verts = (self.to_grasp * inst.pose).transform(inst.mesh.vertices)
-        tris = inst.mesh.triangles
-        for box in self.boxes:
-            # shift the vertices so that the box is centered at the origin
-            half = (box[1] - box[0]) / 2.0
-            v = verts - (box[0] + box[1]) / 2.0
-            if (v.min(axis=0) > half).any() or (v.max(axis=0) < -half).any():
-                continue
-            if _tri_aabb_overlap(v[tris[:, 0]], v[tris[:, 1]], v[tris[:, 2]], half).any():
+        # the mesh's vertex box against each gripper box, both shifted so that
+        # the gripper box is centred at the origin (min(v) - c == min(v - c):
+        # subtracting a constant keeps the order)
+        vlo, vhi = verts.min(axis=0), verts.max(axis=0)
+        apart = (vlo - self.centers > self.halves) | (vhi - self.centers < -self.halves)
+        tri = None
+        for b in np.flatnonzero(~apart.any(axis=1)):
+            if tri is None:
+                tri = verts.take(inst.mesh.triangles, axis=0)
+            if _triangles_hit_box(tri - self.centers[b], self.halves[b]):
                 return True
         return False
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from occlugrasp import completion
 from occlugrasp.camera import back_project, default_camera, render
 from occlugrasp.completion import (
     MirrorCompleter,
@@ -184,6 +186,66 @@ class TestMirrorCompleter:
         cloud = PointCloud(np.random.default_rng(0).uniform(0.1, 0.2, size=(3, 3)))
         out = MirrorCompleter()(cloud, None, cam)
         assert out is cloud
+
+
+class _UnboundedTree(cKDTree):
+    """A `cKDTree` whose queries drop `distance_upper_bound`: the unbounded dedupe query."""
+
+    def query(self, x, k=1, distance_upper_bound=np.inf, **kwargs):
+        return super().query(x, k=k, **kwargs)
+
+
+def _mirror_unbounded(completer, partial, scene, cam, monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(completion, "cKDTree", _UnboundedTree)
+        return completer(partial, scene, cam)
+
+
+def _assert_same_cloud(a, b):
+    assert a.points.tobytes() == b.points.tobytes()
+    assert a.normals.tobytes() == b.normals.tobytes()
+
+
+class TestMirrorDedupeBound:
+    """The bounded dedupe query keeps exactly the points the unbounded one keeps."""
+
+    def test_matches_unbounded_query(self, monkeypatch):
+        cam = default_camera(width=320, height=240, focal=270.0)
+        completer = MirrorCompleter()
+        added = 0
+        for seed in range(40):
+            scene = generate_packed_scene(SceneConfig(object_count_range=(4, 6), seed=seed))
+            partial = rendered_partial(scene, cam)
+            assert len(partial) >= 4, seed
+            bounded = completer(partial, scene, cam)
+            _assert_same_cloud(bounded, _mirror_unbounded(completer, partial, scene, cam, monkeypatch))
+            added += len(bounded) - len(partial)
+        assert added > 0
+
+    def test_distance_exactly_at_the_radius_is_a_duplicate(self, monkeypatch):
+        cam = default_camera(width=320, height=240, focal=270.0)
+        scene = generate_packed_scene(SceneConfig(object_count_range=(4, 6), seed=0))
+        partial = rendered_partial(scene, cam)
+        distances = []
+
+        class Recording(_UnboundedTree):
+            def query(self, x, k=1, distance_upper_bound=np.inf, **kwargs):
+                out = super().query(x, k=k, **kwargs)
+                distances.append(out[0])
+                return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(completion, "cKDTree", Recording)
+            MirrorCompleter()(partial, scene, cam)
+        dist = np.sort(distances[0])
+        # radii equal to reflected points' exact nearest distances; the tree
+        # compares squared distances, so some of these lie just inside the
+        # squared radius and some just outside
+        for radius in dist[:: len(dist) // 24][:24]:
+            completer = MirrorCompleter(dedupe_radius=float(radius))
+            bounded = completer(partial, scene, cam)
+            _assert_same_cloud(bounded, _mirror_unbounded(completer, partial, scene, cam, monkeypatch))
+            assert len(bounded) == len(partial) + int((dist > radius).sum())
 
 
 class TestOrdering:

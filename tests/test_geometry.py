@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occlugrasp.errors import InputError
-from occlugrasp.geometry import Pose, PointCloud, Quaternion, quaternion_about_axis
+from occlugrasp.geometry import Pose, PointCloud, Quaternion, orthonormal_tangents, quaternion_about_axis
 from occlugrasp.meshes import (
     TriMesh,
     _ray_triangles,
@@ -112,6 +112,75 @@ class TestQuaternion:
         q = random_quat(rng)
         v = rng.normal(size=3)
         assert np.allclose(q.as_matrix() @ v, q.rotate(v), atol=1e-12)
+
+
+def reference_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The rotation formula with `np.cross`, row by row: q (n, 4) as (w, x, y, z), v (n, 3)."""
+    u = q[:, 1:]
+    uv = np.cross(u, v)
+    uuv = np.cross(u, uv)
+    return v + 2.0 * (q[:, :1] * uv + uuv)
+
+
+def reference_orthonormal_tangents(axis):
+    a = np.asarray(axis, dtype=float)
+    helper = np.array([0.0, 0.0, 1.0]) if abs(a[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    u = np.cross(a, helper)
+    u /= np.linalg.norm(u)
+    v = np.cross(a, u)
+    return u, v
+
+
+def random_pairs(rng, n):
+    """n unit quaternions and n vectors spanning nine orders of magnitude, plus special rows."""
+    q = rng.normal(size=(n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    v = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-6, 4, size=(n, 1))
+    q[:4] = [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 0.0], [0.5, -0.5, 0.5, -0.5]]
+    v[:8] = [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+             [0.0, 0.0, 1.0], [1e300, -1e300, 1.0], [5e-324, 0.0, -5e-324], [-1.0, 2.0, -3.0]]
+    return q, v
+
+
+class TestRotateMatchesCross:
+    """`Quaternion.rotate` equals the `np.cross` formula bit for bit."""
+
+    def test_single_vectors(self):
+        q, v = random_pairs(np.random.default_rng(21), 60_000)
+        expected = reference_rotate(q, v)
+        got = np.array([Quaternion(*qi).rotate(vi) for qi, vi in zip(q.tolist(), v)])
+        assert got.tobytes() == expected.tobytes()
+
+    def test_stacked_vectors(self):
+        rng = np.random.default_rng(22)
+        q, v = random_pairs(rng, 800)
+        for qi in q:
+            vs = np.vstack([v[:8], rng.normal(size=(42, 3)) * 10.0 ** rng.integers(-6, 4, size=(42, 1))])
+            got = Quaternion(*qi).rotate(vs)
+            assert got.shape == vs.shape and got.flags.c_contiguous
+            assert got.tobytes() == reference_rotate(np.tile(qi, (len(vs), 1)), vs).tobytes()
+
+    def test_list_input_and_shapes(self):
+        q, v = random_pairs(np.random.default_rng(23), 100)
+        for qi, vi in zip(q, v):
+            quat = Quaternion(*qi)
+            expected = reference_rotate(qi[None], vi[None])
+            assert quat.rotate(vi.tolist()).tobytes() == expected[0].tobytes()
+            assert quat.rotate([vi.tolist()]).tobytes() == expected.tobytes()
+        quat = Quaternion(*q[5])
+        assert quat.rotate(np.zeros((0, 3))).shape == (0, 3)
+        ints = [[1, 2, 3], [4, 5, 6]]
+        assert quat.rotate(ints).tobytes() == reference_rotate(np.tile(q[5], (2, 1)), np.array(ints, float)).tobytes()
+
+    def test_orthonormal_tangents(self):
+        rng = np.random.default_rng(24)
+        axes = rng.normal(size=(2000, 3))
+        axes[:1000, :2] *= 0.05  # near z: the other helper vector
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        for a in axes:
+            got, expected = orthonormal_tangents(a), reference_orthonormal_tangents(a)
+            assert got[0].tobytes() == expected[0].tobytes()
+            assert got[1].tobytes() == expected[1].tobytes()
 
 
 class TestPose:

@@ -12,7 +12,7 @@ from occlugrasp.grasping import (
     GraspLabel,
     GripperModel,
     _pad_slab_contacts,
-    _tri_aabb_overlap,
+    _triangles_hit_box,
     check_collision,
     grasp_frame,
     gripper_boxes,
@@ -44,6 +44,37 @@ def side_grasp(center, axis=(1, 0, 0), approach=(0, 0, -1), width=0.055):
 _CORNERS = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
 
 
+def reference_tri_aabb_overlap(v0, v1, v2, half):
+    """Triangle vs origin-centered AABB: all 13 separating axes on every triangle."""
+    sep = np.zeros(len(v0), dtype=bool)
+    # box face axes
+    for k in range(3):
+        lo = np.minimum(np.minimum(v0[:, k], v1[:, k]), v2[:, k])
+        hi = np.maximum(np.maximum(v0[:, k], v1[:, k]), v2[:, k])
+        sep |= (lo > half[k]) | (hi < -half[k])
+    # triangle plane
+    n = np.cross(v1 - v0, v2 - v0)
+    d = np.einsum("ij,ij->i", n, v0)
+    r = np.abs(n) @ half
+    sep |= np.abs(d) > r
+    # nine edge cross-product axes
+    edges = (v1 - v0, v2 - v1, v0 - v2)
+    for e in edges:
+        for k in range(3):
+            a = np.zeros_like(e)
+            # u_k x e
+            a[:, (k + 1) % 3] = -e[:, (k + 2) % 3]
+            a[:, (k + 2) % 3] = e[:, (k + 1) % 3]
+            p0 = np.einsum("ij,ij->i", a, v0)
+            p1 = np.einsum("ij,ij->i", a, v1)
+            p2 = np.einsum("ij,ij->i", a, v2)
+            lo = np.minimum(np.minimum(p0, p1), p2)
+            hi = np.maximum(np.maximum(p0, p1), p2)
+            r = np.abs(a) @ half
+            sep |= (lo > r) | (hi < -r)
+    return ~sep
+
+
 def _reference_box_hits_mesh(box, grasp, mesh, pose):
     center_local = (box[0] + box[1]) / 2.0
     half = (box[1] - box[0]) / 2.0
@@ -52,7 +83,7 @@ def _reference_box_hits_mesh(box, grasp, mesh, pose):
     if (verts.min(axis=0) > half).any() or (verts.max(axis=0) < -half).any():
         return False
     tris = mesh.triangles
-    return bool(_tri_aabb_overlap(verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]], half).any())
+    return bool(reference_tri_aabb_overlap(verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]], half).any())
 
 
 def reference_offenders(grasp, scene, gripper):
@@ -81,6 +112,15 @@ def reference_simulate(grasp, scene, gripper, friction_mu=DEFAULT_FRICTION):
     ok, _ = _pad_slab_contacts(to_grasp.transform(samples.points), to_grasp.rotate_only(samples.normals),
                                grasp.width, gripper, friction_mu)
     return FailureReason.NONE if ok else FailureReason.ANTIPODAL_FAIL
+
+
+def reference_grasp_frame(axis, approach):
+    x = np.asarray(axis, dtype=float)
+    z = np.asarray(approach, dtype=float)
+    x = x / np.linalg.norm(x)
+    z = z - (z @ x) * x
+    z /= np.linalg.norm(z)
+    return Quaternion.from_matrix(np.column_stack([x, np.cross(z, x), z]))
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +158,12 @@ class TestTypes:
         assert np.allclose(m @ m.T, np.eye(3), atol=1e-12)
         assert np.allclose(m[:, 0], [1, 0, 0], atol=1e-12)
         assert np.allclose(m[:, 2], [0, 0, -1], atol=1e-12)
+
+    def test_grasp_frame_matches_cross(self):
+        rng = np.random.default_rng(32)
+        for _ in range(2000):
+            axis, approach = rng.normal(size=3), rng.normal(size=3)
+            assert grasp_frame(axis, approach) == reference_grasp_frame(axis, approach)
 
 
 class TestSampling:
@@ -173,6 +219,102 @@ class TestSampling:
             assert ga.rotation.as_array().tolist() == gb.rotation.as_array().tolist()
 
 
+def separating_axes(tri, half):
+    """Names of the axes of the 13-axis test that separate one triangle (3, 3) from the box."""
+    v = np.asarray(tri, dtype=float)
+    edges = [v[1] - v[0], v[2] - v[1], v[0] - v[2]]
+    axes = {f"face {k}": np.eye(3)[k] for k in range(3)}
+    axes["plane"] = np.cross(edges[0], v[2] - v[0])
+    axes.update({f"edge {i} x {k}": np.cross(np.eye(3)[k], e) for i, e in enumerate(edges) for k in range(3)})
+    names = []
+    for name, a in axes.items():
+        p, r = v @ a, np.abs(a) @ half
+        if p.min() > r or p.max() < -r:
+            names.append(name)
+    return names
+
+
+def reference_hits(tri, half):
+    return bool(reference_tri_aabb_overlap(tri[:, 0], tri[:, 1], tri[:, 2], half).any())
+
+
+HALF = np.array([0.5, 1.0, 2.0])
+# triangles far outside the box along each face axis, mixed into the special cases
+_FAR = np.array([[[9.0, 0.0, 0.0], [9.5, 0.1, 0.0], [9.0, 0.2, 0.3]],
+                 [[0.0, -9.0, 0.0], [0.2, -9.5, 0.0], [0.0, -9.0, 0.4]],
+                 [[0.0, 0.0, 9.0], [0.3, 0.0, 9.0], [0.0, 0.1, 9.5]]])
+
+
+class TestStagedSat:
+    """The staged separating-axis test decides as the 13-axis reference does."""
+
+    def check(self, tri, expected=None):
+        tri = np.asarray(tri, dtype=float)
+        for tris in (tri[None], np.concatenate([_FAR[:2], tri[None], _FAR[2:]])):
+            got = _triangles_hit_box(tris, HALF)
+            assert got == reference_hits(tris, HALF)
+            if expected is not None:
+                assert got == expected
+
+    def test_random_triangle_sets(self):
+        rng = np.random.default_rng(31)
+        decided_late = 0
+        for trial in range(2000):
+            m = int(rng.integers(1, 9))
+            half = rng.uniform(0.05, 1.0, size=3)
+            tris = rng.normal(size=3) * 0.8 + rng.normal(size=(m, 3, 3)) * rng.uniform(0.02, 1.0)
+            got = _triangles_hit_box(tris, half)
+            assert got == reference_hits(tris, half), trial
+            lo, hi = tris.min(axis=1), tris.max(axis=1)
+            face_overlap = ((lo <= half) & (hi >= -half)).all(axis=1)
+            decided_late += bool(face_overlap.any() and not got)
+            if trial < 200:
+                per_triangle = reference_tri_aabb_overlap(tris[:, 0], tris[:, 1], tris[:, 2], half)
+                assert [_triangles_hit_box(t[None], half) for t in tris] == per_triangle.tolist()
+        # sets the face axes cannot clear, cleared by the plane or an edge axis
+        assert decided_late > 100
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_triangle_on_a_box_face(self, k, sign):
+        # a triangle in the plane of the face, inside its rectangle, then just beyond it
+        tri = np.zeros((3, 3))
+        tri[:, [j for j in range(3) if j != k]] = [[-0.3, -0.4], [0.4, -0.2], [0.1, 0.45]]
+        tri[:, k] = sign * HALF[k]
+        self.check(tri, expected=True)
+        tri[:, k] = sign * (HALF[k] + 1e-12)
+        assert f"face {k}" in separating_axes(tri, HALF)
+        self.check(tri, expected=False)
+
+    def test_zero_area_triangles(self):
+        inside = np.array([0.1, -0.2, 0.3])
+        self.check([inside, inside, inside], expected=True)
+        self.check([inside + [0.6, 0, 0]] * 3, expected=False)
+        # collinear through the box, and a repeated vertex
+        self.check([[-1.0, -2.0, -3.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]], expected=True)
+        self.check([[-1.0, -2.0, -3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]], expected=True)
+        # a segment past the box's (x, y) corner: only an edge axis separates it
+        seg = [[0.0, 2.5, 0.0], [1.25, 0.0, 0.0], [1.25, 0.0, 0.0]]
+        assert separating_axes(seg, HALF) == ["edge 0 x 2", "edge 2 x 2"]
+        self.check(seg, expected=False)
+        self.check([[0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1.0, 0.0]])  # through the corner
+
+    def test_only_the_plane_axis_separates(self):
+        # a triangle cutting off the box's (+, +, +) corner, just beyond it
+        tri = 3.3 * np.diag(HALF)
+        assert separating_axes(tri, HALF) == ["plane"]
+        self.check(tri, expected=False)
+        self.check(2.7 * np.diag(HALF), expected=True)
+        self.check(3.0 * np.diag(HALF))  # through the corner
+
+    def test_only_an_edge_axis_separates(self):
+        # in the box's mid plane, with its long edge passing the (+, +) corner
+        tri = np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [3.0, 3.0, 0.0]]) * HALF
+        assert separating_axes(tri, HALF) == ["edge 0 x 2"]
+        self.check(tri, expected=False)
+        self.check(np.array([[1.8, 0.0, 0.0], [0.0, 1.8, 0.0], [3.0, 3.0, 0.0]]) * HALF, expected=True)
+
+
 class TestCollision:
     def test_free_top_down(self):
         scene = make_scene([box_instance(0.05, 0.05, 0.1, 0.15, 0.15)])
@@ -218,6 +360,22 @@ class TestCollision:
         assert list(res.offenders) == reference_offenders(g, scene, GRIP)
         expected = FailureReason.NONE if free else FailureReason.OCCLUDER_COLLISION
         assert simulate_grasp(g, scene, GRIP).reason == expected
+
+    @pytest.mark.parametrize("gap,offenders", [(0.0, (1,)), (2.0 ** -20, ())])
+    def test_exact_contact_is_a_hit(self, gap, offenders):
+        # dyadic sizes and a half-turn grasp frame keep every coordinate exact:
+        # the occluder's face lies on the outer face of the +x finger, or just
+        # beyond it but inside the broad-phase margin
+        grip = GripperModel(max_width=0.125, finger_depth=0.0625, finger_thickness=0.015625,
+                            palm_clearance=0.0078125)
+        g = side_grasp((0.25, 0.25, 0.125), width=0.0625)
+        outer = 0.25 + 0.03125 + 0.015625
+        target = box_instance(0.046875, 0.046875, 0.125, 0.25, 0.25)
+        occ = box_instance(0.0625, 0.0625, 0.1875, outer + gap + 0.03125, 0.25)
+        scene = make_scene([target, occ], target=0)
+        res = check_collision(g, scene, grip)
+        assert res.offenders == offenders
+        assert list(res.offenders) == reference_offenders(g, scene, grip)
 
 
 class TestSimulate:
