@@ -1,4 +1,4 @@
-"""Pinhole depth camera: rendering, sensor noise, back-projection, persistence.
+"""Pinhole depth camera: rendering, sensor noise, back-projection, `.npz` persistence.
 
 `render` resolves each covered pixel by an exact ray/triangle intersection
 through the pixel center, so the result is identical to per-pixel ray
@@ -20,7 +20,7 @@ pixels.
 
 from __future__ import annotations
 
-import json
+import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -103,6 +103,9 @@ class DepthFrame:
     def __post_init__(self):
         object.__setattr__(self, "depth", np.ascontiguousarray(self.depth, dtype=np.float32))
         object.__setattr__(self, "instance_id", np.ascontiguousarray(self.instance_id, dtype=np.uint16))
+        shape = (self.camera.height, self.camera.width)
+        if self.depth.shape != shape or self.instance_id.shape != shape:
+            raise InputError(f"depth and instance_id must be {shape}, got {self.depth.shape}, {self.instance_id.shape}")
         self.depth.flags.writeable = False
         self.instance_id.flags.writeable = False
 
@@ -381,39 +384,39 @@ def back_project(frame: DepthFrame, instance_filter: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# persistence: raw little-endian grids + JSON sidecar
+# persistence: one uncompressed .npz archive per frame
+
+
+def read_npz(path, keys: tuple[str, ...]) -> list[np.ndarray]:
+    """The arrays stored under `keys` in the `.npz` archive at `path`.
+
+    A file that is not an `.npz` archive (a lone `.npy` array included), or
+    one that lacks a key, raises `InputError`. Pickled arrays are refused.
+    """
+    try:
+        with np.load(path) as data:  # an ndarray from a .npy file is no context manager: TypeError
+            return [data[key] for key in keys]
+    except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise InputError(f"{path} is not an .npz archive holding {list(keys)}: {exc}") from exc
 
 
 def save_frame(dir_path, stem: str, frame: DepthFrame) -> list[Path]:
-    dir_path = Path(dir_path)
-    dir_path.mkdir(parents=True, exist_ok=True)
-    depth_path = dir_path / f"{stem}.depth.raw"
-    inst_path = dir_path / f"{stem}.inst.raw"
-    meta_path = dir_path / f"{stem}.meta.json"
-    depth_path.write_bytes(frame.depth.astype("<f4").tobytes())
-    inst_path.write_bytes(frame.instance_id.astype("<u2").tobytes())
+    """Write `<stem>.frame.npz`: `depth` (H, W) float32, `instance_id` (H, W)
+    uint16, `intrinsics` (width, height, fx, fy, cx, cy) and `pose`, the
+    camera-to-world pose as `Pose.as_7floats`.
+    """
+    path = Path(dir_path) / f"{stem}.frame.npz"
+    path.parent.mkdir(parents=True, exist_ok=True)
     cam = frame.camera
-    meta = {
-        "width": cam.width,
-        "height": cam.height,
-        "fx": cam.fx,
-        "fy": cam.fy,
-        "cx": cam.cx,
-        "cy": cam.cy,
-        "pose": cam.pose.as_7floats(),
-        "background_id": BACKGROUND_ID,
-        "depth_dtype": "<f4",
-        "instance_dtype": "<u2",
-    }
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=1))
-    return [depth_path, inst_path, meta_path]
+    np.savez(path, depth=frame.depth, instance_id=frame.instance_id,
+             intrinsics=np.array([cam.width, cam.height, cam.fx, cam.fy, cam.cx, cam.cy], dtype=float),
+             pose=np.array(cam.pose.as_7floats()))
+    return [path]
 
 
 def load_frame(dir_path, stem: str) -> DepthFrame:
-    dir_path = Path(dir_path)
-    meta = json.loads((dir_path / f"{stem}.meta.json").read_text())
-    h, w = meta["height"], meta["width"]
-    depth = np.frombuffer((dir_path / f"{stem}.depth.raw").read_bytes(), dtype="<f4").reshape(h, w)
-    inst = np.frombuffer((dir_path / f"{stem}.inst.raw").read_bytes(), dtype="<u2").reshape(h, w)
-    cam = CameraModel(w, h, meta["fx"], meta["fy"], meta["cx"], meta["cy"], Pose.from_7floats(meta["pose"]))
-    return DepthFrame(depth, inst, cam)
+    """The frame `save_frame` wrote as `<stem>.frame.npz`."""
+    depth, inst, intrinsics, pose = read_npz(Path(dir_path) / f"{stem}.frame.npz",
+                                             ("depth", "instance_id", "intrinsics", "pose"))
+    w, h, fx, fy, cx, cy = intrinsics.tolist()
+    return DepthFrame(depth, inst, CameraModel(int(w), int(h), fx, fy, cx, cy, Pose.from_7floats(pose)))

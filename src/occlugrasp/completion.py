@@ -25,6 +25,8 @@ from .scenes import Scene
 log = logging.getLogger(__name__)
 
 DEFAULT_COMPLETION_POINTS = 2048
+# the mirror plane is vertical: it contains the table normal
+TABLE_NORMAL = np.array([0.0, 0.0, 1.0])
 
 
 class PassthroughCompleter:
@@ -79,8 +81,7 @@ class MirrorCompleter:
         self.dedupe_radius = dedupe_radius
 
     def __call__(self, partial: PointCloud, scene: Scene | None = None,
-                 camera: CameraModel | None = None,
-                 table_normal=(0.0, 0.0, 1.0)) -> PointCloud:
+                 camera: CameraModel | None = None) -> PointCloud:
         if len(partial) == 0:
             raise InputError("mirror completion needs a non-empty partial cloud")
         if len(partial) < 4:
@@ -88,17 +89,15 @@ class MirrorCompleter:
             return partial
         if camera is None:
             raise InputError("mirror completion needs the camera model")
-        up = np.asarray(table_normal, dtype=float)
-        up = up / np.linalg.norm(up)
         centroid = partial.points.mean(axis=0)
         view = centroid - camera.pose.translation
-        horiz = view - (view @ up) * up
+        horiz = view - (view @ TABLE_NORMAL) * TABLE_NORMAL
         n = np.linalg.norm(horiz)
         if n < 1e-9:
             log.warning("mirror completion: top-down view has no horizontal axis, passing through")
             return partial
         normal = horiz / n
-        across = partial.points @ np.cross(up, normal)
+        across = partial.points @ np.cross(TABLE_NORMAL, normal)
         half_width = 0.5 * (across.max() - across.min())
         if half_width < 1e-9:
             log.warning("mirror completion: cloud has no lateral extent, passing through")
@@ -153,12 +152,16 @@ def volumetric_iou(a: PointCloud, b: PointCloud, voxel_size: float = 0.0075) -> 
         raise InputError("voxel_size must be positive")
     if len(a) == 0 and len(b) == 0:
         raise InputError("IoU is undefined when both clouds are empty")
-    occ_a = {tuple(v) for v in np.floor(a.points / voxel_size).astype(np.int64)}
-    occ_b = {tuple(v) for v in np.floor(b.points / voxel_size).astype(np.int64)}
-    union = occ_a | occ_b
-    if not union:
-        raise InputError("IoU is undefined when both clouds are empty")
-    return len(occ_a & occ_b) / len(union)
+    # one int64 key per occupied voxel, over the box that holds both clouds' voxels
+    vox_a = np.floor(a.points / voxel_size).astype(np.int64)
+    vox_b = np.floor(b.points / voxel_size).astype(np.int64)
+    both = np.vstack([vox_a, vox_b])
+    lo = both.min(axis=0)
+    dims = both.max(axis=0) - lo + 1
+    occ_a = np.unique(np.ravel_multi_index((vox_a - lo).T, dims))
+    occ_b = np.unique(np.ravel_multi_index((vox_b - lo).T, dims))
+    shared = len(np.intersect1d(occ_a, occ_b, assume_unique=True))
+    return shared / (len(occ_a) + len(occ_b) - shared)
 
 
 def completion_ground_truth(scene: Scene, count: int = DEFAULT_COMPLETION_POINTS) -> PointCloud:

@@ -70,6 +70,9 @@ from .scenes import ObjectInstance, Scene, derive_single_scene
 log = logging.getLogger(__name__)
 
 DEFAULT_FRICTION = 0.4
+APPROACHES_PER_PAIR = 12  # approach directions per antipodal pair, evenly spaced about its axis
+PAIR_TOLERANCE = 0.004  # largest distance (m) of an opposing point from the inward-normal ray
+CONTACT_BAND = 0.0015  # width (m) of the extremal contact regions along the closing axis
 # gap (m) beyond which the broad phase skips an instance's exact mesh test
 BROAD_PHASE_MARGIN = 1e-6
 
@@ -163,15 +166,15 @@ def grasp_frame(axis, approach) -> Quaternion:
 # gripper volume
 
 
-def gripper_boxes(width: float, gripper: GripperModel, sweep: float | None = None) -> np.ndarray:
+def gripper_boxes(width: float, gripper: GripperModel) -> np.ndarray:
     """(3, 2, 3) [lo, hi] corners of finger/finger/palm boxes in the grasp frame.
 
-    Boxes are extended backward along -z by the pre-grasp standoff so the
-    approach sweep is part of the tested volume.
+    Boxes are extended backward along -z by the pre-grasp standoff, one finger
+    depth, so the approach sweep is part of the tested volume.
     """
     ft = gripper.finger_thickness
     fd = gripper.finger_depth
-    sweep = fd if sweep is None else sweep
+    sweep = fd
     hw = width / 2.0
     return np.array(
         [
@@ -293,8 +296,7 @@ def check_collision(grasp: Grasp, scene: Scene, gripper: GripperModel) -> Collis
 
 
 def _pad_slab_contacts(points_g: np.ndarray, normals_g: np.ndarray, width: float,
-                       gripper: GripperModel, mu: float,
-                       contact_band: float = 0.0015) -> tuple[bool, str]:
+                       gripper: GripperModel, mu: float) -> tuple[bool, str]:
     """Extremal contacts along the closing axis inside the finger-pad slab.
 
     Returns (ok, why). Both extremal contact regions must carry a normal
@@ -312,8 +314,8 @@ def _pad_slab_contacts(points_g: np.ndarray, normals_g: np.ndarray, width: float
     if a < -width / 2 - 1e-9 or b > width / 2 + 1e-9:
         return False, "object does not fit within the jaws"
     cos_cone = math.cos(math.atan(mu))
-    low_band = xs <= a + contact_band
-    high_band = xs >= b - contact_band
+    low_band = xs <= a + CONTACT_BAND
+    high_band = xs >= b - CONTACT_BAND
     if np.max(-ns[low_band, 0]) < cos_cone:
         return False, "low-side contact outside the friction cone"
     if np.max(ns[high_band, 0]) < cos_cone:
@@ -360,13 +362,13 @@ def sample_candidate_grasps(
     gripper: GripperModel,
     count: int,
     seed: int,
-    approaches_per_pair: int = 12,
-    pair_tolerance: float = 0.004,
 ) -> list[Grasp]:
     """Antipodal candidates: surface point, inward-normal ray, opposing point.
 
     Candidates whose pair distance exceeds the gripper opening are emitted
     anyway (width > max_width) so downstream labeling can flag them.
+    An attempt's outcome depends only on the drawn point index: an index that found no
+    opposing point is skipped when drawn again, and sampling stops once all have failed.
     """
     if len(target_cloud) == 0 or target_cloud.normals is None:
         raise InputError("candidate sampling needs a non-empty cloud with normals")
@@ -374,26 +376,30 @@ def sample_candidate_grasps(
     pts = target_cloud.points
     nrm = target_cloud.normals
     out: list[Grasp] = []
+    failed: set[int] = set()
     attempts = 0
     max_attempts = 50 * count
-    while len(out) < count and attempts < max_attempts:
+    while len(out) < count and attempts < max_attempts and len(failed) < len(pts):
         attempts += 1
         i = int(rng.integers(len(pts)))
+        if i in failed:
+            continue
         p1 = pts[i]
         d = -nrm[i]  # inward
         rel = pts - p1
         s = rel @ d
         perp = np.linalg.norm(rel - s[:, None] * d, axis=1)
-        opposing = (s > 1e-3) & (perp < pair_tolerance) & (nrm @ d > 0.3)
+        opposing = (s > 1e-3) & (perp < PAIR_TOLERANCE) & (nrm @ d > 0.3)
         if not opposing.any():
+            failed.add(i)
             continue
         j = int(np.nonzero(opposing)[0][np.argmax(s[opposing])])
         pair_dist = float(s[j])
         width = pair_dist + gripper.palm_clearance
         center = p1 + 0.5 * pair_dist * d
         u, v = orthonormal_tangents(d)
-        for k in range(approaches_per_pair):
-            theta = 2.0 * math.pi * k / approaches_per_pair
+        for k in range(APPROACHES_PER_PAIR):
+            theta = 2.0 * math.pi * k / APPROACHES_PER_PAIR
             approach = math.cos(theta) * u + math.sin(theta) * v
             out.append(Grasp(center, grasp_frame(d, approach), width))
             if len(out) >= count:

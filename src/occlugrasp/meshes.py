@@ -1,4 +1,4 @@
-"""Triangle meshes: watertight primitives, BVH ray casting, surface sampling, PLY I/O.
+"""Triangle meshes: watertight primitives, BVH ray casting, surface sampling.
 
 Rays against a mesh set go through a per-mesh bounding-volume hierarchy so
 single-ray queries stay cheap even for finely tessellated catalogs. The tests
@@ -316,125 +316,3 @@ def surface_sample(mesh: TriMesh, count: int, seed: int) -> PointCloud:
         nrm[pos : pos + k] = mesh.face_normals[f]
         pos += k
     return PointCloud(pts, nrm)
-
-
-# ---------------------------------------------------------------------------
-# PLY I/O (ascii and binary little-endian; vertices + optional normals, faces)
-
-
-def save_ply_mesh(path, mesh: TriMesh, binary: bool = True) -> None:
-    _write_ply(path, mesh.vertices, None, mesh.triangles, binary)
-
-
-def save_ply_cloud(path, cloud: PointCloud, binary: bool = True) -> None:
-    _write_ply(path, cloud.points, cloud.normals, None, binary)
-
-
-def _write_ply(path, verts, normals, faces, binary: bool) -> None:
-    fmt = "binary_little_endian" if binary else "ascii"
-    header = ["ply", f"format {fmt} 1.0", f"element vertex {len(verts)}"]
-    header += ["property float x", "property float y", "property float z"]
-    if normals is not None:
-        header += ["property float nx", "property float ny", "property float nz"]
-    if faces is not None:
-        header += [f"element face {len(faces)}", "property list uchar int vertex_indices"]
-    header.append("end_header")
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode("ascii"))
-        vdata = verts if normals is None else np.hstack([verts, normals])
-        if binary:
-            fh.write(vdata.astype("<f4").tobytes())
-            if faces is not None:
-                rec = np.empty(len(faces), dtype=[("n", "u1"), ("idx", "<i4", 3)])
-                rec["n"] = 3
-                rec["idx"] = faces
-                fh.write(rec.tobytes())
-        else:
-            for row in vdata:
-                fh.write((" ".join(f"{x:.9g}" for x in row) + "\n").encode("ascii"))
-            if faces is not None:
-                for f in faces:
-                    fh.write(f"3 {f[0]} {f[1]} {f[2]}\n".encode("ascii"))
-
-
-def _parse_ply_header(fh):
-    line = fh.readline().strip()
-    if line != b"ply":
-        raise InputError("not a PLY file")
-    fmt = None
-    elements = []  # (name, count, [props])
-    while True:
-        line = fh.readline()
-        if not line:
-            raise InputError("unexpected EOF in PLY header")
-        tok = line.strip().split()
-        if not tok or tok[0] == b"comment":
-            continue
-        if tok[0] == b"format":
-            fmt = tok[1].decode()
-        elif tok[0] == b"element":
-            elements.append((tok[1].decode(), int(tok[2]), []))
-        elif tok[0] == b"property":
-            elements[-1][2].append([t.decode() for t in tok[1:]])
-        elif tok[0] == b"end_header":
-            break
-    return fmt, elements
-
-
-_PLY_SCALAR = {"float": "<f4", "float32": "<f4", "double": "<f8", "float64": "<f8",
-               "int": "<i4", "int32": "<i4", "uchar": "u1", "uint8": "u1"}
-
-
-def load_ply(path) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Returns (vertices, normals or None, faces or None)."""
-    with open(path, "rb") as fh:
-        fmt, elements = _parse_ply_header(fh)
-        verts = normals = faces = None
-        for name, count, props in elements:
-            if name == "vertex":
-                names = [p[-1] for p in props]
-                if fmt == "ascii":
-                    rows = [fh.readline().split() for _ in range(count)]
-                    data = np.asarray(rows, dtype=float)
-                else:
-                    dtype = np.dtype([(p[-1], _PLY_SCALAR[p[0]]) for p in props])
-                    raw = np.frombuffer(fh.read(dtype.itemsize * count), dtype=dtype)
-                    data = np.column_stack([raw[n].astype(float) for n in names])
-                cols = {n: data[:, i] for i, n in enumerate(names)}
-                verts = np.column_stack([cols["x"], cols["y"], cols["z"]])
-                if all(k in cols for k in ("nx", "ny", "nz")):
-                    normals = np.column_stack([cols["nx"], cols["ny"], cols["nz"]])
-            elif name == "face":
-                out = []
-                if fmt == "ascii":
-                    for _ in range(count):
-                        tok = fh.readline().split()
-                        if int(tok[0]) != 3:
-                            raise InputError("only triangle faces supported")
-                        out.append([int(tok[1]), int(tok[2]), int(tok[3])])
-                else:
-                    count_t = _PLY_SCALAR[props[0][1]]
-                    idx_t = _PLY_SCALAR[props[0][2]]
-                    csz = np.dtype(count_t).itemsize
-                    isz = np.dtype(idx_t).itemsize
-                    for _ in range(count):
-                        n = int(np.frombuffer(fh.read(csz), dtype=count_t)[0])
-                        if n != 3:
-                            raise InputError("only triangle faces supported")
-                        out.append(np.frombuffer(fh.read(isz * 3), dtype=idx_t).astype(int))
-                faces = np.asarray(out, dtype=np.int32)
-        if verts is None:
-            raise InputError("PLY file has no vertex element")
-        return verts, normals, faces
-
-
-def load_ply_mesh(path) -> TriMesh:
-    verts, _, faces = load_ply(path)
-    if faces is None:
-        raise InputError("PLY file has no faces; not a mesh")
-    return TriMesh(verts, faces)
-
-
-def load_ply_cloud(path) -> PointCloud:
-    verts, normals, _ = load_ply(path)
-    return PointCloud(verts, normals)

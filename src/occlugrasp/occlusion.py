@@ -8,9 +8,7 @@ counts its pixels in the cluttered render.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -100,26 +98,3 @@ def scene_factors(scene: Scene) -> dict:
         "occluder_count": len(scene.instances) - 1,
         "target_size": float(min(target.footprint[0], target.footprint[1])),
     }
-
-
-def write_occlusion_csv(path, rows: list[dict]) -> None:
-    """Rows: scene_id, target_index, level, bin, visible, total."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["scene_id", "target_index", "level", "bin", "visible", "total"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
-def read_occlusion_csv(path) -> list[dict]:
-    with Path(path).open() as fh:
-        out = []
-        for row in csv.DictReader(fh):
-            row["target_index"] = int(row["target_index"])
-            row["level"] = float(row["level"])
-            row["bin"] = int(row["bin"]) if row["bin"] != "" else None
-            row["visible"] = int(row["visible"])
-            row["total"] = int(row["total"])
-            out.append(row)
-        return out

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GenerationError, InputError
 from .geometry import Pose, Quaternion, quaternion_about_axis
-from .meshes import TriMesh, load_ply_mesh, make_box, make_cylinder, make_hex_prism, make_sphere
+from .meshes import TriMesh, make_box, make_cylinder, make_hex_prism, make_sphere
 
 
 # ---------------------------------------------------------------------------
@@ -349,31 +349,28 @@ def catalog_config_from_manifest(data: dict) -> CatalogConfig:
     )
 
 
-def scene_from_manifest(data: dict, catalog: list[CatalogObject] | None = None, mesh_dir=None) -> Scene:
-    if catalog is None:
-        catalog = _shared_catalog(catalog_config_from_manifest(data))
-    by_id = {obj.catalog_id: obj for obj in catalog}
-    instances = []
-    for rec in data["instances"]:
-        cid = rec["catalog_id"]
-        pose = Pose.from_7floats(rec["pose"])
-        if cid in by_id:
+def scene_from_manifest(data: dict, catalog: list[CatalogObject] | None = None) -> Scene:
+    """The scene a manifest describes; a missing key, a pose that is not 7
+    floats or an unknown catalog id raises `InputError`."""
+    try:
+        if catalog is None:
+            catalog = _shared_catalog(catalog_config_from_manifest(data))
+        by_id = {obj.catalog_id: obj for obj in catalog}
+        instances = []
+        for rec in data["instances"]:
+            cid = rec["catalog_id"]
+            if cid not in by_id:
+                raise InputError(f"unknown catalog id {cid!r}")
+            try:
+                pose = Pose.from_7floats(rec["pose"])
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"pose of {cid!r} must be 7 floats, got {rec['pose']!r}") from exc
             obj = by_id[cid]
-            mesh, footprint, poly = obj.mesh, obj.footprint, obj.footprint_poly
-        elif mesh_dir is not None:
-            mesh = load_ply_mesh(Path(mesh_dir) / f"{cid}.ply")
-            v = mesh.vertices
-            footprint = (
-                float(v[:, 0].max() - v[:, 0].min()),
-                float(v[:, 1].max() - v[:, 1].min()),
-                float(v[:, 2].max()),
-            )
-            poly = _convex_hull_xy(v)
-        else:
-            raise InputError(f"unknown catalog id {cid!r} and no mesh directory given")
-        instances.append(ObjectInstance(cid, mesh, pose, footprint, poly))
-    return Scene(tuple(instances), data["target_index"], data["workspace_extent"], data["seed"])
+            instances.append(ObjectInstance(cid, obj.mesh, pose, obj.footprint, obj.footprint_poly))
+        return Scene(tuple(instances), data["target_index"], data["workspace_extent"], data["seed"])
+    except KeyError as exc:
+        raise InputError(f"scene manifest lacks the key {exc}") from exc
 
 
-def load_scene(path, catalog: list[CatalogObject] | None = None, mesh_dir=None) -> Scene:
-    return scene_from_manifest(json.loads(Path(path).read_text()), catalog, mesh_dir)
+def load_scene(path, catalog: list[CatalogObject] | None = None) -> Scene:
+    return scene_from_manifest(json.loads(Path(path).read_text()), catalog)

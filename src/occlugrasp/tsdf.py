@@ -1,4 +1,4 @@
-"""Truncated signed distance grids over the workspace cube.
+"""Truncated signed distance grids over the workspace cube, saved as `.npz`.
 
 `fuse` integrates a single depth frame: per voxel, signed distance along the
 camera ray (measured depth minus voxel depth), clamped to the truncation
@@ -13,14 +13,13 @@ radius of the points.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .camera import DepthFrame
+from .camera import DepthFrame, read_npz
 from .errors import InputError
 from .geometry import PointCloud
 
@@ -60,6 +59,9 @@ class TsdfGrid:
     def __post_init__(self):
         object.__setattr__(self, "values", np.ascontiguousarray(self.values, dtype=np.float32))
         object.__setattr__(self, "weights", np.ascontiguousarray(self.weights, dtype=np.float32))
+        shape = (self.config.resolution,) * 3
+        if self.values.shape != shape or self.weights.shape != shape:
+            raise InputError(f"values and weights must be {shape}, got {self.values.shape}, {self.weights.shape}")
         self.values.flags.writeable = False
         self.weights.flags.writeable = False
 
@@ -128,33 +130,19 @@ def near_surface_mask(grid: TsdfGrid, band: float) -> np.ndarray:
 
 
 def save_grid(dir_path, stem: str, grid: TsdfGrid) -> list[Path]:
-    dir_path = Path(dir_path)
-    dir_path.mkdir(parents=True, exist_ok=True)
-    val_path = dir_path / f"{stem}.tsdf.raw"
-    wgt_path = dir_path / f"{stem}.weights.raw"
-    meta_path = dir_path / f"{stem}.tsdf.json"
-    val_path.write_bytes(grid.values.astype("<f4").tobytes())
-    wgt_path.write_bytes(grid.weights.astype("<f4").tobytes())
-    meta_path.write_text(
-        json.dumps(
-            {
-                "resolution": grid.config.resolution,
-                "extent": grid.config.extent,
-                "truncation": grid.config.truncation,
-                "dtype": "<f4",
-            },
-            sort_keys=True,
-            indent=1,
-        )
-    )
-    return [val_path, wgt_path, meta_path]
+    """Write `<stem>.tsdf.npz`: `values` and `weights`, (r, r, r) float32, and
+    `config` (resolution, extent, truncation).
+    """
+    path = Path(dir_path) / f"{stem}.tsdf.npz"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    cfg = grid.config
+    np.savez(path, values=grid.values, weights=grid.weights,
+             config=np.array([cfg.resolution, cfg.extent, cfg.truncation], dtype=float))
+    return [path]
 
 
 def load_grid(dir_path, stem: str) -> TsdfGrid:
-    dir_path = Path(dir_path)
-    meta = json.loads((dir_path / f"{stem}.tsdf.json").read_text())
-    r = meta["resolution"]
-    cfg = TsdfConfig(r, meta["extent"], meta["truncation"])
-    values = np.frombuffer((dir_path / f"{stem}.tsdf.raw").read_bytes(), dtype="<f4").reshape(r, r, r)
-    weights = np.frombuffer((dir_path / f"{stem}.weights.raw").read_bytes(), dtype="<f4").reshape(r, r, r)
-    return TsdfGrid(values, weights, cfg)
+    """The grid `save_grid` wrote as `<stem>.tsdf.npz`."""
+    values, weights, config = read_npz(Path(dir_path) / f"{stem}.tsdf.npz", ("values", "weights", "config"))
+    r, extent, truncation = config.tolist()
+    return TsdfGrid(values, weights, TsdfConfig(int(r), extent, truncation))

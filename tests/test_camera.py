@@ -158,6 +158,14 @@ class TestNoise:
         assert np.array_equal(a.depth, b.depth)
 
 
+class TestDepthFrame:
+    @pytest.mark.parametrize("depth_shape, inst_shape", [((24, 31), (24, 32)), ((24, 32), (32, 24)), ((768,), (24, 32))])
+    def test_shape_must_match_the_camera(self, depth_shape, inst_shape):
+        cam = CameraModel(32, 24, 30.0, 30.0, 16.0, 12.0, Pose.identity())
+        with pytest.raises(InputError):
+            DepthFrame(np.zeros(depth_shape, np.float32), np.zeros(inst_shape, np.uint16), cam)
+
+
 class TestBackProject:
     def test_empty_frame(self):
         cam = CameraModel(32, 24, 30.0, 30.0, 16.0, 12.0, Pose.identity())
@@ -210,6 +218,24 @@ class TestPersistence:
         assert np.array_equal(frame.depth, loaded.depth)
         assert np.array_equal(frame.instance_id, loaded.instance_id)
         assert frame.camera.same_view(loaded.camera)
+
+    def test_missing_array_rejected(self, tmp_path):
+        cam = CameraModel(32, 24, 30.0, 30.0, 16.0, 12.0, Pose.identity())
+        np.savez(tmp_path / "frame.frame.npz", depth=np.zeros((24, 32), np.float32),
+                 instance_id=np.zeros((24, 32), np.uint16), intrinsics=np.array([32, 24, 30.0, 30.0, 16.0, 12.0]))
+        with pytest.raises(InputError, match="pose"):
+            load_frame(tmp_path, "frame")
+        save_frame(tmp_path, "whole", DepthFrame(np.zeros((24, 32)), np.zeros((24, 32)), cam))
+        assert load_frame(tmp_path, "whole").camera.same_view(cam)
+
+    def test_not_an_npz_archive_rejected(self, tmp_path):
+        (tmp_path / "frame.frame.npz").write_text('{"width": 32}')
+        with pytest.raises(InputError):
+            load_frame(tmp_path, "frame")
+        np.save(tmp_path / "array.frame.npz", np.zeros((24, 32)), allow_pickle=False)
+        (tmp_path / "array.frame.npz.npy").rename(tmp_path / "array.frame.npz")
+        with pytest.raises(InputError):
+            load_frame(tmp_path, "array")
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,51 @@ class TestIou:
             volumetric_iou(PointCloud.empty(), PointCloud.empty())
 
 
+def reference_iou(a: PointCloud, b: PointCloud, voxel_size: float = 0.0075) -> float:
+    """`volumetric_iou` as sets of voxel index tuples, before one int64 key per voxel."""
+    occ_a = {tuple(v) for v in np.floor(a.points / voxel_size).astype(np.int64)}
+    occ_b = {tuple(v) for v in np.floor(b.points / voxel_size).astype(np.int64)}
+    return len(occ_a & occ_b) / len(occ_a | occ_b)
+
+
+class TestIouMatchesReference:
+    def test_completed_against_ground_truth(self):
+        cam = default_camera(width=160, height=120, focal=135.0)
+        completer = MirrorCompleter()
+        results = []
+        for seed in range(40):
+            scene = generate_packed_scene(SceneConfig(object_count_range=(4, 6), seed=seed))
+            completed = completer(rendered_partial(scene, cam), scene, cam)
+            gt = completion_ground_truth(scene)
+            assert volumetric_iou(completed, gt) == reference_iou(completed, gt), seed
+            results.append(volumetric_iou(completed, gt))
+        assert 0.0 < min(results) and max(results) < 1.0
+
+    def test_one_empty_cloud(self):
+        cloud = PointCloud(np.random.default_rng(4).uniform(0, 0.3, size=(100, 3)))
+        assert volumetric_iou(cloud, PointCloud.empty()) == reference_iou(cloud, PointCloud.empty()) == 0.0
+        assert volumetric_iou(PointCloud.empty(), cloud) == 0.0
+
+    def test_negative_coordinates(self):
+        rng = np.random.default_rng(5)
+        a = PointCloud(rng.uniform(-0.2, 0.05, size=(400, 3)))
+        b = PointCloud(rng.uniform(-0.05, 0.2, size=(400, 3)))
+        for voxel_size in (0.0075, 0.02, 0.05):
+            iou = volumetric_iou(a, b, voxel_size)
+            assert iou == reference_iou(a, b, voxel_size)
+            assert 0.0 < iou < 1.0
+
+    def test_points_on_voxel_faces(self):
+        vox = 0.0075
+        # exact multiples of the voxel size, negative ones included, and their
+        # neighbours one float step away on either side
+        faces = np.arange(-6, 7)[:, None] * vox * np.ones((1, 3))
+        a = PointCloud(np.vstack([faces, np.nextafter(faces, -np.inf)]))
+        b = PointCloud(np.vstack([faces, np.nextafter(faces, np.inf)]))
+        assert volumetric_iou(a, b, vox) == reference_iou(a, b, vox)
+        assert volumetric_iou(a, a, vox) == 1.0
+
+
 def rendered_partial(scene, cam):
     frame = render(scene, cam)
     return back_project(frame, scene.target_index)

@@ -1,10 +1,13 @@
 import logging
+import math
 
 import numpy as np
 import pytest
 
+from occlugrasp.camera import back_project, default_camera, render
+from occlugrasp.completion import MirrorCompleter
 from occlugrasp.errors import InputError
-from occlugrasp.geometry import PointCloud, Pose, Quaternion
+from occlugrasp.geometry import PointCloud, Pose, Quaternion, orthonormal_tangents
 from occlugrasp.grasping import (
     DEFAULT_FRICTION,
     FailureReason,
@@ -138,6 +141,52 @@ def dense_cases():
     return cases
 
 
+# ---------------------------------------------------------------------------
+# reference sampler: `sample_candidate_grasps` before it skipped the point
+# indices that already found no opposing point
+
+
+def reference_sample(target_cloud, gripper, count, seed):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    pts, nrm = target_cloud.points, target_cloud.normals
+    out = []
+    for _ in range(50 * count):
+        if len(out) >= count:
+            break
+        i = int(rng.integers(len(pts)))
+        p1 = pts[i]
+        d = -nrm[i]
+        rel = pts - p1
+        s = rel @ d
+        perp = np.linalg.norm(rel - s[:, None] * d, axis=1)
+        opposing = (s > 1e-3) & (perp < 0.004) & (nrm @ d > 0.3)
+        if not opposing.any():
+            continue
+        j = int(np.nonzero(opposing)[0][np.argmax(s[opposing])])
+        pair_dist = float(s[j])
+        u, v = orthonormal_tangents(d)
+        for k in range(12):
+            theta = 2.0 * math.pi * k / 12
+            approach = math.cos(theta) * u + math.sin(theta) * v
+            out.append(Grasp(p1 + 0.5 * pair_dist * d, grasp_frame(d, approach), pair_dist + gripper.palm_clearance))
+            if len(out) >= count:
+                break
+    return out
+
+
+def assert_same_grasps(a, b):
+    assert len(a) == len(b)
+    for ga, gb in zip(a, b):
+        assert ga.center.tobytes() == gb.center.tobytes()
+        assert ga.rotation == gb.rotation
+        assert ga.width == gb.width
+
+
+def completed_target_cloud(scene, cam):
+    partial = back_project(render(scene, cam), scene.target_index)
+    return MirrorCompleter()(partial, scene, cam)
+
+
 class TestTypes:
     def test_gripper_validation(self):
         with pytest.raises(InputError):
@@ -208,6 +257,53 @@ class TestSampling:
         with caplog.at_level(logging.WARNING, logger="occlugrasp.grasping"):
             assert sample_candidate_grasps(cloud, GRIP, 4, seed=0) == []
         assert [r.getMessage() for r in caplog.records] == ["candidate sampling: 0 of 4 grasps after 200 attempts"]
+
+    @pytest.mark.parametrize("count_range", [(4, 6), (8, 10)])
+    def test_matches_reference_on_completed_clouds(self, count_range):
+        catalog = build_catalog(CatalogConfig())
+        cam = default_camera(width=320, height=240, focal=270.0)
+        found = 0
+        for seed in range(16):
+            scene = generate_packed_scene(SceneConfig(object_count_range=count_range, seed=seed), catalog)
+            cloud = completed_target_cloud(scene, cam)
+            grasps = sample_candidate_grasps(cloud, GRIP, 120, seed)
+            assert_same_grasps(grasps, reference_sample(cloud, GRIP, 120, seed))
+            found += len(grasps)
+        assert found > 0
+
+    def test_matches_reference_on_surface_samples(self):
+        for seed in range(8):
+            cloud = surface_sample(make_sphere(0.02 + 0.002 * seed), 256 + 64 * seed, seed=seed)
+            assert_same_grasps(sample_candidate_grasps(cloud, GRIP, 60, seed), reference_sample(cloud, GRIP, 60, seed))
+
+    def test_matches_reference_when_the_budget_runs_out(self):
+        # a flat patch without opposing points and one antipodal pair: the
+        # 50 * count attempts end before every index has failed, and some
+        # seeds draw one point of the pair in time, some both, some neither
+        rng = np.random.default_rng(3)
+        patch = np.column_stack([rng.uniform(size=(2000, 2)), np.zeros(2000)])
+        pts = np.vstack([patch, [[0.5, 0.5, 0.1], [0.5, 0.5, 0.15]]])
+        nrm = np.vstack([np.tile([0.0, 0.0, 1.0], (2000, 1)), [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]])
+        cloud = PointCloud(pts, nrm)
+        found = set()
+        for seed in range(10):
+            grasps = sample_candidate_grasps(cloud, GRIP, 24, seed)
+            assert_same_grasps(grasps, reference_sample(cloud, GRIP, 24, seed))
+            found.add(len(grasps))
+        assert found == {0, 12, 24}
+
+    def test_no_opposing_point_stops_early(self, caplog):
+        # dense scene seed 1: the completed sphere_011 has no opposing pair
+        scene = generate_packed_scene(SceneConfig(object_count_range=(8, 10), seed=1))
+        cloud = completed_target_cloud(scene, default_camera())
+        assert scene.target.catalog_id == "sphere_011" and len(cloud) == 318
+        assert reference_sample(cloud, GRIP, 120, 1) == []
+        with caplog.at_level(logging.WARNING, logger="occlugrasp.grasping"):
+            assert sample_candidate_grasps(cloud, GRIP, 120, 1) == []
+        [message] = [r.getMessage() for r in caplog.records]
+        attempts = int(message.split()[-2])
+        assert message.startswith("candidate sampling: 0 of 120 grasps after ")
+        assert len(cloud) <= attempts < 50 * 120
 
     def test_deterministic(self):
         cloud = surface_sample(make_sphere(0.03), 1024, seed=5)

@@ -8,9 +8,7 @@ from occlugrasp.occlusion import (
     BinScheme,
     assign_bin,
     occlusion_level,
-    read_occlusion_csv,
     scene_factors,
-    write_occlusion_csv,
 )
 from occlugrasp.scenes import Scene, SceneConfig, derive_single_scene, generate_packed_scene
 
@@ -163,16 +161,3 @@ class TestSceneFactors:
         # inside the sweet-spot bucket (0.0509, 0.0626]
         assert 0.0509 < size <= 0.0626
 
-
-class TestCsv:
-    def test_round_trip(self, tmp_path):
-        rows = [
-            {"scene_id": "a", "target_index": 1, "level": 0.25, "bin": 2, "visible": 75, "total": 100},
-            {"scene_id": "b", "target_index": 0, "level": 0.95, "bin": None, "visible": 5, "total": 100},
-        ]
-        p = tmp_path / "occ.csv"
-        write_occlusion_csv(p, rows)
-        back = read_occlusion_csv(p)
-        assert back[0]["level"] == 0.25
-        assert back[1]["bin"] is None
-        assert back[1]["visible"] == 5

@@ -213,6 +213,27 @@ class TestManifest:
         with pytest.raises(InputError):
             scene_from_manifest(data)
 
+    @pytest.mark.parametrize("path", [("seed",), ("catalog",), ("catalog", "height"), ("instances",),
+                                      ("instances", 1, "pose"), ("instances", 0, "catalog_id")])
+    def test_missing_key(self, path):
+        cfg = SceneConfig(object_count_range=(2, 2), seed=4)
+        data = scene_to_manifest(generate_packed_scene(cfg), cfg.catalog)
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        with pytest.raises(InputError, match=repr(path[-1])):
+            scene_from_manifest(data)
+
+    @pytest.mark.parametrize("pose", [[1.0, 0.0, 0.0, 0.0, 0.1, 0.1], [1.0] * 8, "identity", None,
+                                      [1.0, 0.0, 0.0, 0.0, 0.1, 0.1, "z"], {"w": 1.0}])
+    def test_pose_not_seven_floats(self, pose):
+        cfg = SceneConfig(object_count_range=(2, 2), seed=4)
+        data = scene_to_manifest(generate_packed_scene(cfg), cfg.catalog)
+        data["instances"][1]["pose"] = pose
+        with pytest.raises(InputError, match="7 floats"):
+            scene_from_manifest(data)
+
 
 def scene_key(scene: Scene) -> list:
     return [scene.target_index] + [(inst.catalog_id, inst.pose.as_7floats()) for inst in scene.instances]

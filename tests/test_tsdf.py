@@ -7,7 +7,7 @@ from occlugrasp.errors import InputError
 from occlugrasp.geometry import PointCloud, Pose, Quaternion
 from occlugrasp.meshes import make_box, make_cylinder, make_sphere, surface_sample
 from occlugrasp.scenes import SceneConfig, generate_packed_scene
-from occlugrasp.tsdf import TsdfConfig, fuse, load_grid, near_surface_mask, save_grid, splat
+from occlugrasp.tsdf import TsdfConfig, TsdfGrid, fuse, load_grid, near_surface_mask, save_grid, splat
 
 from .test_camera import box_instance, make_scene
 
@@ -251,3 +251,25 @@ class TestPersistence:
         assert np.array_equal(grid.values, loaded.values)
         assert np.array_equal(grid.weights, loaded.weights)
         assert loaded.config.resolution == 40
+
+    def test_missing_array_rejected(self, tmp_path):
+        np.savez(tmp_path / "grid.tsdf.npz", values=np.zeros((4, 4, 4), np.float32), config=np.array([4, 0.3, 0.03]))
+        with pytest.raises(InputError, match="weights"):
+            load_grid(tmp_path, "grid")
+
+    def test_not_an_npz_archive_rejected(self, tmp_path):
+        (tmp_path / "grid.tsdf.npz").write_bytes(b"PK\x03\x04 truncated")
+        with pytest.raises(InputError):
+            load_grid(tmp_path, "grid")
+        (tmp_path / "empty.tsdf.npz").write_bytes(b"")
+        with pytest.raises(InputError):
+            load_grid(tmp_path, "empty")
+
+
+class TestGridShape:
+    @pytest.mark.parametrize("shape", [(4, 4, 5), (4, 4), (5, 5, 5)])
+    def test_shape_must_be_the_resolution_cubed(self, shape):
+        with pytest.raises(InputError):
+            TsdfGrid(np.zeros(shape), np.zeros(shape), TsdfConfig(resolution=4))
+        with pytest.raises(InputError):
+            TsdfGrid(np.zeros((4, 4, 4)), np.zeros(shape), TsdfConfig(resolution=4))
