@@ -174,6 +174,14 @@ class Pose:
         t.flags.writeable = False
         object.__setattr__(self, "translation", t)
 
+    def __eq__(self, other) -> bool:
+        """Exact equality: equal translations, and rotations equal component
+        for component as q or as -q, which describe the same rotation."""
+        if not isinstance(other, Pose):
+            return NotImplemented
+        return (np.array_equal(self.translation, other.translation)
+                and self.rotation.canonical() == other.rotation.canonical())
+
     @staticmethod
     def identity() -> "Pose":
         return Pose(Quaternion.identity(), np.zeros(3))

@@ -41,9 +41,28 @@ The first box that a triangle overlaps ends the test.
 Only test 3 sees the clutter; tests 1, 2, 4 and 5 see the target and the
 table alone. So the cluttered result is the single-scene result, except that
 an occluder hit after tests 1 and 2 pass makes it `OCCLUDER_COLLISION`.
-`label_pair` derives both labels that way from one single-scene simulation,
-and cluttered successes are a subset of single-scene successes by
+`label_pair` derives both labels that way from one pass over the cluttered
+scene, and cluttered successes are a subset of single-scene successes by
 construction.
+
+`simulate_grasps` and `label_pair` run each test over all candidates at once.
+The widths are compared together, and the 24 corners of every candidate are
+rotated in one elementwise pass, in the operation order of
+`Quaternion.rotate` (a matrix product would round differently). The broad
+phase is one candidates x instances matrix. Each instance is moved into the
+frames of all candidates near it at once, with the arithmetic of
+`Pose.inverse` and `Pose.__mul__` written elementwise, and the vertex-box and
+separating-axis tests then run per candidate and box as above. The occluders
+are visited in index order, each on the candidates no lower one hit. For the
+contacts, one matrix product gives the y and z of the target's samples in
+every candidate's frame, `BATCH_CHUNK` candidates at a time, and only samples
+within `BROAD_PHASE_MARGIN` of the pad slab are transformed exactly and passed
+to `_pad_slab_contacts`. So every stage gets the inputs the per-grasp path
+would give it, and every result, detail included, equals `simulate_grasp`'s.
+The batch has a fixed cost per call, which the per-grasp path does not: one
+grasp costs about three times as much through it. So `simulate_grasp`,
+`check_collision` and `_SweptGripper` keep the per-grasp path, and a caller
+picks the path by its input: one grasp or a list.
 
 Grasp frame: x is the closing axis joining the antipodal pair, z is the
 approach (travel) direction, y completes the right-handed frame. The grasp
@@ -65,7 +84,7 @@ import numpy as np
 from .errors import InputError
 from .geometry import PointCloud, Pose, Quaternion, _cross, orthonormal_tangents
 from .meshes import surface_sample
-from .scenes import ObjectInstance, Scene, derive_single_scene
+from .scenes import ObjectInstance, Scene
 
 log = logging.getLogger(__name__)
 
@@ -113,6 +132,13 @@ class Grasp:
         if not 0.0 <= self.quality <= 1.0:
             raise InputError("grasp quality must be in [0, 1]")
 
+    def __eq__(self, other) -> bool:
+        """Exact equality by value; the pose compares as in `Pose.__eq__`."""
+        if not isinstance(other, Grasp):
+            return NotImplemented
+        return (Pose(self.rotation, self.center) == Pose(other.rotation, other.center)
+                and self.width == other.width and self.quality == other.quality)
+
     @property
     def axis(self) -> np.ndarray:
         return self.rotation.rotate(np.array([1.0, 0.0, 0.0]))
@@ -128,6 +154,7 @@ class GraspLabel:
     success_single: bool
     success_cluttered: bool
     failure_reason: FailureReason
+    detail: str = ""  # the cluttered result's `SimResult.detail`
 
     def __post_init__(self):
         if self.success_cluttered and not self.success_single:
@@ -323,34 +350,204 @@ def _pad_slab_contacts(points_g: np.ndarray, normals_g: np.ndarray, width: float
     return True, ""
 
 
+# results whose detail does not depend on the grasp, shared by both drivers
+_WIDE = SimResult(False, FailureReason.WIDTH_EXCEEDED, "grasp wider than the gripper opening")
+_TABLE = SimResult(False, FailureReason.TABLE_BLOCK, "gripper hits the table")
+_BODY = SimResult(False, FailureReason.ANTIPODAL_FAIL, "gripper body hits the target")
+_SUCCESS = SimResult(True, FailureReason.NONE)
+
+
+def _occluder_hit(index: int) -> SimResult:
+    return SimResult(False, FailureReason.OCCLUDER_COLLISION, f"gripper hits occluder {index}")
+
+
 def simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel,
                    friction_mu: float = DEFAULT_FRICTION) -> SimResult:
     """Quasi-static grasp oracle; the first failing test, in the module's order, decides."""
-    return _simulate(grasp, scene, gripper, friction_mu)[0]
-
-
-def _simulate(grasp: Grasp, scene: Scene, gripper: GripperModel,
-              friction_mu: float) -> tuple[SimResult, _SweptGripper | None]:
-    """`simulate_grasp` and the swept gripper it tested (None after a width failure)."""
     if grasp.width > gripper.max_width + 1e-12:
-        return SimResult(False, FailureReason.WIDTH_EXCEEDED, "grasp wider than the gripper opening"), None
+        return _WIDE
     swept = _SweptGripper(grasp, gripper)
     if swept.hits_table():
-        return SimResult(False, FailureReason.TABLE_BLOCK, "gripper hits the table"), swept
+        return _TABLE
     hit = swept.first_occluder_hit(scene)
     if hit is not None:
-        return SimResult(False, FailureReason.OCCLUDER_COLLISION, f"gripper hits occluder {hit}"), swept
+        return _occluder_hit(hit)
     target = scene.target
     if swept.hits(target):
-        return SimResult(False, FailureReason.ANTIPODAL_FAIL, "gripper body hits the target"), swept
+        return _BODY
     samples = target.mesh.contact_samples
     to_grasp = swept.to_grasp * target.pose
     pts_g = to_grasp.transform(samples.points)
     nrm_g = to_grasp.rotate_only(samples.normals)
     ok, why = _pad_slab_contacts(pts_g, nrm_g, grasp.width, gripper, friction_mu)
     if not ok:
-        return SimResult(False, FailureReason.ANTIPODAL_FAIL, why), swept
-    return SimResult(True, FailureReason.NONE), swept
+        return SimResult(False, FailureReason.ANTIPODAL_FAIL, why)
+    return _SUCCESS
+
+
+# ---------------------------------------------------------------------------
+# the batched oracle: every stage over all candidates at once
+
+# candidates per matrix product of the batched contact stage: keeps its
+# (candidates, 2, contact samples) temporaries near 0.5 MB
+BATCH_CHUNK = 16
+
+
+def _hamilton(a, b) -> tuple:
+    """`Quaternion.__mul__` on (w, x, y, z) component tuples of floats or arrays."""
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def _rotate(q, v) -> tuple:
+    """`Quaternion.rotate` on component tuples: q = (w, x, y, z), v = (v0, v1, v2)."""
+    w, x, y, z = q
+    u = (x, y, z)
+    uv = _cross(u, v)
+    uuv = _cross(u, uv)
+    return tuple(v[k] + 2.0 * (w * uv[k] + uuv[k]) for k in range(3))
+
+
+def _compose(a, pose: Pose) -> tuple:
+    """`Pose.__mul__` of poses `a`, given as ((w, x, y, z), (t0, t1, t2))
+    component tuples, and `pose`."""
+    q, t = a
+    r = pose.rotation
+    return _hamilton(q, (r.w, r.x, r.y, r.z)), tuple(p + c for p, c in zip(_rotate(q, pose.translation.tolist()), t))
+
+
+def _mesh_hits(inst: ObjectInstance, pose, centers: np.ndarray, halves: np.ndarray) -> np.ndarray:
+    """Which of m grasps hit `inst`, as `_SweptGripper.hits` decides past its
+    broad phase; `pose` is each grasp's `to_grasp * inst.pose`, `centers` and
+    `halves` its (m, 3, 3) boxes."""
+    q, t = pose
+    verts = np.stack([v + c for v, c in zip(_rotate(q, tuple(inst.mesh.vertices.T)), t)], axis=-1)
+    apart = ((verts.min(axis=1)[:, None] - centers > halves)
+             | (verts.max(axis=1)[:, None] - centers < -halves)).any(axis=2)
+    hit = np.zeros(len(verts), dtype=bool)
+    for j in np.flatnonzero(~apart.all(axis=1)):
+        tri = verts[j].take(inst.mesh.triangles, axis=0)
+        hit[j] = any(_triangles_hit_box(tri - centers[j, b], halves[j, b]) for b in np.flatnonzero(~apart[j]))
+    return hit
+
+
+def _contacts(samples: PointCloud, pose, widths: list[float], gripper: GripperModel,
+              mu: float) -> list[tuple[bool, str]]:
+    """`_pad_slab_contacts` of m grasps, each on the samples moved by its pose
+    ((m, 1) components).
+
+    A matrix product gives every sample's grasp-frame y and z, `BATCH_CHUNK`
+    grasps at a time. Only the samples within `BROAD_PHASE_MARGIN` of the pad
+    slab are moved exactly and passed on: the product differs from the exact
+    transform by far less than the margin, so no sample of the slab is left
+    out, and `_pad_slab_contacts` decides on the slab alone.
+    """
+    if not widths:
+        return []
+    (w, x, y, z), t = pose
+    # rows y and z of `Quaternion.as_matrix`, (m, 2, 3)
+    rot = np.stack([np.concatenate([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=1),
+                    np.concatenate([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=1)],
+                   axis=1)
+    shift = np.stack([t[1], t[2]], axis=1)  # (m, 2, 1)
+    pts = samples.points
+    half_t = gripper.finger_thickness / 2 + BROAD_PHASE_MARGIN
+    z_lo = -gripper.finger_depth - BROAD_PHASE_MARGIN
+    grasp_i, sample_i = [], []
+    for start in range(0, len(widths), BATCH_CHUNK):
+        yz = (rot[start:start + BATCH_CHUNK].reshape(-1, 3) @ pts.T).reshape(-1, 2, len(pts))
+        yz += shift[start:start + BATCH_CHUNK]
+        g, s = np.nonzero((np.abs(yz[:, 0]) <= half_t) & (yz[:, 1] >= z_lo) & (yz[:, 1] <= BROAD_PHASE_MARGIN))
+        grasp_i.append(g + start)
+        sample_i.append(s)
+    grasp_i, sample_i = np.concatenate(grasp_i), np.concatenate(sample_i)
+    q = tuple(c[grasp_i, 0] for c in (w, x, y, z))
+    p_g = np.column_stack([a + c[grasp_i, 0] for a, c in zip(_rotate(q, tuple(pts[sample_i].T)), t)])
+    n_g = np.column_stack(_rotate(q, tuple(samples.normals[sample_i].T)))
+    ends = np.searchsorted(grasp_i, np.arange(len(widths) + 1))
+    return [_pad_slab_contacts(p_g[a:b], n_g[a:b], width, gripper, mu)
+            for a, b, width in zip(ends[:-1], ends[1:], widths)]
+
+
+def _simulate_batch(grasps: list[Grasp], scene: Scene, gripper: GripperModel,
+                    mu: float) -> list[tuple[SimResult, int | None]]:
+    """Per grasp: its result in `scene` without the occluders, and the first
+    occluder it hits (None if it hits none, or the width or the table decides)."""
+    results = [(_WIDE, None)] * len(grasps)
+    idx = [i for i, g in enumerate(grasps) if not g.width > gripper.max_width + 1e-12]
+    if not idx:
+        return results
+    grasps = [grasps[i] for i in idx]
+    widths = [g.width for g in grasps]
+    # `_SweptGripper.__init__`, one row per grasp; the grasps of one antipodal
+    # pair share their width
+    unique, inverse = np.unique(widths, return_inverse=True)
+    boxes = np.array([gripper_boxes(w, gripper) for w in unique.tolist()])[inverse]
+    lo, hi = boxes[:, :, None, 0], boxes[:, :, None, 1]
+    local = (lo + _BOX_CORNERS * (hi - lo)).reshape(len(idx), -1, 3)
+    q = tuple(np.array([(r.w, r.x, r.y, r.z) for r in (g.rotation for g in grasps)]).T[:, :, None])
+    center = np.array([g.center for g in grasps])
+    corners = np.stack(_rotate(q, tuple(local.transpose(2, 0, 1))), axis=-1) + center[:, None]
+    corner_lo = corners.min(axis=1)
+    reach_lo = corner_lo - BROAD_PHASE_MARGIN
+    reach_hi = corners.max(axis=1) + BROAD_PHASE_MARGIN
+    table = corner_lo[:, 2] < -1e-9
+    # `Pose(rotation, center).inverse()`
+    q_inv = (q[0], -q[1], -q[2], -q[3])
+    to_grasp = q_inv, tuple(-c for c in _rotate(q_inv, tuple(center.T[:, :, None])))
+    centers = (boxes[:, :, 0] + boxes[:, :, 1]) / 2.0
+    halves = (boxes[:, :, 1] - boxes[:, :, 0]) / 2.0
+    # the broad phase, grasps x instances
+    aabb_lo, aabb_hi = (np.array(a) for a in zip(*(inst.world_aabb for inst in scene.instances)))
+    near = ~((aabb_lo > reach_hi[:, None]) | (aabb_hi < reach_lo[:, None])).any(axis=2) & ~table[:, None]
+
+    def frames(inst: ObjectInstance, rows: np.ndarray) -> tuple:
+        """`to_grasp * inst.pose` of the grasps at `rows`."""
+        return _compose(tuple(tuple(c[rows] for c in part) for part in to_grasp), inst.pose)
+
+    def hits(inst: ObjectInstance, rows: np.ndarray) -> np.ndarray:
+        return _mesh_hits(inst, frames(inst, rows), centers[rows], halves[rows])
+
+    # occluders in ascending index, each tested only on the grasps no lower one hit
+    occluder = np.full(len(idx), -1)
+    for k, inst in enumerate(scene.instances):
+        rows = np.flatnonzero(near[:, k] & (occluder < 0))
+        if k != scene.target_index and len(rows):
+            occluder[rows[hits(inst, rows)]] = k
+    target = scene.target
+    body = np.zeros(len(idx), dtype=bool)
+    rows = np.flatnonzero(near[:, scene.target_index])
+    body[rows] = hits(target, rows)
+    rows = np.flatnonzero(~table & ~body)
+    contacts = iter(_contacts(target.mesh.contact_samples, frames(target, rows), [widths[r] for r in rows],
+                              gripper, mu))
+    for r, i in enumerate(idx):
+        if table[r]:
+            sim = _TABLE
+        elif body[r]:
+            sim = _BODY
+        else:
+            ok, why = next(contacts)
+            sim = _SUCCESS if ok else SimResult(False, FailureReason.ANTIPODAL_FAIL, why)
+        results[i] = sim, (int(occluder[r]) if occluder[r] >= 0 else None)
+    return results
+
+
+def simulate_grasps(grasps: list[Grasp], scene: Scene, gripper: GripperModel,
+                    friction_mu: float = DEFAULT_FRICTION) -> list[SimResult]:
+    """`simulate_grasp` of every grasp, with every stage run over many grasps at once.
+
+    The target and contact stages run on the grasps an occluder stopped too,
+    since `label_pair` needs their single-scene results.
+    """
+    return [sim if hit is None else _occluder_hit(hit)
+            for sim, hit in _simulate_batch(grasps, scene, gripper, friction_mu)]
 
 
 # ---------------------------------------------------------------------------
@@ -417,22 +614,17 @@ def label_pair(cluttered: Scene, gripper: GripperModel, count: int, seed: int,
                friction_mu: float = DEFAULT_FRICTION) -> list[GraspLabel]:
     """Label candidates in both the derived single scene and the cluttered scene.
 
-    One single-scene simulation per candidate, then only the occluders are
-    tested for the cluttered label (see the module docstring).
+    One batched pass over the cluttered scene gives each candidate's
+    single-scene result and its first occluder hit (see the module docstring).
     """
     target = cluttered.target
     cloud = surface_sample(target.mesh, 1024, seed=seed ^ 0x9E3779B9).transformed(target.pose)
     candidates = sample_candidate_grasps(cloud, gripper, count, seed)
-    single = derive_single_scene(cluttered, cluttered.target_index)
     labels = []
-    for g in candidates:
-        sim_s, swept = _simulate(g, single, gripper, friction_mu)
-        reason = sim_s.reason
-        # the occluders are the only difference between the two scenes
-        if (reason not in (FailureReason.WIDTH_EXCEEDED, FailureReason.TABLE_BLOCK)
-                and swept.first_occluder_hit(cluttered) is not None):
-            reason = FailureReason.OCCLUDER_COLLISION
-        labels.append(GraspLabel(g, sim_s.success, reason == FailureReason.NONE, reason))
+    for g, (single, hit) in zip(candidates, _simulate_batch(candidates, cluttered, gripper, friction_mu)):
+        cluttered_result = single if hit is None else _occluder_hit(hit)
+        labels.append(GraspLabel(g, single.success, cluttered_result.success, cluttered_result.reason,
+                                 cluttered_result.detail))
     return labels
 
 

@@ -53,6 +53,11 @@ class TestCameraModel:
         with pytest.raises(InputError):
             CameraModel(cx=900.0)
 
+    def test_equality(self):
+        assert default_camera() == default_camera()
+        assert default_camera() != default_camera(width=320, height=240, focal=270.0)
+        assert CameraModel() == CameraModel()
+
     def test_look_at_axes(self):
         pose = look_at_pose((0, -1, 0), (0, 0, 0))
         fwd = pose.rotate_only(np.array([0.0, 0.0, 1.0]))
@@ -218,6 +223,13 @@ class TestPersistence:
         assert np.array_equal(frame.depth, loaded.depth)
         assert np.array_equal(frame.instance_id, loaded.instance_id)
         assert frame.camera.same_view(loaded.camera)
+
+    def test_round_trip_camera_equal(self, tmp_path):
+        # the stored pose has the canonical quaternion sign; default_camera's has w < 0
+        frame = render(generate_packed_scene(SceneConfig(seed=1)), default_camera())
+        assert frame.camera.pose.rotation.w < 0
+        save_frame(tmp_path, "cluttered", frame)
+        assert load_frame(tmp_path, "cluttered").camera == frame.camera
 
     def test_missing_array_rejected(self, tmp_path):
         cam = CameraModel(32, 24, 30.0, 30.0, 16.0, 12.0, Pose.identity())

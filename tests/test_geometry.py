@@ -200,6 +200,20 @@ class TestPose:
         v = rng.normal(size=3)
         assert np.allclose(p1.transform(v), p2.transform(v), atol=1e-12)
 
+    def test_equality(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            q, t = random_quat(rng), rng.normal(size=3)
+            p = Pose(q, t)
+            assert p == Pose(Quaternion(q.w, q.x, q.y, q.z), t.copy())
+            assert p == Pose(Quaternion(-q.w, -q.x, -q.y, -q.z), t)
+            assert p == Pose.from_7floats(p.as_7floats())
+            assert p != Pose(q, t + [0.0, 0.0, 1e-3])
+            assert p != Pose(q, np.nextafter(t, np.inf))
+            assert p != Pose(Quaternion(q.w, -q.x, -q.y, -q.z), t)
+            assert p != p.as_7floats()
+        assert Pose.identity() == Pose.identity()
+
     def test_7floats_round_trip(self):
         rng = np.random.default_rng(9)
         p = Pose(random_quat(rng), rng.normal(size=3))

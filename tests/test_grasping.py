@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from occlugrasp.completion import MirrorCompleter
 from occlugrasp.errors import InputError
 from occlugrasp.geometry import PointCloud, Pose, Quaternion, orthonormal_tangents
 from occlugrasp.grasping import (
+    BROAD_PHASE_MARGIN,
     DEFAULT_FRICTION,
     FailureReason,
     Grasp,
     GraspLabel,
     GripperModel,
+    _contacts,
     _pad_slab_contacts,
+    _SweptGripper,
     _triangles_hit_box,
     check_collision,
     grasp_frame,
@@ -24,6 +28,7 @@ from occlugrasp.grasping import (
     record_to_label,
     sample_candidate_grasps,
     simulate_grasp,
+    simulate_grasps,
     taxonomy_counts,
     write_labels_jsonl,
 )
@@ -126,6 +131,24 @@ def reference_grasp_frame(axis, approach):
     return Quaternion.from_matrix(np.column_stack([x, np.cross(z, x), z]))
 
 
+def reference_label_pair(cluttered, gripper, count, seed, friction_mu=DEFAULT_FRICTION):
+    """`label_pair` as a loop over candidates: one single-scene simulation
+    each, then the occluders alone for the cluttered label."""
+    target = cluttered.target
+    cloud = surface_sample(target.mesh, 1024, seed=seed ^ 0x9E3779B9).transformed(target.pose)
+    candidates = sample_candidate_grasps(cloud, gripper, count, seed)
+    single = derive_single_scene(cluttered, cluttered.target_index)
+    labels = []
+    for g in candidates:
+        sim_s = simulate_grasp(g, single, gripper, friction_mu)
+        reason = sim_s.reason
+        if (reason not in (FailureReason.WIDTH_EXCEEDED, FailureReason.TABLE_BLOCK)
+                and _SweptGripper(g, gripper).first_occluder_hit(cluttered) is not None):
+            reason = FailureReason.OCCLUDER_COLLISION
+        labels.append(GraspLabel(g, sim_s.success, reason == FailureReason.NONE, reason))
+    return labels
+
+
 @pytest.fixture(scope="module")
 def dense_cases():
     """20 seeded 8-10 object scenes, 120 candidates each, with reference reasons."""
@@ -139,6 +162,13 @@ def dense_cases():
         ref_cluttered = [reference_simulate(g, scene, GRIP) for g in grasps]
         cases.append((seed, scene, single, grasps, ref_single, ref_cluttered))
     return cases
+
+
+@pytest.fixture(scope="module")
+def dense_sims(dense_cases):
+    """`simulate_grasp` of every dense case's grasps: (single, cluttered) result lists."""
+    return [([simulate_grasp(g, single, GRIP) for g in grasps], [simulate_grasp(g, scene, GRIP) for g in grasps])
+            for _, scene, single, grasps, _, _ in dense_cases]
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +237,16 @@ class TestTypes:
         assert np.allclose(m @ m.T, np.eye(3), atol=1e-12)
         assert np.allclose(m[:, 0], [1, 0, 0], atol=1e-12)
         assert np.allclose(m[:, 2], [0, 0, -1], atol=1e-12)
+
+    def test_grasp_equality(self):
+        g = side_grasp((0.15, 0.15, 0.05))
+        q = g.rotation
+        assert g == Grasp(g.center.copy(), Quaternion(-q.w, -q.x, -q.y, -q.z), g.width)
+        assert g != side_grasp((0.15, 0.15, 0.05), width=0.056)
+        assert g != side_grasp((0.15, 0.15, np.nextafter(0.05, 1.0)))
+        assert g != side_grasp((0.15, 0.15, 0.05), approach=(0, 1, 0))
+        assert g != Grasp(g.center, q, g.width, quality=0.5)
+        assert g != (g.center, g.rotation, g.width)
 
     def test_grasp_frame_matches_cross(self):
         rng = np.random.default_rng(32)
@@ -538,6 +578,108 @@ class TestMatchesReference:
             assert [lab.failure_reason for lab in labels] == ref_cluttered
 
 
+def _label_key(lab):
+    return _grasp_key(lab.grasp), lab.success_single, lab.success_cluttered, lab.failure_reason
+
+
+class TestBatchedOracle:
+    """`simulate_grasps` and `label_pair` against the per-grasp path."""
+
+    def test_simulate_grasps_matches_simulate_grasp(self, dense_cases, dense_sims):
+        for (seed, scene, single, grasps, _, _), (want_single, want_cluttered) in zip(dense_cases, dense_sims):
+            assert simulate_grasps(grasps, single, GRIP) == want_single, seed
+            assert simulate_grasps(grasps, scene, GRIP) == want_cluttered, seed
+
+    def test_results_do_not_depend_on_the_other_grasps(self, dense_cases, dense_sims):
+        for (seed, scene, single, grasps, _, _), sims in zip(dense_cases[::4], dense_sims[::4]):
+            for s, want in zip((single, scene), sims):
+                assert simulate_grasps(grasps[::-1], s, GRIP) == want[::-1], seed
+                assert simulate_grasps(grasps[5:90:7], s, GRIP) == want[5:90:7], seed
+                for i in range(0, len(grasps), 17):
+                    assert simulate_grasps([grasps[i]], s, GRIP) == [want[i]], seed
+                assert simulate_grasps([], s, GRIP) == []
+
+    def test_label_pair_matches_reference_loop(self, dense_cases, dense_sims):
+        for (seed, scene, *_), (_, want_cluttered) in zip(dense_cases, dense_sims):
+            labels = label_pair(scene, GRIP, 120, seed)
+            want = reference_label_pair(scene, GRIP, 120, seed)
+            assert [_label_key(lab) for lab in labels] == [_label_key(lab) for lab in want], seed
+            # each label keeps the cause `simulate_grasp` names in the cluttered scene
+            assert [lab.detail for lab in labels] == [sim.detail for sim in want_cluttered], seed
+            assert all(lab.detail for lab in labels if lab.failure_reason != FailureReason.NONE)
+
+    def test_label_pair_matches_reference_loop_on_episode_scenes(self):
+        # the 4-6 object scenes of the benchmark's episode corpus
+        seen = set()
+        for seed in range(16):
+            scene = generate_packed_scene(SceneConfig(seed=seed))
+            got = label_pair(scene, GRIP, 120, seed)
+            want = reference_label_pair(scene, GRIP, 120, seed)
+            assert [_label_key(lab) for lab in got] == [_label_key(lab) for lab in want], seed
+            seen.update(lab.failure_reason for lab in got)
+        assert len(seen) >= 4
+
+    def test_label_pair_memory(self):
+        # the contact stage's matrix products run a chunk of candidates at a time
+        scene = generate_packed_scene(SceneConfig(object_count_range=(10, 10), seed=2))
+        tracemalloc.start()
+        try:
+            labels = label_pair(scene, GRIP, 120, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(labels) == 120
+        assert peak <= 4e6
+
+
+class TestContactPrefilter:
+    """The batched contact stage decides as `_pad_slab_contacts` on all samples."""
+
+    WIDTH = 0.05
+    # a pair of contacts that makes a grasp, then a probe beyond the +x jaw
+    # that spoils it if it lies in the pad slab
+    POINTS = [[-0.02, 0.0, -0.01], [0.02, 0.0, -0.01]]
+    NORMALS = [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+
+    def decide(self, pose, points):
+        samples = PointCloud(points, self.NORMALS)
+        q, t = pose.rotation, pose.translation
+        parts = tuple(np.array([[c]]) for c in (q.w, q.x, q.y, q.z)), tuple(np.array([[c]]) for c in t)
+        [got] = _contacts(samples, parts, [self.WIDTH], GRIP, DEFAULT_FRICTION)
+        want = _pad_slab_contacts(pose.transform(samples.points), pose.rotate_only(samples.normals),
+                                  self.WIDTH, GRIP, DEFAULT_FRICTION)
+        assert got == want
+        return got
+
+    def probes(self):
+        """(y, z, in the slab) in the grasp frame: on each face, one float step beyond it, beyond the margin."""
+        h, fd = GRIP.finger_thickness / 2, GRIP.finger_depth
+        out, far = np.nextafter, 2 * BROAD_PHASE_MARGIN
+        return [(h, -0.01, True), (-h, -0.01, True), (0.0, 0.0, True), (0.0, -fd, True),
+                (h, 0.0, True), (-h, -fd, True),
+                (out(h, 1), -0.01, False), (out(-h, -1), -0.01, False), (0.0, out(0.0, 1), False),
+                (0.0, out(-fd, -1), False), (out(h, 1), out(0.0, 1), False),
+                (h + far, -0.01, False), (0.0, far, False), (0.0, -fd - far, False)]
+
+    @pytest.mark.parametrize("flip", [1.0, -1.0])
+    def test_samples_on_the_slab_faces(self, flip):
+        # the identity and the half-turn about x move every coordinate exactly
+        pose = Pose(Quaternion.identity() if flip > 0 else Quaternion(0.0, 1.0, 0.0, 0.0))
+        for y, z, inside in self.probes():
+            points = np.array(self.POINTS + [[0.03, y, z]]) * [1.0, flip, flip]
+            assert pose.transform(points)[2].tolist() == [0.03, y, z]
+            expected = (False, "object does not fit within the jaws") if inside else (True, "")
+            assert self.decide(pose, points) == expected, (y, z)
+
+    def test_samples_near_the_faces_of_random_frames(self):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            pose = Pose(Quaternion.from_array(rng.normal(size=4)), rng.uniform(-0.3, 0.3, size=3))
+            back = pose.inverse()
+            for y, z, _ in self.probes():
+                self.decide(pose, back.transform(np.array(self.POINTS + [[0.03, y, z]])))
+
+
 class TestLabelPair:
     def test_single_object_scene_labels_agree(self):
         scene = generate_packed_scene(SceneConfig(object_count_range=(1, 1), seed=6))
@@ -603,3 +745,12 @@ class TestJsonl:
         assert back.success_single == labels[0].success_single
         assert back.failure_reason == labels[0].failure_reason
         assert np.allclose(back.grasp.center, labels[0].grasp.center)
+
+    def test_grasps_read_back_compare_equal(self, tmp_path):
+        # the records hold the canonical sign of each rotation
+        scene = generate_packed_scene(SceneConfig(object_count_range=(3, 3), seed=9))
+        labels = label_pair(scene, GRIP, 24, seed=7)
+        write_labels_jsonl(tmp_path / "labels.jsonl", "scene_009", scene.target_index, labels)
+        back = [record_to_label(rec) for rec in read_labels_jsonl(tmp_path / "labels.jsonl")]
+        assert [lab.grasp for lab in back] == [lab.grasp for lab in labels]
+        assert any(lab.grasp.rotation != lab.grasp.rotation.canonical() for lab in labels)

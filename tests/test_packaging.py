@@ -1,5 +1,7 @@
 import ast
 import importlib
+import importlib.metadata
+import re
 import tomllib
 from pathlib import Path
 
@@ -27,3 +29,23 @@ def test_perfbench_imports_resolve():
                     assert hasattr(module, alias.name), f"{path.name}: from {node.module} import {alias.name}"
                     imported += 1
     assert imported > 0
+
+
+def _canonical(distribution: str) -> str:
+    return re.sub(r"[-_.]+", "-", distribution).lower()
+
+
+def test_declared_dependencies_import():
+    # a declared dependency that is not installed breaks an offline install
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    declared = project["dependencies"] + project["optional-dependencies"]["test"]
+    modules = {}
+    for module, dists in importlib.metadata.packages_distributions().items():
+        for dist in dists:
+            modules.setdefault(_canonical(dist), []).append(module)
+    for requirement in declared:
+        name = _canonical(re.match(r"[A-Za-z0-9._-]+", requirement).group())
+        public = [m for m in modules.get(name, []) if not m.startswith("_")]
+        assert public, f"{requirement}: no installed distribution provides it"
+        for module in public:
+            importlib.import_module(module)
