@@ -182,6 +182,11 @@ class Pose:
         return (np.array_equal(self.translation, other.translation)
                 and self.rotation.canonical() == other.rotation.canonical())
 
+    def __hash__(self) -> int:
+        # agrees with `__eq__`: q and -q share one canonical sign, and 0.0 and
+        # -0.0 compare equal and hash alike
+        return hash(tuple(self.as_7floats()))
+
     @staticmethod
     def identity() -> "Pose":
         return Pose(Quaternion.identity(), np.zeros(3))

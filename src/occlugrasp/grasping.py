@@ -139,6 +139,9 @@ class Grasp:
         return (Pose(self.rotation, self.center) == Pose(other.rotation, other.center)
                 and self.width == other.width and self.quality == other.quality)
 
+    def __hash__(self) -> int:
+        return hash((Pose(self.rotation, self.center), self.width, self.quality))
+
     @property
     def axis(self) -> np.ndarray:
         return self.rotation.rotate(np.array([1.0, 0.0, 0.0]))

@@ -9,19 +9,45 @@ surface, or outside the frustum, carry weight 0.
 `splat` builds a target grid from a completed point cloud: a truncated,
 normalized unsigned distance field, observed only within a fixed kernel
 radius of the points.
+
+Both builders skip the work that cannot change their output, and give the
+grids of the plain per-voxel computation bit for bit:
+
+- Where a voxel falls in a camera's image depends on the config and the
+  camera, not on the frame. `_voxel_projection` computes it once for each
+  (config, camera) pair, in the same arithmetic, and keeps the last
+  `_PROJECTION_CACHE_SIZE` pairs; `fuse` then only gathers the frame's depth
+  at those pixels. The key is the camera's value, so a camera rebuilt by
+  `load_frame`, or with its quaternion negated, finds the entry of an equal
+  one. That is exact: negating q negates both cross products of
+  `Quaternion.rotate` and its scalar part, so the rotated points are the same
+  bits.
+- A voxel farther than `reach` (the larger of the truncation and the kernel
+  radius) from every point gets value 1.0 and weight 0 whatever its distance.
+  `splat` queries the KD-tree only for the voxels of the cloud's bounding box
+  grown by `reach` and one voxel of slack for rounding; every voxel outside it
+  is farther than `reach` along one axis alone. The box's centres are slices
+  of the same axis `voxel_centers` spans, so each equals its full-grid entry.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .camera import DepthFrame, read_npz
+from .camera import CameraModel, DepthFrame, read_npz
 from .errors import InputError
 from .geometry import PointCloud
+
+
+def _finite_positive(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x) and x > 0
 
 
 @dataclass(frozen=True)
@@ -31,12 +57,16 @@ class TsdfConfig:
     truncation: float | None = None  # meters; default 4 voxel widths
 
     def __post_init__(self):
-        if self.resolution <= 0 or self.extent <= 0:
-            raise InputError("resolution and extent must be positive")
+        r = self.resolution
+        if isinstance(r, bool) or not isinstance(r, numbers.Integral) or r <= 0:
+            raise InputError(f"resolution must be a positive integer, got {r!r}")
+        object.__setattr__(self, "resolution", int(r))
+        if not _finite_positive(self.extent):
+            raise InputError(f"extent must be finite and positive, got {self.extent!r}")
         if self.truncation is None:
             object.__setattr__(self, "truncation", 4.0 * self.voxel_size)
-        elif self.truncation <= 0:
-            raise InputError("truncation must be positive")
+        elif not _finite_positive(self.truncation):
+            raise InputError(f"truncation must be finite and positive, got {self.truncation!r}")
 
     @property
     def voxel_size(self) -> float:
@@ -74,33 +104,42 @@ class TsdfGrid:
         return self.config.voxel_size
 
 
+_PROJECTION_CACHE_SIZE = 4
+
+
+@functools.lru_cache(maxsize=_PROJECTION_CACHE_SIZE)
+def _voxel_projection(config: TsdfConfig, camera: CameraModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the voxel centres of `config` fall in `camera`'s image.
+
+    Returns, for the voxels in front of the camera and on screen, their flat
+    grid indices, their flat pixel indices `v * width + u` and their depth
+    along the optical axis. The arrays are read-only: every caller with an
+    equal (config, camera) pair gets the same ones.
+    """
+    pts = camera.pose.inverse().transform(config.voxel_centers())
+    in_front = np.nonzero(pts[:, 2] > 1e-9)[0]
+    x, y, z = pts[in_front].T
+    u = np.floor(x / z * camera.fx + camera.cx).astype(np.int64)
+    v = np.floor(y / z * camera.fy + camera.cy).astype(np.int64)
+    onscreen = (u >= 0) & (u < camera.width) & (v >= 0) & (v < camera.height)
+    projection = (in_front[onscreen], v[onscreen] * camera.width + u[onscreen], z[onscreen])
+    for a in projection:
+        a.flags.writeable = False
+    return projection
+
+
 def fuse(frame: DepthFrame, config: TsdfConfig | None = None) -> TsdfGrid:
     """Single-view TSDF of the workspace from one depth frame."""
     config = TsdfConfig() if config is None else config
     r = config.resolution
-    centers = config.voxel_centers()
-    cam = frame.camera
-    world_to_cam = cam.pose.inverse()
-    pts = world_to_cam.transform(centers)
-    z = pts[:, 2]
+    voxels, pixels, z = _voxel_projection(config, frame.camera)
+    measured = frame.depth.ravel()[pixels].astype(np.float64)
+    background = measured == 0.0
+    sdf = measured - z
     values = np.zeros(r**3, dtype=np.float64)
     weights = np.zeros(r**3, dtype=np.float64)
-    in_front = z > 1e-9
-    u = np.full(len(z), -1, dtype=np.int64)
-    v = np.full(len(z), -1, dtype=np.int64)
-    u[in_front] = np.floor(pts[in_front, 0] / z[in_front] * cam.fx + cam.cx).astype(np.int64)
-    v[in_front] = np.floor(pts[in_front, 1] / z[in_front] * cam.fy + cam.cy).astype(np.int64)
-    onscreen = in_front & (u >= 0) & (u < cam.width) & (v >= 0) & (v < cam.height)
-    uu = u[onscreen]
-    vv = v[onscreen]
-    measured = frame.depth[vv, uu].astype(np.float64)
-    background = measured == 0.0
-    sdf = measured - z[onscreen]
-    norm = np.clip(sdf / config.truncation, -1.0, 1.0)
-    observed = background | (sdf > -config.truncation)
-    vals = np.where(background, 1.0, norm)
-    values[np.nonzero(onscreen)[0]] = np.where(observed, vals, norm)
-    weights[np.nonzero(onscreen)[0]] = observed.astype(np.float64)
+    values[voxels] = np.where(background, 1.0, np.clip(sdf / config.truncation, -1.0, 1.0))
+    weights[voxels] = background | (sdf > -config.truncation)
     return TsdfGrid(values.reshape(r, r, r), weights.reshape(r, r, r), config)
 
 
@@ -110,16 +149,30 @@ def splat(cloud: PointCloud, config: TsdfConfig | None = None,
     config = TsdfConfig() if config is None else config
     if len(cloud) == 0:
         raise InputError("cannot splat an empty cloud")
+    if not _finite_positive(kernel_radius_voxels):
+        raise InputError(f"kernel_radius_voxels must be finite and positive, got {kernel_radius_voxels!r}")
     r = config.resolution
-    centers = config.voxel_centers()
+    vs = config.voxel_size
+    kernel = kernel_radius_voxels * vs
     # beyond both radii a distance changes nothing: the value saturates at 1
     # and the weight is 0, so the query may return inf there; the bound is
     # exclusive, hence one step up to keep a distance exactly at a radius
-    reach = max(config.truncation, kernel_radius_voxels * config.voxel_size)
+    reach = max(config.truncation, kernel)
+    values = np.ones((r, r, r), dtype=np.float64)
+    weights = np.zeros((r, r, r), dtype=np.float64)
+    # the voxels within reach of the cloud's bounding box, plus one voxel of
+    # slack for rounding; the box is empty for a cloud far outside the grid
+    lo = np.clip(np.floor((cloud.points.min(axis=0) - reach) / vs) - 1, 0, r).astype(np.int64)
+    hi = np.clip(np.ceil((cloud.points.max(axis=0) + reach) / vs) + 1, 0, r).astype(np.int64)
+    axis = (np.arange(r) + 0.5) * vs
+    box = tuple(slice(a, b) for a, b in zip(lo, hi))
+    gx, gy, gz = np.meshgrid(axis[box[0]], axis[box[1]], axis[box[2]], indexing="ij")
+    centers = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
     dist, _ = cKDTree(cloud.points).query(centers, k=1, distance_upper_bound=np.nextafter(reach, np.inf))
-    values = np.minimum(dist / config.truncation, 1.0)
-    weights = (dist <= kernel_radius_voxels * config.voxel_size).astype(np.float64)
-    return TsdfGrid(values.reshape(r, r, r), weights.reshape(r, r, r), config)
+    dist = dist.reshape(gx.shape)
+    values[box] = np.minimum(dist / config.truncation, 1.0)
+    weights[box] = dist <= kernel
+    return TsdfGrid(values, weights, config)
 
 
 def near_surface_mask(grid: TsdfGrid, band: float) -> np.ndarray:

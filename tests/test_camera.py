@@ -231,6 +231,15 @@ class TestPersistence:
         save_frame(tmp_path, "cluttered", frame)
         assert load_frame(tmp_path, "cluttered").camera == frame.camera
 
+    def test_cameras_hashable(self, tmp_path):
+        cam = default_camera()
+        save_frame(tmp_path, "empty", DepthFrame(np.zeros((cam.height, cam.width)),
+                                                 np.zeros((cam.height, cam.width)), cam))
+        loaded = load_frame(tmp_path, "empty").camera
+        assert loaded.pose.rotation != cam.pose.rotation
+        assert hash(loaded) == hash(cam)
+        assert len({default_camera(), loaded}) == 1
+
     def test_missing_array_rejected(self, tmp_path):
         cam = CameraModel(32, 24, 30.0, 30.0, 16.0, 12.0, Pose.identity())
         np.savez(tmp_path / "frame.frame.npz", depth=np.zeros((24, 32), np.float32),

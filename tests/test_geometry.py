@@ -214,6 +214,21 @@ class TestPose:
             assert p != p.as_7floats()
         assert Pose.identity() == Pose.identity()
 
+    def test_equal_poses_hash_equal(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            q, t = random_quat(rng), rng.normal(size=3)
+            p = Pose(q, t)
+            equal = [Pose(Quaternion(q.w, q.x, q.y, q.z), t.copy()),
+                     Pose(Quaternion(-q.w, -q.x, -q.y, -q.z), t),
+                     Pose.from_7floats(p.as_7floats())]
+            for other in equal:
+                assert other == p and hash(other) == hash(p)
+            assert len({p, *equal}) == 1
+        zero = Pose.identity()
+        assert Pose(Quaternion(-1.0, -0.0, -0.0, -0.0), -np.zeros(3)) == zero
+        assert hash(Pose(Quaternion(-1.0, -0.0, -0.0, -0.0), -np.zeros(3))) == hash(zero)
+
     def test_7floats_round_trip(self):
         rng = np.random.default_rng(9)
         p = Pose(random_quat(rng), rng.normal(size=3))

@@ -754,3 +754,14 @@ class TestJsonl:
         back = [record_to_label(rec) for rec in read_labels_jsonl(tmp_path / "labels.jsonl")]
         assert [lab.grasp for lab in back] == [lab.grasp for lab in labels]
         assert any(lab.grasp.rotation != lab.grasp.rotation.canonical() for lab in labels)
+
+    def test_grasps_read_back_found_in_a_set(self, tmp_path):
+        scene = generate_packed_scene(SceneConfig(object_count_range=(3, 3), seed=9))
+        labels = label_pair(scene, GRIP, 24, seed=7)
+        write_labels_jsonl(tmp_path / "labels.jsonl", "scene_009", scene.target_index, labels)
+        originals = {lab.grasp for lab in labels}
+        for rec in read_labels_jsonl(tmp_path / "labels.jsonl"):
+            assert record_to_label(rec).grasp in originals
+        g = side_grasp((0.15, 0.15, 0.05))
+        q = g.rotation
+        assert hash(Grasp(g.center.copy(), Quaternion(-q.w, -q.x, -q.y, -q.z), g.width)) == hash(g)

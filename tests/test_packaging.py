@@ -49,3 +49,44 @@ def test_declared_dependencies_import():
         assert public, f"{requirement}: no installed distribution provides it"
         for module in public:
             importlib.import_module(module)
+
+
+def _functools_name(node, names: dict[str, str]) -> str | None:
+    """The `functools` attribute an expression names, as `functools.x` or as
+    `x` imported from functools under any alias."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and names.get(node.value.id) == "functools":
+        return node.attr
+    if isinstance(node, ast.Name) and names.get(node.id, "").startswith("functools."):
+        return names[node.id].removeprefix("functools.")
+    return None
+
+
+def test_module_caches_are_bounded():
+    # a module-level cache lives as long as the process, so each needs an
+    # integer maxsize (a literal or a module constant) to stay bounded
+    cached = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names, constants = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update({a.asname or a.name: a.name for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names.update({a.asname or a.name: f"functools.{a.name}" for a in node.names})
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant):
+                constants.update({t.id: node.value.value for t in node.targets if isinstance(t, ast.Name)})
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            name = _functools_name(node, names)
+            assert name != "cache", f"{where}: functools.cache is unbounded"
+            if name == "lru_cache":
+                call = next((c for c in ast.walk(tree) if isinstance(c, ast.Call) and c.func is node), None)
+                maxsize = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"] if call else []
+                value = maxsize[0] if maxsize else None
+                value = constants.get(value.id) if isinstance(value, ast.Name) else getattr(value, "value", None)
+                assert type(value) is int, f"{where}: lru_cache needs an integer maxsize"
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(d, ast.Call) and _functools_name(d.func, names) == "lru_cache" for d in node.decorator_list):
+                cached.append(node.name)
+    assert {"_shared_catalog", "_voxel_projection"} <= set(cached)

@@ -1,15 +1,37 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from occlugrasp.camera import BACKGROUND_ID, CameraModel, DepthFrame, default_camera, render
+from occlugrasp.camera import (
+    BACKGROUND_ID,
+    CameraModel,
+    DepthFrame,
+    back_project,
+    default_camera,
+    load_frame,
+    render,
+    save_frame,
+)
+from occlugrasp.completion import MirrorCompleter
 from occlugrasp.errors import InputError
 from occlugrasp.geometry import PointCloud, Pose, Quaternion
 from occlugrasp.meshes import make_box, make_cylinder, make_sphere, surface_sample
 from occlugrasp.scenes import SceneConfig, generate_packed_scene
-from occlugrasp.tsdf import TsdfConfig, TsdfGrid, fuse, load_grid, near_surface_mask, save_grid, splat
+from occlugrasp.tsdf import (
+    TsdfConfig,
+    TsdfGrid,
+    _voxel_projection,
+    fuse,
+    load_grid,
+    near_surface_mask,
+    save_grid,
+    splat,
+)
 
-from .test_camera import box_instance, make_scene
+from .test_camera import box_instance, catalog, dense_scene, make_scene
 
 
 def straight_down_camera(extent=0.3, h=0.6):
@@ -273,3 +295,221 @@ class TestGridShape:
             TsdfGrid(np.zeros(shape), np.zeros(shape), TsdfConfig(resolution=4))
         with pytest.raises(InputError):
             TsdfGrid(np.zeros((4, 4, 4)), np.zeros(shape), TsdfConfig(resolution=4))
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("resolution", [40.5, 40.0, True, np.float64(40.0), "40"])
+    def test_resolution_must_be_an_integer(self, resolution):
+        with pytest.raises(InputError, match="resolution"):
+            TsdfConfig(resolution=resolution)
+
+    def test_numpy_integer_resolution_accepted(self):
+        cfg = TsdfConfig(resolution=np.int64(8))
+        assert type(cfg.resolution) is int and cfg == TsdfConfig(resolution=8)
+
+    @pytest.mark.parametrize("extent", [math.nan, math.inf, -math.inf, 0.0])
+    def test_extent_must_be_finite_and_positive(self, extent):
+        with pytest.raises(InputError, match="extent"):
+            TsdfConfig(extent=extent)
+
+    @pytest.mark.parametrize("truncation", [math.nan, math.inf, 0.0, -0.01])
+    def test_truncation_must_be_finite_and_positive(self, truncation):
+        with pytest.raises(InputError, match="truncation"):
+            TsdfConfig(truncation=truncation)
+
+    @pytest.mark.parametrize("kernel_radius_voxels", [0, -1, math.nan, math.inf, True])
+    def test_kernel_radius_must_be_finite_and_positive(self, kernel_radius_voxels):
+        with pytest.raises(InputError, match="kernel_radius_voxels"):
+            splat(PointCloud(np.array([[0.15, 0.15, 0.1]])), TsdfConfig(), kernel_radius_voxels)
+
+
+# ---------------------------------------------------------------------------
+# reference builders: `fuse` and `splat` as they were before `fuse` cached each
+# camera's voxel projection and `splat` queried only the voxels within reach.
+# The builders in `tsdf` must give the same bytes.
+
+
+def reference_fuse(frame: DepthFrame, config: TsdfConfig | None = None) -> TsdfGrid:
+    config = TsdfConfig() if config is None else config
+    r = config.resolution
+    centers = config.voxel_centers()
+    cam = frame.camera
+    world_to_cam = cam.pose.inverse()
+    pts = world_to_cam.transform(centers)
+    z = pts[:, 2]
+    values = np.zeros(r**3, dtype=np.float64)
+    weights = np.zeros(r**3, dtype=np.float64)
+    in_front = z > 1e-9
+    u = np.full(len(z), -1, dtype=np.int64)
+    v = np.full(len(z), -1, dtype=np.int64)
+    u[in_front] = np.floor(pts[in_front, 0] / z[in_front] * cam.fx + cam.cx).astype(np.int64)
+    v[in_front] = np.floor(pts[in_front, 1] / z[in_front] * cam.fy + cam.cy).astype(np.int64)
+    onscreen = in_front & (u >= 0) & (u < cam.width) & (v >= 0) & (v < cam.height)
+    uu = u[onscreen]
+    vv = v[onscreen]
+    measured = frame.depth[vv, uu].astype(np.float64)
+    background = measured == 0.0
+    sdf = measured - z[onscreen]
+    norm = np.clip(sdf / config.truncation, -1.0, 1.0)
+    observed = background | (sdf > -config.truncation)
+    vals = np.where(background, 1.0, norm)
+    values[np.nonzero(onscreen)[0]] = np.where(observed, vals, norm)
+    weights[np.nonzero(onscreen)[0]] = observed.astype(np.float64)
+    return TsdfGrid(values.reshape(r, r, r), weights.reshape(r, r, r), config)
+
+
+def reference_splat(cloud: PointCloud, config: TsdfConfig | None = None,
+                    kernel_radius_voxels: float = 1.0) -> TsdfGrid:
+    config = TsdfConfig() if config is None else config
+    r = config.resolution
+    centers = config.voxel_centers()
+    reach = max(config.truncation, kernel_radius_voxels * config.voxel_size)
+    dist, _ = cKDTree(cloud.points).query(centers, k=1, distance_upper_bound=np.nextafter(reach, np.inf))
+    values = np.minimum(dist / config.truncation, 1.0)
+    weights = (dist <= kernel_radius_voxels * config.voxel_size).astype(np.float64)
+    return TsdfGrid(values.reshape(r, r, r), weights.reshape(r, r, r), config)
+
+
+def assert_same_grid(grid: TsdfGrid, want: TsdfGrid):
+    assert grid.config == want.config
+    assert grid.values.tobytes() == want.values.tobytes()
+    assert grid.weights.tobytes() == want.weights.tobytes()
+
+
+# the explicit truncation (1.5 voxels) is below a 2.5 voxel kernel, which a
+# kernel of 6 voxels reaches past for the other configs
+CONFIGS = [TsdfConfig(), TsdfConfig(32, 0.4), TsdfConfig(40, 0.3, 0.01125)]
+KERNEL_RADII = [1.0, 2.5, 6.0]
+SMALL_CAMERA = default_camera(width=160, height=120, focal=135.0)
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """(frame, clouds) of the benchmark's episode scenes (seeds 0-15, 4-6 objects)
+    and 10 dense scenes: every visible instance's back-projected cloud, and the
+    mirror-completed target."""
+    scenes = [generate_packed_scene(SceneConfig(seed=seed), catalog()) for seed in range(16)]
+    scenes += [dense_scene(500 + seed) for seed in range(10)]
+    completer = MirrorCompleter()
+    cases = []
+    for scene in scenes:
+        frame = render(scene, SMALL_CAMERA)
+        clouds = [back_project(frame, i) for i in range(len(scene.instances))]
+        clouds = [cloud for cloud in clouds if len(cloud)]
+        partial = back_project(frame, scene.target_index)
+        if len(partial):
+            clouds.append(completer(partial, scene, SMALL_CAMERA))
+        cases.append((frame, clouds))
+    return cases
+
+
+class TestMatchesReference:
+    def test_fuse(self, corpus):
+        for frame, _ in corpus:
+            for config in CONFIGS:
+                assert_same_grid(fuse(frame, config), reference_fuse(frame, config))
+
+    def test_fuse_camera_inside_the_grid(self):
+        # voxel centres on the image plane, 0.5 mm and 1e-10 m in front of it
+        config = TsdfConfig(resolution=8, extent=0.4)
+        vs = config.voxel_size
+        for ahead in (0.0, 5e-4, 1e-10):
+            eye = (np.array([3, 4, 5]) + 0.5) * vs - np.array([0.0, 0.0, ahead])
+            cam = CameraModel(64, 48, 40.0, 40.0, 32.0, 24.0, Pose(Quaternion.identity(), eye))
+            depth = np.random.default_rng(1).uniform(0.0, 0.3, size=(48, 64))
+            depth[depth < 0.05] = 0.0
+            frame = DepthFrame(depth, np.zeros((48, 64)), cam)
+            assert_same_grid(fuse(frame, config), reference_fuse(frame, config))
+
+    def test_splat(self, corpus):
+        # each cloud under one of the 9 (config, kernel radius) pairs in turn,
+        # so every pair meets about 25 clouds of every kind
+        pairs = [(config, k) for config in CONFIGS for k in KERNEL_RADII]
+        clouds = [cloud for _, cs in corpus for cloud in cs]
+        assert len(clouds) > 150
+        for i, cloud in enumerate(clouds):
+            config, k = pairs[i % len(pairs)]
+            assert_same_grid(splat(cloud, config, k), reference_splat(cloud, config, k))
+
+    @staticmethod
+    def edge_clouds(config: TsdfConfig) -> dict[str, PointCloud]:
+        e = config.extent
+        rng = np.random.default_rng(5)
+        blob = 0.5 * e + rng.uniform(-0.05, 0.05, size=(40, 3)) * e
+        clouds = {"one point": PointCloud(np.array([[0.41, 0.52, 0.33]]) * e)}
+        for axis in range(3):
+            for side in (0.0, e):
+                touching = blob.copy()
+                touching[0, axis] = side
+                clouds[f"face {axis} at {side}"] = PointCloud(touching)
+        clouds["on a corner"] = PointCloud(np.array([[0.0, 0.0, 0.0], [e, e, e]]))
+        return clouds
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_splat_edge_clouds(self, config):
+        for name, cloud in self.edge_clouds(config).items():
+            for k in KERNEL_RADII:
+                assert_same_grid(splat(cloud, config, k), reference_splat(cloud, config, k))
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_splat_cloud_outside_the_grid(self, config):
+        e = config.extent
+        far = max(config.truncation, 6.0 * config.voxel_size) + 2.0 * config.voxel_size
+        clouds = [PointCloud(np.array([[0.5 * e, 0.5 * e, e + far]])),
+                  PointCloud(np.array([[-far, -far, -far], [-far, 0.5 * e, -far]])),
+                  PointCloud(np.array([[1e300, 0.1, 0.1], [-1e300, 0.1, 0.1]]))]
+        for cloud in clouds:
+            for k in KERNEL_RADII:
+                grid = splat(cloud, config, k)
+                assert_same_grid(grid, reference_splat(cloud, config, k))
+                assert (grid.values == 1.0).all() and not grid.weights.any()
+
+
+class TestProjectionCache:
+    def frame(self):
+        scene = generate_packed_scene(SceneConfig(seed=3), catalog())
+        return render(scene, SMALL_CAMERA)
+
+    def test_arrays_read_only(self):
+        for array in _voxel_projection(TsdfConfig(), SMALL_CAMERA):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[:1] = 0
+
+    def test_grid_never_aliases_the_cache(self):
+        frame = self.frame()
+        grid = fuse(frame)
+        for array in _voxel_projection(TsdfConfig(), frame.camera):
+            assert not np.shares_memory(array, grid.values)
+            assert not np.shares_memory(array, grid.weights)
+
+    def test_equal_cameras_hit(self, tmp_path):
+        frame = self.frame()
+        cam = frame.camera
+        q = cam.pose.rotation
+        save_frame(tmp_path, "frame", frame)
+        loaded = load_frame(tmp_path, "frame")
+        assert loaded.camera.pose.rotation != q
+        equal = [dataclasses.replace(cam),
+                 dataclasses.replace(cam, pose=Pose(Quaternion(-q.w, -q.x, -q.y, -q.z), cam.pose.translation)),
+                 loaded.camera]
+        _voxel_projection.cache_clear()
+        want = fuse(frame)
+        assert_same_grid(want, reference_fuse(frame))
+        for other in equal:
+            assert other == cam and other is not cam
+            hits = _voxel_projection.cache_info().hits
+            assert_same_grid(fuse(DepthFrame(frame.depth, frame.instance_id, other)), want)
+            assert _voxel_projection.cache_info().hits == hits + 1
+        assert_same_grid(fuse(loaded), want)
+
+    def test_different_camera_misses(self):
+        frame = self.frame()
+        fuse(frame)
+        cam = frame.camera
+        moved = dataclasses.replace(cam, pose=Pose(cam.pose.rotation, np.nextafter(cam.pose.translation, 0.0)))
+        other = DepthFrame(frame.depth, frame.instance_id, moved)
+        info = _voxel_projection.cache_info()
+        grid = fuse(other)
+        assert _voxel_projection.cache_info().misses == info.misses + 1
+        assert_same_grid(grid, reference_fuse(other))
