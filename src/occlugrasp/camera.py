@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _finite_positive
 from .geometry import PointCloud, Pose, Quaternion
 from .scenes import ObjectInstance, Scene
 
@@ -312,8 +312,8 @@ def _compose(layers: list[_Layer | None], camera: CameraModel) -> DepthFrame:
 
 def add_depth_noise(frame: DepthFrame, sigma: float, seed: int) -> DepthFrame:
     """I.i.d. zero-mean Gaussian perturbation of non-background depths."""
-    if sigma < 0:
-        raise InputError("sigma must be >= 0")
+    if not (_finite_positive(sigma) or sigma == 0):
+        raise InputError(f"sigma must be finite and >= 0, got {sigma!r}")
     if sigma == 0:
         return DepthFrame(frame.depth.copy(), frame.instance_id.copy(), frame.camera)
     rng = np.random.default_rng(np.random.SeedSequence(seed))

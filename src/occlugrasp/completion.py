@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .camera import CameraModel
-from .errors import InputError
+from .errors import InputError, _finite_positive
 from .geometry import PointCloud
 from .meshes import surface_sample
 from .scenes import Scene
@@ -148,8 +148,8 @@ def chamfer_l1(a: PointCloud, b: PointCloud) -> float:
 
 def volumetric_iou(a: PointCloud, b: PointCloud, voxel_size: float = 0.0075) -> float:
     """Occupancy IoU on a shared voxel grid anchored at the workspace origin."""
-    if voxel_size <= 0:
-        raise InputError("voxel_size must be positive")
+    if not _finite_positive(voxel_size):
+        raise InputError(f"voxel_size must be finite and positive, got {voxel_size!r}")
     if len(a) == 0 and len(b) == 0:
         raise InputError("IoU is undefined when both clouds are empty")
     # one int64 key per occupied voxel, over the box that holds both clouds' voxels

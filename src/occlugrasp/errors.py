@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the number check that
+callers use to raise `InputError`."""
+
+import math
+import numbers
 
 
 class InputError(ValueError):
@@ -12,3 +16,7 @@ class GenerationError(RuntimeError):
 class MeasurementError(RuntimeError):
     """A measurement (e.g. occlusion level) is undefined for the given frames."""
 
+
+def _finite_positive(x) -> bool:
+    """Whether `x` is a real number, not a bool, that is finite and > 0."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x) and x > 0

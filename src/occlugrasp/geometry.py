@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import InputError
 
-_NORM_TOL = 1e-9
-
 
 def _cross(a, b) -> tuple:
     """Cross product of two 3-vectors given as component triples.
@@ -27,6 +25,28 @@ def _cross(a, b) -> tuple:
     a0, a1, a2 = a
     b0, b1, b2 = b
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def _hamilton(a, b) -> tuple:
+    """Hamilton product of (w, x, y, z) component tuples of floats or arrays."""
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def _rotate(q, v) -> tuple:
+    """v + 2 (w (u x v) + u x (u x v)) with u = (x, y, z), on component
+    tuples q = (w, x, y, z) and v = (v0, v1, v2) of floats or arrays."""
+    w, x, y, z = q
+    u = (x, y, z)
+    uv = _cross(u, v)
+    uuv = _cross(u, uv)
+    return tuple(v[k] + 2.0 * (w * uv[k] + uuv[k]) for k in range(3))
 
 
 @dataclass(frozen=True)
@@ -81,14 +101,7 @@ class Quaternion:
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         """Hamilton product; (a * b).rotate(v) == a.rotate(b.rotate(v))."""
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return Quaternion(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
+        return Quaternion(*_hamilton((self.w, self.x, self.y, self.z), (other.w, other.x, other.y, other.z)))
 
     def dot(self, other: "Quaternion") -> float:
         return self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
@@ -103,12 +116,11 @@ class Quaternion:
         is rotated in Python floats.
         """
         v = np.asarray(v, dtype=float)
-        u = (self.x, self.y, self.z)
         if v.shape == (3,):
-            p = v.tolist()
-            uv = _cross(u, p)
-            uuv = _cross(u, uv)
-            return np.array([p[k] + 2.0 * (self.w * uv[k] + uuv[k]) for k in range(3)])
+            return np.array(_rotate((self.w, self.x, self.y, self.z), v.tolist()))
+        # `_rotate` on the (3, n) transpose, written out: stacking its three
+        # rows is about a quarter slower at the 24 to 178 rows the oracle rotates
+        u = (self.x, self.y, self.z)
         uv = np.array(_cross(u, v.T))
         uuv = np.array(_cross(u, uv))
         return v + (2.0 * (self.w * uv + uuv)).T
@@ -146,9 +158,6 @@ class Quaternion:
     def rotation_equal(self, other: "Quaternion", tol: float = 1e-9) -> bool:
         """Equality as rotations: q and -q compare equal."""
         return abs(abs(self.dot(other)) - 1.0) <= tol
-
-    def is_unit(self, tol: float = _NORM_TOL) -> bool:
-        return abs(self.norm() - 1.0) <= tol
 
 
 def quaternion_about_axis(axis, angle: float) -> Quaternion:

@@ -81,8 +81,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
-from .geometry import PointCloud, Pose, Quaternion, _cross, orthonormal_tangents
+from .errors import InputError, _finite_positive
+from .geometry import PointCloud, Pose, Quaternion, _cross, _hamilton, _rotate, orthonormal_tangents
 from .meshes import surface_sample
 from .scenes import ObjectInstance, Scene
 
@@ -112,8 +112,9 @@ class GripperModel:
     palm_clearance: float = 0.005
 
     def __post_init__(self):
-        if min(self.max_width, self.finger_depth, self.finger_thickness, self.palm_clearance) <= 0:
-            raise InputError("all gripper dimensions must be positive")
+        dims = (self.max_width, self.finger_depth, self.finger_thickness, self.palm_clearance)
+        if not all(map(_finite_positive, dims)):
+            raise InputError("all gripper dimensions must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -364,9 +365,16 @@ def _occluder_hit(index: int) -> SimResult:
     return SimResult(False, FailureReason.OCCLUDER_COLLISION, f"gripper hits occluder {index}")
 
 
+def _check_friction(mu) -> None:
+    # a negative mu would act as |mu| in the cone test, and NaN would pass it
+    if not (_finite_positive(mu) or mu == 0):
+        raise InputError(f"friction_mu must be finite and >= 0, got {mu!r}")
+
+
 def simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel,
                    friction_mu: float = DEFAULT_FRICTION) -> SimResult:
     """Quasi-static grasp oracle; the first failing test, in the module's order, decides."""
+    _check_friction(friction_mu)
     if grasp.width > gripper.max_width + 1e-12:
         return _WIDE
     swept = _SweptGripper(grasp, gripper)
@@ -394,27 +402,6 @@ def simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel,
 # candidates per matrix product of the batched contact stage: keeps its
 # (candidates, 2, contact samples) temporaries near 0.5 MB
 BATCH_CHUNK = 16
-
-
-def _hamilton(a, b) -> tuple:
-    """`Quaternion.__mul__` on (w, x, y, z) component tuples of floats or arrays."""
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return (
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    )
-
-
-def _rotate(q, v) -> tuple:
-    """`Quaternion.rotate` on component tuples: q = (w, x, y, z), v = (v0, v1, v2)."""
-    w, x, y, z = q
-    u = (x, y, z)
-    uv = _cross(u, v)
-    uuv = _cross(u, uv)
-    return tuple(v[k] + 2.0 * (w * uv[k] + uuv[k]) for k in range(3))
 
 
 def _compose(a, pose: Pose) -> tuple:
@@ -549,6 +536,7 @@ def simulate_grasps(grasps: list[Grasp], scene: Scene, gripper: GripperModel,
     The target and contact stages run on the grasps an occluder stopped too,
     since `label_pair` needs their single-scene results.
     """
+    _check_friction(friction_mu)
     return [sim if hit is None else _occluder_hit(hit)
             for sim, hit in _simulate_batch(grasps, scene, gripper, friction_mu)]
 
@@ -620,6 +608,7 @@ def label_pair(cluttered: Scene, gripper: GripperModel, count: int, seed: int,
     One batched pass over the cluttered scene gives each candidate's
     single-scene result and its first occluder hit (see the module docstring).
     """
+    _check_friction(friction_mu)
     target = cluttered.target
     cloud = surface_sample(target.mesh, 1024, seed=seed ^ 0x9E3779B9).transformed(target.pose)
     candidates = sample_candidate_grasps(cloud, gripper, count, seed)
@@ -669,10 +658,27 @@ def write_labels_jsonl(path, scene_id: str, target_index: int, labels: list[Gras
 
 
 def read_labels_jsonl(path) -> list[dict]:
+    """The records of a labels file; a line that is not JSON raises `InputError`."""
+    records = []
     with Path(path).open() as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise InputError(f"{path}: line {number} is not JSON ({exc})") from exc
+    return records
 
 
 def record_to_label(rec: dict) -> GraspLabel:
-    grasp = Grasp(np.array(rec["t"]), Quaternion.from_array(rec["r"]), rec["w"])
-    return GraspLabel(grasp, rec["success_single"], rec["success_cluttered"], FailureReason(rec["reason"]))
+    """The label a record holds; a missing key or an unknown reason raises `InputError`."""
+    try:
+        grasp = Grasp(np.array(rec["t"]), Quaternion.from_array(rec["r"]), rec["w"])
+        single, cluttered, reason = rec["success_single"], rec["success_cluttered"], rec["reason"]
+    except KeyError as exc:
+        raise InputError(f"label record lacks the key {exc}") from exc
+    try:
+        reason = FailureReason(reason)
+    except ValueError as exc:
+        raise InputError(f"unknown failure reason {reason!r}") from exc
+    return GraspLabel(grasp, single, cluttered, reason)

@@ -1,8 +1,14 @@
-"""Triangle meshes: watertight primitives, BVH ray casting, surface sampling.
+"""Triangle meshes: watertight primitives, ray casting, surface sampling.
 
-Rays against a mesh set go through a per-mesh bounding-volume hierarchy so
-single-ray queries stay cheap even for finely tessellated catalogs. The tests
-check the BVH against a brute-force all-triangle cast.
+`ray_cast` is the exact reference that `camera.render` is checked against;
+only tests and benchmark checks call it. Every mesh comes from the four
+primitives here, so a mesh has at most 352 triangles (the default sphere).
+The ray gets one slab test per mesh, against the box of the mesh's vertices
+padded by 1e-9, and skips a mesh it misses. That skips most meshes of a scene
+and is what keeps a ray cheap. A mesh the ray reaches gets one vectorised
+Moller-Trumbore pass over all its triangles, which at these sizes costs about
+what a bounding-volume hierarchy saved. The pass is exact on its own, so the
+box only decides the time, never the hit, as long as it holds every triangle.
 """
 
 from __future__ import annotations
@@ -52,10 +58,6 @@ class TriMesh:
         ar = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
         ar.flags.writeable = False
         return ar
-
-    @cached_property
-    def bvh(self) -> "_Bvh":
-        return _Bvh(self)
 
     @cached_property
     def contact_samples(self) -> PointCloud:
@@ -183,77 +185,6 @@ def _ray_triangles(origin, direction, v0, v1, v2):
     return np.where(good, t, np.inf)
 
 
-class _Bvh:
-    """Median-split BVH over triangle centroids, flat arrays, stack traversal."""
-
-    LEAF_SIZE = 4
-
-    def __init__(self, mesh: TriMesh):
-        self.mesh = mesh
-        tris = mesh.triangles
-        v = mesh.vertices
-        tv = v[tris]  # (m, 3, 3)
-        self.tri_lo = tv.min(axis=1) - 1e-9  # pad against grazing-ray misses
-        self.tri_hi = tv.max(axis=1) + 1e-9
-        centroids = tv.mean(axis=1)
-        m = len(tris)
-        self.order = np.arange(m)
-        # nodes: (lo, hi, left, right, start, count); leaf if count > 0
-        self.nodes: list[list] = []
-        if m:
-            self._build(0, m, centroids)
-
-    def _build(self, start: int, end: int, centroids) -> int:
-        idx = self.order[start:end]
-        lo = self.tri_lo[idx].min(axis=0)
-        hi = self.tri_hi[idx].max(axis=0)
-        node_id = len(self.nodes)
-        self.nodes.append([lo, hi, -1, -1, start, 0])
-        if end - start <= self.LEAF_SIZE:
-            self.nodes[node_id][5] = end - start
-            return node_id
-        axis = int(np.argmax(hi - lo))
-        key = centroids[idx][:, axis]
-        local = np.argsort(key, kind="stable")
-        self.order[start:end] = idx[local]
-        mid = (start + end) // 2
-        self.nodes[node_id][2] = self._build(start, mid, centroids)
-        self.nodes[node_id][3] = self._build(mid, end, centroids)
-        return node_id
-
-    def ray_nearest(self, origin, direction) -> tuple[float, int]:
-        if not self.nodes:
-            return np.inf, -1
-        origin = np.asarray(origin, float)
-        direction = np.asarray(direction, float)
-        safe = np.where(np.abs(direction) < 1e-12, np.copysign(1e-12, direction + 1e-300), direction)
-        inv = 1.0 / safe
-        best_t, best_face = np.inf, -1
-        stack = [0]
-        verts, tris = self.mesh.vertices, self.mesh.triangles
-        while stack:
-            node = self.nodes[stack.pop()]
-            lo, hi, left, right, start, count = node
-            t0 = (lo - origin) * inv
-            t1 = (hi - origin) * inv
-            tmin = np.minimum(t0, t1).max()
-            tmax = np.maximum(t0, t1).min()
-            if tmax < max(tmin, 0.0) or tmin > best_t:
-                continue
-            if count > 0:
-                idx = self.order[start : start + count]
-                tv = verts[tris[idx]]
-                t = _ray_triangles(origin, direction, tv[:, 0], tv[:, 1], tv[:, 2])
-                k = int(np.argmin(t))
-                if t[k] < best_t:
-                    best_t = float(t[k])
-                    best_face = int(idx[k])
-            else:
-                stack.append(left)
-                stack.append(right)
-        return best_t, best_face
-
-
 def ray_cast(mesh_set: list[tuple[TriMesh, Pose]], origin, direction) -> RayHit | None:
     """Nearest intersection of a world-space ray with a set of posed meshes."""
     if not mesh_set:
@@ -263,19 +194,31 @@ def ray_cast(mesh_set: list[tuple[TriMesh, Pose]], origin, direction) -> RayHit 
     if abs(n - 1.0) > 1e-6:
         raise InputError(f"direction must be unit length, norm={n}")
     origin = np.asarray(origin, dtype=float)
-    best = None
+    best_t, best = np.inf, None
     for i, (mesh, pose) in enumerate(mesh_set):
+        if not len(mesh.triangles):
+            continue
         inv = pose.inverse()
         o_local = inv.transform(origin)
         d_local = inv.rotate_only(direction)
-        t, face = mesh.bvh.ray_nearest(o_local, d_local)
-        if face >= 0 and (best is None or t < best[0]):
-            best = (t, i, face, mesh, pose)
+        # slab test against the vertex box, padded against grazing-ray misses
+        safe = np.where(np.abs(d_local) < 1e-12, np.copysign(1e-12, d_local + 1e-300), d_local)
+        inv_d = 1.0 / safe
+        t0 = (mesh.vertices.min(axis=0) - 1e-9 - o_local) * inv_d
+        t1 = (mesh.vertices.max(axis=0) + 1e-9 - o_local) * inv_d
+        if np.maximum(t0, t1).min() < max(np.minimum(t0, t1).max(), 0.0):
+            continue
+        tv = mesh.vertices[mesh.triangles]
+        t = _ray_triangles(o_local, d_local, tv[:, 0], tv[:, 1], tv[:, 2])
+        face = int(np.argmin(t))
+        if t[face] < best_t:
+            best_t, best = float(t[face]), (i, face)
     if best is None:
         return None
-    t, i, face, mesh, pose = best
+    i, face = best
+    mesh, pose = mesh_set[i]
     normal = pose.rotate_only(mesh.face_normals[face])
-    return RayHit(distance=t, instance_index=i, surface_normal=normal)
+    return RayHit(distance=best_t, instance_index=i, surface_normal=normal)
 
 
 # ---------------------------------------------------------------------------

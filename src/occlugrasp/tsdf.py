@@ -33,7 +33,6 @@ grids of the plain per-voxel computation bit for bit:
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,12 +41,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .camera import CameraModel, DepthFrame, read_npz
-from .errors import InputError
+from .errors import InputError, _finite_positive
 from .geometry import PointCloud
-
-
-def _finite_positive(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x) and x > 0
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,11 @@ class TestNoise:
         with pytest.raises(InputError):
             add_depth_noise(self.frame(), -0.1, seed=1)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), "0.1", None])
+    def test_sigma_not_finite_rejected(self, sigma):
+        with pytest.raises(InputError):
+            add_depth_noise(self.frame(), sigma, seed=1)
+
     def test_background_untouched(self):
         f = self.frame()
         g = add_depth_noise(f, 0.005, seed=2)
@@ -491,6 +496,34 @@ class TestRenderMatchesReference:
         frame = render(scene, cam)
         assert not frame.valid.any()
         assert_same_frame(frame, reference_render(scene, cam))
+
+
+class TestRenderMatchesRayCast:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_scene_every_4th_pixel(self, seed):
+        # the rule of the benchmark's ray check: the id matches exactly, and the
+        # depth is the ray-cast hit's camera-frame z within one float32 step
+        cam = default_camera(width=160, height=120, focal=135.0)
+        scene = dense_scene(500 + seed)
+        frame = render(scene, cam)
+        rot = cam.pose.rotation.as_matrix()
+        mesh_set = scene.mesh_set()
+        wrong = []
+        for v in range(0, cam.height, 4):
+            for u in range(0, cam.width, 4):
+                ray = np.array([(u + 0.5 - cam.cx) / cam.fx, (v + 0.5 - cam.cy) / cam.fy, 1.0])
+                norm = float(np.linalg.norm(ray))
+                hit = ray_cast(mesh_set, cam.pose.translation, rot @ (ray / norm))
+                iid, depth = frame.instance_id[v, u], frame.depth[v, u]
+                if hit is None:
+                    ok = iid == BACKGROUND_ID and depth == 0.0
+                else:
+                    z = np.float32(hit.distance / norm)
+                    ok = iid == hit.instance_index and abs(z - depth) <= np.spacing(depth)
+                if not ok:
+                    wrong.append((u, v, iid, depth, hit))
+        assert not wrong
+        assert (frame.instance_id[::4, ::4] != BACKGROUND_ID).sum() > 100
 
 
 def synthetic_frame(inst: np.ndarray, seed: int) -> DepthFrame:

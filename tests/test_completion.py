@@ -89,6 +89,12 @@ class TestIou:
         with pytest.raises(InputError):
             volumetric_iou(a, a, voxel_size=0.0)
 
+    @pytest.mark.parametrize("voxel_size", [float("nan"), float("inf")])
+    def test_non_finite_voxel_size_rejected(self, voxel_size):
+        a = PointCloud(np.zeros((1, 3)))
+        with pytest.raises(InputError):
+            volumetric_iou(a, a, voxel_size=voxel_size)
+
     def test_both_empty_rejected(self):
         with pytest.raises(InputError):
             volumetric_iou(PointCloud.empty(), PointCloud.empty())

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -294,19 +295,80 @@ class TestRayCast:
         assert hit.instance_index == 1
         assert abs(hit.distance - 3.0) < 1e-9
 
-    def test_bvh_matches_brute_force(self):
+    def test_matches_brute_force(self):
+        # each ray against one mesh under a random pose, then with a small box
+        # placed nearer or farther along it, listed before or after the mesh
         rng = np.random.default_rng(21)
-        mesh = make_sphere(0.05)
-        for _ in range(300):
-            origin = rng.uniform(-0.2, 0.2, size=3) + np.array([0, 0, 0.05])
-            d = rng.normal(size=3)
-            d /= np.linalg.norm(d)
-            t_b, f_b = ray_cast_brute(mesh, origin, d)
-            t_v, f_v = mesh.bvh.ray_nearest(origin, d)
-            if math.isinf(t_b):
-                assert math.isinf(t_v)
+        meshes = [make_sphere(0.05), make_box(0.06, 0.04, 0.1), make_cylinder(0.03, 0.08), make_hex_prism(0.04, 0.05)]
+        small = make_box(0.01, 0.01, 0.01)
+        seen = collections.Counter()
+        for k in range(400):
+            mesh = meshes[k % 4]
+            lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+            kind = ("inside", "aimed", "away", "zeros", "random")[k % 5]
+            if kind == "zeros":
+                # identity rotation, so the mesh frame keeps the zero components
+                pose = Pose(Quaternion.identity(), rng.uniform(-0.1, 0.1, size=3))
+                o_local = rng.uniform(lo - 0.1, hi + 0.1)
+                d_local = rng.uniform(lo, hi) - o_local
+                d_local[rng.choice(3, size=1 + k % 2, replace=False)] = 0.0
             else:
-                assert abs(t_b - t_v) < 1e-12
+                pose = Pose(random_quat(rng), rng.uniform(-0.1, 0.1, size=3))
+                o_local = rng.uniform(lo, hi) if kind == "inside" else rng.uniform(lo - 0.1, hi + 0.1)
+                if kind == "aimed":
+                    d_local = rng.uniform(lo, hi) - o_local
+                elif kind == "away":
+                    o_local = hi + rng.uniform(0.01, 0.1, size=3)
+                    d_local = o_local - lo + rng.uniform(0.0, 0.01, size=3)
+                else:
+                    d_local = rng.normal(size=3)
+            origin = pose.transform(o_local)
+            d = pose.rotate_only(d_local / np.linalg.norm(d_local))
+            d /= np.linalg.norm(d)
+            t, _ = self.brute_hit(mesh, pose, origin, d)
+            seen[kind, math.isfinite(t)] += 1
+            self.assert_matches_brute_force([(mesh, pose)], origin, d)
+            if math.isfinite(t):
+                for along, order in ((0.5 * t, 1), (t + 0.02, -1)):
+                    center = origin + along * d
+                    small_pose = Pose(Quaternion.identity(), center - np.array([0.0, 0.0, 0.005]))
+                    mesh_set = [(mesh, pose), (small, small_pose)][::order]
+                    hit = self.assert_matches_brute_force(mesh_set, origin, d)
+                    seen["small box", mesh_set[hit.instance_index][0] is small] += 1
+        for kind in ("inside", "aimed", "zeros", "random"):
+            assert seen[kind, True] > 0 and (kind == "inside" or seen[kind, False] > 0), kind
+        assert seen["away", True] == 0 and seen["away", False] == 80
+        assert seen["small box", True] > 0 and seen["small box", False] > 0
+
+    @staticmethod
+    def brute_hit(mesh, pose, origin, d):
+        inv = pose.inverse()
+        return ray_cast_brute(mesh, inv.transform(origin), inv.rotate_only(d))
+
+    def assert_matches_brute_force(self, mesh_set, origin, d):
+        """`ray_cast` equals the nearest all-triangle hit, the lower index on a tie."""
+        best = (math.inf, -1, -1)
+        for i, (mesh, pose) in enumerate(mesh_set):
+            t, face = self.brute_hit(mesh, pose, origin, d)
+            if t < best[0]:
+                best = (t, i, face)
+        hit = ray_cast(mesh_set, origin, d)
+        if math.isinf(best[0]):
+            assert hit is None
+            return None
+        t, i, face = best
+        mesh, pose = mesh_set[i]
+        assert hit is not None
+        assert (hit.distance, hit.instance_index) == (t, i)
+        assert hit.surface_normal.tobytes() == pose.rotate_only(mesh.face_normals[face]).tobytes()
+        return hit
+
+    def test_mesh_without_triangles_is_a_miss(self):
+        empty = TriMesh(np.zeros((0, 3)), np.zeros((0, 3)))
+        mesh, pose = self.cube_at_origin()
+        assert ray_cast([(empty, Pose.identity())], (0, 0, 2), (0, 0, -1)) is None
+        hit = ray_cast([(empty, Pose.identity()), (mesh, pose)], (0, 0, 2), (0, 0, -1))
+        assert hit.instance_index == 1 and hit.distance == 1.5
 
     def test_ray_cast_consistency_reprojection(self):
         rng = np.random.default_rng(33)

@@ -24,6 +24,7 @@ from occlugrasp.grasping import (
     grasp_frame,
     gripper_boxes,
     label_pair,
+    label_to_record,
     read_labels_jsonl,
     record_to_label,
     sample_candidate_grasps,
@@ -221,6 +222,12 @@ class TestTypes:
     def test_gripper_validation(self):
         with pytest.raises(InputError):
             GripperModel(max_width=-0.08)
+
+    @pytest.mark.parametrize("field", ["max_width", "finger_depth", "finger_thickness", "palm_clearance"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_gripper_dimensions_finite(self, field, value):
+        with pytest.raises(InputError):
+            GripperModel(**{field: value})
 
     def test_grasp_quality_range(self):
         with pytest.raises(InputError):
@@ -553,6 +560,23 @@ class TestSimulate:
         b = simulate_grasp(g, scene, GRIP)
         assert a == b
 
+    @pytest.mark.parametrize("mu", [-1.0, -0.4, float("nan"), float("inf"), None])
+    def test_friction_must_be_finite_and_non_negative(self, mu):
+        # -1 would act as 1 in the cone test, and NaN would never fail it
+        scene = make_scene([box_instance(0.05, 0.05, 0.1, 0.15, 0.15)])
+        g = side_grasp((0.15, 0.15, 0.05))
+        with pytest.raises(InputError):
+            simulate_grasp(g, scene, GRIP, friction_mu=mu)
+        with pytest.raises(InputError):
+            simulate_grasps([g], scene, GRIP, friction_mu=mu)
+        with pytest.raises(InputError):
+            label_pair(scene, GRIP, 4, seed=1, friction_mu=mu)
+
+    def test_zero_friction_accepted(self):
+        scene = make_scene([box_instance(0.05, 0.05, 0.1, 0.15, 0.15)])
+        g = side_grasp((0.15, 0.15, 0.05))
+        assert simulate_grasps([g], scene, GRIP, friction_mu=0) == [simulate_grasp(g, scene, GRIP, friction_mu=0.0)]
+
 
 def _grasp_key(g):
     return g.center.tolist(), g.rotation, g.width
@@ -754,6 +778,27 @@ class TestJsonl:
         back = [record_to_label(rec) for rec in read_labels_jsonl(tmp_path / "labels.jsonl")]
         assert [lab.grasp for lab in back] == [lab.grasp for lab in labels]
         assert any(lab.grasp.rotation != lab.grasp.rotation.canonical() for lab in labels)
+
+    @pytest.mark.parametrize("key", ["t", "r", "w", "success_single", "success_cluttered", "reason"])
+    def test_missing_key_rejected(self, key):
+        rec = label_to_record("scene_000", 0, GraspLabel(side_grasp((0.15, 0.15, 0.05)), True, False,
+                                                         FailureReason.OCCLUDER_COLLISION))
+        del rec[key]
+        with pytest.raises(InputError, match=f"'{key}'"):
+            record_to_label(rec)
+
+    def test_unknown_reason_rejected(self):
+        rec = label_to_record("scene_000", 0, GraspLabel(side_grasp((0.15, 0.15, 0.05)), True, True,
+                                                         FailureReason.NONE))
+        rec["reason"] = "slipped"
+        with pytest.raises(InputError, match="slipped"):
+            record_to_label(rec)
+
+    def test_malformed_line_rejected(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_text('{"w": 0.05}\n\n{"w": 0.05\n')
+        with pytest.raises(InputError, match="line 3"):
+            read_labels_jsonl(path)
 
     def test_grasps_read_back_found_in_a_set(self, tmp_path):
         scene = generate_packed_scene(SceneConfig(object_count_range=(3, 3), seed=9))

@@ -90,3 +90,32 @@ def test_module_caches_are_bounded():
                     isinstance(d, ast.Call) and _functools_name(d.func, names) == "lru_cache" for d in node.decorator_list):
                 cached.append(node.name)
     assert {"_shared_catalog", "_voxel_projection"} <= set(cached)
+
+
+def test_private_module_names_are_used():
+    # a private function, class or constant that no code of the package names
+    # is dead: being private, nothing outside the package should call it
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted((ROOT / "src").rglob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    defined = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            defined += [f"{path.name}: {name}" for name in names
+                        if name.startswith("_") and not name.startswith("__") and name not in used]
+    assert not defined
