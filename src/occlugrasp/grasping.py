@@ -125,11 +125,18 @@ class Grasp:
     quality: float = 0.0
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float).reshape(3)
+        try:
+            c = np.asarray(self.center, dtype=float)
+            width_ok = math.isfinite(self.width) and self.width >= 0
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"grasp center and width must be numbers: {exc}") from exc
+        if c.size != 3 or not np.isfinite(c).all():
+            raise InputError(f"grasp center must be 3 finite numbers, got {self.center!r}")
+        if not width_ok:
+            raise InputError(f"grasp width must be finite and >= 0, got {self.width!r}")
+        c = c.reshape(3)
         c.flags.writeable = False
         object.__setattr__(self, "center", c)
-        if self.width < 0:
-            raise InputError("grasp width must be >= 0")
         if not 0.0 <= self.quality <= 1.0:
             raise InputError("grasp quality must be in [0, 1]")
 

@@ -1,7 +1,10 @@
-"""Triangle meshes: watertight primitives, ray casting, surface sampling.
+"""Triangle meshes: closed primitives, ray casting, surface sampling.
 
 `ray_cast` is the exact reference that `camera.render` is checked against;
-only tests and benchmark checks call it. Every mesh comes from the four
+only tests and benchmark checks call it. It tests every triangle, back faces
+included: `render` skips the back faces of closed meshes by an argument that
+holds only for some meshes and camera positions, so a reference that made
+the same cut could not catch a mistake in it. Every mesh comes from the four
 primitives here, so a mesh has at most 352 triangles (the default sphere).
 The ray gets one slab test per mesh, against the box of the mesh's vertices
 padded by 1e-9, and skips a mesh it misses. That skips most meshes of a scene
@@ -64,15 +67,26 @@ class TriMesh:
         # dense on-surface samples with normals, used by grasp contact checks
         return surface_sample(self, 2048, seed=0x5EED)
 
-    def is_watertight(self) -> bool:
-        """Every undirected edge shared by exactly two triangles."""
-        edges: dict[tuple[int, int], int] = {}
-        for tri in self.triangles:
-            for i in range(3):
-                a, b = int(tri[i]), int(tri[(i + 1) % 3])
-                key = (min(a, b), max(a, b))
-                edges[key] = edges.get(key, 0) + 1
-        return bool(edges) and all(c == 2 for c in edges.values())
+    @cached_property
+    def is_closed_outward(self) -> bool:
+        """Whether the surface is closed and wound with its normals outward.
+
+        Every directed edge appears exactly once and its reverse exactly once,
+        so each edge joins two faces of opposite, consistent winding, and the
+        signed volume is positive, so the winding faces out of the solid.
+        Self-intersection is not checked; the primitives here are all convex.
+        """
+        if not len(self.triangles):
+            return False
+        heads = self.triangles.ravel().astype(np.int64)
+        tails = self.triangles[:, [1, 2, 0]].ravel().astype(np.int64)
+        edges = np.unique(heads * len(self.vertices) + tails)
+        if len(edges) != len(heads):
+            return False
+        if not np.array_equal(edges, np.unique(tails * len(self.vertices) + heads)):
+            return False
+        a, b, c = (self.vertices[self.triangles[:, i]] for i in range(3))
+        return bool(np.einsum("ij,ij->", a, np.cross(b, c)) > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +203,13 @@ def ray_cast(mesh_set: list[tuple[TriMesh, Pose]], origin, direction) -> RayHit 
     """Nearest intersection of a world-space ray with a set of posed meshes."""
     if not mesh_set:
         raise InputError("mesh_set must be non-empty")
+    origin = np.asarray(origin, dtype=float)
     direction = np.asarray(direction, dtype=float)
+    if origin.shape != (3,) or direction.shape != (3,) or not np.isfinite([origin, direction]).all():
+        raise InputError(f"origin and direction must be 3 finite numbers each, got {origin}, {direction}")
     n = float(np.linalg.norm(direction))
     if abs(n - 1.0) > 1e-6:
         raise InputError(f"direction must be unit length, norm={n}")
-    origin = np.asarray(origin, dtype=float)
     best_t, best = np.inf, None
     for i, (mesh, pose) in enumerate(mesh_set):
         if not len(mesh.triangles):

@@ -20,7 +20,7 @@ from occlugrasp.camera import (
     save_frame,
 )
 from occlugrasp.errors import InputError
-from occlugrasp.geometry import PointCloud, Pose, Quaternion
+from occlugrasp.geometry import PointCloud, Pose, Quaternion, quaternion_about_axis
 from occlugrasp.meshes import TriMesh, make_box, ray_cast
 from occlugrasp.scenes import (
     CatalogConfig,
@@ -34,8 +34,6 @@ from occlugrasp.scenes import (
 
 
 def box_instance(lx, ly, lz, x, y, yaw=0.0):
-    from occlugrasp.geometry import quaternion_about_axis
-
     mesh = make_box(lx, ly, lz)
     pose = Pose(quaternion_about_axis((0, 0, 1), yaw), np.array([x, y, 0.0]))
     poly = np.array([[-lx / 2, -ly / 2], [lx / 2, -ly / 2], [lx / 2, ly / 2], [-lx / 2, ly / 2]])
@@ -485,6 +483,44 @@ class TestRenderMatchesReference:
         frame = render(scene, AXIS_CAMERA)
         assert (frame.depth[frame.valid] == 1.0).all()
         assert set(np.unique(frame.instance_id)) == {0, BACKGROUND_ID}
+        assert_same_frame(frame, reference_render(scene, AXIS_CAMERA))
+
+    def test_lone_triangle_facing_away(self, small_chunks):
+        # n . a > 0, but an open mesh keeps its back faces
+        scene = make_scene([mesh_instance([[-0.2, -0.1, 1.0], [0.2, -0.1, 1.0], [0.0, 0.2, 1.0]], [[0, 1, 2]])])
+        assert not scene.instances[0].mesh.is_closed_outward
+        frame = render(scene, AXIS_CAMERA)
+        assert frame.valid.any()
+        assert_same_frame(frame, reference_render(scene, AXIS_CAMERA))
+
+    def test_camera_inside_closed_box(self, small_chunks):
+        # every face the camera sees from inside is a back face
+        box = ObjectInstance("box", make_box(1.0, 1.0, 1.0), Pose(Quaternion.identity(), np.array([0.0, 0.0, -0.5])),
+                             (1.0, 1.0, 1.0))
+        scene = make_scene([box])
+        frame = render(scene, AXIS_CAMERA)
+        assert frame.valid.all() and (frame.depth == 0.5).all()
+        assert_same_frame(frame, reference_render(scene, AXIS_CAMERA))
+
+    def test_closed_box_with_a_vertex_behind_the_camera(self, small_chunks):
+        # the near-plane test drops the front faces at that corner, which
+        # opens the box: its back faces show through the gap
+        pose = Pose(quaternion_about_axis((0.6, 0.8, 0.0), 0.7), np.array([0.0, -0.1, 0.1]))
+        box = ObjectInstance("box", make_box(0.4, 0.4, 0.4), pose, (0.4, 0.4, 0.4))
+        assert (pose.transform(box.mesh.vertices)[:, 2] <= 0).sum() == 1
+        scene = make_scene([box])
+        frame = render(scene, AXIS_CAMERA)
+        assert frame.valid.any()
+        assert_same_frame(frame, reference_render(scene, AXIS_CAMERA))
+
+    def test_box_with_inverted_winding(self, small_chunks):
+        box = make_box(0.2, 0.3, 0.25)
+        inverted = TriMesh(box.vertices, box.triangles[:, ::-1])
+        assert not inverted.is_closed_outward
+        pose = Pose(quaternion_about_axis((0.6, 0.8, 0.0), 0.7), np.array([0.05, -0.1, 0.6]))
+        scene = make_scene([ObjectInstance("inverted", inverted, pose, (0.2, 0.3, 0.25))])
+        frame = render(scene, AXIS_CAMERA)
+        assert frame.valid.any()
         assert_same_frame(frame, reference_render(scene, AXIS_CAMERA))
 
     def test_camera_sees_nothing(self, small_chunks):

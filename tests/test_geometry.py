@@ -255,8 +255,21 @@ class TestPrimitives:
         ids=["box", "cylinder", "sphere", "hexprism"],
     )
     def test_watertight_and_resting(self, mesh):
-        assert mesh.is_watertight()
+        assert mesh.is_closed_outward
         assert abs(mesh.vertices[:, 2].min()) < 1e-9
+
+    @pytest.mark.parametrize(
+        "triangles",
+        [
+            make_box(0.05, 0.07, 0.1).triangles[1:],                          # open: one face missing
+            make_box(0.05, 0.07, 0.1).triangles[:, ::-1],                     # flipped: negative volume
+            np.vstack([make_box(0.05, 0.07, 0.1).triangles, [[0, 2, 1]]]),    # a face listed twice
+            np.zeros((0, 3), dtype=int),                                      # no faces
+        ],
+        ids=["open", "flipped", "duplicated_face", "empty"],
+    )
+    def test_not_closed_outward(self, triangles):
+        assert not TriMesh(make_box(0.05, 0.07, 0.1).vertices, triangles).is_closed_outward
 
     def test_triangle_indices_in_range(self):
         with pytest.raises(InputError):
@@ -285,6 +298,17 @@ class TestRayCast:
         mesh, pose = self.cube_at_origin()
         with pytest.raises(InputError):
             ray_cast([(mesh, pose)], (0, 0, 2), (0, 0, -2))
+
+    @pytest.mark.parametrize(
+        "origin, direction",
+        [((np.nan, 0, 2), (0, 0, -1)), ((0, np.inf, 2), (0, 0, -1)), ((0, 0, 2), (np.nan, 0, -1)),
+         ((0, 0), (0, 0, -1))],
+        ids=["nan_origin", "inf_origin", "nan_direction", "short_origin"],
+    )
+    def test_bad_ray_rejected(self, origin, direction):
+        mesh, pose = self.cube_at_origin()
+        with pytest.raises(InputError):
+            ray_cast([(mesh, pose)], origin, direction)
 
     def test_stacked_cubes_nearest_instance(self):
         cube = make_box(1.0, 1.0, 1.0)

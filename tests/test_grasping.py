@@ -233,6 +233,16 @@ class TestTypes:
         with pytest.raises(InputError):
             Grasp(np.zeros(3), Quaternion.identity(), 0.05, quality=1.5)
 
+    @pytest.mark.parametrize(
+        "center, width",
+        [((0.0, 0.0, np.nan), 0.05), ((np.inf, 0.0, 0.0), 0.05), ((0.0, 0.0), 0.05), ((0.0, 0.0, 0.0, 0.0), 0.05),
+         ((0.0, 0.0, 0.0), np.nan), ((0.0, 0.0, 0.0), np.inf), ((0.0, 0.0, 0.0), -0.01)],
+        ids=["nan_center", "inf_center", "two_numbers", "four_numbers", "nan_width", "inf_width", "negative_width"],
+    )
+    def test_grasp_center_and_width_checked(self, center, width):
+        with pytest.raises(InputError):
+            Grasp(np.array(center), Quaternion.identity(), width)
+
     def test_label_subset_enforced(self):
         g = side_grasp((0.15, 0.15, 0.05))
         with pytest.raises(InputError):
@@ -792,6 +802,13 @@ class TestJsonl:
                                                          FailureReason.NONE))
         rec["reason"] = "slipped"
         with pytest.raises(InputError, match="slipped"):
+            record_to_label(rec)
+
+    def test_short_center_rejected(self):
+        rec = label_to_record("scene_000", 0, GraspLabel(side_grasp((0.15, 0.15, 0.05)), True, True,
+                                                         FailureReason.NONE))
+        rec["t"] = rec["t"][:2]
+        with pytest.raises(InputError, match="center"):
             record_to_label(rec)
 
     def test_malformed_line_rejected(self, tmp_path):

@@ -68,7 +68,12 @@ class TestCatalog:
 
     def test_all_primitives_watertight(self):
         for obj in build_catalog(CatalogConfig(seed=1, size=12)):
-            assert obj.mesh.is_watertight(), obj.catalog_id
+            assert obj.mesh.is_closed_outward, obj.catalog_id
+
+    def test_default_catalog_closed_outward(self):
+        # `render` culls the back faces of exactly these meshes
+        for obj in build_catalog(CatalogConfig()):
+            assert obj.mesh.is_closed_outward, obj.catalog_id
 
 
 class TestPolygonDistance:
