@@ -58,6 +58,15 @@ class Quaternion:
     y: float
     z: float
 
+    def __post_init__(self):
+        # a NaN or infinite component would turn every rotated vector into NaN
+        try:
+            finite = math.isfinite(self.w) and math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
+        except TypeError as exc:
+            raise InputError(f"quaternion components must be numbers: {exc}") from exc
+        if not finite:
+            raise InputError(f"quaternion components must be finite, got {(self.w, self.x, self.y, self.z)}")
+
     @staticmethod
     def identity() -> "Quaternion":
         return Quaternion(1.0, 0.0, 0.0, 0.0)

@@ -49,19 +49,18 @@ construction.
 The widths are compared together, and the 24 corners of every candidate are
 rotated in one elementwise pass, in the operation order of
 `Quaternion.rotate` (a matrix product would round differently). The broad
-phase is one candidates x instances matrix. Each instance is moved into the
-frames of all candidates near it at once, with the arithmetic of
-`Pose.inverse` and `Pose.__mul__` written elementwise, and the vertex-box and
-separating-axis tests then run per candidate and box as above. The occluders
-are visited in index order, each on the candidates no lower one hit. For the
-contacts, one matrix product gives the y and z of the target's samples in
-every candidate's frame, `BATCH_CHUNK` candidates at a time, and only samples
-within `BROAD_PHASE_MARGIN` of the pad slab are transformed exactly and passed
-to `_pad_slab_contacts`. So every stage gets the inputs the per-grasp path
-would give it, and every result, detail included, equals `simulate_grasp`'s.
-The batch has a fixed cost per call, which the per-grasp path does not: one
-grasp costs about three times as much through it. So `simulate_grasp`,
-`check_collision` and `_SweptGripper` keep the per-grasp path, and a caller
+phase is one candidates x instances matrix, and `_mesh_hits` tests each
+instance on all candidates near it at once, the occluders in index order,
+each on the candidates no lower one hit. For the contacts, one matrix product
+gives the y and z of the target's samples in every candidate's frame,
+`BATCH_CHUNK` candidates at a time, and only samples within
+`BROAD_PHASE_MARGIN` of the pad slab are transformed exactly and passed to
+`_pad_slab_contacts`. So every stage gets the inputs the per-grasp path would
+give it, and every result, detail included, equals `simulate_grasp`'s. The
+batch's fixed cost per call makes one grasp several times as costly through
+it, so `simulate_grasp` keeps its own set-up and broad phase, and shares
+`_compose` (`Pose.inverse` and `Pose.__mul__` on pose components, so the same
+bits), `_mesh_hits` as a batch of one, and `_pad_slab_contacts`. A caller
 picks the path by its input: one grasp or a list.
 
 Grasp frame: x is the closing axis joining the antipodal pair, z is the
@@ -168,6 +167,8 @@ class GraspLabel:
     detail: str = ""  # the cluttered result's `SimResult.detail`
 
     def __post_init__(self):
+        if type(self.success_single) is not bool or type(self.success_cluttered) is not bool:
+            raise InputError(f"success flags must be bools, got {self.success_single!r}, {self.success_cluttered!r}")
         if self.success_cluttered and not self.success_single:
             raise InputError("cluttered success without single success violates the subset invariant")
 
@@ -177,13 +178,6 @@ class SimResult:
     success: bool
     reason: FailureReason
     detail: str = ""  # the specific cause behind `reason`
-
-
-@dataclass(frozen=True)
-class CollisionResult:
-    free: bool
-    offender: int | str | None  # first entry of `offenders`
-    offenders: tuple  # "table" first, then instance indices in ascending order
 
 
 def grasp_frame(axis, approach) -> Quaternion:
@@ -275,60 +269,6 @@ def _triangles_hit_box(tri: np.ndarray, half: np.ndarray) -> bool:
     return not (plane_sep | edge_sep).all()
 
 
-class _SweptGripper:
-    """The three swept gripper boxes at one grasp, shared by its collision tests."""
-
-    def __init__(self, grasp: Grasp, gripper: GripperModel):
-        boxes = gripper_boxes(grasp.width, gripper)
-        lo, hi = boxes[:, None, 0], boxes[:, None, 1]
-        corners = grasp.rotation.rotate((lo + _BOX_CORNERS * (hi - lo)).reshape(-1, 3)) + grasp.center
-        self.lo = corners.min(axis=0)
-        # the broad phase's bounds: the corners' box grown by the margin
-        self.reach_lo = self.lo - BROAD_PHASE_MARGIN
-        self.reach_hi = corners.max(axis=0) + BROAD_PHASE_MARGIN
-        self.to_grasp = Pose(grasp.rotation, grasp.center).inverse()
-        self.centers = (boxes[:, 0] + boxes[:, 1]) / 2.0
-        self.halves = (boxes[:, 1] - boxes[:, 0]) / 2.0
-
-    def hits_table(self) -> bool:
-        return bool(self.lo[2] < -1e-9)
-
-    def hits(self, inst: ObjectInstance) -> bool:
-        lo, hi = inst.world_aabb
-        if (lo > self.reach_hi).any() or (hi < self.reach_lo).any():
-            return False
-        verts = (self.to_grasp * inst.pose).transform(inst.mesh.vertices)
-        # the mesh's vertex box against each gripper box, both shifted so that
-        # the gripper box is centred at the origin (min(v) - c == min(v - c):
-        # subtracting a constant keeps the order)
-        vlo, vhi = verts.min(axis=0), verts.max(axis=0)
-        apart = (vlo - self.centers > self.halves) | (vhi - self.centers < -self.halves)
-        tri = None
-        for b in np.flatnonzero(~apart.any(axis=1)):
-            if tri is None:
-                tri = verts.take(inst.mesh.triangles, axis=0)
-            if _triangles_hit_box(tri - self.centers[b], self.halves[b]):
-                return True
-        return False
-
-    def first_occluder_hit(self, scene: Scene) -> int | None:
-        """Index of the first non-target instance the gripper hits, if any."""
-        return next((i for i, inst in enumerate(scene.instances)
-                     if i != scene.target_index and self.hits(inst)), None)
-
-
-def check_collision(grasp: Grasp, scene: Scene, gripper: GripperModel) -> CollisionResult:
-    """Swept gripper volume vs the table half-space and all scene meshes.
-
-    Unlike `simulate_grasp`, this tests every instance and reports all
-    offenders.
-    """
-    swept = _SweptGripper(grasp, gripper)
-    offenders = ("table",) if swept.hits_table() else ()
-    offenders += tuple(i for i, inst in enumerate(scene.instances) if swept.hits(inst))
-    return CollisionResult(not offenders, offenders[0] if offenders else None, offenders)
-
-
 # ---------------------------------------------------------------------------
 # contacts and the friction cone
 
@@ -384,19 +324,36 @@ def simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel,
     _check_friction(friction_mu)
     if grasp.width > gripper.max_width + 1e-12:
         return _WIDE
-    swept = _SweptGripper(grasp, gripper)
-    if swept.hits_table():
+    boxes = gripper_boxes(grasp.width, gripper)
+    lo, hi = boxes[:, None, 0], boxes[:, None, 1]
+    corners = grasp.rotation.rotate((lo + _BOX_CORNERS * (hi - lo)).reshape(-1, 3)) + grasp.center
+    corner_lo = corners.min(axis=0)
+    if corner_lo[2] < -1e-9:
         return _TABLE
-    hit = swept.first_occluder_hit(scene)
+    reach_lo = corner_lo - BROAD_PHASE_MARGIN
+    reach_hi = corners.max(axis=0) + BROAD_PHASE_MARGIN
+    r = grasp.rotation
+    q_inv = (r.w, -r.x, -r.y, -r.z)  # `Pose(rotation, center).inverse()`, as in the batch
+    to_grasp = q_inv, tuple(-c for c in _rotate(q_inv, grasp.center.tolist()))
+    centers = (boxes[None, :, 0] + boxes[None, :, 1]) / 2.0
+    halves = (boxes[None, :, 1] - boxes[None, :, 0]) / 2.0
+
+    def hits(inst: ObjectInstance) -> bool:
+        lo, hi = inst.world_aabb
+        if (lo > reach_hi).any() or (hi < reach_lo).any():
+            return False
+        return bool(_mesh_hits(inst, _compose(to_grasp, inst.pose), centers, halves)[0])
+
+    hit = next((i for i, inst in enumerate(scene.instances) if i != scene.target_index and hits(inst)), None)
     if hit is not None:
         return _occluder_hit(hit)
     target = scene.target
-    if swept.hits(target):
+    if hits(target):
         return _BODY
     samples = target.mesh.contact_samples
-    to_grasp = swept.to_grasp * target.pose
-    pts_g = to_grasp.transform(samples.points)
-    nrm_g = to_grasp.rotate_only(samples.normals)
+    q, t = _compose(to_grasp, target.pose)
+    pts_g = np.column_stack([v + c for v, c in zip(_rotate(q, tuple(samples.points.T)), t)])
+    nrm_g = np.column_stack(_rotate(q, tuple(samples.normals.T)))
     ok, why = _pad_slab_contacts(pts_g, nrm_g, grasp.width, gripper, friction_mu)
     if not ok:
         return SimResult(False, FailureReason.ANTIPODAL_FAIL, why)
@@ -420,11 +377,13 @@ def _compose(a, pose: Pose) -> tuple:
 
 
 def _mesh_hits(inst: ObjectInstance, pose, centers: np.ndarray, halves: np.ndarray) -> np.ndarray:
-    """Which of m grasps hit `inst`, as `_SweptGripper.hits` decides past its
-    broad phase; `pose` is each grasp's `to_grasp * inst.pose`, `centers` and
-    `halves` its (m, 3, 3) boxes."""
+    """Which of m grasps hit `inst`: the narrow phase of both drivers, past their
+    broad phases. `pose` is each grasp's `_compose(to_grasp, inst.pose)`, floats for
+    one grasp or (m, 1) arrays, which `np.dstack` both turns into (m, vertices, 3)
+    vertices; `centers` and `halves` are the (m, 3, 3) boxes."""
     q, t = pose
-    verts = np.stack([v + c for v, c in zip(_rotate(q, tuple(inst.mesh.vertices.T)), t)], axis=-1)
+    verts = np.dstack([v + c for v, c in zip(_rotate(q, tuple(inst.mesh.vertices.T)), t)])
+    # vertex box against centred gripper boxes: min(v) - c == min(v - c), as subtracting keeps the order
     apart = ((verts.min(axis=1)[:, None] - centers > halves)
              | (verts.max(axis=1)[:, None] - centers < -halves)).any(axis=2)
     hit = np.zeros(len(verts), dtype=bool)
@@ -482,7 +441,7 @@ def _simulate_batch(grasps: list[Grasp], scene: Scene, gripper: GripperModel,
         return results
     grasps = [grasps[i] for i in idx]
     widths = [g.width for g in grasps]
-    # `_SweptGripper.__init__`, one row per grasp; the grasps of one antipodal
+    # `simulate_grasp`'s set-up, one row per grasp; the grasps of one antipodal
     # pair share their width
     unique, inverse = np.unique(widths, return_inverse=True)
     boxes = np.array([gripper_boxes(w, gripper) for w in unique.tolist()])[inverse]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -150,6 +151,8 @@ class Scene:
     seed: int
 
     def __post_init__(self):
+        if not isinstance(self.target_index, numbers.Integral) or isinstance(self.target_index, bool):
+            raise InputError(f"target_index must be an integer, got {self.target_index!r}")
         if not 0 <= self.target_index < len(self.instances):
             raise InputError(f"target_index {self.target_index} out of range")
 
@@ -350,8 +353,9 @@ def catalog_config_from_manifest(data: dict) -> CatalogConfig:
 
 
 def scene_from_manifest(data: dict, catalog: list[CatalogObject] | None = None) -> Scene:
-    """The scene a manifest describes; a missing key, a pose that is not 7
-    floats or an unknown catalog id raises `InputError`."""
+    """The scene a manifest describes; a missing key, a value of the wrong
+    type, a pose that is not 7 floats or an unknown catalog id raises
+    `InputError`."""
     try:
         if catalog is None:
             catalog = _shared_catalog(catalog_config_from_manifest(data))
@@ -364,12 +368,14 @@ def scene_from_manifest(data: dict, catalog: list[CatalogObject] | None = None) 
             try:
                 pose = Pose.from_7floats(rec["pose"])
             except (TypeError, ValueError) as exc:
-                raise InputError(f"pose of {cid!r} must be 7 floats, got {rec['pose']!r}") from exc
+                raise InputError(f"pose of {cid!r} must be 7 floats, got {rec['pose']!r}: {exc}") from exc
             obj = by_id[cid]
             instances.append(ObjectInstance(cid, obj.mesh, pose, obj.footprint, obj.footprint_poly))
         return Scene(tuple(instances), data["target_index"], data["workspace_extent"], data["seed"])
     except KeyError as exc:
         raise InputError(f"scene manifest lacks the key {exc}") from exc
+    except TypeError as exc:
+        raise InputError(f"scene manifest holds a value of the wrong type: {exc}") from exc
 
 
 def load_scene(path, catalog: list[CatalogObject] | None = None) -> Scene:

@@ -252,6 +252,13 @@ class TestPersistence:
         save_frame(tmp_path, "whole", DepthFrame(np.zeros((24, 32)), np.zeros((24, 32)), cam))
         assert load_frame(tmp_path, "whole").camera.same_view(cam)
 
+    def test_non_finite_pose_rotation_rejected(self, tmp_path):
+        np.savez(tmp_path / "frame.frame.npz", depth=np.zeros((24, 32), np.float32),
+                 instance_id=np.zeros((24, 32), np.uint16), intrinsics=np.array([32, 24, 30.0, 30.0, 16.0, 12.0]),
+                 pose=np.array([np.nan, 0.0, 0.0, 1.0, 0.0, 0.0, 0.5]))
+        with pytest.raises(InputError, match="finite"):
+            load_frame(tmp_path, "frame")
+
     def test_not_an_npz_archive_rejected(self, tmp_path):
         (tmp_path / "frame.frame.npz").write_text('{"width": 32}')
         with pytest.raises(InputError):

@@ -42,6 +42,21 @@ unit_quats = st.builds(
 
 
 class TestQuaternion:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_component_rejected(self, bad):
+        # such a rotation would turn every rotated vector into NaN
+        for k in range(4):
+            a = [1.0, 0.0, 0.0, 0.0]
+            a[k] = bad
+            with pytest.raises(InputError):
+                Quaternion.from_array(a)
+            with pytest.raises(InputError):
+                Quaternion(*a)
+
+    def test_non_number_component_rejected(self):
+        with pytest.raises(InputError):
+            Quaternion("1", 0.0, 0.0, 0.0)
+
     def test_identity_about_axis(self):
         q = quaternion_about_axis((0, 0, 1), 0.0)
         assert q.rotation_equal(Quaternion.identity())

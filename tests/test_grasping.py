@@ -8,7 +8,7 @@ import pytest
 from occlugrasp.camera import back_project, default_camera, render
 from occlugrasp.completion import MirrorCompleter
 from occlugrasp.errors import InputError
-from occlugrasp.geometry import PointCloud, Pose, Quaternion, orthonormal_tangents
+from occlugrasp.geometry import PointCloud, Pose, Quaternion, _rotate, orthonormal_tangents
 from occlugrasp.grasping import (
     BROAD_PHASE_MARGIN,
     DEFAULT_FRICTION,
@@ -16,11 +16,11 @@ from occlugrasp.grasping import (
     Grasp,
     GraspLabel,
     GripperModel,
+    SimResult,
+    _compose,
     _contacts,
     _pad_slab_contacts,
-    _SweptGripper,
     _triangles_hit_box,
-    check_collision,
     grasp_frame,
     gripper_boxes,
     label_pair,
@@ -144,7 +144,8 @@ def reference_label_pair(cluttered, gripper, count, seed, friction_mu=DEFAULT_FR
         sim_s = simulate_grasp(g, single, gripper, friction_mu)
         reason = sim_s.reason
         if (reason not in (FailureReason.WIDTH_EXCEEDED, FailureReason.TABLE_BLOCK)
-                and _SweptGripper(g, gripper).first_occluder_hit(cluttered) is not None):
+                and any(o not in ("table", cluttered.target_index)
+                        for o in reference_offenders(g, cluttered, gripper))):
             reason = FailureReason.OCCLUDER_COLLISION
         labels.append(GraspLabel(g, sim_s.success, reason == FailureReason.NONE, reason))
     return labels
@@ -242,6 +243,10 @@ class TestTypes:
     def test_grasp_center_and_width_checked(self, center, width):
         with pytest.raises(InputError):
             Grasp(np.array(center), Quaternion.identity(), width)
+
+    def test_grasp_rotation_must_be_finite(self):
+        with pytest.raises(InputError, match="finite"):
+            Grasp(np.zeros(3), Quaternion(float("nan"), 0.0, 0.0, 1.0), 0.05)
 
     def test_label_subset_enforced(self):
         g = side_grasp((0.15, 0.15, 0.05))
@@ -468,25 +473,33 @@ class TestStagedSat:
         self.check(np.array([[1.8, 0.0, 0.0], [0.0, 1.8, 0.0], [3.0, 3.0, 0.0]]) * HALF, expected=True)
 
 
+FREE = SimResult(True, FailureReason.NONE)
+TABLE = SimResult(False, FailureReason.TABLE_BLOCK, "gripper hits the table")
+OCCLUDER_1 = SimResult(False, FailureReason.OCCLUDER_COLLISION, "gripper hits occluder 1")
+
+
 class TestCollision:
+    """`simulate_grasp` stops at the first offender of the every-box reference."""
+
     def test_free_top_down(self):
         scene = make_scene([box_instance(0.05, 0.05, 0.1, 0.15, 0.15)])
-        res = check_collision(side_grasp((0.15, 0.15, 0.05)), scene, GRIP)
-        assert res.free
+        g = side_grasp((0.15, 0.15, 0.05))
+        assert simulate_grasp(g, scene, GRIP) == FREE
+        assert reference_offenders(g, scene, GRIP) == []
 
     def test_occluder_flush_against_grasp_face(self):
         target = box_instance(0.05, 0.05, 0.1, 0.15, 0.15)
         occ = box_instance(0.04, 0.05, 0.1, 0.15 + 0.045 + 1e-4, 0.15)
         scene = make_scene([target, occ], target=0)
-        res = check_collision(side_grasp((0.15, 0.15, 0.05)), scene, GRIP)
-        assert not res.free
-        assert res.offender == 1
+        g = side_grasp((0.15, 0.15, 0.05))
+        assert simulate_grasp(g, scene, GRIP) == OCCLUDER_1
+        assert reference_offenders(g, scene, GRIP) == [1]
 
     def test_center_below_table(self):
         scene = make_scene([box_instance(0.05, 0.05, 0.1, 0.15, 0.15)])
-        res = check_collision(side_grasp((0.15, 0.15, -0.02), approach=(0, 1, 0)), scene, GRIP)
-        assert not res.free
-        assert res.offender == "table"
+        g = side_grasp((0.15, 0.15, -0.02), approach=(0, 1, 0))
+        assert simulate_grasp(g, scene, GRIP) == TABLE
+        assert reference_offenders(g, scene, GRIP) == ["table"]
 
     def test_all_offenders_reported(self):
         # fingers between two walls, palm down on the target's top, tips below the table
@@ -495,11 +508,9 @@ class TestCollision:
                  box_instance(0.03, 0.11, 0.12, 0.15 + 0.0452, 0.15)]
         scene = make_scene([target] + walls, target=0)
         g = side_grasp((0.15, 0.15, -0.001))
-        res = check_collision(g, scene, GRIP)
-        assert res.offenders == ("table", 0, 1, 2)
-        assert res.offender == "table" and not res.free
-        assert list(res.offenders) == reference_offenders(g, scene, GRIP)
-        assert check_collision(side_grasp((0.15, 0.15, 0.05)), make_scene([target]), GRIP).offenders == ()
+        assert reference_offenders(g, scene, GRIP) == ["table", 0, 1, 2]
+        assert simulate_grasp(g, scene, GRIP) == TABLE
+        assert reference_offenders(side_grasp((0.15, 0.15, 0.05)), make_scene([target]), GRIP) == []
 
     @pytest.mark.parametrize("gap,free", [(-1e-5, False), (1e-7, True), (1e-5, True)])
     def test_broad_phase_margin_never_hides_contact(self, gap, free):
@@ -508,11 +519,8 @@ class TestCollision:
         occ = box_instance(0.04, 0.05, 0.1, outer + gap + 0.02, 0.15)
         scene = make_scene([box_instance(0.05, 0.05, 0.1, 0.15, 0.15), occ], target=0)
         g = side_grasp((0.15, 0.15, 0.05))
-        res = check_collision(g, scene, GRIP)
-        assert res.free == free
-        assert list(res.offenders) == reference_offenders(g, scene, GRIP)
-        expected = FailureReason.NONE if free else FailureReason.OCCLUDER_COLLISION
-        assert simulate_grasp(g, scene, GRIP).reason == expected
+        assert simulate_grasp(g, scene, GRIP) == (FREE if free else OCCLUDER_1)
+        assert reference_offenders(g, scene, GRIP) == ([] if free else [1])
 
     @pytest.mark.parametrize("gap,offenders", [(0.0, (1,)), (2.0 ** -20, ())])
     def test_exact_contact_is_a_hit(self, gap, offenders):
@@ -526,9 +534,11 @@ class TestCollision:
         target = box_instance(0.046875, 0.046875, 0.125, 0.25, 0.25)
         occ = box_instance(0.0625, 0.0625, 0.1875, outer + gap + 0.03125, 0.25)
         scene = make_scene([target, occ], target=0)
-        res = check_collision(g, scene, grip)
-        assert res.offenders == offenders
-        assert list(res.offenders) == reference_offenders(g, scene, grip)
+        # past a cleared occluder the contacts decide: the pad slab reaches the
+        # target's top edge, whose normals lie outside the cone
+        cone = SimResult(False, FailureReason.ANTIPODAL_FAIL, "low-side contact outside the friction cone")
+        assert simulate_grasp(g, scene, grip) == (OCCLUDER_1 if offenders else cone)
+        assert reference_offenders(g, scene, grip) == list(offenders)
 
 
 class TestSimulate:
@@ -664,6 +674,29 @@ class TestBatchedOracle:
             tracemalloc.stop()
         assert len(labels) == 120
         assert peak <= 4e6
+
+
+class TestComposedPoses:
+    """`_compose`, which moves meshes into grasp frames in both drivers, gives
+    the bits of `Pose.inverse` and `Pose.__mul__`, for float and (m, 1) components."""
+
+    def test_matches_pose_product(self):
+        rng = np.random.default_rng(43)
+        grasps = [Pose(Quaternion.from_array(rng.normal(size=4)), rng.uniform(-0.3, 0.3, size=3)) for _ in range(50)]
+        inst = Pose(Quaternion.from_array(rng.normal(size=4)), rng.uniform(-0.3, 0.3, size=3))
+        rows = []
+        for g in grasps:
+            q_inv = (g.rotation.w, -g.rotation.x, -g.rotation.y, -g.rotation.z)
+            q, t = _compose((q_inv, tuple(-c for c in _rotate(q_inv, g.translation.tolist()))), inst)
+            want = g.inverse() * inst
+            assert q == (want.rotation.w, want.rotation.x, want.rotation.y, want.rotation.z)
+            assert list(t) == want.translation.tolist()
+            rows.append((q, t))
+        q_inv = np.array([[g.rotation.w, -g.rotation.x, -g.rotation.y, -g.rotation.z] for g in grasps])
+        q_inv = tuple(q_inv.T[:, :, None])
+        center = np.array([g.translation for g in grasps])
+        q, t = _compose((q_inv, tuple(-c for c in _rotate(q_inv, tuple(center.T[:, :, None])))), inst)
+        assert [(tuple(float(c[i, 0]) for c in q), tuple(float(c[i, 0]) for c in t)) for i in range(50)] == rows
 
 
 class TestContactPrefilter:
@@ -809,6 +842,23 @@ class TestJsonl:
                                                          FailureReason.NONE))
         rec["t"] = rec["t"][:2]
         with pytest.raises(InputError, match="center"):
+            record_to_label(rec)
+
+    @pytest.mark.parametrize("r", [[float("nan"), 0.0, 0.0, 1.0], [0.0, float("inf"), 0.0, 0.0]])
+    def test_non_finite_rotation_rejected(self, r):
+        rec = label_to_record("scene_000", 0, GraspLabel(side_grasp((0.15, 0.15, 0.05)), True, True,
+                                                         FailureReason.NONE))
+        rec["r"] = r
+        with pytest.raises(InputError, match="finite"):
+            record_to_label(rec)
+
+    @pytest.mark.parametrize("key", ["success_single", "success_cluttered"])
+    @pytest.mark.parametrize("value", ["yes", 1, None])
+    def test_non_bool_success_rejected(self, key, value):
+        rec = label_to_record("scene_000", 0, GraspLabel(side_grasp((0.15, 0.15, 0.05)), False, False,
+                                                         FailureReason.OCCLUDER_COLLISION))
+        rec[key] = value
+        with pytest.raises(InputError, match="bools"):
             record_to_label(rec)
 
     def test_malformed_line_rejected(self, tmp_path):

@@ -239,6 +239,27 @@ class TestManifest:
         with pytest.raises(InputError, match="7 floats"):
             scene_from_manifest(data)
 
+    @pytest.mark.parametrize("rotation", [[math.nan, 0.0, 0.0, 1.0], [1.0, 0.0, math.inf, 0.0]])
+    def test_pose_rotation_not_finite(self, rotation):
+        cfg = SceneConfig(object_count_range=(2, 2), seed=4)
+        data = scene_to_manifest(generate_packed_scene(cfg), cfg.catalog)
+        data["instances"][1]["pose"] = rotation + [0.1, 0.1, 0.0]
+        with pytest.raises(InputError, match="finite"):
+            scene_from_manifest(data)
+
+    @pytest.mark.parametrize("key,value", [("target_index", "1"), ("target_index", 1.5), ("target_index", True),
+                                           ("target_index", None), ("instances", 5), ("instances", [5])])
+    def test_value_of_the_wrong_type(self, key, value):
+        cfg = SceneConfig(object_count_range=(2, 2), seed=4)
+        data = scene_to_manifest(generate_packed_scene(cfg), cfg.catalog)
+        data[key] = value
+        with pytest.raises(InputError):
+            scene_from_manifest(data)
+
+    def test_numpy_integer_target_index_accepted(self):
+        scene = generate_packed_scene(SceneConfig(object_count_range=(2, 2), seed=4))
+        assert Scene(scene.instances, np.int64(1), 0.3, 0).target is scene.instances[1]
+
 
 def scene_key(scene: Scene) -> list:
     return [scene.target_index] + [(inst.catalog_id, inst.pose.as_7floats()) for inst in scene.instances]
