@@ -52,8 +52,8 @@ class CameraModel:
     pose: Pose = None  # camera-to-world
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise InputError("focal lengths must be positive")
+        if not (_finite_positive(self.fx) and _finite_positive(self.fy)):
+            raise InputError(f"focal lengths must be finite and positive, got {(self.fx, self.fy)}")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise InputError("principal point must lie inside the image")
         if self.pose is None:
@@ -425,14 +425,19 @@ def back_project(frame: DepthFrame, instance_filter: int | None = None,
 def read_npz(path, keys: tuple[str, ...]) -> list[np.ndarray]:
     """The arrays stored under `keys` in the `.npz` archive at `path`.
 
-    A file that is not an `.npz` archive (a lone `.npy` array included), or
-    one that lacks a key, raises `InputError`. Pickled arrays are refused.
+    A file that is not an `.npz` archive (a lone `.npy` array included), one
+    that lacks a key, or an array that does not hold numbers raises
+    `InputError`. Pickled arrays are refused.
     """
     try:
         with np.load(path) as data:  # an ndarray from a .npy file is no context manager: TypeError
-            return [data[key] for key in keys]
+            arrays = [data[key] for key in keys]
     except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise InputError(f"{path} is not an .npz archive holding {list(keys)}: {exc}") from exc
+    for key, array in zip(keys, arrays):
+        if array.dtype.kind not in "biuf":
+            raise InputError(f"{path}: {key} must hold numbers, got dtype {array.dtype}")
+    return arrays
 
 
 def save_frame(dir_path, stem: str, frame: DepthFrame) -> list[Path]:
@@ -450,8 +455,11 @@ def save_frame(dir_path, stem: str, frame: DepthFrame) -> list[Path]:
 
 
 def load_frame(dir_path, stem: str) -> DepthFrame:
-    """The frame `save_frame` wrote as `<stem>.frame.npz`."""
-    depth, inst, intrinsics, pose = read_npz(Path(dir_path) / f"{stem}.frame.npz",
-                                             ("depth", "instance_id", "intrinsics", "pose"))
+    """The frame `save_frame` wrote as `<stem>.frame.npz`; intrinsics that are
+    not 6 finite numbers, or a pose that is not 7, raise `InputError`."""
+    path = Path(dir_path) / f"{stem}.frame.npz"
+    depth, inst, intrinsics, pose = read_npz(path, ("depth", "instance_id", "intrinsics", "pose"))
+    if intrinsics.shape != (6,) or not np.isfinite(intrinsics).all():
+        raise InputError(f"{path}: intrinsics must be 6 finite numbers, got {intrinsics!r}")
     w, h, fx, fy, cx, cy = intrinsics.tolist()
     return DepthFrame(depth, inst, CameraModel(int(w), int(h), fx, fy, cx, cy, Pose.from_7floats(pose)))

@@ -188,7 +188,13 @@ class Pose:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        t = np.asarray(self.translation, dtype=float).reshape(3)
+        try:
+            t = np.asarray(self.translation, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"pose translation must be numbers: {exc}") from exc
+        if t.size != 3 or not np.isfinite(t).all():
+            raise InputError(f"pose translation must be 3 finite numbers, got {self.translation!r}")
+        t = t.reshape(3)
         t.flags.writeable = False
         object.__setattr__(self, "translation", t)
 
@@ -229,7 +235,10 @@ class Pose:
 
     @staticmethod
     def from_7floats(v) -> "Pose":
-        v = np.asarray(v, dtype=float).reshape(7)
+        v = np.asarray(v, dtype=float)
+        if v.size != 7:
+            raise InputError(f"pose needs 7 floats, got {v.size}")
+        v = v.reshape(7)
         return Pose(Quaternion.from_array(v[:4]), v[4:])
 
 

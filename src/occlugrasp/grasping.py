@@ -133,6 +133,8 @@ class Grasp:
             raise InputError(f"grasp center must be 3 finite numbers, got {self.center!r}")
         if not width_ok:
             raise InputError(f"grasp width must be finite and >= 0, got {self.width!r}")
+        if not isinstance(self.rotation, Quaternion):
+            raise InputError(f"grasp rotation must be a Quaternion, got {self.rotation!r}")
         c = c.reshape(3)
         c.flags.writeable = False
         object.__setattr__(self, "center", c)
@@ -148,14 +150,6 @@ class Grasp:
 
     def __hash__(self) -> int:
         return hash((Pose(self.rotation, self.center), self.width, self.quality))
-
-    @property
-    def axis(self) -> np.ndarray:
-        return self.rotation.rotate(np.array([1.0, 0.0, 0.0]))
-
-    @property
-    def approach(self) -> np.ndarray:
-        return self.rotation.rotate(np.array([0.0, 0.0, 1.0]))
 
 
 @dataclass(frozen=True)

@@ -168,35 +168,25 @@ class Scene:
 # 2D separation between convex footprint polygons
 
 
-def _polygons_intersect(p: np.ndarray, q: np.ndarray) -> bool:
-    """SAT over both polygons' edge normals (convex, CCW)."""
-    for poly_a, poly_b in ((p, q), (q, p)):
-        edges = np.roll(poly_a, -1, axis=0) - poly_a
-        normals = np.column_stack([-edges[:, 1], edges[:, 0]])
-        for n in normals:
-            if (poly_b @ n).max() < (poly_a @ n).min():
-                return False
-    return True
-
-
-def _segment_point_dist(a, b, pts):
-    ab = b - a
-    t = np.clip(((pts - a) @ ab) / max(float(ab @ ab), 1e-300), 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return np.linalg.norm(pts - proj, axis=1).min()
-
-
 def polygon_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Euclidean separation between two convex polygons (0 if they overlap)."""
-    if _polygons_intersect(p, q):
-        return 0.0
-    best = math.inf
-    for poly_a, poly_b in ((p, q), (q, p)):
-        for i in range(len(poly_a)):
-            a = poly_a[i]
-            b = poly_a[(i + 1) % len(poly_a)]
-            best = min(best, _segment_point_dist(a, b, poly_b))
-    return best
+    """Euclidean separation between two convex CCW polygons (0 if they overlap).
+
+    Each side takes one polygon as `a` and the other as `b`. The polygons are
+    apart if an edge normal of `a` has all of `b` below all of `a` (the
+    separating axis test), and their distance is the least one from a vertex of
+    one to an edge of the other. Each side is one pass over all its edges and
+    (edge, vertex) pairs; the dot products are stacks of per-edge matrix-vector
+    products, the ones a loop over the edges would take.
+    """
+    apart, best = False, math.inf
+    for a, b in ((p, q), (q, p)):
+        edges = np.roll(a, -1, axis=0) - a
+        normals = np.column_stack([-edges[:, 1], edges[:, 0]])[:, None]  # (edge, 1, xy)
+        apart = apart or bool(((normals @ b.T).max(axis=2) < (normals @ a.T).min(axis=2)).any())
+        start, row, col = a[:, None], edges[:, None], edges[:, :, None]
+        t = np.clip(((b - start) @ col) / np.maximum(row @ col, 1e-300), 0.0, 1.0)  # (edge, vertex, 1)
+        best = min(best, float(np.linalg.norm(b - (start + t * row), axis=2).min()))
+    return best if apart else 0.0
 
 
 # ---------------------------------------------------------------------------

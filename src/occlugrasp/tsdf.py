@@ -190,7 +190,11 @@ def save_grid(dir_path, stem: str, grid: TsdfGrid) -> list[Path]:
 
 
 def load_grid(dir_path, stem: str) -> TsdfGrid:
-    """The grid `save_grid` wrote as `<stem>.tsdf.npz`."""
-    values, weights, config = read_npz(Path(dir_path) / f"{stem}.tsdf.npz", ("values", "weights", "config"))
+    """The grid `save_grid` wrote as `<stem>.tsdf.npz`; a config that is not 3
+    finite numbers raises `InputError`."""
+    path = Path(dir_path) / f"{stem}.tsdf.npz"
+    values, weights, config = read_npz(path, ("values", "weights", "config"))
+    if config.shape != (3,) or not np.isfinite(config).all():
+        raise InputError(f"{path}: config must be 3 finite numbers, got {config!r}")
     r, extent, truncation = config.tolist()
     return TsdfGrid(values, weights, TsdfConfig(int(r), extent, truncation))

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -50,6 +51,12 @@ class TestCameraModel:
             CameraModel(fx=-1.0)
         with pytest.raises(InputError):
             CameraModel(cx=900.0)
+
+    @pytest.mark.parametrize("focal", [{"fx": math.nan}, {"fy": math.nan}, {"fx": math.inf}, {"fy": 0.0}])
+    def test_focal_lengths_finite_and_positive(self, focal):
+        # NaN compares False with 0, so a test of `fx <= 0` alone passes it
+        with pytest.raises(InputError, match="focal"):
+            CameraModel(**focal)
 
     def test_equality(self):
         assert default_camera() == default_camera()
@@ -256,6 +263,42 @@ class TestPersistence:
         np.savez(tmp_path / "frame.frame.npz", depth=np.zeros((24, 32), np.float32),
                  instance_id=np.zeros((24, 32), np.uint16), intrinsics=np.array([32, 24, 30.0, 30.0, 16.0, 12.0]),
                  pose=np.array([np.nan, 0.0, 0.0, 1.0, 0.0, 0.0, 0.5]))
+        with pytest.raises(InputError, match="finite"):
+            load_frame(tmp_path, "frame")
+
+    @staticmethod
+    def save_arrays(tmp_path, intrinsics=(32, 24, 30.0, 30.0, 16.0, 12.0), pose=(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5)):
+        np.savez(tmp_path / "frame.frame.npz", depth=np.zeros((24, 32), np.float32),
+                 instance_id=np.zeros((24, 32), np.uint16), intrinsics=np.array(intrinsics), pose=np.array(pose))
+
+    def test_arrays_of_the_written_shapes_load(self, tmp_path):
+        self.save_arrays(tmp_path)
+        assert load_frame(tmp_path, "frame").camera == CameraModel(32, 24, 30.0, 30.0, 16.0, 12.0,
+                                                                   Pose(Quaternion.identity(), [0.0, 0.0, 0.5]))
+
+    def test_non_finite_pose_translation_rejected(self, tmp_path):
+        self.save_arrays(tmp_path, pose=(1.0, 0.0, 0.0, 0.0, np.nan, 0.1, 0.0))
+        with pytest.raises(InputError, match="finite"):
+            load_frame(tmp_path, "frame")
+
+    def test_pose_of_six_numbers_rejected(self, tmp_path):
+        self.save_arrays(tmp_path, pose=(1.0, 0.0, 0.0, 0.0, 0.0, 0.5))
+        with pytest.raises(InputError, match="7 floats"):
+            load_frame(tmp_path, "frame")
+
+    def test_intrinsics_of_five_numbers_rejected(self, tmp_path):
+        self.save_arrays(tmp_path, intrinsics=(32, 24, 30.0, 30.0, 16.0))
+        with pytest.raises(InputError, match="intrinsics"):
+            load_frame(tmp_path, "frame")
+
+    @pytest.mark.parametrize("key, strings", [("intrinsics", ["1"] * 6), ("pose", ["1"] * 7)])
+    def test_array_of_strings_rejected(self, tmp_path, key, strings):
+        self.save_arrays(tmp_path, **{key: strings})
+        with pytest.raises(InputError, match=f"{key} must hold numbers"):
+            load_frame(tmp_path, "frame")
+
+    def test_nan_focal_length_rejected(self, tmp_path):
+        self.save_arrays(tmp_path, intrinsics=(32, 24, np.nan, 30.0, 16.0, 12.0))
         with pytest.raises(InputError, match="finite"):
             load_frame(tmp_path, "frame")
 

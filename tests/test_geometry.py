@@ -252,6 +252,21 @@ class TestPose:
         assert back.rotation.rotation_equal(p.rotation)
         assert np.allclose(back.translation, p.translation)
 
+    @pytest.mark.parametrize("translation", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, -math.inf],
+                                             [0.0, 0.0], [0.0] * 4, ["x", 0.0, 0.0], None])
+    def test_translation_must_be_three_finite_numbers(self, translation):
+        with pytest.raises(InputError, match="translation"):
+            Pose(Quaternion.identity(), translation)
+
+    @pytest.mark.parametrize("values", [[1.0, 0.0, 0.0, 0.0, 0.1, 0.1], [1.0] * 8, []])
+    def test_7floats_needs_seven(self, values):
+        with pytest.raises(InputError, match="7 floats"):
+            Pose.from_7floats(values)
+
+    def test_7floats_non_finite_translation_rejected(self):
+        with pytest.raises(InputError, match="finite"):
+            Pose.from_7floats([1.0, 0.0, 0.0, 0.0, math.nan, 0.1, 0.0])
+
 
 class TestPointCloud:
     def test_rejects_nan(self):

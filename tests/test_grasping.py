@@ -45,6 +45,11 @@ def side_grasp(center, axis=(1, 0, 0), approach=(0, 0, -1), width=0.055):
     return Grasp(np.asarray(center, float), grasp_frame(axis, approach), width)
 
 
+def closing_axis(grasp: Grasp) -> np.ndarray:
+    """The gripper's closing direction in the world: the grasp frame's x axis."""
+    return grasp.rotation.rotate(np.array([1.0, 0.0, 0.0]))
+
+
 # ---------------------------------------------------------------------------
 # reference oracle: every gripper box against every instance, each mesh moved
 # into the grasp frame once per box, all offenders collected before the reason
@@ -248,6 +253,13 @@ class TestTypes:
         with pytest.raises(InputError, match="finite"):
             Grasp(np.zeros(3), Quaternion(float("nan"), 0.0, 0.0, 1.0), 0.05)
 
+    @pytest.mark.parametrize("rotation", [np.array([1.0, 0.0, 0.0, 0.0]), (1.0, 0.0, 0.0, 0.0), None, np.eye(3)])
+    def test_grasp_rotation_must_be_a_quaternion(self, rotation):
+        # an array in place of the rotation would reach `simulate_grasp`, which
+        # fails on it with a bare AttributeError
+        with pytest.raises(InputError, match="Quaternion"):
+            Grasp(np.array([0.15, 0.15, 0.05]), rotation, 0.05)
+
     def test_label_subset_enforced(self):
         g = side_grasp((0.15, 0.15, 0.05))
         with pytest.raises(InputError):
@@ -282,7 +294,7 @@ class TestSampling:
         target = box_instance(0.05, 0.05, 0.1, 0.15, 0.15)
         cloud = surface_sample(target.mesh, 1024, seed=7).transformed(target.pose)
         cands = sample_candidate_grasps(cloud, GRIP, 200, seed=3)
-        across = [c for c in cands if abs(abs(c.axis[2]) - 0.0) < 0.2 and c.width < 0.08]
+        across = [c for c in cands if abs(abs(closing_axis(c)[2]) - 0.0) < 0.2 and c.width < 0.08]
         assert across, "expected side candidates across the 0.05 faces"
         for c in across:
             assert abs(c.width - (0.05 + GRIP.palm_clearance)) < 0.004
@@ -292,7 +304,7 @@ class TestSampling:
         scene = make_scene([target])
         cloud = surface_sample(target.mesh, 1024, seed=9).transformed(target.pose)
         cands = sample_candidate_grasps(cloud, GRIP, 150, seed=4)
-        across = [c for c in cands if abs(c.axis[2]) < 0.2]  # horizontal closing axis
+        across = [c for c in cands if abs(closing_axis(c)[2]) < 0.2]  # horizontal closing axis
         assert across
         for c in across:
             assert c.width > GRIP.max_width

@@ -91,6 +91,101 @@ class TestPolygonDistance:
         assert abs(d - np.sqrt(2.0)) < 1e-12
 
 
+# ---------------------------------------------------------------------------
+# reference oracle: the per-edge separating-axis and distance loops that
+# `polygon_distance` replaced
+
+
+def _polygons_intersect(p: np.ndarray, q: np.ndarray) -> bool:
+    """SAT over both polygons' edge normals (convex, CCW)."""
+    for poly_a, poly_b in ((p, q), (q, p)):
+        edges = np.roll(poly_a, -1, axis=0) - poly_a
+        normals = np.column_stack([-edges[:, 1], edges[:, 0]])
+        for n in normals:
+            if (poly_b @ n).max() < (poly_a @ n).min():
+                return False
+    return True
+
+
+def _segment_point_dist(a, b, pts):
+    ab = b - a
+    t = np.clip(((pts - a) @ ab) / max(float(ab @ ab), 1e-300), 0.0, 1.0)
+    proj = a + t[:, None] * ab
+    return np.linalg.norm(pts - proj, axis=1).min()
+
+
+def reference_polygon_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """Euclidean separation between two convex polygons (0 if they overlap)."""
+    if _polygons_intersect(p, q):
+        return 0.0
+    best = math.inf
+    for poly_a, poly_b in ((p, q), (q, p)):
+        for i in range(len(poly_a)):
+            a = poly_a[i]
+            b = poly_a[(i + 1) % len(poly_a)]
+            best = min(best, _segment_point_dist(a, b, poly_b))
+    return best
+
+
+def footprint_pairs(n: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pairs of catalog footprints at random yaw, in turn: overlapping or apart by
+    up to 3 mm, touching, within 10 um of the 1 mm margin, two boxes sharing an
+    edge, and a footprint holding a shrunken copy of itself."""
+    catalog = build_catalog(CatalogConfig())
+    boxes = [obj.footprint_poly for obj in catalog if obj.kind == "box"]
+    rng = np.random.default_rng(seed)
+
+    def posed(poly, at):
+        yaw = rng.uniform(0.0, 2 * math.pi)
+        return poly @ np.array([[math.cos(yaw), -math.sin(yaw)], [math.sin(yaw), math.cos(yaw)]]).T + at
+
+    pairs = []
+    for i in range(n):
+        a = posed(catalog[rng.integers(len(catalog))].footprint_poly, rng.uniform(0.05, 0.25, 2))
+        kind = i % 5
+        if kind < 3:
+            # b's lowest vertex along the outward normal u of an edge of a goes to a
+            # point inside that edge, moved by `gap` along u: the distance is the gap
+            b = posed(catalog[rng.integers(len(catalog))].footprint_poly, 0.0)
+            gap = (rng.uniform(-2e-3, 3e-3), 0.0, rng.uniform(0.99e-3, 1.01e-3))[kind]
+            j = rng.integers(len(a))
+            edge = a[(j + 1) % len(a)] - a[j]
+            u = np.array([edge[1], -edge[0]]) / np.linalg.norm(edge)
+            b = b + (a[j] + rng.uniform(0.2, 0.8) * edge + gap * u - b[np.argmin(b @ u)])
+        elif kind == 3:
+            # an axis-aligned box mirrored about its right edge: x = 2 right - x is exact there
+            a = boxes[rng.integers(len(boxes))] + rng.uniform(0.05, 0.25, 2)
+            b = (a * [-1.0, 1.0] + [2 * a[:, 0].max(), 0.0])[::-1]
+        else:
+            b = 0.5 * (a - a.mean(axis=0)) + a.mean(axis=0)
+        pairs.append((a, b))
+    return pairs
+
+
+class TestPolygonDistanceMatchesLoop:
+    def test_matches_reference_on_catalog_footprints(self):
+        pairs = footprint_pairs(2000, seed=17)
+        refs = [reference_polygon_distance(a, b) for a, b in pairs]
+        for (a, b), ref in zip(pairs, refs):
+            d = polygon_distance(a, b)
+            assert (d < 1e-3) == (ref < 1e-3)
+            assert abs(d - ref) <= 1e-15
+            assert (d == 0.0) == (ref == 0.0)
+            assert polygon_distance(b, a) == d
+        # the corpus holds overlaps and both outcomes close to the margin
+        near = [ref for ref in refs if 0.9e-3 < ref < 1.1e-3]
+        assert sum(ref == 0.0 for ref in refs) > 500
+        assert sum(ref < 1e-3 for ref in near) > 50 and sum(ref >= 1e-3 for ref in near) > 50
+
+    def test_scenes_equal_with_the_reference(self, monkeypatch):
+        catalog = build_catalog(CatalogConfig())
+        configs = [SceneConfig(object_count_range=count_range, seed=seed)
+                   for count_range in ((4, 6), (8, 10)) for seed in range(200)]
+        fast = [scene_key(generate_packed_scene(c, catalog)) for c in configs]
+        monkeypatch.setattr(scenes_module, "polygon_distance", reference_polygon_distance)
+        assert [scene_key(generate_packed_scene(c, catalog)) for c in configs] == fast
+
+
 class TestGeneratePacked:
     def test_single_object_is_target(self):
         cfg = SceneConfig(object_count_range=(1, 1), seed=5)
@@ -244,6 +339,15 @@ class TestManifest:
         cfg = SceneConfig(object_count_range=(2, 2), seed=4)
         data = scene_to_manifest(generate_packed_scene(cfg), cfg.catalog)
         data["instances"][1]["pose"] = rotation + [0.1, 0.1, 0.0]
+        with pytest.raises(InputError, match="finite"):
+            scene_from_manifest(data)
+
+    @pytest.mark.parametrize("translation", [[math.nan, 0.1, 0.0], [0.1, math.inf, 0.0]])
+    def test_pose_translation_not_finite(self, translation):
+        # a NaN translation would give the instance a NaN world_aabb
+        cfg = SceneConfig(object_count_range=(2, 2), seed=4)
+        data = scene_to_manifest(generate_packed_scene(cfg), cfg.catalog)
+        data["instances"][1]["pose"] = [1.0, 0.0, 0.0, 0.0] + translation
         with pytest.raises(InputError, match="finite"):
             scene_from_manifest(data)
 

@@ -279,6 +279,13 @@ class TestPersistence:
         with pytest.raises(InputError, match="weights"):
             load_grid(tmp_path, "grid")
 
+    @pytest.mark.parametrize("config", [[4, 0.3], [4, 0.3, 0.03, 1.0], [np.nan, 0.3, 0.03], ["4", "0.3", "0.03"]])
+    def test_config_not_three_finite_numbers_rejected(self, tmp_path, config):
+        zeros = np.zeros((4, 4, 4), np.float32)
+        np.savez(tmp_path / "grid.tsdf.npz", values=zeros, weights=zeros, config=np.array(config))
+        with pytest.raises(InputError, match="config"):
+            load_grid(tmp_path, "grid")
+
     def test_not_an_npz_archive_rejected(self, tmp_path):
         (tmp_path / "grid.tsdf.npz").write_bytes(b"PK\x03\x04 truncated")
         with pytest.raises(InputError):
