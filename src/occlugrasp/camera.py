@@ -27,6 +27,7 @@ pixels.
 
 from __future__ import annotations
 
+import numbers
 import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -52,12 +53,18 @@ class CameraModel:
     pose: Pose = None  # camera-to-world
 
     def __post_init__(self):
+        for name in ("width", "height"):
+            size = getattr(self, name)
+            if not isinstance(size, numbers.Integral) or isinstance(size, bool) or size <= 0:
+                raise InputError(f"{name} must be a positive integer, got {size!r}")
         if not (_finite_positive(self.fx) and _finite_positive(self.fy)):
             raise InputError(f"focal lengths must be finite and positive, got {(self.fx, self.fy)}")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise InputError("principal point must lie inside the image")
         if self.pose is None:
             object.__setattr__(self, "pose", Pose.identity())
+        elif not isinstance(self.pose, Pose):
+            raise InputError(f"camera pose must be a Pose, got {self.pose!r}")
 
     def intrinsics_equal(self, other: "CameraModel") -> bool:
         return (
@@ -456,10 +463,13 @@ def save_frame(dir_path, stem: str, frame: DepthFrame) -> list[Path]:
 
 def load_frame(dir_path, stem: str) -> DepthFrame:
     """The frame `save_frame` wrote as `<stem>.frame.npz`; intrinsics that are
-    not 6 finite numbers, or a pose that is not 7, raise `InputError`."""
+    not 6 finite numbers, a fractional width or height, or a pose that is not
+    7 numbers raise `InputError`."""
     path = Path(dir_path) / f"{stem}.frame.npz"
     depth, inst, intrinsics, pose = read_npz(path, ("depth", "instance_id", "intrinsics", "pose"))
     if intrinsics.shape != (6,) or not np.isfinite(intrinsics).all():
         raise InputError(f"{path}: intrinsics must be 6 finite numbers, got {intrinsics!r}")
     w, h, fx, fy, cx, cy = intrinsics.tolist()
+    if not (float(w).is_integer() and float(h).is_integer()):
+        raise InputError(f"{path}: width and height must be whole numbers, got {(w, h)}")
     return DepthFrame(depth, inst, CameraModel(int(w), int(h), fx, fy, cx, cy, Pose.from_7floats(pose)))

@@ -188,6 +188,8 @@ class Pose:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
+        if not isinstance(self.rotation, Quaternion):
+            raise InputError(f"pose rotation must be a Quaternion, got {self.rotation!r}")
         try:
             t = np.asarray(self.translation, dtype=float)
         except (TypeError, ValueError) as exc:

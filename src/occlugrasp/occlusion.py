@@ -76,14 +76,16 @@ def occlusion_level(
     """Occluded fraction of the target from paired renders at one camera pose.
 
     The single frame must come from the derived single scene, where the
-    target is instance 0.
+    target is instance 0. Frames that hold the same camera object share
+    their view without a comparison. The pixel counts are Python ints.
     """
-    if not single_frame.camera.same_view(cluttered_frame.camera):
+    camera = single_frame.camera
+    if camera is not cluttered_frame.camera and not camera.same_view(cluttered_frame.camera):
         raise InputError("paired frames must share the camera model")
-    total = int((single_frame.instance_id == 0).sum())
+    total = int(np.count_nonzero(single_frame.instance_id == 0))
     if total == 0:
         raise MeasurementError("target absent from the single-scene render")
-    visible = int((cluttered_frame.instance_id == target_index).sum())
+    visible = int(np.count_nonzero(cluttered_frame.instance_id == target_index))
     # integer subtraction first: the result is the correctly rounded
     # occluded fraction (e.g. 30/100 compares equal to 0.3)
     level = (total - visible) / total

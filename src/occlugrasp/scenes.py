@@ -6,6 +6,15 @@ table plane z=0, so removing any instance never changes another's pose. All
 catalog shapes are convex extrusions (the sphere is bounded by its extruded
 footprint disk), which makes footprint-polygon separation a sound
 non-penetration certificate for placement.
+
+A placement attempt is tested in two phases. The broad phase is one array
+pass: the attempt's xy box against the xy box of every placed instance, which
+each instance caches (`ObjectInstance.world_footprint_box`). A box gap is a
+lower bound on the polygon distance, so an instance whose gap exceeds the
+margin cannot reject the attempt. The others go on, in placement order, to
+`polygon_distance`, which looks for a separating axis before it measures any
+distance. These are the pairs, the order and the arithmetic of a loop that
+tests each placed instance in turn, so every scene is the same.
 """
 
 from __future__ import annotations
@@ -137,6 +146,19 @@ class ObjectInstance:
         return self.footprint_poly @ yaw_rot.T + self.pose.translation[:2]
 
     @cached_property
+    def world_footprint_box(self) -> np.ndarray:
+        """(2, 2) xy box of `world_footprint_poly()`: rows lo and hi, read-only.
+
+        Placement reads the box of every placed instance on every attempt, so
+        it is cached. The polygon is not: placement needs it only for the few
+        instances whose box is near, and a kept scene would carry it.
+        """
+        poly = self.world_footprint_poly()
+        box = np.array([poly.min(axis=0), poly.max(axis=0)])
+        box.flags.writeable = False
+        return box
+
+    @cached_property
     def world_aabb(self) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) corners of the posed mesh's axis-aligned bounding box."""
         verts = self.pose.transform(self.mesh.vertices)
@@ -173,20 +195,31 @@ def polygon_distance(p: np.ndarray, q: np.ndarray) -> float:
 
     Each side takes one polygon as `a` and the other as `b`. The polygons are
     apart if an edge normal of `a` has all of `b` below all of `a` (the
-    separating axis test), and their distance is the least one from a vertex of
-    one to an edge of the other. Each side is one pass over all its edges and
-    (edge, vertex) pairs; the dot products are stacks of per-edge matrix-vector
-    products, the ones a loop over the edges would take.
+    separating axis test), and their distance is the least one from a vertex
+    of one to an edge of the other. The test runs on both sides before any
+    distance: two convex polygons with no separating edge normal on either
+    side overlap, and the answer is 0.0 whatever the distances are, so
+    measuring them only for polygons that are apart changes no result. In
+    dense scenes most pairs that reach this function overlap. Each side is one
+    pass over all its edges and (edge, vertex) pairs; the dot products are
+    stacks of per-edge matrix-vector products, the ones a loop over the edges
+    would take.
     """
-    apart, best = False, math.inf
+    sides, apart = [], False
     for a, b in ((p, q), (q, p)):
-        edges = np.roll(a, -1, axis=0) - a
-        normals = np.column_stack([-edges[:, 1], edges[:, 0]])[:, None]  # (edge, 1, xy)
-        apart = apart or bool(((normals @ b.T).max(axis=2) < (normals @ a.T).min(axis=2)).any())
+        edges = np.concatenate((a[1:], a[:1])) - a
+        if not apart:
+            normals = (edges[:, ::-1] * (-1.0, 1.0))[:, None]  # (-ey, ex) per edge: (edge, 1, xy)
+            apart = bool(((normals @ b.T).max(axis=2) < (normals @ a.T).min(axis=2)).any())
+        sides.append((a, b, edges))
+    if not apart:
+        return 0.0
+    best = math.inf
+    for a, b, edges in sides:
         start, row, col = a[:, None], edges[:, None], edges[:, :, None]
         t = np.clip(((b - start) @ col) / np.maximum(row @ col, 1e-300), 0.0, 1.0)  # (edge, vertex, 1)
         best = min(best, float(np.linalg.norm(b - (start + t * row), axis=2).min()))
-    return best if apart else 0.0
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +236,13 @@ class SceneConfig:
     placement_margin: float = 1e-3
 
 
-def _footprint_gap(lo: np.ndarray, hi: np.ndarray, other: np.ndarray) -> float:
-    """Gap between the xy boxes (lo, hi) and `other`'s: the larger of the x and y gaps.
+def _footprint_gap(lo: np.ndarray, hi: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """Gap between the xy box (lo, hi) and each of `boxes` (n, 2, 2), rows lo
+    and hi: the larger of the x and y gaps, one per box.
 
     The distance between two polygons is at least the gap between their boxes.
     """
-    return float(np.max(np.maximum(other.min(axis=0) - hi, lo - other.max(axis=0))))
+    return np.maximum(boxes[:, 0] - hi, lo - boxes[:, 1]).max(axis=1)
 
 
 def _scene_rng(seed: int, *key: int) -> np.random.Generator:
@@ -227,7 +261,6 @@ def _place_instance(
     if obj.footprint[2] > extent:
         return None
     yaw = rng.uniform(0.0, 2.0 * math.pi) if yaw is None else yaw
-    rot = quaternion_about_axis((0.0, 0.0, 1.0), yaw)
     cos, sin = math.cos(yaw), math.sin(yaw)
     rot2d = np.array([[cos, -sin], [sin, cos]])
     poly = obj.footprint_poly @ rot2d.T
@@ -238,24 +271,26 @@ def _place_instance(
         span_hi = extent - hi
         if (span_hi <= span_lo).any():
             return None
-        position = rng.uniform(span_lo, span_hi)
+        # a scalar draw per axis: `Generator.uniform` takes low + (high - low) * u
+        # with u the next double, element by element for arrays, so these are the
+        # numbers one draw over both axes gives, without its array set-up
+        position = np.array([rng.uniform(span_lo[0], span_hi[0]), rng.uniform(span_lo[1], span_hi[1])])
     else:
         position = np.asarray(position, dtype=float)
         if (position + lo < -1e-12).any() or (position + hi > extent + 1e-12).any():
             return None
-    world_poly = poly + position
-    world_lo, world_hi = lo + position, hi + position
     # all objects rest on z=0, so z-intervals always overlap and the
     # footprint separation decides collision. A box gap above the margin
     # decides it too: the 1e-9 slack lies far above the rounding error of
     # coordinates within the workspace, so no `< margin` outcome changes.
-    for other in placed:
-        other_poly = other.world_footprint_poly()
-        if _footprint_gap(world_lo, world_hi, other_poly) > margin + 1e-9:
-            continue
-        if polygon_distance(world_poly, other_poly) < margin:
-            return None
-    pose = Pose(rot, np.array([position[0], position[1], 0.0]))
+    if placed:
+        boxes = np.array([other.world_footprint_box for other in placed])
+        near = np.flatnonzero(_footprint_gap(lo + position, hi + position, boxes) <= margin + 1e-9)
+        world_poly = poly + position
+        for k in near.tolist():
+            if polygon_distance(world_poly, placed[k].world_footprint_poly()) < margin:
+                return None
+    pose = Pose(quaternion_about_axis((0.0, 0.0, 1.0), yaw), np.array([position[0], position[1], 0.0]))
     return ObjectInstance(obj.catalog_id, obj.mesh, pose, obj.footprint, obj.footprint_poly)
 
 

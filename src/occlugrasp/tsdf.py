@@ -191,10 +191,12 @@ def save_grid(dir_path, stem: str, grid: TsdfGrid) -> list[Path]:
 
 def load_grid(dir_path, stem: str) -> TsdfGrid:
     """The grid `save_grid` wrote as `<stem>.tsdf.npz`; a config that is not 3
-    finite numbers raises `InputError`."""
+    finite numbers, or a fractional resolution, raises `InputError`."""
     path = Path(dir_path) / f"{stem}.tsdf.npz"
     values, weights, config = read_npz(path, ("values", "weights", "config"))
     if config.shape != (3,) or not np.isfinite(config).all():
         raise InputError(f"{path}: config must be 3 finite numbers, got {config!r}")
     r, extent, truncation = config.tolist()
+    if not float(r).is_integer():
+        raise InputError(f"{path}: resolution must be a whole number, got {r}")
     return TsdfGrid(values, weights, TsdfConfig(int(r), extent, truncation))

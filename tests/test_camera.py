@@ -58,6 +58,20 @@ class TestCameraModel:
         with pytest.raises(InputError, match="focal"):
             CameraModel(**focal)
 
+    @pytest.mark.parametrize("size", [{"width": 32.5}, {"height": 480.0}, {"width": True}, {"height": 0},
+                                      {"width": -640}, {"width": "640"}, {"height": None}])
+    def test_width_and_height_positive_integers(self, size):
+        with pytest.raises(InputError, match="positive integer"):
+            CameraModel(**size)
+
+    def test_numpy_integer_size_accepted(self):
+        assert CameraModel(np.int64(640), np.int32(480)) == CameraModel()
+
+    @pytest.mark.parametrize("pose", [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5], Quaternion.identity(), np.eye(4), "identity"])
+    def test_pose_must_be_a_pose(self, pose):
+        with pytest.raises(InputError, match="Pose"):
+            CameraModel(pose=pose)
+
     def test_equality(self):
         assert default_camera() == default_camera()
         assert default_camera() != default_camera(width=320, height=240, focal=270.0)
@@ -295,6 +309,13 @@ class TestPersistence:
     def test_array_of_strings_rejected(self, tmp_path, key, strings):
         self.save_arrays(tmp_path, **{key: strings})
         with pytest.raises(InputError, match=f"{key} must hold numbers"):
+            load_frame(tmp_path, "frame")
+
+    @pytest.mark.parametrize("intrinsics", [(32.5, 24, 30.0, 30.0, 16.0, 12.0), (32, 24.25, 30.0, 30.0, 16.0, 12.0)])
+    def test_fractional_width_or_height_rejected(self, tmp_path, intrinsics):
+        # int() would truncate 32.5 to a 32-pixel camera that matches the arrays
+        self.save_arrays(tmp_path, intrinsics=intrinsics)
+        with pytest.raises(InputError, match="whole numbers"):
             load_frame(tmp_path, "frame")
 
     def test_nan_focal_length_rejected(self, tmp_path):

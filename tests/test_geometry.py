@@ -258,6 +258,11 @@ class TestPose:
         with pytest.raises(InputError, match="translation"):
             Pose(Quaternion.identity(), translation)
 
+    @pytest.mark.parametrize("rotation", [(1.0, 0.0, 0.0, 0.0), np.array([1.0, 0.0, 0.0, 0.0]), np.eye(3), None, "identity"])
+    def test_rotation_must_be_a_quaternion(self, rotation):
+        with pytest.raises(InputError, match="Quaternion"):
+            Pose(rotation, np.zeros(3))
+
     @pytest.mark.parametrize("values", [[1.0, 0.0, 0.0, 0.0, 0.1, 0.1], [1.0] * 8, []])
     def test_7floats_needs_seven(self, values):
         with pytest.raises(InputError, match="7 floats"):

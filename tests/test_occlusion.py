@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,15 @@ from occlugrasp.occlusion import (
     occlusion_level,
     scene_factors,
 )
-from occlugrasp.scenes import Scene, SceneConfig, derive_single_scene, generate_packed_scene
+from occlugrasp.scenes import (
+    CatalogConfig,
+    Scene,
+    SceneConfig,
+    build_catalog,
+    derive_single_scene,
+    enumerate_targets,
+    generate_packed_scene,
+)
 
 from .test_camera import box_instance, make_scene
 
@@ -85,6 +96,36 @@ class TestOcclusionLevel:
             lvl_base = occlusion_level(single, render(base, cam), 0).level
             lvl_more = occlusion_level(single, render(more, cam), 0).level
             assert lvl_more >= lvl_base
+
+    def test_counts_are_ints_equal_to_the_summed_masks(self):
+        # np.count_nonzero returns np.intp, which json.dumps refuses
+        catalog = build_catalog(CatalogConfig())
+        cam = default_camera(width=320, height=240, focal=270.0)
+        scheme = BinScheme.test()
+        targets = 0
+        for seed in range(40):
+            scene = generate_packed_scene(SceneConfig(object_count_range=(8, 10), seed=seed), catalog)
+            cluttered = render(scene, cam)
+            for target in enumerate_targets(scene):
+                single = render(derive_single_scene(target, target.target_index), cam)
+                rec = occlusion_level(single, cluttered, target.target_index, scheme)
+                assert type(rec.visible_pixels) is int and type(rec.total_pixels) is int
+                assert rec.visible_pixels == int((cluttered.instance_id == target.target_index).sum())
+                assert rec.total_pixels == int((single.instance_id == 0).sum())
+                json.dumps([rec.level, rec.bin_index, rec.visible_pixels, rec.total_pixels])
+                targets += 1
+        assert targets >= 320
+
+    def test_same_camera_object_needs_no_view_comparison(self, monkeypatch):
+        single, cluttered = hand_built_pair(100, 30)
+        compared = []
+        monkeypatch.setattr(CameraModel, "same_view", lambda self, other: compared.append(other) or True)
+        assert occlusion_level(single, cluttered, 0).visible_pixels == 70
+        assert compared == []
+        equal = dataclasses.replace(cluttered.camera)
+        assert equal is not cluttered.camera
+        occlusion_level(single, DepthFrame(cluttered.depth, cluttered.instance_id, equal), 0)
+        assert compared == [equal]
 
     def test_camera_mismatch_rejected(self):
         single, cluttered = hand_built_pair()

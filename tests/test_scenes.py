@@ -6,10 +6,11 @@ import pytest
 
 from occlugrasp import scenes as scenes_module
 from occlugrasp.errors import GenerationError, InputError
-from occlugrasp.geometry import Pose
+from occlugrasp.geometry import Pose, quaternion_about_axis
 from occlugrasp.meshes import surface_sample
 from occlugrasp.scenes import (
     CatalogConfig,
+    ObjectInstance,
     Scene,
     SceneConfig,
     build_catalog,
@@ -369,8 +370,54 @@ def scene_key(scene: Scene) -> list:
     return [scene.target_index] + [(inst.catalog_id, inst.pose.as_7floats()) for inst in scene.instances]
 
 
+# ---------------------------------------------------------------------------
+# reference oracle: the placement loop that tested each placed instance in
+# turn, before the instances cached their footprint boxes and the broad phase
+# became one array pass; it builds the pose before the tests
+
+
+def reference_footprint_gap(lo: np.ndarray, hi: np.ndarray, other: np.ndarray) -> float:
+    """Gap between the xy boxes (lo, hi) and `other`'s: the larger of the x and y gaps.
+
+    The distance between two polygons is at least the gap between their boxes.
+    """
+    return float(np.max(np.maximum(other.min(axis=0) - hi, lo - other.max(axis=0))))
+
+
+def reference_place_instance(obj, extent, placed, margin, rng, position=None, yaw=None):
+    if obj.footprint[2] > extent:
+        return None
+    yaw = rng.uniform(0.0, 2.0 * math.pi) if yaw is None else yaw
+    rot = quaternion_about_axis((0.0, 0.0, 1.0), yaw)
+    cos, sin = math.cos(yaw), math.sin(yaw)
+    rot2d = np.array([[cos, -sin], [sin, cos]])
+    poly = obj.footprint_poly @ rot2d.T
+    lo = poly.min(axis=0)
+    hi = poly.max(axis=0)
+    if position is None:
+        span_lo = -lo
+        span_hi = extent - hi
+        if (span_hi <= span_lo).any():
+            return None
+        position = rng.uniform(span_lo, span_hi)
+    else:
+        position = np.asarray(position, dtype=float)
+        if (position + lo < -1e-12).any() or (position + hi > extent + 1e-12).any():
+            return None
+    world_poly = poly + position
+    world_lo, world_hi = lo + position, hi + position
+    for other in placed:
+        other_poly = other.world_footprint_poly()
+        if reference_footprint_gap(world_lo, world_hi, other_poly) > margin + 1e-9:
+            continue
+        if scenes_module.polygon_distance(world_poly, other_poly) < margin:
+            return None
+    pose = Pose(rot, np.array([position[0], position[1], 0.0]))
+    return ObjectInstance(obj.catalog_id, obj.mesh, pose, obj.footprint, obj.footprint_poly)
+
+
 class TestPlacementBroadPhase:
-    @pytest.mark.parametrize("count_range, seeds", [((4, 6), range(100)), ((8, 10), range(100, 200))])
+    @pytest.mark.parametrize("count_range, seeds", [((4, 6), range(200)), ((8, 10), range(200))])
     def test_matches_every_pair_loop(self, count_range, seeds, monkeypatch):
         catalog = build_catalog(CatalogConfig())
         configs = [SceneConfig(object_count_range=count_range, seed=seed) for seed in seeds]
@@ -384,10 +431,36 @@ class TestPlacementBroadPhase:
         monkeypatch.setattr(scenes_module, "polygon_distance", counted)
         fast = [scene_key(generate_packed_scene(c, catalog)) for c in configs]
         fast_calls, calls[0] = calls[0], 0
+        monkeypatch.setattr(scenes_module, "_place_instance", reference_place_instance)
+        assert [scene_key(generate_packed_scene(c, catalog)) for c in configs] == fast
+        # the same pairs, in the same order, reach polygon_distance
+        assert calls[0] == fast_calls
+        calls[0] = 0
         # a gap of -inf skips no pair: every placed instance meets polygon_distance
-        monkeypatch.setattr(scenes_module, "_footprint_gap", lambda *args: -math.inf)
+        monkeypatch.setitem(globals(), "reference_footprint_gap", lambda *args: -math.inf)
         assert [scene_key(generate_packed_scene(c, catalog)) for c in configs] == fast
         assert fast_calls < calls[0] / 2
+
+    def test_pose_built_for_accepted_attempts_only(self, monkeypatch):
+        built = [0]
+        about_axis = scenes_module.quaternion_about_axis
+
+        def counted(axis, angle):
+            built[0] += 1
+            return about_axis(axis, angle)
+
+        monkeypatch.setattr(scenes_module, "quaternion_about_axis", counted)
+        attempts = [0]
+        place = scenes_module._place_instance
+
+        def attempt(*args, **kwargs):
+            attempts[0] += 1
+            return place(*args, **kwargs)
+
+        monkeypatch.setattr(scenes_module, "_place_instance", attempt)
+        catalog = build_catalog(CatalogConfig())
+        scenes = [generate_packed_scene(SceneConfig(object_count_range=(8, 10), seed=s), catalog) for s in range(5)]
+        assert built[0] == sum(len(scene.instances) for scene in scenes) < attempts[0]
 
     def test_margin_decided_near_the_boundary(self):
         # two axis-aligned boxes side by side: the footprint distance is the x gap
@@ -402,11 +475,14 @@ class TestPlacementBroadPhase:
 
     def test_gap_is_a_lower_bound_on_distance(self):
         sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1.0]])
-        for shift in ([2.0, 0.0], [2.0, 2.0], [0.5, 3.0], [0.5, 0.5], [-1.5, 0.2]):
-            other = sq + np.array(shift)
-            gap = scenes_module._footprint_gap(sq.min(axis=0), sq.max(axis=0), other)
+        lo, hi = sq.min(axis=0), sq.max(axis=0)
+        others = [sq + np.array(shift) for shift in ([2.0, 0.0], [2.0, 2.0], [0.5, 3.0], [0.5, 0.5], [-1.5, 0.2])]
+        gaps = scenes_module._footprint_gap(lo, hi, np.array([[o.min(axis=0), o.max(axis=0)] for o in others]))
+        assert gaps.shape == (len(others),)
+        for gap, other in zip(gaps, others):
             assert gap <= polygon_distance(sq, other) + 1e-15
-        assert scenes_module._footprint_gap(sq.min(axis=0), sq.max(axis=0), sq + [2.0, 0.5]) == 1.0
+            assert gap == reference_footprint_gap(lo, hi, other)
+        assert scenes_module._footprint_gap(lo, hi, np.array([[[2.0, 0.5], [3.0, 1.5]]])).tolist() == [1.0]
 
 
 class TestSharedCatalog:
@@ -427,6 +503,15 @@ class TestSharedCatalog:
         scene = generate_packed_scene(SceneConfig(object_count_range=(3, 3), seed=4))
         for poly in [obj.footprint_poly for obj in build_catalog(CatalogConfig(size=8))] + [
             inst.footprint_poly for inst in scene.instances
-        ]:
+        ] + [inst.world_footprint_box for inst in scene.instances]:
             with pytest.raises(ValueError):
                 poly[0, 0] = 1.0
+
+    def test_world_footprint_box_cached_and_equal_to_the_posed_polygon_box(self):
+        scene = generate_packed_scene(SceneConfig(object_count_range=(8, 10), seed=4))
+        for inst in scene.instances:
+            yaw_rot = inst.pose.rotation.as_matrix()[:2, :2]
+            world = inst.footprint_poly @ yaw_rot.T + inst.pose.translation[:2]
+            assert np.array_equal(inst.world_footprint_poly(), world)
+            assert np.array_equal(inst.world_footprint_box, [world.min(axis=0), world.max(axis=0)])
+            assert inst.world_footprint_box is inst.world_footprint_box

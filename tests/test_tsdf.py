@@ -286,6 +286,15 @@ class TestPersistence:
         with pytest.raises(InputError, match="config"):
             load_grid(tmp_path, "grid")
 
+    def test_fractional_resolution_rejected(self, tmp_path):
+        # int() would truncate 4.5 to a resolution that matches the (4, 4, 4) arrays
+        zeros = np.zeros((4, 4, 4), np.float32)
+        np.savez(tmp_path / "grid.tsdf.npz", values=zeros, weights=zeros, config=np.array([4.5, 0.3, 0.03]))
+        with pytest.raises(InputError, match="resolution"):
+            load_grid(tmp_path, "grid")
+        np.savez(tmp_path / "whole.tsdf.npz", values=zeros, weights=zeros, config=np.array([4.0, 0.3, 0.03]))
+        assert load_grid(tmp_path, "whole").config.resolution == 4
+
     def test_not_an_npz_archive_rejected(self, tmp_path):
         (tmp_path / "grid.tsdf.npz").write_bytes(b"PK\x03\x04 truncated")
         with pytest.raises(InputError):
