@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, _finite_positive
+from .errors import InputError, _finite_positive, _rng
 from .geometry import PointCloud, Pose, Quaternion
 from .scenes import ObjectInstance, Scene
 
@@ -66,16 +66,10 @@ class CameraModel:
         elif not isinstance(self.pose, Pose):
             raise InputError(f"camera pose must be a Pose, got {self.pose!r}")
 
-    def intrinsics_equal(self, other: "CameraModel") -> bool:
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and (self.fx, self.fy, self.cx, self.cy) == (other.fx, other.fy, other.cx, other.cy)
-        )
-
     def same_view(self, other: "CameraModel") -> bool:
         return (
-            self.intrinsics_equal(other)
+            (self.width, self.height, self.fx, self.fy, self.cx, self.cy)
+            == (other.width, other.height, other.fx, other.fy, other.cx, other.cy)
             and self.pose.rotation.rotation_equal(other.pose.rotation, tol=1e-12)
             and np.allclose(self.pose.translation, other.pose.translation, atol=1e-12)
         )
@@ -277,8 +271,7 @@ def _rasterise(instances: list[ObjectInstance], camera: CameraModel) -> list[_La
     qvec = np.cross(s, e1)
     t_num = np.matmul(e2[:, None, :], qvec[:, :, None])[:, 0, 0]
     # pixel-center rays in camera frame, z component 1 => t equals depth
-    dx = (np.arange(w) + 0.5 - cx) / fx
-    dy = (np.arange(h) + 0.5 - cy) / fy
+    dx, dy = _pixel_rays(camera, np.arange(w), np.arange(h))
 
     # one segment per box row, grouped by width, triangle order kept inside a group
     order = np.argsort(widths, kind="stable")
@@ -356,9 +349,9 @@ def add_depth_noise(frame: DepthFrame, sigma: float, seed: int) -> DepthFrame:
     """I.i.d. zero-mean Gaussian perturbation of non-background depths."""
     if not (_finite_positive(sigma) or sigma == 0):
         raise InputError(f"sigma must be finite and >= 0, got {sigma!r}")
+    rng = _rng(seed)  # checks the seed for sigma 0 too
     if sigma == 0:
         return DepthFrame(frame.depth.copy(), frame.instance_id.copy(), frame.camera)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     noise = rng.normal(0.0, sigma, size=frame.depth.shape).astype(np.float32)
     depth = frame.depth.copy()
     valid = frame.valid

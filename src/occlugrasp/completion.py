@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .camera import CameraModel
-from .errors import InputError, _finite_positive
+from .errors import InputError, _finite_positive, _seed
 from .geometry import PointCloud
 from .meshes import surface_sample
 from .scenes import Scene
@@ -78,6 +78,9 @@ class MirrorCompleter:
     name = "mirror"
 
     def __init__(self, dedupe_radius: float = 1e-3):
+        # a NaN radius would keep no reflection and a negative one every one
+        if not (_finite_positive(dedupe_radius) or dedupe_radius == 0):
+            raise InputError(f"dedupe_radius must be finite and >= 0, got {dedupe_radius!r}")
         self.dedupe_radius = dedupe_radius
 
     def __call__(self, partial: PointCloud, scene: Scene | None = None,
@@ -167,4 +170,4 @@ def volumetric_iou(a: PointCloud, b: PointCloud, voxel_size: float = 0.0075) -> 
 def completion_ground_truth(scene: Scene, count: int = DEFAULT_COMPLETION_POINTS) -> PointCloud:
     """Complete cloud sampled from the target mesh at its scene pose."""
     target = scene.target
-    return surface_sample(target.mesh, count, seed=scene.seed ^ 0x6E0C).transformed(target.pose)
+    return surface_sample(target.mesh, count, seed=_seed(scene.seed) ^ 0x6E0C).transformed(target.pose)

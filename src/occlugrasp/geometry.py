@@ -3,6 +3,10 @@
 All rotations are stored as unit quaternions in (w, x, y, z) order. A
 quaternion and its negation describe the same rotation; `canonical()`
 picks the w >= 0 representative for hashing and serialization.
+
+The functions on component tuples, `_cross` to `_matrix`, are the one
+implementation that `Quaternion`, `Pose` and the grasp oracle share, on floats
+or on arrays of many poses, so all of them get the same bits.
 """
 
 from __future__ import annotations
@@ -47,6 +51,30 @@ def _rotate(q, v) -> tuple:
     uv = _cross(u, v)
     uuv = _cross(u, uv)
     return tuple(v[k] + 2.0 * (w * uv[k] + uuv[k]) for k in range(3))
+
+
+def _inverse(q, t) -> tuple:
+    """`Pose.inverse` of the pose (q, t): the conjugate of unit q, and -(q^-1 t)."""
+    w, x, y, z = q
+    q_inv = (w, -x, -y, -z)
+    return q_inv, tuple(-c for c in _rotate(q_inv, t))
+
+
+def _compose(a, pose: "Pose") -> tuple:
+    """`Pose.__mul__` of `a`, a pose as ((w, x, y, z), (t0, t1, t2)), and `pose`."""
+    q, t = a
+    r = pose.rotation
+    return _hamilton(q, (r.w, r.x, r.y, r.z)), tuple(p + c for p, c in zip(_rotate(q, pose.translation.tolist()), t))
+
+
+def _matrix(q) -> tuple:
+    """The three rows of the rotation matrix of (w, x, y, z)."""
+    w, x, y, z = q
+    return (
+        (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
+        (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
+        (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
+    )
 
 
 @dataclass(frozen=True)
@@ -101,12 +129,9 @@ class Quaternion:
                 return Quaternion(-self.w, -self.x, -self.y, -self.z)
         return self
 
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
     def inverse(self) -> "Quaternion":
         # unit quaternion: inverse == conjugate
-        return self.conjugate()
+        return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         """Hamilton product; (a * b).rotate(v) == a.rotate(b.rotate(v))."""
@@ -135,15 +160,7 @@ class Quaternion:
         return v + (2.0 * (self.w * uv + uuv)).T
 
     def as_matrix(self) -> np.ndarray:
-        w, x, y, z = self.w, self.x, self.y, self.z
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ],
-            dtype=float,
-        )
+        return np.array(_matrix((self.w, self.x, self.y, self.z)), dtype=float)
 
     @staticmethod
     def from_matrix(m) -> "Quaternion":
@@ -225,11 +242,14 @@ class Pose:
 
     def __mul__(self, other: "Pose") -> "Pose":
         """Compose: (a * b).transform(p) == a.transform(b.transform(p))."""
-        return Pose(self.rotation * other.rotation, self.rotation.rotate(other.translation) + self.translation)
+        r = self.rotation
+        q, t = _compose(((r.w, r.x, r.y, r.z), self.translation.tolist()), other)
+        return Pose(Quaternion(*q), t)
 
     def inverse(self) -> "Pose":
-        rinv = self.rotation.inverse()
-        return Pose(rinv, -rinv.rotate(self.translation))
+        r = self.rotation
+        q, t = _inverse((r.w, r.x, r.y, r.z), self.translation.tolist())
+        return Pose(Quaternion(*q), t)
 
     def as_7floats(self) -> list[float]:
         q = self.rotation.canonical()

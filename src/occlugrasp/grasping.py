@@ -59,9 +59,10 @@ gives the y and z of the target's samples in every candidate's frame,
 give it, and every result, detail included, equals `simulate_grasp`'s. The
 batch's fixed cost per call makes one grasp several times as costly through
 it, so `simulate_grasp` keeps its own set-up and broad phase, and shares
-`_compose` (`Pose.inverse` and `Pose.__mul__` on pose components, so the same
-bits), `_mesh_hits` as a batch of one, and `_pad_slab_contacts`. A caller
-picks the path by its input: one grasp or a list.
+`_mesh_hits` as a batch of one and `_pad_slab_contacts`. Both move meshes into
+grasp frames with `geometry`'s `_inverse`, `_compose` and `_matrix`, which
+`Pose` and `Quaternion` are built on, so the bits are theirs. A caller picks
+the path by its input: one grasp or a list.
 
 Grasp frame: x is the closing axis joining the antipodal pair, z is the
 approach (travel) direction, y completes the right-handed frame. The grasp
@@ -80,8 +81,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, _finite_positive
-from .geometry import PointCloud, Pose, Quaternion, _cross, _hamilton, _rotate, orthonormal_tangents
+from .errors import InputError, _finite_positive, _rng, _seed
+from .geometry import PointCloud, Pose, Quaternion, _compose, _cross, _inverse, _matrix, _rotate, orthonormal_tangents
 from .meshes import surface_sample
 from .scenes import ObjectInstance, Scene
 
@@ -127,8 +128,9 @@ class Grasp:
         try:
             c = np.asarray(self.center, dtype=float)
             width_ok = math.isfinite(self.width) and self.width >= 0
+            quality_ok = 0.0 <= self.quality <= 1.0
         except (TypeError, ValueError) as exc:
-            raise InputError(f"grasp center and width must be numbers: {exc}") from exc
+            raise InputError(f"grasp center, width and quality must be numbers: {exc}") from exc
         if c.size != 3 or not np.isfinite(c).all():
             raise InputError(f"grasp center must be 3 finite numbers, got {self.center!r}")
         if not width_ok:
@@ -138,7 +140,7 @@ class Grasp:
         c = c.reshape(3)
         c.flags.writeable = False
         object.__setattr__(self, "center", c)
-        if not 0.0 <= self.quality <= 1.0:
+        if not quality_ok:
             raise InputError("grasp quality must be in [0, 1]")
 
     def __eq__(self, other) -> bool:
@@ -327,8 +329,7 @@ def simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel,
     reach_lo = corner_lo - BROAD_PHASE_MARGIN
     reach_hi = corners.max(axis=0) + BROAD_PHASE_MARGIN
     r = grasp.rotation
-    q_inv = (r.w, -r.x, -r.y, -r.z)  # `Pose(rotation, center).inverse()`, as in the batch
-    to_grasp = q_inv, tuple(-c for c in _rotate(q_inv, grasp.center.tolist()))
+    to_grasp = _inverse((r.w, r.x, r.y, r.z), grasp.center.tolist())
     centers = (boxes[None, :, 0] + boxes[None, :, 1]) / 2.0
     halves = (boxes[None, :, 1] - boxes[None, :, 0]) / 2.0
 
@@ -362,14 +363,6 @@ def simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel,
 BATCH_CHUNK = 16
 
 
-def _compose(a, pose: Pose) -> tuple:
-    """`Pose.__mul__` of poses `a`, given as ((w, x, y, z), (t0, t1, t2))
-    component tuples, and `pose`."""
-    q, t = a
-    r = pose.rotation
-    return _hamilton(q, (r.w, r.x, r.y, r.z)), tuple(p + c for p, c in zip(_rotate(q, pose.translation.tolist()), t))
-
-
 def _mesh_hits(inst: ObjectInstance, pose, centers: np.ndarray, halves: np.ndarray) -> np.ndarray:
     """Which of m grasps hit `inst`: the narrow phase of both drivers, past their
     broad phases. `pose` is each grasp's `_compose(to_grasp, inst.pose)`, floats for
@@ -400,11 +393,9 @@ def _contacts(samples: PointCloud, pose, widths: list[float], gripper: GripperMo
     """
     if not widths:
         return []
-    (w, x, y, z), t = pose
-    # rows y and z of `Quaternion.as_matrix`, (m, 2, 3)
-    rot = np.stack([np.concatenate([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=1),
-                    np.concatenate([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=1)],
-                   axis=1)
+    q, t = pose
+    # rows y and z of the rotation matrices, (m, 2, 3)
+    rot = np.stack([np.concatenate(row, axis=1) for row in _matrix(q)[1:]], axis=1)
     shift = np.stack([t[1], t[2]], axis=1)  # (m, 2, 1)
     pts = samples.points
     half_t = gripper.finger_thickness / 2 + BROAD_PHASE_MARGIN
@@ -417,7 +408,7 @@ def _contacts(samples: PointCloud, pose, widths: list[float], gripper: GripperMo
         grasp_i.append(g + start)
         sample_i.append(s)
     grasp_i, sample_i = np.concatenate(grasp_i), np.concatenate(sample_i)
-    q = tuple(c[grasp_i, 0] for c in (w, x, y, z))
+    q = tuple(c[grasp_i, 0] for c in q)
     p_g = np.column_stack([a + c[grasp_i, 0] for a, c in zip(_rotate(q, tuple(pts[sample_i].T)), t)])
     n_g = np.column_stack(_rotate(q, tuple(samples.normals[sample_i].T)))
     ends = np.searchsorted(grasp_i, np.arange(len(widths) + 1))
@@ -448,9 +439,7 @@ def _simulate_batch(grasps: list[Grasp], scene: Scene, gripper: GripperModel,
     reach_lo = corner_lo - BROAD_PHASE_MARGIN
     reach_hi = corners.max(axis=1) + BROAD_PHASE_MARGIN
     table = corner_lo[:, 2] < -1e-9
-    # `Pose(rotation, center).inverse()`
-    q_inv = (q[0], -q[1], -q[2], -q[3])
-    to_grasp = q_inv, tuple(-c for c in _rotate(q_inv, tuple(center.T[:, :, None])))
+    to_grasp = _inverse(q, tuple(center.T[:, :, None]))
     centers = (boxes[:, :, 0] + boxes[:, :, 1]) / 2.0
     halves = (boxes[:, :, 1] - boxes[:, :, 0]) / 2.0
     # the broad phase, grasps x instances
@@ -520,7 +509,7 @@ def sample_candidate_grasps(
     """
     if len(target_cloud) == 0 or target_cloud.normals is None:
         raise InputError("candidate sampling needs a non-empty cloud with normals")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = _rng(seed)
     pts = target_cloud.points
     nrm = target_cloud.normals
     out: list[Grasp] = []
@@ -570,7 +559,7 @@ def label_pair(cluttered: Scene, gripper: GripperModel, count: int, seed: int,
     """
     _check_friction(friction_mu)
     target = cluttered.target
-    cloud = surface_sample(target.mesh, 1024, seed=seed ^ 0x9E3779B9).transformed(target.pose)
+    cloud = surface_sample(target.mesh, 1024, seed=_seed(seed) ^ 0x9E3779B9).transformed(target.pose)
     candidates = sample_candidate_grasps(cloud, gripper, count, seed)
     labels = []
     for g, (single, hit) in zip(candidates, _simulate_batch(candidates, cluttered, gripper, friction_mu)):

@@ -17,12 +17,13 @@ box only decides the time, never the hit, as long as it holds every triangle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _rng
 from .geometry import PointCloud, Pose
 
 _EPS = 1e-12
@@ -41,12 +42,14 @@ class TriMesh:
         self.vertices = v
         self.triangles = t
 
+    def _face_cross(self) -> np.ndarray:
+        """cross(b - a, c - a) per triangle; not cached, so a mesh holds no third array."""
+        a, b, c = (self.vertices[self.triangles[:, i]] for i in range(3))
+        return np.cross(b - a, c - a)
+
     @cached_property
     def face_normals(self) -> np.ndarray:
-        a = self.vertices[self.triangles[:, 0]]
-        b = self.vertices[self.triangles[:, 1]]
-        c = self.vertices[self.triangles[:, 2]]
-        n = np.cross(b - a, c - a)
+        n = self._face_cross()
         lens = np.linalg.norm(n, axis=1)
         lens[lens == 0.0] = 1.0
         n = n / lens[:, None]
@@ -55,10 +58,7 @@ class TriMesh:
 
     @cached_property
     def face_areas(self) -> np.ndarray:
-        a = self.vertices[self.triangles[:, 0]]
-        b = self.vertices[self.triangles[:, 1]]
-        c = self.vertices[self.triangles[:, 2]]
-        ar = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+        ar = 0.5 * np.linalg.norm(self._face_cross(), axis=1)
         ar.flags.writeable = False
         return ar
 
@@ -247,8 +247,8 @@ def surface_sample(mesh: TriMesh, count: int, seed: int) -> PointCloud:
     Per-triangle counts use largest-remainder allocation so density tracks
     area exactly; in-triangle positions are uniform via the seeded RNG.
     """
-    if count < 1:
-        raise InputError("count must be >= 1")
+    if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 1:
+        raise InputError(f"count must be a positive integer, got {count!r}")
     areas = mesh.face_areas
     total = float(areas.sum())
     if total <= 0.0:
@@ -260,7 +260,7 @@ def surface_sample(mesh: TriMesh, count: int, seed: int) -> PointCloud:
         frac = quota - base
         extra = np.argsort(-frac, kind="stable")[:rem]
         base[extra] += 1
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = _rng(seed)
     pts = np.empty((count, 3))
     nrm = np.empty((count, 3))
     pos = 0

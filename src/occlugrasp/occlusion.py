@@ -8,6 +8,7 @@ counts its pixels in the cluttered render.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,14 @@ class BinScheme:
 
     def __post_init__(self):
         e = self.edges
-        if len(e) < 2 or e[0] != 0.0 or any(b <= a for a, b in zip(e, e[1:])) or e[-1] > 1.0:
-            raise InputError(f"bin edges must ascend from 0 and end <= 1, got {e}")
+        try:
+            # a NaN edge would pass every comparison below
+            ok = (len(e) >= 2 and all(map(math.isfinite, e)) and e[0] == 0.0
+                  and all(b > a for a, b in zip(e, e[1:])) and e[-1] <= 1.0)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise InputError(f"bin edges must be finite numbers ascending from 0 and ending <= 1, got {e}")
 
     @property
     def n_bins(self) -> int:

@@ -19,6 +19,7 @@ tests each placed instance in turn, so every scene is the same.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GenerationError, InputError
+from .errors import GenerationError, InputError, _finite_positive, _rng
 from .geometry import Pose, Quaternion, quaternion_about_axis
 from .meshes import TriMesh, make_box, make_cylinder, make_hex_prism, make_sphere
 
@@ -98,7 +99,7 @@ def _catalog_entry(kind: str, catalog_id: str, dims, mesh: TriMesh) -> CatalogOb
 
 def build_catalog(config: CatalogConfig) -> list[CatalogObject]:
     """Deterministic procedural catalog of box/cylinder/hex-prism/sphere primitives."""
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    rng = _rng(config.seed)
     kinds = ["box", "cylinder", "hex", "sphere"]
     out = []
     for i in range(config.size):
@@ -245,40 +246,29 @@ def _footprint_gap(lo: np.ndarray, hi: np.ndarray, boxes: np.ndarray) -> np.ndar
     return np.maximum(boxes[:, 0] - hi, lo - boxes[:, 1]).max(axis=1)
 
 
-def _scene_rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
-
-
 def _place_instance(
     obj: CatalogObject,
     extent: float,
     placed: list[ObjectInstance],
     margin: float,
     rng: np.random.Generator,
-    position: np.ndarray | None = None,
-    yaw: float | None = None,
 ) -> ObjectInstance | None:
     if obj.footprint[2] > extent:
         return None
-    yaw = rng.uniform(0.0, 2.0 * math.pi) if yaw is None else yaw
+    yaw = rng.uniform(0.0, 2.0 * math.pi)
     cos, sin = math.cos(yaw), math.sin(yaw)
     rot2d = np.array([[cos, -sin], [sin, cos]])
     poly = obj.footprint_poly @ rot2d.T
     lo = poly.min(axis=0)
     hi = poly.max(axis=0)
-    if position is None:
-        span_lo = -lo
-        span_hi = extent - hi
-        if (span_hi <= span_lo).any():
-            return None
-        # a scalar draw per axis: `Generator.uniform` takes low + (high - low) * u
-        # with u the next double, element by element for arrays, so these are the
-        # numbers one draw over both axes gives, without its array set-up
-        position = np.array([rng.uniform(span_lo[0], span_hi[0]), rng.uniform(span_lo[1], span_hi[1])])
-    else:
-        position = np.asarray(position, dtype=float)
-        if (position + lo < -1e-12).any() or (position + hi > extent + 1e-12).any():
-            return None
+    span_lo = -lo
+    span_hi = extent - hi
+    if (span_hi <= span_lo).any():
+        return None
+    # a scalar draw per axis: `Generator.uniform` takes low + (high - low) * u
+    # with u the next double, element by element for arrays, so these are the
+    # numbers one draw over both axes gives, without its array set-up
+    position = np.array([rng.uniform(span_lo[0], span_hi[0]), rng.uniform(span_lo[1], span_hi[1])])
     # all objects rest on z=0, so z-intervals always overlap and the
     # footprint separation decides collision. A box gap above the margin
     # decides it too: the 1e-9 slack lies far above the rounding error of
@@ -299,32 +289,35 @@ def generate_packed_scene(config: SceneConfig, catalog: list[CatalogObject] | No
     lo, hi = config.object_count_range
     if not (1 <= lo <= hi <= 10):
         raise InputError(f"object_count_range must lie within [1, 10], got {config.object_count_range}")
-    if config.workspace_extent <= 0:
-        raise InputError("workspace_extent must be positive")
+    if not _finite_positive(config.workspace_extent):
+        raise InputError(f"workspace_extent must be finite and positive, got {config.workspace_extent!r}")
+    # a NaN margin would make every distance test pass, and objects overlap
+    margin = config.placement_margin
+    if not (_finite_positive(margin) or margin == 0):
+        raise InputError(f"placement_margin must be finite and >= 0, got {margin!r}")
     catalog = _shared_catalog(config.catalog) if catalog is None else catalog
-    rng = _scene_rng(config.seed, 0)
+    rng = _rng(config.seed, 0)
     count = int(rng.integers(lo, hi + 1))
     placed: list[ObjectInstance] = []
     for i in range(count):
-        inst_rng = _scene_rng(config.seed, 1, i)
+        inst_rng = _rng(config.seed, 1, i)
         inst = None
         for _ in range(config.max_attempts):
             obj = catalog[int(inst_rng.integers(len(catalog)))]
-            inst = _place_instance(obj, config.workspace_extent, placed, config.placement_margin, inst_rng)
+            inst = _place_instance(obj, config.workspace_extent, placed, margin, inst_rng)
             if inst is not None:
                 break
         if inst is None:
             raise GenerationError(f"could not place instance {i} after {config.max_attempts} attempts")
         placed.append(inst)
-    target_index = int(_scene_rng(config.seed, 2).integers(count))
+    target_index = int(_rng(config.seed, 2).integers(count))
     return Scene(tuple(placed), target_index, config.workspace_extent, config.seed)
 
 
 def derive_single_scene(scene: Scene, target_index: int) -> Scene:
     """Scene containing only the designated target at its unchanged pose."""
-    if not 0 <= target_index < len(scene.instances):
-        raise InputError(f"target_index {target_index} out of range")
-    return Scene((scene.instances[target_index],), 0, scene.workspace_extent, scene.seed)
+    target = Scene(scene.instances, target_index, scene.workspace_extent, scene.seed).target  # checks the index
+    return Scene((target,), 0, scene.workspace_extent, scene.seed)
 
 
 def enumerate_targets(scene: Scene) -> list[Scene]:
@@ -340,19 +333,15 @@ def enumerate_targets(scene: Scene) -> list[Scene]:
 
 
 def scene_to_manifest(scene: Scene, catalog_config: CatalogConfig) -> dict:
+    catalog = {}
+    for f in dataclasses.fields(CatalogConfig):
+        value = getattr(catalog_config, f.name)
+        catalog[f.name] = list(value) if isinstance(f.default, tuple) else value
     return {
         "workspace_extent": scene.workspace_extent,
         "seed": scene.seed,
         "target_index": scene.target_index,
-        "catalog": {
-            "seed": catalog_config.seed,
-            "size": catalog_config.size,
-            "box_side": list(catalog_config.box_side),
-            "cylinder_radius": list(catalog_config.cylinder_radius),
-            "hex_circumradius": list(catalog_config.hex_circumradius),
-            "sphere_radius": list(catalog_config.sphere_radius),
-            "height": list(catalog_config.height),
-        },
+        "catalog": catalog,
         "instances": [
             {"catalog_id": inst.catalog_id, "pose": inst.pose.as_7floats()}
             for inst in scene.instances
@@ -366,15 +355,9 @@ def save_scene(path, scene: Scene, catalog_config: CatalogConfig) -> None:
 
 def catalog_config_from_manifest(data: dict) -> CatalogConfig:
     c = data["catalog"]
-    return CatalogConfig(
-        seed=c["seed"],
-        size=c["size"],
-        box_side=tuple(c["box_side"]),
-        cylinder_radius=tuple(c["cylinder_radius"]),
-        hex_circumradius=tuple(c["hex_circumradius"]),
-        sphere_radius=tuple(c["sphere_radius"]),
-        height=tuple(c["height"]),
-    )
+    # the range fields, whose defaults are tuples, are lists in the manifest
+    return CatalogConfig(**{f.name: tuple(c[f.name]) if isinstance(f.default, tuple) else c[f.name]
+                            for f in dataclasses.fields(CatalogConfig)})
 
 
 def scene_from_manifest(data: dict, catalog: list[CatalogObject] | None = None) -> Scene:

@@ -90,14 +90,6 @@ class TsdfGrid:
         self.values.flags.writeable = False
         self.weights.flags.writeable = False
 
-    @property
-    def resolution(self) -> int:
-        return self.config.resolution
-
-    @property
-    def voxel_size(self) -> float:
-        return self.config.voxel_size
-
 
 _PROJECTION_CACHE_SIZE = 4
 

@@ -260,6 +260,12 @@ def _assert_same_cloud(a, b):
 class TestMirrorDedupeBound:
     """The bounded dedupe query keeps exactly the points the unbounded one keeps."""
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -1e-3, "1e-3"])
+    def test_radius_must_be_finite_and_non_negative(self, radius):
+        # a NaN radius would keep no reflection, and a negative one every one
+        with pytest.raises(InputError, match="dedupe_radius"):
+            MirrorCompleter(dedupe_radius=radius)
+
     def test_matches_unbounded_query(self, monkeypatch):
         cam = default_camera(width=320, height=240, focal=270.0)
         completer = MirrorCompleter()

@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occlugrasp.errors import InputError
-from occlugrasp.geometry import Pose, PointCloud, Quaternion, orthonormal_tangents, quaternion_about_axis
+from occlugrasp.geometry import (
+    Pose,
+    PointCloud,
+    Quaternion,
+    _compose,
+    _inverse,
+    _matrix,
+    orthonormal_tangents,
+    quaternion_about_axis,
+)
 from occlugrasp.meshes import (
     TriMesh,
     _ray_triangles,
@@ -197,6 +206,104 @@ class TestRotateMatchesCross:
             got, expected = orthonormal_tangents(a), reference_orthonormal_tangents(a)
             assert got[0].tobytes() == expected[0].tobytes()
             assert got[1].tobytes() == expected[1].tobytes()
+
+
+# The bodies of `Pose.__mul__`, `Pose.inverse` and `Quaternion.as_matrix`
+# before they were built on `_compose`, `_inverse` and `_matrix`, verbatim.
+
+
+def reference_pose_mul(self: Pose, other: Pose) -> Pose:
+    return Pose(self.rotation * other.rotation, self.rotation.rotate(other.translation) + self.translation)
+
+
+def reference_pose_inverse(self: Pose) -> Pose:
+    rinv = self.rotation.inverse()
+    return Pose(rinv, -rinv.rotate(self.translation))
+
+
+def reference_as_matrix(self: Quaternion) -> np.ndarray:
+    w, x, y, z = self.w, self.x, self.y, self.z
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ],
+        dtype=float,
+    )
+
+
+def pose_bits(pose: Pose) -> bytes:
+    """The exact components of a pose; -0.0 and 0.0 differ."""
+    r = pose.rotation
+    return np.array([r.w, r.x, r.y, r.z, *pose.translation]).tobytes()
+
+
+def random_poses(rng, n) -> list[Pose]:
+    """n poses with translations over nine orders of magnitude, plus special rows."""
+    q, _ = random_pairs(rng, n)
+    t = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-6, 3, size=(n, 1))
+    t[:4] = [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1.0, -2.0, 3.0], [5e-324, 0.0, -5e-324]]
+    return [Pose(Quaternion(*qi), ti) for qi, ti in zip(q.tolist(), t)]
+
+
+def parts(pose: Pose) -> tuple:
+    r = pose.rotation
+    return (r.w, r.x, r.y, r.z), pose.translation.tolist()
+
+
+def stacked(poses: list[Pose]) -> tuple:
+    """The components of `poses` as (m, 1) arrays."""
+    q = np.array([[p.rotation.w, p.rotation.x, p.rotation.y, p.rotation.z] for p in poses])
+    t = np.array([p.translation for p in poses])
+    return tuple(q.T[:, :, None]), tuple(t.T[:, :, None])
+
+
+def row_pose(parts: tuple, i: int) -> Pose:
+    q, t = parts
+    return Pose(Quaternion(*(float(c[i, 0]) for c in q)), np.array([c[i, 0] for c in t]))
+
+
+class TestComponentFunctions:
+    """`_compose`, `_inverse` and `_matrix` give the bits of the reference
+    bodies above, on float components and on (m, 1) components, and so do
+    the `Pose` and `Quaternion` methods built on them."""
+
+    def test_compose(self):
+        rng = np.random.default_rng(31)
+        poses = random_poses(rng, 400)
+        others = random_poses(rng, 400)[::-1]
+        for a, b in zip(poses, others):
+            want = pose_bits(reference_pose_mul(a, b))
+            q, t = _compose(parts(a), b)
+            assert pose_bits(Pose(Quaternion(*q), np.array(t))) == want
+            assert pose_bits(a * b) == want
+        b = others[7]
+        got = _compose(stacked(poses), b)
+        for i, a in enumerate(poses):
+            assert pose_bits(row_pose(got, i)) == pose_bits(reference_pose_mul(a, b))
+
+    def test_inverse(self):
+        poses = random_poses(np.random.default_rng(32), 400)
+        for p in poses:
+            want = pose_bits(reference_pose_inverse(p))
+            q, t = _inverse(*parts(p))
+            assert pose_bits(Pose(Quaternion(*q), np.array(t))) == want
+            assert pose_bits(p.inverse()) == want
+        got = _inverse(*stacked(poses))
+        for i, p in enumerate(poses):
+            assert pose_bits(row_pose(got, i)) == pose_bits(reference_pose_inverse(p))
+
+    def test_matrix(self):
+        poses = random_poses(np.random.default_rng(33), 400)
+        for p in poses:
+            want = reference_as_matrix(p.rotation).tobytes()
+            assert np.array(_matrix(parts(p)[0]), dtype=float).tobytes() == want
+            assert p.rotation.as_matrix().tobytes() == want
+        rows = _matrix(stacked(poses)[0])
+        for i, p in enumerate(poses):
+            got = np.array([[c[i, 0] for c in row] for row in rows])
+            assert got.tobytes() == reference_as_matrix(p.rotation).tobytes()
 
 
 class TestPose:
@@ -486,6 +593,11 @@ class TestSurfaceSample:
         b = surface_sample(mesh, 333, seed=99)
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.normals, b.normals)
+
+    @pytest.mark.parametrize("count", [1.5, 0, True, "10"])
+    def test_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(InputError, match="count"):
+            surface_sample(make_box(0.05, 0.05, 0.05), count, seed=0)
 
     def test_degenerate_mesh_rejected(self):
         flat = TriMesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))

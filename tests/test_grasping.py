@@ -8,7 +8,7 @@ import pytest
 from occlugrasp.camera import back_project, default_camera, render
 from occlugrasp.completion import MirrorCompleter
 from occlugrasp.errors import InputError
-from occlugrasp.geometry import PointCloud, Pose, Quaternion, _rotate, orthonormal_tangents
+from occlugrasp.geometry import PointCloud, Pose, Quaternion, _compose, _inverse, orthonormal_tangents
 from occlugrasp.grasping import (
     BROAD_PHASE_MARGIN,
     DEFAULT_FRICTION,
@@ -17,7 +17,6 @@ from occlugrasp.grasping import (
     GraspLabel,
     GripperModel,
     SimResult,
-    _compose,
     _contacts,
     _pad_slab_contacts,
     _triangles_hit_box,
@@ -37,6 +36,7 @@ from occlugrasp.meshes import make_sphere, surface_sample
 from occlugrasp.scenes import CatalogConfig, SceneConfig, build_catalog, derive_single_scene, generate_packed_scene
 
 from .test_camera import box_instance, make_scene
+from .test_geometry import reference_pose_inverse, reference_pose_mul
 
 GRIP = GripperModel()
 
@@ -238,6 +238,11 @@ class TestTypes:
     def test_grasp_quality_range(self):
         with pytest.raises(InputError):
             Grasp(np.zeros(3), Quaternion.identity(), 0.05, quality=1.5)
+
+    @pytest.mark.parametrize("quality", ["a", None])
+    def test_grasp_quality_must_be_a_number(self, quality):
+        with pytest.raises(InputError):
+            Grasp(np.zeros(3), Quaternion.identity(), 0.05, quality=quality)
 
     @pytest.mark.parametrize(
         "center, width",
@@ -689,8 +694,9 @@ class TestBatchedOracle:
 
 
 class TestComposedPoses:
-    """`_compose`, which moves meshes into grasp frames in both drivers, gives
-    the bits of `Pose.inverse` and `Pose.__mul__`, for float and (m, 1) components."""
+    """`_compose` of `_inverse`, which moves meshes into grasp frames in both
+    drivers, gives the bits of the reference `Pose.inverse` and `Pose.__mul__`
+    kept in `tests/test_geometry.py`, for float and (m, 1) components."""
 
     def test_matches_pose_product(self):
         rng = np.random.default_rng(43)
@@ -698,16 +704,15 @@ class TestComposedPoses:
         inst = Pose(Quaternion.from_array(rng.normal(size=4)), rng.uniform(-0.3, 0.3, size=3))
         rows = []
         for g in grasps:
-            q_inv = (g.rotation.w, -g.rotation.x, -g.rotation.y, -g.rotation.z)
-            q, t = _compose((q_inv, tuple(-c for c in _rotate(q_inv, g.translation.tolist()))), inst)
-            want = g.inverse() * inst
+            r = g.rotation
+            q, t = _compose(_inverse((r.w, r.x, r.y, r.z), g.translation.tolist()), inst)
+            want = reference_pose_mul(reference_pose_inverse(g), inst)
             assert q == (want.rotation.w, want.rotation.x, want.rotation.y, want.rotation.z)
             assert list(t) == want.translation.tolist()
             rows.append((q, t))
-        q_inv = np.array([[g.rotation.w, -g.rotation.x, -g.rotation.y, -g.rotation.z] for g in grasps])
-        q_inv = tuple(q_inv.T[:, :, None])
+        q = tuple(np.array([[g.rotation.w, g.rotation.x, g.rotation.y, g.rotation.z] for g in grasps]).T[:, :, None])
         center = np.array([g.translation for g in grasps])
-        q, t = _compose((q_inv, tuple(-c for c in _rotate(q_inv, tuple(center.T[:, :, None])))), inst)
+        q, t = _compose(_inverse(q, tuple(center.T[:, :, None])), inst)
         assert [(tuple(float(c[i, 0]) for c in q), tuple(float(c[i, 0]) for c in t)) for i in range(50)] == rows
 
 

@@ -183,6 +183,12 @@ class TestBins:
         with pytest.raises(InputError):
             BinScheme((0.0, 1.5))
 
+    @pytest.mark.parametrize("edges", [(0.0, float("nan"), 1.0), (0.0, 0.5, float("nan")), (0.0, "0.5")])
+    def test_edges_must_be_finite_numbers(self, edges):
+        # every comparison with a NaN edge is False, so the order checks pass it
+        with pytest.raises(InputError):
+            BinScheme(edges)
+
 
 class TestSceneFactors:
     def test_occluder_count(self):

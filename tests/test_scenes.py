@@ -26,7 +26,8 @@ from occlugrasp.scenes import (
 
 
 def points_inside_mesh(points: np.ndarray, mesh, pose: Pose) -> np.ndarray:
-    """Ray-parity containment oracle using brute-force all-triangle intersection."""
+    """Ray-parity containment oracle using brute-force all-triangle intersection,
+    every point against every triangle at once."""
     inv = pose.inverse()
     local = inv.transform(points)
     v0 = mesh.vertices[mesh.triangles[:, 0]]
@@ -38,16 +39,13 @@ def points_inside_mesh(points: np.ndarray, mesh, pose: Pose) -> np.ndarray:
     p = np.cross(d, e2)
     det = np.einsum("ij,ij->i", e1, p)
     ok = np.abs(det) > 1e-14
-    inside = np.zeros(len(points), dtype=bool)
-    for i, o in enumerate(local):
-        s = o - v0
-        u = np.einsum("ij,ij->i", s, p) / np.where(ok, det, 1.0)
-        q = np.cross(s, e1)
-        v = np.einsum("j,ij->i", d, q) / np.where(ok, det, 1.0)
-        t = np.einsum("ij,ij->i", e2, q) / np.where(ok, det, 1.0)
-        hits = ok & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 1e-9)
-        inside[i] = hits.sum() % 2 == 1
-    return inside
+    s = local[:, None] - v0  # (point, triangle, 3)
+    u = np.einsum("nij,ij->ni", s, p) / np.where(ok, det, 1.0)
+    q = np.cross(s, e1)
+    v = np.einsum("j,nij->ni", d, q) / np.where(ok, det, 1.0)
+    t = np.einsum("ij,nij->ni", e2, q) / np.where(ok, det, 1.0)
+    hits = ok & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 1e-9)
+    return hits.sum(axis=1) % 2 == 1
 
 
 def meshes_interpenetrate(inst_a, inst_b, n_samples: int = 400) -> bool:
@@ -238,6 +236,18 @@ class TestGeneratePacked:
         with pytest.raises(InputError):
             generate_packed_scene(SceneConfig(object_count_range=(2, 11)))
 
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -1e-3])
+    def test_placement_margin_must_be_finite_and_non_negative(self, margin):
+        # every comparison with a NaN margin is False, so footprints could overlap
+        with pytest.raises(InputError, match="placement_margin"):
+            generate_packed_scene(SceneConfig(placement_margin=margin))
+
+    @pytest.mark.parametrize("extent", [math.nan, math.inf, 0.0])
+    def test_workspace_extent_must_be_finite_and_positive(self, extent):
+        # `Generator.uniform` raises a bare OverflowError for a NaN or infinite span
+        with pytest.raises(InputError, match="workspace_extent"):
+            generate_packed_scene(SceneConfig(workspace_extent=extent))
+
     def test_placement_failure_names_instance(self):
         # a workspace too small for any catalog object
         cfg = SceneConfig(object_count_range=(1, 1), workspace_extent=0.01, seed=0, max_attempts=20)
@@ -263,6 +273,12 @@ class TestDeriveSingle:
         scene = generate_packed_scene(SceneConfig(object_count_range=(2, 2), seed=1))
         with pytest.raises(InputError):
             derive_single_scene(scene, 5)
+
+    @pytest.mark.parametrize("index", [1.5, "1", None])
+    def test_index_must_be_an_integer(self, index):
+        scene = generate_packed_scene(SceneConfig(object_count_range=(2, 2), seed=1))
+        with pytest.raises(InputError):
+            derive_single_scene(scene, index)
 
 
 class TestEnumerateTargets:
@@ -416,6 +432,17 @@ def reference_place_instance(obj, extent, placed, margin, rng, position=None, ya
     return ObjectInstance(obj.catalog_id, obj.mesh, pose, obj.footprint, obj.footprint_poly)
 
 
+class ScriptedRng:
+    """A generator whose `uniform` returns the given draws in turn, whatever
+    its bounds: for `_place_instance`, the yaw, then x and y."""
+
+    def __init__(self, *draws):
+        self.draws = iter(draws)
+
+    def uniform(self, low, high):
+        return next(self.draws)
+
+
 class TestPlacementBroadPhase:
     @pytest.mark.parametrize("count_range, seeds", [((4, 6), range(200)), ((8, 10), range(200))])
     def test_matches_every_pair_loop(self, count_range, seeds, monkeypatch):
@@ -466,11 +493,9 @@ class TestPlacementBroadPhase:
         # two axis-aligned boxes side by side: the footprint distance is the x gap
         box = build_catalog(CatalogConfig(size=1))[0]
         length = box.footprint[0]
-        rng = np.random.default_rng(0)
-        first = scenes_module._place_instance(box, 0.3, [], 1e-3, rng, position=(0.1, 0.15), yaw=0.0)
+        first = scenes_module._place_instance(box, 0.3, [], 1e-3, ScriptedRng(0.0, 0.1, 0.15))
         for gap, fits in ((0.5e-3, False), (0.95e-3, False), (0.999e-3, False), (1.001e-3, True), (5e-3, True)):
-            second = scenes_module._place_instance(box, 0.3, [first], 1e-3, rng,
-                                                   position=(0.1 + length + gap, 0.15), yaw=0.0)
+            second = scenes_module._place_instance(box, 0.3, [first], 1e-3, ScriptedRng(0.0, 0.1 + length + gap, 0.15))
             assert (second is not None) == fits, gap
 
     def test_gap_is_a_lower_bound_on_distance(self):
