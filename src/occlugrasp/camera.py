@@ -3,11 +3,14 @@
 `render` resolves each covered pixel by an exact ray/triangle intersection
 through the pixel center, so the result is identical to per-pixel ray
 casting; depth is the camera-frame z coordinate. It rasterises each instance
-into its own depth layer, the nearest hit t over the instance's pixel box,
-evaluating (triangle, pixel) pairs in batches, pixel-box rows of equal width
-together, a chunk of about `_CHUNK_PAIRS` pairs at a time. A frame is
-composed from its instances' layers: the nearest hit wins a pixel, and the
-lower instance index wins a tie.
+into its own depth layer, the nearest hit t over the instance's pixel box.
+A triangle is tested only on its row spans: in each row of its pixel box,
+the pixels between the row-centre line's crossings of its projected edges,
+padded by one pixel on each side. Each triangle's pixels, its spans row by
+row, are one batch element; triangles sorted by their number of pixels fill
+chunks of about `_CHUNK_PAIRS` (triangle, pixel) pairs. A frame is composed
+from its instances' layers: the nearest hit wins a pixel, and the lower
+instance index wins a tie.
 
 `render` skips the back faces of an instance when that cannot change its
 layer: its mesh is closed with outward winding (`TriMesh.is_closed_outward`)
@@ -27,7 +30,6 @@ pixels.
 
 from __future__ import annotations
 
-import numbers
 import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -35,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, _finite_positive, _rng
+from .errors import InputError, _finite_positive, _positive_int, _rng
 from .geometry import PointCloud, Pose, Quaternion
 from .scenes import ObjectInstance, Scene
 
@@ -55,7 +57,7 @@ class CameraModel:
     def __post_init__(self):
         for name in ("width", "height"):
             size = getattr(self, name)
-            if not isinstance(size, numbers.Integral) or isinstance(size, bool) or size <= 0:
+            if not _positive_int(size):
                 raise InputError(f"{name} must be a positive integer, got {size!r}")
         if not (_finite_positive(self.fx) and _finite_positive(self.fy)):
             raise InputError(f"focal lengths must be finite and positive, got {(self.fx, self.fy)}")
@@ -122,9 +124,9 @@ class DepthFrame:
         return self.instance_id != BACKGROUND_ID
 
 
-# Target number of (triangle, pixel) pairs `render` evaluates at once. A chunk
-# holds whole pixel-box rows, at least one, so it may split a triangle; the
-# size bounds the temporaries to a few hundred kilobytes.
+# Target number of (triangle, pixel) pairs `render` evaluates at once, padding
+# included. A triangle with more pairs is split across chunks; the size bounds
+# the temporaries to a few hundred kilobytes.
 _CHUNK_PAIRS = 4096
 
 # A triangle of a culled instance, with vertices a, b, c in camera
@@ -184,16 +186,31 @@ def render(scene: Scene, camera: CameraModel) -> DepthFrame:
     point, a ray within the barycentric tolerance of a silhouette edge could
     hit the back face and miss the front one; no frame of the benchmark
     corpora does. The remaining triangles are gathered in instance order
-    with their pixel boxes clipped to the image; each box row is one
-    segment of (triangle, pixel) pairs.
-    Segments are sorted by width, stably, and evaluated in chunks of whole
-    segments of about `_CHUNK_PAIRS` pairs, so a chunk may split a triangle.
-    A pair hits when the ray through the pixel center meets the triangle
-    (Moller-Trumbore, barycentric tolerance 1e-12, determinant above 1e-14,
-    t above 1e-9). The three dot products are one `matmul` per segment, the
-    BLAS call a loop over triangles makes per box row, so t is bit-identical
-    to such a loop; an elementwise sum would round differently where BLAS
-    fuses multiply-adds.
+    with their pixel boxes clipped to the image.
+
+    A (triangle, pixel) pair hits when the ray through the pixel center
+    meets the triangle (Moller-Trumbore, barycentric tolerance 1e-12,
+    determinant above 1e-14, t above 1e-9). A triangle is tested only on
+    its row spans: in each box row, the pixels between the first and the
+    last crossing of the row-centre line with its projected edges, padded
+    by one pixel on each side and clipped to the box (`_row_spans`). The
+    crossings round by far less than the pad, so the spans skip only misses.
+
+    A triangle's spans, row after row, are one batch element. Triangles,
+    sorted by pair count, fill chunks of about `_CHUNK_PAIRS` pairs, and a
+    larger one is split across chunks. A shorter element is padded to the
+    widest of its chunk by repeating its last pixel; that gives the same t
+    again, and `np.minimum.at` keeps the same minimum in any order, so
+    padding and chunking change no bit.
+
+    The three dot products are `matmul`s over (n, 3) @ (3, 1) batch
+    elements. NumPy runs these as BLAS `gemv` where n >= 2, which rounds
+    each row alone, whatever n and the row's position, and as `dot` where
+    n = 1, which rounds otherwise. A loop over triangles and box rows calls
+    `dot` exactly where the box is one column wide, so such a triangle's
+    pixels are evaluated one per element and every other element has at
+    least two pairs: t is bit-identical to that loop's. An elementwise sum
+    would round differently where BLAS fuses multiply-adds.
     """
     global _slot
     cached_camera, cached = _slot
@@ -223,7 +240,7 @@ def _rasterise(instances: list[ObjectInstance], camera: CameraModel) -> list[_La
     rot = world_to_cam.rotation.as_matrix()
     trans = world_to_cam.translation
     fx, fy, cx, cy = camera.fx, camera.fy, camera.cx, camera.cy
-    boxes, parts = [], []
+    boxes, parts, size = [], [], 0
     for instance in instances:
         mesh = instance.mesh
         verts_cam = instance.pose.transform(mesh.vertices) @ rot.T + trans
@@ -248,22 +265,38 @@ def _rasterise(instances: list[ObjectInstance], camera: CameraModel) -> list[_La
             continue
         u0, u1, v0, v1 = u0[keep], u1[keep], v0[keep], v1[keep]
         row, col = int(v0.min()), int(u0.min())
-        boxes.append((row, col, int(v1.max()) + 1 - row, int(u1.max()) + 1 - col))
-        parts.append((tv[keep], u0, u1, v0, v1))
-    drawn = [box for box in boxes if box is not None]
-    if not drawn:
+        rows, cols = int(v1.max()) + 1 - row, int(u1.max()) + 1 - col
+        boxes.append((row, col, rows, cols))
+        # the layers are blocks of one flat z-buffer: pixel (py, px) of this
+        # layer is element base + py * cols + px
+        base = np.full(len(u0), size - row * cols - col)
+        parts.append((tv[keep], u[keep], v[keep], u0, u1, v0, v1, base, np.full(len(u0), cols)))
+        size += rows * cols
+    if not parts:
         return [None] * len(instances)
-    # all layers are blocks of one flat z-buffer: pixel (py, px) of a
-    # triangle's layer is element base + py * stride + px
-    sizes = [rows * cols for _, _, rows, cols in drawn]
-    starts = np.cumsum(sizes) - sizes
-    counts = [len(part[0]) for part in parts]
-    base = np.repeat([s - row * cols - col for s, (row, col, _, cols) in zip(starts, drawn)], counts)
-    stride = np.repeat([cols for _, _, _, cols in drawn], counts)
-    tv, u0, u1, v0, v1 = (np.concatenate(arrays) for arrays in zip(*parts))
-    zbuf = np.full(sum(sizes), np.inf)
-    widths = u1 - u0 + 1
-    heights = v1 - v0 + 1
+    tris = [np.concatenate(arrays) for arrays in zip(*parts)]
+    del parts  # the per-instance copies
+    zbuf = _nearest_hits(camera, size, *tris)
+    layers, start = [], 0
+    for box in boxes:
+        if box is None:
+            layers.append(None)
+            continue
+        row, col, rows, cols = box
+        t = zbuf[start:start + rows * cols].reshape(rows, cols).copy()  # its own buffer, freed with the layer
+        t.flags.writeable = False
+        layers.append(_Layer(row, col, t))
+        start += rows * cols
+    return layers
+
+
+def _nearest_hits(camera: CameraModel, size: int, tv, u, v, u0, u1, v0, v1, base, stride) -> np.ndarray:
+    """The flat z-buffer of `size` elements: the nearest hit t of each pixel, inf where none.
+
+    Triangle i has camera-frame vertices tv[i], projected vertices u[i], v[i],
+    pixel box columns u0[i]..u1[i] and rows v0[i]..v1[i], and writes pixel
+    (py, px) to element base[i] + py * stride[i] + px.
+    """
     a = tv[:, 0]
     e1 = tv[:, 1] - a
     e2 = tv[:, 2] - a
@@ -271,54 +304,126 @@ def _rasterise(instances: list[ObjectInstance], camera: CameraModel) -> list[_La
     qvec = np.cross(s, e1)
     t_num = np.matmul(e2[:, None, :], qvec[:, :, None])[:, 0, 0]
     # pixel-center rays in camera frame, z component 1 => t equals depth
-    dx, dy = _pixel_rays(camera, np.arange(w), np.arange(h))
+    dx, dy = _pixel_rays(camera, np.arange(camera.width), np.arange(camera.height))
 
-    # one segment per box row, grouped by width, triangle order kept inside a group
-    order = np.argsort(widths, kind="stable")
-    seg_tri = np.repeat(order, heights[order])
-    first_row = np.cumsum(heights[order]) - heights[order]
-    seg_row = np.arange(len(seg_tri)) - np.repeat(first_row, heights[order]) + v0[seg_tri]
-    seg_base = base[seg_tri] + seg_row * stride[seg_tri]
-    seg_width = widths[seg_tri]
-    bounds = np.flatnonzero(np.diff(seg_width)) + 1
-    for g0, g1 in zip(np.r_[0, bounds], np.r_[bounds, len(seg_tri)]):
-        n = int(seg_width[g0])
-        step = max(1, _CHUNK_PAIRS // n)
-        for c0 in range(g0, g1, step):
-            c1 = min(c0 + step, g1)
-            tri, py = seg_tri[c0:c1], seg_row[c0:c1]
-            px = u0[tri][:, None] + np.arange(n)
-            dirs = np.empty((len(tri), n, 3))
-            dirs[:, :, 0] = dx[px]
-            dirs[:, :, 1] = dy[py][:, None]
-            dirs[:, :, 2] = 1.0
-            # np.cross(dirs, e2) term by term; the factors 1.0 are exact
-            e2x, e2y, e2z = e2[tri].T[:, :, None]
-            pvec = np.empty_like(dirs)
-            pvec[:, :, 0] = dirs[:, :, 1] * e2z - e2y
-            pvec[:, :, 1] = e2x - dirs[:, :, 0] * e2z
-            pvec[:, :, 2] = dirs[:, :, 0] * e2y - dirs[:, :, 1] * e2x
-            det = np.matmul(pvec, e1[tri][:, :, None])[:, :, 0]
-            ok = np.abs(det) > 1e-14
-            inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-            uu = np.matmul(pvec, s[tri][:, :, None])[:, :, 0] * inv_det
-            vv = np.matmul(dirs, qvec[tri][:, :, None])[:, :, 0] * inv_det
-            t = t_num[tri][:, None] * inv_det
-            hit = ok & (uu >= -1e-12) & (vv >= -1e-12) & (uu + vv <= 1 + 1e-12) & (t > 1e-9)
-            rows, cols = np.nonzero(hit)
-            if len(rows):
-                np.minimum.at(zbuf, seg_base[c0:c1][rows] + px[rows, cols], t[rows, cols])
+    # one segment per box row: the row's span of pixels
+    heights = v1 - v0 + 1
+    first = np.cumsum(heights) - heights
+    seg_row = np.arange(heights.sum()) - np.repeat(first - v0, heights)
+    seg_lo, seg_n = _row_spans(u, v, u0, u1, heights, seg_row)
+    pairs = np.add.reduceat(seg_n, first)
+    # triangles in batch order, 1-column boxes first, the rest by pair count;
+    # segments and pairs are numbered in that order
+    column = u0 == u1
+    order = np.argsort(np.where(column, 0, pairs), kind="stable")
+    heights, pairs, column = heights[order], pairs[order], column[order]
+    seg = np.arange(len(seg_row)) + np.repeat(first[order] - (np.cumsum(heights) - heights), heights)
+    seg_row, seg_lo, seg_n = seg_row[seg], seg_lo[seg], seg_n[seg]
+    bounds = np.r_[0, np.cumsum(seg_n)]  # segment i holds pairs bounds[i] .. bounds[i + 1] - 1
+    xoff = seg_lo - bounds[:-1]  # pixel column = xoff + pair number
+    seg_tri = np.repeat(order, heights)
+    zoff = base[seg_tri] + seg_row * stride[seg_tri] + xoff  # z-buffer element = zoff + pair number
+    ydir = dy[seg_row]
+    del seg, seg_row, seg_lo, seg_n, seg_tri
+    # batch elements: each pixel of a 1-column box alone, any other
+    # triangle whole or in pieces of _CHUNK_PAIRS pairs
+    cap = _CHUNK_PAIRS
+    piece = np.where(column, 1, cap)
+    pieces = -(-pairs // piece)
+    elem_tri = np.repeat(order, pieces)
+    tri_end = np.cumsum(pairs)
+    index = np.arange(len(elem_tri)) - np.repeat(np.cumsum(pieces) - pieces, pieces)  # within the triangle
+    elem_start = np.repeat(tri_end - pairs, pieces) + index * np.repeat(piece, pieces)
+    elem_end = np.minimum(elem_start + np.repeat(piece, pieces), np.repeat(tri_end, pieces))
+    n_column = int(heights[column].sum())
 
-    layers, blocks = [], iter(np.split(zbuf, starts[1:]))
-    for box in boxes:
-        if box is None:
-            layers.append(None)
-            continue
-        row, col, rows, cols = box
-        t = next(blocks).reshape(rows, cols).copy()  # its own buffer, freed with the layer
-        t.flags.writeable = False
-        layers.append(_Layer(row, col, t))
-    return layers
+    zbuf = np.full(size, np.inf)
+    for group, least in ((slice(0, n_column), 1), (slice(n_column, len(elem_tri)), 2)):
+        for c0, c1, n in _chunks(np.maximum(elem_end[group] - elem_start[group], least), cap):
+            c0, c1 = c0 + group.start, c1 + group.start
+            p0, p1 = elem_start[c0], elem_end[c1 - 1]
+            s0, s1 = np.searchsorted(bounds, p0, side="right") - 1, np.searchsorted(bounds, p1)
+            # the pair number at each batch position: an element is padded
+            # to n pairs by repeating its last one
+            pair = np.minimum(elem_start[c0:c1, None] + np.arange(n), elem_end[c0:c1, None] - 1)
+            edges = bounds[s0:s1 + 1].copy()
+            edges[0], edges[-1] = p0, p1
+            seg = np.repeat(np.arange(s0, s1), np.diff(edges))[pair - p0]
+            zi = zoff[seg] + pair
+            x, y = dx[xoff[seg] + pair], ydir[seg]
+            del pair, seg  # fewer batch-sized arrays alive at once
+            tri = elem_tri[c0:c1]
+            hits, t = _ray_hits(x, y, e1[tri], e2[tri], s[tri], qvec[tri], t_num[tri])
+            np.minimum.at(zbuf, zi.ravel()[hits], t)
+    return zbuf
+
+
+def _ray_hits(x, y, e1, e2, s, qvec, t_num):
+    """Flat indices and t of the hits of the rays (x, y, 1) from the camera
+    center, row i of x and y against triangle i (Moller-Trumbore)."""
+    # np.cross(dirs, e2) term by term; the factors 1.0 are exact
+    e2x, e2y, e2z = e2.T[:, :, None]
+    pvec = np.empty(x.shape + (3,))
+    np.subtract(y * e2z, e2y, out=pvec[:, :, 0])
+    np.subtract(e2x, x * e2z, out=pvec[:, :, 1])
+    np.subtract(x * e2y, y * e2x, out=pvec[:, :, 2])
+    det = np.matmul(pvec, e1[:, :, None])[:, :, 0]
+    ok = np.abs(det) > 1e-14
+    inv_det = np.divide(1.0, det, out=np.zeros_like(det), where=ok)
+    uu = np.matmul(pvec, s[:, :, None])[:, :, 0] * inv_det
+    del pvec, det  # fewer batch-sized arrays alive at once
+    dirs = np.empty(x.shape + (3,))
+    dirs[:, :, 0] = x
+    dirs[:, :, 1] = y
+    dirs[:, :, 2] = 1.0
+    vv = np.matmul(dirs, qvec[:, :, None])[:, :, 0] * inv_det
+    del dirs
+    t = t_num[:, None] * inv_det
+    hits = np.flatnonzero(ok & (uu >= -1e-12) & (vv >= -1e-12) & (uu + vv <= 1 + 1e-12) & (t > 1e-9))
+    return hits, t.ravel()[hits]
+
+
+def _row_spans(u, v, u0, u1, heights, seg_row):
+    """First pixel and pixel count of each box row that the row's triangle can hit.
+
+    u and v hold each triangle's projected vertices, u0 and u1 its box
+    columns, heights its number of box rows; seg_row lists the rows, triangle
+    by triangle. The row-centre line meets the projected edges between the
+    smallest and the largest crossing. An edge's crossing is taken from its
+    first vertex, so a horizontal edge on the line adds its first endpoint and
+    the next edge its second. The interval is padded by one pixel on each
+    side and clipped to the box. A row that meets no edge keeps the whole box
+    row.
+    """
+    y = seg_row + 0.5
+    xmin = np.full(len(y), np.inf)
+    xmax = np.full(len(y), -np.inf)
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        ua, va, ub, vb = u[:, i], v[:, i], u[:, j], v[:, j]
+        flat = va == vb
+        slope = np.where(flat, 0.0, (ub - ua) / np.where(flat, 1.0, vb - va))
+        meets = (np.repeat(np.minimum(va, vb), heights) <= y) & (y <= np.repeat(np.maximum(va, vb), heights))
+        x = np.repeat(ua, heights) + (y - np.repeat(va, heights)) * np.repeat(slope, heights)
+        xmin = np.where(meets, np.minimum(xmin, x), xmin)
+        xmax = np.where(meets, np.maximum(xmax, x), xmax)
+    none = xmin > xmax
+    xmin[none], xmax[none] = -np.inf, np.inf
+    box0, box1 = np.repeat(u0, heights), np.repeat(u1, heights)
+    lo = np.clip(np.ceil(xmin - 0.5) - 1, box0, box1).astype(int)
+    hi = np.clip(np.floor(xmax - 0.5) + 1, box0, box1).astype(int)
+    return lo, hi - lo + 1
+
+
+def _chunks(widths, cap: int):
+    """Runs (start, stop, width) of the batch elements' widths, each of at
+    most `cap` pairs once padded to its widest element, or of one element."""
+    c0 = 0
+    while c0 < len(widths):
+        # a run holds at most cap elements, each at least one pair wide
+        n = np.maximum.accumulate(widths[c0:c0 + cap])
+        c1 = c0 + max(1, np.count_nonzero(np.arange(1, len(n) + 1) * n <= cap))
+        yield c0, c1, int(n[c1 - c0 - 1])
+        c0 = c1
 
 
 def _compose(layers: list[_Layer | None], camera: CameraModel) -> DepthFrame:

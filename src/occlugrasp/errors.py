@@ -1,5 +1,5 @@
 """Exception types shared across the toolkit, and the checks that callers
-use to raise `InputError`: a positive number, and a seed."""
+use to raise `InputError`: a positive number, a positive integer, and a seed."""
 
 import math
 import numbers
@@ -22,6 +22,11 @@ class MeasurementError(RuntimeError):
 def _finite_positive(x) -> bool:
     """Whether `x` is a real number, not a bool, that is finite and > 0."""
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x) and x > 0
+
+
+def _positive_int(x) -> bool:
+    """Whether `x` is an integer, not a bool, that is > 0."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x > 0
 
 
 def _seed(seed) -> int:

@@ -81,7 +81,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, _finite_positive, _rng, _seed
+from .errors import InputError, _finite_positive, _positive_int, _rng, _seed
 from .geometry import PointCloud, Pose, Quaternion, _compose, _cross, _inverse, _matrix, _rotate, orthonormal_tangents
 from .meshes import surface_sample
 from .scenes import ObjectInstance, Scene
@@ -507,6 +507,8 @@ def sample_candidate_grasps(
     An attempt's outcome depends only on the drawn point index: an index that found no
     opposing point is skipped when drawn again, and sampling stops once all have failed.
     """
+    if not _positive_int(count):
+        raise InputError(f"count must be a positive integer, got {count!r}")
     if len(target_cloud) == 0 or target_cloud.normals is None:
         raise InputError("candidate sampling needs a non-empty cloud with normals")
     rng = _rng(seed)

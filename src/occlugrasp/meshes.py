@@ -17,13 +17,12 @@ box only decides the time, never the hit, as long as it holds every triangle.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, _rng
+from .errors import InputError, _positive_int, _rng
 from .geometry import PointCloud, Pose
 
 _EPS = 1e-12
@@ -247,7 +246,7 @@ def surface_sample(mesh: TriMesh, count: int, seed: int) -> PointCloud:
     Per-triangle counts use largest-remainder allocation so density tracks
     area exactly; in-triangle positions are uniform via the seeded RNG.
     """
-    if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 1:
+    if not _positive_int(count):
         raise InputError(f"count must be a positive integer, got {count!r}")
     areas = mesh.face_areas
     total = float(areas.sum())

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GenerationError, InputError, _finite_positive, _rng
+from .errors import GenerationError, InputError, _finite_positive, _positive_int, _rng
 from .geometry import Pose, Quaternion, quaternion_about_axis
 from .meshes import TriMesh, make_box, make_cylinder, make_hex_prism, make_sphere
 
@@ -287,8 +287,10 @@ def _place_instance(
 def generate_packed_scene(config: SceneConfig, catalog: list[CatalogObject] | None = None) -> Scene:
     """Rejection-sampled collision-free packed scene; pure function of config."""
     lo, hi = config.object_count_range
-    if not (1 <= lo <= hi <= 10):
-        raise InputError(f"object_count_range must lie within [1, 10], got {config.object_count_range}")
+    if not (_positive_int(lo) and _positive_int(hi) and lo <= hi <= 10):
+        raise InputError(f"object_count_range must be integers within [1, 10], got {config.object_count_range}")
+    if not _positive_int(config.max_attempts):
+        raise InputError(f"max_attempts must be a positive integer, got {config.max_attempts!r}")
     if not _finite_positive(config.workspace_extent):
         raise InputError(f"workspace_extent must be finite and positive, got {config.workspace_extent!r}")
     # a NaN margin would make every distance test pass, and objects overlap
@@ -354,10 +356,17 @@ def save_scene(path, scene: Scene, catalog_config: CatalogConfig) -> None:
 
 
 def catalog_config_from_manifest(data: dict) -> CatalogConfig:
-    c = data["catalog"]
-    # the range fields, whose defaults are tuples, are lists in the manifest
-    return CatalogConfig(**{f.name: tuple(c[f.name]) if isinstance(f.default, tuple) else c[f.name]
-                            for f in dataclasses.fields(CatalogConfig)})
+    """The catalog config a scene manifest records; a missing key or a value
+    of the wrong type raises `InputError`."""
+    try:
+        c = data["catalog"]
+        # the range fields, whose defaults are tuples, are lists in the manifest
+        return CatalogConfig(**{f.name: tuple(c[f.name]) if isinstance(f.default, tuple) else c[f.name]
+                                for f in dataclasses.fields(CatalogConfig)})
+    except KeyError as exc:
+        raise InputError(f"scene manifest lacks the key {exc}") from exc
+    except TypeError as exc:
+        raise InputError(f"scene manifest holds a catalog value of the wrong type: {exc}") from exc
 
 
 def scene_from_manifest(data: dict, catalog: list[CatalogObject] | None = None) -> Scene:

@@ -33,7 +33,6 @@ grids of the plain per-voxel computation bit for bit:
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,7 +40,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .camera import CameraModel, DepthFrame, read_npz
-from .errors import InputError, _finite_positive
+from .errors import InputError, _finite_positive, _positive_int
 from .geometry import PointCloud
 
 
@@ -53,7 +52,7 @@ class TsdfConfig:
 
     def __post_init__(self):
         r = self.resolution
-        if isinstance(r, bool) or not isinstance(r, numbers.Integral) or r <= 0:
+        if not _positive_int(r):
             raise InputError(f"resolution must be a positive integer, got {r!r}")
         object.__setattr__(self, "resolution", int(r))
         if not _finite_positive(self.extent):

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,6 +13,10 @@ from occlugrasp.camera import (
     BACKGROUND_ID,
     CameraModel,
     DepthFrame,
+    _BACK_FACE_TOL,
+    _CHUNK_PAIRS,
+    _Layer,
+    _pixel_rays,
     add_depth_noise,
     back_project,
     default_camera,
@@ -335,7 +340,9 @@ class TestPersistence:
 
 # ---------------------------------------------------------------------------
 # reference oracles: the per-triangle render loop and the full-image
-# back-projection that `render` and `back_project` replaced
+# back-projection that `render` and `back_project` replaced, and the
+# rasteriser that evaluated every pixel of a triangle's box, one batch
+# element per box row (its chunk size is its own, fixed at import)
 
 
 def reference_render(scene: Scene, camera: CameraModel) -> DepthFrame:
@@ -394,6 +401,111 @@ def reference_render(scene: Scene, camera: CameraModel) -> DepthFrame:
             inst[iv0 : iv1 + 1, iu0 : iu1 + 1][better] = index
     depth = np.where(np.isfinite(zbuf), zbuf, 0.0).astype(np.float32)
     return DepthFrame(depth, inst, camera)
+
+
+def reference_rasterise(instances: list[ObjectInstance], camera: CameraModel) -> list[_Layer | None]:
+    """The depth layer of each instance; None where every pixel box is empty."""
+    h, w = camera.height, camera.width
+    world_to_cam = camera.pose.inverse()
+    rot = world_to_cam.rotation.as_matrix()
+    trans = world_to_cam.translation
+    fx, fy, cx, cy = camera.fx, camera.fy, camera.cx, camera.cy
+    boxes, parts = [], []
+    for instance in instances:
+        mesh = instance.mesh
+        verts_cam = instance.pose.transform(mesh.vertices) @ rot.T + trans
+        tv = verts_cam[mesh.triangles]  # (m, 3, 3)
+        # skip triangles touching or behind the camera plane
+        tv = tv[tv[:, :, 2].min(axis=1) > 1e-6]
+        if mesh.is_closed_outward and verts_cam[:, 2].min() > 1e-6:
+            # the camera is outside the closed mesh: skip its back faces
+            a = tv[:, 0]
+            n = np.cross(tv[:, 1] - a, tv[:, 2] - a)
+            tol = _BACK_FACE_TOL * np.linalg.norm(n, axis=1) * np.linalg.norm(a, axis=1)
+            tv = tv[np.einsum("ij,ij->i", n, a) <= tol]
+        u = tv[:, :, 0] / tv[:, :, 2] * fx + cx
+        v = tv[:, :, 1] / tv[:, :, 2] * fy + cy
+        u0 = np.maximum(np.ceil(u.min(axis=1) - 0.5), 0).astype(int)
+        u1 = np.minimum(np.floor(u.max(axis=1) - 0.5), w - 1).astype(int)
+        v0 = np.maximum(np.ceil(v.min(axis=1) - 0.5), 0).astype(int)
+        v1 = np.minimum(np.floor(v.max(axis=1) - 0.5), h - 1).astype(int)
+        keep = (u1 >= u0) & (v1 >= v0)
+        if not keep.any():
+            boxes.append(None)
+            continue
+        u0, u1, v0, v1 = u0[keep], u1[keep], v0[keep], v1[keep]
+        row, col = int(v0.min()), int(u0.min())
+        boxes.append((row, col, int(v1.max()) + 1 - row, int(u1.max()) + 1 - col))
+        parts.append((tv[keep], u0, u1, v0, v1))
+    drawn = [box for box in boxes if box is not None]
+    if not drawn:
+        return [None] * len(instances)
+    # all layers are blocks of one flat z-buffer: pixel (py, px) of a
+    # triangle's layer is element base + py * stride + px
+    sizes = [rows * cols for _, _, rows, cols in drawn]
+    starts = np.cumsum(sizes) - sizes
+    counts = [len(part[0]) for part in parts]
+    base = np.repeat([s - row * cols - col for s, (row, col, _, cols) in zip(starts, drawn)], counts)
+    stride = np.repeat([cols for _, _, _, cols in drawn], counts)
+    tv, u0, u1, v0, v1 = (np.concatenate(arrays) for arrays in zip(*parts))
+    zbuf = np.full(sum(sizes), np.inf)
+    widths = u1 - u0 + 1
+    heights = v1 - v0 + 1
+    a = tv[:, 0]
+    e1 = tv[:, 1] - a
+    e2 = tv[:, 2] - a
+    s = -a  # ray origin is the camera center
+    qvec = np.cross(s, e1)
+    t_num = np.matmul(e2[:, None, :], qvec[:, :, None])[:, 0, 0]
+    # pixel-center rays in camera frame, z component 1 => t equals depth
+    dx, dy = _pixel_rays(camera, np.arange(w), np.arange(h))
+
+    # one segment per box row, grouped by width, triangle order kept inside a group
+    order = np.argsort(widths, kind="stable")
+    seg_tri = np.repeat(order, heights[order])
+    first_row = np.cumsum(heights[order]) - heights[order]
+    seg_row = np.arange(len(seg_tri)) - np.repeat(first_row, heights[order]) + v0[seg_tri]
+    seg_base = base[seg_tri] + seg_row * stride[seg_tri]
+    seg_width = widths[seg_tri]
+    bounds = np.flatnonzero(np.diff(seg_width)) + 1
+    for g0, g1 in zip(np.r_[0, bounds], np.r_[bounds, len(seg_tri)]):
+        n = int(seg_width[g0])
+        step = max(1, _CHUNK_PAIRS // n)
+        for c0 in range(g0, g1, step):
+            c1 = min(c0 + step, g1)
+            tri, py = seg_tri[c0:c1], seg_row[c0:c1]
+            px = u0[tri][:, None] + np.arange(n)
+            dirs = np.empty((len(tri), n, 3))
+            dirs[:, :, 0] = dx[px]
+            dirs[:, :, 1] = dy[py][:, None]
+            dirs[:, :, 2] = 1.0
+            # np.cross(dirs, e2) term by term; the factors 1.0 are exact
+            e2x, e2y, e2z = e2[tri].T[:, :, None]
+            pvec = np.empty_like(dirs)
+            pvec[:, :, 0] = dirs[:, :, 1] * e2z - e2y
+            pvec[:, :, 1] = e2x - dirs[:, :, 0] * e2z
+            pvec[:, :, 2] = dirs[:, :, 0] * e2y - dirs[:, :, 1] * e2x
+            det = np.matmul(pvec, e1[tri][:, :, None])[:, :, 0]
+            ok = np.abs(det) > 1e-14
+            inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+            uu = np.matmul(pvec, s[tri][:, :, None])[:, :, 0] * inv_det
+            vv = np.matmul(dirs, qvec[tri][:, :, None])[:, :, 0] * inv_det
+            t = t_num[tri][:, None] * inv_det
+            hit = ok & (uu >= -1e-12) & (vv >= -1e-12) & (uu + vv <= 1 + 1e-12) & (t > 1e-9)
+            rows, cols = np.nonzero(hit)
+            if len(rows):
+                np.minimum.at(zbuf, seg_base[c0:c1][rows] + px[rows, cols], t[rows, cols])
+
+    layers, blocks = [], iter(np.split(zbuf, starts[1:]))
+    for box in boxes:
+        if box is None:
+            layers.append(None)
+            continue
+        row, col, rows, cols = box
+        t = next(blocks).reshape(rows, cols).copy()  # its own buffer, freed with the layer
+        t.flags.writeable = False
+        layers.append(_Layer(row, col, t))
+    return layers
 
 
 def reference_back_project(frame: DepthFrame, instance_filter=None, estimate_normals=True):
@@ -603,6 +715,169 @@ class TestRenderMatchesReference:
         frame = render(scene, cam)
         assert not frame.valid.any()
         assert_same_frame(frame, reference_render(scene, cam))
+
+
+def assert_same_layers(got: list, want: list):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert (g.row, g.col, g.t.shape) == (w.row, w.col, w.t.shape)
+            assert g.t.tobytes() == w.t.tobytes()
+
+
+def rasterise_both(instances, camera) -> list:
+    """The layers of `_rasterise`, asserted byte-equal to the reference's."""
+    got = camera_module._rasterise(list(instances), camera)
+    assert_same_layers(got, reference_rasterise(list(instances), camera))
+    return got
+
+
+def traced_peak(rasterise, instances, camera) -> int:
+    tracemalloc.start()
+    try:
+        rasterise(list(instances), camera)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def pixel_vertices(camera: CameraModel, uvz) -> list:
+    """Camera-frame vertices, at the identity pose, that project to the given (u, v) at depth z."""
+    return [[(u - camera.cx) / camera.fx * z, (v - camera.cy) / camera.fy * z, z] for u, v, z in uvz]
+
+
+# the image at 160x120 and 640x480 spans x in [-0.8, 0.8] and y in [-0.6, 0.6]
+# at depth 1, and this triangle covers it, so every box row is a whole image row
+FULL_SCREEN = ([[-4.0, -4.0, 1.0], [8.0, -4.0, 1.5], [-4.0, 8.0, 2.0]], [[0, 1, 2]])
+FULL_CAMERA = CameraModel(640, 480, 400.0, 400.0, 320.0, 240.0, Pose.identity())
+# focal length 128: a row centre v + 0.5 is y / z = (v + 0.5 - 60) / 128, a
+# binary fraction, so a vertex can project onto it exactly
+ROW_CAMERA = CameraModel(160, 120, 128.0, 128.0, 80.0, 60.0, Pose.identity())
+
+
+class TestRasteriseMatchesReference:
+    """`_rasterise` evaluates the union of each triangle's padded row spans,
+    one batch element per triangle; its layers equal the box-row rasteriser's
+    byte for byte."""
+
+    def test_benchmark_corpora_at_full_resolution(self):
+        # the 40 scenes of occlusion_sweep and the 16 of episode
+        cam = default_camera()
+        for seed in range(40):
+            rasterise_both(dense_scene(seed).instances, cam)
+        for seed in range(16):
+            rasterise_both(generate_packed_scene(SceneConfig(seed=seed), catalog()).instances, cam)
+
+    @pytest.mark.parametrize("chunk", [61, 7])
+    def test_dense_scenes_in_small_chunks(self, chunk, monkeypatch):
+        monkeypatch.setattr(camera_module, "_CHUNK_PAIRS", chunk)
+        cam = default_camera(width=160, height=120, focal=135.0)
+        for seed in range(500, 510):
+            rasterise_both(dense_scene(seed).instances, cam)
+
+    def test_one_column_boxes_over_several_rows(self, small_chunks):
+        # each box is one column wide, so each pixel was a batch element of
+        # one row (a BLAS dot, which rounds otherwise than gemv)
+        tris = [pixel_vertices(AXIS_CAMERA, [(u + 0.3, v, z), (u + 0.9, v + 25.0, z + 0.1), (u + 0.3, v + 40.0, z + 0.37)])
+                for u, v, z in [(40, 20.2, 1.0), (52, 31.7, 0.6), (97, 5.1, 1.9), (120, 60.4, 0.8)]]
+        verts = np.asarray(tris, dtype=float).reshape(-1, 3)
+        scene = make_scene([mesh_instance(verts, [[3 * i, 3 * i + 1, 3 * i + 2]]) for i in range(len(tris))])
+        for layer in rasterise_both(scene.instances, AXIS_CAMERA):
+            assert layer.t.shape[1] == 1
+            assert np.isfinite(layer.t).sum() >= 10
+
+    def test_one_pair_triangle_in_a_wider_box(self):
+        # the box is columns 10 and 11 of row 20, and the span at the row
+        # centre clips to column 11 alone: an element of one pair, padded to two
+        uvz = [(10.2, 20.0, 1.0), (12.2, 20.0, 1.0), (12.3, 20.6, 1.0)]
+        u, v = np.array([[10.2, 12.2, 12.3]]), np.array([[20.0, 20.0, 20.6]])
+        lo, count = camera_module._row_spans(u, v, np.array([10]), np.array([11]), np.array([1]), np.array([20]))
+        assert (lo[0], count[0]) == (11, 1)
+        (layer,) = rasterise_both([mesh_instance(pixel_vertices(AXIS_CAMERA, uvz), [[0, 1, 2]])], AXIS_CAMERA)
+        assert (layer.row, layer.col, layer.t.shape) == (20, 10, (1, 2))
+
+    @pytest.mark.parametrize("chunk", [_CHUNK_PAIRS, 61, 160 * 120 - 1])
+    def test_full_screen_triangles_split_across_chunks(self, chunk, monkeypatch):
+        # 19,200 pairs each; in chunks of 19,199 the last piece is one pair.
+        # Scaling a vertex along its ray keeps the projection and moves the depths.
+        monkeypatch.setattr(camera_module, "_CHUNK_PAIRS", chunk)
+        verts, tris = FULL_SCREEN
+        scales = np.random.default_rng(3).uniform(0.5, 2.0, size=(12, 3, 1))
+        instances = [mesh_instance(np.asarray(verts) * scale, tris) for scale in scales]
+        for layer in rasterise_both(instances, AXIS_CAMERA):
+            assert np.isfinite(layer.t).all() and layer.t.shape == (120, 160)
+
+    def test_full_screen_triangle_at_full_resolution(self):
+        (layer,) = rasterise_both([mesh_instance(*FULL_SCREEN)], FULL_CAMERA)
+        assert np.isfinite(layer.t).all() and layer.t.shape == (480, 640)
+
+    def test_edges_through_pixel_centres(self, small_chunks):
+        # the first two vertices lie on a line through a pixel centre, which a
+        # ray meets within the barycentric tolerance, while the row's crossing
+        # with that edge may round past the centre: the padding keeps the pixel
+        rng = np.random.default_rng(0)
+        instances = []
+        for _ in range(40):
+            uc, vc = rng.integers(20, 140) + 0.5, rng.integers(20, 100) + 0.5
+            du, dv = rng.uniform(-1, 1, 2) * [7, 5]
+            a, b = rng.uniform(0.3, 1.7, 2)
+            side = rng.uniform(-1, 1, 2) * 9
+            z = rng.uniform(0.5, 2.0, 3)
+            uvz = [(uc - a * du, vc - a * dv, z[0]), (uc + b * du, vc + b * dv, z[1]),
+                   (uc + side[0], vc + side[1], z[2])]
+            instances.append(mesh_instance(pixel_vertices(AXIS_CAMERA, uvz), [[0, 1, 2]]))
+        rasterise_both(instances, AXIS_CAMERA)
+
+    def test_horizontal_edges_on_row_centres(self, small_chunks):
+        tris = [
+            [(20.0, 40.5, 1.0), (90.0, 40.5, 1.3), (60.0, 70.2, 1.1)],   # top edge on row 40's centre
+            [(30.0, 80.5, 0.9), (100.0, 80.5, 1.0), (70.0, 50.8, 1.2)],  # bottom edge on row 80's
+            [(110.0, 10.5, 1.0), (150.0, 10.5, 1.0), (130.5, 30.5, 1.0)],  # both on row centres
+        ]
+        verts = np.array([pixel_vertices(ROW_CAMERA, uvz) for uvz in tris]).reshape(-1, 3)
+        v = verts[:, 1] / verts[:, 2] * ROW_CAMERA.fy + ROW_CAMERA.cy  # as `_rasterise` projects
+        assert list(v[[0, 1, 3, 4, 6, 7, 8]]) == [40.5, 40.5, 80.5, 80.5, 10.5, 10.5, 30.5]
+        scene = make_scene([mesh_instance(verts, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])])
+        (layer,) = rasterise_both(scene.instances, ROW_CAMERA)
+        assert np.isfinite(layer.t).sum() > 1000
+
+    def test_edge_on_triangles(self, small_chunks):
+        # the camera centre lies in each triangle's plane: the first projects
+        # onto row 100's centre line, the second onto a slanted segment
+        flat = pixel_vertices(ROW_CAMERA, [(20.0, 100.5, 1.0), (140.0, 100.5, 1.5), (70.0, 100.5, 2.0)])
+        p, q = np.array([0.1, 0.05, 1.0]), np.array([0.3, 0.2, 1.5])
+        slanted = [p, q, 0.5 * p + 0.7 * q]
+        verts = np.vstack([flat, slanted])
+        assert (verts[:3, 1] / verts[:3, 2] * ROW_CAMERA.fy + ROW_CAMERA.cy == 100.5).all()
+        scene = make_scene([mesh_instance(verts, [[0, 1, 2], [3, 4, 5]])])
+        rasterise_both(scene.instances, ROW_CAMERA)
+        rasterise_both(scene.instances, AXIS_CAMERA)
+
+    def test_row_meeting_no_edge_keeps_the_box_row(self):
+        # the triangle lies between rows 19 and 20's centres; asked for row
+        # 25, which no edge meets, the span is the whole box row
+        u, v = np.array([[10.0, 14.0, 12.0]]), np.array([[20.2, 20.2, 20.4]])
+        lo, count = camera_module._row_spans(u, v, np.array([10]), np.array([13]), np.array([1]), np.array([25]))
+        assert (lo[0], count[0]) == (10, 4)
+
+
+class TestRasteriseMemory:
+    """`_rasterise` builds its pixel indices a chunk at a time: its traced peak
+    stays within the reference's, which bounds the benchmark's peak RSS."""
+
+    def test_dense_corpus_at_full_resolution(self):
+        # every 4th scene: tracing makes the reference about eight times slower
+        cam = default_camera()
+        for seed in range(2, 40, 4):
+            instances = dense_scene(seed).instances
+            assert traced_peak(camera_module._rasterise, instances, cam) <= traced_peak(
+                reference_rasterise, instances, cam), seed
+
+    def test_full_screen_triangle(self):
+        instances = [mesh_instance(*FULL_SCREEN)]
+        assert traced_peak(camera_module._rasterise, instances, FULL_CAMERA) <= traced_peak(
+            reference_rasterise, instances, FULL_CAMERA)
 
 
 class TestRenderMatchesRayCast:

@@ -32,7 +32,7 @@ from occlugrasp.grasping import (
     taxonomy_counts,
     write_labels_jsonl,
 )
-from occlugrasp.meshes import make_sphere, surface_sample
+from occlugrasp.meshes import make_box, make_sphere, surface_sample
 from occlugrasp.scenes import CatalogConfig, SceneConfig, build_catalog, derive_single_scene, generate_packed_scene
 
 from .test_camera import box_instance, make_scene
@@ -324,6 +324,20 @@ class TestSampling:
     def test_empty_cloud_rejected(self):
         with pytest.raises(InputError):
             sample_candidate_grasps(PointCloud.empty(), GRIP, 10, seed=0)
+
+    @pytest.mark.parametrize("count", [1.5, -3, 0, True, "4", None, np.float64(4.0)])
+    def test_count_must_be_a_positive_integer(self, count):
+        # 1.5 gave 2 grasps and -3 gave none
+        cloud = surface_sample(make_box(0.04, 0.05, 0.06), 64, seed=0)
+        with pytest.raises(InputError, match="count"):
+            sample_candidate_grasps(cloud, GRIP, count, seed=0)
+        scene = make_scene([box_instance(0.05, 0.05, 0.1, 0.15, 0.15)])
+        with pytest.raises(InputError, match="count"):
+            label_pair(scene, GRIP, count, seed=1)
+
+    def test_numpy_integer_count_accepted(self):
+        cloud = surface_sample(make_sphere(0.03), 512, seed=1)
+        assert sample_candidate_grasps(cloud, GRIP, np.int64(6), seed=2) == sample_candidate_grasps(cloud, GRIP, 6, seed=2)
 
     def test_cloud_without_normals_rejected(self):
         with pytest.raises(InputError):

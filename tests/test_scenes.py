@@ -14,6 +14,7 @@ from occlugrasp.scenes import (
     Scene,
     SceneConfig,
     build_catalog,
+    catalog_config_from_manifest,
     derive_single_scene,
     enumerate_targets,
     generate_packed_scene,
@@ -236,6 +237,24 @@ class TestGeneratePacked:
         with pytest.raises(InputError):
             generate_packed_scene(SceneConfig(object_count_range=(2, 11)))
 
+    @pytest.mark.parametrize("count_range", [(1.5, 3), (2, 3.0), (True, 3), ("2", 3), (2, None)])
+    def test_count_range_of_integers(self, count_range):
+        # (1.5, 3) built a scene
+        with pytest.raises(InputError, match="object_count_range"):
+            generate_packed_scene(SceneConfig(object_count_range=count_range))
+
+    @pytest.mark.parametrize("attempts", [1.5, 0, -1, True, "10", None])
+    def test_max_attempts_must_be_a_positive_integer(self, attempts):
+        # 1.5 raised a bare TypeError from `range`
+        with pytest.raises(InputError, match="max_attempts"):
+            generate_packed_scene(SceneConfig(max_attempts=attempts))
+
+    def test_numpy_integer_count_range_and_attempts_accepted(self):
+        want = generate_packed_scene(SceneConfig(object_count_range=(2, 3), seed=5, max_attempts=50))
+        got = generate_packed_scene(SceneConfig(object_count_range=(np.int64(2), np.int32(3)), seed=5,
+                                                max_attempts=np.int64(50)))
+        assert got == want
+
     @pytest.mark.parametrize("margin", [math.nan, math.inf, -1e-3])
     def test_placement_margin_must_be_finite_and_non_negative(self, margin):
         # every comparison with a NaN margin is False, so footprints could overlap
@@ -376,6 +395,12 @@ class TestManifest:
         data[key] = value
         with pytest.raises(InputError):
             scene_from_manifest(data)
+
+    @pytest.mark.parametrize("data", [{"catalog": {}}, {}, {"catalog": None}, {"catalog": {"seed": 0}}])
+    def test_catalog_config_without_its_keys(self, data):
+        # {"catalog": {}} raised a bare KeyError: 'seed'
+        with pytest.raises(InputError):
+            catalog_config_from_manifest(data)
 
     def test_numpy_integer_target_index_accepted(self):
         scene = generate_packed_scene(SceneConfig(object_count_range=(2, 2), seed=4))
