@@ -141,11 +141,16 @@ def make_completer(name: str):
 
 
 def chamfer_l1(a: PointCloud, b: PointCloud) -> float:
-    """Symmetric mean nearest-neighbor distance: 0.5 * (mean_a NN_b + mean_b NN_a)."""
+    """Symmetric mean nearest-neighbor distance: 0.5 * (mean_a NN_b + mean_b NN_a).
+
+    Each tree is built unbalanced and without shrinking its node boxes, which
+    builds faster; a nearest-neighbour distance is the same exact minimum over
+    the same points in any tree.
+    """
     if len(a) == 0 or len(b) == 0:
         raise InputError("chamfer distance is undefined for empty clouds")
-    d_ab = cKDTree(b.points).query(a.points, k=1)[0]
-    d_ba = cKDTree(a.points).query(b.points, k=1)[0]
+    d_ab = cKDTree(b.points, balanced_tree=False, compact_nodes=False).query(a.points, k=1)[0]
+    d_ba = cKDTree(a.points, balanced_tree=False, compact_nodes=False).query(b.points, k=1)[0]
     return 0.5 * (float(d_ab.mean()) + float(d_ba.mean()))
 
 

@@ -208,7 +208,7 @@ class Pose:
         if not isinstance(self.rotation, Quaternion):
             raise InputError(f"pose rotation must be a Quaternion, got {self.rotation!r}")
         try:
-            t = np.asarray(self.translation, dtype=float)
+            t = np.array(self.translation, dtype=float)  # a copy: no caller's array can change it
         except (TypeError, ValueError) as exc:
             raise InputError(f"pose translation must be numbers: {exc}") from exc
         if t.size != 3 or not np.isfinite(t).all():

@@ -61,8 +61,23 @@ batch's fixed cost per call makes one grasp several times as costly through
 it, so `simulate_grasp` keeps its own set-up and broad phase, and shares
 `_mesh_hits` as a batch of one and `_pad_slab_contacts`. Both move meshes into
 grasp frames with `geometry`'s `_inverse`, `_compose` and `_matrix`, which
-`Pose` and `Quaternion` are built on, so the bits are theirs. A caller picks
-the path by its input: one grasp or a list.
+`Pose` and `Quaternion` are built on, so the bits are theirs.
+
+A caller that judges one grasp in a scene and in its single scene, as TARGO's
+paired results do, repeats all but test 3. So `simulate_grasp` keeps a
+one-grasp slot: the last grasp, by identity; its gripper and `friction_mu`, by
+value; its set-up (the table verdict, the reach box, the move into the grasp
+frame, the box centres and half-extents); and, once a call gets that far, the
+result of tests 4 and 5 with the target instance it was computed for, by
+identity. A call with the same grasp reuses the set-up; if its scene's target
+is the same instance object, it reuses the target result, after testing its
+own scene's occluders in index order, which are never cached. The identity
+keys are sound because `Grasp`, `Quaternion`, `Pose`, `ObjectInstance` and the
+mesh arrays are immutable, and because the slot holds strong references to
+the grasp and the target, so no id it keys can be reused while it is cached.
+Every call publishes a new tuple and never mutates a published one, so a
+concurrent call sees either the old slot or the new; each decision is the one
+the call would compute, only computed once.
 
 Grasp frame: x is the closing axis joining the antipodal pair, z is the
 approach (travel) direction, y completes the right-handed frame. The grasp
@@ -126,7 +141,7 @@ class Grasp:
 
     def __post_init__(self):
         try:
-            c = np.asarray(self.center, dtype=float)
+            c = np.array(self.center, dtype=float)  # a copy: no caller's array can change it
             width_ok = math.isfinite(self.width) and self.width >= 0
             quality_ok = 0.0 <= self.quality <= 1.0
         except (TypeError, ValueError) as exc:
@@ -314,24 +329,44 @@ def _check_friction(mu) -> None:
         raise InputError(f"friction_mu must be finite and >= 0, got {mu!r}")
 
 
+# The last grasp `simulate_grasp` judged: (grasp, gripper, friction_mu, set-up,
+# target stage). The set-up is None where the table blocks the grasp, and the
+# target stage None or (target instance, result). A call publishes a new tuple
+# and never mutates a published one.
+_slot: tuple = (None, None, None, None, None)
+
+
 def simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel,
                    friction_mu: float = DEFAULT_FRICTION) -> SimResult:
-    """Quasi-static grasp oracle; the first failing test, in the module's order, decides."""
+    """Quasi-static grasp oracle; the first failing test, in the module's order, decides.
+
+    The set-up of the last grasp judged, and its target stage, stay in a
+    one-grasp slot (see the module docstring). A call with the same grasp
+    object, a gripper and `friction_mu` of equal value reuses the set-up, and
+    also the target stage if the scene's target is the same instance object,
+    as in a scene and its `derive_single_scene`. The occluders are tested on
+    every call.
+    """
+    global _slot
     _check_friction(friction_mu)
     if grasp.width > gripper.max_width + 1e-12:
         return _WIDE
-    boxes = gripper_boxes(grasp.width, gripper)
-    lo, hi = boxes[:, None, 0], boxes[:, None, 1]
-    corners = grasp.rotation.rotate((lo + _BOX_CORNERS * (hi - lo)).reshape(-1, 3)) + grasp.center
-    corner_lo = corners.min(axis=0)
-    if corner_lo[2] < -1e-9:
+    slot = _slot
+    if slot[0] is not grasp or slot[1] != gripper or slot[2] != friction_mu:
+        boxes = gripper_boxes(grasp.width, gripper)
+        lo, hi = boxes[:, None, 0], boxes[:, None, 1]
+        corners = grasp.rotation.rotate((lo + _BOX_CORNERS * (hi - lo)).reshape(-1, 3)) + grasp.center
+        corner_lo = corners.min(axis=0)
+        setup = None  # the table blocks the grasp
+        if not corner_lo[2] < -1e-9:
+            r = grasp.rotation
+            setup = (corner_lo - BROAD_PHASE_MARGIN, corners.max(axis=0) + BROAD_PHASE_MARGIN,  # the reach box
+                     _inverse((r.w, r.x, r.y, r.z), grasp.center.tolist()),  # world to grasp frame
+                     (boxes[None, :, 0] + boxes[None, :, 1]) / 2.0, (boxes[None, :, 1] - boxes[None, :, 0]) / 2.0)
+        slot = _slot = (grasp, gripper, friction_mu, setup, None)
+    if slot[3] is None:
         return _TABLE
-    reach_lo = corner_lo - BROAD_PHASE_MARGIN
-    reach_hi = corners.max(axis=0) + BROAD_PHASE_MARGIN
-    r = grasp.rotation
-    to_grasp = _inverse((r.w, r.x, r.y, r.z), grasp.center.tolist())
-    centers = (boxes[None, :, 0] + boxes[None, :, 1]) / 2.0
-    halves = (boxes[None, :, 1] - boxes[None, :, 0]) / 2.0
+    reach_lo, reach_hi, to_grasp, centers, halves = slot[3]
 
     def hits(inst: ObjectInstance) -> bool:
         lo, hi = inst.world_aabb
@@ -343,16 +378,19 @@ def simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel,
     if hit is not None:
         return _occluder_hit(hit)
     target = scene.target
+    if slot[4] is not None and slot[4][0] is target:
+        return slot[4][1]
     if hits(target):
-        return _BODY
-    samples = target.mesh.contact_samples
-    q, t = _compose(to_grasp, target.pose)
-    pts_g = np.column_stack([v + c for v, c in zip(_rotate(q, tuple(samples.points.T)), t)])
-    nrm_g = np.column_stack(_rotate(q, tuple(samples.normals.T)))
-    ok, why = _pad_slab_contacts(pts_g, nrm_g, grasp.width, gripper, friction_mu)
-    if not ok:
-        return SimResult(False, FailureReason.ANTIPODAL_FAIL, why)
-    return _SUCCESS
+        result = _BODY
+    else:
+        samples = target.mesh.contact_samples
+        q, t = _compose(to_grasp, target.pose)
+        pts_g = np.column_stack([v + c for v, c in zip(_rotate(q, tuple(samples.points.T)), t)])
+        nrm_g = np.column_stack(_rotate(q, tuple(samples.normals.T)))
+        ok, why = _pad_slab_contacts(pts_g, nrm_g, grasp.width, gripper, friction_mu)
+        result = _SUCCESS if ok else SimResult(False, FailureReason.ANTIPODAL_FAIL, why)
+    _slot = (*slot[:4], (target, result))
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,9 @@ class TriMesh:
     """Immutable triangle mesh with outward per-face normals from winding."""
 
     def __init__(self, vertices, triangles):
-        v = np.asarray(vertices, dtype=float).reshape(-1, 3)
-        t = np.asarray(triangles, dtype=np.int32).reshape(-1, 3)
+        # copies, so that no caller's array can change the mesh
+        v = np.array(vertices, dtype=float).reshape(-1, 3)
+        t = np.array(triangles, dtype=np.int32).reshape(-1, 3)
         if t.size and (t.min() < 0 or t.max() >= len(v)):
             raise InputError("triangle index out of range")
         v.flags.writeable = False

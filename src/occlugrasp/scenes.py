@@ -49,6 +49,18 @@ class CatalogConfig:
     sphere_radius: tuple[float, float] = (0.02, 0.035)
     height: tuple[float, float] = (0.05, 0.14)
 
+    def __post_init__(self):
+        # `range` and `rng.uniform` would take a bad size or range with a bare
+        # error, or not at all: uniform(0.1) draws from [0.1, 1.0); a range
+        # is a tuple, so that the config hashes for `_shared_catalog`
+        if not _positive_int(self.size):
+            raise InputError(f"catalog size must be a positive integer, got {self.size!r}")
+        for f in dataclasses.fields(self):
+            r = getattr(self, f.name)
+            if isinstance(f.default, tuple) and not (
+                    isinstance(r, tuple) and len(r) == 2 and all(map(_finite_positive, r)) and r[0] <= r[1]):
+                raise InputError(f"catalog {f.name} must be 2 finite numbers with 0 < low <= high, got {r!r}")
+
 
 @dataclass(frozen=True)
 class CatalogObject:
@@ -161,9 +173,11 @@ class ObjectInstance:
 
     @cached_property
     def world_aabb(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) corners of the posed mesh's axis-aligned bounding box."""
+        """(lo, hi) corners of the posed mesh's axis-aligned bounding box, read-only."""
         verts = self.pose.transform(self.mesh.vertices)
-        return verts.min(axis=0), verts.max(axis=0)
+        lo, hi = verts.min(axis=0), verts.max(axis=0)
+        lo.flags.writeable = hi.flags.writeable = False
+        return lo, hi
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from occlugrasp.completion import (
 from occlugrasp.errors import InputError
 from occlugrasp.geometry import PointCloud, Pose, Quaternion
 from occlugrasp.meshes import make_cylinder, surface_sample
+from occlugrasp.occlusion import BinScheme, occlusion_level
 from occlugrasp.scenes import ObjectInstance, SceneConfig, derive_single_scene, generate_packed_scene
 
 from .test_camera import box_instance, make_scene
@@ -63,6 +64,43 @@ class TestChamfer:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             chamfer_l1(PointCloud.empty(), PointCloud(np.zeros((1, 3))))
+
+
+def reference_chamfer_l1(a: PointCloud, b: PointCloud) -> float:
+    """`chamfer_l1` on balanced, compact trees, scipy's defaults."""
+    d_ab = cKDTree(b.points).query(a.points, k=1)[0]
+    d_ba = cKDTree(a.points).query(b.points, k=1)[0]
+    return 0.5 * (float(d_ab.mean()) + float(d_ba.mean()))
+
+
+class TestChamferMatchesReference:
+    def test_binned_targets_of_the_corpora(self):
+        # the designated target of every scene the benchmark completes: the
+        # episode corpus (4-6 objects, seeds 0-15) and the dense one (8-10
+        # objects, seeds 0-39), at 640x480 with the test bins
+        cam, scheme, completer = default_camera(), BinScheme.test(), MirrorCompleter()
+        compared = 0
+        for count_range, seeds in (((4, 6), range(16)), ((8, 10), range(40))):
+            for seed in seeds:
+                scene = generate_packed_scene(SceneConfig(object_count_range=count_range, seed=seed))
+                cluttered = render(scene, cam)
+                single = render(derive_single_scene(scene, scene.target_index), cam)
+                if occlusion_level(single, cluttered, scene.target_index, scheme).bin_index is None:
+                    continue
+                completed = completer(back_project(cluttered, scene.target_index), scene, cam)
+                gt = completion_ground_truth(scene)
+                assert chamfer_l1(completed, gt) == reference_chamfer_l1(completed, gt), (count_range, seed)
+                compared += 1
+        assert compared >= 40
+
+    def test_duplicate_and_collinear_points(self):
+        # ties between equally near points, and a degenerate split direction
+        line = np.zeros((200, 3))
+        line[:, 0] = np.repeat(np.arange(50), 4) * 1e-3
+        rng = np.random.default_rng(8)
+        for a, b in [(line, line[::3] + 5e-4), (np.vstack([line, line]), rng.uniform(0, 0.05, size=(300, 3)))]:
+            a, b = PointCloud(a), PointCloud(b)
+            assert chamfer_l1(a, b) == reference_chamfer_l1(a, b)
 
 
 class TestIou:

@@ -307,6 +307,14 @@ class TestComponentFunctions:
 
 
 class TestPose:
+    def test_pose_owns_its_translation(self):
+        # keyed by identity in the render and grasp slots, a pose must not change
+        t = np.array([0.1, 0.2, 0.3])
+        pose = Pose(Quaternion.identity(), t)
+        t[0] = 9.0
+        assert pose.translation.tolist() == [0.1, 0.2, 0.3]
+        assert not pose.translation.flags.writeable
+
     def test_compose_with_inverse_is_identity(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
@@ -416,6 +424,16 @@ class TestPrimitives:
     def test_triangle_indices_in_range(self):
         with pytest.raises(InputError):
             TriMesh(np.zeros((3, 3)), np.array([[0, 1, 5]]))
+
+    def test_mesh_owns_its_arrays(self):
+        # the render and grasp slots key meshes by identity, so no caller's array may change one
+        box = make_box(0.05, 0.07, 0.1)
+        vertices, triangles = box.vertices.copy(), box.triangles.astype(np.int32)
+        mesh = TriMesh(vertices, triangles)
+        vertices[0] = 9.0
+        triangles[0] = 0
+        assert np.array_equal(mesh.vertices, box.vertices) and np.array_equal(mesh.triangles, box.triangles)
+        assert not mesh.vertices.flags.writeable and not mesh.triangles.flags.writeable
 
 
 class TestRayCast:

@@ -1,14 +1,17 @@
+import gc
 import logging
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from occlugrasp import grasping
 from occlugrasp.camera import back_project, default_camera, render
 from occlugrasp.completion import MirrorCompleter
 from occlugrasp.errors import InputError
-from occlugrasp.geometry import PointCloud, Pose, Quaternion, _compose, _inverse, orthonormal_tangents
+from occlugrasp.geometry import PointCloud, Pose, Quaternion, _compose, _inverse, _rotate, orthonormal_tangents
 from occlugrasp.grasping import (
     BROAD_PHASE_MARGIN,
     DEFAULT_FRICTION,
@@ -17,7 +20,15 @@ from occlugrasp.grasping import (
     GraspLabel,
     GripperModel,
     SimResult,
+    _BODY,
+    _BOX_CORNERS,
+    _SUCCESS,
+    _TABLE,
+    _WIDE,
+    _check_friction,
     _contacts,
+    _mesh_hits,
+    _occluder_hit,
     _pad_slab_contacts,
     _triangles_hit_box,
     grasp_frame,
@@ -33,7 +44,16 @@ from occlugrasp.grasping import (
     write_labels_jsonl,
 )
 from occlugrasp.meshes import make_box, make_sphere, surface_sample
-from occlugrasp.scenes import CatalogConfig, SceneConfig, build_catalog, derive_single_scene, generate_packed_scene
+from occlugrasp.scenes import (
+    CatalogConfig,
+    ObjectInstance,
+    Scene,
+    SceneConfig,
+    build_catalog,
+    derive_single_scene,
+    enumerate_targets,
+    generate_packed_scene,
+)
 
 from .test_camera import box_instance, make_scene
 from .test_geometry import reference_pose_inverse, reference_pose_mul
@@ -128,6 +148,47 @@ def reference_simulate(grasp, scene, gripper, friction_mu=DEFAULT_FRICTION):
     return FailureReason.NONE if ok else FailureReason.ANTIPODAL_FAIL
 
 
+def reference_simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel,
+                             friction_mu: float = DEFAULT_FRICTION) -> SimResult:
+    """`simulate_grasp` before its one-grasp slot: every test on every call."""
+    _check_friction(friction_mu)
+    if grasp.width > gripper.max_width + 1e-12:
+        return _WIDE
+    boxes = gripper_boxes(grasp.width, gripper)
+    lo, hi = boxes[:, None, 0], boxes[:, None, 1]
+    corners = grasp.rotation.rotate((lo + _BOX_CORNERS * (hi - lo)).reshape(-1, 3)) + grasp.center
+    corner_lo = corners.min(axis=0)
+    if corner_lo[2] < -1e-9:
+        return _TABLE
+    reach_lo = corner_lo - BROAD_PHASE_MARGIN
+    reach_hi = corners.max(axis=0) + BROAD_PHASE_MARGIN
+    r = grasp.rotation
+    to_grasp = _inverse((r.w, r.x, r.y, r.z), grasp.center.tolist())
+    centers = (boxes[None, :, 0] + boxes[None, :, 1]) / 2.0
+    halves = (boxes[None, :, 1] - boxes[None, :, 0]) / 2.0
+
+    def hits(inst: ObjectInstance) -> bool:
+        lo, hi = inst.world_aabb
+        if (lo > reach_hi).any() or (hi < reach_lo).any():
+            return False
+        return bool(_mesh_hits(inst, _compose(to_grasp, inst.pose), centers, halves)[0])
+
+    hit = next((i for i, inst in enumerate(scene.instances) if i != scene.target_index and hits(inst)), None)
+    if hit is not None:
+        return _occluder_hit(hit)
+    target = scene.target
+    if hits(target):
+        return _BODY
+    samples = target.mesh.contact_samples
+    q, t = _compose(to_grasp, target.pose)
+    pts_g = np.column_stack([v + c for v, c in zip(_rotate(q, tuple(samples.points.T)), t)])
+    nrm_g = np.column_stack(_rotate(q, tuple(samples.normals.T)))
+    ok, why = _pad_slab_contacts(pts_g, nrm_g, grasp.width, gripper, friction_mu)
+    if not ok:
+        return SimResult(False, FailureReason.ANTIPODAL_FAIL, why)
+    return _SUCCESS
+
+
 def reference_grasp_frame(axis, approach):
     x = np.asarray(axis, dtype=float)
     z = np.asarray(approach, dtype=float)
@@ -169,6 +230,14 @@ def dense_cases():
         ref_cluttered = [reference_simulate(g, scene, GRIP) for g in grasps]
         cases.append((seed, scene, single, grasps, ref_single, ref_cluttered))
     return cases
+
+
+@pytest.fixture(scope="module")
+def dense_refs(dense_cases):
+    """`reference_simulate_grasp` of every dense case's grasps: (single, cluttered) result lists."""
+    return [([reference_simulate_grasp(g, single, GRIP) for g in grasps],
+             [reference_simulate_grasp(g, scene, GRIP) for g in grasps])
+            for _, scene, single, grasps, _, _ in dense_cases]
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +303,14 @@ class TestTypes:
     def test_gripper_dimensions_finite(self, field, value):
         with pytest.raises(InputError):
             GripperModel(**{field: value})
+
+    def test_grasp_owns_its_center(self):
+        # `simulate_grasp`'s slot keys a grasp by identity, so no caller's array may change it
+        center = np.array([0.1, 0.2, 0.3])
+        g = Grasp(center, Quaternion.identity(), 0.05)
+        center[0] = 9.0
+        assert g.center.tolist() == [0.1, 0.2, 0.3]
+        assert not g.center.flags.writeable
 
     def test_grasp_quality_range(self):
         with pytest.raises(InputError):
@@ -608,8 +685,10 @@ class TestSimulate:
         cloud = surface_sample(scene.target.mesh, 512, seed=1).transformed(scene.target.pose)
         g = sample_candidate_grasps(cloud, GRIP, 12, seed=1)[0]
         a = simulate_grasp(g, scene, GRIP)
-        b = simulate_grasp(g, scene, GRIP)
+        b = simulate_grasp(g, scene, GRIP)  # from the one-grasp slot
         assert a == b
+        # a value-equal grasp is another object, so it misses the slot
+        assert simulate_grasp(Grasp(g.center.copy(), g.rotation, g.width), scene, GRIP) == a
 
     @pytest.mark.parametrize("mu", [-1.0, -0.4, float("nan"), float("inf"), None])
     def test_friction_must_be_finite_and_non_negative(self, mu):
@@ -655,6 +734,108 @@ class TestMatchesReference:
 
 def _label_key(lab):
     return _grasp_key(lab.grasp), lab.success_single, lab.success_cluttered, lab.failure_reason
+
+
+class TestGraspSlot:
+    """`simulate_grasp` against `reference_simulate_grasp` in call orders that
+    hit and miss its one-grasp slot; `SimResult`s compare with their detail."""
+
+    def test_every_call_a_miss(self, dense_sims, dense_refs):
+        # `dense_sims` judges every grasp in the single scene, then every grasp in
+        # the cluttered one, so no call finds its grasp in the slot
+        assert dense_sims == dense_refs
+
+    def test_single_then_cluttered(self, dense_cases, dense_refs):
+        for (seed, scene, single, grasps, _, _), (want_s, want_c) in zip(dense_cases, dense_refs):
+            got = [(simulate_grasp(g, single, GRIP), simulate_grasp(g, scene, GRIP)) for g in grasps]
+            assert got == list(zip(want_s, want_c)), seed
+
+    def test_cluttered_then_single(self, dense_cases, dense_refs):
+        for (seed, scene, single, grasps, _, _), (want_s, want_c) in zip(dense_cases, dense_refs):
+            got = [(simulate_grasp(g, scene, GRIP), simulate_grasp(g, single, GRIP)) for g in grasps]
+            assert got == list(zip(want_c, want_s)), seed
+
+    def test_same_scene_twice(self, dense_cases, dense_refs):
+        for (seed, scene, single, grasps, _, _), wants in zip(dense_cases[::4], dense_refs[::4]):
+            for s, want in zip((single, scene), wants):
+                got = [(simulate_grasp(g, s, GRIP), simulate_grasp(g, s, GRIP)) for g in grasps]
+                assert got == [(w, w) for w in want], seed
+
+    def test_interleaved_with_a_value_equal_grasp(self, dense_cases, dense_refs):
+        for (seed, scene, single, grasps, _, _), (want_s, want_c) in zip(dense_cases[::4], dense_refs[::4]):
+            for g, ws, wc in zip(grasps, want_s, want_c):
+                twin = Grasp(g.center.copy(), g.rotation, g.width, g.quality)
+                got = [simulate_grasp(g, single, GRIP), simulate_grasp(twin, single, GRIP),
+                       simulate_grasp(g, scene, GRIP), simulate_grasp(twin, scene, GRIP)]
+                assert got == [ws, ws, wc, wc], seed
+
+    def test_friction_changes_between_calls(self, dense_cases, dense_refs):
+        changed = 0
+        for (seed, scene, single, grasps, _, _), (want_s, want_c) in zip(dense_cases[::4], dense_refs[::4]):
+            for g, ws, wc in zip(grasps, want_s, want_c):
+                got = [simulate_grasp(g, single, GRIP, 0.4), simulate_grasp(g, single, GRIP, 0.0),
+                       simulate_grasp(g, scene, GRIP, 0.0), simulate_grasp(g, scene, GRIP, 0.4),
+                       simulate_grasp(g, single, GRIP, 0.4)]
+                frictionless = [reference_simulate_grasp(g, s, GRIP, 0.0) for s in (single, scene)]
+                assert got == [ws, *frictionless, wc, ws], seed
+                changed += frictionless[0] != ws
+        assert changed > 0, "friction 0.0 must change some results"
+
+    def test_gripper_changes_between_calls(self, dense_cases, dense_refs):
+        twin = GripperModel()  # equal to GRIP by value, another object
+        other = GripperModel(finger_thickness=0.012)
+        changed = 0
+        for (seed, scene, single, grasps, _, _), (want_s, want_c) in zip(dense_cases[::4], dense_refs[::4]):
+            for g, ws, wc in zip(grasps, want_s, want_c):
+                got = [simulate_grasp(g, single, GRIP), simulate_grasp(g, single, other),
+                       simulate_grasp(g, scene, twin), simulate_grasp(g, scene, other),
+                       simulate_grasp(g, single, twin)]
+                thicker = [reference_simulate_grasp(g, s, other) for s in (single, scene)]
+                assert got == [ws, thicker[0], wc, thicker[1], ws], seed
+                changed += thicker[0] != ws
+        assert changed > 0, "the thicker fingers must change some results"
+
+    def test_another_target_of_the_same_instances(self, dense_cases, dense_refs):
+        for (seed, scene, single, grasps, _, _), (want_s, want_c) in zip(dense_cases[::4], dense_refs[::4]):
+            # the instance after the target: the same occluders but one, and another target object
+            other = enumerate_targets(scene)[(scene.target_index + 1) % len(scene.instances)]
+            other_single = derive_single_scene(other, other.target_index)
+            assert other.target is not scene.target
+            for g, ws, wc in zip(grasps, want_s, want_c):
+                got = [simulate_grasp(g, single, GRIP), simulate_grasp(g, other, GRIP),
+                       simulate_grasp(g, scene, GRIP), simulate_grasp(g, other_single, GRIP)]
+                want = [ws, reference_simulate_grasp(g, other, GRIP), wc, reference_simulate_grasp(g, other_single, GRIP)]
+                assert got == want, seed
+
+    def test_occluder_hit_leaves_the_target_stage_unfilled(self):
+        target = box_instance(0.05, 0.05, 0.1, 0.15, 0.15)
+        occ = box_instance(0.04, 0.05, 0.1, 0.15 + 0.045 + 1e-4, 0.15)
+        scene = make_scene([target, occ], target=0)
+        single = derive_single_scene(scene, 0)
+        g = side_grasp((0.15, 0.15, 0.05))
+        blocked = simulate_grasp(g, scene, GRIP)
+        assert blocked == reference_simulate_grasp(g, scene, GRIP) == _occluder_hit(1)
+        assert grasping._slot[0] is g and grasping._slot[4] is None
+        assert simulate_grasp(g, single, GRIP) == reference_simulate_grasp(g, single, GRIP) == _SUCCESS
+        assert grasping._slot[4][0] is target
+        # the target stage is filled now, and the occluder is still tested
+        assert simulate_grasp(g, scene, GRIP) == blocked
+
+    def test_slot_holds_one_grasp_and_one_target(self):
+        def one_box_scene(x):
+            return make_scene([box_instance(0.05, 0.05, 0.1, x, 0.15)]), side_grasp((x, 0.15, 0.05))
+
+        scene_x, a = one_box_scene(0.1)
+        assert simulate_grasp(a, scene_x, GRIP).success
+        assert grasping._slot[0] is a and grasping._slot[4][0] is scene_x.target
+        refs = [weakref.ref(a), weakref.ref(scene_x.target)]
+        scene_y, b = one_box_scene(0.2)
+        assert simulate_grasp(b, scene_y, GRIP).success
+        del a, scene_x
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+        grasp, gripper, mu, _, (target, result) = grasping._slot
+        assert grasp is b and target is scene_y.target and result == _SUCCESS
 
 
 class TestBatchedOracle:

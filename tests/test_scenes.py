@@ -75,6 +75,39 @@ class TestCatalog:
         for obj in build_catalog(CatalogConfig()):
             assert obj.mesh.is_closed_outward, obj.catalog_id
 
+    # each raised a bare TypeError, ValueError or OverflowError, built an empty
+    # catalog, or (box_side=(0.1,)) drew boxes from [0.1, 1.0)
+    BAD = [{"size": 2.5}, {"box_side": (0.09, 0.03)}, {"height": (float("nan"), 0.1)}, {"size": 0},
+           {"box_side": (0.1,)}, {"size": -3}, {"size": True}, {"size": "4"}, {"sphere_radius": (0.0, 0.03)},
+           {"cylinder_radius": (-0.02, 0.03)}, {"hex_circumradius": (0.02, float("inf"))},
+           {"height": (0.05, 0.1, 0.2)}, {"box_side": 0.05}, {"box_side": ("0.03", "0.09")},
+           {"height": (True, True)}]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_malformed_config_rejected(self, bad):
+        with pytest.raises(InputError):
+            build_catalog(CatalogConfig(**bad))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_malformed_manifest_catalog_rejected(self, bad):
+        cfg = SceneConfig(object_count_range=(2, 2), seed=4)
+        data = scene_to_manifest(generate_packed_scene(cfg), cfg.catalog)
+        data["catalog"].update(json.loads(json.dumps(bad)))
+        with pytest.raises(InputError):
+            catalog_config_from_manifest(data)
+        with pytest.raises(InputError):
+            scene_from_manifest(data)
+
+    def test_range_must_be_a_tuple(self):
+        # a list would pass `build_catalog` but leave the config unhashable for the shared catalog
+        with pytest.raises(InputError):
+            CatalogConfig(box_side=[0.03, 0.09])
+
+    def test_degenerate_range_and_numpy_size_accepted(self):
+        catalog = build_catalog(CatalogConfig(size=np.int64(4), box_side=(0.05, 0.05), height=(0.1, 0.1)))
+        assert len(catalog) == 4
+        assert catalog[0].footprint == (0.05, 0.05, 0.1)
+
 
 class TestPolygonDistance:
     def test_overlapping_is_zero(self):
@@ -556,6 +589,13 @@ class TestSharedCatalog:
         ] + [inst.world_footprint_box for inst in scene.instances]:
             with pytest.raises(ValueError):
                 poly[0, 0] = 1.0
+
+    def test_world_aabb_is_read_only(self):
+        # the grasp oracle's broad phase reads these arrays of every instance
+        for inst in generate_packed_scene(SceneConfig(object_count_range=(3, 3), seed=4)).instances:
+            for corner in inst.world_aabb:
+                with pytest.raises(ValueError):
+                    corner[0] = 1.0
 
     def test_world_footprint_box_cached_and_equal_to_the_posed_polygon_box(self):
         scene = generate_packed_scene(SceneConfig(object_count_range=(8, 10), seed=4))
