@@ -30,6 +30,7 @@ pixels.
 
 from __future__ import annotations
 
+import numbers
 import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -37,11 +38,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, _finite_positive, _positive_int, _rng
+from .errors import InputError, _finite_non_negative, _finite_positive, _positive_int, _rng
 from .geometry import PointCloud, Pose, Quaternion
 from .scenes import ObjectInstance, Scene
 
 BACKGROUND_ID = 65535
+
+
+def _check_instance(index, name: str) -> None:
+    """Raise `InputError` unless `index` is an integer, not a bool, in [0, BACKGROUND_ID)."""
+    if not (isinstance(index, numbers.Integral) and not isinstance(index, bool) and 0 <= index < BACKGROUND_ID):
+        raise InputError(f"{name} must be an integer in [0, {BACKGROUND_ID}), got {index!r}")
 
 
 @dataclass(frozen=True)
@@ -452,7 +459,7 @@ def _compose(layers: list[_Layer | None], camera: CameraModel) -> DepthFrame:
 
 def add_depth_noise(frame: DepthFrame, sigma: float, seed: int) -> DepthFrame:
     """I.i.d. zero-mean Gaussian perturbation of non-background depths."""
-    if not (_finite_positive(sigma) or sigma == 0):
+    if not _finite_non_negative(sigma):
         raise InputError(f"sigma must be finite and >= 0, got {sigma!r}")
     rng = _rng(seed)  # checks the seed for sigma 0 too
     if sigma == 0:
@@ -470,13 +477,13 @@ def _pixel_rays(camera: CameraModel, us, vs):
     return dx, dy
 
 
-def back_project(frame: DepthFrame, instance_filter: int | None = None,
-                 estimate_normals: bool = True) -> PointCloud:
-    """World-space point per retained pixel, with screen-space normal estimates."""
+def back_project(frame: DepthFrame, instance_filter: int | None = None) -> PointCloud:
+    """World point and screen-space normal per pixel of `instance_filter`, or per valid pixel for None."""
     cam = frame.camera
     if instance_filter is None:
         mask = frame.valid
     else:
+        _check_instance(instance_filter, "instance_filter")
         mask = frame.instance_id == instance_filter
     if not mask.any():
         return PointCloud.empty()
@@ -494,9 +501,6 @@ def back_project(frame: DepthFrame, instance_filter: int | None = None,
 
     rot = cam.pose.rotation.as_matrix()
     pts_world = pts_cam @ rot.T + cam.pose.translation
-    if not estimate_normals:
-        return PointCloud(pts_world[mask])
-
     # screen-space normals: cross of horizontal/vertical neighbor differences,
     # restricted to same-instance neighbors; fallback points at the camera
     du = np.zeros_like(pts_cam)

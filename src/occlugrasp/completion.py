@@ -11,7 +11,6 @@ returns the input.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -25,6 +24,7 @@ from .scenes import Scene
 log = logging.getLogger(__name__)
 
 DEFAULT_COMPLETION_POINTS = 2048
+DEDUPE_RADIUS = 1e-3  # a reflection this close (m) to an observed point duplicates it
 # the mirror plane is vertical: it contains the table normal
 TABLE_NORMAL = np.array([0.0, 0.0, 1.0])
 
@@ -50,12 +50,9 @@ class OracleCompleter:
 
     name = "oracle"
 
-    def __init__(self, count: int = DEFAULT_COMPLETION_POINTS):
-        self.count = count
-
     def __call__(self, partial: PointCloud, scene: Scene,
                  camera: CameraModel | None = None) -> PointCloud:
-        return completion_ground_truth(scene, self.count)
+        return completion_ground_truth(scene)
 
 
 class MirrorCompleter:
@@ -76,12 +73,6 @@ class MirrorCompleter:
     """
 
     name = "mirror"
-
-    def __init__(self, dedupe_radius: float = 1e-3):
-        # a NaN radius would keep no reflection and a negative one every one
-        if not (_finite_positive(dedupe_radius) or dedupe_radius == 0):
-            raise InputError(f"dedupe_radius must be finite and >= 0, got {dedupe_radius!r}")
-        self.dedupe_radius = dedupe_radius
 
     def __call__(self, partial: PointCloud, scene: Scene | None = None,
                  camera: CameraModel | None = None) -> PointCloud:
@@ -111,8 +102,8 @@ class MirrorCompleter:
         # a reflection beyond the bound comes back at distance inf, which is
         # kept as well; the bound is exclusive, so nextafter keeps a distance
         # of exactly the radius a duplicate
-        bound = np.nextafter(self.dedupe_radius, np.inf)
-        keep = cKDTree(partial.points).query(reflected, k=1, distance_upper_bound=bound)[0] > self.dedupe_radius
+        bound = np.nextafter(DEDUPE_RADIUS, np.inf)
+        keep = cKDTree(partial.points).query(reflected, k=1, distance_upper_bound=bound)[0] > DEDUPE_RADIUS
         if not keep.any():
             return partial
         pts = np.vstack([partial.points, reflected[keep]])
@@ -172,7 +163,8 @@ def volumetric_iou(a: PointCloud, b: PointCloud, voxel_size: float = 0.0075) -> 
     return shared / (len(occ_a) + len(occ_b) - shared)
 
 
-def completion_ground_truth(scene: Scene, count: int = DEFAULT_COMPLETION_POINTS) -> PointCloud:
-    """Complete cloud sampled from the target mesh at its scene pose."""
+def completion_ground_truth(scene: Scene) -> PointCloud:
+    """Complete cloud of `DEFAULT_COMPLETION_POINTS` sampled from the target mesh at its scene pose."""
     target = scene.target
-    return surface_sample(target.mesh, count, seed=_seed(scene.seed) ^ 0x6E0C).transformed(target.pose)
+    return surface_sample(target.mesh, DEFAULT_COMPLETION_POINTS,
+                          seed=_seed(scene.seed) ^ 0x6E0C).transformed(target.pose)

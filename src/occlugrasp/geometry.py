@@ -272,13 +272,13 @@ class PointCloud:
     normals: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).reshape(-1, 3)
+        pts = np.array(self.points, dtype=float).reshape(-1, 3)  # a copy: no caller's array can change it
         if not np.isfinite(pts).all():
             raise InputError("point cloud contains NaN/Inf coordinates")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         if self.normals is not None:
-            nrm = np.asarray(self.normals, dtype=float).reshape(-1, 3)
+            nrm = np.array(self.normals, dtype=float).reshape(-1, 3)
             if nrm.shape != pts.shape:
                 raise InputError("normals shape must match points")
             if not np.isfinite(nrm).all():

@@ -5,7 +5,7 @@ only tests and benchmark checks call it. It tests every triangle, back faces
 included: `render` skips the back faces of closed meshes by an argument that
 holds only for some meshes and camera positions, so a reference that made
 the same cut could not catch a mistake in it. Every mesh comes from the four
-primitives here, so a mesh has at most 352 triangles (the default sphere).
+primitives here, so a mesh has at most 352 triangles (the sphere).
 The ray gets one slab test per mesh, against the box of the mesh's vertices
 padded by 1e-9, and skips a mesh it misses. That skips most meshes of a scene
 and is what keeps a ray cheap. A mesh the ray reaches gets one vectorised
@@ -26,6 +26,8 @@ from .errors import InputError, _positive_int, _rng
 from .geometry import PointCloud, Pose
 
 _EPS = 1e-12
+CYLINDER_SEGMENTS = 24  # sides of the cylinder's footprint polygon
+SPHERE_RINGS, SPHERE_SEGMENTS = 12, 16  # latitude bands and longitude steps of the UV sphere
 
 
 class TriMesh:
@@ -132,8 +134,8 @@ def _make_prism(footprint_xy: np.ndarray, height: float) -> TriMesh:
     return TriMesh(v, np.array(tris))
 
 
-def make_cylinder(radius: float, height: float, segments: int = 24) -> TriMesh:
-    ang = 2.0 * np.pi * np.arange(segments) / segments
+def make_cylinder(radius: float, height: float) -> TriMesh:
+    ang = 2.0 * np.pi * np.arange(CYLINDER_SEGMENTS) / CYLINDER_SEGMENTS
     poly = radius * np.column_stack([np.cos(ang), np.sin(ang)])
     return _make_prism(poly, height)
 
@@ -144,8 +146,9 @@ def make_hex_prism(circumradius: float, height: float) -> TriMesh:
     return _make_prism(poly, height)
 
 
-def make_sphere(radius: float, rings: int = 12, segments: int = 16) -> TriMesh:
+def make_sphere(radius: float) -> TriMesh:
     """UV sphere with exact pole vertices, resting on z=0 (center at z=radius)."""
+    rings, segments = SPHERE_RINGS, SPHERE_SEGMENTS
     verts = [[0.0, 0.0, 0.0]]  # south pole (on the table)
     for i in range(1, rings):
         phi = np.pi * i / rings

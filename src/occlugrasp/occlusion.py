@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import DepthFrame
+from .camera import DepthFrame, _check_instance
 from .errors import InputError, MeasurementError
 from .scenes import Scene
 
@@ -44,9 +44,6 @@ class BinScheme:
     @property
     def n_bins(self) -> int:
         return len(self.edges) - 1
-
-    def labels(self) -> list[str]:
-        return [f"[{a:g},{b:g})" for a, b in zip(self.edges, self.edges[1:])]
 
     @staticmethod
     def training() -> "BinScheme":
@@ -86,6 +83,7 @@ def occlusion_level(
     target is instance 0. Frames that hold the same camera object share
     their view without a comparison. The pixel counts are Python ints.
     """
+    _check_instance(target_index, "target_index")
     camera = single_frame.camera
     if camera is not cluttered_frame.camera and not camera.same_view(cluttered_frame.camera):
         raise InputError("paired frames must share the camera model")

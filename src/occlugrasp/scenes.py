@@ -5,7 +5,9 @@ Objects are placed upright in their canonical poses (yaw-only rotation) on the
 table plane z=0, so removing any instance never changes another's pose. All
 catalog shapes are convex extrusions (the sphere is bounded by its extruded
 footprint disk), which makes footprint-polygon separation a sound
-non-penetration certificate for placement.
+non-penetration certificate for placement. An extrusion's footprint is its
+mesh's bottom ring, the first vertices, rounded to 12 decimals and started at
+its lowest (x, y); the sphere's is a 24-gon circumscribing its equator.
 
 A placement attempt is tested in two phases. The broad phase is one array
 pass: the attempt's xy box against the xy box of every placed instance, which
@@ -29,9 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GenerationError, InputError, _finite_positive, _positive_int, _rng
+from .errors import GenerationError, InputError, _finite_non_negative, _finite_positive, _positive_int, _rng
 from .geometry import Pose, Quaternion, quaternion_about_axis
-from .meshes import TriMesh, make_box, make_cylinder, make_hex_prism, make_sphere
+from .meshes import CYLINDER_SEGMENTS, TriMesh, make_box, make_cylinder, make_hex_prism, make_sphere
 
 
 # ---------------------------------------------------------------------------
@@ -71,68 +73,37 @@ class CatalogObject:
     footprint_poly: np.ndarray  # convex CCW xy polygon bounding the solid, read-only
 
 
-def _convex_hull_xy(points: np.ndarray) -> np.ndarray:
-    """Andrew monotone chain over xy projections; returns CCW hull."""
-    pts = np.unique(np.round(points[:, :2], 12), axis=0)
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    if len(pts) <= 2:
-        return pts
-
-    def cross2(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and cross2(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.asarray(lower[:-1] + upper[:-1])
-
-
-def _catalog_entry(kind: str, catalog_id: str, dims, mesh: TriMesh) -> CatalogObject:
-    verts = mesh.vertices
-    poly = _convex_hull_xy(verts)
-    if kind == "sphere":
-        # circumscribed polygon so the footprint bound contains the full sphere
-        r = dims[0] / math.cos(math.pi / 24)
-        ang = 2 * np.pi * np.arange(24) / 24
-        poly = r * np.column_stack([np.cos(ang), np.sin(ang)])
-    length = float(verts[:, 0].max() - verts[:, 0].min())
-    width = float(verts[:, 1].max() - verts[:, 1].min())
-    height = float(verts[:, 2].max())
-    poly.flags.writeable = False
-    return CatalogObject(catalog_id, kind, mesh, (length, width, height), poly)
+# per kind, in catalog order: name, config ranges in draw order, mesh maker of the
+# draws, and length of the footprint ring that starts the vertices (None: sphere)
+_KINDS = (
+    ("box", ("box_side", "box_side", "height"), make_box, 4),
+    ("cylinder", ("cylinder_radius", "height"), make_cylinder, CYLINDER_SEGMENTS),
+    ("hex", ("hex_circumradius", "height"), make_hex_prism, 6),
+    ("sphere", ("sphere_radius",), make_sphere, None),
+)
 
 
 def build_catalog(config: CatalogConfig) -> list[CatalogObject]:
     """Deterministic procedural catalog of box/cylinder/hex-prism/sphere primitives."""
     rng = _rng(config.seed)
-    kinds = ["box", "cylinder", "hex", "sphere"]
     out = []
     for i in range(config.size):
-        kind = kinds[i % len(kinds)]
-        cid = f"{kind}_{i:03d}"
-        if kind == "box":
-            lx = rng.uniform(*config.box_side)
-            ly = rng.uniform(*config.box_side)
-            h = rng.uniform(*config.height)
-            out.append(_catalog_entry(kind, cid, (lx, ly, h), make_box(lx, ly, h)))
-        elif kind == "cylinder":
-            r = rng.uniform(*config.cylinder_radius)
-            h = rng.uniform(*config.height)
-            out.append(_catalog_entry(kind, cid, (r, h), make_cylinder(r, h)))
-        elif kind == "hex":
-            r = rng.uniform(*config.hex_circumradius)
-            h = rng.uniform(*config.height)
-            out.append(_catalog_entry(kind, cid, (r, h), make_hex_prism(r, h)))
+        kind, ranges, make, ring = _KINDS[i % len(_KINDS)]
+        dims = [rng.uniform(*getattr(config, name)) for name in ranges]
+        mesh = make(*dims)
+        verts = mesh.vertices
+        if ring is None:
+            # circumscribed polygon so the footprint bound contains the full sphere
+            r = dims[0] / math.cos(math.pi / 24)
+            ang = 2 * np.pi * np.arange(24) / 24
+            poly = r * np.column_stack([np.cos(ang), np.sin(ang)])
         else:
-            r = rng.uniform(*config.sphere_radius)
-            out.append(_catalog_entry(kind, cid, (r,), make_sphere(r)))
+            poly = np.round(verts[:ring, :2], 12)
+            poly = np.roll(poly, -int(np.lexsort((poly[:, 1], poly[:, 0]))[0]), axis=0)
+        poly.flags.writeable = False
+        length = float(verts[:, 0].max() - verts[:, 0].min())
+        width = float(verts[:, 1].max() - verts[:, 1].min())
+        out.append(CatalogObject(f"{kind}_{i:03d}", kind, mesh, (length, width, float(verts[:, 2].max())), poly))
     return out
 
 
@@ -309,7 +280,7 @@ def generate_packed_scene(config: SceneConfig, catalog: list[CatalogObject] | No
         raise InputError(f"workspace_extent must be finite and positive, got {config.workspace_extent!r}")
     # a NaN margin would make every distance test pass, and objects overlap
     margin = config.placement_margin
-    if not (_finite_positive(margin) or margin == 0):
+    if not _finite_non_negative(margin):
         raise InputError(f"placement_margin must be finite and >= 0, got {margin!r}")
     catalog = _shared_catalog(config.catalog) if catalog is None else catalog
     rng = _rng(config.seed, 0)

@@ -7,8 +7,8 @@ front of the surface; voxels hidden deeper than one truncation behind a
 surface, or outside the frustum, carry weight 0.
 
 `splat` builds a target grid from a completed point cloud: a truncated,
-normalized unsigned distance field, observed only within a fixed kernel
-radius of the points.
+normalized unsigned distance field, observed only within
+`KERNEL_RADIUS_VOXELS` voxel widths of the points.
 
 Both builders skip the work that cannot change their output, and give the
 grids of the plain per-voxel computation bit for bit:
@@ -91,6 +91,7 @@ class TsdfGrid:
 
 
 _PROJECTION_CACHE_SIZE = 4
+KERNEL_RADIUS_VOXELS = 1.0  # `splat`'s observed radius around each point, in voxel widths
 
 
 @functools.lru_cache(maxsize=_PROJECTION_CACHE_SIZE)
@@ -129,17 +130,14 @@ def fuse(frame: DepthFrame, config: TsdfConfig | None = None) -> TsdfGrid:
     return TsdfGrid(values.reshape(r, r, r), weights.reshape(r, r, r), config)
 
 
-def splat(cloud: PointCloud, config: TsdfConfig | None = None,
-          kernel_radius_voxels: float = 1.0) -> TsdfGrid:
+def splat(cloud: PointCloud, config: TsdfConfig | None = None) -> TsdfGrid:
     """Unsigned truncated distance grid around a completed target cloud."""
     config = TsdfConfig() if config is None else config
     if len(cloud) == 0:
         raise InputError("cannot splat an empty cloud")
-    if not _finite_positive(kernel_radius_voxels):
-        raise InputError(f"kernel_radius_voxels must be finite and positive, got {kernel_radius_voxels!r}")
     r = config.resolution
     vs = config.voxel_size
-    kernel = kernel_radius_voxels * vs
+    kernel = KERNEL_RADIUS_VOXELS * vs
     # beyond both radii a distance changes nothing: the value saturates at 1
     # and the weight is 0, so the query may return inf there; the bound is
     # exclusive, hence one step up to keep a distance exactly at a radius

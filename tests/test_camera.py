@@ -214,13 +214,34 @@ class TestBackProject:
         cloud = back_project(frame, t)
         assert len(cloud) == int((frame.instance_id == t).sum())
 
+    @staticmethod
+    def one_instance_frame() -> DepthFrame:
+        """A 32x24 frame with 128 pixels of instance 1 and background elsewhere."""
+        cam = CameraModel(32, 24, 30.0, 30.0, 16.0, 12.0, Pose.identity())
+        inst = np.full((24, 32), BACKGROUND_ID, np.uint16)
+        inst[8:16, 8:24] = 1
+        return DepthFrame(np.where(inst == 1, 0.5, 0.0).astype(np.float32), inst, cam)
+
+    @pytest.mark.parametrize("instance_filter", [-1, 70000, BACKGROUND_ID, 2.5, "a", True])
+    def test_instance_filter_must_be_an_instance_index(self, instance_filter):
+        # each of these gave an empty cloud, except BACKGROUND_ID, which raised
+        # "normals contain NaN/Inf", and True, which kept instance 1
+        f = self.one_instance_frame()
+        with pytest.raises(InputError, match="instance_filter"):
+            back_project(f, instance_filter)
+
+    def test_numpy_integer_instance_filter(self):
+        f = self.one_instance_frame()
+        assert_same_cloud(back_project(f, np.uint16(1)), back_project(f, 1))
+        assert len(back_project(f, 1)) == 128
+
     def test_reprojection_round_trip(self):
         max_err = 0.0
         for seed in range(10):
             scene = generate_packed_scene(SceneConfig(object_count_range=(4, 6), seed=30 + seed))
             cam = default_camera(width=160, height=120, focal=135.0)
             frame = render(scene, cam)
-            cloud = back_project(frame, estimate_normals=False)
+            cloud = back_project(frame)
             inv = cam.pose.inverse()
             pts_cam = inv.transform(cloud.points)
             z = pts_cam[:, 2]
@@ -508,7 +529,7 @@ def reference_rasterise(instances: list[ObjectInstance], camera: CameraModel) ->
     return layers
 
 
-def reference_back_project(frame: DepthFrame, instance_filter=None, estimate_normals=True):
+def reference_back_project(frame: DepthFrame, instance_filter=None):
     cam = frame.camera
     if instance_filter is None:
         mask = frame.valid
@@ -525,9 +546,6 @@ def reference_back_project(frame: DepthFrame, instance_filter=None, estimate_nor
 
     rot = cam.pose.rotation.as_matrix()
     pts_world = pts_cam @ rot.T + cam.pose.translation
-    if not estimate_normals:
-        return PointCloud(pts_world[mask])
-
     du = np.zeros_like(pts_cam)
     dv = np.zeros_like(pts_cam)
     same_u = np.zeros((h, w), dtype=bool)
@@ -919,15 +937,13 @@ def synthetic_frame(inst: np.ndarray, seed: int) -> DepthFrame:
 
 
 class TestBackProjectMatchesReference:
-    @pytest.mark.parametrize("estimate_normals", [True, False])
-    def test_seeded_frames(self, estimate_normals):
+    def test_seeded_frames(self):
         cam = default_camera(width=160, height=120, focal=135.0)
         for seed in (500, 501):
             scene = dense_scene(seed)
             frame = render(scene, cam)
             for instance_filter in [None, *range(len(scene.instances))]:
-                assert_same_cloud(back_project(frame, instance_filter, estimate_normals),
-                                  reference_back_project(frame, instance_filter, estimate_normals))
+                assert_same_cloud(back_project(frame, instance_filter), reference_back_project(frame, instance_filter))
 
     def test_full_resolution(self):
         scene = dense_scene(500)
@@ -936,8 +952,7 @@ class TestBackProjectMatchesReference:
             assert_same_cloud(back_project(frame, instance_filter),
                               reference_back_project(frame, instance_filter))
 
-    @pytest.mark.parametrize("estimate_normals", [True, False])
-    def test_mask_touching_borders_and_single_pixel(self, estimate_normals):
+    def test_mask_touching_borders_and_single_pixel(self):
         inst = np.full((48, 64), BACKGROUND_ID, dtype=np.uint16)
         inst[:20, :30] = 1   # top-left corner
         inst[30:, 40:] = 2   # bottom-right corner
@@ -945,9 +960,8 @@ class TestBackProjectMatchesReference:
         inst[25, 20] = 4     # one pixel
         frame = synthetic_frame(inst, seed=5)
         for instance_filter in (None, 1, 2, 3, 4):
-            assert_same_cloud(back_project(frame, instance_filter, estimate_normals),
-                              reference_back_project(frame, instance_filter, estimate_normals))
-        assert len(back_project(frame, 4, estimate_normals)) == 1
+            assert_same_cloud(back_project(frame, instance_filter), reference_back_project(frame, instance_filter))
+        assert len(back_project(frame, 4)) == 1
 
 
 class TestLayerSlot:

@@ -298,12 +298,6 @@ def _assert_same_cloud(a, b):
 class TestMirrorDedupeBound:
     """The bounded dedupe query keeps exactly the points the unbounded one keeps."""
 
-    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -1e-3, "1e-3"])
-    def test_radius_must_be_finite_and_non_negative(self, radius):
-        # a NaN radius would keep no reflection, and a negative one every one
-        with pytest.raises(InputError, match="dedupe_radius"):
-            MirrorCompleter(dedupe_radius=radius)
-
     def test_matches_unbounded_query(self, monkeypatch):
         cam = default_camera(width=320, height=240, focal=270.0)
         completer = MirrorCompleter()
@@ -336,8 +330,9 @@ class TestMirrorDedupeBound:
         # radii equal to reflected points' exact nearest distances; the tree
         # compares squared distances, so some of these lie just inside the
         # squared radius and some just outside
+        completer = MirrorCompleter()
         for radius in dist[:: len(dist) // 24][:24]:
-            completer = MirrorCompleter(dedupe_radius=float(radius))
+            monkeypatch.setattr(completion, "DEDUPE_RADIUS", float(radius))
             bounded = completer(partial, scene, cam)
             _assert_same_cloud(bounded, _mirror_unbounded(completer, partial, scene, cam, monkeypatch))
             assert len(bounded) == len(partial) + int((dist > radius).sum())

@@ -397,6 +397,18 @@ class TestPointCloud:
         with pytest.raises(InputError):
             PointCloud(np.zeros((1, 3)), np.array([[2.0, 0.0, 0.0]]))
 
+    @pytest.mark.parametrize("shape", [(4, 3), (12,)], ids=["rows", "flat"])
+    def test_cloud_owns_its_arrays(self, shape):
+        # a view of the caller's array would let a later write change the cloud
+        points = np.arange(12, dtype=float).reshape(shape)
+        normals = np.tile([0.0, 0.0, 1.0], 4).reshape(shape)
+        cloud = PointCloud(points, normals)
+        points[0] = 5.0
+        normals[0] = 0.0
+        assert np.array_equal(cloud.points, np.arange(12, dtype=float).reshape(4, 3))
+        assert np.array_equal(cloud.normals, np.tile([0.0, 0.0, 1.0], (4, 1)))
+        assert not cloud.points.flags.writeable and not cloud.normals.flags.writeable
+
 
 class TestPrimitives:
     @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from occlugrasp.grasping import (
     _mesh_hits,
     _occluder_hit,
     _pad_slab_contacts,
+    _simulate_batch,
     _triangles_hit_box,
     grasp_frame,
     gripper_boxes,
@@ -39,7 +40,6 @@ from occlugrasp.grasping import (
     record_to_label,
     sample_candidate_grasps,
     simulate_grasp,
-    simulate_grasps,
     taxonomy_counts,
     write_labels_jsonl,
 )
@@ -215,6 +215,13 @@ def reference_label_pair(cluttered, gripper, count, seed, friction_mu=DEFAULT_FR
             reason = FailureReason.OCCLUDER_COLLISION
         labels.append(GraspLabel(g, sim_s.success, reason == FailureReason.NONE, reason))
     return labels
+
+
+def batch_results(grasps, scene, gripper, friction_mu=DEFAULT_FRICTION):
+    """`simulate_grasp`'s result of every grasp from one batched pass: the
+    single-scene result, or `_occluder_hit` of the first occluder hit."""
+    return [sim if hit is None else _occluder_hit(hit)
+            for sim, hit in _simulate_batch(grasps, scene, gripper, friction_mu)]
 
 
 @pytest.fixture(scope="module")
@@ -690,22 +697,21 @@ class TestSimulate:
         # a value-equal grasp is another object, so it misses the slot
         assert simulate_grasp(Grasp(g.center.copy(), g.rotation, g.width), scene, GRIP) == a
 
-    @pytest.mark.parametrize("mu", [-1.0, -0.4, float("nan"), float("inf"), None])
+    @pytest.mark.parametrize("mu", [-1.0, -0.4, float("nan"), float("inf"), None, False])
     def test_friction_must_be_finite_and_non_negative(self, mu):
         # -1 would act as 1 in the cone test, and NaN would never fail it
         scene = make_scene([box_instance(0.05, 0.05, 0.1, 0.15, 0.15)])
         g = side_grasp((0.15, 0.15, 0.05))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="friction_mu"):
             simulate_grasp(g, scene, GRIP, friction_mu=mu)
-        with pytest.raises(InputError):
-            simulate_grasps([g], scene, GRIP, friction_mu=mu)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="friction_mu"):
             label_pair(scene, GRIP, 4, seed=1, friction_mu=mu)
 
     def test_zero_friction_accepted(self):
         scene = make_scene([box_instance(0.05, 0.05, 0.1, 0.15, 0.15)])
         g = side_grasp((0.15, 0.15, 0.05))
-        assert simulate_grasps([g], scene, GRIP, friction_mu=0) == [simulate_grasp(g, scene, GRIP, friction_mu=0.0)]
+        assert batch_results([g], scene, GRIP, friction_mu=0) == [simulate_grasp(g, scene, GRIP, friction_mu=0)]
+        assert len(label_pair(scene, GRIP, 4, seed=1, friction_mu=0)) == 4
 
 
 def _grasp_key(g):
@@ -839,21 +845,21 @@ class TestGraspSlot:
 
 
 class TestBatchedOracle:
-    """`simulate_grasps` and `label_pair` against the per-grasp path."""
+    """`_simulate_batch` and `label_pair` against the per-grasp path."""
 
-    def test_simulate_grasps_matches_simulate_grasp(self, dense_cases, dense_sims):
+    def test_batch_matches_simulate_grasp(self, dense_cases, dense_sims):
         for (seed, scene, single, grasps, _, _), (want_single, want_cluttered) in zip(dense_cases, dense_sims):
-            assert simulate_grasps(grasps, single, GRIP) == want_single, seed
-            assert simulate_grasps(grasps, scene, GRIP) == want_cluttered, seed
+            assert batch_results(grasps, single, GRIP) == want_single, seed
+            assert batch_results(grasps, scene, GRIP) == want_cluttered, seed
 
     def test_results_do_not_depend_on_the_other_grasps(self, dense_cases, dense_sims):
         for (seed, scene, single, grasps, _, _), sims in zip(dense_cases[::4], dense_sims[::4]):
             for s, want in zip((single, scene), sims):
-                assert simulate_grasps(grasps[::-1], s, GRIP) == want[::-1], seed
-                assert simulate_grasps(grasps[5:90:7], s, GRIP) == want[5:90:7], seed
+                assert batch_results(grasps[::-1], s, GRIP) == want[::-1], seed
+                assert batch_results(grasps[5:90:7], s, GRIP) == want[5:90:7], seed
                 for i in range(0, len(grasps), 17):
-                    assert simulate_grasps([grasps[i]], s, GRIP) == [want[i]], seed
-                assert simulate_grasps([], s, GRIP) == []
+                    assert batch_results([grasps[i]], s, GRIP) == [want[i]], seed
+                assert batch_results([], s, GRIP) == []
 
     def test_label_pair_matches_reference_loop(self, dense_cases, dense_sims):
         for (seed, scene, *_), (_, want_cluttered) in zip(dense_cases, dense_sims):

@@ -134,6 +134,18 @@ class TestOcclusionLevel:
         with pytest.raises(InputError):
             occlusion_level(single, moved, 0)
 
+    @pytest.mark.parametrize("target_index", [-1, 70000, BACKGROUND_ID, 2.5, "a", None, True])
+    def test_target_index_must_be_an_instance_index(self, target_index):
+        # each of these gave level 1.0 and no bin, except True, which counted instance 1
+        single, cluttered = hand_built_pair(100, 30)
+        with pytest.raises(InputError, match="target_index"):
+            occlusion_level(single, cluttered, target_index, BinScheme.test())
+
+    def test_numpy_integer_target_index(self):
+        single, cluttered = hand_built_pair(100, 30)
+        assert occlusion_level(single, cluttered, np.uint16(0)) == occlusion_level(single, cluttered, 0)
+        assert occlusion_level(single, cluttered, np.int64(BACKGROUND_ID - 1)).visible_pixels == 0
+
     def test_target_absent_from_single(self):
         cam = CameraModel(20, 20, 20.0, 20.0, 10.0, 10.0, Pose.identity())
         empty = DepthFrame(np.zeros((20, 20), np.float32), np.full((20, 20), BACKGROUND_ID, np.uint16), cam)

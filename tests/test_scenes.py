@@ -109,6 +109,55 @@ class TestCatalog:
         assert catalog[0].footprint == (0.05, 0.05, 0.1)
 
 
+# ---------------------------------------------------------------------------
+# reference footprint: the catalog's footprint before it read the extrusion's
+# ring, the monotone-chain convex hull of the mesh's xy projection, or the
+# 24-gon circumscribing a sphere
+
+
+def reference_convex_hull_xy(points: np.ndarray) -> np.ndarray:
+    """Andrew monotone chain over xy projections; returns CCW hull."""
+    pts = np.unique(np.round(points[:, :2], 12), axis=0)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    if len(pts) <= 2:
+        return pts
+
+    def cross2(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross2(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    lower = half(pts)
+    upper = half(pts[::-1])
+    return np.asarray(lower[:-1] + upper[:-1])
+
+
+def reference_footprint(obj) -> np.ndarray:
+    if obj.kind != "sphere":
+        return reference_convex_hull_xy(obj.mesh.vertices)
+    r = obj.mesh.vertices[:, 2].max() / 2.0 / math.cos(math.pi / 24)  # the north pole is at z = 2 radius
+    ang = 2 * np.pi * np.arange(24) / 24
+    return r * np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+class TestFootprintMatchesHull:
+    @pytest.mark.parametrize("config", [CatalogConfig(), CatalogConfig(seed=7, size=400)], ids=["default", "seed7"])
+    def test_every_footprint(self, config):
+        catalog = build_catalog(config)
+        for obj in catalog:
+            want = reference_footprint(obj)
+            assert obj.footprint_poly.shape == want.shape, obj.catalog_id
+            assert obj.footprint_poly.tobytes() == want.tobytes(), obj.catalog_id
+            assert not obj.footprint_poly.flags.writeable
+        assert {obj.kind for obj in catalog} == {"box", "cylinder", "hex", "sphere"}
+
+
 class TestPolygonDistance:
     def test_overlapping_is_zero(self):
         sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1.0]])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from occlugrasp import tsdf
 from occlugrasp.camera import (
     BACKGROUND_ID,
     CameraModel,
@@ -217,6 +218,13 @@ class TestSplatAndMask:
             splat(PointCloud.empty())
 
 
+def splat_with(cloud: PointCloud, config: TsdfConfig, kernel_radius_voxels: float) -> TsdfGrid:
+    """`splat` with `tsdf.KERNEL_RADIUS_VOXELS` set to `kernel_radius_voxels` for the call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tsdf, "KERNEL_RADIUS_VOXELS", kernel_radius_voxels)
+        return splat(cloud, config)
+
+
 def unbounded_distances(cloud: PointCloud, config: TsdfConfig) -> np.ndarray:
     return cKDTree(cloud.points).query(config.voxel_centers(), k=1)[0]
 
@@ -228,7 +236,7 @@ class TestSplatMatchesUnboundedQuery:
         dist = unbounded_distances(cloud, config) if dist is None else dist
         values = np.minimum(dist / config.truncation, 1.0)
         weights = (dist <= kernel_radius_voxels * config.voxel_size).astype(np.float64)
-        grid = splat(cloud, config, kernel_radius_voxels)
+        grid = splat_with(cloud, config, kernel_radius_voxels)
         assert grid.values.ravel().tobytes() == values.astype(np.float32).tobytes()
         assert grid.weights.ravel().tobytes() == weights.astype(np.float32).tobytes()
 
@@ -256,7 +264,7 @@ class TestSplatMatchesUnboundedQuery:
         point = (np.array([3, 4, 2]) + 0.5) * config.voxel_size + np.array([0.0, 0.0, reach])
         cloud = PointCloud(point[None, :])
         self.assert_same(cloud, config, kernel_radius_voxels)
-        grid = splat(cloud, config, kernel_radius_voxels)
+        grid = splat_with(cloud, config, kernel_radius_voxels)
         at_kernel = 2 + int(reach / config.voxel_size - kernel_radius_voxels)
         assert grid.weights[3, 4, at_kernel] == 1.0
         assert grid.weights[3, 4, at_kernel - 1] == 0.0
@@ -332,11 +340,6 @@ class TestBadInput:
     def test_truncation_must_be_finite_and_positive(self, truncation):
         with pytest.raises(InputError, match="truncation"):
             TsdfConfig(truncation=truncation)
-
-    @pytest.mark.parametrize("kernel_radius_voxels", [0, -1, math.nan, math.inf, True])
-    def test_kernel_radius_must_be_finite_and_positive(self, kernel_radius_voxels):
-        with pytest.raises(InputError, match="kernel_radius_voxels"):
-            splat(PointCloud(np.array([[0.15, 0.15, 0.1]])), TsdfConfig(), kernel_radius_voxels)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +448,7 @@ class TestMatchesReference:
         assert len(clouds) > 150
         for i, cloud in enumerate(clouds):
             config, k = pairs[i % len(pairs)]
-            assert_same_grid(splat(cloud, config, k), reference_splat(cloud, config, k))
+            assert_same_grid(splat_with(cloud, config, k), reference_splat(cloud, config, k))
 
     @staticmethod
     def edge_clouds(config: TsdfConfig) -> dict[str, PointCloud]:
@@ -465,7 +468,7 @@ class TestMatchesReference:
     def test_splat_edge_clouds(self, config):
         for name, cloud in self.edge_clouds(config).items():
             for k in KERNEL_RADII:
-                assert_same_grid(splat(cloud, config, k), reference_splat(cloud, config, k))
+                assert_same_grid(splat_with(cloud, config, k), reference_splat(cloud, config, k))
 
     @pytest.mark.parametrize("config", CONFIGS)
     def test_splat_cloud_outside_the_grid(self, config):
@@ -476,7 +479,7 @@ class TestMatchesReference:
                   PointCloud(np.array([[1e300, 0.1, 0.1], [-1e300, 0.1, 0.1]]))]
         for cloud in clouds:
             for k in KERNEL_RADII:
-                grid = splat(cloud, config, k)
+                grid = splat_with(cloud, config, k)
                 assert_same_grid(grid, reference_splat(cloud, config, k))
                 assert (grid.values == 1.0).all() and not grid.weights.any()
 
