@@ -936,13 +936,19 @@ def synthetic_frame(inst: np.ndarray, seed: int) -> DepthFrame:
     return DepthFrame(depth.astype(np.float32), inst, cam)
 
 
+def instance_filters(values, numpy_index: bool) -> list:
+    """`values`, each index as a Python int, or as the np.uint16 that np.unique(frame.instance_id) yields."""
+    return [v if v is None or not numpy_index else np.uint16(v) for v in values]
+
+
 class TestBackProjectMatchesReference:
-    def test_seeded_frames(self):
+    @pytest.mark.parametrize("numpy_index", [True, False])
+    def test_seeded_frames(self, numpy_index):
         cam = default_camera(width=160, height=120, focal=135.0)
         for seed in (500, 501):
             scene = dense_scene(seed)
             frame = render(scene, cam)
-            for instance_filter in [None, *range(len(scene.instances))]:
+            for instance_filter in instance_filters([None, *range(len(scene.instances))], numpy_index):
                 assert_same_cloud(back_project(frame, instance_filter), reference_back_project(frame, instance_filter))
 
     def test_full_resolution(self):
@@ -952,16 +958,17 @@ class TestBackProjectMatchesReference:
             assert_same_cloud(back_project(frame, instance_filter),
                               reference_back_project(frame, instance_filter))
 
-    def test_mask_touching_borders_and_single_pixel(self):
+    @pytest.mark.parametrize("numpy_index", [True, False])
+    def test_mask_touching_borders_and_single_pixel(self, numpy_index):
         inst = np.full((48, 64), BACKGROUND_ID, dtype=np.uint16)
         inst[:20, :30] = 1   # top-left corner
         inst[30:, 40:] = 2   # bottom-right corner
         inst[10:40, 50:] = 3  # right border, touching instance 2
         inst[25, 20] = 4     # one pixel
         frame = synthetic_frame(inst, seed=5)
-        for instance_filter in (None, 1, 2, 3, 4):
+        for instance_filter in instance_filters([None, 1, 2, 3, 4], numpy_index):
             assert_same_cloud(back_project(frame, instance_filter), reference_back_project(frame, instance_filter))
-        assert len(back_project(frame, 4)) == 1
+        assert len(back_project(frame, *instance_filters([4], numpy_index))) == 1
 
 
 class TestLayerSlot:
