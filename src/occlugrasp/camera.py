@@ -479,7 +479,6 @@ def _pixel_rays(camera: CameraModel, us, vs):
 
 def back_project(frame: DepthFrame, instance_filter: int | None = None) -> PointCloud:
     """World point and screen-space normal per pixel of `instance_filter`, or per valid pixel for None."""
-    cam = frame.camera
     if instance_filter is None:
         mask = frame.valid
     else:
@@ -487,6 +486,15 @@ def back_project(frame: DepthFrame, instance_filter: int | None = None) -> Point
         mask = frame.instance_id == instance_filter
     if not mask.any():
         return PointCloud.empty()
+    # the box-sized temporaries die with `_masked_points`, before the cloud copies its arrays
+    points, normals = _masked_points(frame, mask)
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    return PointCloud(points, normals)
+
+
+def _masked_points(frame: DepthFrame, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The world points and the world normals, not yet unit, of the pixels of `mask`."""
+    cam = frame.camera
     # work inside the mask's bounding box: a neighbor outside the mask never
     # contributes to a normal, and every value is computed per pixel
     rows = np.flatnonzero(mask.any(axis=1))
@@ -521,10 +529,7 @@ def back_project(frame: DepthFrame, instance_filter: int | None = None) -> Point
     n_cam[flip] *= -1.0
     view = pts_cam / np.maximum(np.linalg.norm(pts_cam, axis=-1), 1e-12)[..., None]
     n_cam[~good] = -view[~good]
-    n_world = n_cam @ rot.T
-    n_sel = n_world[mask]
-    n_sel /= np.linalg.norm(n_sel, axis=1)[:, None]
-    return PointCloud(pts_world[mask], n_sel)
+    return pts_world[mask], (n_cam @ rot.T)[mask]
 
 
 # ---------------------------------------------------------------------------

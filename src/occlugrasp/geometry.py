@@ -4,7 +4,7 @@ All rotations are stored as unit quaternions in (w, x, y, z) order. A
 quaternion and its negation describe the same rotation; `canonical()`
 picks the w >= 0 representative for hashing and serialization.
 
-The functions on component tuples, `_cross` to `_matrix`, are the one
+The functions on component tuples, `_cross` to `_from_matrix`, are the one
 implementation that `Quaternion`, `Pose` and the grasp oracle share, on floats
 or on arrays of many poses, so all of them get the same bits.
 """
@@ -53,6 +53,13 @@ def _rotate(q, v) -> tuple:
     return tuple(v[k] + 2.0 * (w * uv[k] + uuv[k]) for k in range(3))
 
 
+def _rotate_x(q, v):
+    """Component 0 of `_rotate(q, v)`, in its arithmetic, without the other two."""
+    w, x, y, z = q
+    uv = _cross((x, y, z), v)
+    return v[0] + 2.0 * (w * uv[0] + (y * uv[2] - z * uv[1]))
+
+
 def _inverse(q, t) -> tuple:
     """`Pose.inverse` of the pose (q, t): the conjugate of unit q, and -(q^-1 t)."""
     w, x, y, z = q
@@ -75,6 +82,39 @@ def _matrix(q) -> tuple:
         (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
         (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
     )
+
+
+# per component (w, x, y, z), the index into `_from_matrix`'s terms in each branch
+_BRANCH_TERMS = ((0, 1, 2, 3), (1, 0, 4, 5), (2, 4, 0, 6), (3, 5, 6, 0))
+
+
+def _from_matrix(m) -> tuple:
+    """Unit (w, x, y, z) of rotation matrices given as three rows of (n,) arrays.
+
+    Each of the four branches of the classic trace method is a mask, and each
+    row takes the arithmetic of its branch: the trace as `(m00 + m11) + m22`,
+    which is `np.trace`'s order, then s, then the four components over s. The
+    result is normalised as `Quaternion.normalized` does it, with the norm
+    `sqrt(((w**2 + x**2) + y**2) + z**2)`. Python takes `c**2` from libm's
+    `pow`, which rounds otherwise than `c * c` on about 1 in 1,300 values
+    (glibc x86-64); `np.float_power` calls `pow` too, where `np.power` squares.
+    """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    t = (m00 + m11) + m22
+    first = t > 0.0
+    second = ~first & (m00 > m11) & (m00 > m22)
+    third = ~(first | second) & (m11 > m22)
+    branch = np.select([first, second, third], [0, 1, 2], 3)
+    radicand = np.choose(branch, [t + 1.0, ((1.0 + m00) - m11) - m22,
+                                  ((1.0 + m11) - m00) - m22, ((1.0 + m22) - m00) - m11])
+    s = np.sqrt(radicand) * 2.0
+    # the diagonal term, then the differences and sums over s that each branch reads
+    terms = (0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s,
+             (m01 + m10) / s, (m02 + m20) / s, (m12 + m21) / s)
+    q = [np.choose(branch, [terms[i] for i in row]) for row in _BRANCH_TERMS]
+    w, x, y, z = (np.float_power(c, 2.0) for c in q)
+    n = np.sqrt(((w + x) + y) + z)
+    return tuple(c / n for c in q)
 
 
 @dataclass(frozen=True)
@@ -164,22 +204,9 @@ class Quaternion:
 
     @staticmethod
     def from_matrix(m) -> "Quaternion":
-        """Rotation matrix (3x3, orthonormal) to quaternion."""
+        """Rotation matrix (3x3, orthonormal) to quaternion: `_from_matrix` of one."""
         m = np.asarray(m, dtype=float)
-        t = np.trace(m)
-        if t > 0.0:
-            s = math.sqrt(t + 1.0) * 2.0
-            q = (0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s)
-        elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-            s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-            q = ((m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s)
-        elif m[1, 1] > m[2, 2]:
-            s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-            q = ((m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s)
-        else:
-            s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-            q = ((m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s)
-        return Quaternion(*q).normalized()
+        return Quaternion(*(float(c[0]) for c in _from_matrix(m[:, :, None])))
 
     def rotation_equal(self, other: "Quaternion", tol: float = 1e-9) -> bool:
         """Equality as rotations: q and -q compare equal."""

@@ -28,6 +28,9 @@ grids of the plain per-voxel computation bit for bit:
   grown by `reach` and one voxel of slack for rounding; every voxel outside it
   is farther than `reach` along one axis alone. The box's centres are slices
   of the same axis `voxel_centers` spans, so each equals its full-grid entry.
+  The KD-tree is built unbalanced and without shrinking its node boxes, which
+  builds and queries faster; a nearest distance is the same exact minimum over
+  the same points in any tree.
 """
 
 from __future__ import annotations
@@ -152,7 +155,8 @@ def splat(cloud: PointCloud, config: TsdfConfig | None = None) -> TsdfGrid:
     box = tuple(slice(a, b) for a, b in zip(lo, hi))
     gx, gy, gz = np.meshgrid(axis[box[0]], axis[box[1]], axis[box[2]], indexing="ij")
     centers = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
-    dist, _ = cKDTree(cloud.points).query(centers, k=1, distance_upper_bound=np.nextafter(reach, np.inf))
+    tree = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
+    dist, _ = tree.query(centers, k=1, distance_upper_bound=np.nextafter(reach, np.inf))
     dist = dist.reshape(gx.shape)
     values[box] = np.minimum(dist / config.truncation, 1.0)
     weights[box] = dist <= kernel

@@ -970,6 +970,23 @@ class TestBackProjectMatchesReference:
             assert_same_cloud(back_project(frame, instance_filter), reference_back_project(frame, instance_filter))
         assert len(back_project(frame, *instance_filters([4], numpy_index))) == 1
 
+    def test_memory_on_the_largest_dense_target(self):
+        # the designated target of dense seed 3 covers 12,372 pixels at 640x480, the
+        # most of seeds 0-15; building the cloud while the box-sized temporaries
+        # were alive peaked at 5.76 MB
+        scene = dense_scene(3)
+        frame = render(scene, default_camera())
+        back_project(frame, scene.target_index)
+        tracemalloc.start()
+        try:
+            cloud = back_project(frame, scene.target_index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cloud) == 12_372
+        assert_same_cloud(cloud, reference_back_project(frame, scene.target_index))
+        assert peak < 5.2e6
+
 
 class TestLayerSlot:
     """`render` reuses the last rasterised scene's per-instance layers; every frame matches the loop."""

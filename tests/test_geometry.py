@@ -12,8 +12,11 @@ from occlugrasp.geometry import (
     PointCloud,
     Quaternion,
     _compose,
+    _from_matrix,
     _inverse,
     _matrix,
+    _rotate,
+    _rotate_x,
     orthonormal_tangents,
     quaternion_about_axis,
 )
@@ -208,8 +211,9 @@ class TestRotateMatchesCross:
             assert got[1].tobytes() == expected[1].tobytes()
 
 
-# The bodies of `Pose.__mul__`, `Pose.inverse` and `Quaternion.as_matrix`
-# before they were built on `_compose`, `_inverse` and `_matrix`, verbatim.
+# The bodies of `Pose.__mul__`, `Pose.inverse`, `Quaternion.as_matrix` and
+# `Quaternion.from_matrix` before they were built on `_compose`, `_inverse`,
+# `_matrix` and `_from_matrix`, verbatim.
 
 
 def reference_pose_mul(self: Pose, other: Pose) -> Pose:
@@ -231,6 +235,37 @@ def reference_as_matrix(self: Quaternion) -> np.ndarray:
         ],
         dtype=float,
     )
+
+
+def reference_from_matrix(m) -> Quaternion:
+    m = np.asarray(m, dtype=float)
+    t = np.trace(m)
+    if t > 0.0:
+        s = math.sqrt(t + 1.0) * 2.0
+        q = (0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s)
+    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
+        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
+        q = ((m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s)
+    elif m[1, 1] > m[2, 2]:
+        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
+        q = ((m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s)
+    else:
+        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
+        q = ((m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s)
+    return Quaternion(*q).normalized()
+
+
+def from_matrix_branch(m) -> int:
+    """Which of the four branches of `reference_from_matrix` a matrix takes."""
+    if np.trace(m) > 0.0:
+        return 0
+    if m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
+        return 1
+    return 2 if m[1, 1] > m[2, 2] else 3
+
+
+def quaternion_bits(q: Quaternion) -> bytes:
+    return np.array([q.w, q.x, q.y, q.z]).tobytes()
 
 
 def pose_bits(pose: Pose) -> bytes:
@@ -265,9 +300,10 @@ def row_pose(parts: tuple, i: int) -> Pose:
 
 
 class TestComponentFunctions:
-    """`_compose`, `_inverse` and `_matrix` give the bits of the reference
-    bodies above, on float components and on (m, 1) components, and so do
-    the `Pose` and `Quaternion` methods built on them."""
+    """`_compose`, `_inverse`, `_matrix` and `_from_matrix` give the bits of
+    the reference bodies above, on float components and on (m, 1) components
+    ((m,) for `_from_matrix`), and so do the `Pose` and `Quaternion` methods
+    built on them."""
 
     def test_compose(self):
         rng = np.random.default_rng(31)
@@ -304,6 +340,35 @@ class TestComponentFunctions:
         for i, p in enumerate(poses):
             got = np.array([[c[i, 0] for c in row] for row in rows])
             assert got.tobytes() == reference_as_matrix(p.rotation).tobytes()
+
+    def test_from_matrix(self):
+        rng = np.random.default_rng(34)
+        q, _ = random_pairs(rng, 20_000)
+        exact = [reference_as_matrix(Quaternion(*qi)) for qi in q.tolist()]
+        # near-orthonormal matrices, as frames built from rounded axes are
+        noisy = [m + rng.normal(scale=1e-9, size=(3, 3)) for m in exact[:500]]
+        # one per branch, then ties between the diagonal entries: 180-degree turns
+        # about (1, 1, 0), (0, 1, 1), (1, 0, 1) and (1, 1, 1)
+        special = [np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0]),
+                   np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]),
+                   np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+                   np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]),
+                   np.array([[-1.0, 2.0, 2.0], [2.0, -1.0, 2.0], [2.0, 2.0, -1.0]]) / 3.0]
+        mats = special + noisy + exact
+        assert collections.Counter(map(from_matrix_branch, special)) == {0: 1, 1: 1, 2: 2, 3: 4}
+        assert set(map(from_matrix_branch, exact)) == {0, 1, 2, 3}
+        want = [quaternion_bits(reference_from_matrix(m)) for m in mats]
+        assert [quaternion_bits(Quaternion.from_matrix(m)) for m in mats[:3000]] == want[:3000]
+        got = _from_matrix(np.transpose(mats, (1, 2, 0)))
+        assert [quaternion_bits(Quaternion(*(float(c[i]) for c in got))) for i in range(len(mats))] == want
+
+    def test_rotate_x(self):
+        q, v = random_pairs(np.random.default_rng(35), 5000)
+        want = reference_rotate(q, v)[:, 0]
+        assert _rotate_x(tuple(q.T), tuple(v.T)).tobytes() == want.tobytes()
+        assert _rotate(tuple(q.T), tuple(v.T))[0].tobytes() == want.tobytes()
+        for qi, vi in zip(q[:200].tolist(), v[:200].tolist()):
+            assert _rotate_x(qi, vi) == _rotate(qi, vi)[0]
 
 
 class TestPose:

@@ -1,3 +1,4 @@
+import collections
 import gc
 import logging
 import math
@@ -27,6 +28,7 @@ from occlugrasp.grasping import (
     _WIDE,
     _check_friction,
     _contacts,
+    _grasp_frames,
     _mesh_hits,
     _occluder_hit,
     _pad_slab_contacts,
@@ -56,7 +58,13 @@ from occlugrasp.scenes import (
 )
 
 from .test_camera import box_instance, make_scene
-from .test_geometry import reference_pose_inverse, reference_pose_mul
+from .test_geometry import (
+    from_matrix_branch,
+    quaternion_bits,
+    reference_from_matrix,
+    reference_pose_inverse,
+    reference_pose_mul,
+)
 
 GRIP = GripperModel()
 
@@ -143,7 +151,7 @@ def reference_simulate(grasp, scene, gripper, friction_mu=DEFAULT_FRICTION):
     target = scene.target
     to_grasp = Pose(grasp.rotation, grasp.center).inverse() * target.pose
     samples = target.mesh.contact_samples
-    ok, _ = _pad_slab_contacts(to_grasp.transform(samples.points), to_grasp.rotate_only(samples.normals),
+    ok, _ = _pad_slab_contacts(tuple(to_grasp.transform(samples.points).T), to_grasp.rotate_only(samples.normals)[:, 0],
                                grasp.width, gripper, friction_mu)
     return FailureReason.NONE if ok else FailureReason.ANTIPODAL_FAIL
 
@@ -183,19 +191,24 @@ def reference_simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel,
     q, t = _compose(to_grasp, target.pose)
     pts_g = np.column_stack([v + c for v, c in zip(_rotate(q, tuple(samples.points.T)), t)])
     nrm_g = np.column_stack(_rotate(q, tuple(samples.normals.T)))
-    ok, why = _pad_slab_contacts(pts_g, nrm_g, grasp.width, gripper, friction_mu)
+    ok, why = _pad_slab_contacts(tuple(pts_g.T), nrm_g[:, 0], grasp.width, gripper, friction_mu)
     if not ok:
         return SimResult(False, FailureReason.ANTIPODAL_FAIL, why)
     return _SUCCESS
 
 
-def reference_grasp_frame(axis, approach):
+def reference_grasp_frame_matrix(axis, approach):
+    """The rotation matrix of `grasp_frame`, one grasp at a time, with `np.cross`."""
     x = np.asarray(axis, dtype=float)
     z = np.asarray(approach, dtype=float)
     x = x / np.linalg.norm(x)
     z = z - (z @ x) * x
     z /= np.linalg.norm(z)
-    return Quaternion.from_matrix(np.column_stack([x, np.cross(z, x), z]))
+    return np.column_stack([x, np.cross(z, x), z])
+
+
+def reference_grasp_frame(axis, approach):
+    return reference_from_matrix(reference_grasp_frame_matrix(axis, approach))
 
 
 def reference_label_pair(cluttered, gripper, count, seed, friction_mu=DEFAULT_FRICTION):
@@ -256,7 +269,8 @@ def dense_sims(dense_cases):
 
 # ---------------------------------------------------------------------------
 # reference sampler: `sample_candidate_grasps` before it skipped the point
-# indices that already found no opposing point
+# indices that already found no opposing point, tested every point of the
+# cloud on every attempt, and built frames one at a time
 
 
 def reference_sample(target_cloud, gripper, count, seed):
@@ -281,7 +295,8 @@ def reference_sample(target_cloud, gripper, count, seed):
         for k in range(12):
             theta = 2.0 * math.pi * k / 12
             approach = math.cos(theta) * u + math.sin(theta) * v
-            out.append(Grasp(p1 + 0.5 * pair_dist * d, grasp_frame(d, approach), pair_dist + gripper.palm_clearance))
+            out.append(Grasp(p1 + 0.5 * pair_dist * d, reference_grasp_frame(d, approach),
+                             pair_dist + gripper.palm_clearance))
             if len(out) >= count:
                 break
     return out
@@ -291,13 +306,36 @@ def assert_same_grasps(a, b):
     assert len(a) == len(b)
     for ga, gb in zip(a, b):
         assert ga.center.tobytes() == gb.center.tobytes()
-        assert ga.rotation == gb.rotation
+        assert quaternion_bits(ga.rotation) == quaternion_bits(gb.rotation)
         assert ga.width == gb.width
 
 
 def completed_target_cloud(scene, cam):
     partial = back_project(render(scene, cam), scene.target_index)
     return MirrorCompleter()(partial, scene, cam)
+
+
+def check_frames(axes, approaches) -> collections.Counter:
+    """Assert `_grasp_frames` of all rows, and `grasp_frame` of each, equal to
+    `reference_grasp_frame` bit for bit; count the `from_matrix` branches taken."""
+    axes, approaches = np.asarray(axes, dtype=float), np.asarray(approaches, dtype=float)
+    want = [quaternion_bits(reference_grasp_frame(a, b)) for a, b in zip(axes, approaches)]
+    got = np.column_stack(_grasp_frames(axes, approaches))
+    assert [row.tobytes() for row in got] == want
+    assert [quaternion_bits(grasp_frame(a, b)) for a, b in zip(axes, approaches)] == want
+    return collections.Counter(from_matrix_branch(reference_grasp_frame_matrix(a, b)) for a, b in zip(axes, approaches))
+
+
+def approach_rows(axes):
+    """Each axis with the 12 approaches the sampler builds about it."""
+    rows = []
+    for a in axes:
+        u, v = orthonormal_tangents(a)
+        for k in range(12):
+            theta = 2.0 * math.pi * k / 12
+            rows.append((a, math.cos(theta) * u + math.sin(theta) * v))
+    axes, approaches = zip(*rows)
+    return np.array(axes, dtype=float), np.array(approaches)
 
 
 class TestTypes:
@@ -373,9 +411,43 @@ class TestTypes:
 
     def test_grasp_frame_matches_cross(self):
         rng = np.random.default_rng(32)
-        for _ in range(2000):
-            axis, approach = rng.normal(size=3), rng.normal(size=3)
-            assert grasp_frame(axis, approach) == reference_grasp_frame(axis, approach)
+        rows = rng.normal(size=(2000, 2, 3))  # (axis, approach) per row
+        branches = check_frames(rows[:, 0], rows[:, 1])
+        assert min(branches[b] for b in range(4)) > 200
+
+
+class TestGraspFrames:
+    """`_grasp_frames`, and `grasp_frame` as a batch of one, against
+    `reference_grasp_frame` bit for bit (seeded random rows are in `TestTypes`)."""
+
+    def test_every_branch(self):
+        # the matrices diag(1, 1, 1), diag(1, -1, -1), diag(-1, 1, -1) and
+        # diag(-1, -1, 1), then sampler rows about random unit axes
+        axes = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        approaches = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
+        assert check_frames(axes, approaches) == {0: 1, 1: 1, 2: 1, 3: 1}
+        unit = np.random.default_rng(37).normal(size=(40, 3))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        assert set(check_frames(*approach_rows(unit))) == {0, 1, 2, 3}
+
+    def test_coordinate_axes_and_the_tangent_switch(self):
+        # +-x, +-y, +-z, and unit axes with |a_z| on both sides of the 0.9 at
+        # which `orthonormal_tangents` changes its helper vector
+        axes = list(np.vstack([np.eye(3), -np.eye(3)]))
+        for az in (np.nextafter(0.9, 0.0), 0.9, np.nextafter(0.9, 1.0), 0.85, 0.95):
+            for sign in (1.0, -1.0):
+                axes.append(np.array([math.sqrt(1.0 - az * az), 0.0, sign * az]))
+                axes.append(np.array([0.0, -math.sqrt(1.0 - az * az), sign * az]))
+        check_frames(*approach_rows(axes))
+
+    @pytest.mark.parametrize("approach", [(2.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (1.0, 1e-12, 0.0), (0.0, 0.0, 0.0)])
+    def test_parallel_approach_rejected(self, approach):
+        with pytest.raises(InputError, match="parallel"):
+            grasp_frame((1.0, 0.0, 0.0), approach)
+        # one such row among good ones
+        axes = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(InputError, match="parallel"):
+            _grasp_frames(axes, np.array([[0.0, 0.0, 1.0], approach, [1.0, 0.0, 0.0]]))
 
 
 class TestSampling:
@@ -452,6 +524,46 @@ class TestSampling:
         for seed in range(8):
             cloud = surface_sample(make_sphere(0.02 + 0.002 * seed), 256 + 64 * seed, seed=seed)
             assert_same_grasps(sample_candidate_grasps(cloud, GRIP, 60, seed), reference_sample(cloud, GRIP, 60, seed))
+
+    def test_matches_reference_on_the_grasp_clutter_corpus(self):
+        # the completed clouds the benchmark samples, at its 640x480 camera
+        catalog = build_catalog(CatalogConfig())
+        cam = default_camera()
+        sizes = []
+        for seed in range(16):
+            scene = generate_packed_scene(SceneConfig(object_count_range=(8, 10), seed=seed), catalog)
+            cloud = completed_target_cloud(scene, cam)
+            grasps = sample_candidate_grasps(cloud, GRIP, 120, seed)
+            assert_same_grasps(grasps, reference_sample(cloud, GRIP, 120, seed))
+            sizes.append(len(grasps))
+        assert sizes.count(120) >= 12
+
+    def test_matches_reference_on_label_pair_clouds(self):
+        # `label_pair`'s 1,024 surface samples of each `episode` corpus target
+        for seed in range(16):
+            target = generate_packed_scene(SceneConfig(seed=seed)).target
+            cloud = surface_sample(target.mesh, 1024, seed=seed ^ 0x9E3779B9).transformed(target.pose)
+            grasps = sample_candidate_grasps(cloud, GRIP, 120, seed)
+            assert len(grasps) == 120
+            assert_same_grasps(grasps, reference_sample(cloud, GRIP, 120, seed))
+
+    def test_a_lone_facing_point(self):
+        # two points, each the other's only facing point: the pair distance is
+        # a row of a two-row product, which `@` rounds otherwise on one row
+        rng = np.random.default_rng(38)
+        one_row_differs = 0
+        for seed in range(200):
+            n = rng.normal(size=3)
+            n /= np.linalg.norm(n)
+            p = rng.uniform(-0.3, 0.3, size=3)
+            q = p - rng.uniform(0.01, 0.07) * n + rng.normal(scale=1e-3, size=3)
+            cloud = PointCloud([p, q], [n, -n])
+            grasps = sample_candidate_grasps(cloud, GRIP, 24, seed)
+            assert len(grasps) == 24
+            assert_same_grasps(grasps, reference_sample(cloud, GRIP, 24, seed))
+            rel, d = cloud.points[1:] - cloud.points[0], -cloud.normals[0]
+            one_row_differs += (rel @ d)[0] != (np.vstack([rel, rel]) @ d)[0]
+        assert one_row_differs > 0
 
     def test_matches_reference_when_the_budget_runs_out(self):
         # a flat patch without opposing points and one antipodal pair: the
@@ -931,7 +1043,7 @@ class TestContactPrefilter:
         q, t = pose.rotation, pose.translation
         parts = tuple(np.array([[c]]) for c in (q.w, q.x, q.y, q.z)), tuple(np.array([[c]]) for c in t)
         [got] = _contacts(samples, parts, [self.WIDTH], GRIP, DEFAULT_FRICTION)
-        want = _pad_slab_contacts(pose.transform(samples.points), pose.rotate_only(samples.normals),
+        want = _pad_slab_contacts(tuple(pose.transform(samples.points).T), pose.rotate_only(samples.normals)[:, 0],
                                   self.WIDTH, GRIP, DEFAULT_FRICTION)
         assert got == want
         return got
