@@ -5,7 +5,8 @@ deterministic. `OracleCompleter` returns the ground-truth sample of the true
 target mesh (`completion_ground_truth`) and is the upper bound;
 `MirrorCompleter` reflects the observation through an estimated vertical
 symmetry plane placed behind the visible surface; `PassthroughCompleter`
-returns the input.
+returns the input. Each is constructed by its class; there is no registry
+of names.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .camera import CameraModel
-from .errors import InputError, _finite_positive, _seed
+from .errors import InputError, _seed
 from .geometry import PointCloud
 from .meshes import surface_sample
 from .scenes import Scene
@@ -24,6 +25,7 @@ from .scenes import Scene
 log = logging.getLogger(__name__)
 
 DEFAULT_COMPLETION_POINTS = 2048
+IOU_VOXEL_SIZE = 0.0075  # edge (m) of the voxels `volumetric_iou` compares
 DEDUPE_RADIUS = 1e-3  # a reflection this close (m) to an observed point duplicates it
 # the mirror plane is vertical: it contains the table normal
 TABLE_NORMAL = np.array([0.0, 0.0, 1.0])
@@ -31,8 +33,6 @@ TABLE_NORMAL = np.array([0.0, 0.0, 1.0])
 
 class PassthroughCompleter:
     """No completion: the partial cloud is the completed cloud."""
-
-    name = "none"
 
     def __call__(self, partial: PointCloud, scene: Scene | None = None,
                  camera: CameraModel | None = None) -> PointCloud:
@@ -47,8 +47,6 @@ class OracleCompleter:
     (two independent 2048-point draws share only 71-94% of their 7.5 mm
     voxels, which would cap the oracle's IoU well below 1).
     """
-
-    name = "oracle"
 
     def __call__(self, partial: PointCloud, scene: Scene,
                  camera: CameraModel | None = None) -> PointCloud:
@@ -71,8 +69,6 @@ class MirrorCompleter:
     Degenerate inputs pass through with a log warning: fewer than 4 points, a
     top-down view with no horizontal axis, and a cloud with no lateral extent.
     """
-
-    name = "mirror"
 
     def __call__(self, partial: PointCloud, scene: Scene | None = None,
                  camera: CameraModel | None = None) -> PointCloud:
@@ -114,19 +110,6 @@ class MirrorCompleter:
         return PointCloud(pts, normals)
 
 
-COMPLETERS = {
-    "oracle": OracleCompleter,
-    "mirror": MirrorCompleter,
-    "none": PassthroughCompleter,
-}
-
-
-def make_completer(name: str):
-    if name not in COMPLETERS:
-        raise InputError(f"unknown completer {name!r}; choose from {sorted(COMPLETERS)}")
-    return COMPLETERS[name]()
-
-
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -145,15 +128,13 @@ def chamfer_l1(a: PointCloud, b: PointCloud) -> float:
     return 0.5 * (float(d_ab.mean()) + float(d_ba.mean()))
 
 
-def volumetric_iou(a: PointCloud, b: PointCloud, voxel_size: float = 0.0075) -> float:
-    """Occupancy IoU on a shared voxel grid anchored at the workspace origin."""
-    if not _finite_positive(voxel_size):
-        raise InputError(f"voxel_size must be finite and positive, got {voxel_size!r}")
+def volumetric_iou(a: PointCloud, b: PointCloud) -> float:
+    """Occupancy IoU on a grid of `IOU_VOXEL_SIZE` voxels anchored at the workspace origin."""
     if len(a) == 0 and len(b) == 0:
         raise InputError("IoU is undefined when both clouds are empty")
     # one int64 key per occupied voxel, over the box that holds both clouds' voxels
-    vox_a = np.floor(a.points / voxel_size).astype(np.int64)
-    vox_b = np.floor(b.points / voxel_size).astype(np.int64)
+    vox_a = np.floor(a.points / IOU_VOXEL_SIZE).astype(np.int64)
+    vox_b = np.floor(b.points / IOU_VOXEL_SIZE).astype(np.int64)
     both = np.vstack([vox_a, vox_b])
     lo = both.min(axis=0)
     dims = both.max(axis=0) - lo + 1

@@ -4,7 +4,8 @@ quasi-static success labels in single and cluttered contexts.
 The oracle replaces dynamic physics with a deterministic model: a grasp
 succeeds iff the width is within the gripper limit, the swept gripper volume
 is collision free, and both extremal contacts inside the finger-pad slab have
-surface normals within the friction cone of the closing axis.
+surface normals within the friction cone of the closing axis, whose
+coefficient is `FRICTION_MU`.
 
 `simulate_grasp` runs its tests in a fixed order and returns at the first
 failure, whose reason the result names (`SimResult.detail` says more):
@@ -68,19 +69,19 @@ grasp frames with `geometry`'s `_inverse`, `_compose` and `_matrix`, which
 
 A caller that judges one grasp in a scene and in its single scene, as TARGO's
 paired results do, repeats all but test 3. So `simulate_grasp` keeps a
-one-grasp slot: the last grasp, by identity; its gripper and `friction_mu`, by
-value; its set-up (the table verdict, the reach box, the move into the grasp
-frame, the box centres and half-extents); and, once a call gets that far, the
-result of tests 4 and 5 with the target instance it was computed for, by
-identity. A call with the same grasp reuses the set-up; if its scene's target
-is the same instance object, it reuses the target result, after testing its
-own scene's occluders in index order, which are never cached. The identity
-keys are sound because `Grasp`, `Quaternion`, `Pose`, `ObjectInstance` and the
-mesh arrays are immutable, and because the slot holds strong references to
-the grasp and the target, so no id it keys can be reused while it is cached.
-Every call publishes a new tuple and never mutates a published one, so a
-concurrent call sees either the old slot or the new; each decision is the one
-the call would compute, only computed once.
+one-grasp slot: the last grasp, by identity; its gripper, by value; its set-up
+(the table verdict, the reach box, the move into the grasp frame, the box
+centres and half-extents); and, once a call gets that far, the result of tests
+4 and 5 with the target instance it was computed for, by identity. A call with
+the same grasp reuses the set-up; if its scene's target is the same instance
+object, it reuses the target result, after testing its own scene's occluders in
+index order, which are never cached. The identity keys are sound because
+`Grasp`, `Quaternion`, `Pose`, `ObjectInstance` and the mesh arrays are
+immutable, and because the slot holds strong references to the grasp and the
+target, so no id it keys can be reused while it is cached. Every call publishes
+a new tuple and never mutates a published one, so a concurrent call sees either
+the old slot or the new; each decision is the one the call would compute, only
+computed once.
 
 `sample_candidate_grasps` samples antipodal pairs the way GPD does (ten Pas et
 al., IJRR 2017): a drawn surface point, its inward normal d, and the farthest
@@ -93,13 +94,12 @@ rows to BLAS `gemv`, which rounds each row alone, so a row of the subset has
 the bits it had in the whole cloud; a one-row product goes to BLAS `dot`,
 which rounds 22% of random rows otherwise, so a lone facing row goes in twice.
 After the attempts, the frames of all pairs, 12 approaches each, are built in
-one elementwise pass (`_grasp_frames`, which `grasp_frame` runs as a batch of
-one), in the arithmetic of the one-vector formula. Its dot products and norms
-are a batch of (1, 3) @ (3, 1) products, each of which NumPy hands to `dot` as
-it does a product of two vectors. `dot` chains fused multiply-adds: on 20,000
-random rows an elementwise sum matched it on 67%, and `einsum` on 58% (NumPy
-2.4, OpenBLAS, x86-64). The matrix becomes a quaternion in
-`geometry._from_matrix`, which `Quaternion.from_matrix` shares.
+one elementwise pass (`_grasp_frames`), in the arithmetic of the one-vector
+formula. Its dot products and norms are a batch of (1, 3) @ (3, 1) products,
+each of which NumPy hands to `dot` as it does a product of two vectors. `dot`
+chains fused multiply-adds: on 20,000 random rows an elementwise sum matched it
+on 67%, and `einsum` on 58% (NumPy 2.4, OpenBLAS, x86-64). The matrix becomes a
+quaternion in `geometry._from_matrix`, which `Quaternion.from_matrix` shares.
 
 Grasp frame: x is the closing axis joining the antipodal pair, z is the
 approach (travel) direction, y completes the right-handed frame. The grasp
@@ -118,7 +118,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, _finite_non_negative, _finite_positive, _positive_int, _rng, _seed
+from .errors import InputError, _finite_positive, _positive_int, _rng, _seed
 from .geometry import (PointCloud, Pose, Quaternion, _compose, _cross, _from_matrix, _inverse, _matrix, _rotate,
                        _rotate_x, orthonormal_tangents)
 from .meshes import surface_sample
@@ -126,7 +126,8 @@ from .scenes import ObjectInstance, Scene
 
 log = logging.getLogger(__name__)
 
-DEFAULT_FRICTION = 0.4
+FRICTION_MU = 0.4  # Coulomb friction coefficient of the finger pads
+_COS_CONE = math.cos(math.atan(FRICTION_MU))  # cosine of the friction cone's half-angle
 APPROACHES_PER_PAIR = 12  # approach directions per antipodal pair, evenly spaced about its axis
 # cos and sin of the approach angles 2 pi k / APPROACHES_PER_PAIR, by `math`
 _APPROACH_COS, _APPROACH_SIN = (np.array([f(2.0 * math.pi * k / APPROACHES_PER_PAIR)
@@ -238,13 +239,6 @@ def _grasp_frames(axes: np.ndarray, approaches: np.ndarray) -> tuple:
     return _from_matrix(tuple(zip(x.T, y, z.T)))  # the matrix with columns x, y, z
 
 
-def grasp_frame(axis, approach) -> Quaternion:
-    """Rotation whose x is the closing axis and z the approach direction:
-    `_grasp_frames` of one grasp."""
-    rows = (np.asarray(v, dtype=float).reshape(1, 3) for v in (axis, approach))
-    return Quaternion(*(float(c[0]) for c in _grasp_frames(*rows)))
-
-
 # ---------------------------------------------------------------------------
 # gripper volume
 
@@ -324,8 +318,7 @@ def _triangles_hit_box(tri: np.ndarray, half: np.ndarray) -> bool:
 # contacts and the friction cone
 
 
-def _pad_slab_contacts(points_g, normals_x: np.ndarray, width: float,
-                       gripper: GripperModel, mu: float) -> tuple[bool, str]:
+def _pad_slab_contacts(points_g, normals_x: np.ndarray, width: float, gripper: GripperModel) -> tuple[bool, str]:
     """Extremal contacts along the closing axis inside the finger-pad slab.
 
     `points_g` holds the (x, y, z) component arrays of the samples in the
@@ -346,12 +339,11 @@ def _pad_slab_contacts(points_g, normals_x: np.ndarray, width: float,
     a, b = float(xs.min()), float(xs.max())
     if a < -width / 2 - 1e-9 or b > width / 2 + 1e-9:
         return False, "object does not fit within the jaws"
-    cos_cone = math.cos(math.atan(mu))
     low_band = xs <= a + CONTACT_BAND
     high_band = xs >= b - CONTACT_BAND
-    if np.max(-ns[low_band]) < cos_cone:
+    if np.max(-ns[low_band]) < _COS_CONE:
         return False, "low-side contact outside the friction cone"
-    if np.max(ns[high_band]) < cos_cone:
+    if np.max(ns[high_band]) < _COS_CONE:
         return False, "high-side contact outside the friction cone"
     return True, ""
 
@@ -367,36 +359,28 @@ def _occluder_hit(index: int) -> SimResult:
     return SimResult(False, FailureReason.OCCLUDER_COLLISION, f"gripper hits occluder {index}")
 
 
-def _check_friction(mu) -> None:
-    # a negative mu would act as |mu| in the cone test, and NaN would pass it
-    if not _finite_non_negative(mu):
-        raise InputError(f"friction_mu must be finite and >= 0, got {mu!r}")
-
-
-# The last grasp `simulate_grasp` judged: (grasp, gripper, friction_mu, set-up,
-# target stage). The set-up is None where the table blocks the grasp, and the
+# The last grasp `simulate_grasp` judged: (grasp, gripper, set-up, target
+# stage). The set-up is None where the table blocks the grasp, and the
 # target stage None or (target instance, result). A call publishes a new tuple
 # and never mutates a published one.
-_slot: tuple = (None, None, None, None, None)
+_slot: tuple = (None, None, None, None)
 
 
-def simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel,
-                   friction_mu: float = DEFAULT_FRICTION) -> SimResult:
+def simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel) -> SimResult:
     """Quasi-static grasp oracle; the first failing test, in the module's order, decides.
 
     The set-up of the last grasp judged, and its target stage, stay in a
     one-grasp slot (see the module docstring). A call with the same grasp
-    object, a gripper and `friction_mu` of equal value reuses the set-up, and
-    also the target stage if the scene's target is the same instance object,
+    object and a gripper of equal value reuses the set-up, and also the target
+    stage if the scene's target is the same instance object,
     as in a scene and its `derive_single_scene`. The occluders are tested on
     every call.
     """
     global _slot
-    _check_friction(friction_mu)
     if grasp.width > gripper.max_width + 1e-12:
         return _WIDE
     slot = _slot
-    if slot[0] is not grasp or slot[1] != gripper or slot[2] != friction_mu:
+    if slot[0] is not grasp or slot[1] != gripper:
         boxes = gripper_boxes(grasp.width, gripper)
         lo, hi = boxes[:, None, 0], boxes[:, None, 1]
         corners = grasp.rotation.rotate((lo + _BOX_CORNERS * (hi - lo)).reshape(-1, 3)) + grasp.center
@@ -407,10 +391,10 @@ def simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel,
             setup = (corner_lo - BROAD_PHASE_MARGIN, corners.max(axis=0) + BROAD_PHASE_MARGIN,  # the reach box
                      _inverse((r.w, r.x, r.y, r.z), grasp.center.tolist()),  # world to grasp frame
                      (boxes[None, :, 0] + boxes[None, :, 1]) / 2.0, (boxes[None, :, 1] - boxes[None, :, 0]) / 2.0)
-        slot = _slot = (grasp, gripper, friction_mu, setup, None)
-    if slot[3] is None:
+        slot = _slot = (grasp, gripper, setup, None)
+    if slot[2] is None:
         return _TABLE
-    reach_lo, reach_hi, to_grasp, centers, halves = slot[3]
+    reach_lo, reach_hi, to_grasp, centers, halves = slot[2]
 
     def hits(inst: ObjectInstance) -> bool:
         lo, hi = inst.world_aabb
@@ -422,15 +406,15 @@ def simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel,
     if hit is not None:
         return _occluder_hit(hit)
     target = scene.target
-    if slot[4] is not None and slot[4][0] is target:
-        return slot[4][1]
+    if slot[3] is not None and slot[3][0] is target:
+        return slot[3][1]
     if hits(target):
         result = _BODY
     else:
         pose = _compose(to_grasp, target.pose)
-        ok, why = _contacts(target.mesh.contact_samples, pose, [grasp.width], gripper, friction_mu)[0]
+        ok, why = _contacts(target.mesh.contact_samples, pose, [grasp.width], gripper)[0]
         result = _SUCCESS if ok else SimResult(False, FailureReason.ANTIPODAL_FAIL, why)
-    _slot = (*slot[:4], (target, result))
+    _slot = (*slot[:3], (target, result))
     return result
 
 
@@ -459,8 +443,7 @@ def _mesh_hits(inst: ObjectInstance, pose, centers: np.ndarray, halves: np.ndarr
     return hit
 
 
-def _contacts(samples: PointCloud, pose, widths: list[float], gripper: GripperModel,
-              mu: float) -> list[tuple[bool, str]]:
+def _contacts(samples: PointCloud, pose, widths: list[float], gripper: GripperModel) -> list[tuple[bool, str]]:
     """`_pad_slab_contacts` of m grasps, each on the samples moved by its pose
     (floats for one grasp, or (m, 1) components).
 
@@ -491,12 +474,11 @@ def _contacts(samples: PointCloud, pose, widths: list[float], gripper: GripperMo
     p_g = [a + np.reshape(c, -1)[grasp_i] for a, c in zip(_rotate(q, tuple(pts[sample_i].T)), t)]
     n_x = _rotate_x(q, tuple(samples.normals[sample_i].T))
     ends = np.searchsorted(grasp_i, np.arange(len(widths) + 1))
-    return [_pad_slab_contacts([c[a:b] for c in p_g], n_x[a:b], width, gripper, mu)
+    return [_pad_slab_contacts([c[a:b] for c in p_g], n_x[a:b], width, gripper)
             for a, b, width in zip(ends[:-1], ends[1:], widths)]
 
 
-def _simulate_batch(grasps: list[Grasp], scene: Scene, gripper: GripperModel,
-                    mu: float) -> list[tuple[SimResult, int | None]]:
+def _simulate_batch(grasps: list[Grasp], scene: Scene, gripper: GripperModel) -> list[tuple[SimResult, int | None]]:
     """Per grasp: its result in `scene` without the occluders, and the first
     occluder it hits (None if it hits none, or the width or the table decides)."""
     results = [(_WIDE, None)] * len(grasps)
@@ -543,8 +525,7 @@ def _simulate_batch(grasps: list[Grasp], scene: Scene, gripper: GripperModel,
     rows = np.flatnonzero(near[:, scene.target_index])
     body[rows] = hits(target, rows)
     rows = np.flatnonzero(~table & ~body)
-    contacts = iter(_contacts(target.mesh.contact_samples, frames(target, rows), [widths[r] for r in rows],
-                              gripper, mu))
+    contacts = iter(_contacts(target.mesh.contact_samples, frames(target, rows), [widths[r] for r in rows], gripper))
     for r, i in enumerate(idx):
         if table[r]:
             sim = _TABLE
@@ -626,19 +607,17 @@ def sample_candidate_grasps(
 # paired labeling
 
 
-def label_pair(cluttered: Scene, gripper: GripperModel, count: int, seed: int,
-               friction_mu: float = DEFAULT_FRICTION) -> list[GraspLabel]:
+def label_pair(cluttered: Scene, gripper: GripperModel, count: int, seed: int) -> list[GraspLabel]:
     """Label candidates in both the derived single scene and the cluttered scene.
 
     One batched pass over the cluttered scene gives each candidate's
     single-scene result and its first occluder hit (see the module docstring).
     """
-    _check_friction(friction_mu)
     target = cluttered.target
     cloud = surface_sample(target.mesh, 1024, seed=_seed(seed) ^ 0x9E3779B9).transformed(target.pose)
     candidates = sample_candidate_grasps(cloud, gripper, count, seed)
     labels = []
-    for g, (single, hit) in zip(candidates, _simulate_batch(candidates, cluttered, gripper, friction_mu)):
+    for g, (single, hit) in zip(candidates, _simulate_batch(candidates, cluttered, gripper)):
         cluttered_result = single if hit is None else _occluder_hit(hit)
         labels.append(GraspLabel(g, single.success, cluttered_result.success, cluttered_result.reason,
                                  cluttered_result.detail))
@@ -683,27 +662,16 @@ def write_labels_jsonl(path, scene_id: str, target_index: int, labels: list[Gras
 
 
 def read_labels_jsonl(path) -> list[dict]:
-    """The records of a labels file; a line that is not JSON raises `InputError`."""
+    """The records of a labels file; a line that is not a JSON object raises `InputError`."""
     records = []
     with Path(path).open() as fh:
         for number, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    records.append(json.loads(line))
+                    rec = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise InputError(f"{path}: line {number} is not JSON ({exc})") from exc
+                if not isinstance(rec, dict):
+                    raise InputError(f"{path}: line {number} is not a JSON object")
+                records.append(rec)
     return records
-
-
-def record_to_label(rec: dict) -> GraspLabel:
-    """The label a record holds; a missing key or an unknown reason raises `InputError`."""
-    try:
-        grasp = Grasp(np.array(rec["t"]), Quaternion.from_array(rec["r"]), rec["w"])
-        single, cluttered, reason = rec["success_single"], rec["success_cluttered"], rec["reason"]
-    except KeyError as exc:
-        raise InputError(f"label record lacks the key {exc}") from exc
-    try:
-        reason = FailureReason(reason)
-    except ValueError as exc:
-        raise InputError(f"unknown failure reason {reason!r}") from exc
-    return GraspLabel(grasp, single, cluttered, reason)

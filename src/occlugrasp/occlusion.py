@@ -1,4 +1,4 @@
-"""Occlusion measurement from paired renders, level binning, scene factors.
+"""Occlusion measurement from paired renders, and level binning.
 
 The level is the occluded fraction of the target: 1 - visible/total, where
 `total` counts the target's pixels in the paired single-scene render (the
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import DepthFrame, _check_instance
-from .errors import InputError, MeasurementError
-from .scenes import Scene
+from .errors import InputError, MeasurementError, _finite_non_negative
 
 
 @dataclass(frozen=True)
@@ -41,10 +40,6 @@ class BinScheme:
         if not ok:
             raise InputError(f"bin edges must be finite numbers ascending from 0 and ending <= 1, got {e}")
 
-    @property
-    def n_bins(self) -> int:
-        return len(self.edges) - 1
-
     @staticmethod
     def training() -> "BinScheme":
         # ten bins, final bin [0.9, 0.95)
@@ -63,8 +58,8 @@ class BinScheme:
 
 def assign_bin(level: float, scheme: BinScheme) -> int | None:
     """Half-open [edge_i, edge_{i+1}) bin index; None when level >= last edge."""
-    if not 0.0 <= level <= 1.0:
-        raise InputError(f"occlusion level must be in [0, 1], got {level}")
+    if not (_finite_non_negative(level) and level <= 1.0):
+        raise InputError(f"occlusion level must be a number in [0, 1], got {level!r}")
     if level >= scheme.edges[-1]:
         return None
     idx = int(np.searchsorted(scheme.edges, level, side="right")) - 1
@@ -96,12 +91,3 @@ def occlusion_level(
     level = (total - visible) / total
     bin_index = assign_bin(min(max(level, 0.0), 1.0), scheme) if scheme is not None else None
     return OcclusionRecord(level, bin_index, visible, total)
-
-
-def scene_factors(scene: Scene) -> dict:
-    """Occluder count and target size (min of footprint length/width)."""
-    target = scene.target
-    return {
-        "occluder_count": len(scene.instances) - 1,
-        "target_size": float(min(target.footprint[0], target.footprint[1])),
-    }

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GenerationError, InputError, _finite_non_negative, _finite_positive, _positive_int, _rng
+from .errors import GenerationError, InputError, _finite_positive, _positive_int, _rng
 from .geometry import Pose, Quaternion, quaternion_about_axis
 from .meshes import CYLINDER_SEGMENTS, TriMesh, make_box, make_cylinder, make_hex_prism, make_sphere
 
@@ -212,14 +212,20 @@ def polygon_distance(p: np.ndarray, q: np.ndarray) -> float:
 # packed generation
 
 
+MAX_PLACEMENT_ATTEMPTS = 1000  # draws per instance before generation gives up
+PLACEMENT_MARGIN = 1e-3  # least footprint separation (m) between two instances
+
+
 @dataclass(frozen=True)
 class SceneConfig:
+    """What a packed scene is drawn from. Each instance gets up to
+    `MAX_PLACEMENT_ATTEMPTS` draws, and instances keep `PLACEMENT_MARGIN`
+    apart."""
+
     object_count_range: tuple[int, int] = (4, 6)
     workspace_extent: float = 0.3
     catalog: CatalogConfig = field(default_factory=CatalogConfig)
     seed: int = 0
-    max_attempts: int = 1000
-    placement_margin: float = 1e-3
 
 
 def _footprint_gap(lo: np.ndarray, hi: np.ndarray, boxes: np.ndarray) -> np.ndarray:
@@ -235,7 +241,6 @@ def _place_instance(
     obj: CatalogObject,
     extent: float,
     placed: list[ObjectInstance],
-    margin: float,
     rng: np.random.Generator,
 ) -> ObjectInstance | None:
     if obj.footprint[2] > extent:
@@ -260,10 +265,10 @@ def _place_instance(
     # coordinates within the workspace, so no `< margin` outcome changes.
     if placed:
         boxes = np.array([other.world_footprint_box for other in placed])
-        near = np.flatnonzero(_footprint_gap(lo + position, hi + position, boxes) <= margin + 1e-9)
+        near = np.flatnonzero(_footprint_gap(lo + position, hi + position, boxes) <= PLACEMENT_MARGIN + 1e-9)
         world_poly = poly + position
         for k in near.tolist():
-            if polygon_distance(world_poly, placed[k].world_footprint_poly()) < margin:
+            if polygon_distance(world_poly, placed[k].world_footprint_poly()) < PLACEMENT_MARGIN:
                 return None
     pose = Pose(quaternion_about_axis((0.0, 0.0, 1.0), yaw), np.array([position[0], position[1], 0.0]))
     return ObjectInstance(obj.catalog_id, obj.mesh, pose, obj.footprint, obj.footprint_poly)
@@ -274,28 +279,27 @@ def generate_packed_scene(config: SceneConfig, catalog: list[CatalogObject] | No
     lo, hi = config.object_count_range
     if not (_positive_int(lo) and _positive_int(hi) and lo <= hi <= 10):
         raise InputError(f"object_count_range must be integers within [1, 10], got {config.object_count_range}")
-    if not _positive_int(config.max_attempts):
-        raise InputError(f"max_attempts must be a positive integer, got {config.max_attempts!r}")
     if not _finite_positive(config.workspace_extent):
         raise InputError(f"workspace_extent must be finite and positive, got {config.workspace_extent!r}")
-    # a NaN margin would make every distance test pass, and objects overlap
-    margin = config.placement_margin
-    if not _finite_non_negative(margin):
-        raise InputError(f"placement_margin must be finite and >= 0, got {margin!r}")
-    catalog = _shared_catalog(config.catalog) if catalog is None else catalog
+    if catalog is None:
+        if not isinstance(config.catalog, CatalogConfig):
+            raise InputError(f"catalog must be a CatalogConfig, got {config.catalog!r}")
+        catalog = _shared_catalog(config.catalog)
+    elif not len(catalog):
+        raise InputError("the catalog to place from is empty")
     rng = _rng(config.seed, 0)
     count = int(rng.integers(lo, hi + 1))
     placed: list[ObjectInstance] = []
     for i in range(count):
         inst_rng = _rng(config.seed, 1, i)
         inst = None
-        for _ in range(config.max_attempts):
+        for _ in range(MAX_PLACEMENT_ATTEMPTS):
             obj = catalog[int(inst_rng.integers(len(catalog)))]
-            inst = _place_instance(obj, config.workspace_extent, placed, margin, inst_rng)
+            inst = _place_instance(obj, config.workspace_extent, placed, inst_rng)
             if inst is not None:
                 break
         if inst is None:
-            raise GenerationError(f"could not place instance {i} after {config.max_attempts} attempts")
+            raise GenerationError(f"could not place instance {i} after {MAX_PLACEMENT_ATTEMPTS} attempts")
         placed.append(inst)
     target_index = int(_rng(config.seed, 2).integers(count))
     return Scene(tuple(placed), target_index, config.workspace_extent, config.seed)

@@ -165,8 +165,8 @@ def splat(cloud: PointCloud, config: TsdfConfig | None = None) -> TsdfGrid:
 
 def near_surface_mask(grid: TsdfGrid, band: float) -> np.ndarray:
     """True where 0 <= value < band and the voxel was observed."""
-    if not 0.0 < band <= 1.0:
-        raise InputError(f"band must be in (0, 1], got {band}")
+    if not (_finite_positive(band) and band <= 1.0):
+        raise InputError(f"band must be a number in (0, 1], got {band!r}")
     return (grid.values >= 0.0) & (grid.values < band) & (grid.weights > 0.0)
 
 

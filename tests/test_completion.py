@@ -10,7 +10,6 @@ from occlugrasp.completion import (
     PassthroughCompleter,
     chamfer_l1,
     completion_ground_truth,
-    make_completer,
     volumetric_iou,
 )
 from occlugrasp.errors import InputError
@@ -103,6 +102,13 @@ class TestChamferMatchesReference:
             assert chamfer_l1(a, b) == reference_chamfer_l1(a, b)
 
 
+def iou_with(a: PointCloud, b: PointCloud, voxel_size: float) -> float:
+    """`volumetric_iou` with `completion.IOU_VOXEL_SIZE` set to `voxel_size` for the call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(completion, "IOU_VOXEL_SIZE", voxel_size)
+        return volumetric_iou(a, b)
+
+
 class TestIou:
     def test_identical(self):
         pts = np.random.default_rng(1).uniform(0, 0.3, size=(200, 3))
@@ -120,18 +126,7 @@ class TestIou:
         centers = (np.arange(3 * k)[:, None] + 0.5) * vox * np.array([[1.0, 0.0, 0.0]])
         a = PointCloud(centers[: 2 * k])
         b = PointCloud(centers[k:])
-        assert volumetric_iou(a, b, voxel_size=vox) == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-    def test_bad_voxel_size(self):
-        a = PointCloud(np.zeros((1, 3)))
-        with pytest.raises(InputError):
-            volumetric_iou(a, a, voxel_size=0.0)
-
-    @pytest.mark.parametrize("voxel_size", [float("nan"), float("inf")])
-    def test_non_finite_voxel_size_rejected(self, voxel_size):
-        a = PointCloud(np.zeros((1, 3)))
-        with pytest.raises(InputError):
-            volumetric_iou(a, a, voxel_size=voxel_size)
+        assert iou_with(a, b, vox) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_both_empty_rejected(self):
         with pytest.raises(InputError):
@@ -168,7 +163,7 @@ class TestIouMatchesReference:
         a = PointCloud(rng.uniform(-0.2, 0.05, size=(400, 3)))
         b = PointCloud(rng.uniform(-0.05, 0.2, size=(400, 3)))
         for voxel_size in (0.0075, 0.02, 0.05):
-            iou = volumetric_iou(a, b, voxel_size)
+            iou = iou_with(a, b, voxel_size)
             assert iou == reference_iou(a, b, voxel_size)
             assert 0.0 < iou < 1.0
 
@@ -179,8 +174,8 @@ class TestIouMatchesReference:
         faces = np.arange(-6, 7)[:, None] * vox * np.ones((1, 3))
         a = PointCloud(np.vstack([faces, np.nextafter(faces, -np.inf)]))
         b = PointCloud(np.vstack([faces, np.nextafter(faces, np.inf)]))
-        assert volumetric_iou(a, b, vox) == reference_iou(a, b, vox)
-        assert volumetric_iou(a, a, vox) == 1.0
+        assert iou_with(a, b, vox) == reference_iou(a, b, vox)
+        assert iou_with(a, a, vox) == 1.0
 
 
 def rendered_partial(scene, cam):
@@ -342,7 +337,8 @@ class TestOrdering:
     def test_completer_cd_ordering(self):
         # oracle <= mirror <= passthrough, averaged over many single scenes
         cam = default_camera(width=160, height=120, focal=135.0)
-        sums = {"oracle": 0.0, "mirror": 0.0, "none": 0.0}
+        completers = {"oracle": OracleCompleter(), "mirror": MirrorCompleter(), "none": PassthroughCompleter()}
+        sums = dict.fromkeys(completers, 0.0)
         n = 0
         for seed in range(40):
             scene = generate_packed_scene(SceneConfig(object_count_range=(1, 1), seed=700 + seed))
@@ -351,15 +347,8 @@ class TestOrdering:
                 continue
             gt = completion_ground_truth(scene)
             for name in sums:
-                completed = make_completer(name)(partial, scene, cam)
+                completed = completers[name](partial, scene, cam)
                 sums[name] += chamfer_l1(completed, gt)
             n += 1
         assert n >= 30
         assert sums["oracle"] < sums["mirror"] < sums["none"]
-
-
-class TestRegistry:
-    def test_known_names(self):
-        assert isinstance(make_completer("none"), PassthroughCompleter)
-        with pytest.raises(InputError):
-            make_completer("adaptive")

@@ -15,7 +15,6 @@ from occlugrasp.errors import InputError
 from occlugrasp.geometry import PointCloud, Pose, Quaternion, _compose, _inverse, _rotate, orthonormal_tangents
 from occlugrasp.grasping import (
     BROAD_PHASE_MARGIN,
-    DEFAULT_FRICTION,
     FailureReason,
     Grasp,
     GraspLabel,
@@ -26,7 +25,6 @@ from occlugrasp.grasping import (
     _SUCCESS,
     _TABLE,
     _WIDE,
-    _check_friction,
     _contacts,
     _grasp_frames,
     _mesh_hits,
@@ -34,12 +32,10 @@ from occlugrasp.grasping import (
     _pad_slab_contacts,
     _simulate_batch,
     _triangles_hit_box,
-    grasp_frame,
     gripper_boxes,
     label_pair,
     label_to_record,
     read_labels_jsonl,
-    record_to_label,
     sample_candidate_grasps,
     simulate_grasp,
     taxonomy_counts,
@@ -69,8 +65,15 @@ from .test_geometry import (
 GRIP = GripperModel()
 
 
+def frame(axis, approach) -> Quaternion:
+    """The rotation whose x is the closing axis and z the approach direction:
+    `_grasp_frames` of one grasp."""
+    rows = (np.asarray(v, dtype=float).reshape(1, 3) for v in (axis, approach))
+    return Quaternion(*(float(c[0]) for c in _grasp_frames(*rows)))
+
+
 def side_grasp(center, axis=(1, 0, 0), approach=(0, 0, -1), width=0.055):
-    return Grasp(np.asarray(center, float), grasp_frame(axis, approach), width)
+    return Grasp(np.asarray(center, float), frame(axis, approach), width)
 
 
 def closing_axis(grasp: Grasp) -> np.ndarray:
@@ -138,7 +141,7 @@ def reference_offenders(grasp, scene, gripper):
     return offenders
 
 
-def reference_simulate(grasp, scene, gripper, friction_mu=DEFAULT_FRICTION):
+def reference_simulate(grasp, scene, gripper):
     if grasp.width > gripper.max_width + 1e-12:
         return FailureReason.WIDTH_EXCEEDED
     offenders = reference_offenders(grasp, scene, gripper)
@@ -152,14 +155,12 @@ def reference_simulate(grasp, scene, gripper, friction_mu=DEFAULT_FRICTION):
     to_grasp = Pose(grasp.rotation, grasp.center).inverse() * target.pose
     samples = target.mesh.contact_samples
     ok, _ = _pad_slab_contacts(tuple(to_grasp.transform(samples.points).T), to_grasp.rotate_only(samples.normals)[:, 0],
-                               grasp.width, gripper, friction_mu)
+                               grasp.width, gripper)
     return FailureReason.NONE if ok else FailureReason.ANTIPODAL_FAIL
 
 
-def reference_simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel,
-                             friction_mu: float = DEFAULT_FRICTION) -> SimResult:
+def reference_simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel) -> SimResult:
     """`simulate_grasp` before its one-grasp slot: every test on every call."""
-    _check_friction(friction_mu)
     if grasp.width > gripper.max_width + 1e-12:
         return _WIDE
     boxes = gripper_boxes(grasp.width, gripper)
@@ -191,14 +192,14 @@ def reference_simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel,
     q, t = _compose(to_grasp, target.pose)
     pts_g = np.column_stack([v + c for v, c in zip(_rotate(q, tuple(samples.points.T)), t)])
     nrm_g = np.column_stack(_rotate(q, tuple(samples.normals.T)))
-    ok, why = _pad_slab_contacts(tuple(pts_g.T), nrm_g[:, 0], grasp.width, gripper, friction_mu)
+    ok, why = _pad_slab_contacts(tuple(pts_g.T), nrm_g[:, 0], grasp.width, gripper)
     if not ok:
         return SimResult(False, FailureReason.ANTIPODAL_FAIL, why)
     return _SUCCESS
 
 
 def reference_grasp_frame_matrix(axis, approach):
-    """The rotation matrix of `grasp_frame`, one grasp at a time, with `np.cross`."""
+    """The rotation matrix of `frame`, one grasp at a time, with `np.cross`."""
     x = np.asarray(axis, dtype=float)
     z = np.asarray(approach, dtype=float)
     x = x / np.linalg.norm(x)
@@ -211,7 +212,7 @@ def reference_grasp_frame(axis, approach):
     return reference_from_matrix(reference_grasp_frame_matrix(axis, approach))
 
 
-def reference_label_pair(cluttered, gripper, count, seed, friction_mu=DEFAULT_FRICTION):
+def reference_label_pair(cluttered, gripper, count, seed):
     """`label_pair` as a loop over candidates: one single-scene simulation
     each, then the occluders alone for the cluttered label."""
     target = cluttered.target
@@ -220,7 +221,7 @@ def reference_label_pair(cluttered, gripper, count, seed, friction_mu=DEFAULT_FR
     single = derive_single_scene(cluttered, cluttered.target_index)
     labels = []
     for g in candidates:
-        sim_s = simulate_grasp(g, single, gripper, friction_mu)
+        sim_s = simulate_grasp(g, single, gripper)
         reason = sim_s.reason
         if (reason not in (FailureReason.WIDTH_EXCEEDED, FailureReason.TABLE_BLOCK)
                 and any(o not in ("table", cluttered.target_index)
@@ -230,11 +231,11 @@ def reference_label_pair(cluttered, gripper, count, seed, friction_mu=DEFAULT_FR
     return labels
 
 
-def batch_results(grasps, scene, gripper, friction_mu=DEFAULT_FRICTION):
+def batch_results(grasps, scene, gripper):
     """`simulate_grasp`'s result of every grasp from one batched pass: the
     single-scene result, or `_occluder_hit` of the first occluder hit."""
     return [sim if hit is None else _occluder_hit(hit)
-            for sim, hit in _simulate_batch(grasps, scene, gripper, friction_mu)]
+            for sim, hit in _simulate_batch(grasps, scene, gripper)]
 
 
 @pytest.fixture(scope="module")
@@ -316,13 +317,13 @@ def completed_target_cloud(scene, cam):
 
 
 def check_frames(axes, approaches) -> collections.Counter:
-    """Assert `_grasp_frames` of all rows, and `grasp_frame` of each, equal to
+    """Assert `_grasp_frames` of all rows, and `frame` of each, equal to
     `reference_grasp_frame` bit for bit; count the `from_matrix` branches taken."""
     axes, approaches = np.asarray(axes, dtype=float), np.asarray(approaches, dtype=float)
     want = [quaternion_bits(reference_grasp_frame(a, b)) for a, b in zip(axes, approaches)]
     got = np.column_stack(_grasp_frames(axes, approaches))
     assert [row.tobytes() for row in got] == want
-    assert [quaternion_bits(grasp_frame(a, b)) for a, b in zip(axes, approaches)] == want
+    assert [quaternion_bits(frame(a, b)) for a, b in zip(axes, approaches)] == want
     return collections.Counter(from_matrix_branch(reference_grasp_frame_matrix(a, b)) for a, b in zip(axes, approaches))
 
 
@@ -393,7 +394,7 @@ class TestTypes:
             GraspLabel(g, False, True, FailureReason.NONE)
 
     def test_grasp_frame_orthonormal(self):
-        q = grasp_frame((1, 0, 0), (0, 0, -1))
+        q = frame((1, 0, 0), (0, 0, -1))
         m = q.as_matrix()
         assert np.allclose(m @ m.T, np.eye(3), atol=1e-12)
         assert np.allclose(m[:, 0], [1, 0, 0], atol=1e-12)
@@ -417,7 +418,7 @@ class TestTypes:
 
 
 class TestGraspFrames:
-    """`_grasp_frames`, and `grasp_frame` as a batch of one, against
+    """`_grasp_frames`, and `frame` as a batch of one, against
     `reference_grasp_frame` bit for bit (seeded random rows are in `TestTypes`)."""
 
     def test_every_branch(self):
@@ -443,7 +444,7 @@ class TestGraspFrames:
     @pytest.mark.parametrize("approach", [(2.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (1.0, 1e-12, 0.0), (0.0, 0.0, 0.0)])
     def test_parallel_approach_rejected(self, approach):
         with pytest.raises(InputError, match="parallel"):
-            grasp_frame((1.0, 0.0, 0.0), approach)
+            frame((1.0, 0.0, 0.0), approach)
         # one such row among good ones
         axes = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(InputError, match="parallel"):
@@ -771,14 +772,14 @@ class TestCollision:
 class TestSimulate:
     def test_valid_side_grasp_succeeds(self):
         scene = make_scene([box_instance(0.05, 0.05, 0.1, 0.15, 0.15)])
-        res = simulate_grasp(side_grasp((0.15, 0.15, 0.05)), scene, GRIP, friction_mu=0.4)
+        res = simulate_grasp(side_grasp((0.15, 0.15, 0.05)), scene, GRIP)
         assert res.success
 
     def test_occluder_blocks_finger(self):
         target = box_instance(0.05, 0.05, 0.1, 0.15, 0.15)
         occ = box_instance(0.04, 0.05, 0.1, 0.15 + 0.045 + 1e-4, 0.15)
         scene = make_scene([target, occ], target=0)
-        res = simulate_grasp(side_grasp((0.15, 0.15, 0.05)), scene, GRIP, friction_mu=0.4)
+        res = simulate_grasp(side_grasp((0.15, 0.15, 0.05)), scene, GRIP)
         assert not res.success
         assert res.reason == FailureReason.OCCLUDER_COLLISION
         assert res.detail == "gripper hits occluder 1"
@@ -793,8 +794,8 @@ class TestSimulate:
         # friction cone half-angle atan(0.4) ~ 21.8 deg < 45 deg
         scene = make_scene([box_instance(0.05, 0.05, 0.1, 0.15, 0.15)])
         axis = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-        g = Grasp(np.array([0.15, 0.15, 0.05]), grasp_frame(axis, (0, 0, -1)), 0.0757)
-        res = simulate_grasp(g, scene, GRIP, friction_mu=0.4)
+        g = Grasp(np.array([0.15, 0.15, 0.05]), frame(axis, (0, 0, -1)), 0.0757)
+        res = simulate_grasp(g, scene, GRIP)
         assert not res.success
         assert res.reason == FailureReason.ANTIPODAL_FAIL
         assert res.detail.endswith("contact outside the friction cone")
@@ -808,22 +809,6 @@ class TestSimulate:
         assert a == b
         # a value-equal grasp is another object, so it misses the slot
         assert simulate_grasp(Grasp(g.center.copy(), g.rotation, g.width), scene, GRIP) == a
-
-    @pytest.mark.parametrize("mu", [-1.0, -0.4, float("nan"), float("inf"), None, False])
-    def test_friction_must_be_finite_and_non_negative(self, mu):
-        # -1 would act as 1 in the cone test, and NaN would never fail it
-        scene = make_scene([box_instance(0.05, 0.05, 0.1, 0.15, 0.15)])
-        g = side_grasp((0.15, 0.15, 0.05))
-        with pytest.raises(InputError, match="friction_mu"):
-            simulate_grasp(g, scene, GRIP, friction_mu=mu)
-        with pytest.raises(InputError, match="friction_mu"):
-            label_pair(scene, GRIP, 4, seed=1, friction_mu=mu)
-
-    def test_zero_friction_accepted(self):
-        scene = make_scene([box_instance(0.05, 0.05, 0.1, 0.15, 0.15)])
-        g = side_grasp((0.15, 0.15, 0.05))
-        assert batch_results([g], scene, GRIP, friction_mu=0) == [simulate_grasp(g, scene, GRIP, friction_mu=0)]
-        assert len(label_pair(scene, GRIP, 4, seed=1, friction_mu=0)) == 4
 
 
 def _grasp_key(g):
@@ -887,18 +872,6 @@ class TestGraspSlot:
                        simulate_grasp(g, scene, GRIP), simulate_grasp(twin, scene, GRIP)]
                 assert got == [ws, ws, wc, wc], seed
 
-    def test_friction_changes_between_calls(self, dense_cases, dense_refs):
-        changed = 0
-        for (seed, scene, single, grasps, _, _), (want_s, want_c) in zip(dense_cases[::4], dense_refs[::4]):
-            for g, ws, wc in zip(grasps, want_s, want_c):
-                got = [simulate_grasp(g, single, GRIP, 0.4), simulate_grasp(g, single, GRIP, 0.0),
-                       simulate_grasp(g, scene, GRIP, 0.0), simulate_grasp(g, scene, GRIP, 0.4),
-                       simulate_grasp(g, single, GRIP, 0.4)]
-                frictionless = [reference_simulate_grasp(g, s, GRIP, 0.0) for s in (single, scene)]
-                assert got == [ws, *frictionless, wc, ws], seed
-                changed += frictionless[0] != ws
-        assert changed > 0, "friction 0.0 must change some results"
-
     def test_gripper_changes_between_calls(self, dense_cases, dense_refs):
         twin = GripperModel()  # equal to GRIP by value, another object
         other = GripperModel(finger_thickness=0.012)
@@ -933,9 +906,9 @@ class TestGraspSlot:
         g = side_grasp((0.15, 0.15, 0.05))
         blocked = simulate_grasp(g, scene, GRIP)
         assert blocked == reference_simulate_grasp(g, scene, GRIP) == _occluder_hit(1)
-        assert grasping._slot[0] is g and grasping._slot[4] is None
+        assert grasping._slot[0] is g and grasping._slot[3] is None
         assert simulate_grasp(g, single, GRIP) == reference_simulate_grasp(g, single, GRIP) == _SUCCESS
-        assert grasping._slot[4][0] is target
+        assert grasping._slot[3][0] is target
         # the target stage is filled now, and the occluder is still tested
         assert simulate_grasp(g, scene, GRIP) == blocked
 
@@ -945,14 +918,14 @@ class TestGraspSlot:
 
         scene_x, a = one_box_scene(0.1)
         assert simulate_grasp(a, scene_x, GRIP).success
-        assert grasping._slot[0] is a and grasping._slot[4][0] is scene_x.target
+        assert grasping._slot[0] is a and grasping._slot[3][0] is scene_x.target
         refs = [weakref.ref(a), weakref.ref(scene_x.target)]
         scene_y, b = one_box_scene(0.2)
         assert simulate_grasp(b, scene_y, GRIP).success
         del a, scene_x
         gc.collect()
         assert [r() for r in refs] == [None, None]
-        grasp, gripper, mu, _, (target, result) = grasping._slot
+        grasp, gripper, _, (target, result) = grasping._slot
         assert grasp is b and target is scene_y.target and result == _SUCCESS
 
 
@@ -1042,9 +1015,9 @@ class TestContactPrefilter:
         samples = PointCloud(points, self.NORMALS)
         q, t = pose.rotation, pose.translation
         parts = tuple(np.array([[c]]) for c in (q.w, q.x, q.y, q.z)), tuple(np.array([[c]]) for c in t)
-        [got] = _contacts(samples, parts, [self.WIDTH], GRIP, DEFAULT_FRICTION)
+        [got] = _contacts(samples, parts, [self.WIDTH], GRIP)
         want = _pad_slab_contacts(tuple(pose.transform(samples.points).T), pose.rotate_only(samples.normals)[:, 0],
-                                  self.WIDTH, GRIP, DEFAULT_FRICTION)
+                                  self.WIDTH, GRIP)
         assert got == want
         return got
 
@@ -1129,6 +1102,12 @@ class TestLabelPair:
                     assert after
 
 
+def label_from_record(rec: dict) -> GraspLabel:
+    """The label a labels-file record holds, rebuilt from its fields."""
+    grasp = Grasp(np.array(rec["t"]), Quaternion.from_array(rec["r"]), rec["w"])
+    return GraspLabel(grasp, rec["success_single"], rec["success_cluttered"], FailureReason(rec["reason"]))
+
+
 class TestJsonl:
     def test_round_trip(self, tmp_path):
         scene = generate_packed_scene(SceneConfig(object_count_range=(3, 3), seed=9))
@@ -1138,7 +1117,8 @@ class TestJsonl:
         records = read_labels_jsonl(path)
         assert len(records) == len(labels)
         assert records[0]["scene_id"] == "scene_009"
-        back = record_to_label(records[0])
+        assert records == [label_to_record("scene_009", scene.target_index, lab) for lab in labels]
+        back = label_from_record(records[0])
         assert back.success_single == labels[0].success_single
         assert back.failure_reason == labels[0].failure_reason
         assert np.allclose(back.grasp.center, labels[0].grasp.center)
@@ -1148,31 +1128,16 @@ class TestJsonl:
         scene = generate_packed_scene(SceneConfig(object_count_range=(3, 3), seed=9))
         labels = label_pair(scene, GRIP, 24, seed=7)
         write_labels_jsonl(tmp_path / "labels.jsonl", "scene_009", scene.target_index, labels)
-        back = [record_to_label(rec) for rec in read_labels_jsonl(tmp_path / "labels.jsonl")]
+        back = [label_from_record(rec) for rec in read_labels_jsonl(tmp_path / "labels.jsonl")]
         assert [lab.grasp for lab in back] == [lab.grasp for lab in labels]
         assert any(lab.grasp.rotation != lab.grasp.rotation.canonical() for lab in labels)
-
-    @pytest.mark.parametrize("key", ["t", "r", "w", "success_single", "success_cluttered", "reason"])
-    def test_missing_key_rejected(self, key):
-        rec = label_to_record("scene_000", 0, GraspLabel(side_grasp((0.15, 0.15, 0.05)), True, False,
-                                                         FailureReason.OCCLUDER_COLLISION))
-        del rec[key]
-        with pytest.raises(InputError, match=f"'{key}'"):
-            record_to_label(rec)
-
-    def test_unknown_reason_rejected(self):
-        rec = label_to_record("scene_000", 0, GraspLabel(side_grasp((0.15, 0.15, 0.05)), True, True,
-                                                         FailureReason.NONE))
-        rec["reason"] = "slipped"
-        with pytest.raises(InputError, match="slipped"):
-            record_to_label(rec)
 
     def test_short_center_rejected(self):
         rec = label_to_record("scene_000", 0, GraspLabel(side_grasp((0.15, 0.15, 0.05)), True, True,
                                                          FailureReason.NONE))
         rec["t"] = rec["t"][:2]
         with pytest.raises(InputError, match="center"):
-            record_to_label(rec)
+            label_from_record(rec)
 
     @pytest.mark.parametrize("r", [[float("nan"), 0.0, 0.0, 1.0], [0.0, float("inf"), 0.0, 0.0]])
     def test_non_finite_rotation_rejected(self, r):
@@ -1180,7 +1145,7 @@ class TestJsonl:
                                                          FailureReason.NONE))
         rec["r"] = r
         with pytest.raises(InputError, match="finite"):
-            record_to_label(rec)
+            label_from_record(rec)
 
     @pytest.mark.parametrize("key", ["success_single", "success_cluttered"])
     @pytest.mark.parametrize("value", ["yes", 1, None])
@@ -1189,12 +1154,20 @@ class TestJsonl:
                                                          FailureReason.OCCLUDER_COLLISION))
         rec[key] = value
         with pytest.raises(InputError, match="bools"):
-            record_to_label(rec)
+            label_from_record(rec)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         path.write_text('{"w": 0.05}\n\n{"w": 0.05\n')
         with pytest.raises(InputError, match="line 3"):
+            read_labels_jsonl(path)
+
+    @pytest.mark.parametrize("line", ["5", "[1, 2]", '"w"', "null"])
+    def test_line_that_is_not_an_object_rejected(self, tmp_path, line):
+        # such a line was returned as a record
+        path = tmp_path / "labels.jsonl"
+        path.write_text('{"w": 0.05}\n' + line + "\n")
+        with pytest.raises(InputError, match="line 2 is not a JSON object"):
             read_labels_jsonl(path)
 
     def test_grasps_read_back_found_in_a_set(self, tmp_path):
@@ -1203,7 +1176,7 @@ class TestJsonl:
         write_labels_jsonl(tmp_path / "labels.jsonl", "scene_009", scene.target_index, labels)
         originals = {lab.grasp for lab in labels}
         for rec in read_labels_jsonl(tmp_path / "labels.jsonl"):
-            assert record_to_label(rec).grasp in originals
+            assert label_from_record(rec).grasp in originals
         g = side_grasp((0.15, 0.15, 0.05))
         q = g.rotation
         assert hash(Grasp(g.center.copy(), Quaternion(-q.w, -q.x, -q.y, -q.z), g.width)) == hash(g)

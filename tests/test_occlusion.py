@@ -11,7 +11,6 @@ from occlugrasp.occlusion import (
     BinScheme,
     assign_bin,
     occlusion_level,
-    scene_factors,
 )
 from occlugrasp.scenes import (
     CatalogConfig,
@@ -155,11 +154,11 @@ class TestOcclusionLevel:
 
 class TestBins:
     def test_test_scheme_has_nine_bins(self):
-        assert BinScheme.test().n_bins == 9
+        assert len(BinScheme.test().edges) - 1 == 9
 
     def test_training_scheme_last_bin(self):
         s = BinScheme.training()
-        assert s.n_bins == 10
+        assert len(s.edges) - 1 == 10
         assert s.edges[-2:] == (0.9, 0.95)
 
     def test_low_level(self):
@@ -178,6 +177,12 @@ class TestBins:
             assign_bin(1.5, BinScheme.test())
         with pytest.raises(InputError):
             assign_bin(-0.1, BinScheme.test())
+
+    @pytest.mark.parametrize("level", ["x", None, True, float("nan")])
+    def test_level_must_be_a_number(self, level):
+        # "x" and None raised a bare TypeError from the comparison
+        with pytest.raises(InputError, match="occlusion level"):
+            assign_bin(level, BinScheme.test())
 
     def test_partition_covers_and_is_disjoint(self):
         scheme = BinScheme.test()
@@ -200,23 +205,4 @@ class TestBins:
         # every comparison with a NaN edge is False, so the order checks pass it
         with pytest.raises(InputError):
             BinScheme(edges)
-
-
-class TestSceneFactors:
-    def test_occluder_count(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(5, 5), seed=2))
-        assert scene_factors(scene)["occluder_count"] == 4
-
-    def test_single_scene_zero_occluders(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(4, 4), seed=3))
-        single = derive_single_scene(scene, scene.target_index)
-        assert scene_factors(single)["occluder_count"] == 0
-
-    def test_target_size_min_of_footprint(self):
-        target = box_instance(0.055, 0.09, 0.1, 0.15, 0.15)
-        scene = make_scene([target])
-        size = scene_factors(scene)["target_size"]
-        assert abs(size - 0.055) < 1e-12
-        # inside the sweet-spot bucket (0.0509, 0.0626]
-        assert 0.0509 < size <= 0.0626
 

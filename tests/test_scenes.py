@@ -325,23 +325,21 @@ class TestGeneratePacked:
         with pytest.raises(InputError, match="object_count_range"):
             generate_packed_scene(SceneConfig(object_count_range=count_range))
 
-    @pytest.mark.parametrize("attempts", [1.5, 0, -1, True, "10", None])
-    def test_max_attempts_must_be_a_positive_integer(self, attempts):
-        # 1.5 raised a bare TypeError from `range`
-        with pytest.raises(InputError, match="max_attempts"):
-            generate_packed_scene(SceneConfig(max_attempts=attempts))
-
-    def test_numpy_integer_count_range_and_attempts_accepted(self):
-        want = generate_packed_scene(SceneConfig(object_count_range=(2, 3), seed=5, max_attempts=50))
-        got = generate_packed_scene(SceneConfig(object_count_range=(np.int64(2), np.int32(3)), seed=5,
-                                                max_attempts=np.int64(50)))
+    def test_numpy_integer_count_range_accepted(self):
+        want = generate_packed_scene(SceneConfig(object_count_range=(2, 3), seed=5))
+        got = generate_packed_scene(SceneConfig(object_count_range=(np.int64(2), np.int32(3)), seed=5))
         assert got == want
 
-    @pytest.mark.parametrize("margin", [math.nan, math.inf, -1e-3])
-    def test_placement_margin_must_be_finite_and_non_negative(self, margin):
-        # every comparison with a NaN margin is False, so footprints could overlap
-        with pytest.raises(InputError, match="placement_margin"):
-            generate_packed_scene(SceneConfig(placement_margin=margin))
+    @pytest.mark.parametrize("catalog", [None, {"size": 3}, [CatalogConfig()]])
+    def test_catalog_config_must_be_a_catalog_config(self, catalog):
+        # None raised a bare AttributeError, and a dict a bare TypeError, as it does not hash
+        with pytest.raises(InputError, match="CatalogConfig"):
+            generate_packed_scene(SceneConfig(catalog=catalog))
+
+    def test_empty_catalog_rejected(self):
+        # an empty catalog raised a bare ValueError from `Generator.integers`
+        with pytest.raises(InputError, match="empty"):
+            generate_packed_scene(SceneConfig(), [])
 
     @pytest.mark.parametrize("extent", [math.nan, math.inf, 0.0])
     def test_workspace_extent_must_be_finite_and_positive(self, extent):
@@ -351,7 +349,7 @@ class TestGeneratePacked:
 
     def test_placement_failure_names_instance(self):
         # a workspace too small for any catalog object
-        cfg = SceneConfig(object_count_range=(1, 1), workspace_extent=0.01, seed=0, max_attempts=20)
+        cfg = SceneConfig(object_count_range=(1, 1), workspace_extent=0.01, seed=0)
         with pytest.raises(GenerationError, match="instance 0"):
             generate_packed_scene(cfg)
 
@@ -507,7 +505,8 @@ def reference_footprint_gap(lo: np.ndarray, hi: np.ndarray, other: np.ndarray) -
     return float(np.max(np.maximum(other.min(axis=0) - hi, lo - other.max(axis=0))))
 
 
-def reference_place_instance(obj, extent, placed, margin, rng, position=None, yaw=None):
+def reference_place_instance(obj, extent, placed, rng, position=None, yaw=None):
+    margin = scenes_module.PLACEMENT_MARGIN
     if obj.footprint[2] > extent:
         return None
     yaw = rng.uniform(0.0, 2.0 * math.pi) if yaw is None else yaw
@@ -600,9 +599,9 @@ class TestPlacementBroadPhase:
         # two axis-aligned boxes side by side: the footprint distance is the x gap
         box = build_catalog(CatalogConfig(size=1))[0]
         length = box.footprint[0]
-        first = scenes_module._place_instance(box, 0.3, [], 1e-3, ScriptedRng(0.0, 0.1, 0.15))
+        first = scenes_module._place_instance(box, 0.3, [], ScriptedRng(0.0, 0.1, 0.15))
         for gap, fits in ((0.5e-3, False), (0.95e-3, False), (0.999e-3, False), (1.001e-3, True), (5e-3, True)):
-            second = scenes_module._place_instance(box, 0.3, [first], 1e-3, ScriptedRng(0.0, 0.1 + length + gap, 0.15))
+            second = scenes_module._place_instance(box, 0.3, [first], ScriptedRng(0.0, 0.1 + length + gap, 0.15))
             assert (second is not None) == fits, gap
 
     def test_gap_is_a_lower_bound_on_distance(self):

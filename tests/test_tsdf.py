@@ -213,6 +213,13 @@ class TestSplatAndMask:
         with pytest.raises(InputError):
             near_surface_mask(grid, 1.5)
 
+    @pytest.mark.parametrize("band", ["x", None, True, float("nan")])
+    def test_band_must_be_a_number(self, band):
+        # "x" and None raised a bare TypeError from the comparison
+        grid = splat(PointCloud(np.array([[0.15, 0.15, 0.1]])))
+        with pytest.raises(InputError, match="band"):
+            near_surface_mask(grid, band)
+
     def test_empty_cloud_rejected(self):
         with pytest.raises(InputError):
             splat(PointCloud.empty())
