@@ -38,9 +38,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, _finite_non_negative, _finite_positive, _positive_int, _rng
+from .errors import InputError, _check_type, _finite_non_negative, _finite_positive, _positive_int, _rng
 from .geometry import PointCloud, Pose, Quaternion
-from .scenes import ObjectInstance, Scene
+from .scenes import WORKSPACE_EXTENT, ObjectInstance, Scene
 
 BACKGROUND_ID = 65535
 
@@ -72,16 +72,11 @@ class CameraModel:
             raise InputError("principal point must lie inside the image")
         if self.pose is None:
             object.__setattr__(self, "pose", Pose.identity())
-        elif not isinstance(self.pose, Pose):
-            raise InputError(f"camera pose must be a Pose, got {self.pose!r}")
+        _check_type(self.pose, Pose, "camera pose")
 
     def same_view(self, other: "CameraModel") -> bool:
-        return (
-            (self.width, self.height, self.fx, self.fy, self.cx, self.cy)
-            == (other.width, other.height, other.fx, other.fy, other.cx, other.cy)
-            and self.pose.rotation.rotation_equal(other.pose.rotation, tol=1e-12)
-            and np.allclose(self.pose.translation, other.pose.translation, atol=1e-12)
-        )
+        """Exact equality: the intrinsics, and the poses as `Pose.__eq__` compares them."""
+        return self == other
 
 
 def look_at_pose(eye, target, up=(0.0, 0.0, 1.0)) -> Pose:
@@ -100,13 +95,16 @@ def look_at_pose(eye, target, up=(0.0, 0.0, 1.0)) -> Pose:
     return Pose(Quaternion.from_matrix(rot), eye)
 
 
-def default_camera(workspace_extent: float = 0.3, width: int = 640, height: int = 480,
-                   focal: float = 540.0, elevation_deg: float = 45.0,
-                   distance: float = 0.6) -> CameraModel:
-    """Side-view camera at the given elevation, looking at the workspace center."""
-    c = workspace_extent / 2.0
+CAMERA_DISTANCE = 0.6  # meters from `default_camera`'s eye to the centre of the workspace floor
+
+
+def default_camera(width: int = 640, height: int = 480, focal: float = 540.0,
+                   elevation_deg: float = 45.0) -> CameraModel:
+    """Side-view camera at the given elevation, `CAMERA_DISTANCE` from the centre of the
+    `WORKSPACE_EXTENT` square on the table, looking at the point 5 cm above it."""
+    c = WORKSPACE_EXTENT / 2.0
     el = np.deg2rad(elevation_deg)
-    eye = np.array([c, c - distance * np.cos(el), distance * np.sin(el)])
+    eye = np.array([c, c - CAMERA_DISTANCE * np.cos(el), CAMERA_DISTANCE * np.sin(el)])
     pose = look_at_pose(eye, (c, c, 0.05))
     return CameraModel(width, height, focal, focal, width / 2.0, height / 2.0, pose)
 
@@ -461,10 +459,7 @@ def add_depth_noise(frame: DepthFrame, sigma: float, seed: int) -> DepthFrame:
     """I.i.d. zero-mean Gaussian perturbation of non-background depths."""
     if not _finite_non_negative(sigma):
         raise InputError(f"sigma must be finite and >= 0, got {sigma!r}")
-    rng = _rng(seed)  # checks the seed for sigma 0 too
-    if sigma == 0:
-        return DepthFrame(frame.depth.copy(), frame.instance_id.copy(), frame.camera)
-    noise = rng.normal(0.0, sigma, size=frame.depth.shape).astype(np.float32)
+    noise = _rng(seed).normal(0.0, sigma, size=frame.depth.shape).astype(np.float32)
     depth = frame.depth.copy()
     valid = frame.valid
     depth[valid] = np.maximum(depth[valid] + noise[valid], np.float32(1e-6))

@@ -3,10 +3,10 @@
 Completers share one contract: partial target cloud in, completed cloud out,
 deterministic. `OracleCompleter` returns the ground-truth sample of the true
 target mesh (`completion_ground_truth`) and is the upper bound;
-`MirrorCompleter` reflects the observation through an estimated vertical
-symmetry plane placed behind the visible surface; `PassthroughCompleter`
-returns the input. Each is constructed by its class; there is no registry
-of names.
+`MirrorCompleter` reflects the observation, points and normals, through an
+estimated vertical symmetry plane placed behind the visible surface;
+`PassthroughCompleter` returns the input. Each is constructed by its class;
+there is no registry of names.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ class MirrorCompleter:
     the normal plus half the cloud's lateral extent (measured horizontally
     across the view), on the assumption that the footprint is about as deep
     as it is wide (shape from symmetry, Thrun & Wegbreit 2005). Reflections
-    therefore land on the unseen back. Reflected points that duplicate
+    therefore land on the unseen back, each with its point's normal reflected
+    through the same plane. Reflected points that duplicate
     existing ones are dropped, so an already symmetric-complete cloud passes
     through unchanged.
 
@@ -102,12 +103,8 @@ class MirrorCompleter:
         keep = cKDTree(partial.points).query(reflected, k=1, distance_upper_bound=bound)[0] > DEDUPE_RADIUS
         if not keep.any():
             return partial
-        pts = np.vstack([partial.points, reflected[keep]])
-        normals = None
-        if partial.normals is not None:
-            refl_n = partial.normals - 2.0 * (partial.normals @ normal)[:, None] * normal
-            normals = np.vstack([partial.normals, refl_n[keep]])
-        return PointCloud(pts, normals)
+        refl_n = partial.normals - 2.0 * (partial.normals @ normal)[:, None] * normal
+        return PointCloud(np.vstack([partial.points, reflected[keep]]), np.vstack([partial.normals, refl_n[keep]]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Exception types shared across the toolkit, and the checks that callers
-use to raise `InputError`: a positive or a non-negative number, a positive integer, and a seed."""
+use to raise `InputError`: a positive or a non-negative number, a positive integer, a type and a seed."""
 
 import math
 import numbers
@@ -32,6 +32,12 @@ def _finite_non_negative(x) -> bool:
 def _positive_int(x) -> bool:
     """Whether `x` is an integer, not a bool, that is > 0."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x > 0
+
+
+def _check_type(value, cls: type, name: str) -> None:
+    """Raise `InputError` unless `value` is a `cls`."""
+    if not isinstance(value, cls):
+        raise InputError(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 def _seed(seed) -> int:

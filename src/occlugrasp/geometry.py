@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _check_type
 
 
 def _cross(a, b) -> tuple:
@@ -177,21 +177,15 @@ class Quaternion:
         """Hamilton product; (a * b).rotate(v) == a.rotate(b.rotate(v))."""
         return Quaternion(*_hamilton((self.w, self.x, self.y, self.z), (other.w, other.x, other.y, other.z)))
 
-    def dot(self, other: "Quaternion") -> float:
-        return self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
-
     def rotate(self, v) -> np.ndarray:
         """Rotate vector(s) of shape (3,) or (n, 3).
 
         Computes v + 2 (w (u x v) + u x (u x v)) with u = (x, y, z). The
         cross products are written per component in `np.cross`'s own
         operation order, so the result equals that formula with `np.cross`
-        bit for bit, without its per-call argument handling. A single vector
-        is rotated in Python floats.
+        bit for bit, without its per-call argument handling.
         """
         v = np.asarray(v, dtype=float)
-        if v.shape == (3,):
-            return np.array(_rotate((self.w, self.x, self.y, self.z), v.tolist()))
         # `_rotate` on the (3, n) transpose, written out: stacking its three
         # rows is about a quarter slower at the 24 to 178 rows the oracle rotates
         u = (self.x, self.y, self.z)
@@ -207,10 +201,6 @@ class Quaternion:
         """Rotation matrix (3x3, orthonormal) to quaternion: `_from_matrix` of one."""
         m = np.asarray(m, dtype=float)
         return Quaternion(*(float(c[0]) for c in _from_matrix(m[:, :, None])))
-
-    def rotation_equal(self, other: "Quaternion", tol: float = 1e-9) -> bool:
-        """Equality as rotations: q and -q compare equal."""
-        return abs(abs(self.dot(other)) - 1.0) <= tol
 
 
 def quaternion_about_axis(axis, angle: float) -> Quaternion:
@@ -232,8 +222,7 @@ class Pose:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        if not isinstance(self.rotation, Quaternion):
-            raise InputError(f"pose rotation must be a Quaternion, got {self.rotation!r}")
+        _check_type(self.rotation, Quaternion, "pose rotation")
         try:
             t = np.array(self.translation, dtype=float)  # a copy: no caller's array can change it
         except (TypeError, ValueError) as exc:
@@ -293,39 +282,37 @@ class Pose:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Points in meters, with optional unit normals."""
+    """Points in meters, each with its unit normal."""
 
     points: np.ndarray
-    normals: np.ndarray | None = None
+    normals: np.ndarray
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float).reshape(-1, 3)  # a copy: no caller's array can change it
         if not np.isfinite(pts).all():
             raise InputError("point cloud contains NaN/Inf coordinates")
-        pts.flags.writeable = False
+        nrm = np.array(self.normals, dtype=float)  # None gives one NaN, so the size check catches it
+        if nrm.size != pts.size:
+            raise InputError("normals shape must match points")
+        nrm = nrm.reshape(-1, 3)
+        if not np.isfinite(nrm).all():
+            raise InputError("normals contain NaN/Inf")
+        lens = np.linalg.norm(nrm, axis=1)
+        if len(lens) and np.abs(lens - 1.0).max() > 1e-6:
+            raise InputError("normals must be unit length within 1e-6")
+        pts.flags.writeable = nrm.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        if self.normals is not None:
-            nrm = np.array(self.normals, dtype=float).reshape(-1, 3)
-            if nrm.shape != pts.shape:
-                raise InputError("normals shape must match points")
-            if not np.isfinite(nrm).all():
-                raise InputError("normals contain NaN/Inf")
-            lens = np.linalg.norm(nrm, axis=1)
-            if len(lens) and np.abs(lens - 1.0).max() > 1e-6:
-                raise InputError("normals must be unit length within 1e-6")
-            nrm.flags.writeable = False
-            object.__setattr__(self, "normals", nrm)
+        object.__setattr__(self, "normals", nrm)
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
     def transformed(self, pose: Pose) -> "PointCloud":
-        nrm = pose.rotate_only(self.normals) if self.normals is not None else None
-        return PointCloud(pose.transform(self.points), nrm)
+        return PointCloud(pose.transform(self.points), pose.rotate_only(self.normals))
 
     @staticmethod
     def empty() -> "PointCloud":
-        return PointCloud(np.zeros((0, 3)))
+        return PointCloud(np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 def orthonormal_tangents(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

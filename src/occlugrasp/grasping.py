@@ -118,7 +118,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, _finite_positive, _positive_int, _rng, _seed
+from .errors import InputError, _check_type, _finite_positive, _positive_int, _rng, _seed
 from .geometry import (PointCloud, Pose, Quaternion, _compose, _cross, _from_matrix, _inverse, _matrix, _rotate,
                        _rotate_x, orthonormal_tangents)
 from .meshes import surface_sample
@@ -177,8 +177,7 @@ class Grasp:
             raise InputError(f"grasp center must be 3 finite numbers, got {self.center!r}")
         if not width_ok:
             raise InputError(f"grasp width must be finite and >= 0, got {self.width!r}")
-        if not isinstance(self.rotation, Quaternion):
-            raise InputError(f"grasp rotation must be a Quaternion, got {self.rotation!r}")
+        _check_type(self.rotation, Quaternion, "grasp rotation")
         c = c.reshape(3)
         c.flags.writeable = False
         object.__setattr__(self, "center", c)
@@ -557,8 +556,8 @@ def sample_candidate_grasps(
     """
     if not _positive_int(count):
         raise InputError(f"count must be a positive integer, got {count!r}")
-    if len(target_cloud) == 0 or target_cloud.normals is None:
-        raise InputError("candidate sampling needs a non-empty cloud with normals")
+    if len(target_cloud) == 0:
+        raise InputError("candidate sampling needs a non-empty cloud")
     rng = _rng(seed)
     pts = target_cloud.points
     nrm = target_cloud.normals

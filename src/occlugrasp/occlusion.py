@@ -14,13 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import DepthFrame, _check_instance
-from .errors import InputError, MeasurementError, _finite_non_negative
+from .errors import InputError, MeasurementError, _check_type, _finite_non_negative
 
 
 @dataclass(frozen=True)
 class OcclusionRecord:
     level: float
-    bin_index: int | None
+    bin_index: int | None  # None: at or above the scheme's last edge
     visible_pixels: int
     total_pixels: int
 
@@ -60,6 +60,7 @@ def assign_bin(level: float, scheme: BinScheme) -> int | None:
     """Half-open [edge_i, edge_{i+1}) bin index; None when level >= last edge."""
     if not (_finite_non_negative(level) and level <= 1.0):
         raise InputError(f"occlusion level must be a number in [0, 1], got {level!r}")
+    _check_type(scheme, BinScheme, "scheme")
     if level >= scheme.edges[-1]:
         return None
     idx = int(np.searchsorted(scheme.edges, level, side="right")) - 1
@@ -70,17 +71,17 @@ def occlusion_level(
     single_frame: DepthFrame,
     cluttered_frame: DepthFrame,
     target_index: int,
-    scheme: BinScheme | None = None,
+    scheme: BinScheme,
 ) -> OcclusionRecord:
-    """Occluded fraction of the target from paired renders at one camera pose.
+    """Occluded fraction of the target from paired renders at one camera pose, and its bin in `scheme`.
 
     The single frame must come from the derived single scene, where the
-    target is instance 0. Frames that hold the same camera object share
-    their view without a comparison. The pixel counts are Python ints.
+    target is instance 0. The frames' cameras must be equal, as those of a
+    frame and its `load_frame` copy are. The pixel counts are Python ints.
     """
     _check_instance(target_index, "target_index")
-    camera = single_frame.camera
-    if camera is not cluttered_frame.camera and not camera.same_view(cluttered_frame.camera):
+    _check_type(scheme, BinScheme, "scheme")
+    if single_frame.camera != cluttered_frame.camera:
         raise InputError("paired frames must share the camera model")
     total = int(np.count_nonzero(single_frame.instance_id == 0))
     if total == 0:
@@ -89,5 +90,4 @@ def occlusion_level(
     # integer subtraction first: the result is the correctly rounded
     # occluded fraction (e.g. 30/100 compares equal to 0.3)
     level = (total - visible) / total
-    bin_index = assign_bin(min(max(level, 0.0), 1.0), scheme) if scheme is not None else None
-    return OcclusionRecord(level, bin_index, visible, total)
+    return OcclusionRecord(level, assign_bin(min(max(level, 0.0), 1.0), scheme), visible, total)

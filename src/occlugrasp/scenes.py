@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GenerationError, InputError, _finite_positive, _positive_int, _rng
+from .errors import GenerationError, InputError, _check_type, _finite_positive, _positive_int, _rng
 from .geometry import Pose, Quaternion, quaternion_about_axis
 from .meshes import CYLINDER_SEGMENTS, TriMesh, make_box, make_cylinder, make_hex_prism, make_sphere
 
@@ -212,18 +212,19 @@ def polygon_distance(p: np.ndarray, q: np.ndarray) -> float:
 # packed generation
 
 
+WORKSPACE_EXTENT = 0.3  # edge (m) of the workspace cube, the 30 cm of VGN that TARGO keeps
 MAX_PLACEMENT_ATTEMPTS = 1000  # draws per instance before generation gives up
 PLACEMENT_MARGIN = 1e-3  # least footprint separation (m) between two instances
 
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """What a packed scene is drawn from. Each instance gets up to
-    `MAX_PLACEMENT_ATTEMPTS` draws, and instances keep `PLACEMENT_MARGIN`
-    apart."""
+    """What a packed scene is drawn from, by default in the `WORKSPACE_EXTENT` cube. Each
+    instance gets up to `MAX_PLACEMENT_ATTEMPTS` draws, and instances keep
+    `PLACEMENT_MARGIN` apart."""
 
     object_count_range: tuple[int, int] = (4, 6)
-    workspace_extent: float = 0.3
+    workspace_extent: float = WORKSPACE_EXTENT
     catalog: CatalogConfig = field(default_factory=CatalogConfig)
     seed: int = 0
 
@@ -282,8 +283,7 @@ def generate_packed_scene(config: SceneConfig, catalog: list[CatalogObject] | No
     if not _finite_positive(config.workspace_extent):
         raise InputError(f"workspace_extent must be finite and positive, got {config.workspace_extent!r}")
     if catalog is None:
-        if not isinstance(config.catalog, CatalogConfig):
-            raise InputError(f"catalog must be a CatalogConfig, got {config.catalog!r}")
+        _check_type(config.catalog, CatalogConfig, "catalog")
         catalog = _shared_catalog(config.catalog)
     elif not len(catalog):
         raise InputError("the catalog to place from is empty")
@@ -344,27 +344,17 @@ def save_scene(path, scene: Scene, catalog_config: CatalogConfig) -> None:
     Path(path).write_text(json.dumps(scene_to_manifest(scene, catalog_config), sort_keys=True, indent=1))
 
 
-def catalog_config_from_manifest(data: dict) -> CatalogConfig:
-    """The catalog config a scene manifest records; a missing key or a value
-    of the wrong type raises `InputError`."""
-    try:
-        c = data["catalog"]
-        # the range fields, whose defaults are tuples, are lists in the manifest
-        return CatalogConfig(**{f.name: tuple(c[f.name]) if isinstance(f.default, tuple) else c[f.name]
-                                for f in dataclasses.fields(CatalogConfig)})
-    except KeyError as exc:
-        raise InputError(f"scene manifest lacks the key {exc}") from exc
-    except TypeError as exc:
-        raise InputError(f"scene manifest holds a catalog value of the wrong type: {exc}") from exc
-
-
 def scene_from_manifest(data: dict, catalog: list[CatalogObject] | None = None) -> Scene:
-    """The scene a manifest describes; a missing key, a value of the wrong
-    type, a pose that is not 7 floats or an unknown catalog id raises
-    `InputError`."""
+    """The scene a manifest describes, placed from `catalog` or else from the
+    catalog its manifest records; a missing key, a value of the wrong type, a
+    pose that is not 7 floats or an unknown catalog id raises `InputError`."""
     try:
         if catalog is None:
-            catalog = _shared_catalog(catalog_config_from_manifest(data))
+            c = data["catalog"]
+            # the range fields, whose defaults are tuples, are lists in the manifest
+            catalog = _shared_catalog(CatalogConfig(**{
+                f.name: tuple(c[f.name]) if isinstance(f.default, tuple) else c[f.name]
+                for f in dataclasses.fields(CatalogConfig)}))
         by_id = {obj.catalog_id: obj for obj in catalog}
         instances = []
         for rec in data["instances"]:

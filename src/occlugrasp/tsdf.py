@@ -43,14 +43,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .camera import CameraModel, DepthFrame, read_npz
-from .errors import InputError, _finite_positive, _positive_int
+from .errors import InputError, _check_type, _finite_positive, _positive_int
 from .geometry import PointCloud
+from .scenes import WORKSPACE_EXTENT
 
 
 @dataclass(frozen=True)
 class TsdfConfig:
     resolution: int = 40
-    extent: float = 0.3
+    extent: float = WORKSPACE_EXTENT
     truncation: float | None = None  # meters; default 4 voxel widths
 
     def __post_init__(self):
@@ -118,9 +119,9 @@ def _voxel_projection(config: TsdfConfig, camera: CameraModel) -> tuple[np.ndarr
     return projection
 
 
-def fuse(frame: DepthFrame, config: TsdfConfig | None = None) -> TsdfGrid:
-    """Single-view TSDF of the workspace from one depth frame."""
-    config = TsdfConfig() if config is None else config
+def fuse(frame: DepthFrame, config: TsdfConfig = TsdfConfig()) -> TsdfGrid:
+    """Single-view TSDF of one depth frame on `config`'s grid, by default the `WORKSPACE_EXTENT` cube."""
+    _check_type(config, TsdfConfig, "config")
     r = config.resolution
     voxels, pixels, z = _voxel_projection(config, frame.camera)
     measured = frame.depth.ravel()[pixels].astype(np.float64)
@@ -133,9 +134,10 @@ def fuse(frame: DepthFrame, config: TsdfConfig | None = None) -> TsdfGrid:
     return TsdfGrid(values.reshape(r, r, r), weights.reshape(r, r, r), config)
 
 
-def splat(cloud: PointCloud, config: TsdfConfig | None = None) -> TsdfGrid:
-    """Unsigned truncated distance grid around a completed target cloud."""
-    config = TsdfConfig() if config is None else config
+def splat(cloud: PointCloud, config: TsdfConfig = TsdfConfig()) -> TsdfGrid:
+    """Unsigned truncated distance grid around a completed target cloud, by default on the
+    `WORKSPACE_EXTENT` cube."""
+    _check_type(config, TsdfConfig, "config")
     if len(cloud) == 0:
         raise InputError("cannot splat an empty cloud")
     r = config.resolution
@@ -165,6 +167,7 @@ def splat(cloud: PointCloud, config: TsdfConfig | None = None) -> TsdfGrid:
 
 def near_surface_mask(grid: TsdfGrid, band: float) -> np.ndarray:
     """True where 0 <= value < band and the voxel was observed."""
+    _check_type(grid, TsdfGrid, "grid")
     if not (_finite_positive(band) and band <= 1.0):
         raise InputError(f"band must be a number in (0, 1], got {band!r}")
     return (grid.values >= 0.0) & (grid.values < band) & (grid.weights > 0.0)

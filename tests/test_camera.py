@@ -11,6 +11,7 @@ import pytest
 from occlugrasp import camera as camera_module
 from occlugrasp.camera import (
     BACKGROUND_ID,
+    CAMERA_DISTANCE,
     CameraModel,
     DepthFrame,
     _BACK_FACE_TOL,
@@ -76,6 +77,16 @@ class TestCameraModel:
     def test_pose_must_be_a_pose(self, pose):
         with pytest.raises(InputError, match="Pose"):
             CameraModel(pose=pose)
+
+    def test_default_camera_looks_at_the_workspace_centre(self):
+        # the optical axis meets the vertical centre line of the workspace cube,
+        # `CAMERA_DISTANCE` from the middle of its floor
+        c = SceneConfig().workspace_extent / 2
+        for elevation in (30.0, 45.0, 60.0):
+            cam = default_camera(elevation_deg=elevation)
+            on_axis = cam.pose.inverse().transform(np.array([c, c, 0.05]))
+            assert np.allclose(on_axis[:2], 0.0, atol=1e-12) and on_axis[2] > 0
+            assert math.isclose(np.linalg.norm(cam.pose.translation - [c, c, 0.0]), CAMERA_DISTANCE)
 
     def test_equality(self):
         assert default_camera() == default_camera()

@@ -21,6 +21,12 @@ from occlugrasp.scenes import ObjectInstance, SceneConfig, derive_single_scene, 
 from .test_camera import box_instance, make_scene
 
 
+def with_normals(points) -> PointCloud:
+    """A cloud of `points`, each with the unit normal +z; these tests read only the points."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    return PointCloud(points, np.tile([0.0, 0.0, 1.0], (len(points), 1)))
+
+
 def brute_chamfer(a: np.ndarray, b: np.ndarray) -> float:
     d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
     return 0.5 * (d.min(axis=1).mean() + d.min(axis=0).mean())
@@ -29,11 +35,11 @@ def brute_chamfer(a: np.ndarray, b: np.ndarray) -> float:
 class TestChamfer:
     def test_identical_zero(self):
         pts = np.random.default_rng(0).normal(size=(50, 3))
-        assert chamfer_l1(PointCloud(pts), PointCloud(pts.copy())) == 0.0
+        assert chamfer_l1(with_normals(pts), with_normals(pts.copy())) == 0.0
 
     def test_unit_separation(self):
-        a = PointCloud(np.array([[0.0, 0.0, 0.0]]))
-        b = PointCloud(np.array([[1.0, 0.0, 0.0]]))
+        a = with_normals(np.array([[0.0, 0.0, 0.0]]))
+        b = with_normals(np.array([[1.0, 0.0, 0.0]]))
         assert chamfer_l1(a, b) == 1.0
 
     def test_matches_brute_force(self):
@@ -41,28 +47,28 @@ class TestChamfer:
         for _ in range(5):
             a = rng.normal(size=(100, 3))
             b = rng.normal(size=(100, 3))
-            fast = chamfer_l1(PointCloud(a), PointCloud(b))
+            fast = chamfer_l1(with_normals(a), with_normals(b))
             slow = brute_chamfer(a, b)
             assert abs(fast - slow) < 1e-12
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(6)
-        a = PointCloud(rng.normal(size=(64, 3)))
-        b = PointCloud(rng.normal(size=(80, 3)))
+        a = with_normals(rng.normal(size=(64, 3)))
+        b = with_normals(rng.normal(size=(80, 3)))
         assert chamfer_l1(a, b) == chamfer_l1(b, a)
 
     def test_zero_iff_mutual_subsets(self):
         rng = np.random.default_rng(7)
         base = rng.normal(size=(30, 3))
-        a = PointCloud(base)
-        b = PointCloud(base[rng.permutation(30)])
+        a = with_normals(base)
+        b = with_normals(base[rng.permutation(30)])
         assert chamfer_l1(a, b) == 0.0
-        c = PointCloud(np.vstack([base, [[9.0, 9.0, 9.0]]]))
+        c = with_normals(np.vstack([base, [[9.0, 9.0, 9.0]]]))
         assert chamfer_l1(a, c) > 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
-            chamfer_l1(PointCloud.empty(), PointCloud(np.zeros((1, 3))))
+            chamfer_l1(PointCloud.empty(), with_normals(np.zeros((1, 3))))
 
 
 def reference_chamfer_l1(a: PointCloud, b: PointCloud) -> float:
@@ -98,7 +104,7 @@ class TestChamferMatchesReference:
         line[:, 0] = np.repeat(np.arange(50), 4) * 1e-3
         rng = np.random.default_rng(8)
         for a, b in [(line, line[::3] + 5e-4), (np.vstack([line, line]), rng.uniform(0, 0.05, size=(300, 3)))]:
-            a, b = PointCloud(a), PointCloud(b)
+            a, b = with_normals(a), with_normals(b)
             assert chamfer_l1(a, b) == reference_chamfer_l1(a, b)
 
 
@@ -112,11 +118,11 @@ def iou_with(a: PointCloud, b: PointCloud, voxel_size: float) -> float:
 class TestIou:
     def test_identical(self):
         pts = np.random.default_rng(1).uniform(0, 0.3, size=(200, 3))
-        assert volumetric_iou(PointCloud(pts), PointCloud(pts.copy())) == 1.0
+        assert volumetric_iou(with_normals(pts), with_normals(pts.copy())) == 1.0
 
     def test_disjoint(self):
-        a = PointCloud(np.random.default_rng(2).uniform(0, 0.1, size=(50, 3)))
-        b = PointCloud(np.random.default_rng(3).uniform(10, 10.1, size=(50, 3)))
+        a = with_normals(np.random.default_rng(2).uniform(0, 0.1, size=(50, 3)))
+        b = with_normals(np.random.default_rng(3).uniform(10, 10.1, size=(50, 3)))
         assert volumetric_iou(a, b) == 0.0
 
     def test_half_overlap_is_one_third(self):
@@ -124,8 +130,8 @@ class TestIou:
         # equal-size occupancy sets, half of each overlapping: |A∩B| = k, |A∪B| = 3k
         k = 8
         centers = (np.arange(3 * k)[:, None] + 0.5) * vox * np.array([[1.0, 0.0, 0.0]])
-        a = PointCloud(centers[: 2 * k])
-        b = PointCloud(centers[k:])
+        a = with_normals(centers[: 2 * k])
+        b = with_normals(centers[k:])
         assert iou_with(a, b, vox) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_both_empty_rejected(self):
@@ -154,14 +160,14 @@ class TestIouMatchesReference:
         assert 0.0 < min(results) and max(results) < 1.0
 
     def test_one_empty_cloud(self):
-        cloud = PointCloud(np.random.default_rng(4).uniform(0, 0.3, size=(100, 3)))
+        cloud = with_normals(np.random.default_rng(4).uniform(0, 0.3, size=(100, 3)))
         assert volumetric_iou(cloud, PointCloud.empty()) == reference_iou(cloud, PointCloud.empty()) == 0.0
         assert volumetric_iou(PointCloud.empty(), cloud) == 0.0
 
     def test_negative_coordinates(self):
         rng = np.random.default_rng(5)
-        a = PointCloud(rng.uniform(-0.2, 0.05, size=(400, 3)))
-        b = PointCloud(rng.uniform(-0.05, 0.2, size=(400, 3)))
+        a = with_normals(rng.uniform(-0.2, 0.05, size=(400, 3)))
+        b = with_normals(rng.uniform(-0.05, 0.2, size=(400, 3)))
         for voxel_size in (0.0075, 0.02, 0.05):
             iou = iou_with(a, b, voxel_size)
             assert iou == reference_iou(a, b, voxel_size)
@@ -172,8 +178,8 @@ class TestIouMatchesReference:
         # exact multiples of the voxel size, negative ones included, and their
         # neighbours one float step away on either side
         faces = np.arange(-6, 7)[:, None] * vox * np.ones((1, 3))
-        a = PointCloud(np.vstack([faces, np.nextafter(faces, -np.inf)]))
-        b = PointCloud(np.vstack([faces, np.nextafter(faces, np.inf)]))
+        a = with_normals(np.vstack([faces, np.nextafter(faces, -np.inf)]))
+        b = with_normals(np.vstack([faces, np.nextafter(faces, np.inf)]))
         assert iou_with(a, b, vox) == reference_iou(a, b, vox)
         assert iou_with(a, a, vox) == 1.0
 
@@ -251,7 +257,7 @@ class TestMirrorCompleter:
     def test_no_lateral_extent_passthrough(self, caplog):
         cam = default_camera()
         # a vertical line of points: no extent across the view direction
-        cloud = PointCloud(np.column_stack([np.full(5, 0.15), np.full(5, 0.15), np.linspace(0.0, 0.1, 5)]))
+        cloud = with_normals(np.column_stack([np.full(5, 0.15), np.full(5, 0.15), np.linspace(0.0, 0.1, 5)]))
         with caplog.at_level("WARNING", logger="occlugrasp.completion"):
             out = MirrorCompleter()(cloud, None, cam)
         assert out is cloud
@@ -267,7 +273,7 @@ class TestMirrorCompleter:
 
     def test_three_points_passthrough(self):
         cam = default_camera()
-        cloud = PointCloud(np.random.default_rng(0).uniform(0.1, 0.2, size=(3, 3)))
+        cloud = with_normals(np.random.default_rng(0).uniform(0.1, 0.2, size=(3, 3)))
         out = MirrorCompleter()(cloud, None, cam)
         assert out is cloud
 

@@ -42,6 +42,12 @@ def ray_cast_brute(mesh: TriMesh, origin, direction) -> tuple[float, int]:
     return float(t[idx]), (idx if np.isfinite(t[idx]) else -1)
 
 
+def rotation_equal(a: Quaternion, b: Quaternion, tol: float = 1e-9) -> bool:
+    """Equality as rotations, within `tol`: q and -q compare equal."""
+    dot = a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z
+    return abs(abs(dot) - 1.0) <= tol
+
+
 def random_quat(rng) -> Quaternion:
     v = rng.normal(size=4)
     return Quaternion(*v).normalized()
@@ -71,7 +77,7 @@ class TestQuaternion:
 
     def test_identity_about_axis(self):
         q = quaternion_about_axis((0, 0, 1), 0.0)
-        assert q.rotation_equal(Quaternion.identity())
+        assert rotation_equal(q, Quaternion.identity())
 
     def test_half_turn(self):
         q = quaternion_about_axis((0, 0, 1), math.pi)
@@ -126,14 +132,14 @@ class TestQuaternion:
         q = Quaternion(-0.5, 0.5, 0.5, -0.5)
         c = q.canonical()
         assert c.w >= 0
-        assert q.rotation_equal(c)
+        assert rotation_equal(q, c)
 
     @given(unit_quats, unit_quats)
     @settings(max_examples=50)
     def test_matrix_round_trip(self, a, b):
         m = (a * b).as_matrix()
         back = Quaternion.from_matrix(m)
-        assert back.rotation_equal(a * b, tol=1e-9)
+        assert rotation_equal(back, a * b, tol=1e-9)
 
     def test_matrix_matches_rotate(self):
         rng = np.random.default_rng(5)
@@ -385,7 +391,7 @@ class TestPose:
         for _ in range(100):
             p = Pose(random_quat(rng), rng.normal(size=3))
             ident = p * p.inverse()
-            assert ident.rotation.rotation_equal(Quaternion.identity(), tol=1e-9)
+            assert rotation_equal(ident.rotation, Quaternion.identity(), tol=1e-9)
             assert np.linalg.norm(ident.translation) < 1e-9
 
     def test_composition_associative(self):
@@ -429,7 +435,7 @@ class TestPose:
         rng = np.random.default_rng(9)
         p = Pose(random_quat(rng), rng.normal(size=3))
         back = Pose.from_7floats(p.as_7floats())
-        assert back.rotation.rotation_equal(p.rotation)
+        assert rotation_equal(back.rotation, p.rotation)
         assert np.allclose(back.translation, p.translation)
 
     @pytest.mark.parametrize("translation", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, -math.inf],
@@ -456,11 +462,23 @@ class TestPose:
 class TestPointCloud:
     def test_rejects_nan(self):
         with pytest.raises(InputError):
-            PointCloud(np.array([[0.0, np.nan, 0.0]]))
+            PointCloud(np.array([[0.0, np.nan, 0.0]]), np.array([[0.0, 0.0, 1.0]]))
 
     def test_rejects_non_unit_normals(self):
         with pytest.raises(InputError):
             PointCloud(np.zeros((1, 3)), np.array([[2.0, 0.0, 0.0]]))
+
+    @pytest.mark.parametrize("normals", [None, np.zeros((0, 3)), np.tile([0.0, 0.0, 1.0], (3, 1)), [0.0, 0.0, 1.0, 0.0],
+                                         [[0.0, math.nan, 1.0], [0.0, 0.0, 1.0]]])
+    def test_every_point_needs_a_unit_normal(self, normals):
+        with pytest.raises(InputError, match="normals"):
+            PointCloud(np.zeros((2, 3)), normals)
+
+    def test_empty_cloud_has_empty_normals(self):
+        cloud = PointCloud.empty()
+        assert len(cloud) == 0 and cloud.normals.shape == (0, 3)
+        moved = cloud.transformed(Pose(quaternion_about_axis((0.0, 0.0, 1.0), 0.3), (1.0, 2.0, 3.0)))
+        assert moved.points.shape == moved.normals.shape == (0, 3)
 
     @pytest.mark.parametrize("shape", [(4, 3), (12,)], ids=["rows", "flat"])
     def test_cloud_owns_its_arrays(self, shape):

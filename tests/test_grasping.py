@@ -496,10 +496,6 @@ class TestSampling:
         cloud = surface_sample(make_sphere(0.03), 512, seed=1)
         assert sample_candidate_grasps(cloud, GRIP, np.int64(6), seed=2) == sample_candidate_grasps(cloud, GRIP, 6, seed=2)
 
-    def test_cloud_without_normals_rejected(self):
-        with pytest.raises(InputError):
-            sample_candidate_grasps(PointCloud(np.random.default_rng(0).normal(size=(50, 3))), GRIP, 10, seed=0)
-
     def test_shortfall_logged(self, caplog):
         # a flat patch has no opposing point for any sample
         pts = np.column_stack([np.random.default_rng(0).uniform(size=(50, 2)), np.zeros(50)])

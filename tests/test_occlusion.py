@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from occlugrasp.camera import BACKGROUND_ID, CameraModel, DepthFrame, default_camera, render
+from occlugrasp.camera import BACKGROUND_ID, CameraModel, DepthFrame, default_camera, load_frame, render, save_frame
 from occlugrasp.errors import InputError, MeasurementError
 from occlugrasp.geometry import Pose
 from occlugrasp.occlusion import (
@@ -46,14 +46,14 @@ def hand_built_pair(total=100, hidden=30):
 class TestOcclusionLevel:
     def test_constructed_30_of_100(self):
         single, cluttered = hand_built_pair(100, 30)
-        rec = occlusion_level(single, cluttered, target_index=0)
+        rec = occlusion_level(single, cluttered, target_index=0, scheme=BinScheme.test())
         assert rec.level == 0.300
         assert rec.visible_pixels == 70
         assert rec.total_pixels == 100
 
     def test_fully_hidden(self):
         single, cluttered = hand_built_pair(100, 100)
-        rec = occlusion_level(single, cluttered, target_index=0)
+        rec = occlusion_level(single, cluttered, target_index=0, scheme=BinScheme.test())
         assert rec.level == 1.0
         assert rec.visible_pixels == 0
 
@@ -63,7 +63,7 @@ class TestOcclusionLevel:
             cam = default_camera(width=160, height=120, focal=135.0)
             single_scene = derive_single_scene(scene, scene.target_index)
             single = render(single_scene, cam)
-            rec = occlusion_level(single, render(single_scene, cam), target_index=0)
+            rec = occlusion_level(single, render(single_scene, cam), target_index=0, scheme=BinScheme.test())
             assert rec.level == 0.0
 
     def test_rendered_two_box_counting_oracle(self):
@@ -74,7 +74,7 @@ class TestOcclusionLevel:
         cam = default_camera(width=160, height=120, focal=135.0)
         cluttered = render(cluttered_scene, cam)
         single = render(derive_single_scene(cluttered_scene, 0), cam)
-        rec = occlusion_level(single, cluttered, target_index=0)
+        rec = occlusion_level(single, cluttered, target_index=0, scheme=BinScheme.test())
         total = int((single.instance_id == 0).sum())
         visible = int((cluttered.instance_id == 0).sum())
         assert rec.total_pixels == total
@@ -92,8 +92,8 @@ class TestOcclusionLevel:
             base = make_scene([target, occ1], target=0)
             more = make_scene([target, occ1, occ2], target=0)
             single = render(derive_single_scene(base, 0), cam)
-            lvl_base = occlusion_level(single, render(base, cam), 0).level
-            lvl_more = occlusion_level(single, render(more, cam), 0).level
+            lvl_base = occlusion_level(single, render(base, cam), 0, BinScheme.test()).level
+            lvl_more = occlusion_level(single, render(more, cam), 0, BinScheme.test()).level
             assert lvl_more >= lvl_base
 
     def test_counts_are_ints_equal_to_the_summed_masks(self):
@@ -115,23 +115,40 @@ class TestOcclusionLevel:
                 targets += 1
         assert targets >= 320
 
-    def test_same_camera_object_needs_no_view_comparison(self, monkeypatch):
+    def test_same_camera_object_needs_no_view_comparison(self):
+        # the same camera object, and an equal copy of it, are both accepted
         single, cluttered = hand_built_pair(100, 30)
-        compared = []
-        monkeypatch.setattr(CameraModel, "same_view", lambda self, other: compared.append(other) or True)
-        assert occlusion_level(single, cluttered, 0).visible_pixels == 70
-        assert compared == []
+        assert occlusion_level(single, cluttered, 0, BinScheme.test()).visible_pixels == 70
         equal = dataclasses.replace(cluttered.camera)
         assert equal is not cluttered.camera
-        occlusion_level(single, DepthFrame(cluttered.depth, cluttered.instance_id, equal), 0)
-        assert compared == [equal]
+        copy = DepthFrame(cluttered.depth, cluttered.instance_id, equal)
+        assert (occlusion_level(single, copy, 0, BinScheme.test())
+                == occlusion_level(single, cluttered, 0, BinScheme.test()))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_loaded_frame_pairs_with_its_rendered_twin(self, tmp_path, seed):
+        # `load_frame` builds a new camera from the saved intrinsics and pose;
+        # it equals the rendered frame's camera, so the pair is accepted
+        scene = generate_packed_scene(SceneConfig(object_count_range=(8, 10), seed=seed))
+        cam = default_camera(width=160, height=120, focal=135.0, elevation_deg=30.0 + 10 * seed)
+        cluttered = render(scene, cam)
+        single = render(derive_single_scene(scene, scene.target_index), cam)
+        save_frame(tmp_path, "cluttered", cluttered)
+        save_frame(tmp_path, "single", single)
+        loaded_cluttered, loaded_single = load_frame(tmp_path, "cluttered"), load_frame(tmp_path, "single")
+        assert loaded_cluttered.camera is not cam and loaded_single.camera is not cam
+        for scheme in (BinScheme.test(), BinScheme.training(), BinScheme.real_world()):
+            rendered = occlusion_level(single, cluttered, scene.target_index, scheme)
+            assert occlusion_level(single, loaded_cluttered, scene.target_index, scheme) == rendered
+            assert occlusion_level(loaded_single, cluttered, scene.target_index, scheme) == rendered
+            assert occlusion_level(loaded_single, loaded_cluttered, scene.target_index, scheme) == rendered
 
     def test_camera_mismatch_rejected(self):
         single, cluttered = hand_built_pair()
         other = CameraModel(20, 20, 25.0, 20.0, 10.0, 10.0, Pose.identity())
         moved = DepthFrame(cluttered.depth, cluttered.instance_id, other)
         with pytest.raises(InputError):
-            occlusion_level(single, moved, 0)
+            occlusion_level(single, moved, 0, BinScheme.test())
 
     @pytest.mark.parametrize("target_index", [-1, 70000, BACKGROUND_ID, 2.5, "a", None, True])
     def test_target_index_must_be_an_instance_index(self, target_index):
@@ -142,14 +159,15 @@ class TestOcclusionLevel:
 
     def test_numpy_integer_target_index(self):
         single, cluttered = hand_built_pair(100, 30)
-        assert occlusion_level(single, cluttered, np.uint16(0)) == occlusion_level(single, cluttered, 0)
-        assert occlusion_level(single, cluttered, np.int64(BACKGROUND_ID - 1)).visible_pixels == 0
+        assert (occlusion_level(single, cluttered, np.uint16(0), BinScheme.test())
+                == occlusion_level(single, cluttered, 0, BinScheme.test()))
+        assert occlusion_level(single, cluttered, np.int64(BACKGROUND_ID - 1), BinScheme.test()).visible_pixels == 0
 
     def test_target_absent_from_single(self):
         cam = CameraModel(20, 20, 20.0, 20.0, 10.0, 10.0, Pose.identity())
         empty = DepthFrame(np.zeros((20, 20), np.float32), np.full((20, 20), BACKGROUND_ID, np.uint16), cam)
         with pytest.raises(MeasurementError):
-            occlusion_level(empty, empty, 0)
+            occlusion_level(empty, empty, 0, BinScheme.test())
 
 
 class TestBins:
@@ -183,6 +201,19 @@ class TestBins:
         # "x" and None raised a bare TypeError from the comparison
         with pytest.raises(InputError, match="occlusion level"):
             assign_bin(level, BinScheme.test())
+
+    @pytest.mark.parametrize("scheme", ["x", None, 0.5, (0.0, 0.5, 1.0), BinScheme.test().edges])
+    def test_scheme_must_be_a_bin_scheme(self, scheme):
+        # "x" and None raised a bare AttributeError: no attribute 'edges'
+        with pytest.raises(InputError, match="scheme"):
+            assign_bin(0.5, scheme)
+        single, cluttered = hand_built_pair(100, 30)
+        with pytest.raises(InputError, match="scheme"):
+            occlusion_level(single, cluttered, 0, scheme)
+        # checked before the frames are measured: no MeasurementError for an absent target
+        empty = DepthFrame(np.zeros((20, 20)), np.full((20, 20), BACKGROUND_ID), single.camera)
+        with pytest.raises(InputError, match="scheme"):
+            occlusion_level(empty, empty, 0, scheme)
 
     def test_partition_covers_and_is_disjoint(self):
         scheme = BinScheme.test()

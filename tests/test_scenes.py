@@ -14,7 +14,6 @@ from occlugrasp.scenes import (
     Scene,
     SceneConfig,
     build_catalog,
-    catalog_config_from_manifest,
     derive_single_scene,
     enumerate_targets,
     generate_packed_scene,
@@ -93,8 +92,6 @@ class TestCatalog:
         cfg = SceneConfig(object_count_range=(2, 2), seed=4)
         data = scene_to_manifest(generate_packed_scene(cfg), cfg.catalog)
         data["catalog"].update(json.loads(json.dumps(bad)))
-        with pytest.raises(InputError):
-            catalog_config_from_manifest(data)
         with pytest.raises(InputError):
             scene_from_manifest(data)
 
@@ -480,7 +477,7 @@ class TestManifest:
     def test_catalog_config_without_its_keys(self, data):
         # {"catalog": {}} raised a bare KeyError: 'seed'
         with pytest.raises(InputError):
-            catalog_config_from_manifest(data)
+            scene_from_manifest(data)
 
     def test_numpy_integer_target_index_accepted(self):
         scene = generate_packed_scene(SceneConfig(object_count_range=(2, 2), seed=4))

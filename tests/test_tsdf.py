@@ -20,7 +20,7 @@ from occlugrasp.completion import MirrorCompleter
 from occlugrasp.errors import InputError
 from occlugrasp.geometry import PointCloud, Pose, Quaternion
 from occlugrasp.meshes import make_box, make_cylinder, make_sphere, surface_sample
-from occlugrasp.scenes import SceneConfig, generate_packed_scene
+from occlugrasp.scenes import WORKSPACE_EXTENT, SceneConfig, generate_packed_scene
 from occlugrasp.tsdf import (
     TsdfConfig,
     TsdfGrid,
@@ -33,6 +33,12 @@ from occlugrasp.tsdf import (
 )
 
 from .test_camera import box_instance, catalog, dense_scene, make_scene
+
+
+def with_normals(points) -> PointCloud:
+    """A cloud of `points`, each with the unit normal +z; `splat` reads only the points."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    return PointCloud(points, np.tile([0.0, 0.0, 1.0], (len(points), 1)))
 
 
 def straight_down_camera(extent=0.3, h=0.6):
@@ -50,6 +56,9 @@ class TestConfig:
         assert cfg.extent == 0.3
         assert abs(cfg.voxel_size - 0.0075) < 1e-12
         assert abs(cfg.truncation - 0.03) < 1e-12
+
+    def test_extent_is_the_workspace_extent(self):
+        assert TsdfConfig().extent == SceneConfig().workspace_extent == WORKSPACE_EXTENT
 
     def test_degenerate_rejected(self):
         with pytest.raises(InputError):
@@ -201,13 +210,13 @@ class TestSplatAndMask:
         assert 0.5 * shell <= mask.sum() <= 1.5 * shell
 
     def test_splat_far_voxels_unobserved(self):
-        cloud = PointCloud(np.array([[0.15, 0.15, 0.1]]))
+        cloud = with_normals(np.array([[0.15, 0.15, 0.1]]))
         grid = splat(cloud)
         assert grid.weights.sum() <= 27
         assert grid.values.max() == 1.0
 
     def test_band_bounds(self):
-        grid = splat(PointCloud(np.array([[0.15, 0.15, 0.1]])))
+        grid = splat(with_normals(np.array([[0.15, 0.15, 0.1]])))
         with pytest.raises(InputError):
             near_surface_mask(grid, 0.0)
         with pytest.raises(InputError):
@@ -216,7 +225,7 @@ class TestSplatAndMask:
     @pytest.mark.parametrize("band", ["x", None, True, float("nan")])
     def test_band_must_be_a_number(self, band):
         # "x" and None raised a bare TypeError from the comparison
-        grid = splat(PointCloud(np.array([[0.15, 0.15, 0.1]])))
+        grid = splat(with_normals(np.array([[0.15, 0.15, 0.1]])))
         with pytest.raises(InputError, match="band"):
             near_surface_mask(grid, band)
 
@@ -257,7 +266,7 @@ class TestSplatMatchesUnboundedQuery:
                 self.assert_same(cloud, TsdfConfig(), kernel_radius_voxels, dist)
 
     def test_cloud_outside_the_grid(self):
-        cloud = PointCloud(np.array([[1.0, 1.0, 1.0], [-0.5, 0.1, 0.1]]))
+        cloud = with_normals(np.array([[1.0, 1.0, 1.0], [-0.5, 0.1, 0.1]]))
         self.assert_same(cloud, TsdfConfig())
         self.assert_same(cloud, TsdfConfig(), kernel_radius_voxels=6.0)
         assert not splat(cloud).weights.any()
@@ -269,7 +278,7 @@ class TestSplatMatchesUnboundedQuery:
         config = TsdfConfig(resolution=8, extent=1.0)
         reach = max(config.truncation, kernel_radius_voxels * config.voxel_size)
         point = (np.array([3, 4, 2]) + 0.5) * config.voxel_size + np.array([0.0, 0.0, reach])
-        cloud = PointCloud(point[None, :])
+        cloud = with_normals(point[None, :])
         self.assert_same(cloud, config, kernel_radius_voxels)
         grid = splat_with(cloud, config, kernel_radius_voxels)
         at_kernel = 2 + int(reach / config.voxel_size - kernel_radius_voxels)
@@ -347,6 +356,21 @@ class TestBadInput:
     def test_truncation_must_be_finite_and_positive(self, truncation):
         with pytest.raises(InputError, match="truncation"):
             TsdfConfig(truncation=truncation)
+
+    @pytest.mark.parametrize("config", ["cfg", None, 40, (40, 0.3, 0.03)])
+    def test_config_must_be_a_tsdf_config(self, config):
+        # "cfg" raised a bare AttributeError: no attribute 'resolution'
+        frame = render(make_scene([box_instance(0.1, 0.1, 0.08, 0.15, 0.15)]), straight_down_camera())
+        with pytest.raises(InputError, match="config"):
+            fuse(frame, config)
+        with pytest.raises(InputError, match="config"):
+            splat(with_normals(np.array([[0.15, 0.15, 0.1]])), config)
+
+    @pytest.mark.parametrize("grid", ["grid", None, np.zeros((40, 40, 40))])
+    def test_grid_must_be_a_tsdf_grid(self, grid):
+        # "grid" raised a bare AttributeError: no attribute 'values'
+        with pytest.raises(InputError, match="grid"):
+            near_surface_mask(grid, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +486,13 @@ class TestMatchesReference:
         e = config.extent
         rng = np.random.default_rng(5)
         blob = 0.5 * e + rng.uniform(-0.05, 0.05, size=(40, 3)) * e
-        clouds = {"one point": PointCloud(np.array([[0.41, 0.52, 0.33]]) * e)}
+        clouds = {"one point": with_normals(np.array([[0.41, 0.52, 0.33]]) * e)}
         for axis in range(3):
             for side in (0.0, e):
                 touching = blob.copy()
                 touching[0, axis] = side
-                clouds[f"face {axis} at {side}"] = PointCloud(touching)
-        clouds["on a corner"] = PointCloud(np.array([[0.0, 0.0, 0.0], [e, e, e]]))
+                clouds[f"face {axis} at {side}"] = with_normals(touching)
+        clouds["on a corner"] = with_normals(np.array([[0.0, 0.0, 0.0], [e, e, e]]))
         return clouds
 
     @pytest.mark.parametrize("config", CONFIGS)
@@ -481,9 +505,9 @@ class TestMatchesReference:
     def test_splat_cloud_outside_the_grid(self, config):
         e = config.extent
         far = max(config.truncation, 6.0 * config.voxel_size) + 2.0 * config.voxel_size
-        clouds = [PointCloud(np.array([[0.5 * e, 0.5 * e, e + far]])),
-                  PointCloud(np.array([[-far, -far, -far], [-far, 0.5 * e, -far]])),
-                  PointCloud(np.array([[1e300, 0.1, 0.1], [-1e300, 0.1, 0.1]]))]
+        clouds = [with_normals(np.array([[0.5 * e, 0.5 * e, e + far]])),
+                  with_normals(np.array([[-far, -far, -far], [-far, 0.5 * e, -far]])),
+                  with_normals(np.array([[1e300, 0.1, 0.1], [-1e300, 0.1, 0.1]]))]
         for cloud in clouds:
             for k in KERNEL_RADII:
                 grid = splat_with(cloud, config, k)
