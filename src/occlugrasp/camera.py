@@ -8,9 +8,9 @@ A triangle is tested only on its row spans: in each row of its pixel box,
 the pixels between the row-centre line's crossings of its projected edges,
 padded by one pixel on each side. Each triangle's pixels, its spans row by
 row, are one batch element; triangles sorted by their number of pixels fill
-chunks of about `_CHUNK_PAIRS` (triangle, pixel) pairs. A frame is composed
-from its instances' layers: the nearest hit wins a pixel, and the lower
-instance index wins a tie.
+chunks of about `_CHUNK_PAIRS` (triangle, pixel) pairs. `_frame_from_layers`
+composes a frame from its instances' layers: the nearest hit wins a pixel,
+and the lower instance index wins a tie.
 
 `render` skips the back faces of an instance when that cannot change its
 layer: its mesh is closed with outward winding (`TriMesh.is_closed_outward`)
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numbers
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -59,7 +59,7 @@ class CameraModel:
     fy: float = 540.0
     cx: float = 320.0
     cy: float = 240.0
-    pose: Pose = None  # camera-to-world
+    pose: Pose = field(default_factory=Pose.identity)  # camera-to-world
 
     def __post_init__(self):
         for name in ("width", "height"):
@@ -70,8 +70,6 @@ class CameraModel:
             raise InputError(f"focal lengths must be finite and positive, got {(self.fx, self.fy)}")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise InputError("principal point must lie inside the image")
-        if self.pose is None:
-            object.__setattr__(self, "pose", Pose.identity())
         _check_type(self.pose, Pose, "camera pose")
 
     def same_view(self, other: "CameraModel") -> bool:
@@ -158,9 +156,10 @@ def render(scene: Scene, camera: CameraModel) -> DepthFrame:
     """Nearest-surface depth + owning instance id per pixel.
 
     Each instance has a depth layer: the nearest hit t of every pixel of its
-    own pixel box, the union of its triangles' boxes. The frame is composed
-    from the layers in instance order with a strict `<`, so the nearest hit
-    wins a pixel and, on equal depth, the lower instance index.
+    own pixel box, the union of its triangles' boxes. `_frame_from_layers`
+    composes the frame from the layers in instance order with a strict `<`,
+    so the nearest hit wins a pixel and, on equal depth, the lower instance
+    index.
 
     The layers of the last scene rasterised stay in one module-level slot,
     with its camera, keyed by the identity of each instance. A render with
@@ -217,6 +216,8 @@ def render(scene: Scene, camera: CameraModel) -> DepthFrame:
     least two pairs: t is bit-identical to that loop's. An elementwise sum
     would round differently where BLAS fuses multiply-adds.
     """
+    _check_type(scene, Scene, "scene")
+    _check_type(camera, CameraModel, "camera")
     global _slot
     cached_camera, cached = _slot
     if camera is not cached_camera:
@@ -235,7 +236,7 @@ def render(scene: Scene, camera: CameraModel) -> DepthFrame:
         for instance, layer in zip(misses, _rasterise(misses, camera)):
             layers[id(instance)] = (instance, layer)
         _slot = (camera, layers)
-    return _compose([layers[id(instance)][1] for instance in scene.instances], camera)
+    return _frame_from_layers([layers[id(instance)][1] for instance in scene.instances], camera)
 
 
 def _rasterise(instances: list[ObjectInstance], camera: CameraModel) -> list[_Layer | None]:
@@ -431,7 +432,7 @@ def _chunks(widths, cap: int):
         c0 = c1
 
 
-def _compose(layers: list[_Layer | None], camera: CameraModel) -> DepthFrame:
+def _frame_from_layers(layers: list[_Layer | None], camera: CameraModel) -> DepthFrame:
     """The frame of a scene from its instances' layers, in instance order."""
     depth = np.zeros((camera.height, camera.width), dtype=np.float32)
     inst = np.full((camera.height, camera.width), BACKGROUND_ID, dtype=np.uint16)
@@ -474,6 +475,7 @@ def _pixel_rays(camera: CameraModel, us, vs):
 
 def back_project(frame: DepthFrame, instance_filter: int | None = None) -> PointCloud:
     """World point and screen-space normal per pixel of `instance_filter`, or per valid pixel for None."""
+    _check_type(frame, DepthFrame, "frame")
     if instance_filter is None:
         mask = frame.valid
     else:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .camera import CameraModel
-from .errors import InputError, _seed
+from .errors import InputError, _check_type, _seed
 from .geometry import PointCloud
 from .meshes import surface_sample
 from .scenes import Scene
@@ -73,13 +73,13 @@ class MirrorCompleter:
 
     def __call__(self, partial: PointCloud, scene: Scene | None = None,
                  camera: CameraModel | None = None) -> PointCloud:
+        _check_type(partial, PointCloud, "partial")
         if len(partial) == 0:
             raise InputError("mirror completion needs a non-empty partial cloud")
         if len(partial) < 4:
             log.warning("mirror completion: fewer than 4 points, passing through")
             return partial
-        if camera is None:
-            raise InputError("mirror completion needs the camera model")
+        _check_type(camera, CameraModel, "camera")
         centroid = partial.points.mean(axis=0)
         view = centroid - camera.pose.translation
         horiz = view - (view @ TABLE_NORMAL) * TABLE_NORMAL
@@ -118,6 +118,8 @@ def chamfer_l1(a: PointCloud, b: PointCloud) -> float:
     builds faster; a nearest-neighbour distance is the same exact minimum over
     the same points in any tree.
     """
+    _check_type(a, PointCloud, "a")
+    _check_type(b, PointCloud, "b")
     if len(a) == 0 or len(b) == 0:
         raise InputError("chamfer distance is undefined for empty clouds")
     d_ab = cKDTree(b.points, balanced_tree=False, compact_nodes=False).query(a.points, k=1)[0]
@@ -127,6 +129,8 @@ def chamfer_l1(a: PointCloud, b: PointCloud) -> float:
 
 def volumetric_iou(a: PointCloud, b: PointCloud) -> float:
     """Occupancy IoU on a grid of `IOU_VOXEL_SIZE` voxels anchored at the workspace origin."""
+    _check_type(a, PointCloud, "a")
+    _check_type(b, PointCloud, "b")
     if len(a) == 0 and len(b) == 0:
         raise InputError("IoU is undefined when both clouds are empty")
     # one int64 key per occupied voxel, over the box that holds both clouds' voxels

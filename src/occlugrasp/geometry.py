@@ -288,10 +288,13 @@ class PointCloud:
     normals: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float).reshape(-1, 3)  # a copy: no caller's array can change it
+        try:
+            pts = np.array(self.points, dtype=float).reshape(-1, 3)  # a copy: no caller's array can change it
+            nrm = np.array(self.normals, dtype=float)  # None gives one NaN, so the size check catches it
+        except (TypeError, ValueError) as exc:  # ragged, not numbers, or points not a multiple of 3
+            raise InputError(f"points and normals must be (n, 3) arrays of numbers: {exc}") from exc
         if not np.isfinite(pts).all():
             raise InputError("point cloud contains NaN/Inf coordinates")
-        nrm = np.array(self.normals, dtype=float)  # None gives one NaN, so the size check catches it
         if nrm.size != pts.size:
             raise InputError("normals shape must match points")
         nrm = nrm.reshape(-1, 3)

@@ -554,6 +554,8 @@ def sample_candidate_grasps(
     An attempt's outcome depends only on the drawn point index: an index that found no
     opposing point is skipped when drawn again, and sampling stops once all have failed.
     """
+    _check_type(target_cloud, PointCloud, "target_cloud")
+    _check_type(gripper, GripperModel, "gripper")
     if not _positive_int(count):
         raise InputError(f"count must be a positive integer, got {count!r}")
     if len(target_cloud) == 0:

@@ -1,7 +1,8 @@
 """Triangle meshes: closed primitives, ray casting, surface sampling.
 
 `ray_cast` is the exact reference that `camera.render` is checked against;
-only tests and benchmark checks call it. It tests every triangle, back faces
+only tests and benchmark checks call it, and it gives them the nearest hit's
+distance and instance index. It tests every triangle, back faces
 included: `render` skips the back faces of closed meshes by an argument that
 holds only for some meshes and camera positions, so a reference that made
 the same cut could not catch a mistake in it. Every mesh comes from the four
@@ -180,9 +181,10 @@ def make_sphere(radius: float) -> TriMesh:
 
 @dataclass(frozen=True)
 class RayHit:
+    """The nearest hit of a ray: its distance along the ray and the index of the mesh it hits."""
+
     distance: float
     instance_index: int
-    surface_normal: np.ndarray
 
 
 def _ray_triangles(origin, direction, v0, v1, v2):
@@ -203,7 +205,8 @@ def _ray_triangles(origin, direction, v0, v1, v2):
 
 
 def ray_cast(mesh_set: list[tuple[TriMesh, Pose]], origin, direction) -> RayHit | None:
-    """Nearest intersection of a world-space ray with a set of posed meshes."""
+    """Nearest intersection of a world-space ray with a set of posed meshes:
+    its distance and the index of its mesh in `mesh_set`, the lower index on a tie."""
     if not mesh_set:
         raise InputError("mesh_set must be non-empty")
     origin = np.asarray(origin, dtype=float)
@@ -229,15 +232,12 @@ def ray_cast(mesh_set: list[tuple[TriMesh, Pose]], origin, direction) -> RayHit 
             continue
         tv = mesh.vertices[mesh.triangles]
         t = _ray_triangles(o_local, d_local, tv[:, 0], tv[:, 1], tv[:, 2])
-        face = int(np.argmin(t))
-        if t[face] < best_t:
-            best_t, best = float(t[face]), (i, face)
+        near = float(t.min())
+        if near < best_t:
+            best_t, best = near, i
     if best is None:
         return None
-    i, face = best
-    mesh, pose = mesh_set[i]
-    normal = pose.rotate_only(mesh.face_normals[face])
-    return RayHit(distance=best_t, instance_index=i, surface_normal=normal)
+    return RayHit(distance=best_t, instance_index=best)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +248,11 @@ def surface_sample(mesh: TriMesh, count: int, seed: int) -> PointCloud:
     """Area-proportional on-surface samples with face normals.
 
     Per-triangle counts use largest-remainder allocation so density tracks
-    area exactly; in-triangle positions are uniform via the seeded RNG.
+    area exactly; in-triangle positions are uniform via the seeded RNG. Face
+    by face, face f draws `base[f]` uniforms for r1, then `base[f]` for r2. A
+    float64 draw is one generator step however draws are grouped, so one
+    `random(2 * count)` is that stream: with `start` samples on earlier faces,
+    sample w of f reads r1 at `2 * start + w` and r2 at `2 * start + base[f] + w`.
     """
     if not _positive_int(count):
         raise InputError(f"count must be a positive integer, got {count!r}")
@@ -263,18 +267,11 @@ def surface_sample(mesh: TriMesh, count: int, seed: int) -> PointCloud:
         frac = quota - base
         extra = np.argsort(-frac, kind="stable")[:rem]
         base[extra] += 1
-    rng = _rng(seed)
-    pts = np.empty((count, 3))
-    nrm = np.empty((count, 3))
-    pos = 0
-    tv = mesh.vertices[mesh.triangles]
-    for f in np.nonzero(base)[0]:
-        k = int(base[f])
-        r1 = np.sqrt(rng.random(k))
-        r2 = rng.random(k)
-        a, b, c = tv[f, 0], tv[f, 1], tv[f, 2]
-        p = (1 - r1)[:, None] * a + (r1 * (1 - r2))[:, None] * b + (r1 * r2)[:, None] * c
-        pts[pos : pos + k] = p
-        nrm[pos : pos + k] = mesh.face_normals[f]
-        pos += k
-    return PointCloud(pts, nrm)
+    faces = np.repeat(np.arange(len(base)), base)
+    first = np.arange(count) + (np.cumsum(base) - base)[faces]  # 2 * start + w
+    u = _rng(seed).random(2 * count)
+    r1 = np.sqrt(u[first])
+    r2 = u[first + base[faces]]
+    a, b, c = (mesh.vertices[mesh.triangles[faces, i]] for i in range(3))
+    pts = (1 - r1)[:, None] * a + (r1 * (1 - r2))[:, None] * b + (r1 * r2)[:, None] * c
+    return PointCloud(pts, mesh.face_normals[faces])

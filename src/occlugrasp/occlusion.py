@@ -79,6 +79,8 @@ def occlusion_level(
     target is instance 0. The frames' cameras must be equal, as those of a
     frame and its `load_frame` copy are. The pixel counts are Python ints.
     """
+    _check_type(single_frame, DepthFrame, "single_frame")
+    _check_type(cluttered_frame, DepthFrame, "cluttered_frame")
     _check_instance(target_index, "target_index")
     _check_type(scheme, BinScheme, "scheme")
     if single_frame.camera != cluttered_frame.camera:

@@ -8,6 +8,7 @@ footprint disk), which makes footprint-polygon separation a sound
 non-penetration certificate for placement. An extrusion's footprint is its
 mesh's bottom ring, the first vertices, rounded to 12 decimals and started at
 its lowest (x, y); the sphere's is a 24-gon circumscribing its equator.
+An object keeps id, mesh, height, footprint; an instance swaps height for pose.
 
 A placement attempt is tested in two phases. The broad phase is one array
 pass: the attempt's xy box against the xy box of every placed instance, which
@@ -66,10 +67,11 @@ class CatalogConfig:
 
 @dataclass(frozen=True)
 class CatalogObject:
+    """A catalog primitive in its canonical frame; its id is its kind and index (`box_000`)."""
+
     catalog_id: str
-    kind: str
     mesh: TriMesh
-    footprint: tuple[float, float, float]  # (length, width, height), canonical frame
+    height: float  # top of the mesh, which placement tests against the workspace size
     footprint_poly: np.ndarray  # convex CCW xy polygon bounding the solid, read-only
 
 
@@ -101,9 +103,7 @@ def build_catalog(config: CatalogConfig) -> list[CatalogObject]:
             poly = np.round(verts[:ring, :2], 12)
             poly = np.roll(poly, -int(np.lexsort((poly[:, 1], poly[:, 0]))[0]), axis=0)
         poly.flags.writeable = False
-        length = float(verts[:, 0].max() - verts[:, 0].min())
-        width = float(verts[:, 1].max() - verts[:, 1].min())
-        out.append(CatalogObject(f"{kind}_{i:03d}", kind, mesh, (length, width, float(verts[:, 2].max())), poly))
+        out.append(CatalogObject(f"{kind}_{i:03d}", mesh, float(verts[:, 2].max()), poly))
     return out
 
 
@@ -119,10 +119,11 @@ def _shared_catalog(config: CatalogConfig) -> tuple[CatalogObject, ...]:
 
 @dataclass(frozen=True)
 class ObjectInstance:
+    """A catalog object at a pose; only placement reads its footprint polygon."""
+
     catalog_id: str
     mesh: TriMesh
     pose: Pose
-    footprint: tuple[float, float, float]
     footprint_poly: np.ndarray = field(repr=False, default=None)
 
     def world_footprint_poly(self) -> np.ndarray:
@@ -244,7 +245,7 @@ def _place_instance(
     placed: list[ObjectInstance],
     rng: np.random.Generator,
 ) -> ObjectInstance | None:
-    if obj.footprint[2] > extent:
+    if obj.height > extent:
         return None
     yaw = rng.uniform(0.0, 2.0 * math.pi)
     cos, sin = math.cos(yaw), math.sin(yaw)
@@ -272,7 +273,7 @@ def _place_instance(
             if polygon_distance(world_poly, placed[k].world_footprint_poly()) < PLACEMENT_MARGIN:
                 return None
     pose = Pose(quaternion_about_axis((0.0, 0.0, 1.0), yaw), np.array([position[0], position[1], 0.0]))
-    return ObjectInstance(obj.catalog_id, obj.mesh, pose, obj.footprint, obj.footprint_poly)
+    return ObjectInstance(obj.catalog_id, obj.mesh, pose, obj.footprint_poly)
 
 
 def generate_packed_scene(config: SceneConfig, catalog: list[CatalogObject] | None = None) -> Scene:
@@ -366,7 +367,7 @@ def scene_from_manifest(data: dict, catalog: list[CatalogObject] | None = None) 
             except (TypeError, ValueError) as exc:
                 raise InputError(f"pose of {cid!r} must be 7 floats, got {rec['pose']!r}: {exc}") from exc
             obj = by_id[cid]
-            instances.append(ObjectInstance(cid, obj.mesh, pose, obj.footprint, obj.footprint_poly))
+            instances.append(ObjectInstance(cid, obj.mesh, pose, obj.footprint_poly))
         return Scene(tuple(instances), data["target_index"], data["workspace_extent"], data["seed"])
     except KeyError as exc:
         raise InputError(f"scene manifest lacks the key {exc}") from exc
@@ -375,4 +376,8 @@ def scene_from_manifest(data: dict, catalog: list[CatalogObject] | None = None) 
 
 
 def load_scene(path, catalog: list[CatalogObject] | None = None) -> Scene:
-    return scene_from_manifest(json.loads(Path(path).read_text()), catalog)
+    try:
+        data = json.loads(Path(path).read_bytes())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise InputError(f"scene file {path} is not JSON: {exc}") from exc
+    return scene_from_manifest(data, catalog)

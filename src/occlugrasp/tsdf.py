@@ -121,6 +121,7 @@ def _voxel_projection(config: TsdfConfig, camera: CameraModel) -> tuple[np.ndarr
 
 def fuse(frame: DepthFrame, config: TsdfConfig = TsdfConfig()) -> TsdfGrid:
     """Single-view TSDF of one depth frame on `config`'s grid, by default the `WORKSPACE_EXTENT` cube."""
+    _check_type(frame, DepthFrame, "frame")
     _check_type(config, TsdfConfig, "config")
     r = config.resolution
     voxels, pixels, z = _voxel_projection(config, frame.camera)
@@ -137,6 +138,7 @@ def fuse(frame: DepthFrame, config: TsdfConfig = TsdfConfig()) -> TsdfGrid:
 def splat(cloud: PointCloud, config: TsdfConfig = TsdfConfig()) -> TsdfGrid:
     """Unsigned truncated distance grid around a completed target cloud, by default on the
     `WORKSPACE_EXTENT` cube."""
+    _check_type(cloud, PointCloud, "cloud")
     _check_type(config, TsdfConfig, "config")
     if len(cloud) == 0:
         raise InputError("cannot splat an empty cloud")

@@ -44,7 +44,7 @@ def box_instance(lx, ly, lz, x, y, yaw=0.0):
     mesh = make_box(lx, ly, lz)
     pose = Pose(quaternion_about_axis((0, 0, 1), yaw), np.array([x, y, 0.0]))
     poly = np.array([[-lx / 2, -ly / 2], [lx / 2, -ly / 2], [lx / 2, ly / 2], [-lx / 2, ly / 2]])
-    return ObjectInstance(f"box_{lx}x{ly}", mesh, pose, (lx, ly, lz), poly)
+    return ObjectInstance(f"box_{lx}x{ly}", mesh, pose, poly)
 
 
 def make_scene(instances, target=0, extent=0.3, seed=0):
@@ -73,8 +73,10 @@ class TestCameraModel:
     def test_numpy_integer_size_accepted(self):
         assert CameraModel(np.int64(640), np.int32(480)) == CameraModel()
 
-    @pytest.mark.parametrize("pose", [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5], Quaternion.identity(), np.eye(4), "identity"])
+    @pytest.mark.parametrize("pose", [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5], Quaternion.identity(), np.eye(4), "identity",
+                                      None])
     def test_pose_must_be_a_pose(self, pose):
+        # None gave the identity pose, the default's second form
         with pytest.raises(InputError, match="Pose"):
             CameraModel(pose=pose)
 
@@ -137,6 +139,16 @@ class TestRender:
             vis_clut = cluttered.instance_id == scene.target_index
             vis_single = single.instance_id == 0
             assert (vis_clut & ~vis_single).sum() == 0
+
+    @pytest.mark.parametrize("bad", ["x", None, 0.5])
+    def test_scene_and_camera_must_be_a_scene_and_a_camera(self, bad):
+        # "x" raised a bare AttributeError: no attribute 'instances', or 'height'
+        scene = make_scene([box_instance(0.05, 0.05, 0.05, 0.15, 0.15)])
+        cam = CameraModel(32, 24, 30.0, 30.0, 16.0, 12.0, Pose.identity())
+        with pytest.raises(InputError, match="scene"):
+            render(bad, cam)
+        with pytest.raises(InputError, match="camera"):
+            render(scene, bad)
 
     def test_deterministic(self):
         scene = generate_packed_scene(SceneConfig(object_count_range=(4, 4), seed=2))
@@ -240,6 +252,12 @@ class TestBackProject:
         f = self.one_instance_frame()
         with pytest.raises(InputError, match="instance_filter"):
             back_project(f, instance_filter)
+
+    @pytest.mark.parametrize("frame", ["frame", None, np.zeros((24, 32))])
+    def test_frame_must_be_a_depth_frame(self, frame):
+        # "frame" raised a bare AttributeError: no attribute 'instance_id'
+        with pytest.raises(InputError, match="frame"):
+            back_project(frame, 0)
 
     def test_numpy_integer_instance_filter(self):
         f = self.one_instance_frame()
@@ -608,7 +626,7 @@ def scene_and_singles(scene: Scene) -> list[Scene]:
 
 def mesh_instance(vertices, triangles) -> ObjectInstance:
     """Instance at the identity pose, so vertices are world coordinates."""
-    return ObjectInstance("mesh", TriMesh(vertices, triangles), Pose.identity(), (0.0, 0.0, 0.0))
+    return ObjectInstance("mesh", TriMesh(vertices, triangles), Pose.identity())
 
 
 # camera at the world origin looking along +z, +x right, +y down
@@ -707,8 +725,7 @@ class TestRenderMatchesReference:
 
     def test_camera_inside_closed_box(self, small_chunks):
         # every face the camera sees from inside is a back face
-        box = ObjectInstance("box", make_box(1.0, 1.0, 1.0), Pose(Quaternion.identity(), np.array([0.0, 0.0, -0.5])),
-                             (1.0, 1.0, 1.0))
+        box = ObjectInstance("box", make_box(1.0, 1.0, 1.0), Pose(Quaternion.identity(), np.array([0.0, 0.0, -0.5])))
         scene = make_scene([box])
         frame = render(scene, AXIS_CAMERA)
         assert frame.valid.all() and (frame.depth == 0.5).all()
@@ -718,7 +735,7 @@ class TestRenderMatchesReference:
         # the near-plane test drops the front faces at that corner, which
         # opens the box: its back faces show through the gap
         pose = Pose(quaternion_about_axis((0.6, 0.8, 0.0), 0.7), np.array([0.0, -0.1, 0.1]))
-        box = ObjectInstance("box", make_box(0.4, 0.4, 0.4), pose, (0.4, 0.4, 0.4))
+        box = ObjectInstance("box", make_box(0.4, 0.4, 0.4), pose)
         assert (pose.transform(box.mesh.vertices)[:, 2] <= 0).sum() == 1
         scene = make_scene([box])
         frame = render(scene, AXIS_CAMERA)
@@ -730,7 +747,7 @@ class TestRenderMatchesReference:
         inverted = TriMesh(box.vertices, box.triangles[:, ::-1])
         assert not inverted.is_closed_outward
         pose = Pose(quaternion_about_axis((0.6, 0.8, 0.0), 0.7), np.array([0.05, -0.1, 0.6]))
-        scene = make_scene([ObjectInstance("inverted", inverted, pose, (0.2, 0.3, 0.25))])
+        scene = make_scene([ObjectInstance("inverted", inverted, pose)])
         frame = render(scene, AXIS_CAMERA)
         assert frame.valid.any()
         assert_same_frame(frame, reference_render(scene, AXIS_CAMERA))

@@ -70,6 +70,16 @@ class TestChamfer:
         with pytest.raises(InputError):
             chamfer_l1(PointCloud.empty(), with_normals(np.zeros((1, 3))))
 
+    @pytest.mark.parametrize("metric", [chamfer_l1, volumetric_iou])
+    @pytest.mark.parametrize("bad", ["a", None, np.zeros((4, 3))])
+    def test_clouds_must_be_point_clouds(self, metric, bad):
+        # "a" raised a bare AttributeError: no attribute 'points'
+        cloud = with_normals(np.zeros((1, 3)))
+        with pytest.raises(InputError, match="a must be a PointCloud"):
+            metric(bad, cloud)
+        with pytest.raises(InputError, match="b must be a PointCloud"):
+            metric(cloud, bad)
+
 
 def reference_chamfer_l1(a: PointCloud, b: PointCloud) -> float:
     """`chamfer_l1` on balanced, compact trees, scipy's defaults."""
@@ -227,7 +237,7 @@ class TestMirrorCompleter:
         poly = 0.035 * np.column_stack(
             [np.cos(np.linspace(0, 2 * np.pi, 12, endpoint=False)), np.sin(np.linspace(0, 2 * np.pi, 12, endpoint=False))]
         )
-        inst = ObjectInstance("cyl", cyl, Pose(Quaternion.identity(), np.array([0.15, 0.15, 0.0])), (0.07, 0.07, 0.1), poly)
+        inst = ObjectInstance("cyl", cyl, Pose(Quaternion.identity(), np.array([0.15, 0.15, 0.0])), poly)
         scene = make_scene([inst])
         cam = default_camera(width=320, height=240, focal=270.0, elevation_deg=30.0)
         partial = rendered_partial(scene, cam)
@@ -243,7 +253,7 @@ class TestMirrorCompleter:
 
     def test_reflections_land_behind_the_visible_front(self):
         inst = ObjectInstance("cyl", make_cylinder(0.035, 0.1),
-                              Pose(Quaternion.identity(), np.array([0.15, 0.15, 0.0])), (0.07, 0.07, 0.1), None)
+                              Pose(Quaternion.identity(), np.array([0.15, 0.15, 0.0])), None)
         cam = default_camera(width=320, height=240, focal=270.0, elevation_deg=30.0)
         partial = rendered_partial(make_scene([inst]), cam)
         completed = MirrorCompleter()(partial, None, cam)
@@ -276,6 +286,16 @@ class TestMirrorCompleter:
         cloud = with_normals(np.random.default_rng(0).uniform(0.1, 0.2, size=(3, 3)))
         out = MirrorCompleter()(cloud, None, cam)
         assert out is cloud
+
+    @pytest.mark.parametrize("bad", ["p", None, np.zeros((8, 3))])
+    def test_partial_and_camera_must_be_a_cloud_and_a_camera(self, bad):
+        # "p" came back unchanged, as a cloud of fewer than 4 points; a camera
+        # of the wrong type raised a bare AttributeError: no attribute 'pose'
+        with pytest.raises(InputError, match="partial"):
+            MirrorCompleter()(bad, None, default_camera())
+        cloud = with_normals(np.random.default_rng(0).uniform(0.1, 0.2, size=(8, 3)))
+        with pytest.raises(InputError, match="camera"):
+            MirrorCompleter()(cloud, None, bad)
 
 
 class _UnboundedTree(cKDTree):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occlugrasp.errors import InputError
+from occlugrasp.errors import InputError, _rng
 from occlugrasp.geometry import (
     Pose,
     PointCloud,
@@ -30,6 +30,7 @@ from occlugrasp.meshes import (
     ray_cast,
     surface_sample,
 )
+from occlugrasp.scenes import CatalogConfig, build_catalog
 
 
 def ray_cast_brute(mesh: TriMesh, origin, direction) -> tuple[float, int]:
@@ -474,6 +475,18 @@ class TestPointCloud:
         with pytest.raises(InputError, match="normals"):
             PointCloud(np.zeros((2, 3)), normals)
 
+    @pytest.mark.parametrize("points, normals", [
+        ([0.0, 1.0], [0.0, 1.0]),
+        ([[0.0, 0.0, 0.0], [1.0, 1.0]], [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
+        ([[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0], [1.0]]),
+        ([["a", "b", "c"]], [[0.0, 0.0, 1.0]]),
+        (object(), [[0.0, 0.0, 1.0]]),
+    ], ids=["two_numbers", "ragged_points", "ragged_normals", "strings", "object"])
+    def test_points_and_normals_must_be_arrays_of_numbers(self, points, normals):
+        # each raised a bare ValueError or TypeError from the conversion
+        with pytest.raises(InputError, match="arrays of numbers"):
+            PointCloud(points, normals)
+
     def test_empty_cloud_has_empty_normals(self):
         cloud = PointCloud.empty()
         assert len(cloud) == 0 and cloud.normals.shape == (0, 3)
@@ -542,7 +555,6 @@ class TestRayCast:
         hit = ray_cast([(mesh, pose)], (0, 0, 2), (0, 0, -1))
         assert hit is not None
         assert abs(hit.distance - 1.5) < 1e-9
-        assert np.allclose(hit.surface_normal, [0, 0, 1], atol=1e-12)
         assert hit.instance_index == 0
 
     def test_miss_returns_none(self):
@@ -635,11 +647,9 @@ class TestRayCast:
         if math.isinf(best[0]):
             assert hit is None
             return None
-        t, i, face = best
-        mesh, pose = mesh_set[i]
+        t, i, _ = best
         assert hit is not None
         assert (hit.distance, hit.instance_index) == (t, i)
-        assert hit.surface_normal.tobytes() == pose.rotate_only(mesh.face_normals[face]).tobytes()
         return hit
 
     def test_mesh_without_triangles_is_a_miss(self):
@@ -716,3 +726,68 @@ class TestSurfaceSample:
         flat = TriMesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))
         with pytest.raises(InputError):
             surface_sample(flat, 10, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# reference sampler: `surface_sample` as a loop over the faces, before the
+# samples were built in one array pass; the two must give the same bytes
+
+
+def reference_surface_sample(mesh: TriMesh, count: int, seed: int) -> PointCloud:
+    areas = mesh.face_areas
+    total = float(areas.sum())
+    quota = areas / total * count
+    base = np.floor(quota).astype(int)
+    rem = count - int(base.sum())
+    if rem > 0:
+        frac = quota - base
+        extra = np.argsort(-frac, kind="stable")[:rem]
+        base[extra] += 1
+    rng = _rng(seed)
+    pts = np.empty((count, 3))
+    nrm = np.empty((count, 3))
+    pos = 0
+    tv = mesh.vertices[mesh.triangles]
+    for f in np.nonzero(base)[0]:
+        k = int(base[f])
+        r1 = np.sqrt(rng.random(k))
+        r2 = rng.random(k)
+        a, b, c = tv[f, 0], tv[f, 1], tv[f, 2]
+        p = (1 - r1)[:, None] * a + (r1 * (1 - r2))[:, None] * b + (r1 * r2)[:, None] * c
+        pts[pos : pos + k] = p
+        nrm[pos : pos + k] = mesh.face_normals[f]
+        pos += k
+    return PointCloud(pts, nrm)
+
+
+def assert_same_samples(mesh: TriMesh, count: int, seed: int) -> None:
+    got, want = surface_sample(mesh, count, seed), reference_surface_sample(mesh, count, seed)
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.normals.tobytes() == want.normals.tobytes()
+
+
+class TestSurfaceSampleMatchesReference:
+    # the three uses in the package: contact samples, `completion_ground_truth`
+    # and `label_pair`, the last two on the seeds of two scenes
+    @pytest.mark.parametrize("count, seed", [(2048, 0x5EED), (2048, 0 ^ 0x6E0C), (2048, 1 ^ 0x6E0C),
+                                             (1024, 0 ^ 0x9E3779B9), (1024, 1 ^ 0x9E3779B9)],
+                             ids=["contacts", "ground_truth_0", "ground_truth_1", "label_pair_0", "label_pair_1"])
+    def test_default_catalog(self, count, seed):
+        for obj in build_catalog(CatalogConfig()):
+            assert_same_samples(obj.mesh, count, seed)
+
+    @pytest.mark.parametrize("count", [1, 2, 17, 351])
+    def test_fewer_samples_than_faces(self, count):
+        # the sphere has 352 faces, so some faces get no sample
+        sphere = make_sphere(0.03)
+        assert len(sphere.triangles) == 352
+        assert_same_samples(sphere, count, seed=8)
+
+    def test_zero_area_faces(self):
+        # a degenerate face first, in the middle and last, each with no sample
+        box = make_box(0.05, 0.06, 0.07)
+        triangles = np.vstack([[[0, 0, 1]], box.triangles[:6], [[2, 2, 2]], box.triangles[6:], [[3, 4, 3]]])
+        mesh = TriMesh(box.vertices, triangles)
+        assert np.flatnonzero(mesh.face_areas == 0.0).tolist() == [0, 7, 14]
+        for count in (1, 5, 12, 500):
+            assert_same_samples(mesh, count, seed=count)

@@ -482,6 +482,15 @@ class TestSampling:
         with pytest.raises(InputError):
             sample_candidate_grasps(PointCloud.empty(), GRIP, 10, seed=0)
 
+    @pytest.mark.parametrize("bad", ["x", None, np.zeros((64, 3))])
+    def test_cloud_and_gripper_must_be_a_cloud_and_a_gripper(self, bad):
+        # "x" raised a bare AttributeError: no attribute 'points', or 'palm_clearance'
+        with pytest.raises(InputError, match="target_cloud"):
+            sample_candidate_grasps(bad, GRIP, 5, seed=1)
+        cloud = surface_sample(make_box(0.04, 0.05, 0.06), 64, seed=0)
+        with pytest.raises(InputError, match="gripper"):
+            sample_candidate_grasps(cloud, bad, 5, seed=1)
+
     @pytest.mark.parametrize("count", [1.5, -3, 0, True, "4", None, np.float64(4.0)])
     def test_count_must_be_a_positive_integer(self, count):
         # 1.5 gave 2 grasps and -3 gave none

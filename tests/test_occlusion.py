@@ -157,6 +157,15 @@ class TestOcclusionLevel:
         with pytest.raises(InputError, match="target_index"):
             occlusion_level(single, cluttered, target_index, BinScheme.test())
 
+    @pytest.mark.parametrize("frame", ["a", None, np.zeros((20, 20))])
+    def test_frames_must_be_depth_frames(self, frame):
+        # "a" raised a bare AttributeError: no attribute 'camera'
+        single, cluttered = hand_built_pair(100, 30)
+        with pytest.raises(InputError, match="single_frame"):
+            occlusion_level(frame, cluttered, 0, BinScheme.test())
+        with pytest.raises(InputError, match="cluttered_frame"):
+            occlusion_level(single, frame, 0, BinScheme.test())
+
     def test_numpy_integer_target_index(self):
         single, cluttered = hand_built_pair(100, 30)
         assert (occlusion_level(single, cluttered, np.uint16(0), BinScheme.test())

@@ -1,4 +1,5 @@
 import ast
+import collections
 import importlib
 import importlib.metadata
 import re
@@ -138,10 +139,17 @@ def _module_names(path) -> list[tuple[str, ast.AST]]:
 
 def test_private_module_names_are_used():
     # a private function, class or constant that no code of the package names
-    # is dead: being private, nothing outside the package should call it
-    used = _referenced_names(SOURCES)
+    # is dead: being private, nothing outside the package should call it. A
+    # name of module M counts as used when M reads it or another module imports
+    # it from M, so two modules' names of one spelling cannot hide each other
+    imported = collections.defaultdict(set)
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                imported[node.module.rpartition(".")[2]] |= {alias.name for alias in node.names}
     unused = [f"{path.name}: {name}" for path in SOURCES for name, _ in _module_names(path)
-              if name.startswith("_") and not name.startswith("__") and name not in used]
+              if name.startswith("_") and not name.startswith("__")
+              and name not in _referenced_names([path]) | imported[path.stem]]
     assert not unused
 
 

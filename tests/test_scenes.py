@@ -103,7 +103,9 @@ class TestCatalog:
     def test_degenerate_range_and_numpy_size_accepted(self):
         catalog = build_catalog(CatalogConfig(size=np.int64(4), box_side=(0.05, 0.05), height=(0.1, 0.1)))
         assert len(catalog) == 4
-        assert catalog[0].footprint == (0.05, 0.05, 0.1)
+        vertices = catalog[0].mesh.vertices
+        assert catalog[0].height == 0.1
+        assert (vertices.max(axis=0) - vertices.min(axis=0))[:2].tolist() == [0.05, 0.05]
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +138,7 @@ def reference_convex_hull_xy(points: np.ndarray) -> np.ndarray:
 
 
 def reference_footprint(obj) -> np.ndarray:
-    if obj.kind != "sphere":
+    if not obj.catalog_id.startswith("sphere_"):
         return reference_convex_hull_xy(obj.mesh.vertices)
     r = obj.mesh.vertices[:, 2].max() / 2.0 / math.cos(math.pi / 24)  # the north pole is at z = 2 radius
     ang = 2 * np.pi * np.arange(24) / 24
@@ -152,7 +154,7 @@ class TestFootprintMatchesHull:
             assert obj.footprint_poly.shape == want.shape, obj.catalog_id
             assert obj.footprint_poly.tobytes() == want.tobytes(), obj.catalog_id
             assert not obj.footprint_poly.flags.writeable
-        assert {obj.kind for obj in catalog} == {"box", "cylinder", "hex", "sphere"}
+        assert {obj.catalog_id.split("_")[0] for obj in catalog} == {"box", "cylinder", "hex", "sphere"}
 
 
 class TestPolygonDistance:
@@ -211,7 +213,7 @@ def footprint_pairs(n: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     up to 3 mm, touching, within 10 um of the 1 mm margin, two boxes sharing an
     edge, and a footprint holding a shrunken copy of itself."""
     catalog = build_catalog(CatalogConfig())
-    boxes = [obj.footprint_poly for obj in catalog if obj.kind == "box"]
+    boxes = [obj.footprint_poly for obj in catalog if obj.catalog_id.startswith("box_")]
     rng = np.random.default_rng(seed)
 
     def posed(poly, at):
@@ -411,6 +413,14 @@ class TestManifest:
             assert ia.pose.as_7floats() == ib.pose.as_7floats()
             assert np.array_equal(ia.mesh.vertices, ib.mesh.vertices)
 
+    @pytest.mark.parametrize("content", [b"not json {", b'{"seed": 1', b"\x89PNG\xff\xfe"], ids=["text", "cut", "binary"])
+    def test_file_that_is_not_json(self, tmp_path, content):
+        # a bare json.JSONDecodeError, or UnicodeDecodeError for bytes that are not UTF-8
+        path = tmp_path / "scene.json"
+        path.write_bytes(content)
+        with pytest.raises(InputError, match="not JSON"):
+            load_scene(path)
+
     def test_manifest_is_stable_json(self):
         cfg = SceneConfig(object_count_range=(3, 3), seed=8)
         scene = generate_packed_scene(cfg)
@@ -504,7 +514,7 @@ def reference_footprint_gap(lo: np.ndarray, hi: np.ndarray, other: np.ndarray) -
 
 def reference_place_instance(obj, extent, placed, rng, position=None, yaw=None):
     margin = scenes_module.PLACEMENT_MARGIN
-    if obj.footprint[2] > extent:
+    if obj.height > extent:
         return None
     yaw = rng.uniform(0.0, 2.0 * math.pi) if yaw is None else yaw
     rot = quaternion_about_axis((0.0, 0.0, 1.0), yaw)
@@ -532,7 +542,7 @@ def reference_place_instance(obj, extent, placed, rng, position=None, yaw=None):
         if scenes_module.polygon_distance(world_poly, other_poly) < margin:
             return None
     pose = Pose(rot, np.array([position[0], position[1], 0.0]))
-    return ObjectInstance(obj.catalog_id, obj.mesh, pose, obj.footprint, obj.footprint_poly)
+    return ObjectInstance(obj.catalog_id, obj.mesh, pose, obj.footprint_poly)
 
 
 class ScriptedRng:
@@ -595,7 +605,7 @@ class TestPlacementBroadPhase:
     def test_margin_decided_near_the_boundary(self):
         # two axis-aligned boxes side by side: the footprint distance is the x gap
         box = build_catalog(CatalogConfig(size=1))[0]
-        length = box.footprint[0]
+        length = box.mesh.vertices[:, 0].max() - box.mesh.vertices[:, 0].min()
         first = scenes_module._place_instance(box, 0.3, [], ScriptedRng(0.0, 0.1, 0.15))
         for gap, fits in ((0.5e-3, False), (0.95e-3, False), (0.999e-3, False), (1.001e-3, True), (5e-3, True)):
             second = scenes_module._place_instance(box, 0.3, [first], ScriptedRng(0.0, 0.1 + length + gap, 0.15))

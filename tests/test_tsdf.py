@@ -141,7 +141,7 @@ class TestFuse:
         rot = quaternion_about_axis((0, 1, 0), np.deg2rad(15))
         pose = Pose(rot, np.array([0.15, 0.15, 0.05]))
         poly = np.array([[-lx / 2, -ly / 2], [lx / 2, -ly / 2], [lx / 2, ly / 2], [-lx / 2, ly / 2]])
-        inst = ObjectInstance("tilted", make_box(lx, ly, lz), pose, (lx, ly, lz), poly)
+        inst = ObjectInstance("tilted", make_box(lx, ly, lz), pose, poly)
         scene = make_scene([inst])
         cam_pose = look_at_pose((0.15, 0.15, 0.7), (0.15, 0.15, 0.0), up=(0.0, 1.0, 0.0))
         cam = CameraModel(640, 480, 800.0, 800.0, 320.0, 240.0, cam_pose)
@@ -365,6 +365,14 @@ class TestBadInput:
             fuse(frame, config)
         with pytest.raises(InputError, match="config"):
             splat(with_normals(np.array([[0.15, 0.15, 0.1]])), config)
+
+    @pytest.mark.parametrize("value", ["x", None, np.zeros((40, 40, 40))])
+    def test_frame_and_cloud_must_be_a_frame_and_a_cloud(self, value):
+        # "x" raised a bare AttributeError: no attribute 'camera', or 'points'
+        with pytest.raises(InputError, match="frame"):
+            fuse(value)
+        with pytest.raises(InputError, match="cloud"):
+            splat(value)
 
     @pytest.mark.parametrize("grid", ["grid", None, np.zeros((40, 40, 40))])
     def test_grid_must_be_a_tsdf_grid(self, grid):
