@@ -2,30 +2,9 @@
 
 `render` resolves each covered pixel by an exact ray/triangle intersection
 through the pixel center, so the result is identical to per-pixel ray
-casting; depth is the camera-frame z coordinate. It rasterises each instance
-into its own depth layer, the nearest hit t over the instance's pixel box.
-A triangle is tested only on its row spans: in each row of its pixel box,
-the pixels between the row-centre line's crossings of its projected edges,
-padded by one pixel on each side. Each triangle's pixels, its spans row by
-row, are one batch element; triangles sorted by their number of pixels fill
-chunks of about `_CHUNK_PAIRS` (triangle, pixel) pairs. `_frame_from_layers`
-composes a frame from its instances' layers: the nearest hit wins a pixel,
-and the lower instance index wins a tie.
-
-`render` skips the back faces of an instance when that cannot change its
-layer: its mesh is closed with outward winding (`TriMesh.is_closed_outward`)
-and every vertex lies in front of the camera plane, so the camera is outside
-the mesh. A ray from a camera outside a closed, outward mesh that meets a
-back face has met a front face of the same mesh no farther along, so the
-nearest hit is a front face's. Every other instance is rasterised whole.
-
-The layers of the last scene rasterised stay in one module-level slot,
-keyed by the camera object and the identity of each instance, so the single
-scenes derived from a cluttered scene are composed from its layers without
-rasterising again. Identity is a sound key because cameras, instances, poses
-and mesh arrays are immutable and the slot holds strong references to what
-it keys. `back_project` works inside the bounding box of the retained
-pixels.
+casting; depth is the camera-frame z coordinate. `_rasterise` gives each
+instance its own depth layer, and `_frame_from_layers` composes a frame from
+them. `back_project` works inside the bounding box of the retained pixels.
 """
 
 from __future__ import annotations
@@ -100,6 +79,13 @@ def default_camera(width: int = 640, height: int = 480, focal: float = 540.0,
                    elevation_deg: float = 45.0) -> CameraModel:
     """Side-view camera at the given elevation, `CAMERA_DISTANCE` from the centre of the
     `WORKSPACE_EXTENT` square on the table, looking at the point 5 cm above it."""
+    if not (_positive_int(width) and _positive_int(height)):
+        raise InputError(f"width and height must be positive integers, got {(width, height)!r}")
+    if not _finite_positive(focal):
+        raise InputError(f"focal must be finite and positive, got {focal!r}")
+    if not (isinstance(elevation_deg, numbers.Real) and not isinstance(elevation_deg, bool)
+            and np.isfinite(elevation_deg)):
+        raise InputError(f"elevation_deg must be a finite number, got {elevation_deg!r}")
     c = WORKSPACE_EXTENT / 2.0
     el = np.deg2rad(elevation_deg)
     eye = np.array([c, c - CAMERA_DISTANCE * np.cos(el), CAMERA_DISTANCE * np.sin(el)])
@@ -139,108 +125,71 @@ _BACK_FACE_TOL = 1e-9
 
 
 class _Layer(NamedTuple):
-    """One instance's nearest hit t per pixel of its own pixel box, inf where it misses."""
+    """One instance's nearest hit t per pixel of its own pixel box, the union
+    of its triangles' boxes, inf where it misses. `t` is a read-only view of
+    the z-buffer its scene was rasterised into, freed with that scene's slot."""
 
     row: int
     col: int
     t: np.ndarray  # (rows, cols) float64, read-only
 
 
-# The last scene `render` rasterised: its camera, and {id(instance): (instance,
-# layer or None)}. `render` replaces the whole tuple and never mutates a
-# published dict, so a concurrent render sees either the old slot or the new.
+# The last scene `render` rasterised, its one key: the camera object, and
+# {id(instance): (instance, layer or None)} for every instance of that scene.
+# `render` replaces the whole tuple and never mutates a published dict, so a
+# concurrent render sees either the old slot or the new.
 _slot: tuple[CameraModel | None, dict[int, tuple[ObjectInstance, _Layer | None]]] = (None, {})
 
 
 def render(scene: Scene, camera: CameraModel) -> DepthFrame:
     """Nearest-surface depth + owning instance id per pixel.
 
-    Each instance has a depth layer: the nearest hit t of every pixel of its
-    own pixel box, the union of its triangles' boxes. `_frame_from_layers`
+    Each instance has a depth layer (`_Layer`). `_frame_from_layers`
     composes the frame from the layers in instance order with a strict `<`,
     so the nearest hit wins a pixel and, on equal depth, the lower instance
     index.
 
-    The layers of the last scene rasterised stay in one module-level slot,
-    with its camera, keyed by the identity of each instance. A render with
-    the same camera object takes each instance it finds there from the slot
-    and rasterises only the rest; a render with any miss replaces the slot
-    with its own scene's layers, so the slot holds one scene. Rendering a
-    cluttered scene and then its singles (`derive_single_scene`) thus
-    rasterises each instance once. The identity key is sound because
-    `CameraModel`, `ObjectInstance`, `Pose` and the `TriMesh` arrays are
-    immutable, and because the slot holds strong references to the camera
-    and the instances, so no id it keys can be reused while it is cached.
-    The layers are read-only, and every frame gets new arrays.
-
-    Rasterising: triangles with a vertex at camera z <= 1e-6 are skipped.
-    So are the back faces of an instance that passes two gates: its mesh
-    `is_closed_outward`, and every vertex has camera z > 1e-6. The second
-    gate means the near-plane test drops none of its triangles, and it puts
-    the camera outside the mesh (from inside a closed box the camera sees
-    only back faces). A back face has n . a above `_BACK_FACE_TOL` |n| |a|,
-    where a, b, c are its vertices in camera coordinates and
-    n = cross(b - a, c - a): its plane misses the camera, and a ray from the
-    camera that meets it leaves the solid there. Having started outside, the
-    ray entered the solid earlier, through a front face of the same mesh, so
-    the instance's nearest hit, its layer and the frame are what they are
-    without the cull. Edge-on faces, within the tolerance, are kept. The
-    argument holds in exact arithmetic for a surface that does not cross
-    itself, which the convex primitives of `meshes` satisfy. In floating
-    point, a ray within the barycentric tolerance of a silhouette edge could
-    hit the back face and miss the front one; no frame of the benchmark
-    corpora does. The remaining triangles are gathered in instance order
-    with their pixel boxes clipped to the image.
-
-    A (triangle, pixel) pair hits when the ray through the pixel center
-    meets the triangle (Moller-Trumbore, barycentric tolerance 1e-12,
-    determinant above 1e-14, t above 1e-9). A triangle is tested only on
-    its row spans: in each box row, the pixels between the first and the
-    last crossing of the row-centre line with its projected edges, padded
-    by one pixel on each side and clipped to the box (`_row_spans`). The
-    crossings round by far less than the pad, so the spans skip only misses.
-
-    A triangle's spans, row after row, are one batch element. Triangles,
-    sorted by pair count, fill chunks of about `_CHUNK_PAIRS` pairs, and a
-    larger one is split across chunks. A shorter element is padded to the
-    widest of its chunk by repeating its last pixel; that gives the same t
-    again, and `np.minimum.at` keeps the same minimum in any order, so
-    padding and chunking change no bit.
-
-    The three dot products are `matmul`s over (n, 3) @ (3, 1) batch
-    elements. NumPy runs these as BLAS `gemv` where n >= 2, which rounds
-    each row alone, whatever n and the row's position, and as `dot` where
-    n = 1, which rounds otherwise. A loop over triangles and box rows calls
-    `dot` exactly where the box is one column wide, so such a triangle's
-    pixels are evaluated one per element and every other element has at
-    least two pairs: t is bit-identical to that loop's. An elementwise sum
-    would round differently where BLAS fuses multiply-adds.
+    The slot holds the layers of the last scene rasterised. A render whose
+    camera is the slot's camera object and whose instances are all in the
+    slot is composed from it; any other render rasterises its whole scene
+    and replaces the slot. Rendering a cluttered scene and then its singles
+    (`derive_single_scene`) thus rasterises each instance once. The identity
+    keys are sound because `CameraModel`, `ObjectInstance`, `Pose` and the
+    `TriMesh` arrays are immutable, and because the slot holds strong
+    references to the camera and the instances, so no id it keys can be
+    reused while it is cached. Every frame gets new arrays.
     """
     _check_type(scene, Scene, "scene")
     _check_type(camera, CameraModel, "camera")
     global _slot
-    cached_camera, cached = _slot
-    if camera is not cached_camera:
-        cached = {}
-    layers, misses = {}, []
-    for instance in scene.instances:
-        key = id(instance)
-        if key in layers:
-            continue
-        if key in cached:
-            layers[key] = cached[key]
-        else:
-            layers[key] = None
-            misses.append(instance)
-    if misses:
-        for instance, layer in zip(misses, _rasterise(misses, camera)):
-            layers[id(instance)] = (instance, layer)
-        _slot = (camera, layers)
-    return _frame_from_layers([layers[id(instance)][1] for instance in scene.instances], camera)
+    cached_camera, layers = _slot
+    if camera is cached_camera and all(id(instance) in layers for instance in scene.instances):
+        return _frame_from_layers([layers[id(instance)][1] for instance in scene.instances], camera)
+    fresh = _rasterise(list(scene.instances), camera)
+    _slot = (camera, {id(instance): (instance, layer) for instance, layer in zip(scene.instances, fresh)})
+    return _frame_from_layers(fresh, camera)
 
 
 def _rasterise(instances: list[ObjectInstance], camera: CameraModel) -> list[_Layer | None]:
-    """The depth layer of each instance; None where every pixel box is empty."""
+    """The depth layer of each instance; None where every pixel box is empty.
+
+    Triangles with a vertex at camera z <= 1e-6 are skipped. So are the back
+    faces (see `_BACK_FACE_TOL`) of an instance that passes two gates: its
+    mesh `is_closed_outward`, and every vertex has camera z > 1e-6. The
+    second gate means the near-plane test drops none of its triangles, and
+    it puts the camera outside the mesh (from inside a closed box the camera
+    sees only back faces). A back face's plane misses the camera, and a ray
+    from the camera that meets it leaves the solid there. Having started
+    outside, the ray entered the solid earlier, through a front face of the
+    same mesh, so the instance's nearest hit, its layer and the frame are
+    what they are without the cull. The argument holds in exact arithmetic
+    for a surface that does not cross itself, which the convex primitives of
+    `meshes` satisfy. In floating point, a ray within the barycentric
+    tolerance of a silhouette edge could hit the back face and miss the
+    front one; no frame of the benchmark corpora does. The remaining
+    triangles are gathered in instance order with their pixel boxes clipped
+    to the image.
+    """
     h, w = camera.height, camera.width
     world_to_cam = camera.pose.inverse()
     rot = world_to_cam.rotation.as_matrix()
@@ -283,15 +232,14 @@ def _rasterise(instances: list[ObjectInstance], camera: CameraModel) -> list[_La
     tris = [np.concatenate(arrays) for arrays in zip(*parts)]
     del parts  # the per-instance copies
     zbuf = _nearest_hits(camera, size, *tris)
+    zbuf.flags.writeable = False
     layers, start = [], 0
     for box in boxes:
         if box is None:
             layers.append(None)
             continue
         row, col, rows, cols = box
-        t = zbuf[start:start + rows * cols].reshape(rows, cols).copy()  # its own buffer, freed with the layer
-        t.flags.writeable = False
-        layers.append(_Layer(row, col, t))
+        layers.append(_Layer(row, col, zbuf[start:start + rows * cols].reshape(rows, cols)))
         start += rows * cols
     return layers
 
@@ -302,6 +250,28 @@ def _nearest_hits(camera: CameraModel, size: int, tv, u, v, u0, u1, v0, v1, base
     Triangle i has camera-frame vertices tv[i], projected vertices u[i], v[i],
     pixel box columns u0[i]..u1[i] and rows v0[i]..v1[i], and writes pixel
     (py, px) to element base[i] + py * stride[i] + px.
+
+    A (triangle, pixel) pair hits when the ray through the pixel center
+    meets the triangle (Moller-Trumbore, barycentric tolerance 1e-12,
+    determinant above 1e-14, t above 1e-9). A triangle is tested only on
+    its row spans (`_row_spans`). The crossings round by far less than the
+    pad, so the spans skip only misses.
+
+    A triangle's spans, row after row, are one batch element. Triangles,
+    sorted by pair count, fill chunks of about `_CHUNK_PAIRS` pairs, and a
+    larger one is split across chunks. A shorter element is padded to the
+    widest of its chunk by repeating its last pixel; that gives the same t
+    again, and `np.minimum.at` keeps the same minimum in any order, so
+    padding and chunking change no bit.
+
+    The three dot products are `matmul`s over (n, 3) @ (3, 1) batch
+    elements. NumPy runs these as BLAS `gemv` where n >= 2, which rounds
+    each row alone, whatever n and the row's position, and as `dot` where
+    n = 1, which rounds otherwise. A loop over triangles and box rows calls
+    `dot` exactly where the box is one column wide, so such a triangle's
+    pixels are evaluated one per element and every other element has at
+    least two pairs: t is bit-identical to that loop's. An elementwise sum
+    would round differently where BLAS fuses multiply-adds.
     """
     a = tv[:, 0]
     e1 = tv[:, 1] - a
@@ -458,6 +428,7 @@ def _frame_from_layers(layers: list[_Layer | None], camera: CameraModel) -> Dept
 
 def add_depth_noise(frame: DepthFrame, sigma: float, seed: int) -> DepthFrame:
     """I.i.d. zero-mean Gaussian perturbation of non-background depths."""
+    _check_type(frame, DepthFrame, "frame")
     if not _finite_non_negative(sigma):
         raise InputError(f"sigma must be finite and >= 0, got {sigma!r}")
     noise = _rng(seed).normal(0.0, sigma, size=frame.depth.shape).astype(np.float32)
@@ -556,6 +527,7 @@ def save_frame(dir_path, stem: str, frame: DepthFrame) -> list[Path]:
     uint16, `intrinsics` (width, height, fx, fy, cx, cy) and `pose`, the
     camera-to-world pose as `Pose.as_7floats`.
     """
+    _check_type(frame, DepthFrame, "frame")
     path = Path(dir_path) / f"{stem}.frame.npz"
     path.parent.mkdir(parents=True, exist_ok=True)
     cam = frame.camera

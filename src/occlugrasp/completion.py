@@ -147,6 +147,7 @@ def volumetric_iou(a: PointCloud, b: PointCloud) -> float:
 
 def completion_ground_truth(scene: Scene) -> PointCloud:
     """Complete cloud of `DEFAULT_COMPLETION_POINTS` sampled from the target mesh at its scene pose."""
+    _check_type(scene, Scene, "scene")
     target = scene.target
     return surface_sample(target.mesh, DEFAULT_COMPLETION_POINTS,
                           seed=_seed(scene.seed) ^ 0x6E0C).transformed(target.pose)

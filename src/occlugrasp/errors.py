@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit, and the checks that callers
-use to raise `InputError`: a positive or a non-negative number, a positive integer, a type and a seed."""
+use to raise `InputError`: a positive or a non-negative number, a positive integer, a type, the
+type of each item of a list, and a seed."""
 
 import math
 import numbers
@@ -38,6 +39,15 @@ def _check_type(value, cls: type, name: str) -> None:
     """Raise `InputError` unless `value` is a `cls`."""
     if not isinstance(value, cls):
         raise InputError(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
+def _check_items(values, cls: type, name: str) -> None:
+    """Raise `InputError` unless `values` is a list or a tuple of `cls`."""
+    if not isinstance(values, (list, tuple)):
+        raise InputError(f"{name} must be a list, got {values!r}")
+    for value in values:
+        if not isinstance(value, cls):
+            raise InputError(f"each of {name} must be a {cls.__name__}, got {value!r}")
 
 
 def _seed(seed) -> int:

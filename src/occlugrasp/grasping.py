@@ -7,37 +7,27 @@ is collision free, and both extremal contacts inside the finger-pad slab have
 surface normals within the friction cone of the closing axis, whose
 coefficient is `FRICTION_MU`.
 
-`simulate_grasp` runs its tests in a fixed order and returns at the first
-failure, whose reason the result names (`SimResult.detail` says more):
+Both oracle drivers, `simulate_grasp` and `_simulate_batch`, run the tests
+in a fixed order, and the first failure decides the result, whose reason
+names it (`SimResult.detail` says more):
 
 1. the grasp width against the gripper opening (`WIDTH_EXCEEDED`);
 2. the 24 corners of the three gripper boxes against the table plane
    (`TABLE_BLOCK`);
 3. each occluder, in index order (`OCCLUDER_COLLISION`);
 4. the target body (`ANTIPODAL_FAIL`);
-5. the pad contacts and the friction cone (`ANTIPODAL_FAIL`).
+5. the pad contacts and the friction cone (`ANTIPODAL_FAIL`, `_contacts`).
 
 Every mesh test starts with a broad phase: an instance whose world
 axis-aligned bounding box lies farther than `BROAD_PHASE_MARGIN` from the box
 around the gripper corners is skipped. The skip is conservative. Each gripper
 box is the convex hull of its corners, so a gap between the two boxes is a gap
 of at least that size between every triangle and every gripper box, and the
-exact separating-axis test, which is complete for a triangle against a box,
-would clear every triangle too. The margin lies orders of magnitude above the
-rounding error of either computation. An instance that survives is moved into
-the grasp frame once and tested against all three boxes.
-
-The narrow phase is the 13-axis separating-axis test of a triangle against a
-box, run in stages per box. A box that misses the box around the mesh's
-vertices is skipped. The three box-face axes run on every triangle. The
-triangle-plane axis and the nine edge axes (u_k x e for box axis u_k and
-triangle edge e) run together, and only on the triangles that no face axis
-separates. A triangle overlaps the box iff no axis separates it, so leaving
-out the triangles a face axis already separates changes no decision. The
-survivors get the projections and radii of the full test: an edge axis has a
-zero component, so each projection is its two-term sum, and the radii stay a
-BLAS matrix-vector product, which rounds differently from an explicit sum.
-The first box that a triangle overlaps ends the test.
+exact separating-axis test (`_triangles_hit_box`), which is complete for a
+triangle against a box, would clear every triangle too. The margin lies
+orders of magnitude above the rounding error of either computation. An
+instance that survives is moved into the grasp frame once and tested against
+all three boxes (`_mesh_hits`).
 
 Only test 3 sees the clutter; tests 1, 2, 4 and 5 see the target and the
 table alone. So the cluttered result is the single-scene result, except that
@@ -52,54 +42,16 @@ rotated in one elementwise pass, in the operation order of
 `Quaternion.rotate` (a matrix product would round differently). The broad
 phase is one candidates x instances matrix, and `_mesh_hits` tests each
 instance on all candidates near it at once, the occluders in index order,
-each on the candidates no lower one hit. For the contacts, one matrix product
-gives the y and z of the target's samples in every candidate's frame,
-`BATCH_CHUNK` candidates at a time, and only samples within
-`BROAD_PHASE_MARGIN` of the pad slab are transformed exactly (their points,
-and the x of their normals, which is all the friction cone reads) and passed
-to `_pad_slab_contacts`. So every stage gets the inputs the per-grasp path
-would give it, and every result, detail included, equals `simulate_grasp`'s,
-which runs the narrow phase, `_mesh_hits`, and the contacts, `_contacts`, as a
-batch of one. The set-up and the broad phase stay separate, as sharing them
-costs time (2-vCPU x86 VM): a batch set-up of one grasp took 202 us against 74 us
-for the scalar one, and a `label_pair` built on per-grasp calls 37.6 ms per
-`episode` benchmark scene against 17.2 ms. Both drivers move meshes into
-grasp frames with `geometry`'s `_inverse`, `_compose` and `_matrix`, which
-`Pose` and `Quaternion` are built on, so the bits are theirs.
-
-A caller that judges one grasp in a scene and in its single scene, as TARGO's
-paired results do, repeats all but test 3. So `simulate_grasp` keeps a
-one-grasp slot: the last grasp, by identity; its gripper, by value; its set-up
-(the table verdict, the reach box, the move into the grasp frame, the box
-centres and half-extents); and, once a call gets that far, the result of tests
-4 and 5 with the target instance it was computed for, by identity. A call with
-the same grasp reuses the set-up; if its scene's target is the same instance
-object, it reuses the target result, after testing its own scene's occluders in
-index order, which are never cached. The identity keys are sound because
-`Grasp`, `Quaternion`, `Pose`, `ObjectInstance` and the mesh arrays are
-immutable, and because the slot holds strong references to the grasp and the
-target, so no id it keys can be reused while it is cached. Every call publishes
-a new tuple and never mutates a published one, so a concurrent call sees either
-the old slot or the new; each decision is the one the call would compute, only
-computed once.
-
-`sample_candidate_grasps` samples antipodal pairs the way GPD does (ten Pas et
-al., IJRR 2017): a drawn surface point, its inward normal d, and the farthest
-point that faces along d and lies near the inward ray. An attempt takes
-`normals @ d` over the whole cloud, then the offsets and their projections on
-d only on the rows that face along d, and the distance from the ray only on
-the rows ahead of the point; the pair distance is the largest projection that
-passes. Every value is computed per row. NumPy hands a product of two or more
-rows to BLAS `gemv`, which rounds each row alone, so a row of the subset has
-the bits it had in the whole cloud; a one-row product goes to BLAS `dot`,
-which rounds 22% of random rows otherwise, so a lone facing row goes in twice.
-After the attempts, the frames of all pairs, 12 approaches each, are built in
-one elementwise pass (`_grasp_frames`), in the arithmetic of the one-vector
-formula. Its dot products and norms are a batch of (1, 3) @ (3, 1) products,
-each of which NumPy hands to `dot` as it does a product of two vectors. `dot`
-chains fused multiply-adds: on 20,000 random rows an elementwise sum matched it
-on 67%, and `einsum` on 58% (NumPy 2.4, OpenBLAS, x86-64). The matrix becomes a
-quaternion in `geometry._from_matrix`, which `Quaternion.from_matrix` shares.
+each on the candidates no lower one hit. `_contacts` takes all candidates
+that reach test 5. So every stage gets the inputs the per-grasp path would
+give it, and every result, detail included, equals `simulate_grasp`'s, which
+runs `_mesh_hits` and `_contacts` as a batch of one. The set-up and the broad
+phase stay separate, as sharing them costs time (2-vCPU x86 VM): a batch
+set-up of one grasp took 202 us against 74 us for the scalar one, and a
+`label_pair` built on per-grasp calls 37.6 ms per `episode` benchmark scene
+against 17.2 ms. Both drivers move meshes into grasp frames with
+`geometry`'s `_inverse`, `_compose` and `_matrix`, which `Pose` and
+`Quaternion` are built on, so the bits are theirs.
 
 Grasp frame: x is the closing axis joining the antipodal pair, z is the
 approach (travel) direction, y completes the right-handed frame. The grasp
@@ -118,7 +70,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, _check_type, _finite_positive, _positive_int, _rng, _seed
+from .errors import InputError, _check_items, _check_type, _finite_positive, _positive_int, _rng, _seed
 from .geometry import (PointCloud, Pose, Quaternion, _compose, _cross, _from_matrix, _inverse, _matrix, _rotate,
                        _rotate_x, orthonormal_tangents)
 from .meshes import surface_sample
@@ -220,14 +172,19 @@ class SimResult:
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`a[i] @ b[i]` of each row of two (m, 3) arrays, with its bits: a batch of
     (1, 3) @ (3, 1) products, each of which NumPy hands to BLAS `dot` as it does
-    a product of two vectors (an elementwise sum or `einsum` rounds otherwise)."""
+    a product of two vectors. `dot` chains fused multiply-adds: on 20,000 random
+    rows an elementwise sum matched it on 67%, and `einsum` on 58% (NumPy 2.4,
+    OpenBLAS, x86-64)."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _grasp_frames(axes: np.ndarray, approaches: np.ndarray) -> tuple:
     """(w, x, y, z) arrays of the frames of m grasps, from (m, 3) closing axes
     and approach directions: x is the unit axis, z the approach made
-    perpendicular to it and unit, and y = z cross x."""
+    perpendicular to it and unit, and y = z cross x. The arithmetic is the
+    one-vector formula's, its dot products and norms `_row_dots`; the matrix
+    becomes a quaternion in `geometry._from_matrix`, which
+    `Quaternion.from_matrix` shares."""
     x = axes / np.sqrt(_row_dots(axes, axes))[:, None]
     z = approaches - _row_dots(approaches, x)[:, None] * x
     n = np.sqrt(_row_dots(z, z))
@@ -278,10 +235,15 @@ def _triangles_hit_box(tri: np.ndarray, half: np.ndarray) -> bool:
     """Whether any triangle of `tri` (m, 3 vertices, 3) overlaps the box
     centred at the origin with half-extents `half`.
 
-    The 13-axis separating-axis test in two stages (see the module
-    docstring): the three box-face axes on every triangle, then the
-    triangle-plane axis and the nine edge axes, all at once, on the
-    triangles no face axis separates.
+    The 13-axis separating-axis test in two stages. The three box-face axes
+    run on every triangle. The triangle-plane axis and the nine edge axes
+    (u_k x e for box axis u_k and triangle edge e) run together, and only on
+    the triangles that no face axis separates. A triangle overlaps the box
+    iff no axis separates it, so leaving out the triangles a face axis
+    already separates changes no decision. The survivors get the projections
+    and radii of the full test: an edge axis has a zero component, so each
+    projection is its two-term sum, and the radii stay a BLAS matrix-vector
+    product, which rounds differently from an explicit sum.
     """
     lo = np.minimum(np.minimum(tri[:, 0], tri[:, 1]), tri[:, 2])
     hi = np.maximum(np.maximum(tri[:, 0], tri[:, 1]), tri[:, 2])
@@ -358,28 +320,41 @@ def _occluder_hit(index: int) -> SimResult:
     return SimResult(False, FailureReason.OCCLUDER_COLLISION, f"gripper hits occluder {index}")
 
 
-# The last grasp `simulate_grasp` judged: (grasp, gripper, set-up, target
-# stage). The set-up is None where the table blocks the grasp, and the
-# target stage None or (target instance, result). A call publishes a new tuple
-# and never mutates a published one.
-_slot: tuple = (None, None, None, None)
+# The last (grasp, gripper, target) `simulate_grasp` judged, its one key, with
+# the set-up, None where the table blocks the grasp, and the result of tests 4
+# and 5, None until a call gets past the occluders. A call publishes a new
+# tuple and never mutates a published one.
+_slot: tuple = (None, None, None, None, None)
 
 
 def simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel) -> SimResult:
     """Quasi-static grasp oracle; the first failing test, in the module's order, decides.
 
-    The set-up of the last grasp judged, and its target stage, stay in a
-    one-grasp slot (see the module docstring). A call with the same grasp
-    object and a gripper of equal value reuses the set-up, and also the target
-    stage if the scene's target is the same instance object,
-    as in a scene and its `derive_single_scene`. The occluders are tested on
-    every call.
+    A caller that judges one grasp in a scene and in its single scene, as
+    TARGO's paired results do, repeats all but test 3. So the slot keeps the
+    last grasp judged, keyed by the grasp object, the gripper by value and
+    the target instance object together (a scene and its
+    `derive_single_scene` share the target). A call that matches all three
+    reuses the set-up (the table verdict, the reach box, the move into the
+    grasp frame, the box centres and half-extents) and, once a call has
+    filled it, the result of tests 4 and 5; any other call replaces the
+    slot. The occluders are tested on every call. The identity keys are
+    sound because `Grasp`, `Quaternion`, `Pose`, `ObjectInstance` and the
+    mesh arrays are immutable, and because the slot holds strong references
+    to the grasp and the target, so no id it keys can be reused while it is
+    cached. A concurrent call sees either the old slot or the new; each
+    decision is the one the call would compute, only computed once.
     """
     global _slot
+    if not (isinstance(grasp, Grasp) and isinstance(scene, Scene) and isinstance(gripper, GripperModel)):
+        _check_type(grasp, Grasp, "grasp")
+        _check_type(scene, Scene, "scene")
+        _check_type(gripper, GripperModel, "gripper")
     if grasp.width > gripper.max_width + 1e-12:
         return _WIDE
+    target = scene.target
     slot = _slot
-    if slot[0] is not grasp or slot[1] != gripper:
+    if slot[0] is not grasp or slot[1] != gripper or slot[2] is not target:
         boxes = gripper_boxes(grasp.width, gripper)
         lo, hi = boxes[:, None, 0], boxes[:, None, 1]
         corners = grasp.rotation.rotate((lo + _BOX_CORNERS * (hi - lo)).reshape(-1, 3)) + grasp.center
@@ -390,10 +365,10 @@ def simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel) -> SimResu
             setup = (corner_lo - BROAD_PHASE_MARGIN, corners.max(axis=0) + BROAD_PHASE_MARGIN,  # the reach box
                      _inverse((r.w, r.x, r.y, r.z), grasp.center.tolist()),  # world to grasp frame
                      (boxes[None, :, 0] + boxes[None, :, 1]) / 2.0, (boxes[None, :, 1] - boxes[None, :, 0]) / 2.0)
-        slot = _slot = (grasp, gripper, setup, None)
-    if slot[2] is None:
+        slot = _slot = (grasp, gripper, target, setup, None)
+    if slot[3] is None:
         return _TABLE
-    reach_lo, reach_hi, to_grasp, centers, halves = slot[2]
+    reach_lo, reach_hi, to_grasp, centers, halves = slot[3]
 
     def hits(inst: ObjectInstance) -> bool:
         lo, hi = inst.world_aabb
@@ -404,16 +379,15 @@ def simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel) -> SimResu
     hit = next((i for i, inst in enumerate(scene.instances) if i != scene.target_index and hits(inst)), None)
     if hit is not None:
         return _occluder_hit(hit)
-    target = scene.target
-    if slot[3] is not None and slot[3][0] is target:
-        return slot[3][1]
+    if slot[4] is not None:
+        return slot[4]
     if hits(target):
         result = _BODY
     else:
         pose = _compose(to_grasp, target.pose)
         ok, why = _contacts(target.mesh.contact_samples, pose, [grasp.width], gripper)[0]
         result = _SUCCESS if ok else SimResult(False, FailureReason.ANTIPODAL_FAIL, why)
-    _slot = (*slot[:3], (target, result))
+    _slot = (*slot[:4], result)
     return result
 
 
@@ -429,7 +403,9 @@ def _mesh_hits(inst: ObjectInstance, pose, centers: np.ndarray, halves: np.ndarr
     """Which of m grasps hit `inst`: the narrow phase of both drivers, past their
     broad phases. `pose` is each grasp's `_compose(to_grasp, inst.pose)`, floats for
     one grasp or (m, 1) arrays, which `np.dstack` both turns into (m, vertices, 3)
-    vertices; `centers` and `halves` are the (m, 3, 3) boxes."""
+    vertices; `centers` and `halves` are the (m, 3, 3) boxes. A box that misses
+    the box around the mesh's vertices is skipped, and the first box that a
+    triangle overlaps ends a grasp's test."""
     q, t = pose
     verts = np.dstack([v + c for v, c in zip(_rotate(q, tuple(inst.mesh.vertices.T)), t)])
     # vertex box against centred gripper boxes: min(v) - c == min(v - c), as subtracting keeps the order
@@ -549,6 +525,20 @@ def sample_candidate_grasps(
 ) -> list[Grasp]:
     """Antipodal candidates: surface point, inward-normal ray, opposing point.
 
+    The pairs are sampled the way GPD does (ten Pas et al., IJRR 2017): a
+    drawn surface point, its inward normal d, and the farthest point that
+    faces along d and lies near the inward ray. An attempt takes
+    `normals @ d` over the whole cloud, then the offsets and their
+    projections on d only on the rows that face along d, and the distance
+    from the ray only on the rows ahead of the point; the pair distance is
+    the largest projection that passes. Every value is computed per row.
+    NumPy hands a product of two or more rows to BLAS `gemv`, which rounds
+    each row alone, so a row of the subset has the bits it had in the whole
+    cloud; a one-row product goes to BLAS `dot`, which rounds 22% of random
+    rows otherwise, so a lone facing row goes in twice. After the attempts,
+    the frames of all pairs, `APPROACHES_PER_PAIR` approaches each, are built
+    in one pass (`_grasp_frames`).
+
     Candidates whose pair distance exceeds the gripper opening are emitted
     anyway (width > max_width) so downstream labeling can flag them.
     An attempt's outcome depends only on the drawn point index: an index that found no
@@ -576,7 +566,7 @@ def sample_candidate_grasps(
         p1 = pts[i]
         d = -nrm[i]  # inward
         # only the points whose normal faces along d can oppose p1; a lone one
-        # goes in twice, as `@` rounds a one-row product otherwise (module docstring)
+        # goes in twice, as `@` rounds a one-row product otherwise
         facing = np.flatnonzero(nrm @ d > 0.3)
         rel = pts[np.repeat(facing, 2) if len(facing) == 1 else facing] - p1
         s = rel @ d
@@ -614,6 +604,7 @@ def label_pair(cluttered: Scene, gripper: GripperModel, count: int, seed: int) -
     One batched pass over the cluttered scene gives each candidate's
     single-scene result and its first occluder hit (see the module docstring).
     """
+    _check_type(cluttered, Scene, "cluttered")
     target = cluttered.target
     cloud = surface_sample(target.mesh, 1024, seed=_seed(seed) ^ 0x9E3779B9).transformed(target.pose)
     candidates = sample_candidate_grasps(cloud, gripper, count, seed)
@@ -627,6 +618,7 @@ def label_pair(cluttered: Scene, gripper: GripperModel, count: int, seed: int) -
 
 def taxonomy_counts(labels: list[GraspLabel]) -> dict[str, int]:
     """Three-way grasp taxonomy over single/cluttered outcomes."""
+    _check_items(labels, GraspLabel, "labels")
     counts = {"fail_fail": 0, "succeed_fail": 0, "succeed_succeed": 0}
     for lab in labels:
         if lab.success_cluttered:
@@ -657,6 +649,7 @@ def label_to_record(scene_id: str, target_index: int, label: GraspLabel) -> dict
 
 
 def write_labels_jsonl(path, scene_id: str, target_index: int, labels: list[GraspLabel]) -> None:
+    _check_items(labels, GraspLabel, "labels")  # before the file is opened, so a bad label leaves none
     with Path(path).open("w") as fh:
         for lab in labels:
             fh.write(json.dumps(label_to_record(scene_id, target_index, lab), sort_keys=True) + "\n")

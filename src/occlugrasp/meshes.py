@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, _positive_int, _rng
+from .errors import InputError, _check_type, _positive_int, _rng
 from .geometry import PointCloud, Pose
 
 _EPS = 1e-12
@@ -135,16 +135,18 @@ def _make_prism(footprint_xy: np.ndarray, height: float) -> TriMesh:
     return TriMesh(v, np.array(tris))
 
 
+def _regular_polygon(circumradius: float, sides: int) -> np.ndarray:
+    """(sides, 2) CCW vertices of the regular polygon about the origin, the first on +x."""
+    ang = 2.0 * np.pi * np.arange(sides) / sides
+    return circumradius * np.column_stack([np.cos(ang), np.sin(ang)])
+
+
 def make_cylinder(radius: float, height: float) -> TriMesh:
-    ang = 2.0 * np.pi * np.arange(CYLINDER_SEGMENTS) / CYLINDER_SEGMENTS
-    poly = radius * np.column_stack([np.cos(ang), np.sin(ang)])
-    return _make_prism(poly, height)
+    return _make_prism(_regular_polygon(radius, CYLINDER_SEGMENTS), height)
 
 
 def make_hex_prism(circumradius: float, height: float) -> TriMesh:
-    ang = 2.0 * np.pi * np.arange(6) / 6
-    poly = circumradius * np.column_stack([np.cos(ang), np.sin(ang)])
-    return _make_prism(poly, height)
+    return _make_prism(_regular_polygon(circumradius, 6), height)
 
 
 def make_sphere(radius: float) -> TriMesh:
@@ -207,8 +209,12 @@ def _ray_triangles(origin, direction, v0, v1, v2):
 def ray_cast(mesh_set: list[tuple[TriMesh, Pose]], origin, direction) -> RayHit | None:
     """Nearest intersection of a world-space ray with a set of posed meshes:
     its distance and the index of its mesh in `mesh_set`, the lower index on a tie."""
-    if not mesh_set:
-        raise InputError("mesh_set must be non-empty")
+    if not (isinstance(mesh_set, (list, tuple)) and mesh_set):
+        raise InputError(f"mesh_set must be a non-empty list, got {mesh_set!r}")
+    for item in mesh_set:
+        if not (isinstance(item, tuple) and len(item) == 2
+                and isinstance(item[0], TriMesh) and isinstance(item[1], Pose)):
+            raise InputError(f"mesh_set must hold (TriMesh, Pose) pairs, got {item!r}")
     origin = np.asarray(origin, dtype=float)
     direction = np.asarray(direction, dtype=float)
     if origin.shape != (3,) or direction.shape != (3,) or not np.isfinite([origin, direction]).all():
@@ -254,6 +260,7 @@ def surface_sample(mesh: TriMesh, count: int, seed: int) -> PointCloud:
     `random(2 * count)` is that stream: with `start` samples on earlier faces,
     sample w of f reads r1 at `2 * start + w` and r2 at `2 * start + base[f] + w`.
     """
+    _check_type(mesh, TriMesh, "mesh")
     if not _positive_int(count):
         raise InputError(f"count must be a positive integer, got {count!r}")
     areas = mesh.face_areas

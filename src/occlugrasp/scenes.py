@@ -32,9 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GenerationError, InputError, _check_type, _finite_positive, _positive_int, _rng
+from .errors import GenerationError, InputError, _check_items, _check_type, _finite_positive, _positive_int, _rng
 from .geometry import Pose, Quaternion, quaternion_about_axis
-from .meshes import CYLINDER_SEGMENTS, TriMesh, make_box, make_cylinder, make_hex_prism, make_sphere
+from .meshes import (CYLINDER_SEGMENTS, TriMesh, _regular_polygon, make_box, make_cylinder, make_hex_prism,
+                     make_sphere)
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +97,7 @@ def build_catalog(config: CatalogConfig) -> list[CatalogObject]:
         verts = mesh.vertices
         if ring is None:
             # circumscribed polygon so the footprint bound contains the full sphere
-            r = dims[0] / math.cos(math.pi / 24)
-            ang = 2 * np.pi * np.arange(24) / 24
-            poly = r * np.column_stack([np.cos(ang), np.sin(ang)])
+            poly = _regular_polygon(dims[0] / math.cos(math.pi / 24), 24)
         else:
             poly = np.round(verts[:ring, :2], 12)
             poly = np.roll(poly, -int(np.lexsort((poly[:, 1], poly[:, 0]))[0]), axis=0)
@@ -156,7 +155,6 @@ class ObjectInstance:
 class Scene:
     instances: tuple[ObjectInstance, ...]
     target_index: int
-    workspace_extent: float
     seed: int
 
     def __post_init__(self):
@@ -278,6 +276,7 @@ def _place_instance(
 
 def generate_packed_scene(config: SceneConfig, catalog: list[CatalogObject] | None = None) -> Scene:
     """Rejection-sampled collision-free packed scene; pure function of config."""
+    _check_type(config, SceneConfig, "config")
     lo, hi = config.object_count_range
     if not (_positive_int(lo) and _positive_int(hi) and lo <= hi <= 10):
         raise InputError(f"object_count_range must be integers within [1, 10], got {config.object_count_range}")
@@ -286,8 +285,10 @@ def generate_packed_scene(config: SceneConfig, catalog: list[CatalogObject] | No
     if catalog is None:
         _check_type(config.catalog, CatalogConfig, "catalog")
         catalog = _shared_catalog(config.catalog)
-    elif not len(catalog):
-        raise InputError("the catalog to place from is empty")
+    else:
+        _check_items(catalog, CatalogObject, "catalog")
+        if not catalog:
+            raise InputError("the catalog to place from is empty")
     rng = _rng(config.seed, 0)
     count = int(rng.integers(lo, hi + 1))
     placed: list[ObjectInstance] = []
@@ -303,21 +304,20 @@ def generate_packed_scene(config: SceneConfig, catalog: list[CatalogObject] | No
             raise GenerationError(f"could not place instance {i} after {MAX_PLACEMENT_ATTEMPTS} attempts")
         placed.append(inst)
     target_index = int(_rng(config.seed, 2).integers(count))
-    return Scene(tuple(placed), target_index, config.workspace_extent, config.seed)
+    return Scene(tuple(placed), target_index, config.seed)
 
 
 def derive_single_scene(scene: Scene, target_index: int) -> Scene:
     """Scene containing only the designated target at its unchanged pose."""
-    target = Scene(scene.instances, target_index, scene.workspace_extent, scene.seed).target  # checks the index
-    return Scene((target,), 0, scene.workspace_extent, scene.seed)
+    _check_type(scene, Scene, "scene")
+    target = Scene(scene.instances, target_index, scene.seed).target  # checks the index
+    return Scene((target,), 0, scene.seed)
 
 
 def enumerate_targets(scene: Scene) -> list[Scene]:
     """One scene per instance, differing only in target designation."""
-    return [
-        Scene(scene.instances, i, scene.workspace_extent, scene.seed)
-        for i in range(len(scene.instances))
-    ]
+    _check_type(scene, Scene, "scene")
+    return [Scene(scene.instances, i, scene.seed) for i in range(len(scene.instances))]
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +325,13 @@ def enumerate_targets(scene: Scene) -> list[Scene]:
 
 
 def scene_to_manifest(scene: Scene, catalog_config: CatalogConfig) -> dict:
+    _check_type(scene, Scene, "scene")
+    _check_type(catalog_config, CatalogConfig, "catalog_config")
     catalog = {}
     for f in dataclasses.fields(CatalogConfig):
         value = getattr(catalog_config, f.name)
         catalog[f.name] = list(value) if isinstance(f.default, tuple) else value
     return {
-        "workspace_extent": scene.workspace_extent,
         "seed": scene.seed,
         "target_index": scene.target_index,
         "catalog": catalog,
@@ -356,6 +357,8 @@ def scene_from_manifest(data: dict, catalog: list[CatalogObject] | None = None) 
             catalog = _shared_catalog(CatalogConfig(**{
                 f.name: tuple(c[f.name]) if isinstance(f.default, tuple) else c[f.name]
                 for f in dataclasses.fields(CatalogConfig)}))
+        else:
+            _check_items(catalog, CatalogObject, "catalog")
         by_id = {obj.catalog_id: obj for obj in catalog}
         instances = []
         for rec in data["instances"]:
@@ -368,7 +371,7 @@ def scene_from_manifest(data: dict, catalog: list[CatalogObject] | None = None) 
                 raise InputError(f"pose of {cid!r} must be 7 floats, got {rec['pose']!r}: {exc}") from exc
             obj = by_id[cid]
             instances.append(ObjectInstance(cid, obj.mesh, pose, obj.footprint_poly))
-        return Scene(tuple(instances), data["target_index"], data["workspace_extent"], data["seed"])
+        return Scene(tuple(instances), data["target_index"], data["seed"])
     except KeyError as exc:
         raise InputError(f"scene manifest lacks the key {exc}") from exc
     except TypeError as exc:

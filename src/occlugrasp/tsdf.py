@@ -10,27 +10,9 @@ surface, or outside the frustum, carry weight 0.
 normalized unsigned distance field, observed only within
 `KERNEL_RADIUS_VOXELS` voxel widths of the points.
 
-Both builders skip the work that cannot change their output, and give the
-grids of the plain per-voxel computation bit for bit:
-
-- Where a voxel falls in a camera's image depends on the config and the
-  camera, not on the frame. `_voxel_projection` computes it once for each
-  (config, camera) pair, in the same arithmetic, and keeps the last
-  `_PROJECTION_CACHE_SIZE` pairs; `fuse` then only gathers the frame's depth
-  at those pixels. The key is the camera's value, so a camera rebuilt by
-  `load_frame`, or with its quaternion negated, finds the entry of an equal
-  one. That is exact: negating q negates both cross products of
-  `Quaternion.rotate` and its scalar part, so the rotated points are the same
-  bits.
-- A voxel farther than `reach` (the larger of the truncation and the kernel
-  radius) from every point gets value 1.0 and weight 0 whatever its distance.
-  `splat` queries the KD-tree only for the voxels of the cloud's bounding box
-  grown by `reach` and one voxel of slack for rounding; every voxel outside it
-  is farther than `reach` along one axis alone. The box's centres are slices
-  of the same axis `voxel_centers` spans, so each equals its full-grid entry.
-  The KD-tree is built unbalanced and without shrinking its node boxes, which
-  builds and queries faster; a nearest distance is the same exact minimum over
-  the same points in any tree.
+Both builders skip the work that cannot change their output
+(`_voxel_projection`, and `splat`'s query box), and give the grids of the
+plain per-voxel computation bit for bit.
 """
 
 from __future__ import annotations
@@ -102,6 +84,15 @@ KERNEL_RADIUS_VOXELS = 1.0  # `splat`'s observed radius around each point, in vo
 def _voxel_projection(config: TsdfConfig, camera: CameraModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where the voxel centres of `config` fall in `camera`'s image.
 
+    That depends on the config and the camera, not on the frame, so it is
+    computed once for each (config, camera) pair, in the same arithmetic,
+    and the last `_PROJECTION_CACHE_SIZE` pairs are kept; `fuse` then only
+    gathers the frame's depth at those pixels. The key is the camera's
+    value, so a camera rebuilt by `load_frame`, or with its quaternion
+    negated, finds the entry of an equal one. That is exact: negating q
+    negates both cross products of `Quaternion.rotate` and its scalar part,
+    so the rotated points are the same bits.
+
     Returns, for the voxels in front of the camera and on screen, their flat
     grid indices, their flat pixel indices `v * width + u` and their depth
     along the optical axis. The arrays are read-only: every caller with an
@@ -137,7 +128,18 @@ def fuse(frame: DepthFrame, config: TsdfConfig = TsdfConfig()) -> TsdfGrid:
 
 def splat(cloud: PointCloud, config: TsdfConfig = TsdfConfig()) -> TsdfGrid:
     """Unsigned truncated distance grid around a completed target cloud, by default on the
-    `WORKSPACE_EXTENT` cube."""
+    `WORKSPACE_EXTENT` cube.
+
+    A voxel farther than `reach` (the larger of the truncation and the kernel
+    radius) from every point gets value 1.0 and weight 0 whatever its
+    distance. So the KD-tree is queried only for the voxels of the cloud's
+    bounding box grown by `reach` and one voxel of slack for rounding; every
+    voxel outside it is farther than `reach` along one axis alone. The box's
+    centres are slices of the same axis `voxel_centers` spans, so each equals
+    its full-grid entry. The KD-tree is built unbalanced and without
+    shrinking its node boxes, which builds and queries faster; a nearest
+    distance is the same exact minimum over the same points in any tree.
+    """
     _check_type(cloud, PointCloud, "cloud")
     _check_type(config, TsdfConfig, "config")
     if len(cloud) == 0:
@@ -145,14 +147,12 @@ def splat(cloud: PointCloud, config: TsdfConfig = TsdfConfig()) -> TsdfGrid:
     r = config.resolution
     vs = config.voxel_size
     kernel = KERNEL_RADIUS_VOXELS * vs
-    # beyond both radii a distance changes nothing: the value saturates at 1
-    # and the weight is 0, so the query may return inf there; the bound is
-    # exclusive, hence one step up to keep a distance exactly at a radius
+    # the query may return inf beyond `reach`; its bound is exclusive, hence
+    # one step up to keep a distance exactly at a radius
     reach = max(config.truncation, kernel)
     values = np.ones((r, r, r), dtype=np.float64)
     weights = np.zeros((r, r, r), dtype=np.float64)
-    # the voxels within reach of the cloud's bounding box, plus one voxel of
-    # slack for rounding; the box is empty for a cloud far outside the grid
+    # the box is empty for a cloud far outside the grid
     lo = np.clip(np.floor((cloud.points.min(axis=0) - reach) / vs) - 1, 0, r).astype(np.int64)
     hi = np.clip(np.ceil((cloud.points.max(axis=0) + reach) / vs) + 1, 0, r).astype(np.int64)
     axis = (np.arange(r) + 0.5) * vs
@@ -179,6 +179,7 @@ def save_grid(dir_path, stem: str, grid: TsdfGrid) -> list[Path]:
     """Write `<stem>.tsdf.npz`: `values` and `weights`, (r, r, r) float32, and
     `config` (resolution, extent, truncation).
     """
+    _check_type(grid, TsdfGrid, "grid")
     path = Path(dir_path) / f"{stem}.tsdf.npz"
     path.parent.mkdir(parents=True, exist_ok=True)
     cfg = grid.config

@@ -47,8 +47,8 @@ def box_instance(lx, ly, lz, x, y, yaw=0.0):
     return ObjectInstance(f"box_{lx}x{ly}", mesh, pose, poly)
 
 
-def make_scene(instances, target=0, extent=0.3, seed=0):
-    return Scene(tuple(instances), target, extent, seed)
+def make_scene(instances, target=0, seed=0):
+    return Scene(tuple(instances), target, seed)
 
 
 class TestCameraModel:
@@ -79,6 +79,14 @@ class TestCameraModel:
         # None gave the identity pose, the default's second form
         with pytest.raises(InputError, match="Pose"):
             CameraModel(pose=pose)
+
+    @pytest.mark.parametrize("name, value", [("width", "a"), ("height", 480.5), ("focal", None), ("focal", -1.0),
+                                             ("elevation_deg", "a"), ("elevation_deg", math.nan),
+                                             ("elevation_deg", True)])
+    def test_default_camera_arguments_are_numbers(self, name, value):
+        # "a" raised a bare TypeError from the arithmetic before the camera checks
+        with pytest.raises(InputError, match=name):
+            default_camera(**{name: value})
 
     def test_default_camera_looks_at_the_workspace_centre(self):
         # the optical axis meets the vertical centre line of the workspace cube,
@@ -177,6 +185,12 @@ class TestNoise:
     def test_sigma_not_finite_rejected(self, sigma):
         with pytest.raises(InputError):
             add_depth_noise(self.frame(), sigma, seed=1)
+
+    @pytest.mark.parametrize("frame", ["f", None, np.zeros((24, 32))])
+    def test_frame_must_be_a_depth_frame(self, frame):
+        # "f" raised a bare AttributeError: no attribute 'depth'
+        with pytest.raises(InputError, match="frame"):
+            add_depth_noise(frame, 0.1, seed=1)
 
     def test_background_untouched(self):
         f = self.frame()
@@ -293,6 +307,13 @@ class TestBackProject:
 
 
 class TestPersistence:
+    @pytest.mark.parametrize("frame", ["f", None, np.zeros((24, 32))])
+    def test_save_needs_a_depth_frame(self, frame, tmp_path):
+        # "f" raised a bare AttributeError: no attribute 'camera'
+        with pytest.raises(InputError, match="frame"):
+            save_frame(tmp_path, "x", frame)
+        assert not list(tmp_path.iterdir())
+
     def test_round_trip(self, tmp_path):
         scene = generate_packed_scene(SceneConfig(object_count_range=(4, 4), seed=12))
         cam = default_camera(width=160, height=120, focal=135.0)
@@ -1041,9 +1062,21 @@ class TestLayerSlot:
         render(a, cam)
         mixed = make_scene([b.instances[0], a.instances[1], b.instances[2], a.instances[3], a.instances[0]])
         assert_same_frame(render(mixed, cam), reference_render(mixed, cam))
-        # the slot now holds the mixed scene's layers, hits and fresh ones
+        # the slot now holds the mixed scene's layers, all rasterised again
         assert {id(inst) for inst in mixed.instances} == set(camera_module._slot[1])
         assert_same_frame(render(mixed, cam), reference_render(mixed, cam))
+
+    def test_partial_hit_rasterises_the_whole_scene(self, monkeypatch):
+        cam = default_camera(width=160, height=120, focal=135.0)
+        a, b = dense_scene(500), dense_scene(501)
+        render(a, cam)
+        mixed = make_scene([a.instances[0], b.instances[1], a.instances[2]])
+        # two of its three instances are in the slot: all three are rasterised again
+        rasterise, rasterised = camera_module._rasterise, []
+        monkeypatch.setattr(camera_module, "_rasterise",
+                            lambda instances, camera: rasterised.append(list(instances)) or rasterise(instances, camera))
+        assert_same_frame(render(mixed, cam), reference_render(mixed, cam))
+        assert [[id(i) for i in call] for call in rasterised] == [[id(i) for i in mixed.instances]]
 
     def test_instance_listed_twice(self):
         cam = default_camera(width=160, height=120, focal=135.0)

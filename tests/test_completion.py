@@ -227,6 +227,14 @@ class TestOracleCompleter:
         completed = OracleCompleter()(PointCloud.empty(), scene)
         np.testing.assert_array_equal(completed.points, completion_ground_truth(scene).points)
 
+    @pytest.mark.parametrize("bad", ["s", None, np.zeros((8, 3))])
+    def test_ground_truth_needs_a_scene(self, bad):
+        # "s" raised a bare AttributeError: no attribute 'target'
+        with pytest.raises(InputError, match="scene"):
+            completion_ground_truth(bad)
+        with pytest.raises(InputError, match="scene"):
+            OracleCompleter()(PointCloud.empty(), bad)
+
 
 class TestMirrorCompleter:
     def test_half_visible_cylinder_recovers_extent(self):

@@ -577,6 +577,13 @@ class TestRayCast:
         with pytest.raises(InputError):
             ray_cast([(mesh, pose)], origin, direction)
 
+    @pytest.mark.parametrize("mesh_set", ["ab", 5, [], [("m", Pose.identity())], [(make_box(1.0, 1.0, 1.0), None)],
+                                          [make_box(1.0, 1.0, 1.0)]])
+    def test_mesh_set_must_hold_meshes_and_poses(self, mesh_set):
+        # "ab" raised a bare ValueError, and ("m", pose) a bare AttributeError
+        with pytest.raises(InputError, match="mesh_set"):
+            ray_cast(mesh_set, (0, 0, 2), (0, 0, -1))
+
     def test_stacked_cubes_nearest_instance(self):
         cube = make_box(1.0, 1.0, 1.0)
         lower = Pose(Quaternion.identity(), np.zeros(3))
@@ -721,6 +728,12 @@ class TestSurfaceSample:
     def test_count_must_be_a_positive_integer(self, count):
         with pytest.raises(InputError, match="count"):
             surface_sample(make_box(0.05, 0.05, 0.05), count, seed=0)
+
+    @pytest.mark.parametrize("mesh", ["m", None, np.zeros((8, 3))])
+    def test_mesh_must_be_a_trimesh(self, mesh):
+        # "m" raised a bare AttributeError: no attribute 'face_areas'
+        with pytest.raises(InputError, match="mesh"):
+            surface_sample(mesh, 10, seed=1)
 
     def test_degenerate_mesh_rejected(self):
         flat = TriMesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))

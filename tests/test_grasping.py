@@ -775,6 +775,18 @@ class TestCollision:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("bad", ["g", None, np.zeros(3)])
+    def test_grasp_scene_and_gripper_must_have_their_types(self, bad):
+        # "g" raised a bare AttributeError: no attribute 'width'
+        scene = make_scene([box_instance(0.05, 0.05, 0.1, 0.15, 0.15)])
+        g = side_grasp((0.15, 0.15, 0.05))
+        with pytest.raises(InputError, match="grasp"):
+            simulate_grasp(bad, scene, GRIP)
+        with pytest.raises(InputError, match="scene"):
+            simulate_grasp(g, bad, GRIP)
+        with pytest.raises(InputError, match="gripper"):
+            simulate_grasp(g, scene, bad)
+
     def test_valid_side_grasp_succeeds(self):
         scene = make_scene([box_instance(0.05, 0.05, 0.1, 0.15, 0.15)])
         res = simulate_grasp(side_grasp((0.15, 0.15, 0.05)), scene, GRIP)
@@ -911,9 +923,9 @@ class TestGraspSlot:
         g = side_grasp((0.15, 0.15, 0.05))
         blocked = simulate_grasp(g, scene, GRIP)
         assert blocked == reference_simulate_grasp(g, scene, GRIP) == _occluder_hit(1)
-        assert grasping._slot[0] is g and grasping._slot[3] is None
+        assert grasping._slot[0] is g and grasping._slot[2] is target and grasping._slot[4] is None
         assert simulate_grasp(g, single, GRIP) == reference_simulate_grasp(g, single, GRIP) == _SUCCESS
-        assert grasping._slot[3][0] is target
+        assert grasping._slot[2] is target and grasping._slot[4] == _SUCCESS
         # the target stage is filled now, and the occluder is still tested
         assert simulate_grasp(g, scene, GRIP) == blocked
 
@@ -923,14 +935,14 @@ class TestGraspSlot:
 
         scene_x, a = one_box_scene(0.1)
         assert simulate_grasp(a, scene_x, GRIP).success
-        assert grasping._slot[0] is a and grasping._slot[3][0] is scene_x.target
+        assert grasping._slot[0] is a and grasping._slot[2] is scene_x.target
         refs = [weakref.ref(a), weakref.ref(scene_x.target)]
         scene_y, b = one_box_scene(0.2)
         assert simulate_grasp(b, scene_y, GRIP).success
         del a, scene_x
         gc.collect()
         assert [r() for r in refs] == [None, None]
-        grasp, gripper, _, (target, result) = grasping._slot
+        grasp, gripper, target, _, result = grasping._slot
         assert grasp is b and target is scene_y.target and result == _SUCCESS
 
 
@@ -1056,6 +1068,19 @@ class TestContactPrefilter:
 
 
 class TestLabelPair:
+    @pytest.mark.parametrize("bad", ["s", None, [1, 2]])
+    def test_cluttered_must_be_a_scene(self, bad):
+        # "s" raised a bare AttributeError: no attribute 'target'
+        with pytest.raises(InputError, match="cluttered"):
+            label_pair(bad, GRIP, 5, 1)
+
+    @pytest.mark.parametrize("labels", ["abc", None, ["x"], [GraspLabel(side_grasp((0.15, 0.15, 0.05)), True, True,
+                                                                       FailureReason.NONE), 5]])
+    def test_taxonomy_of_labels_only(self, labels):
+        # "abc" raised a bare AttributeError: no attribute 'success_cluttered'
+        with pytest.raises(InputError, match="labels"):
+            taxonomy_counts(labels)
+
     def test_single_object_scene_labels_agree(self):
         scene = generate_packed_scene(SceneConfig(object_count_range=(1, 1), seed=6))
         labels = label_pair(scene, GRIP, 48, seed=2)
@@ -1098,7 +1123,7 @@ class TestLabelPair:
             drop = (scene.target_index + 1) % len(scene.instances)
             kept = [inst for i, inst in enumerate(scene.instances) if i != drop]
             new_target = scene.target_index - (1 if drop < scene.target_index else 0)
-            reduced = make_scene(kept, target=new_target, extent=scene.workspace_extent, seed=scene.seed)
+            reduced = make_scene(kept, target=new_target, seed=scene.seed)
             cloud = surface_sample(scene.target.mesh, 512, seed=3).transformed(scene.target.pose)
             for g in sample_candidate_grasps(cloud, GRIP, 24, seed=seed):
                 before = simulate_grasp(g, scene, GRIP).success
@@ -1114,6 +1139,15 @@ def label_from_record(rec: dict) -> GraspLabel:
 
 
 class TestJsonl:
+    @pytest.mark.parametrize("labels", ["abc", None, ["x"], [GraspLabel(side_grasp((0.15, 0.15, 0.05)), True, True,
+                                                                       FailureReason.NONE), "x"]])
+    def test_labels_checked_before_the_file_is_opened(self, labels, tmp_path):
+        # a bad label raised a bare AttributeError and left a partial file behind
+        path = tmp_path / "labels.jsonl"
+        with pytest.raises(InputError, match="labels"):
+            write_labels_jsonl(path, "scene_009", 0, labels)
+        assert not path.exists()
+
     def test_round_trip(self, tmp_path):
         scene = generate_packed_scene(SceneConfig(object_count_range=(3, 3), seed=9))
         labels = label_pair(scene, GRIP, 24, seed=7)

@@ -7,7 +7,7 @@ import pytest
 from occlugrasp import scenes as scenes_module
 from occlugrasp.errors import GenerationError, InputError
 from occlugrasp.geometry import Pose, quaternion_about_axis
-from occlugrasp.meshes import surface_sample
+from occlugrasp.meshes import CYLINDER_SEGMENTS, _make_prism, surface_sample
 from occlugrasp.scenes import (
     CatalogConfig,
     ObjectInstance,
@@ -106,6 +106,22 @@ class TestCatalog:
         vertices = catalog[0].mesh.vertices
         assert catalog[0].height == 0.1
         assert (vertices.max(axis=0) - vertices.min(axis=0))[:2].tolist() == [0.05, 0.05]
+
+    def test_prisms_match_the_written_out_polygon(self):
+        # each maker once wrote its own `ang = 2 pi k / n; r [cos, sin]`; the first
+        # vertex is (r, 0) exactly, and the top is the height
+        sides = {"cylinder": CYLINDER_SEGMENTS, "hex": 6}
+        checked = 0
+        for obj in build_catalog(CatalogConfig()):
+            kind = obj.catalog_id.split("_")[0]
+            if kind in sides:
+                n, verts = sides[kind], obj.mesh.vertices
+                ang = 2.0 * np.pi * np.arange(n) / n
+                want = _make_prism(verts[0, 0] * np.column_stack([np.cos(ang), np.sin(ang)]), verts[:, 2].max())
+                assert verts.tobytes() == want.vertices.tobytes(), obj.catalog_id
+                assert np.array_equal(obj.mesh.triangles, want.triangles), obj.catalog_id
+                checked += 1
+        assert checked == 50
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +306,8 @@ class TestGeneratePacked:
             for inst in scene.instances:
                 world = inst.pose.transform(inst.mesh.vertices)
                 assert world.min() > -1e-9
-                assert world[:, :2].max() < scene.workspace_extent + 1e-9
-                assert world[:, 2].max() < scene.workspace_extent + 1e-9
+                assert world[:, :2].max() < cfg.workspace_extent + 1e-9
+                assert world[:, 2].max() < cfg.workspace_extent + 1e-9
                 assert abs(world[:, 2].min()) < 1e-6
 
     def test_yaw_only_rotation(self):
@@ -335,6 +351,18 @@ class TestGeneratePacked:
         with pytest.raises(InputError, match="CatalogConfig"):
             generate_packed_scene(SceneConfig(catalog=catalog))
 
+    @pytest.mark.parametrize("config", ["c", None, CatalogConfig()])
+    def test_config_must_be_a_scene_config(self, config):
+        # "c" raised a bare AttributeError: no attribute 'object_count_range'
+        with pytest.raises(InputError, match="SceneConfig"):
+            generate_packed_scene(config)
+
+    @pytest.mark.parametrize("catalog", [[1, 2], "ab", CatalogConfig(), [CatalogConfig()]])
+    def test_catalog_must_hold_catalog_objects(self, catalog):
+        # [1, 2] raised a bare AttributeError: no attribute 'height'
+        with pytest.raises(InputError, match="catalog"):
+            generate_packed_scene(SceneConfig(), catalog)
+
     def test_empty_catalog_rejected(self):
         # an empty catalog raised a bare ValueError from `Generator.integers`
         with pytest.raises(InputError, match="empty"):
@@ -359,13 +387,22 @@ class TestDeriveSingle:
         single = derive_single_scene(scene, 2)
         assert len(single.instances) == 1
         assert single.instances[0].pose.as_7floats() == scene.instances[2].pose.as_7floats()
-        assert single.workspace_extent == scene.workspace_extent
         assert single.seed == scene.seed
 
     def test_idempotent_on_single(self):
         scene = generate_packed_scene(SceneConfig(object_count_range=(1, 1), seed=9))
         again = derive_single_scene(scene, 0)
         assert again.instances[0].pose.as_7floats() == scene.instances[0].pose.as_7floats()
+
+    @pytest.mark.parametrize("bad", ["s", None, SceneConfig()])
+    def test_scene_must_be_a_scene(self, bad):
+        # "s" raised a bare AttributeError: no attribute 'instances'
+        with pytest.raises(InputError, match="scene"):
+            derive_single_scene(bad, 0)
+        with pytest.raises(InputError, match="scene"):
+            enumerate_targets(bad)
+        with pytest.raises(InputError, match="scene"):
+            scene_to_manifest(bad, CatalogConfig())
 
     def test_invalid_index(self):
         scene = generate_packed_scene(SceneConfig(object_count_range=(2, 2), seed=1))
@@ -407,7 +444,6 @@ class TestManifest:
         save_scene(path, scene, cfg.catalog)
         loaded = load_scene(path)
         assert loaded.target_index == scene.target_index
-        assert loaded.workspace_extent == scene.workspace_extent
         for ia, ib in zip(scene.instances, loaded.instances):
             assert ia.catalog_id == ib.catalog_id
             assert ia.pose.as_7floats() == ib.pose.as_7floats()
@@ -421,12 +457,32 @@ class TestManifest:
         with pytest.raises(InputError, match="not JSON"):
             load_scene(path)
 
+    def test_manifest_with_a_workspace_extent_loads(self):
+        # manifests once recorded the workspace size, which no scene keeps now
+        cfg = SceneConfig(object_count_range=(3, 3), seed=8)
+        scene = generate_packed_scene(cfg)
+        data = scene_to_manifest(scene, cfg.catalog)
+        assert "workspace_extent" not in data
+        loaded = scene_from_manifest({**data, "workspace_extent": 0.3})
+        assert scene_to_manifest(loaded, cfg.catalog) == data
+
     def test_manifest_is_stable_json(self):
         cfg = SceneConfig(object_count_range=(3, 3), seed=8)
         scene = generate_packed_scene(cfg)
         a = json.dumps(scene_to_manifest(scene, cfg.catalog), sort_keys=True)
         b = json.dumps(scene_to_manifest(generate_packed_scene(cfg), cfg.catalog), sort_keys=True)
         assert a == b
+
+    @pytest.mark.parametrize("bad", ["c", None, [1, 2]])
+    def test_catalog_config_and_catalog_must_have_their_types(self, bad):
+        # "c" raised a bare AttributeError: no attribute 'seed', and [1, 2] one for 'catalog_id'
+        cfg = SceneConfig(object_count_range=(2, 2), seed=4)
+        scene = generate_packed_scene(cfg)
+        with pytest.raises(InputError, match="catalog_config"):
+            scene_to_manifest(scene, bad)
+        if bad is not None:  # None is the manifest's own catalog
+            with pytest.raises(InputError, match="catalog"):
+                scene_from_manifest(scene_to_manifest(scene, cfg.catalog), bad)
 
     def test_unknown_catalog_id(self):
         cfg = SceneConfig(object_count_range=(2, 2), seed=4)
@@ -491,7 +547,7 @@ class TestManifest:
 
     def test_numpy_integer_target_index_accepted(self):
         scene = generate_packed_scene(SceneConfig(object_count_range=(2, 2), seed=4))
-        assert Scene(scene.instances, np.int64(1), 0.3, 0).target is scene.instances[1]
+        assert Scene(scene.instances, np.int64(1), 0).target is scene.instances[1]
 
 
 def scene_key(scene: Scene) -> list:

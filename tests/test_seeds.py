@@ -16,7 +16,7 @@ BOX = make_box(0.05, 0.04, 0.06)
 
 def scene(seed=0) -> Scene:
     packed = generate_packed_scene(SceneConfig(object_count_range=(2, 2), seed=3))
-    return Scene(packed.instances, packed.target_index, packed.workspace_extent, seed)
+    return Scene(packed.instances, packed.target_index, seed)
 
 
 def frame() -> DepthFrame:

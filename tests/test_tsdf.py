@@ -375,10 +375,13 @@ class TestBadInput:
             splat(value)
 
     @pytest.mark.parametrize("grid", ["grid", None, np.zeros((40, 40, 40))])
-    def test_grid_must_be_a_tsdf_grid(self, grid):
-        # "grid" raised a bare AttributeError: no attribute 'values'
+    def test_grid_must_be_a_tsdf_grid(self, grid, tmp_path):
+        # "grid" raised a bare AttributeError: no attribute 'values', or 'config'
         with pytest.raises(InputError, match="grid"):
             near_surface_mask(grid, 0.5)
+        with pytest.raises(InputError, match="grid"):
+            save_grid(tmp_path, "x", grid)
+        assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
