@@ -36,6 +36,7 @@ class PassthroughCompleter:
 
     def __call__(self, partial: PointCloud, scene: Scene | None = None,
                  camera: CameraModel | None = None) -> PointCloud:
+        _check_type(partial, PointCloud, "partial")
         return partial
 
 

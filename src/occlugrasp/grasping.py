@@ -36,21 +36,26 @@ an occluder hit after tests 1 and 2 pass makes it `OCCLUDER_COLLISION`.
 scene, and cluttered successes are a subset of single-scene successes by
 construction.
 
-`label_pair` runs each test over all candidates at once (`_simulate_batch`).
-The widths are compared together, and the 24 corners of every candidate are
-rotated in one elementwise pass, in the operation order of
-`Quaternion.rotate` (a matrix product would round differently). The broad
-phase is one candidates x instances matrix, and `_mesh_hits` tests each
-instance on all candidates near it at once, the occluders in index order,
-each on the candidates no lower one hit. `_contacts` takes all candidates
-that reach test 5. So every stage gets the inputs the per-grasp path would
-give it, and every result, detail included, equals `simulate_grasp`'s, which
-runs `_mesh_hits` and `_contacts` as a batch of one. The set-up and the broad
-phase stay separate, as sharing them costs time (2-vCPU x86 VM): a batch
-set-up of one grasp took 202 us against 74 us for the scalar one, and a
-`label_pair` built on per-grasp calls 37.6 ms per `episode` benchmark scene
-against 17.2 ms. Both drivers move meshes into grasp frames with
-`geometry`'s `_inverse`, `_compose` and `_matrix`, which `Pose` and
+`label_pair` runs each test over all candidates at once (`_simulate_batch`),
+in array passes; the one loop over candidates hands out the results. The
+widths are compared together, and the 24 corners of every candidate are
+rotated in one elementwise pass, in the operation order of `Quaternion.rotate`
+(a matrix product would round differently). The broad phase is one candidates
+x instances matrix. `_mesh_hits` tests each instance on all candidates near it
+at once, the occluders in index order, each on the candidates no lower one
+hit: its narrow phase is one separating-axis pass per distinct box half-extent
+vector over all (candidate, box) pairs left, since the radii of one pass are
+one matrix-vector product with one half vector. `_contacts` takes all
+candidates that reach test 5 and decides them with one reduction per quantity
+over their pad-slab samples sorted by candidate. Each row of those products
+and reductions is computed as on its own, so every result, detail included,
+equals `simulate_grasp`'s, which runs `_mesh_hits` and `_contacts` as a batch
+of one; at one grasp both take the cheaper per-box and whole-array path. The
+set-up and the broad phase stay separate, as sharing them costs time (2-vCPU
+x86 VM): a batch set-up of one grasp took 202 us against 74 us for the scalar
+one, and a `label_pair` built on per-grasp calls 37.6 ms per `episode`
+benchmark scene against 17.2 ms. Both drivers move meshes into grasp frames
+with `geometry`'s `_inverse`, `_compose` and `_matrix`, which `Pose` and
 `Quaternion` are built on, so the bits are theirs.
 
 Grasp frame: x is the closing axis joining the antipodal pair, z is the
@@ -156,6 +161,8 @@ class GraspLabel:
     detail: str = ""  # the cluttered result's `SimResult.detail`
 
     def __post_init__(self):
+        _check_type(self.grasp, Grasp, "label grasp")
+        _check_type(self.failure_reason, FailureReason, "label failure_reason")
         if type(self.success_single) is not bool or type(self.success_cluttered) is not bool:
             raise InputError(f"success flags must be bools, got {self.success_single!r}, {self.success_cluttered!r}")
         if self.success_cluttered and not self.success_single:
@@ -231,9 +238,9 @@ _RADIUS_INDEX = (4 * np.array([3, 0, 0, 0, 1, 1, 1, 2, 2, 2])[:, None]
                  + np.array([[0, 1, 2]] + 3 * [[3, 2, 1], [2, 3, 0], [1, 0, 3]])).ravel()
 
 
-def _triangles_hit_box(tri: np.ndarray, half: np.ndarray) -> bool:
-    """Whether any triangle of `tri` (m, 3 vertices, 3) overlaps the box
-    centred at the origin with half-extents `half`.
+def _overlapping_triangles(tri: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Indices of the triangles of `tri` (m, 3 vertices, 3) that overlap the
+    box centred at the origin with half-extents `half`, in ascending order.
 
     The 13-axis separating-axis test in two stages. The three box-face axes
     run on every triangle. The triangle-plane axis and the nine edge axes
@@ -248,10 +255,11 @@ def _triangles_hit_box(tri: np.ndarray, half: np.ndarray) -> bool:
     lo = np.minimum(np.minimum(tri[:, 0], tri[:, 1]), tri[:, 2])
     hi = np.maximum(np.maximum(tri[:, 0], tri[:, 1]), tri[:, 2])
     sep = (lo > half) | (hi < -half)
-    tri = tri[~(sep[:, 0] | sep[:, 1] | sep[:, 2])]
-    m = len(tri)
+    keep = np.flatnonzero(~(sep[:, 0] | sep[:, 1] | sep[:, 2]))
+    m = len(keep)
     if not m:
-        return False
+        return keep
+    tri = tri[keep]
     v0 = tri[:, 0]
     edges = tri.take(_NEXT, axis=1) - tri  # v1 - v0, v2 - v1, v0 - v2
     normal = np.column_stack(_cross(edges[:, 0].T, (tri[:, 2] - v0).T))
@@ -259,7 +267,9 @@ def _triangles_hit_box(tri: np.ndarray, half: np.ndarray) -> bool:
     padded[:, :3, :3] = edges
     padded[:, 3, :3] = normal
     # one matvec of at least 10 rows: a BLAS matvec rounds differently from an
-    # explicit sum, and a one-row product differs from a row of a longer one
+    # explicit sum, and a one-row product differs from a row of a longer one;
+    # a product of two or more rows rounds each row alone, so a row's radius
+    # does not depend on the other triangles passed with it
     axes = np.abs(padded).reshape(m, 16).take(_RADIUS_INDEX, axis=1)
     r = (axes.reshape(-1, 3) @ half).reshape(m, 10)
     plane_sep = np.abs(np.einsum("ij,ij->i", normal, v0)) > r[:, 0]
@@ -272,41 +282,17 @@ def _triangles_hit_box(tri: np.ndarray, half: np.ndarray) -> bool:
     p_hi = np.maximum(np.maximum(p[0], p[1]), p[2]).reshape(m, 9)
     r_edge = r[:, 1:]
     edge_sep = ((p_lo > r_edge) | (p_hi < -r_edge)).any(axis=1)
-    return not (plane_sep | edge_sep).all()
+    return keep[~(plane_sep | edge_sep)]
+
+
+def _triangles_hit_box(tri: np.ndarray, half: np.ndarray) -> bool:
+    """Whether any triangle of `tri` (m, 3 vertices, 3) overlaps the box
+    centred at the origin with half-extents `half` (`_overlapping_triangles`)."""
+    return len(_overlapping_triangles(tri, half)) > 0
 
 
 # ---------------------------------------------------------------------------
-# contacts and the friction cone
-
-
-def _pad_slab_contacts(points_g, normals_x: np.ndarray, width: float, gripper: GripperModel) -> tuple[bool, str]:
-    """Extremal contacts along the closing axis inside the finger-pad slab.
-
-    `points_g` holds the (x, y, z) component arrays of the samples in the
-    grasp frame, and `normals_x` the x components of their normals, which is
-    all of the normals the cone about the closing axis reads. Returns
-    (ok, why). Both extremal contact regions must carry a normal inside the
-    friction cone of the closing axis, and the contacted interval must fit
-    within the jaws.
-    """
-    ft = gripper.finger_thickness
-    fd = gripper.finger_depth
-    px, py, pz = points_g
-    in_slab = (np.abs(py) <= ft / 2) & (pz >= -fd) & (pz <= 0.0)
-    if not in_slab.any():
-        return False, "no contact in the pad slab"
-    xs = px[in_slab]
-    ns = normals_x[in_slab]
-    a, b = float(xs.min()), float(xs.max())
-    if a < -width / 2 - 1e-9 or b > width / 2 + 1e-9:
-        return False, "object does not fit within the jaws"
-    low_band = xs <= a + CONTACT_BAND
-    high_band = xs >= b - CONTACT_BAND
-    if np.max(-ns[low_band]) < _COS_CONE:
-        return False, "low-side contact outside the friction cone"
-    if np.max(ns[high_band]) < _COS_CONE:
-        return False, "high-side contact outside the friction cone"
-    return True, ""
+# results
 
 
 # results whose detail does not depend on the grasp, shared by both drivers
@@ -314,6 +300,11 @@ _WIDE = SimResult(False, FailureReason.WIDTH_EXCEEDED, "grasp wider than the gri
 _TABLE = SimResult(False, FailureReason.TABLE_BLOCK, "gripper hits the table")
 _BODY = SimResult(False, FailureReason.ANTIPODAL_FAIL, "gripper body hits the target")
 _SUCCESS = SimResult(True, FailureReason.NONE)
+# the result of test 5 by `_contacts`' outcome code: the first of its checks
+# that fails, in their order, or success
+_CONTACT_RESULTS = tuple(SimResult(False, FailureReason.ANTIPODAL_FAIL, why) for why in (
+    "no contact in the pad slab", "object does not fit within the jaws",
+    "low-side contact outside the friction cone", "high-side contact outside the friction cone")) + (_SUCCESS,)
 
 
 def _occluder_hit(index: int) -> SimResult:
@@ -385,8 +376,7 @@ def simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel) -> SimResu
         result = _BODY
     else:
         pose = _compose(to_grasp, target.pose)
-        ok, why = _contacts(target.mesh.contact_samples, pose, [grasp.width], gripper)[0]
-        result = _SUCCESS if ok else SimResult(False, FailureReason.ANTIPODAL_FAIL, why)
+        result = _CONTACT_RESULTS[_contacts(target.mesh.contact_samples, pose, [grasp.width], gripper)[0]]
     _slot = (*slot[:4], result)
     return result
 
@@ -404,32 +394,61 @@ def _mesh_hits(inst: ObjectInstance, pose, centers: np.ndarray, halves: np.ndarr
     broad phases. `pose` is each grasp's `_compose(to_grasp, inst.pose)`, floats for
     one grasp or (m, 1) arrays, which `np.dstack` both turns into (m, vertices, 3)
     vertices; `centers` and `halves` are the (m, 3, 3) boxes. A box that misses
-    the box around the mesh's vertices is skipped, and the first box that a
-    triangle overlaps ends a grasp's test."""
+    the box around the mesh's vertices is skipped.
+
+    One grasp tests its boxes in turn, and the first box that a triangle
+    overlaps ends its test. More grasps test all their (grasp, box) pairs that
+    are left together: one `_overlapping_triangles` pass over the triangles of
+    every pair whose box has the same half-extents, so that the pass's radii
+    are one matrix-vector product with that half vector. Each row of such a
+    product rounds alone, so every pair gets the decision it gets on its own.
+    """
     q, t = pose
     verts = np.dstack([v + c for v, c in zip(_rotate(q, tuple(inst.mesh.vertices.T)), t)])
     # vertex box against centred gripper boxes: min(v) - c == min(v - c), as subtracting keeps the order
     apart = ((verts.min(axis=1)[:, None] - centers > halves)
              | (verts.max(axis=1)[:, None] - centers < -halves)).any(axis=2)
+    triangles = inst.mesh.triangles
+    if len(verts) == 1:
+        tri = verts[0].take(triangles, axis=0)
+        return np.array([any(_triangles_hit_box(tri - centers[0, b], halves[0, b]) for b in np.flatnonzero(~apart[0]))])
     hit = np.zeros(len(verts), dtype=bool)
-    for j in np.flatnonzero(~apart.all(axis=1)):
-        tri = verts[j].take(inst.mesh.triangles, axis=0)
-        hit[j] = any(_triangles_hit_box(tri - centers[j, b], halves[j, b]) for b in np.flatnonzero(~apart[j]))
+    j, b = np.nonzero(~apart)
+    if not len(j):
+        return hit
+    half = halves[j, b]
+    # each pair's group: the first pair with its half vector
+    group = (half[:, None] == half).all(axis=2).argmax(axis=1)
+    for g in np.flatnonzero(group == np.arange(len(group))):
+        pairs = np.flatnonzero(group == g)
+        rows = j[pairs]
+        tri = verts[rows].take(triangles, axis=1) - centers[rows, b[pairs], None, None]
+        hit[rows[_overlapping_triangles(tri.reshape(-1, 3, 3), half[g]) // len(triangles)]] = True
     return hit
 
 
-def _contacts(samples: PointCloud, pose, widths: list[float], gripper: GripperModel) -> list[tuple[bool, str]]:
-    """`_pad_slab_contacts` of m grasps, each on the samples moved by its pose
-    (floats for one grasp, or (m, 1) components).
+def _contacts(samples: PointCloud, pose, widths: list[float], gripper: GripperModel) -> np.ndarray:
+    """Test 5 of m grasps, each on the samples moved by its pose (floats for one
+    grasp, or (m, 1) components): per grasp, the index of its result in
+    `_CONTACT_RESULTS`.
+
+    A grasp's contacts are its samples inside the finger-pad slab. It needs
+    some, the interval they span along the closing axis must fit within the
+    jaws, and the extremal contact regions, within `CONTACT_BAND` of either
+    end, must each carry a normal inside the friction cone of the closing
+    axis; the first check that fails names the result. Only x of the
+    grasp-frame normals enters the cone.
 
     A matrix product gives every sample's grasp-frame y and z, `BATCH_CHUNK`
     grasps at a time. Only the samples within `BROAD_PHASE_MARGIN` of the pad
     slab are moved exactly and passed on: the product differs from the exact
     transform by far less than the margin, so no sample of the slab is left
-    out, and `_pad_slab_contacts` decides on the slab alone.
+    out. The slab samples come sorted by grasp, so each grasp's extremes and
+    band maxima are one `reduceat` over all grasps.
     """
+    code = np.zeros(len(widths), dtype=np.intp)  # no contact in the pad slab
     if not widths:
-        return []
+        return code
     q, t = pose
     # rows y and z of the rotation matrices, (m, 2, 3), and the y and z shifts, (m, 2, 1)
     rot = np.array(_matrix(q)[1:]).reshape(2, 3, -1).transpose(2, 0, 1)
@@ -446,11 +465,38 @@ def _contacts(samples: PointCloud, pose, widths: list[float], gripper: GripperMo
         sample_i.append(s)
     grasp_i, sample_i = np.concatenate(grasp_i), np.concatenate(sample_i)
     q = tuple(np.reshape(c, -1)[grasp_i] for c in q)
-    p_g = [a + np.reshape(c, -1)[grasp_i] for a, c in zip(_rotate(q, tuple(pts[sample_i].T)), t)]
-    n_x = _rotate_x(q, tuple(samples.normals[sample_i].T))
-    ends = np.searchsorted(grasp_i, np.arange(len(widths) + 1))
-    return [_pad_slab_contacts([c[a:b] for c in p_g], n_x[a:b], width, gripper)
-            for a, b, width in zip(ends[:-1], ends[1:], widths)]
+    px, py, pz = (a + np.reshape(c, -1)[grasp_i] for a, c in zip(_rotate(q, tuple(pts[sample_i].T)), t))
+    slab = (np.abs(py) <= gripper.finger_thickness / 2) & (pz >= -gripper.finger_depth) & (pz <= 0.0)
+    g = grasp_i[slab]
+    if not len(g):
+        return code
+    xs = px[slab]
+    ns = _rotate_x(q, tuple(samples.normals[sample_i].T))[slab]
+    # per grasp: the ends lo and hi of its contacts along x, and the least
+    # normal x in the low band and the greatest in the high band
+    if len(widths) == 1:
+        # one grasp, one run: whole-array reductions cost less than `reduceat`
+        starts = 0
+        lo, hi = xs.min(), xs.max()
+        low = ns[xs <= lo + CONTACT_BAND].min()
+        high = ns[xs >= hi - CONTACT_BAND].max()
+    else:
+        # each grasp's run of slab samples: where it starts, and each sample's run
+        first = np.empty(len(g), dtype=bool)
+        first[0] = True
+        np.not_equal(g[1:], g[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        run = np.cumsum(first) - 1
+        lo = np.minimum.reduceat(xs, starts)
+        hi = np.maximum.reduceat(xs, starts)
+        low = np.minimum.reduceat(np.where(xs <= (lo + CONTACT_BAND)[run], ns, np.inf), starts)
+        high = np.maximum.reduceat(np.where(xs >= (hi - CONTACT_BAND)[run], ns, -np.inf), starts)
+    touched = g[starts]
+    w = np.array(widths)[touched]
+    wide = (lo < -w / 2 - 1e-9) | (hi > w / 2 + 1e-9)
+    # the first failing check, or success; the low side's cone test reads max(-x) as -min(x)
+    code[touched] = np.where(wide, 1, np.where(-low < _COS_CONE, 2, np.where(high < _COS_CONE, 3, 4)))
+    return code
 
 
 def _simulate_batch(grasps: list[Grasp], scene: Scene, gripper: GripperModel) -> list[tuple[SimResult, int | None]]:
@@ -499,22 +545,39 @@ def _simulate_batch(grasps: list[Grasp], scene: Scene, gripper: GripperModel) ->
     body = np.zeros(len(idx), dtype=bool)
     rows = np.flatnonzero(near[:, scene.target_index])
     body[rows] = hits(target, rows)
+    # each grasp's index into `sims`: the table (no grasp it blocks is near the
+    # target, so its body entry is 0), the target body, or test 5
+    sims = (_TABLE, _BODY, *_CONTACT_RESULTS)
+    code = body.astype(np.intp)
     rows = np.flatnonzero(~table & ~body)
-    contacts = iter(_contacts(target.mesh.contact_samples, frames(target, rows), [widths[r] for r in rows], gripper))
-    for r, i in enumerate(idx):
-        if table[r]:
-            sim = _TABLE
-        elif body[r]:
-            sim = _BODY
-        else:
-            ok, why = next(contacts)
-            sim = _SUCCESS if ok else SimResult(False, FailureReason.ANTIPODAL_FAIL, why)
-        results[i] = sim, (int(occluder[r]) if occluder[r] >= 0 else None)
+    code[rows] = 2 + _contacts(target.mesh.contact_samples, frames(target, rows), [widths[r] for r in rows], gripper)
+    for i, c, k in zip(idx, code.tolist(), occluder.tolist()):
+        results[i] = sims[c], (k if k >= 0 else None)
     return results
 
 
 # ---------------------------------------------------------------------------
 # candidate sampling
+
+
+# point indices per draw of `_draws`
+_DRAW_BLOCK = 64
+
+
+def _draws(rng: np.random.Generator, n: int):
+    """Point indices below `n`, drawn `_DRAW_BLOCK` at a time: `integers(n, size=k)`
+    gives the k values of k scalar draws, and the generator is the caller's
+    alone, so the draws left unused change nothing."""
+    while True:
+        yield from rng.integers(n, size=_DRAW_BLOCK).tolist()
+
+
+def _unchecked(cls: type, **fields):
+    """A `cls`, a frozen dataclass, holding `fields` without running its
+    `__post_init__`: for values already checked together."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def sample_candidate_grasps(
@@ -537,12 +600,16 @@ def sample_candidate_grasps(
     cloud; a one-row product goes to BLAS `dot`, which rounds 22% of random
     rows otherwise, so a lone facing row goes in twice. After the attempts,
     the frames of all pairs, `APPROACHES_PER_PAIR` approaches each, are built
-    in one pass (`_grasp_frames`).
+    in one pass (`_grasp_frames`), and the centres, widths and frames are
+    checked as `Grasp` checks them, once for all; the candidates are then
+    built without the per-object check and copy, and the grasps of a pair
+    share its read-only centre.
 
     Candidates whose pair distance exceeds the gripper opening are emitted
     anyway (width > max_width) so downstream labeling can flag them.
     An attempt's outcome depends only on the drawn point index: an index that found no
     opposing point is skipped when drawn again, and sampling stops once all have failed.
+    The indices are drawn in blocks (`_draws`), the values of one draw each.
     """
     _check_type(target_cloud, PointCloud, "target_cloud")
     _check_type(gripper, GripperModel, "gripper")
@@ -550,9 +617,9 @@ def sample_candidate_grasps(
         raise InputError(f"count must be a positive integer, got {count!r}")
     if len(target_cloud) == 0:
         raise InputError("candidate sampling needs a non-empty cloud")
-    rng = _rng(seed)
     pts = target_cloud.points
     nrm = target_cloud.normals
+    draws = _draws(_rng(seed), len(pts))
     pairs = []  # (center, width, inward axis d, u, v, approaches) per antipodal pair
     found = 0
     failed: set[int] = set()
@@ -560,7 +627,7 @@ def sample_candidate_grasps(
     max_attempts = 50 * count
     while found < count and attempts < max_attempts and len(failed) < len(pts):
         attempts += 1
-        i = int(rng.integers(len(pts)))
+        i = next(draws)
         if i in failed:
             continue
         p1 = pts[i]
@@ -578,7 +645,9 @@ def sample_candidate_grasps(
             continue
         pair_dist = float(s.max())
         n = min(APPROACHES_PER_PAIR, count - found)
-        pairs.append((p1 + 0.5 * pair_dist * d, pair_dist + gripper.palm_clearance, d, *orthonormal_tangents(d), n))
+        center = p1 + 0.5 * pair_dist * d
+        center.flags.writeable = False  # the pair's grasps share it
+        pairs.append((center, pair_dist + gripper.palm_clearance, d, *orthonormal_tangents(d), n))
         found += n
     out: list[Grasp] = []
     if pairs:
@@ -586,8 +655,13 @@ def sample_candidate_grasps(
         axis, u, v = (np.repeat(a, n, axis=0) for a in (d, u, v))
         k = np.arange(found) % APPROACHES_PER_PAIR  # every pair but the last has them all
         approach = _APPROACH_COS[k, None] * u + _APPROACH_SIN[k, None] * v
-        frames = zip(*(c.tolist() for c in _grasp_frames(axis, approach)))
-        out = [Grasp(center, Quaternion(*next(frames)), width)
+        frames = _grasp_frames(axis, approach)
+        # `Grasp.__post_init__`'s checks, once for all candidates
+        if not (np.isfinite(centers).all() and np.isfinite(frames).all() and all(map(math.isfinite, widths))
+                and min(widths) >= 0):
+            raise InputError("candidate centres, widths and rotations must be finite, and widths >= 0")
+        rotations = (_unchecked(Quaternion, w=w, x=x, y=y, z=z) for w, x, y, z in zip(*(c.tolist() for c in frames)))
+        out = [_unchecked(Grasp, center=center, rotation=next(rotations), width=width, quality=0.0)
                for center, width, m in zip(centers, widths, n) for _ in range(m)]
     if found < count:
         log.warning("candidate sampling: %d of %d grasps after %d attempts", found, count, attempts)
@@ -635,6 +709,7 @@ def taxonomy_counts(labels: list[GraspLabel]) -> dict[str, int]:
 
 
 def label_to_record(scene_id: str, target_index: int, label: GraspLabel) -> dict:
+    _check_type(label, GraspLabel, "label")
     q = label.grasp.rotation.canonical()
     return {
         "scene_id": scene_id,

@@ -32,7 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GenerationError, InputError, _check_items, _check_type, _finite_positive, _positive_int, _rng
+from .errors import (GenerationError, InputError, _check_items, _check_type, _finite_positive, _positive_int, _rng,
+                     _seed)
 from .geometry import Pose, Quaternion, quaternion_about_axis
 from .meshes import (CYLINDER_SEGMENTS, TriMesh, _regular_polygon, make_box, make_cylinder, make_hex_prism,
                      make_sphere)
@@ -158,6 +159,8 @@ class Scene:
     seed: int
 
     def __post_init__(self):
+        _check_items(self.instances, ObjectInstance, "scene instances")
+        _seed(self.seed)
         if not isinstance(self.target_index, numbers.Integral) or isinstance(self.target_index, bool):
             raise InputError(f"target_index must be an integer, got {self.target_index!r}")
         if not 0 <= self.target_index < len(self.instances):

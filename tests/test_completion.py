@@ -306,6 +306,18 @@ class TestMirrorCompleter:
             MirrorCompleter()(cloud, None, bad)
 
 
+class TestPassthroughCompleter:
+    @pytest.mark.parametrize("bad", ["p", None, np.zeros((8, 3))])
+    def test_partial_must_be_a_cloud(self, bad):
+        # "p" came back unchanged as the completed cloud
+        with pytest.raises(InputError, match="partial"):
+            PassthroughCompleter()(bad)
+
+    def test_returns_the_partial_cloud(self):
+        cloud = with_normals(np.random.default_rng(0).uniform(0.1, 0.2, size=(8, 3)))
+        assert PassthroughCompleter()(cloud, None, default_camera()) is cloud
+
+
 class _UnboundedTree(cKDTree):
     """A `cKDTree` whose queries drop `distance_upper_bound`: the unbounded dedupe query."""
 

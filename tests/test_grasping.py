@@ -25,11 +25,11 @@ from occlugrasp.grasping import (
     _SUCCESS,
     _TABLE,
     _WIDE,
+    _CONTACT_RESULTS,
     _contacts,
     _grasp_frames,
     _mesh_hits,
     _occluder_hit,
-    _pad_slab_contacts,
     _simulate_batch,
     _triangles_hit_box,
     gripper_boxes,
@@ -141,6 +141,44 @@ def reference_offenders(grasp, scene, gripper):
     return offenders
 
 
+def reference_pad_slab_contacts(points_g, normals_x, width, gripper):
+    """Test 5 of one grasp: the extremal contacts along the closing axis inside
+    the finger-pad slab, from the (x, y, z) component arrays of the samples in
+    the grasp frame and the x components of their normals. Returns (ok, why)."""
+    ft = gripper.finger_thickness
+    fd = gripper.finger_depth
+    px, py, pz = points_g
+    in_slab = (np.abs(py) <= ft / 2) & (pz >= -fd) & (pz <= 0.0)
+    if not in_slab.any():
+        return False, "no contact in the pad slab"
+    xs = px[in_slab]
+    ns = normals_x[in_slab]
+    a, b = float(xs.min()), float(xs.max())
+    if a < -width / 2 - 1e-9 or b > width / 2 + 1e-9:
+        return False, "object does not fit within the jaws"
+    low_band = xs <= a + grasping.CONTACT_BAND
+    high_band = xs >= b - grasping.CONTACT_BAND
+    if np.max(-ns[low_band]) < grasping._COS_CONE:
+        return False, "low-side contact outside the friction cone"
+    if np.max(ns[high_band]) < grasping._COS_CONE:
+        return False, "high-side contact outside the friction cone"
+    return True, ""
+
+
+def reference_mesh_hits(inst, pose, centers, halves):
+    """`_mesh_hits` as a loop over grasps, each testing its boxes in turn until
+    one is hit: the arguments and result are `_mesh_hits`'."""
+    q, t = pose
+    verts = np.dstack([v + c for v, c in zip(_rotate(q, tuple(inst.mesh.vertices.T)), t)])
+    apart = ((verts.min(axis=1)[:, None] - centers > halves)
+             | (verts.max(axis=1)[:, None] - centers < -halves)).any(axis=2)
+    hit = np.zeros(len(verts), dtype=bool)
+    for j in np.flatnonzero(~apart.all(axis=1)):
+        tri = verts[j].take(inst.mesh.triangles, axis=0)
+        hit[j] = any(_triangles_hit_box(tri - centers[j, b], halves[j, b]) for b in np.flatnonzero(~apart[j]))
+    return hit
+
+
 def reference_simulate(grasp, scene, gripper):
     if grasp.width > gripper.max_width + 1e-12:
         return FailureReason.WIDTH_EXCEEDED
@@ -154,8 +192,8 @@ def reference_simulate(grasp, scene, gripper):
     target = scene.target
     to_grasp = Pose(grasp.rotation, grasp.center).inverse() * target.pose
     samples = target.mesh.contact_samples
-    ok, _ = _pad_slab_contacts(tuple(to_grasp.transform(samples.points).T), to_grasp.rotate_only(samples.normals)[:, 0],
-                               grasp.width, gripper)
+    ok, _ = reference_pad_slab_contacts(tuple(to_grasp.transform(samples.points).T),
+                                        to_grasp.rotate_only(samples.normals)[:, 0], grasp.width, gripper)
     return FailureReason.NONE if ok else FailureReason.ANTIPODAL_FAIL
 
 
@@ -180,7 +218,7 @@ def reference_simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel) 
         lo, hi = inst.world_aabb
         if (lo > reach_hi).any() or (hi < reach_lo).any():
             return False
-        return bool(_mesh_hits(inst, _compose(to_grasp, inst.pose), centers, halves)[0])
+        return bool(reference_mesh_hits(inst, _compose(to_grasp, inst.pose), centers, halves)[0])
 
     hit = next((i for i, inst in enumerate(scene.instances) if i != scene.target_index and hits(inst)), None)
     if hit is not None:
@@ -192,7 +230,7 @@ def reference_simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel) 
     q, t = _compose(to_grasp, target.pose)
     pts_g = np.column_stack([v + c for v, c in zip(_rotate(q, tuple(samples.points.T)), t)])
     nrm_g = np.column_stack(_rotate(q, tuple(samples.normals.T)))
-    ok, why = _pad_slab_contacts(tuple(pts_g.T), nrm_g[:, 0], grasp.width, gripper)
+    ok, why = reference_pad_slab_contacts(tuple(pts_g.T), nrm_g[:, 0], grasp.width, gripper)
     if not ok:
         return SimResult(False, FailureReason.ANTIPODAL_FAIL, why)
     return _SUCCESS
@@ -250,6 +288,16 @@ def dense_cases():
         ref_single = [reference_simulate(g, single, GRIP) for g in grasps]
         ref_cluttered = [reference_simulate(g, scene, GRIP) for g in grasps]
         cases.append((seed, scene, single, grasps, ref_single, ref_cluttered))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def episode_cases():
+    """The 16 4-6 object scenes of the benchmark's episode corpus, with `label_pair`'s 120 candidates each."""
+    cases = []
+    for seed in range(16):
+        scene = generate_packed_scene(SceneConfig(seed=seed))
+        cases.append((seed, scene, [lab.grasp for lab in label_pair(scene, GRIP, 120, seed)]))
     return cases
 
 
@@ -387,6 +435,18 @@ class TestTypes:
         # fails on it with a bare AttributeError
         with pytest.raises(InputError, match="Quaternion"):
             Grasp(np.array([0.15, 0.15, 0.05]), rotation, 0.05)
+
+    @pytest.mark.parametrize("grasp", ["g", None, np.zeros(3)])
+    def test_label_grasp_must_be_a_grasp(self, grasp):
+        # a label of a string grasp raised a bare AttributeError in `label_to_record`
+        with pytest.raises(InputError, match="grasp"):
+            GraspLabel(grasp, True, True, FailureReason.NONE)
+
+    @pytest.mark.parametrize("reason", ["none", None, 0])
+    def test_label_reason_must_be_a_failure_reason(self, reason):
+        # "none" equals FailureReason.NONE, a str enum, but has no `.value` for `label_to_record`
+        with pytest.raises(InputError, match="failure_reason"):
+            GraspLabel(side_grasp((0.15, 0.15, 0.05)), True, True, reason)
 
     def test_label_subset_enforced(self):
         g = side_grasp((0.15, 0.15, 0.05))
@@ -599,6 +659,7 @@ class TestSampling:
         attempts = int(message.split()[-2])
         assert message.startswith("candidate sampling: 0 of 120 grasps after ")
         assert len(cloud) <= attempts < 50 * 120
+        assert attempts == 2266
 
     def test_deterministic(self):
         cloud = surface_sample(make_sphere(0.03), 1024, seed=5)
@@ -996,6 +1057,146 @@ class TestBatchedOracle:
         assert peak <= 4e6
 
 
+def reference_contacts(samples, pose, widths, gripper):
+    """`reference_pad_slab_contacts` of each of m grasps, on all samples moved by
+    its row of `pose`, (m, 1) components as `_contacts` takes them."""
+    q, t = pose
+    out = []
+    for i, width in enumerate(widths):
+        qi, ti = tuple(float(c[i, 0]) for c in q), tuple(float(c[i, 0]) for c in t)
+        points_g = tuple(v + c for v, c in zip(_rotate(qi, tuple(samples.points.T)), ti))
+        out.append(reference_pad_slab_contacts(points_g, _rotate(qi, tuple(samples.normals.T))[0], width, gripper))
+    return out
+
+
+def batch_pose(poses):
+    """The (m, 1) components of `poses` that `_contacts` and `_mesh_hits` take for m grasps."""
+    q = tuple(np.array([[getattr(p.rotation, c)] for p in poses]) for c in "wxyz")
+    return q, tuple(np.array([[p.translation[k]] for p in poses]) for k in range(3))
+
+
+def contact_details(samples, poses, widths):
+    """(success, detail) of each grasp from one `_contacts` batch, asserted equal to the per-grasp reference."""
+    pose = batch_pose(poses)
+    got = [(r.success, r.detail) for r in (_CONTACT_RESULTS[c] for c in _contacts(samples, pose, widths, GRIP))]
+    assert got == reference_contacts(samples, pose, widths, GRIP)
+    return got
+
+
+def shifted(t=(0.0, 0.0, 0.0)) -> Pose:
+    """The translation by `t`: it moves coordinates that it leaves unchanged exactly."""
+    return Pose(Quaternion.identity(), np.array(t))
+
+
+class TestArrayPasses:
+    """The contact and narrow-phase passes of `_simulate_batch` against the
+    per-candidate loops they replace, `reference_pad_slab_contacts` and
+    `reference_mesh_hits`, on the very inputs the driver hands them."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Replaces both passes by checked ones for the test; counts what they decided."""
+        seen = collections.Counter()
+
+        def mesh_hits(inst, pose, centers, halves):
+            got = _mesh_hits(inst, pose, centers, halves)
+            assert got.tolist() == reference_mesh_hits(inst, pose, centers, halves).tolist()
+            seen["batches of two or more"] += len(got) > 1
+            seen["hits"] += int(got.sum())
+            return got
+
+        def contacts(samples, pose, widths, gripper):
+            got = _contacts(samples, pose, widths, gripper)
+            want = reference_contacts(samples, pose, widths, gripper)
+            assert [(r.success, r.detail) for r in (_CONTACT_RESULTS[c] for c in got)] == want
+            seen.update(why or "success" for _, why in want)
+            return got
+
+        monkeypatch.setattr(grasping, "_mesh_hits", mesh_hits)
+        monkeypatch.setattr(grasping, "_contacts", contacts)
+        return seen
+
+    def test_dense_cases(self, dense_cases, seen):
+        for _, scene, single, grasps, _, _ in dense_cases:
+            for s in (scene, single):
+                _simulate_batch(grasps, s, GRIP)
+        # the corpus has neither a grasp without slab contacts nor one too narrow; the cases below do
+        assert set(seen) == {"batches of two or more", "hits", "success", *(r.detail for r in _CONTACT_RESULTS[2:4])}
+
+    def test_episode_scenes(self, episode_cases, seen):
+        for _, scene, grasps in episode_cases:
+            _simulate_batch(grasps, scene, GRIP)
+        assert seen["batches of two or more"] > 16 and seen["hits"] > 0 and seen["success"] > 0
+
+    # a grasp along x: contacts at x = -0.02 and 0.02 with outward normals
+    POINTS = [[-0.02, 0.0, -0.01], [0.02, 0.0, -0.01]]
+    NORMALS = [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+
+    def test_a_grasp_without_slab_samples_between_two_with_some(self):
+        samples = PointCloud(self.POINTS, self.NORMALS)
+        # the identity moves every coordinate exactly; the middle pose lifts all samples off the slab
+        poses = [shifted(), shifted([0.0, 0.0, 1.0]), shifted()]
+        assert contact_details(samples, poses, [0.05, 0.05, 0.03]) == [
+            (True, ""), (False, "no contact in the pad slab"), (False, "object does not fit within the jaws")]
+
+    @pytest.mark.parametrize("normal, detail", [([1.0, 0.0, 0.0], "low-side contact outside the friction cone"),
+                                                ([-1.0, 0.0, 0.0], "high-side contact outside the friction cone")])
+    def test_a_single_slab_sample(self, normal, detail):
+        # its one sample is both ends of a grasp's contact interval, so one cone test fails
+        samples = PointCloud(self.POINTS + [[0.0, 0.0, -0.045]], self.NORMALS + [normal])
+        above = shifted([0.0, 0.0, 0.015])  # the pair leaves the slab, the third stays
+        got = contact_details(samples, [shifted(), above, shifted(), above], [0.05, 0.05, 0.03, 0.03])
+        assert got == [(True, ""), (False, detail), (False, "object does not fit within the jaws"), (False, detail)]
+
+    def test_samples_at_the_band_edges(self):
+        # the low end's only cone normal sits exactly CONTACT_BAND above it, the
+        # high end's exactly CONTACT_BAND below it; one float step further in, each is out of its band
+        lo, hi = -0.02, 0.02
+        edge_lo, edge_hi = lo + grasping.CONTACT_BAND, hi - grasping.CONTACT_BAND
+        side = [0.0, 0.0, 1.0]  # a normal outside the cone on either side
+        for low_x, high_x, want in [
+            (edge_lo, edge_hi, (True, "")),
+            (np.nextafter(edge_lo, 1.0), edge_hi, (False, "low-side contact outside the friction cone")),
+            (edge_lo, np.nextafter(edge_hi, -1.0), (False, "high-side contact outside the friction cone")),
+        ]:
+            samples = PointCloud([[lo, 0.0, -0.01], [low_x, 0.0, -0.01], [high_x, 0.0, -0.01], [hi, 0.0, -0.01]],
+                                 [side, [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], side])
+            got = contact_details(samples, [shifted(), shifted([0.0, 1.0, 0.0]), shifted()],
+                                  [0.05, 0.05, 0.05])
+            assert got == [want, (False, "no contact in the pad slab"), want]
+
+    def test_finger_boxes_share_a_half_vector(self, monkeypatch):
+        # a box target and grasps from above: a free one, one whose fingers and
+        # palm reach into the box, one whose palm alone reaches its top, one far away
+        target = box_instance(0.05, 0.05, 0.1, 0.15, 0.15)
+        grasps = [side_grasp((0.15, 0.15, 0.05)), side_grasp((0.15, 0.15, -0.005), width=0.04),
+                  side_grasp((0.15, 0.15, -0.005)), side_grasp((0.5, 0.5, 0.05))]
+        boxes = np.array([gripper_boxes(g.width, GRIP) for g in grasps])
+        centers, halves = (boxes[:, :, 0] + boxes[:, :, 1]) / 2.0, (boxes[:, :, 1] - boxes[:, :, 0]) / 2.0
+        assert (halves[:, 0] == halves[:, 1]).all() and (halves[:, 0] != halves[:, 2]).any(axis=1).all()
+        passes = collections.Counter()  # (half vector, number of boxes) of each pass
+
+        def overlapping(tri, half):
+            passes[tuple(half.tolist()), len(tri) // len(target.mesh.triangles)] += 1
+            return overlapping_triangles(tri, half)
+
+        overlapping_triangles = grasping._overlapping_triangles
+        monkeypatch.setattr(grasping, "_overlapping_triangles", overlapping)
+        for rows in ([0, 1, 2, 3], [2, 1], [0, 2], [1, 3], [0], [1], [2]):
+            pose = batch_pose([Pose(g.rotation, g.center).inverse() * target.pose for g in [grasps[r] for r in rows]])
+            want = reference_mesh_hits(target, pose, centers[rows], halves[rows])
+            passes.clear()
+            got = _mesh_hits(target, pose, centers[rows], halves[rows])
+            assert got.tolist() == want.tolist() == [r in (1, 2) for r in rows], rows
+            if len(rows) > 1 and 1 in rows:
+                # one pass per half vector: both fingers of grasp 1, its palm, and grasp 2's palm
+                fingers, palm = (tuple(h) for h in halves[1, 1:].tolist())
+                want = {(fingers, 2): 1, (palm, 1): 1}
+                if 2 in rows:
+                    want[tuple(halves[2, 2].tolist()), 1] = 1
+                assert passes == want, rows
+
+
 class TestComposedPoses:
     """`_compose` of `_inverse`, which moves meshes into grasp frames in both
     drivers, gives the bits of the reference `Pose.inverse` and `Pose.__mul__`
@@ -1020,7 +1221,7 @@ class TestComposedPoses:
 
 
 class TestContactPrefilter:
-    """The batched contact stage decides as `_pad_slab_contacts` on all samples."""
+    """The batched contact stage decides as `reference_pad_slab_contacts` on all samples."""
 
     WIDTH = 0.05
     # a pair of contacts that makes a grasp, then a probe beyond the +x jaw
@@ -1032,11 +1233,12 @@ class TestContactPrefilter:
         samples = PointCloud(points, self.NORMALS)
         q, t = pose.rotation, pose.translation
         parts = tuple(np.array([[c]]) for c in (q.w, q.x, q.y, q.z)), tuple(np.array([[c]]) for c in t)
-        [got] = _contacts(samples, parts, [self.WIDTH], GRIP)
-        want = _pad_slab_contacts(tuple(pose.transform(samples.points).T), pose.rotate_only(samples.normals)[:, 0],
-                                  self.WIDTH, GRIP)
-        assert got == want
-        return got
+        [code] = _contacts(samples, parts, [self.WIDTH], GRIP)
+        want = reference_pad_slab_contacts(tuple(pose.transform(samples.points).T),
+                                           pose.rotate_only(samples.normals)[:, 0], self.WIDTH, GRIP)
+        got = _CONTACT_RESULTS[code]
+        assert (got.success, got.detail) == want
+        return want
 
     def probes(self):
         """(y, z, in the slab) in the grasp frame: on each face, one float step beyond it, beyond the margin."""
@@ -1147,6 +1349,11 @@ class TestJsonl:
         with pytest.raises(InputError, match="labels"):
             write_labels_jsonl(path, "scene_009", 0, labels)
         assert not path.exists()
+
+    @pytest.mark.parametrize("label", ["x", None, 3])
+    def test_record_needs_a_label(self, label):
+        with pytest.raises(InputError, match="label"):
+            label_to_record("scene_009", 0, label)
 
     def test_round_trip(self, tmp_path):
         scene = generate_packed_scene(SceneConfig(object_count_range=(3, 3), seed=9))

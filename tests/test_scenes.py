@@ -436,6 +436,28 @@ class TestEnumerateTargets:
         assert len(keys) == len(scene.instances)
 
 
+class TestSceneFields:
+    @pytest.mark.parametrize("bad", ["ab", None, 3])
+    def test_instances_must_be_a_tuple(self, bad):
+        with pytest.raises(InputError, match="instances"):
+            Scene(bad, 0, 0)
+
+    @pytest.mark.parametrize("item", ["a", None, SceneConfig()])
+    def test_each_instance_must_be_an_object_instance(self, item):
+        # ("a",) raised a bare AttributeError in `render`: no attribute 'mesh'
+        scene = generate_packed_scene(SceneConfig(object_count_range=(2, 2), seed=1))
+        with pytest.raises(InputError, match="instances"):
+            Scene((item,), 0, 0)
+        with pytest.raises(InputError, match="instances"):
+            Scene(scene.instances + (item,), 0, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        scene = generate_packed_scene(SceneConfig(object_count_range=(2, 2), seed=1))
+        with pytest.raises(InputError, match="seed"):
+            Scene(scene.instances, 0, seed)
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         cfg = SceneConfig(object_count_range=(4, 4), seed=21)
