@@ -2,9 +2,10 @@
 
 `render` resolves each covered pixel by an exact ray/triangle intersection
 through the pixel center, so the result is identical to per-pixel ray
-casting; depth is the camera-frame z coordinate. `_rasterise` gives each
-instance its own depth layer, and `_frame_from_layers` composes a frame from
-them. `back_project` works inside the bounding box of the retained pixels.
+casting; depth is the camera-frame z coordinate. `_rasterise` sets up all
+instances of a scene in one array pass and gives each its own depth layer;
+`_frame_from_layers` composes a frame from the layers with masked copies.
+`back_project` works inside the bounding box of the retained pixels.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, _check_type, _finite_non_negative, _finite_positive, _positive_int, _rng
-from .geometry import PointCloud, Pose, Quaternion
+from .geometry import PointCloud, Pose, Quaternion, _rotate
 from .scenes import WORKSPACE_EXTENT, ObjectInstance, Scene
 
 BACKGROUND_ID = 65535
@@ -173,74 +174,77 @@ def render(scene: Scene, camera: CameraModel) -> DepthFrame:
 def _rasterise(instances: list[ObjectInstance], camera: CameraModel) -> list[_Layer | None]:
     """The depth layer of each instance; None where every pixel box is empty.
 
-    Triangles with a vertex at camera z <= 1e-6 are skipped. So are the back
-    faces (see `_BACK_FACE_TOL`) of an instance that passes two gates: its
-    mesh `is_closed_outward`, and every vertex has camera z > 1e-6. The
-    second gate means the near-plane test drops none of its triangles, and
-    it puts the camera outside the mesh (from inside a closed box the camera
-    sees only back faces). A back face's plane misses the camera, and a ray
-    from the camera that meets it leaves the solid there. Having started
-    outside, the ray entered the solid earlier, through a front face of the
-    same mesh, so the instance's nearest hit, its layer and the frame are
-    what they are without the cull. The argument holds in exact arithmetic
-    for a surface that does not cross itself, which the convex primitives of
-    `meshes` satisfy. In floating point, a ray within the barycentric
-    tolerance of a silhouette edge could hit the back face and miss the
-    front one; no frame of the benchmark corpora does. The remaining
-    triangles are gathered in instance order with their pixel boxes clipped
-    to the image.
+    Triangles with a vertex at camera z <= 1e-6 are skipped, and so are the
+    back faces (`_BACK_FACE_TOL`) of an instance whose mesh
+    `is_closed_outward` and whose vertices all have camera z > 1e-6. That
+    gate means the near-plane test drops none of its triangles, and it puts
+    the camera outside the mesh (from inside a closed box the camera sees
+    only back faces). A ray from the camera that meets a back face leaves
+    the solid there, so it entered earlier through a front face of the same
+    mesh, and the instance's nearest hit is what it is without the cull.
+    That holds in exact arithmetic for a surface that does not cross itself,
+    as the convex primitives of `meshes` do. In floating point, a ray within
+    the barycentric tolerance of a silhouette edge could hit the back face
+    and miss the front one; no frame of the benchmark corpora does.
+
+    One pass over the concatenated vertices and triangles gives every value
+    the bits of a loop over instances: `Pose.transform` is `geometry._rotate`
+    on per-vertex pose components, each mask row is computed as the loop
+    computes it, and `reduceat` minima and maxima are exact. Only the camera
+    product is one call per instance: NumPy makes an (n, 3) @ (3, 3) product
+    a BLAS `gemv` for n = 1 and a `gemm` otherwise, and no BLAS promises that
+    a row of a stacked `gemm` rounds alike.
     """
-    h, w = camera.height, camera.width
+    n = len(instances)
+    meshes = [instance.mesh for instance in instances]
+    n_verts, n_tris = np.array([(len(m.vertices), len(m.triangles)) for m in meshes], dtype=int).T
+    layers = [None] * n
     world_to_cam = camera.pose.inverse()
     rot = world_to_cam.rotation.as_matrix()
-    trans = world_to_cam.translation
-    fx, fy, cx, cy = camera.fx, camera.fy, camera.cx, camera.cy
-    boxes, parts, size = [], [], 0
-    for instance in instances:
-        mesh = instance.mesh
-        verts_cam = instance.pose.transform(mesh.vertices) @ rot.T + trans
-        tv = verts_cam[mesh.triangles]  # (m, 3, 3)
-        # skip triangles touching or behind the camera plane
-        tv = tv[tv[:, :, 2].min(axis=1) > 1e-6]
-        if mesh.is_closed_outward and verts_cam[:, 2].min() > 1e-6:
-            # the camera is outside the closed mesh: skip its back faces
-            a = tv[:, 0]
-            n = np.cross(tv[:, 1] - a, tv[:, 2] - a)
-            tol = _BACK_FACE_TOL * np.linalg.norm(n, axis=1) * np.linalg.norm(a, axis=1)
-            tv = tv[np.einsum("ij,ij->i", n, a) <= tol]
-        u = tv[:, :, 0] / tv[:, :, 2] * fx + cx
-        v = tv[:, :, 1] / tv[:, :, 2] * fy + cy
-        u0 = np.maximum(np.ceil(u.min(axis=1) - 0.5), 0).astype(int)
-        u1 = np.minimum(np.floor(u.max(axis=1) - 0.5), w - 1).astype(int)
-        v0 = np.maximum(np.ceil(v.min(axis=1) - 0.5), 0).astype(int)
-        v1 = np.minimum(np.floor(v.max(axis=1) - 0.5), h - 1).astype(int)
-        keep = (u1 >= u0) & (v1 >= v0)
-        if not keep.any():
-            boxes.append(None)
-            continue
-        u0, u1, v0, v1 = u0[keep], u1[keep], v0[keep], v1[keep]
-        row, col = int(v0.min()), int(u0.min())
-        rows, cols = int(v1.max()) + 1 - row, int(u1.max()) + 1 - col
-        boxes.append((row, col, rows, cols))
-        # the layers are blocks of one flat z-buffer: pixel (py, px) of this
-        # layer is element base + py * cols + px
-        base = np.full(len(u0), size - row * cols - col)
-        parts.append((tv[keep], u[keep], v[keep], u0, u1, v0, v1, base, np.full(len(u0), cols)))
-        size += rows * cols
-    if not parts:
-        return [None] * len(instances)
-    tris = [np.concatenate(arrays) for arrays in zip(*parts)]
-    del parts  # the per-instance copies
-    zbuf = _nearest_hits(camera, size, *tris)
+    vert_start = np.cumsum(n_verts) - n_verts
+    # each vertex's pose (w, x, y, z, t0, t1, t2), as rows
+    pose = np.repeat([(*i.pose.rotation.as_array(), *i.pose.translation) for i in instances], n_verts, axis=0).T
+    verts = np.concatenate([mesh.vertices for mesh in meshes]).T
+    world = np.stack([c + t for c, t in zip(_rotate(pose[:4], verts), pose[4:])], axis=1)
+    cam = np.concatenate([part @ rot.T for part in np.split(world, vert_start[1:])]) + world_to_cam.translation
+    # the cull gate, over the runs that hold vertices: `reduceat` reads an empty run as one element
+    z_min = np.full(n, -np.inf)
+    z_min[n_verts > 0] = np.minimum.reduceat(cam[:, 2], vert_start[n_verts > 0])
+    culled = np.array([mesh.is_closed_outward for mesh in meshes]) & (z_min > 1e-6)
+    tv = cam[np.concatenate([mesh.triangles for mesh in meshes]) + np.repeat(vert_start, n_tris)[:, None]]
+    del pose, verts, world, cam
+    # skip triangles touching or behind the camera plane, then the back faces of culled instances
+    front = tv[:, :, 2].min(axis=1) > 1e-6
+    tv, owner = tv[front], np.repeat(np.arange(n), n_tris)[front]
+    a = tv[:, 0]
+    normal = np.cross(tv[:, 1] - a, tv[:, 2] - a)
+    tol = _BACK_FACE_TOL * np.linalg.norm(normal, axis=1) * np.linalg.norm(a, axis=1)
+    keep = ~culled[owner] | (np.einsum("ij,ij->i", normal, a) <= tol)
+    del front, a, normal, tol
+    tv, owner = tv[keep], owner[keep]
+    u = tv[:, :, 0] / tv[:, :, 2] * camera.fx + camera.cx
+    v = tv[:, :, 1] / tv[:, :, 2] * camera.fy + camera.cy
+    u0 = np.maximum(np.ceil(u.min(axis=1) - 0.5), 0).astype(int)
+    u1 = np.minimum(np.floor(u.max(axis=1) - 0.5), camera.width - 1).astype(int)
+    v0 = np.maximum(np.ceil(v.min(axis=1) - 0.5), 0).astype(int)
+    v1 = np.minimum(np.floor(v.max(axis=1) - 0.5), camera.height - 1).astype(int)
+    keep = (u1 >= u0) & (v1 >= v0)
+    tv, u, v, u0, u1, v0, v1, owner = (x[keep] for x in (tv, u, v, u0, u1, v0, v1, owner))
+    counts = np.bincount(owner, minlength=n)
+    drawn = np.flatnonzero(counts)
+    if not len(drawn):
+        return layers
+    # a drawn instance's triangles are one run, and its layer box spans their boxes
+    first, counts = (np.cumsum(counts) - counts)[drawn], counts[drawn]
+    row, col = np.minimum.reduceat(v0, first), np.minimum.reduceat(u0, first)
+    rows, cols = np.maximum.reduceat(v1, first) + 1 - row, np.maximum.reduceat(u1, first) + 1 - col
+    start = np.cumsum(rows * cols) - rows * cols
+    # layer i is the block of one flat z-buffer from element start[i], row by row
+    base, stride = np.repeat(start - row * cols - col, counts), np.repeat(cols, counts)
+    zbuf = _nearest_hits(camera, int((rows * cols).sum()), tv, u, v, u0, u1, v0, v1, base, stride)
     zbuf.flags.writeable = False
-    layers, start = [], 0
-    for box in boxes:
-        if box is None:
-            layers.append(None)
-            continue
-        row, col, rows, cols = box
-        layers.append(_Layer(row, col, zbuf[start:start + rows * cols].reshape(rows, cols)))
-        start += rows * cols
+    for i, r, c, nr, nc, s in zip(*(x.tolist() for x in (drawn, row, col, rows, cols, start))):
+        layers[i] = _Layer(r, c, zbuf[s:s + nr * nc].reshape(nr, nc))
     return layers
 
 
@@ -420,9 +424,9 @@ def _frame_from_layers(layers: list[_Layer | None], camera: CameraModel) -> Dept
         rows, cols = layer.t.shape
         box = (slice(layer.row - r0, layer.row - r0 + rows), slice(layer.col - c0, layer.col - c0 + cols))
         nearer = layer.t < zbuf[box]
-        zbuf[box][nearer] = layer.t[nearer]
-        ids[box][nearer] = index
-    depth[r0:r1, c0:c1] = np.where(np.isfinite(zbuf), zbuf, 0.0)
+        np.copyto(zbuf[box], layer.t, where=nearer)
+        np.copyto(ids[box], index, where=nearer)
+    np.copyto(depth[r0:r1, c0:c1], zbuf, where=np.isfinite(zbuf))
     return DepthFrame(depth, inst, camera)
 
 

@@ -36,10 +36,16 @@ class TriMesh:
 
     def __init__(self, vertices, triangles):
         # copies, so that no caller's array can change the mesh
-        v = np.array(vertices, dtype=float).reshape(-1, 3)
-        t = np.array(triangles, dtype=np.int32).reshape(-1, 3)
-        if t.size and (t.min() < 0 or t.max() >= len(v)):
-            raise InputError("triangle index out of range")
+        try:
+            v = np.array(vertices, dtype=float).reshape(-1, 3)
+            t = np.array(triangles, dtype=float).reshape(-1, 3)
+        except (TypeError, ValueError) as exc:  # ragged, not numbers, or not a multiple of 3
+            raise InputError(f"vertices and triangles must be (n, 3) arrays of numbers: {exc}") from exc
+        if not np.isfinite(v).all():
+            raise InputError("mesh vertices must be finite")
+        if t.size and not ((t == np.floor(t)).all() and t.min() >= 0 and t.max() < len(v)):  # NaN fails too
+            raise InputError(f"triangle indices must be whole numbers in [0, {len(v)})")
+        t = t.astype(np.int32)
         v.flags.writeable = False
         t.flags.writeable = False
         self.vertices = v

@@ -126,6 +126,11 @@ class ObjectInstance:
     pose: Pose
     footprint_poly: np.ndarray = field(repr=False, default=None)
 
+    def __post_init__(self):
+        _check_type(self.catalog_id, str, "catalog_id")
+        _check_type(self.mesh, TriMesh, "instance mesh")
+        _check_type(self.pose, Pose, "instance pose")
+
     def world_footprint_poly(self) -> np.ndarray:
         yaw_rot = self.pose.rotation.as_matrix()[:2, :2]
         return self.footprint_poly @ yaw_rot.T + self.pose.translation[:2]

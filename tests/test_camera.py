@@ -684,6 +684,7 @@ class TestRenderMatchesReference:
         frame = render(scene, AXIS_CAMERA)
         assert frame.valid.any()
         assert_same_frame(frame, reference_render(scene, AXIS_CAMERA))
+        rasterise_both(scene.instances, AXIS_CAMERA)
 
     def test_offscreen_and_border_triangles(self, small_chunks):
         # at depth 1, x = +-0.8 and y = +-0.6 are the image borders
@@ -703,6 +704,7 @@ class TestRenderMatchesReference:
         for border in (frame.valid[:, 0], frame.valid[:, -1], frame.valid[0], frame.valid[-1]):
             assert border.any()
         assert_same_frame(frame, reference_render(scene, AXIS_CAMERA))
+        rasterise_both(scene.instances, AXIS_CAMERA)
 
     def test_zero_area_triangles(self, small_chunks):
         verts = [[-0.2, -0.1, 1.0], [0.2, 0.1, 1.0], [0.0, 0.0, 1.0],   # collinear
@@ -712,6 +714,7 @@ class TestRenderMatchesReference:
         frame = render(scene, AXIS_CAMERA)
         assert frame.valid.any()
         assert_same_frame(frame, reference_render(scene, AXIS_CAMERA))
+        rasterise_both(scene.instances, AXIS_CAMERA)
 
     def test_coincident_faces_lower_instance_wins(self, small_chunks):
         box = box_instance(0.05, 0.05, 0.05, 0.15, 0.15, yaw=0.3)
@@ -722,6 +725,7 @@ class TestRenderMatchesReference:
         ids = set(np.unique(frame.instance_id)) - {BACKGROUND_ID}
         assert ids == {0, 1}
         assert_same_frame(frame, reference_render(scene, cam))
+        rasterise_both(scene.instances, cam)
 
     def test_equal_depth_from_a_narrower_box_of_a_higher_instance(self, small_chunks):
         # both triangles lie on z = 1 with power-of-two determinants, so every
@@ -743,6 +747,7 @@ class TestRenderMatchesReference:
         frame = render(scene, AXIS_CAMERA)
         assert frame.valid.any()
         assert_same_frame(frame, reference_render(scene, AXIS_CAMERA))
+        rasterise_both(scene.instances, AXIS_CAMERA)
 
     def test_camera_inside_closed_box(self, small_chunks):
         # every face the camera sees from inside is a back face
@@ -751,6 +756,7 @@ class TestRenderMatchesReference:
         frame = render(scene, AXIS_CAMERA)
         assert frame.valid.all() and (frame.depth == 0.5).all()
         assert_same_frame(frame, reference_render(scene, AXIS_CAMERA))
+        rasterise_both(scene.instances, AXIS_CAMERA)
 
     def test_closed_box_with_a_vertex_behind_the_camera(self, small_chunks):
         # the near-plane test drops the front faces at that corner, which
@@ -762,6 +768,7 @@ class TestRenderMatchesReference:
         frame = render(scene, AXIS_CAMERA)
         assert frame.valid.any()
         assert_same_frame(frame, reference_render(scene, AXIS_CAMERA))
+        rasterise_both(scene.instances, AXIS_CAMERA)
 
     def test_box_with_inverted_winding(self, small_chunks):
         box = make_box(0.2, 0.3, 0.25)
@@ -772,6 +779,7 @@ class TestRenderMatchesReference:
         frame = render(scene, AXIS_CAMERA)
         assert frame.valid.any()
         assert_same_frame(frame, reference_render(scene, AXIS_CAMERA))
+        rasterise_both(scene.instances, AXIS_CAMERA)
 
     def test_camera_sees_nothing(self, small_chunks):
         scene = dense_scene(500)
@@ -782,6 +790,7 @@ class TestRenderMatchesReference:
         frame = render(scene, cam)
         assert not frame.valid.any()
         assert_same_frame(frame, reference_render(scene, cam))
+        assert rasterise_both(scene.instances, cam) == [None] * len(scene.instances)
 
 
 def assert_same_layers(got: list, want: list):
@@ -801,6 +810,9 @@ def rasterise_both(instances, camera) -> list:
 
 
 def traced_peak(rasterise, instances, camera) -> int:
+    # one untraced call first fills the meshes' lazy caches (`is_closed_outward`),
+    # which would otherwise count against whichever rasteriser runs first
+    rasterise(list(instances), camera)
     tracemalloc.start()
     try:
         rasterise(list(instances), camera)
@@ -920,6 +932,36 @@ class TestRasteriseMatchesReference:
         scene = make_scene([mesh_instance(verts, [[0, 1, 2], [3, 4, 5]])])
         rasterise_both(scene.instances, ROW_CAMERA)
         rasterise_both(scene.instances, AXIS_CAMERA)
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5, 6], [2, 3, 6, 1, 5, 0, 4]])
+    def test_instances_without_a_layer_between_visible_ones(self, order, small_chunks):
+        # the set-up is one pass over all instances, so each gate and each
+        # empty run must stay with its own instance
+        box = make_box(0.2, 0.15, 0.1)
+        tilt = quaternion_about_axis((0.6, 0.8, 0.0), 0.4)
+        instances = [
+            ObjectInstance("visible", box, Pose(tilt, np.array([-0.2, -0.1, 0.9]))),
+            mesh_instance(np.zeros((0, 3)), np.zeros((0, 3))),                            # no vertices
+            ObjectInstance("behind", box, Pose(tilt, np.array([0.0, 0.0, -1.0]))),        # wholly behind the camera
+            # open: no bottom face, which faces the camera, so its back faces show
+            ObjectInstance("open", TriMesh(box.vertices, box.triangles[2:]),
+                           Pose(Quaternion.identity(), np.array([0.15, 0.1, 0.7]))),
+            ObjectInstance("offscreen", box, Pose(tilt, np.array([5.0, 0.0, 1.0]))),      # in front, no pixel box
+            ObjectInstance("corner", make_box(0.4, 0.4, 0.4),                             # a vertex behind the camera
+                           Pose(quaternion_about_axis((0.6, 0.8, 0.0), 0.7), np.array([0.0, -0.1, 0.1]))),
+            ObjectInstance("visible", make_box(0.1, 0.3, 0.2), Pose(tilt, np.array([0.1, 0.2, 1.2]))),
+        ]
+        assert not instances[3].mesh.is_closed_outward
+        assert (instances[5].pose.transform(instances[5].mesh.vertices)[:, 2] <= 0).sum() == 1
+        layers = rasterise_both([instances[i] for i in order], AXIS_CAMERA)
+        assert [layer is None for layer in layers] == [i in (1, 2, 4) for i in order]
+
+    def test_one_instance(self):
+        box = ObjectInstance("box", make_box(0.2, 0.15, 0.1),
+                             Pose(quaternion_about_axis((0.6, 0.8, 0.0), 0.4), np.array([0.0, 0.0, 0.8])))
+        (layer,) = rasterise_both([box], AXIS_CAMERA)
+        assert np.isfinite(layer.t).any()
+        assert rasterise_both([mesh_instance(np.zeros((0, 3)), np.zeros((0, 3)))], AXIS_CAMERA) == [None]
 
     def test_row_meeting_no_edge_keeps_the_box_row(self):
         # the triangle lies between rows 19 and 20's centres; asked for row

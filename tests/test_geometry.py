@@ -533,6 +533,26 @@ class TestPrimitives:
         with pytest.raises(InputError):
             TriMesh(np.zeros((3, 3)), np.array([[0, 1, 5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_vertices_finite(self, bad):
+        # a NaN vertex made `surface_sample` raise a bare ValueError, and `render` and `ray_cast` drop the mesh
+        vertices = np.eye(3)
+        vertices[1, 2] = bad
+        with pytest.raises(InputError, match="finite"):
+            TriMesh(vertices, [[0, 1, 2]])
+
+    @pytest.mark.parametrize("triangles", [[[0, 1, 2.5]], [[0, 1, np.nan]], [[0, 1, np.inf]]])
+    def test_triangle_indices_whole_numbers(self, triangles):
+        # [[0, 1, 2.5]] was truncated to [[0, 1, 2]]
+        with pytest.raises(InputError):
+            TriMesh(np.eye(3), triangles)
+        assert TriMesh(np.eye(3), [[0.0, 1.0, 2.0]]).triangles.tolist() == [[0, 1, 2]]
+
+    @pytest.mark.parametrize("vertices", [[[0, 1]], [[0, 1, 2], [3, 4]], [[0, 1, "a"]], "abc", None, {"x": 1}])
+    def test_vertices_are_numbers_in_threes(self, vertices):
+        with pytest.raises(InputError, match="numbers"):
+            TriMesh(vertices, np.zeros((0, 3)))
+
     def test_mesh_owns_its_arrays(self):
         # the render and grasp slots key meshes by identity, so no caller's array may change one
         box = make_box(0.05, 0.07, 0.1)

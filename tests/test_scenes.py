@@ -7,7 +7,7 @@ import pytest
 from occlugrasp import scenes as scenes_module
 from occlugrasp.errors import GenerationError, InputError
 from occlugrasp.geometry import Pose, quaternion_about_axis
-from occlugrasp.meshes import CYLINDER_SEGMENTS, _make_prism, surface_sample
+from occlugrasp.meshes import CYLINDER_SEGMENTS, _make_prism, make_box, surface_sample
 from occlugrasp.scenes import (
     CatalogConfig,
     ObjectInstance,
@@ -450,6 +450,14 @@ class TestSceneFields:
             Scene((item,), 0, 0)
         with pytest.raises(InputError, match="instances"):
             Scene(scene.instances + (item,), 0, 0)
+
+    @pytest.mark.parametrize("field, value", [("catalog_id", 7), ("catalog_id", None), ("mesh", "m"),
+                                              ("mesh", None), ("pose", "p"), ("pose", np.zeros(7))])
+    def test_object_instance_fields_typed(self, field, value):
+        # ObjectInstance("x", "m", pose) in a scene raised a bare AttributeError in `render`
+        fields = {"catalog_id": "box", "mesh": make_box(0.1, 0.1, 0.1), "pose": Pose.identity()}
+        with pytest.raises(InputError, match=field.split("_")[-1]):
+            ObjectInstance(**{**fields, field: value})
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
