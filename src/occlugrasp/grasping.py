@@ -124,6 +124,8 @@ class Grasp:
     quality: float = 0.0
 
     def __post_init__(self):
+        if isinstance(self.width, (bool, np.bool_)) or isinstance(self.quality, (bool, np.bool_)):
+            raise InputError(f"grasp width and quality must be numbers, not bools, got {self.width!r}, {self.quality!r}")
         try:
             c = np.array(self.center, dtype=float)  # a copy: no caller's array can change it
             width_ok = math.isfinite(self.width) and self.width >= 0

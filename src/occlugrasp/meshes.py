@@ -37,10 +37,12 @@ class TriMesh:
     def __init__(self, vertices, triangles):
         # copies, so that no caller's array can change the mesh
         try:
-            v = np.array(vertices, dtype=float).reshape(-1, 3)
-            t = np.array(triangles, dtype=float).reshape(-1, 3)
-        except (TypeError, ValueError) as exc:  # ragged, not numbers, or not a multiple of 3
+            v = np.array(vertices, dtype=float)
+            t = np.array(triangles, dtype=float)
+        except (TypeError, ValueError) as exc:  # ragged or not numbers
             raise InputError(f"vertices and triangles must be (n, 3) arrays of numbers: {exc}") from exc
+        if v.ndim != 2 or v.shape[1] != 3 or t.ndim != 2 or t.shape[1] != 3:
+            raise InputError(f"vertices and triangles must be (n, 3) arrays of numbers, got {v.shape} and {t.shape}")
         if not np.isfinite(v).all():
             raise InputError("mesh vertices must be finite")
         if t.size and not ((t == np.floor(t)).all() and t.min() >= 0 and t.max() < len(v)):  # NaN fails too

@@ -130,8 +130,20 @@ class ObjectInstance:
         _check_type(self.catalog_id, str, "catalog_id")
         _check_type(self.mesh, TriMesh, "instance mesh")
         _check_type(self.pose, Pose, "instance pose")
+        if self.footprint_poly is not None:
+            # placement builds one instance per placed object, so a float
+            # array passes as it is, with no copy, in a few us
+            try:
+                poly = np.asarray(self.footprint_poly, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"footprint_poly must be a (k, 2) array of numbers: {exc}") from exc
+            if poly.ndim != 2 or poly.shape[1] != 2 or len(poly) < 3 or not np.isfinite(poly).all():
+                raise InputError(f"footprint_poly must be (k >= 3, 2) finite numbers, got shape {poly.shape}")
+            object.__setattr__(self, "footprint_poly", poly)
 
     def world_footprint_poly(self) -> np.ndarray:
+        if self.footprint_poly is None:
+            raise InputError(f"instance {self.catalog_id!r} has no footprint_poly")
         yaw_rot = self.pose.rotation.as_matrix()[:2, :2]
         return self.footprint_poly @ yaw_rot.T + self.pose.translation[:2]
 

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import gc
 import math
 import tracemalloc
@@ -29,26 +28,10 @@ from occlugrasp.camera import (
 from occlugrasp.errors import InputError
 from occlugrasp.geometry import PointCloud, Pose, Quaternion, quaternion_about_axis
 from occlugrasp.meshes import TriMesh, make_box, ray_cast
-from occlugrasp.scenes import (
-    CatalogConfig,
-    ObjectInstance,
-    Scene,
-    SceneConfig,
-    build_catalog,
-    derive_single_scene,
-    generate_packed_scene,
-)
+from occlugrasp.scenes import ObjectInstance, Scene, SceneConfig, derive_single_scene, generate_packed_scene
 
-
-def box_instance(lx, ly, lz, x, y, yaw=0.0):
-    mesh = make_box(lx, ly, lz)
-    pose = Pose(quaternion_about_axis((0, 0, 1), yaw), np.array([x, y, 0.0]))
-    poly = np.array([[-lx / 2, -ly / 2], [lx / 2, -ly / 2], [lx / 2, ly / 2], [-lx / 2, ly / 2]])
-    return ObjectInstance(f"box_{lx}x{ly}", mesh, pose, poly)
-
-
-def make_scene(instances, target=0, seed=0):
-    return Scene(tuple(instances), target, seed)
+from . import corpus
+from .corpus import box_instance, dense_scene, make_scene, mesh_instance
 
 
 class TestCameraModel:
@@ -140,7 +123,7 @@ class TestRender:
 
     def test_single_superset_of_cluttered_target_pixels(self):
         for seed in range(5):
-            scene = generate_packed_scene(SceneConfig(object_count_range=(5, 6), seed=seed))
+            scene = corpus.scene((5, 6), seed)
             cam = default_camera(width=160, height=120, focal=135.0)
             cluttered = render(scene, cam)
             single = render(derive_single_scene(scene, scene.target_index), cam)
@@ -159,7 +142,7 @@ class TestRender:
             render(scene, bad)
 
     def test_deterministic(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(4, 4), seed=2))
+        scene = corpus.scene((4, 4), 2)
         cam = default_camera(width=160, height=120, focal=135.0)
         a = render(scene, cam)
         b = render(scene, cam)
@@ -169,7 +152,7 @@ class TestRender:
 
 class TestNoise:
     def frame(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(5, 5), seed=4))
+        scene = corpus.scene((5, 5), 4)
         return render(scene, default_camera(width=320, height=240, focal=270.0))
 
     def test_sigma_zero_identity(self):
@@ -244,7 +227,7 @@ class TestBackProject:
         assert len(back_project(f)) == 0
 
     def test_instance_filter(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(5, 5), seed=7))
+        scene = corpus.scene((5, 5), 7)
         cam = default_camera(width=160, height=120, focal=135.0)
         frame = render(scene, cam)
         t = scene.target_index
@@ -281,7 +264,7 @@ class TestBackProject:
     def test_reprojection_round_trip(self):
         max_err = 0.0
         for seed in range(10):
-            scene = generate_packed_scene(SceneConfig(object_count_range=(4, 6), seed=30 + seed))
+            scene = corpus.scene((4, 6), 30 + seed)
             cam = default_camera(width=160, height=120, focal=135.0)
             frame = render(scene, cam)
             cloud = back_project(frame)
@@ -298,7 +281,7 @@ class TestBackProject:
         assert max_err < 1e-6
 
     def test_normals_point_at_camera(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(3, 3), seed=1))
+        scene = corpus.scene((3, 3), 1)
         cam = default_camera(width=160, height=120, focal=135.0)
         cloud = back_project(render(scene, cam))
         to_cam = cam.pose.translation - cloud.points
@@ -315,7 +298,7 @@ class TestPersistence:
         assert not list(tmp_path.iterdir())
 
     def test_round_trip(self, tmp_path):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(4, 4), seed=12))
+        scene = corpus.scene((4, 4), 12)
         cam = default_camera(width=160, height=120, focal=135.0)
         frame = render(scene, cam)
         save_frame(tmp_path, "cluttered", frame)
@@ -326,7 +309,7 @@ class TestPersistence:
 
     def test_round_trip_camera_equal(self, tmp_path):
         # the stored pose has the canonical quaternion sign; default_camera's has w < 0
-        frame = render(generate_packed_scene(SceneConfig(seed=1)), default_camera())
+        frame = render(corpus.episode_scene(1), default_camera())
         assert frame.camera.pose.rotation.w < 0
         save_frame(tmp_path, "cluttered", frame)
         assert load_frame(tmp_path, "cluttered").camera == frame.camera
@@ -631,23 +614,15 @@ def assert_same_cloud(got: PointCloud, want: PointCloud):
         assert got.normals.tobytes() == want.normals.tobytes()
 
 
-@functools.cache
-def catalog():
-    return build_catalog(CatalogConfig())
-
-
-@functools.cache
-def dense_scene(seed: int) -> Scene:
-    return generate_packed_scene(SceneConfig(object_count_range=(8, 10), seed=seed), catalog())
+# results that two tests compare with: the frames of the dense render cases
+# at 160x120, and the layers of the chunk-size cases and of the scenes that
+# `TestRasteriseMemory` traces
+shared_render = corpus.shared(reference_render)
+shared_rasterise = corpus.shared(reference_rasterise)
 
 
 def scene_and_singles(scene: Scene) -> list[Scene]:
     return [scene] + [derive_single_scene(scene, i) for i in range(len(scene.instances))]
-
-
-def mesh_instance(vertices, triangles) -> ObjectInstance:
-    """Instance at the identity pose, so vertices are world coordinates."""
-    return ObjectInstance("mesh", TriMesh(vertices, triangles), Pose.identity())
 
 
 # camera at the world origin looking along +z, +x right, +y down
@@ -668,7 +643,7 @@ class TestRenderMatchesReference:
         monkeypatch.setattr(camera_module, "_CHUNK_PAIRS", 61)
         cam = default_camera(width=160, height=120, focal=135.0)
         for scene in scene_and_singles(dense_scene(500 + seed)):
-            assert_same_frame(render(scene, cam), reference_render(scene, cam))
+            assert_same_frame(render(scene, cam), shared_render(scene, cam))
 
     def test_full_resolution(self):
         cam = default_camera()
@@ -802,17 +777,18 @@ def assert_same_layers(got: list, want: list):
             assert g.t.tobytes() == w.t.tobytes()
 
 
-def rasterise_both(instances, camera) -> list:
+def rasterise_both(instances, camera, reference=reference_rasterise) -> list:
     """The layers of `_rasterise`, asserted byte-equal to the reference's."""
     got = camera_module._rasterise(list(instances), camera)
-    assert_same_layers(got, reference_rasterise(list(instances), camera))
+    assert_same_layers(got, reference(list(instances), camera))
     return got
 
 
-def traced_peak(rasterise, instances, camera) -> int:
+def traced_peak(rasterise, instances, camera, untraced=None) -> int:
     # one untraced call first fills the meshes' lazy caches (`is_closed_outward`),
-    # which would otherwise count against whichever rasteriser runs first
-    rasterise(list(instances), camera)
+    # which would otherwise count against whichever rasteriser runs first; for the
+    # reference it can read the shared result, so that the oracle itself runs only traced
+    (untraced or rasterise)(list(instances), camera)
     tracemalloc.start()
     try:
         rasterise(list(instances), camera)
@@ -826,13 +802,12 @@ def pixel_vertices(camera: CameraModel, uvz) -> list:
     return [[(u - camera.cx) / camera.fx * z, (v - camera.cy) / camera.fy * z, z] for u, v, z in uvz]
 
 
-# the image at 160x120 and 640x480 spans x in [-0.8, 0.8] and y in [-0.6, 0.6]
-# at depth 1, and this triangle covers it, so every box row is a whole image row
-FULL_SCREEN = ([[-4.0, -4.0, 1.0], [8.0, -4.0, 1.5], [-4.0, 8.0, 2.0]], [[0, 1, 2]])
 FULL_CAMERA = CameraModel(640, 480, 400.0, 400.0, 320.0, 240.0, Pose.identity())
 # focal length 128: a row centre v + 0.5 is y / z = (v + 0.5 - 60) / 128, a
 # binary fraction, so a vertex can project onto it exactly
 ROW_CAMERA = CameraModel(160, 120, 128.0, 128.0, 80.0, 60.0, Pose.identity())
+# every 4th `occlusion_sweep` scene: tracing makes the reference about eight times slower
+TRACED_SEEDS = range(2, 40, 4)
 
 
 class TestRasteriseMatchesReference:
@@ -843,17 +818,18 @@ class TestRasteriseMatchesReference:
     def test_benchmark_corpora_at_full_resolution(self):
         # the 40 scenes of occlusion_sweep and the 16 of episode
         cam = default_camera()
-        for seed in range(40):
-            rasterise_both(dense_scene(seed).instances, cam)
-        for seed in range(16):
-            rasterise_both(generate_packed_scene(SceneConfig(seed=seed), catalog()).instances, cam)
+        for seed in corpus.SWEEP_SEEDS:
+            rasterise_both(dense_scene(seed).instances, cam,
+                           shared_rasterise if seed in TRACED_SEEDS else reference_rasterise)
+        for seed in corpus.EPISODE_SEEDS:
+            rasterise_both(corpus.episode_scene(seed).instances, cam)
 
     @pytest.mark.parametrize("chunk", [61, 7])
     def test_dense_scenes_in_small_chunks(self, chunk, monkeypatch):
         monkeypatch.setattr(camera_module, "_CHUNK_PAIRS", chunk)
         cam = default_camera(width=160, height=120, focal=135.0)
-        for seed in range(500, 510):
-            rasterise_both(dense_scene(seed).instances, cam)
+        for seed in corpus.RENDER_SEEDS:
+            rasterise_both(dense_scene(seed).instances, cam, shared_rasterise)
 
     def test_one_column_boxes_over_several_rows(self, small_chunks):
         # each box is one column wide, so each pixel was a batch element of
@@ -881,14 +857,11 @@ class TestRasteriseMatchesReference:
         # 19,200 pairs each; in chunks of 19,199 the last piece is one pair.
         # Scaling a vertex along its ray keeps the projection and moves the depths.
         monkeypatch.setattr(camera_module, "_CHUNK_PAIRS", chunk)
-        verts, tris = FULL_SCREEN
-        scales = np.random.default_rng(3).uniform(0.5, 2.0, size=(12, 3, 1))
-        instances = [mesh_instance(np.asarray(verts) * scale, tris) for scale in scales]
-        for layer in rasterise_both(instances, AXIS_CAMERA):
+        for layer in rasterise_both(corpus.full_screen_instances(), AXIS_CAMERA, shared_rasterise):
             assert np.isfinite(layer.t).all() and layer.t.shape == (120, 160)
 
     def test_full_screen_triangle_at_full_resolution(self):
-        (layer,) = rasterise_both([mesh_instance(*FULL_SCREEN)], FULL_CAMERA)
+        (layer,) = rasterise_both([corpus.full_screen_instance()], FULL_CAMERA, shared_rasterise)
         assert np.isfinite(layer.t).all() and layer.t.shape == (480, 640)
 
     def test_edges_through_pixel_centres(self, small_chunks):
@@ -976,17 +949,16 @@ class TestRasteriseMemory:
     stays within the reference's, which bounds the benchmark's peak RSS."""
 
     def test_dense_corpus_at_full_resolution(self):
-        # every 4th scene: tracing makes the reference about eight times slower
         cam = default_camera()
-        for seed in range(2, 40, 4):
+        for seed in TRACED_SEEDS:
             instances = dense_scene(seed).instances
             assert traced_peak(camera_module._rasterise, instances, cam) <= traced_peak(
-                reference_rasterise, instances, cam), seed
+                reference_rasterise, instances, cam, shared_rasterise), seed
 
     def test_full_screen_triangle(self):
-        instances = [mesh_instance(*FULL_SCREEN)]
+        instances = [corpus.full_screen_instance()]
         assert traced_peak(camera_module._rasterise, instances, FULL_CAMERA) <= traced_peak(
-            reference_rasterise, instances, FULL_CAMERA)
+            reference_rasterise, instances, FULL_CAMERA, shared_rasterise)
 
 
 class TestRenderMatchesRayCast:
@@ -1093,7 +1065,7 @@ class TestLayerSlot:
         hits = [render(single, cam) for single in singles]
         assert camera_module._slot is slot  # every single was a hit
         for single, hit in zip(singles, hits):
-            want = reference_render(single, cam)
+            want = shared_render(single, cam)
             assert_same_frame(hit, want)
             # an equal camera that is another object misses and rasterises again
             assert_same_frame(render(single, dataclasses.replace(cam)), want)
@@ -1103,10 +1075,10 @@ class TestLayerSlot:
         a, b = dense_scene(500), dense_scene(501)
         render(a, cam)
         mixed = make_scene([b.instances[0], a.instances[1], b.instances[2], a.instances[3], a.instances[0]])
-        assert_same_frame(render(mixed, cam), reference_render(mixed, cam))
+        assert_same_frame(render(mixed, cam), shared_render(mixed, cam))
         # the slot now holds the mixed scene's layers, all rasterised again
         assert {id(inst) for inst in mixed.instances} == set(camera_module._slot[1])
-        assert_same_frame(render(mixed, cam), reference_render(mixed, cam))
+        assert_same_frame(render(mixed, cam), shared_render(mixed, cam))
 
     def test_partial_hit_rasterises_the_whole_scene(self, monkeypatch):
         cam = default_camera(width=160, height=120, focal=135.0)
@@ -1142,12 +1114,12 @@ class TestLayerSlot:
         assert_same_frame(render(first, other), reference_render(first, other))
         assert camera_module._slot[0] is other
         assert set(camera_module._slot[1]) == {id(first.instances[0])}
-        assert_same_frame(render(second, cam), reference_render(second, cam))
-        assert_same_frame(render(scene, cam), reference_render(scene, cam))
+        assert_same_frame(render(second, cam), shared_render(second, cam))
+        assert_same_frame(render(scene, cam), shared_render(scene, cam))
 
     def test_slot_releases_a_replaced_scene(self):
         cam = default_camera(width=160, height=120, focal=135.0)
-        scene = generate_packed_scene(SceneConfig(object_count_range=(3, 3), seed=77), catalog())
+        scene = generate_packed_scene(SceneConfig(object_count_range=(3, 3), seed=77), corpus.catalog())
         ref = weakref.ref(scene.instances[0])
         render(scene, cam)
         del scene

@@ -16,15 +16,10 @@ from occlugrasp.errors import InputError
 from occlugrasp.geometry import PointCloud, Pose, Quaternion
 from occlugrasp.meshes import make_cylinder, surface_sample
 from occlugrasp.occlusion import BinScheme, occlusion_level
-from occlugrasp.scenes import ObjectInstance, SceneConfig, derive_single_scene, generate_packed_scene
+from occlugrasp.scenes import ObjectInstance, derive_single_scene
 
-from .test_camera import box_instance, make_scene
-
-
-def with_normals(points) -> PointCloud:
-    """A cloud of `points`, each with the unit normal +z; these tests read only the points."""
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    return PointCloud(points, np.tile([0.0, 0.0, 1.0], (len(points), 1)))
+from . import corpus
+from .corpus import make_scene, with_normals
 
 
 def brute_chamfer(a: np.ndarray, b: np.ndarray) -> float:
@@ -97,7 +92,7 @@ class TestChamferMatchesReference:
         compared = 0
         for count_range, seeds in (((4, 6), range(16)), ((8, 10), range(40))):
             for seed in seeds:
-                scene = generate_packed_scene(SceneConfig(object_count_range=count_range, seed=seed))
+                scene = corpus.scene(count_range, seed)
                 cluttered = render(scene, cam)
                 single = render(derive_single_scene(scene, scene.target_index), cam)
                 if occlusion_level(single, cluttered, scene.target_index, scheme).bin_index is None:
@@ -162,7 +157,7 @@ class TestIouMatchesReference:
         completer = MirrorCompleter()
         results = []
         for seed in range(40):
-            scene = generate_packed_scene(SceneConfig(object_count_range=(4, 6), seed=seed))
+            scene = corpus.scene((4, 6), seed)
             completed = completer(rendered_partial(scene, cam), scene, cam)
             gt = completion_ground_truth(scene)
             assert volumetric_iou(completed, gt) == reference_iou(completed, gt), seed
@@ -201,7 +196,7 @@ def rendered_partial(scene, cam):
 
 class TestOracleCompleter:
     def test_cd_at_noise_floor(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(1, 1), seed=3))
+        scene = corpus.scene((1, 1), 3)
         gt = completion_ground_truth(scene)
         completed = OracleCompleter()(PointCloud.empty(), scene)
         # independent resample of the same surface: CD ~ sampling noise floor
@@ -212,18 +207,18 @@ class TestOracleCompleter:
         assert chamfer_l1(completed, gt) < 2.0 * floor
 
     def test_ignores_partial_input(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(1, 1), seed=4))
+        scene = corpus.scene((1, 1), 4)
         full = OracleCompleter()(PointCloud.empty(), scene)
         assert len(full) > 0
 
     def test_iou_against_ground_truth(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(1, 1), seed=5))
+        scene = corpus.scene((1, 1), 5)
         completed = OracleCompleter()(PointCloud.empty(), scene)
         gt = completion_ground_truth(scene)
         assert volumetric_iou(completed, gt) >= 0.95
 
     def test_is_the_ground_truth_sample(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(1, 1), seed=5))
+        scene = corpus.scene((1, 1), 5)
         completed = OracleCompleter()(PointCloud.empty(), scene)
         np.testing.assert_array_equal(completed.points, completion_ground_truth(scene).points)
 
@@ -282,7 +277,7 @@ class TestMirrorCompleter:
         assert "no lateral extent" in caplog.text
 
     def test_symmetric_complete_cloud_unchanged(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(1, 1), seed=6))
+        scene = corpus.scene((1, 1), 6)
         cam = default_camera(width=160, height=120, focal=135.0)
         full = completion_ground_truth(scene)
         out = MirrorCompleter()(full, scene, cam)
@@ -344,7 +339,7 @@ class TestMirrorDedupeBound:
         completer = MirrorCompleter()
         added = 0
         for seed in range(40):
-            scene = generate_packed_scene(SceneConfig(object_count_range=(4, 6), seed=seed))
+            scene = corpus.scene((4, 6), seed)
             partial = rendered_partial(scene, cam)
             assert len(partial) >= 4, seed
             bounded = completer(partial, scene, cam)
@@ -354,7 +349,7 @@ class TestMirrorDedupeBound:
 
     def test_distance_exactly_at_the_radius_is_a_duplicate(self, monkeypatch):
         cam = default_camera(width=320, height=240, focal=270.0)
-        scene = generate_packed_scene(SceneConfig(object_count_range=(4, 6), seed=0))
+        scene = corpus.scene((4, 6), 0)
         partial = rendered_partial(scene, cam)
         distances = []
 
@@ -387,7 +382,7 @@ class TestOrdering:
         sums = dict.fromkeys(completers, 0.0)
         n = 0
         for seed in range(40):
-            scene = generate_packed_scene(SceneConfig(object_count_range=(1, 1), seed=700 + seed))
+            scene = corpus.scene((1, 1), 700 + seed)
             partial = rendered_partial(scene, cam)
             if len(partial) < 4:
                 continue

@@ -30,7 +30,8 @@ from occlugrasp.meshes import (
     ray_cast,
     surface_sample,
 )
-from occlugrasp.scenes import CatalogConfig, build_catalog
+
+from . import corpus
 
 
 def ray_cast_brute(mesh: TriMesh, origin, direction) -> tuple[float, int]:
@@ -553,6 +554,15 @@ class TestPrimitives:
         with pytest.raises(InputError, match="numbers"):
             TriMesh(vertices, np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("vertices, triangles", [
+        (np.arange(12.0).reshape(2, 6), [[0, 1, 2]]), (np.arange(9.0), [[0, 1, 2]]),
+        (np.eye(3)[None], [[0, 1, 2]]), (np.eye(3), [0, 1, 2]), (np.eye(3), [[0, 1, 2, 0, 1, 2]])],
+        ids=["rows_of_six", "flat_vertices", "three_dims", "flat_triangles", "triangle_rows_of_six"])
+    def test_arrays_of_another_layout_rejected(self, vertices, triangles):
+        # a (2, 6) array was reshaped to 4 vertices and built a mesh
+        with pytest.raises(InputError, match="numbers"):
+            TriMesh(vertices, triangles)
+
     def test_mesh_owns_its_arrays(self):
         # the render and grasp slots key meshes by identity, so no caller's array may change one
         box = make_box(0.05, 0.07, 0.1)
@@ -806,7 +816,7 @@ class TestSurfaceSampleMatchesReference:
                                              (1024, 0 ^ 0x9E3779B9), (1024, 1 ^ 0x9E3779B9)],
                              ids=["contacts", "ground_truth_0", "ground_truth_1", "label_pair_0", "label_pair_1"])
     def test_default_catalog(self, count, seed):
-        for obj in build_catalog(CatalogConfig()):
+        for obj in corpus.catalog():
             assert_same_samples(obj.mesh, count, seed)
 
     @pytest.mark.parametrize("count", [1, 2, 17, 351])

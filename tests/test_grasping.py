@@ -42,18 +42,11 @@ from occlugrasp.grasping import (
     write_labels_jsonl,
 )
 from occlugrasp.meshes import make_box, make_sphere, surface_sample
-from occlugrasp.scenes import (
-    CatalogConfig,
-    ObjectInstance,
-    Scene,
-    SceneConfig,
-    build_catalog,
-    derive_single_scene,
-    enumerate_targets,
-    generate_packed_scene,
-)
+from occlugrasp.scenes import (ObjectInstance, Scene, SceneConfig, derive_single_scene, enumerate_targets,
+                                generate_packed_scene)
 
-from .test_camera import box_instance, make_scene
+from . import corpus
+from .corpus import box_instance, make_scene
 from .test_geometry import (
     from_matrix_branch,
     quaternion_bits,
@@ -141,6 +134,11 @@ def reference_offenders(grasp, scene, gripper):
     return offenders
 
 
+# `reference_label_pair` asks again for the cluttered offenders `dense_cases`
+# found, and two collision tests for those of a grasp on the lone box
+shared_offenders = corpus.shared(reference_offenders)
+
+
 def reference_pad_slab_contacts(points_g, normals_x, width, gripper):
     """Test 5 of one grasp: the extremal contacts along the closing axis inside
     the finger-pad slab, from the (x, y, z) component arrays of the samples in
@@ -182,7 +180,7 @@ def reference_mesh_hits(inst, pose, centers, halves):
 def reference_simulate(grasp, scene, gripper):
     if grasp.width > gripper.max_width + 1e-12:
         return FailureReason.WIDTH_EXCEEDED
-    offenders = reference_offenders(grasp, scene, gripper)
+    offenders = shared_offenders(grasp, scene, gripper)
     if "table" in offenders:
         return FailureReason.TABLE_BLOCK
     if any(o != scene.target_index for o in offenders):
@@ -263,7 +261,7 @@ def reference_label_pair(cluttered, gripper, count, seed):
         reason = sim_s.reason
         if (reason not in (FailureReason.WIDTH_EXCEEDED, FailureReason.TABLE_BLOCK)
                 and any(o not in ("table", cluttered.target_index)
-                        for o in reference_offenders(g, cluttered, gripper))):
+                        for o in shared_offenders(g, cluttered, gripper))):
             reason = FailureReason.OCCLUDER_COLLISION
         labels.append(GraspLabel(g, sim_s.success, reason == FailureReason.NONE, reason))
     return labels
@@ -279,10 +277,9 @@ def batch_results(grasps, scene, gripper):
 @pytest.fixture(scope="module")
 def dense_cases():
     """20 seeded 8-10 object scenes, 120 candidates each, with reference reasons."""
-    catalog = build_catalog(CatalogConfig())
     cases = []
     for seed in range(20):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(8, 10), seed=400 + seed), catalog)
+        scene = corpus.dense_scene(400 + seed)
         single = derive_single_scene(scene, scene.target_index)
         grasps = [lab.grasp for lab in label_pair(scene, GRIP, 120, seed)]
         ref_single = [reference_simulate(g, single, GRIP) for g in grasps]
@@ -296,7 +293,7 @@ def episode_cases():
     """The 16 4-6 object scenes of the benchmark's episode corpus, with `label_pair`'s 120 candidates each."""
     cases = []
     for seed in range(16):
-        scene = generate_packed_scene(SceneConfig(seed=seed))
+        scene = corpus.episode_scene(seed)
         cases.append((seed, scene, [lab.grasp for lab in label_pair(scene, GRIP, 120, seed)]))
     return cases
 
@@ -410,7 +407,7 @@ class TestTypes:
         with pytest.raises(InputError):
             Grasp(np.zeros(3), Quaternion.identity(), 0.05, quality=1.5)
 
-    @pytest.mark.parametrize("quality", ["a", None])
+    @pytest.mark.parametrize("quality", ["a", None, False, np.bool_(True)])  # a bool was accepted
     def test_grasp_quality_must_be_a_number(self, quality):
         with pytest.raises(InputError):
             Grasp(np.zeros(3), Quaternion.identity(), 0.05, quality=quality)
@@ -418,8 +415,10 @@ class TestTypes:
     @pytest.mark.parametrize(
         "center, width",
         [((0.0, 0.0, np.nan), 0.05), ((np.inf, 0.0, 0.0), 0.05), ((0.0, 0.0), 0.05), ((0.0, 0.0, 0.0, 0.0), 0.05),
-         ((0.0, 0.0, 0.0), np.nan), ((0.0, 0.0, 0.0), np.inf), ((0.0, 0.0, 0.0), -0.01)],
-        ids=["nan_center", "inf_center", "two_numbers", "four_numbers", "nan_width", "inf_width", "negative_width"],
+         ((0.0, 0.0, 0.0), np.nan), ((0.0, 0.0, 0.0), np.inf), ((0.0, 0.0, 0.0), -0.01), ((0.0, 0.0, 0.0), True),
+         ((0.0, 0.0, 0.0), np.bool_(True))],
+        ids=["nan_center", "inf_center", "two_numbers", "four_numbers", "nan_width", "inf_width", "negative_width",
+             "bool_width", "numpy_bool_width"],  # a bool width was accepted
     )
     def test_grasp_center_and_width_checked(self, center, width):
         with pytest.raises(InputError):
@@ -575,11 +574,10 @@ class TestSampling:
 
     @pytest.mark.parametrize("count_range", [(4, 6), (8, 10)])
     def test_matches_reference_on_completed_clouds(self, count_range):
-        catalog = build_catalog(CatalogConfig())
         cam = default_camera(width=320, height=240, focal=270.0)
         found = 0
         for seed in range(16):
-            scene = generate_packed_scene(SceneConfig(object_count_range=count_range, seed=seed), catalog)
+            scene = corpus.scene(count_range, seed)
             cloud = completed_target_cloud(scene, cam)
             grasps = sample_candidate_grasps(cloud, GRIP, 120, seed)
             assert_same_grasps(grasps, reference_sample(cloud, GRIP, 120, seed))
@@ -593,11 +591,10 @@ class TestSampling:
 
     def test_matches_reference_on_the_grasp_clutter_corpus(self):
         # the completed clouds the benchmark samples, at its 640x480 camera
-        catalog = build_catalog(CatalogConfig())
         cam = default_camera()
         sizes = []
         for seed in range(16):
-            scene = generate_packed_scene(SceneConfig(object_count_range=(8, 10), seed=seed), catalog)
+            scene = corpus.dense_scene(seed)
             cloud = completed_target_cloud(scene, cam)
             grasps = sample_candidate_grasps(cloud, GRIP, 120, seed)
             assert_same_grasps(grasps, reference_sample(cloud, GRIP, 120, seed))
@@ -607,7 +604,7 @@ class TestSampling:
     def test_matches_reference_on_label_pair_clouds(self):
         # `label_pair`'s 1,024 surface samples of each `episode` corpus target
         for seed in range(16):
-            target = generate_packed_scene(SceneConfig(seed=seed)).target
+            target = corpus.episode_scene(seed).target
             cloud = surface_sample(target.mesh, 1024, seed=seed ^ 0x9E3779B9).transformed(target.pose)
             grasps = sample_candidate_grasps(cloud, GRIP, 120, seed)
             assert len(grasps) == 120
@@ -649,7 +646,7 @@ class TestSampling:
 
     def test_no_opposing_point_stops_early(self, caplog):
         # dense scene seed 1: the completed sphere_011 has no opposing pair
-        scene = generate_packed_scene(SceneConfig(object_count_range=(8, 10), seed=1))
+        scene = corpus.dense_scene(1)
         cloud = completed_target_cloud(scene, default_camera())
         assert scene.target.catalog_id == "sphere_011" and len(cloud) == 318
         assert reference_sample(cloud, GRIP, 120, 1) == []
@@ -776,10 +773,10 @@ class TestCollision:
     """`simulate_grasp` stops at the first offender of the every-box reference."""
 
     def test_free_top_down(self):
-        scene = make_scene([box_instance(0.05, 0.05, 0.1, 0.15, 0.15)])
+        scene = corpus.lone_box()
         g = side_grasp((0.15, 0.15, 0.05))
         assert simulate_grasp(g, scene, GRIP) == FREE
-        assert reference_offenders(g, scene, GRIP) == []
+        assert shared_offenders(g, scene, GRIP) == []
 
     def test_occluder_flush_against_grasp_face(self):
         target = box_instance(0.05, 0.05, 0.1, 0.15, 0.15)
@@ -804,7 +801,7 @@ class TestCollision:
         g = side_grasp((0.15, 0.15, -0.001))
         assert reference_offenders(g, scene, GRIP) == ["table", 0, 1, 2]
         assert simulate_grasp(g, scene, GRIP) == TABLE
-        assert reference_offenders(side_grasp((0.15, 0.15, 0.05)), make_scene([target]), GRIP) == []
+        assert shared_offenders(side_grasp((0.15, 0.15, 0.05)), corpus.lone_box(), GRIP) == []
 
     @pytest.mark.parametrize("gap,free", [(-1e-5, False), (1e-7, True), (1e-5, True)])
     def test_broad_phase_margin_never_hides_contact(self, gap, free):
@@ -879,7 +876,7 @@ class TestSimulate:
         assert res.detail.endswith("contact outside the friction cone")
 
     def test_deterministic(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(5, 5), seed=3))
+        scene = corpus.scene((5, 5), 3)
         cloud = surface_sample(scene.target.mesh, 512, seed=1).transformed(scene.target.pose)
         g = sample_candidate_grasps(cloud, GRIP, 12, seed=1)[0]
         a = simulate_grasp(g, scene, GRIP)
@@ -1037,7 +1034,7 @@ class TestBatchedOracle:
         # the 4-6 object scenes of the benchmark's episode corpus
         seen = set()
         for seed in range(16):
-            scene = generate_packed_scene(SceneConfig(seed=seed))
+            scene = corpus.episode_scene(seed)
             got = label_pair(scene, GRIP, 120, seed)
             want = reference_label_pair(scene, GRIP, 120, seed)
             assert [_label_key(lab) for lab in got] == [_label_key(lab) for lab in want], seed
@@ -1045,7 +1042,8 @@ class TestBatchedOracle:
         assert len(seen) >= 4
 
     def test_label_pair_memory(self):
-        # the contact stage's matrix products run a chunk of candidates at a time
+        # the contact stage's matrix products run a chunk of candidates at a time;
+        # a scene of its own, as a shared one's cached instance boxes would lower the peak
         scene = generate_packed_scene(SceneConfig(object_count_range=(10, 10), seed=2))
         tracemalloc.start()
         try:
@@ -1284,7 +1282,7 @@ class TestLabelPair:
             taxonomy_counts(labels)
 
     def test_single_object_scene_labels_agree(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(1, 1), seed=6))
+        scene = corpus.scene((1, 1), 6)
         labels = label_pair(scene, GRIP, 48, seed=2)
         assert labels
         for lab in labels:
@@ -1310,7 +1308,7 @@ class TestLabelPair:
     def test_subset_invariant_random_scenes(self):
         total = 0
         for seed in range(12):
-            scene = generate_packed_scene(SceneConfig(object_count_range=(4, 6), seed=100 + seed))
+            scene = corpus.scene((4, 6), 100 + seed)
             labels = label_pair(scene, GRIP, 40, seed=seed)
             total += len(labels)
             for lab in labels:
@@ -1319,7 +1317,7 @@ class TestLabelPair:
 
     def test_removing_occluder_never_flips_success_to_failure(self):
         for seed in range(6):
-            scene = generate_packed_scene(SceneConfig(object_count_range=(4, 5), seed=200 + seed))
+            scene = corpus.scene((4, 5), 200 + seed)
             if len(scene.instances) < 2:
                 continue
             drop = (scene.target_index + 1) % len(scene.instances)
@@ -1356,7 +1354,7 @@ class TestJsonl:
             label_to_record("scene_009", 0, label)
 
     def test_round_trip(self, tmp_path):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(3, 3), seed=9))
+        scene = corpus.scene((3, 3), 9)
         labels = label_pair(scene, GRIP, 24, seed=7)
         path = tmp_path / "labels.jsonl"
         write_labels_jsonl(path, "scene_009", scene.target_index, labels)
@@ -1371,7 +1369,7 @@ class TestJsonl:
 
     def test_grasps_read_back_compare_equal(self, tmp_path):
         # the records hold the canonical sign of each rotation
-        scene = generate_packed_scene(SceneConfig(object_count_range=(3, 3), seed=9))
+        scene = corpus.scene((3, 3), 9)
         labels = label_pair(scene, GRIP, 24, seed=7)
         write_labels_jsonl(tmp_path / "labels.jsonl", "scene_009", scene.target_index, labels)
         back = [label_from_record(rec) for rec in read_labels_jsonl(tmp_path / "labels.jsonl")]
@@ -1417,7 +1415,7 @@ class TestJsonl:
             read_labels_jsonl(path)
 
     def test_grasps_read_back_found_in_a_set(self, tmp_path):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(3, 3), seed=9))
+        scene = corpus.scene((3, 3), 9)
         labels = label_pair(scene, GRIP, 24, seed=7)
         write_labels_jsonl(tmp_path / "labels.jsonl", "scene_009", scene.target_index, labels)
         originals = {lab.grasp for lab in labels}

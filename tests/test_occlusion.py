@@ -12,17 +12,10 @@ from occlugrasp.occlusion import (
     assign_bin,
     occlusion_level,
 )
-from occlugrasp.scenes import (
-    CatalogConfig,
-    Scene,
-    SceneConfig,
-    build_catalog,
-    derive_single_scene,
-    enumerate_targets,
-    generate_packed_scene,
-)
+from occlugrasp.scenes import derive_single_scene, enumerate_targets
 
-from .test_camera import box_instance, make_scene
+from . import corpus
+from .corpus import box_instance, make_scene
 
 
 def hand_built_pair(total=100, hidden=30):
@@ -59,7 +52,7 @@ class TestOcclusionLevel:
 
     def test_no_occluders_level_zero(self):
         for seed in range(5):
-            scene = generate_packed_scene(SceneConfig(object_count_range=(1, 3), seed=seed))
+            scene = corpus.scene((1, 3), seed)
             cam = default_camera(width=160, height=120, focal=135.0)
             single_scene = derive_single_scene(scene, scene.target_index)
             single = render(single_scene, cam)
@@ -98,12 +91,11 @@ class TestOcclusionLevel:
 
     def test_counts_are_ints_equal_to_the_summed_masks(self):
         # np.count_nonzero returns np.intp, which json.dumps refuses
-        catalog = build_catalog(CatalogConfig())
         cam = default_camera(width=320, height=240, focal=270.0)
         scheme = BinScheme.test()
         targets = 0
         for seed in range(40):
-            scene = generate_packed_scene(SceneConfig(object_count_range=(8, 10), seed=seed), catalog)
+            scene = corpus.dense_scene(seed)
             cluttered = render(scene, cam)
             for target in enumerate_targets(scene):
                 single = render(derive_single_scene(target, target.target_index), cam)
@@ -129,7 +121,7 @@ class TestOcclusionLevel:
     def test_loaded_frame_pairs_with_its_rendered_twin(self, tmp_path, seed):
         # `load_frame` builds a new camera from the saved intrinsics and pose;
         # it equals the rendered frame's camera, so the pair is accepted
-        scene = generate_packed_scene(SceneConfig(object_count_range=(8, 10), seed=seed))
+        scene = corpus.dense_scene(seed)
         cam = default_camera(width=160, height=120, focal=135.0, elevation_deg=30.0 + 10 * seed)
         cluttered = render(scene, cam)
         single = render(derive_single_scene(scene, scene.target_index), cam)

@@ -64,10 +64,14 @@ def _functools_name(node, names: dict[str, str]) -> str | None:
 
 def test_module_caches_are_bounded():
     # a module-level cache lives as long as the process, so each needs an
-    # integer maxsize (a literal or a module constant) to stay bounded
+    # integer maxsize (a literal or a module constant) to stay bounded; the
+    # tests' shared corpus lives as long as the test run
     cached = []
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+        text = path.read_text()
+        if "functools" not in text:
+            continue  # it imports no name that could be a functools cache
+        tree = ast.parse(text, str(path))
         names, constants = {}, {}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -90,7 +94,7 @@ def test_module_caches_are_bounded():
             if isinstance(node, ast.FunctionDef) and any(
                     isinstance(d, ast.Call) and _functools_name(d.func, names) == "lru_cache" for d in node.decorator_list):
                 cached.append(node.name)
-    assert {"_shared_catalog", "_voxel_projection"} <= set(cached)
+    assert {"_shared_catalog", "_voxel_projection", "scene", "_result"} <= set(cached)
 
 
 SOURCES = sorted((ROOT / "src").rglob("*.py"))

@@ -24,6 +24,8 @@ from occlugrasp.scenes import (
     scene_to_manifest,
 )
 
+from . import corpus
+
 
 def points_inside_mesh(points: np.ndarray, mesh, pose: Pose) -> np.ndarray:
     """Ray-parity containment oracle using brute-force all-triangle intersection,
@@ -71,7 +73,7 @@ class TestCatalog:
 
     def test_default_catalog_closed_outward(self):
         # `render` culls the back faces of exactly these meshes
-        for obj in build_catalog(CatalogConfig()):
+        for obj in corpus.catalog():
             assert obj.mesh.is_closed_outward, obj.catalog_id
 
     # each raised a bare TypeError, ValueError or OverflowError, built an empty
@@ -89,8 +91,7 @@ class TestCatalog:
 
     @pytest.mark.parametrize("bad", BAD)
     def test_malformed_manifest_catalog_rejected(self, bad):
-        cfg = SceneConfig(object_count_range=(2, 2), seed=4)
-        data = scene_to_manifest(generate_packed_scene(cfg), cfg.catalog)
+        data = scene_to_manifest(corpus.scene((2, 2), 4), CatalogConfig())
         data["catalog"].update(json.loads(json.dumps(bad)))
         with pytest.raises(InputError):
             scene_from_manifest(data)
@@ -112,7 +113,7 @@ class TestCatalog:
         # vertex is (r, 0) exactly, and the top is the height
         sides = {"cylinder": CYLINDER_SEGMENTS, "hex": 6}
         checked = 0
-        for obj in build_catalog(CatalogConfig()):
+        for obj in corpus.catalog():
             kind = obj.catalog_id.split("_")[0]
             if kind in sides:
                 n, verts = sides[kind], obj.mesh.vertices
@@ -164,7 +165,7 @@ def reference_footprint(obj) -> np.ndarray:
 class TestFootprintMatchesHull:
     @pytest.mark.parametrize("config", [CatalogConfig(), CatalogConfig(seed=7, size=400)], ids=["default", "seed7"])
     def test_every_footprint(self, config):
-        catalog = build_catalog(config)
+        catalog = corpus.catalog() if config == CatalogConfig() else build_catalog(config)
         for obj in catalog:
             want = reference_footprint(obj)
             assert obj.footprint_poly.shape == want.shape, obj.catalog_id
@@ -228,7 +229,7 @@ def footprint_pairs(n: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Pairs of catalog footprints at random yaw, in turn: overlapping or apart by
     up to 3 mm, touching, within 10 um of the 1 mm margin, two boxes sharing an
     edge, and a footprint holding a shrunken copy of itself."""
-    catalog = build_catalog(CatalogConfig())
+    catalog = corpus.catalog()
     boxes = [obj.footprint_poly for obj in catalog if obj.catalog_id.startswith("box_")]
     rng = np.random.default_rng(seed)
 
@@ -275,18 +276,17 @@ class TestPolygonDistanceMatchesLoop:
         assert sum(ref < 1e-3 for ref in near) > 50 and sum(ref >= 1e-3 for ref in near) > 50
 
     def test_scenes_equal_with_the_reference(self, monkeypatch):
-        catalog = build_catalog(CatalogConfig())
+        catalog = corpus.catalog()
         configs = [SceneConfig(object_count_range=count_range, seed=seed)
-                   for count_range in ((4, 6), (8, 10)) for seed in range(200)]
-        fast = [scene_key(generate_packed_scene(c, catalog)) for c in configs]
+                   for count_range in (corpus.EPISODE_OBJECTS, corpus.DENSE_OBJECTS) for seed in corpus.GENERATION_SEEDS]
+        fast = [scene_key(scene) for scene in corpus.generation_scenes()]
         monkeypatch.setattr(scenes_module, "polygon_distance", reference_polygon_distance)
         assert [scene_key(generate_packed_scene(c, catalog)) for c in configs] == fast
 
 
 class TestGeneratePacked:
     def test_single_object_is_target(self):
-        cfg = SceneConfig(object_count_range=(1, 1), seed=5)
-        scene = generate_packed_scene(cfg)
+        scene = corpus.scene((1, 1), 5)
         assert len(scene.instances) == 1
         assert scene.target_index == 0
 
@@ -302,7 +302,7 @@ class TestGeneratePacked:
     def test_instances_inside_workspace_and_resting(self):
         cfg = SceneConfig(object_count_range=(4, 6), seed=7)
         for s in range(20):
-            scene = generate_packed_scene(SceneConfig(object_count_range=(4, 6), seed=s))
+            scene = corpus.scene((4, 6), s)
             for inst in scene.instances:
                 world = inst.pose.transform(inst.mesh.vertices)
                 assert world.min() > -1e-9
@@ -311,16 +311,15 @@ class TestGeneratePacked:
                 assert abs(world[:, 2].min()) < 1e-6
 
     def test_yaw_only_rotation(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(5, 5), seed=11))
+        scene = corpus.scene((5, 5), 11)
         up = np.array([0.0, 0.0, 1.0])
         for inst in scene.instances:
             assert np.allclose(inst.pose.rotate_only(up), up, atol=1e-12)
 
     def test_no_interpenetration_brute_force(self):
         # scaled-down version of the exhaustive pairwise oracle sweep
-        catalog = build_catalog(CatalogConfig())
         for s in range(30):
-            scene = generate_packed_scene(SceneConfig(object_count_range=(5, 5), seed=1000 + s), catalog)
+            scene = corpus.scene((5, 5), 1000 + s)
             n = len(scene.instances)
             for i in range(n):
                 for j in range(i + 1, n):
@@ -383,14 +382,14 @@ class TestGeneratePacked:
 
 class TestDeriveSingle:
     def test_keeps_target_pose_exactly(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(5, 5), seed=3))
+        scene = corpus.scene((5, 5), 3)
         single = derive_single_scene(scene, 2)
         assert len(single.instances) == 1
         assert single.instances[0].pose.as_7floats() == scene.instances[2].pose.as_7floats()
         assert single.seed == scene.seed
 
     def test_idempotent_on_single(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(1, 1), seed=9))
+        scene = corpus.scene((1, 1), 9)
         again = derive_single_scene(scene, 0)
         assert again.instances[0].pose.as_7floats() == scene.instances[0].pose.as_7floats()
 
@@ -405,20 +404,20 @@ class TestDeriveSingle:
             scene_to_manifest(bad, CatalogConfig())
 
     def test_invalid_index(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(2, 2), seed=1))
+        scene = corpus.scene((2, 2), 1)
         with pytest.raises(InputError):
             derive_single_scene(scene, 5)
 
     @pytest.mark.parametrize("index", [1.5, "1", None])
     def test_index_must_be_an_integer(self, index):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(2, 2), seed=1))
+        scene = corpus.scene((2, 2), 1)
         with pytest.raises(InputError):
             derive_single_scene(scene, index)
 
 
 class TestEnumerateTargets:
     def test_one_scene_per_instance(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(5, 5), seed=13))
+        scene = corpus.scene((5, 5), 13)
         variants = enumerate_targets(scene)
         assert len(variants) == len(scene.instances)
         assert [v.target_index for v in variants] == list(range(len(scene.instances)))
@@ -426,11 +425,11 @@ class TestEnumerateTargets:
             assert v.instances is scene.instances
 
     def test_single_object(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(1, 1), seed=2))
+        scene = corpus.scene((1, 1), 2)
         assert len(enumerate_targets(scene)) == 1
 
     def test_union_of_singles_is_distinct(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(5, 5), seed=17))
+        scene = corpus.scene((5, 5), 17)
         singles = [derive_single_scene(v, v.target_index) for v in enumerate_targets(scene)]
         keys = {tuple(s.instances[0].pose.as_7floats()) + (s.instances[0].catalog_id,) for s in singles}
         assert len(keys) == len(scene.instances)
@@ -445,33 +444,50 @@ class TestSceneFields:
     @pytest.mark.parametrize("item", ["a", None, SceneConfig()])
     def test_each_instance_must_be_an_object_instance(self, item):
         # ("a",) raised a bare AttributeError in `render`: no attribute 'mesh'
-        scene = generate_packed_scene(SceneConfig(object_count_range=(2, 2), seed=1))
+        scene = corpus.scene((2, 2), 1)
         with pytest.raises(InputError, match="instances"):
             Scene((item,), 0, 0)
         with pytest.raises(InputError, match="instances"):
             Scene(scene.instances + (item,), 0, 0)
 
     @pytest.mark.parametrize("field, value", [("catalog_id", 7), ("catalog_id", None), ("mesh", "m"),
-                                              ("mesh", None), ("pose", "p"), ("pose", np.zeros(7))])
+                                              ("mesh", None), ("pose", "p"), ("pose", np.zeros(7)),
+                                              ("footprint_poly", "abc"), ("footprint_poly", np.zeros(2)),
+                                              ("footprint_poly", np.zeros((2, 2))), ("footprint_poly", np.zeros((4, 3))),
+                                              ("footprint_poly", [[0.0, 0.0], [0.1, 0.0], [np.nan, 0.1]]),
+                                              ("footprint_poly", [[0.0, 0.0], [0.1, 0.0], [0.0, np.inf]])])
     def test_object_instance_fields_typed(self, field, value):
-        # ObjectInstance("x", "m", pose) in a scene raised a bare AttributeError in `render`
+        # ObjectInstance("x", "m", pose) in a scene raised a bare AttributeError in `render`;
+        # a footprint "abc" raised a bare UFuncTypeError from `world_footprint_box`, and a
+        # (2,) array gave a [0, 0] box, a NaN vertex a NaN box
         fields = {"catalog_id": "box", "mesh": make_box(0.1, 0.1, 0.1), "pose": Pose.identity()}
         with pytest.raises(InputError, match=field.split("_")[-1]):
             ObjectInstance(**{**fields, field: value})
 
+    def test_footprint_poly_of_numbers_accepted(self):
+        inst = ObjectInstance("box", make_box(0.1, 0.1, 0.1), Pose.identity(), [[0, 0], [0.1, 0], [0.1, 0.1]])
+        assert inst.world_footprint_box.tolist() == [[0.0, 0.0], [0.1, 0.1]]
+
+    def test_instance_without_a_footprint_poly(self):
+        # placement reads the box of every placed instance; None raised a bare ValueError
+        inst = ObjectInstance("box", make_box(0.1, 0.1, 0.1), Pose.identity())
+        with pytest.raises(InputError, match="footprint_poly"):
+            inst.world_footprint_poly()
+        with pytest.raises(InputError, match="footprint_poly"):
+            inst.world_footprint_box
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(2, 2), seed=1))
+        scene = corpus.scene((2, 2), 1)
         with pytest.raises(InputError, match="seed"):
             Scene(scene.instances, 0, seed)
 
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
-        cfg = SceneConfig(object_count_range=(4, 4), seed=21)
-        scene = generate_packed_scene(cfg)
+        scene = corpus.scene((4, 4), 21)
         path = tmp_path / "scene.json"
-        save_scene(path, scene, cfg.catalog)
+        save_scene(path, scene, CatalogConfig())
         loaded = load_scene(path)
         assert loaded.target_index == scene.target_index
         for ia, ib in zip(scene.instances, loaded.instances):
@@ -489,12 +505,10 @@ class TestManifest:
 
     def test_manifest_with_a_workspace_extent_loads(self):
         # manifests once recorded the workspace size, which no scene keeps now
-        cfg = SceneConfig(object_count_range=(3, 3), seed=8)
-        scene = generate_packed_scene(cfg)
-        data = scene_to_manifest(scene, cfg.catalog)
+        data = scene_to_manifest(corpus.scene((3, 3), 8), CatalogConfig())
         assert "workspace_extent" not in data
         loaded = scene_from_manifest({**data, "workspace_extent": 0.3})
-        assert scene_to_manifest(loaded, cfg.catalog) == data
+        assert scene_to_manifest(loaded, CatalogConfig()) == data
 
     def test_manifest_is_stable_json(self):
         cfg = SceneConfig(object_count_range=(3, 3), seed=8)
@@ -506,18 +520,15 @@ class TestManifest:
     @pytest.mark.parametrize("bad", ["c", None, [1, 2]])
     def test_catalog_config_and_catalog_must_have_their_types(self, bad):
         # "c" raised a bare AttributeError: no attribute 'seed', and [1, 2] one for 'catalog_id'
-        cfg = SceneConfig(object_count_range=(2, 2), seed=4)
-        scene = generate_packed_scene(cfg)
+        scene = corpus.scene((2, 2), 4)
         with pytest.raises(InputError, match="catalog_config"):
             scene_to_manifest(scene, bad)
         if bad is not None:  # None is the manifest's own catalog
             with pytest.raises(InputError, match="catalog"):
-                scene_from_manifest(scene_to_manifest(scene, cfg.catalog), bad)
+                scene_from_manifest(scene_to_manifest(scene, CatalogConfig()), bad)
 
     def test_unknown_catalog_id(self):
-        cfg = SceneConfig(object_count_range=(2, 2), seed=4)
-        scene = generate_packed_scene(cfg)
-        data = scene_to_manifest(scene, cfg.catalog)
+        data = scene_to_manifest(corpus.scene((2, 2), 4), CatalogConfig())
         data["instances"][0]["catalog_id"] = "mystery_999"
         with pytest.raises(InputError):
             scene_from_manifest(data)
@@ -525,8 +536,7 @@ class TestManifest:
     @pytest.mark.parametrize("path", [("seed",), ("catalog",), ("catalog", "height"), ("instances",),
                                       ("instances", 1, "pose"), ("instances", 0, "catalog_id")])
     def test_missing_key(self, path):
-        cfg = SceneConfig(object_count_range=(2, 2), seed=4)
-        data = scene_to_manifest(generate_packed_scene(cfg), cfg.catalog)
+        data = scene_to_manifest(corpus.scene((2, 2), 4), CatalogConfig())
         parent = data
         for key in path[:-1]:
             parent = parent[key]
@@ -537,16 +547,14 @@ class TestManifest:
     @pytest.mark.parametrize("pose", [[1.0, 0.0, 0.0, 0.0, 0.1, 0.1], [1.0] * 8, "identity", None,
                                       [1.0, 0.0, 0.0, 0.0, 0.1, 0.1, "z"], {"w": 1.0}])
     def test_pose_not_seven_floats(self, pose):
-        cfg = SceneConfig(object_count_range=(2, 2), seed=4)
-        data = scene_to_manifest(generate_packed_scene(cfg), cfg.catalog)
+        data = scene_to_manifest(corpus.scene((2, 2), 4), CatalogConfig())
         data["instances"][1]["pose"] = pose
         with pytest.raises(InputError, match="7 floats"):
             scene_from_manifest(data)
 
     @pytest.mark.parametrize("rotation", [[math.nan, 0.0, 0.0, 1.0], [1.0, 0.0, math.inf, 0.0]])
     def test_pose_rotation_not_finite(self, rotation):
-        cfg = SceneConfig(object_count_range=(2, 2), seed=4)
-        data = scene_to_manifest(generate_packed_scene(cfg), cfg.catalog)
+        data = scene_to_manifest(corpus.scene((2, 2), 4), CatalogConfig())
         data["instances"][1]["pose"] = rotation + [0.1, 0.1, 0.0]
         with pytest.raises(InputError, match="finite"):
             scene_from_manifest(data)
@@ -554,8 +562,7 @@ class TestManifest:
     @pytest.mark.parametrize("translation", [[math.nan, 0.1, 0.0], [0.1, math.inf, 0.0]])
     def test_pose_translation_not_finite(self, translation):
         # a NaN translation would give the instance a NaN world_aabb
-        cfg = SceneConfig(object_count_range=(2, 2), seed=4)
-        data = scene_to_manifest(generate_packed_scene(cfg), cfg.catalog)
+        data = scene_to_manifest(corpus.scene((2, 2), 4), CatalogConfig())
         data["instances"][1]["pose"] = [1.0, 0.0, 0.0, 0.0] + translation
         with pytest.raises(InputError, match="finite"):
             scene_from_manifest(data)
@@ -563,8 +570,7 @@ class TestManifest:
     @pytest.mark.parametrize("key,value", [("target_index", "1"), ("target_index", 1.5), ("target_index", True),
                                            ("target_index", None), ("instances", 5), ("instances", [5])])
     def test_value_of_the_wrong_type(self, key, value):
-        cfg = SceneConfig(object_count_range=(2, 2), seed=4)
-        data = scene_to_manifest(generate_packed_scene(cfg), cfg.catalog)
+        data = scene_to_manifest(corpus.scene((2, 2), 4), CatalogConfig())
         data[key] = value
         with pytest.raises(InputError):
             scene_from_manifest(data)
@@ -576,7 +582,7 @@ class TestManifest:
             scene_from_manifest(data)
 
     def test_numpy_integer_target_index_accepted(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(2, 2), seed=4))
+        scene = corpus.scene((2, 2), 4)
         assert Scene(scene.instances, np.int64(1), 0).target is scene.instances[1]
 
 
@@ -645,7 +651,7 @@ class ScriptedRng:
 class TestPlacementBroadPhase:
     @pytest.mark.parametrize("count_range, seeds", [((4, 6), range(200)), ((8, 10), range(200))])
     def test_matches_every_pair_loop(self, count_range, seeds, monkeypatch):
-        catalog = build_catalog(CatalogConfig())
+        catalog = corpus.catalog()
         configs = [SceneConfig(object_count_range=count_range, seed=seed) for seed in seeds]
         calls = [0]
         distance = scenes_module.polygon_distance
@@ -668,6 +674,7 @@ class TestPlacementBroadPhase:
         assert fast_calls < calls[0] / 2
 
     def test_pose_built_for_accepted_attempts_only(self, monkeypatch):
+        catalog = corpus.catalog()
         built = [0]
         about_axis = scenes_module.quaternion_about_axis
 
@@ -684,7 +691,6 @@ class TestPlacementBroadPhase:
             return place(*args, **kwargs)
 
         monkeypatch.setattr(scenes_module, "_place_instance", attempt)
-        catalog = build_catalog(CatalogConfig())
         scenes = [generate_packed_scene(SceneConfig(object_count_range=(8, 10), seed=s), catalog) for s in range(5)]
         assert built[0] == sum(len(scene.instances) for scene in scenes) < attempts[0]
 
@@ -724,7 +730,7 @@ class TestSharedCatalog:
         assert build_catalog(cfg)[0].mesh is not build_catalog(cfg)[0].mesh
 
     def test_footprints_are_read_only(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(3, 3), seed=4))
+        scene = corpus.scene((3, 3), 4)
         for poly in [obj.footprint_poly for obj in build_catalog(CatalogConfig(size=8))] + [
             inst.footprint_poly for inst in scene.instances
         ] + [inst.world_footprint_box for inst in scene.instances]:
@@ -733,13 +739,13 @@ class TestSharedCatalog:
 
     def test_world_aabb_is_read_only(self):
         # the grasp oracle's broad phase reads these arrays of every instance
-        for inst in generate_packed_scene(SceneConfig(object_count_range=(3, 3), seed=4)).instances:
+        for inst in corpus.scene((3, 3), 4).instances:
             for corner in inst.world_aabb:
                 with pytest.raises(ValueError):
                     corner[0] = 1.0
 
     def test_world_footprint_box_cached_and_equal_to_the_posed_polygon_box(self):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(8, 10), seed=4))
+        scene = corpus.dense_scene(4)
         for inst in scene.instances:
             yaw_rot = inst.pose.rotation.as_matrix()[:2, :2]
             world = inst.footprint_poly @ yaw_rot.T + inst.pose.translation[:2]

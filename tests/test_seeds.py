@@ -11,11 +11,13 @@ from occlugrasp.grasping import GripperModel, label_pair, sample_candidate_grasp
 from occlugrasp.meshes import make_box, surface_sample
 from occlugrasp.scenes import CatalogConfig, Scene, SceneConfig, build_catalog, generate_packed_scene
 
+from . import corpus
+
 BOX = make_box(0.05, 0.04, 0.06)
 
 
 def scene(seed=0) -> Scene:
-    packed = generate_packed_scene(SceneConfig(object_count_range=(2, 2), seed=3))
+    packed = corpus.scene((2, 2), 3)
     return Scene(packed.instances, packed.target_index, seed)
 
 

@@ -20,7 +20,7 @@ from occlugrasp.completion import MirrorCompleter
 from occlugrasp.errors import InputError
 from occlugrasp.geometry import PointCloud, Pose, Quaternion
 from occlugrasp.meshes import make_box, make_cylinder, make_sphere, surface_sample
-from occlugrasp.scenes import WORKSPACE_EXTENT, SceneConfig, generate_packed_scene
+from occlugrasp.scenes import WORKSPACE_EXTENT, SceneConfig
 from occlugrasp.tsdf import (
     TsdfConfig,
     TsdfGrid,
@@ -32,13 +32,8 @@ from occlugrasp.tsdf import (
     splat,
 )
 
-from .test_camera import box_instance, catalog, dense_scene, make_scene
-
-
-def with_normals(points) -> PointCloud:
-    """A cloud of `points`, each with the unit normal +z; `splat` reads only the points."""
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    return PointCloud(points, np.tile([0.0, 0.0, 1.0], (len(points), 1)))
+from .corpus import EPISODE_SEEDS, RENDER_SEEDS, box_instance, dense_scene, episode_scene, make_scene, with_normals
+from .corpus import scene as corpus_scene
 
 
 def straight_down_camera(extent=0.3, h=0.6):
@@ -289,7 +284,7 @@ class TestSplatMatchesUnboundedQuery:
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
-        scene = generate_packed_scene(SceneConfig(object_count_range=(4, 4), seed=8))
+        scene = corpus_scene((4, 4), 8)
         frame = render(scene, default_camera(width=160, height=120, focal=135.0))
         grid = fuse(frame)
         save_grid(tmp_path, "scene", grid)
@@ -449,8 +444,8 @@ def corpus():
     """(frame, clouds) of the benchmark's episode scenes (seeds 0-15, 4-6 objects)
     and 10 dense scenes: every visible instance's back-projected cloud, and the
     mirror-completed target."""
-    scenes = [generate_packed_scene(SceneConfig(seed=seed), catalog()) for seed in range(16)]
-    scenes += [dense_scene(500 + seed) for seed in range(10)]
+    scenes = [episode_scene(seed) for seed in EPISODE_SEEDS]
+    scenes += [dense_scene(seed) for seed in RENDER_SEEDS]
     completer = MirrorCompleter()
     cases = []
     for scene in scenes:
@@ -528,7 +523,7 @@ class TestMatchesReference:
 
 class TestProjectionCache:
     def frame(self):
-        scene = generate_packed_scene(SceneConfig(seed=3), catalog())
+        scene = episode_scene(3)
         return render(scene, SMALL_CAMERA)
 
     def test_arrays_read_only(self):
