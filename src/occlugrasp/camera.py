@@ -448,14 +448,11 @@ def _pixel_rays(camera: CameraModel, us, vs):
     return dx, dy
 
 
-def back_project(frame: DepthFrame, instance_filter: int | None = None) -> PointCloud:
-    """World point and screen-space normal per pixel of `instance_filter`, or per valid pixel for None."""
+def back_project(frame: DepthFrame, instance_filter: int) -> PointCloud:
+    """World point and screen-space normal per pixel of instance `instance_filter`."""
     _check_type(frame, DepthFrame, "frame")
-    if instance_filter is None:
-        mask = frame.valid
-    else:
-        _check_instance(instance_filter, "instance_filter")
-        mask = frame.instance_id == instance_filter
+    _check_instance(instance_filter, "instance_filter")
+    mask = frame.instance_id == instance_filter
     if not mask.any():
         return PointCloud.empty()
     # the box-sized temporaries die with `_masked_points`, before the cloud copies its arrays
@@ -465,7 +462,7 @@ def back_project(frame: DepthFrame, instance_filter: int | None = None) -> Point
 
 
 def _masked_points(frame: DepthFrame, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The world points and the world normals, not yet unit, of the pixels of `mask`."""
+    """The world points and the world normals, not yet unit, of the pixels of `mask`, all of one instance."""
     cam = frame.camera
     # work inside the mask's bounding box: a neighbor outside the mask never
     # contributes to a normal, and every value is computed per pixel
@@ -473,7 +470,6 @@ def _masked_points(frame: DepthFrame, mask: np.ndarray) -> tuple[np.ndarray, np.
     cols = np.flatnonzero(mask.any(axis=0))
     box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
     mask = mask[box]
-    h, w = mask.shape
     vs_all, us_all = np.mgrid[box]
     z = frame.depth[box].astype(np.float64)
     dx, dy = _pixel_rays(cam, us_all, vs_all)
@@ -482,16 +478,14 @@ def _masked_points(frame: DepthFrame, mask: np.ndarray) -> tuple[np.ndarray, np.
     rot = cam.pose.rotation.as_matrix()
     pts_world = pts_cam @ rot.T + cam.pose.translation
     # screen-space normals: cross of horizontal/vertical neighbor differences,
-    # restricted to same-instance neighbors; fallback points at the camera
+    # restricted to neighbors in the mask, which are all of one instance;
+    # fallback points at the camera
     du = np.zeros_like(pts_cam)
     dv = np.zeros_like(pts_cam)
-    same_u = np.zeros((h, w), dtype=bool)
-    same_v = np.zeros((h, w), dtype=bool)
-    inst = frame.instance_id[box]
-    same_u[:, :-1] = (inst[:, :-1] == inst[:, 1:]) & mask[:, :-1] & mask[:, 1:]
-    same_v[:-1, :] = (inst[:-1, :] == inst[1:, :]) & mask[:-1, :] & mask[1:, :]
-    du[:, :-1][same_u[:, :-1]] = (pts_cam[:, 1:] - pts_cam[:, :-1])[same_u[:, :-1]]
-    dv[:-1, :][same_v[:-1, :]] = (pts_cam[1:, :] - pts_cam[:-1, :])[same_v[:-1, :]]
+    same_u = mask[:, :-1] & mask[:, 1:]
+    same_v = mask[:-1, :] & mask[1:, :]
+    du[:, :-1][same_u] = (pts_cam[:, 1:] - pts_cam[:, :-1])[same_u]
+    dv[:-1, :][same_v] = (pts_cam[1:, :] - pts_cam[:-1, :])[same_v]
     n_cam = np.cross(du, dv)
     lens = np.linalg.norm(n_cam, axis=-1)
     good = lens > 1e-12

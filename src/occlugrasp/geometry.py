@@ -253,9 +253,6 @@ class Pose:
     def transform(self, pts) -> np.ndarray:
         return self.rotation.rotate(pts) + self.translation
 
-    def rotate_only(self, vecs) -> np.ndarray:
-        return self.rotation.rotate(vecs)
-
     def __mul__(self, other: "Pose") -> "Pose":
         """Compose: (a * b).transform(p) == a.transform(b.transform(p))."""
         r = self.rotation
@@ -311,7 +308,7 @@ class PointCloud:
         return self.points.shape[0]
 
     def transformed(self, pose: Pose) -> "PointCloud":
-        return PointCloud(pose.transform(self.points), pose.rotate_only(self.normals))
+        return PointCloud(pose.transform(self.points), pose.rotation.rotate(self.normals))
 
     @staticmethod
     def empty() -> "PointCloud":

@@ -7,7 +7,7 @@ is collision free, and both extremal contacts inside the finger-pad slab have
 surface normals within the friction cone of the closing axis, whose
 coefficient is `FRICTION_MU`.
 
-Both oracle drivers, `simulate_grasp` and `_simulate_batch`, run the tests
+Both oracle drivers, `simulate_grasp` and `_simulate_batch`, rank the tests
 in a fixed order, and the first failure decides the result, whose reason
 names it (`SimResult.detail` says more):
 
@@ -23,7 +23,7 @@ axis-aligned bounding box lies farther than `BROAD_PHASE_MARGIN` from the box
 around the gripper corners is skipped. The skip is conservative. Each gripper
 box is the convex hull of its corners, so a gap between the two boxes is a gap
 of at least that size between every triangle and every gripper box, and the
-exact separating-axis test (`_triangles_hit_box`), which is complete for a
+exact separating-axis test (`_overlapping_triangles`), which is complete for a
 triangle against a box, would clear every triangle too. The margin lies
 orders of magnitude above the rounding error of either computation. An
 instance that survives is moved into the grasp frame once and tested against
@@ -34,7 +34,8 @@ table alone. So the cluttered result is the single-scene result, except that
 an occluder hit after tests 1 and 2 pass makes it `OCCLUDER_COLLISION`.
 `label_pair` derives both labels that way from one pass over the cluttered
 scene, and cluttered successes are a subset of single-scene successes by
-construction.
+construction. `simulate_grasp` splits one grasp's tests the same way, in a
+slot that keeps the result without the occluders.
 
 `label_pair` runs each test over all candidates at once (`_simulate_batch`),
 in array passes; the one loop over candidates hands out the results. The
@@ -69,6 +70,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -156,26 +158,37 @@ class Grasp:
 
 @dataclass(frozen=True)
 class GraspLabel:
+    """A grasp's single-scene success and cluttered result; the cluttered
+    success follows from `failure_reason`, so the two cannot disagree."""
+
     grasp: Grasp
     success_single: bool
-    success_cluttered: bool
     failure_reason: FailureReason
     detail: str = ""  # the cluttered result's `SimResult.detail`
 
     def __post_init__(self):
         _check_type(self.grasp, Grasp, "label grasp")
         _check_type(self.failure_reason, FailureReason, "label failure_reason")
-        if type(self.success_single) is not bool or type(self.success_cluttered) is not bool:
-            raise InputError(f"success flags must be bools, got {self.success_single!r}, {self.success_cluttered!r}")
+        if type(self.success_single) is not bool:
+            raise InputError(f"success flags must be bools, got success_single={self.success_single!r}")
         if self.success_cluttered and not self.success_single:
             raise InputError("cluttered success without single success violates the subset invariant")
+
+    @property
+    def success_cluttered(self) -> bool:
+        return self.failure_reason is FailureReason.NONE
 
 
 @dataclass(frozen=True)
 class SimResult:
-    success: bool
+    """One oracle verdict; the grasp succeeds iff `reason` is `NONE`."""
+
     reason: FailureReason
     detail: str = ""  # the specific cause behind `reason`
+
+    @property
+    def success(self) -> bool:
+        return self.reason is FailureReason.NONE
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -287,36 +300,29 @@ def _overlapping_triangles(tri: np.ndarray, half: np.ndarray) -> np.ndarray:
     return keep[~(plane_sep | edge_sep)]
 
 
-def _triangles_hit_box(tri: np.ndarray, half: np.ndarray) -> bool:
-    """Whether any triangle of `tri` (m, 3 vertices, 3) overlaps the box
-    centred at the origin with half-extents `half` (`_overlapping_triangles`)."""
-    return len(_overlapping_triangles(tri, half)) > 0
-
-
 # ---------------------------------------------------------------------------
 # results
 
 
 # results whose detail does not depend on the grasp, shared by both drivers
-_WIDE = SimResult(False, FailureReason.WIDTH_EXCEEDED, "grasp wider than the gripper opening")
-_TABLE = SimResult(False, FailureReason.TABLE_BLOCK, "gripper hits the table")
-_BODY = SimResult(False, FailureReason.ANTIPODAL_FAIL, "gripper body hits the target")
-_SUCCESS = SimResult(True, FailureReason.NONE)
+_WIDE = SimResult(FailureReason.WIDTH_EXCEEDED, "grasp wider than the gripper opening")
+_TABLE = SimResult(FailureReason.TABLE_BLOCK, "gripper hits the table")
+_BODY = SimResult(FailureReason.ANTIPODAL_FAIL, "gripper body hits the target")
+_SUCCESS = SimResult(FailureReason.NONE)
 # the result of test 5 by `_contacts`' outcome code: the first of its checks
 # that fails, in their order, or success
-_CONTACT_RESULTS = tuple(SimResult(False, FailureReason.ANTIPODAL_FAIL, why) for why in (
+_CONTACT_RESULTS = tuple(SimResult(FailureReason.ANTIPODAL_FAIL, why) for why in (
     "no contact in the pad slab", "object does not fit within the jaws",
     "low-side contact outside the friction cone", "high-side contact outside the friction cone")) + (_SUCCESS,)
 
 
 def _occluder_hit(index: int) -> SimResult:
-    return SimResult(False, FailureReason.OCCLUDER_COLLISION, f"gripper hits occluder {index}")
+    return SimResult(FailureReason.OCCLUDER_COLLISION, f"gripper hits occluder {index}")
 
 
 # The last (grasp, gripper, target) `simulate_grasp` judged, its one key, with
-# the set-up, None where the table blocks the grasp, and the result of tests 4
-# and 5, None until a call gets past the occluders. A call publishes a new
-# tuple and never mutates a published one.
+# the set-up (None where the table blocks the grasp) and the result without the
+# occluders (`_TABLE`, `_BODY` or test 5's); published once per key.
 _slot: tuple = (None, None, None, None, None)
 
 
@@ -324,19 +330,18 @@ def simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel) -> SimResu
     """Quasi-static grasp oracle; the first failing test, in the module's order, decides.
 
     A caller that judges one grasp in a scene and in its single scene, as
-    TARGO's paired results do, repeats all but test 3. So the slot keeps the
-    last grasp judged, keyed by the grasp object, the gripper by value and
+    TARGO's paired results do, repeats all but test 3. So a one-grasp slot
+    keys the last grasp judged by the grasp object, the gripper by value and
     the target instance object together (a scene and its
-    `derive_single_scene` share the target). A call that matches all three
-    reuses the set-up (the table verdict, the reach box, the move into the
-    grasp frame, the box centres and half-extents) and, once a call has
-    filled it, the result of tests 4 and 5; any other call replaces the
-    slot. The occluders are tested on every call. The identity keys are
-    sound because `Grasp`, `Quaternion`, `Pose`, `ObjectInstance` and the
-    mesh arrays are immutable, and because the slot holds strong references
-    to the grasp and the target, so no id it keys can be reused while it is
-    cached. A concurrent call sees either the old slot or the new; each
-    decision is the one the call would compute, only computed once.
+    `derive_single_scene` share the target). A call that misses runs tests 2,
+    4 and 5 and publishes the slot, once per key: the set-up (the reach box,
+    the move into the grasp frame, the box centres and half-extents) and the
+    result without the occluders. Every call then tests the occluders alone.
+    The identity keys are sound because `Grasp`, `Quaternion`, `Pose`,
+    `ObjectInstance` and the mesh arrays are immutable, and because the slot
+    holds strong references to the grasp and the target, so no id it keys can
+    be reused while it is cached. A concurrent call sees either the old slot
+    or the new; each decision is the one the call would compute.
     """
     global _slot
     if not (isinstance(grasp, Grasp) and isinstance(scene, Scene) and isinstance(gripper, GripperModel)):
@@ -352,35 +357,31 @@ def simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel) -> SimResu
         lo, hi = boxes[:, None, 0], boxes[:, None, 1]
         corners = grasp.rotation.rotate((lo + _BOX_CORNERS * (hi - lo)).reshape(-1, 3)) + grasp.center
         corner_lo = corners.min(axis=0)
-        setup = None  # the table blocks the grasp
+        setup, result = None, _TABLE  # the table blocks the grasp
         if not corner_lo[2] < -1e-9:
             r = grasp.rotation
             setup = (corner_lo - BROAD_PHASE_MARGIN, corners.max(axis=0) + BROAD_PHASE_MARGIN,  # the reach box
                      _inverse((r.w, r.x, r.y, r.z), grasp.center.tolist()),  # world to grasp frame
                      (boxes[None, :, 0] + boxes[None, :, 1]) / 2.0, (boxes[None, :, 1] - boxes[None, :, 0]) / 2.0)
-        slot = _slot = (grasp, gripper, target, setup, None)
-    if slot[3] is None:
-        return _TABLE
-    reach_lo, reach_hi, to_grasp, centers, halves = slot[3]
+            if _hits(target, *setup):
+                result = _BODY
+            else:
+                pose = _compose(setup[2], target.pose)
+                result = _CONTACT_RESULTS[_contacts(target.mesh.contact_samples, pose, [grasp.width], gripper)[0]]
+        slot = _slot = (grasp, gripper, target, setup, result)
+    if slot[3] is not None:
+        for i, inst in enumerate(scene.instances):
+            if i != scene.target_index and _hits(inst, *slot[3]):
+                return _occluder_hit(i)
+    return slot[4]
 
-    def hits(inst: ObjectInstance) -> bool:
-        lo, hi = inst.world_aabb
-        if (lo > reach_hi).any() or (hi < reach_lo).any():
-            return False
-        return bool(_mesh_hits(inst, _compose(to_grasp, inst.pose), centers, halves)[0])
 
-    hit = next((i for i, inst in enumerate(scene.instances) if i != scene.target_index and hits(inst)), None)
-    if hit is not None:
-        return _occluder_hit(hit)
-    if slot[4] is not None:
-        return slot[4]
-    if hits(target):
-        result = _BODY
-    else:
-        pose = _compose(to_grasp, target.pose)
-        result = _CONTACT_RESULTS[_contacts(target.mesh.contact_samples, pose, [grasp.width], gripper)[0]]
-    _slot = (*slot[:4], result)
-    return result
+def _hits(inst: ObjectInstance, reach_lo, reach_hi, to_grasp, centers, halves) -> bool:
+    """Whether one grasp, by `simulate_grasp`'s set-up, hits `inst`: the broad phase, then `_mesh_hits`."""
+    lo, hi = inst.world_aabb
+    if (lo > reach_hi).any() or (hi < reach_lo).any():
+        return False
+    return bool(_mesh_hits(inst, _compose(to_grasp, inst.pose), centers, halves)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +414,8 @@ def _mesh_hits(inst: ObjectInstance, pose, centers: np.ndarray, halves: np.ndarr
     triangles = inst.mesh.triangles
     if len(verts) == 1:
         tri = verts[0].take(triangles, axis=0)
-        return np.array([any(_triangles_hit_box(tri - centers[0, b], halves[0, b]) for b in np.flatnonzero(~apart[0]))])
+        return np.array([any(len(_overlapping_triangles(tri - centers[0, b], halves[0, b])) > 0
+                             for b in np.flatnonzero(~apart[0]))])
     hit = np.zeros(len(verts), dtype=bool)
     j, b = np.nonzero(~apart)
     if not len(j):
@@ -687,8 +689,7 @@ def label_pair(cluttered: Scene, gripper: GripperModel, count: int, seed: int) -
     labels = []
     for g, (single, hit) in zip(candidates, _simulate_batch(candidates, cluttered, gripper)):
         cluttered_result = single if hit is None else _occluder_hit(hit)
-        labels.append(GraspLabel(g, single.success, cluttered_result.success, cluttered_result.reason,
-                                 cluttered_result.detail))
+        labels.append(GraspLabel(g, single.success, cluttered_result.reason, cluttered_result.detail))
     return labels
 
 
@@ -711,11 +712,16 @@ def taxonomy_counts(labels: list[GraspLabel]) -> dict[str, int]:
 
 
 def label_to_record(scene_id: str, target_index: int, label: GraspLabel) -> dict:
+    """The JSON record of one label; a `scene_id` that is not a str or a
+    `target_index` that is not an integer (bools are not) raises `InputError`."""
+    _check_type(scene_id, str, "scene_id")
+    if not isinstance(target_index, numbers.Integral) or isinstance(target_index, bool):
+        raise InputError(f"target_index must be an integer, got {target_index!r}")
     _check_type(label, GraspLabel, "label")
     q = label.grasp.rotation.canonical()
     return {
         "scene_id": scene_id,
-        "target_index": target_index,
+        "target_index": int(target_index),
         "t": [float(x) for x in label.grasp.center],
         "r": [q.w, q.x, q.y, q.z],
         "w": label.grasp.width,
@@ -726,10 +732,10 @@ def label_to_record(scene_id: str, target_index: int, label: GraspLabel) -> dict
 
 
 def write_labels_jsonl(path, scene_id: str, target_index: int, labels: list[GraspLabel]) -> None:
-    _check_items(labels, GraspLabel, "labels")  # before the file is opened, so a bad label leaves none
-    with Path(path).open("w") as fh:
-        for lab in labels:
-            fh.write(json.dumps(label_to_record(scene_id, target_index, lab), sort_keys=True) + "\n")
+    _check_items(labels, GraspLabel, "labels")
+    # every record before the file is opened, so a bad input leaves none
+    Path(path).write_text("".join(json.dumps(label_to_record(scene_id, target_index, lab), sort_keys=True) + "\n"
+                                  for lab in labels))
 
 
 def read_labels_jsonl(path) -> list[dict]:

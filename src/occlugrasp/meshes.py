@@ -236,7 +236,7 @@ def ray_cast(mesh_set: list[tuple[TriMesh, Pose]], origin, direction) -> RayHit 
             continue
         inv = pose.inverse()
         o_local = inv.transform(origin)
-        d_local = inv.rotate_only(direction)
+        d_local = inv.rotation.rotate(direction)
         # slab test against the vertex box, padded against grazing-ray misses
         safe = np.where(np.abs(d_local) < 1e-12, np.copysign(1e-12, d_local + 1e-300), d_local)
         inv_d = 1.0 / safe

@@ -177,11 +177,13 @@ class Scene:
 
     def __post_init__(self):
         _check_items(self.instances, ObjectInstance, "scene instances")
-        _seed(self.seed)
+        # Python ints, so that a NumPy integer reaches no JSON manifest
+        object.__setattr__(self, "seed", _seed(self.seed))
         if not isinstance(self.target_index, numbers.Integral) or isinstance(self.target_index, bool):
             raise InputError(f"target_index must be an integer, got {self.target_index!r}")
         if not 0 <= self.target_index < len(self.instances):
             raise InputError(f"target_index {self.target_index} out of range")
+        object.__setattr__(self, "target_index", int(self.target_index))
 
     @property
     def target(self) -> ObjectInstance:

@@ -88,9 +88,9 @@ class TestCameraModel:
 
     def test_look_at_axes(self):
         pose = look_at_pose((0, -1, 0), (0, 0, 0))
-        fwd = pose.rotate_only(np.array([0.0, 0.0, 1.0]))
+        fwd = pose.rotation.rotate(np.array([0.0, 0.0, 1.0]))
         assert np.allclose(fwd, [0, 1, 0], atol=1e-12)
-        down = pose.rotate_only(np.array([0.0, 1.0, 0.0]))
+        down = pose.rotation.rotate(np.array([0.0, 1.0, 0.0]))
         assert np.allclose(down, [0, 0, -1], atol=1e-12)
 
 
@@ -224,7 +224,7 @@ class TestBackProject:
     def test_empty_frame(self):
         cam = CameraModel(32, 24, 30.0, 30.0, 16.0, 12.0, Pose.identity())
         f = DepthFrame(np.zeros((24, 32), np.float32), np.full((24, 32), BACKGROUND_ID, np.uint16), cam)
-        assert len(back_project(f)) == 0
+        assert len(back_project(f, 0)) == 0
 
     def test_instance_filter(self):
         scene = corpus.scene((5, 5), 7)
@@ -267,25 +267,26 @@ class TestBackProject:
             scene = corpus.scene((4, 6), 30 + seed)
             cam = default_camera(width=160, height=120, focal=135.0)
             frame = render(scene, cam)
-            cloud = back_project(frame)
             inv = cam.pose.inverse()
-            pts_cam = inv.transform(cloud.points)
-            z = pts_cam[:, 2]
-            u = pts_cam[:, 0] / z * cam.fx + cam.cx
-            v = pts_cam[:, 1] / z * cam.fy + cam.cy
-            vs, us = np.nonzero(frame.valid)
-            order_uv = np.stack([np.floor(u), np.floor(v)], axis=1)
-            expect_uv = np.stack([us, vs], axis=1)
-            assert np.array_equal(order_uv.astype(int), expect_uv)
-            max_err = max(max_err, np.abs(z - frame.depth[vs, us]).max())
+            for i in np.unique(frame.instance_id[frame.valid]):  # every valid pixel, one instance at a time
+                pts_cam = inv.transform(back_project(frame, i).points)
+                z = pts_cam[:, 2]
+                u = pts_cam[:, 0] / z * cam.fx + cam.cx
+                v = pts_cam[:, 1] / z * cam.fy + cam.cy
+                vs, us = np.nonzero(frame.instance_id == i)
+                order_uv = np.stack([np.floor(u), np.floor(v)], axis=1)
+                expect_uv = np.stack([us, vs], axis=1)
+                assert np.array_equal(order_uv.astype(int), expect_uv)
+                max_err = max(max_err, np.abs(z - frame.depth[vs, us]).max())
         assert max_err < 1e-6
 
     def test_normals_point_at_camera(self):
         scene = corpus.scene((3, 3), 1)
         cam = default_camera(width=160, height=120, focal=135.0)
-        cloud = back_project(render(scene, cam))
-        to_cam = cam.pose.translation - cloud.points
-        dots = np.einsum("ij,ij->i", cloud.normals, to_cam)
+        frame = render(scene, cam)
+        clouds = [back_project(frame, i) for i in range(len(scene.instances))]
+        to_cam = cam.pose.translation - np.concatenate([c.points for c in clouds])
+        dots = np.einsum("ij,ij->i", np.concatenate([c.normals for c in clouds]), to_cam)
         assert (dots > 0).mean() > 0.99
 
 
@@ -1001,7 +1002,7 @@ def synthetic_frame(inst: np.ndarray, seed: int) -> DepthFrame:
 
 def instance_filters(values, numpy_index: bool) -> list:
     """`values`, each index as a Python int, or as the np.uint16 that np.unique(frame.instance_id) yields."""
-    return [v if v is None or not numpy_index else np.uint16(v) for v in values]
+    return [np.uint16(v) if numpy_index else v for v in values]
 
 
 class TestBackProjectMatchesReference:
@@ -1011,15 +1012,13 @@ class TestBackProjectMatchesReference:
         for seed in (500, 501):
             scene = dense_scene(seed)
             frame = render(scene, cam)
-            for instance_filter in instance_filters([None, *range(len(scene.instances))], numpy_index):
+            for instance_filter in instance_filters(range(len(scene.instances)), numpy_index):
                 assert_same_cloud(back_project(frame, instance_filter), reference_back_project(frame, instance_filter))
 
     def test_full_resolution(self):
         scene = dense_scene(500)
         frame = render(scene, default_camera())
-        for instance_filter in (None, scene.target_index):
-            assert_same_cloud(back_project(frame, instance_filter),
-                              reference_back_project(frame, instance_filter))
+        assert_same_cloud(back_project(frame, scene.target_index), reference_back_project(frame, scene.target_index))
 
     @pytest.mark.parametrize("numpy_index", [True, False])
     def test_mask_touching_borders_and_single_pixel(self, numpy_index):
@@ -1029,7 +1028,7 @@ class TestBackProjectMatchesReference:
         inst[10:40, 50:] = 3  # right border, touching instance 2
         inst[25, 20] = 4     # one pixel
         frame = synthetic_frame(inst, seed=5)
-        for instance_filter in instance_filters([None, 1, 2, 3, 4], numpy_index):
+        for instance_filter in instance_filters([1, 2, 3, 4], numpy_index):
             assert_same_cloud(back_project(frame, instance_filter), reference_back_project(frame, instance_filter))
         assert len(back_project(frame, *instance_filters([4], numpy_index))) == 1
 

@@ -651,7 +651,7 @@ class TestRayCast:
                 else:
                     d_local = rng.normal(size=3)
             origin = pose.transform(o_local)
-            d = pose.rotate_only(d_local / np.linalg.norm(d_local))
+            d = pose.rotation.rotate(d_local / np.linalg.norm(d_local))
             d /= np.linalg.norm(d)
             t, _ = self.brute_hit(mesh, pose, origin, d)
             seen[kind, math.isfinite(t)] += 1
@@ -671,7 +671,7 @@ class TestRayCast:
     @staticmethod
     def brute_hit(mesh, pose, origin, d):
         inv = pose.inverse()
-        return ray_cast_brute(mesh, inv.transform(origin), inv.rotate_only(d))
+        return ray_cast_brute(mesh, inv.transform(origin), inv.rotation.rotate(d))
 
     def assert_matches_brute_force(self, mesh_set, origin, d):
         """`ray_cast` equals the nearest all-triangle hit, the lower index on a tie."""

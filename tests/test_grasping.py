@@ -30,8 +30,8 @@ from occlugrasp.grasping import (
     _grasp_frames,
     _mesh_hits,
     _occluder_hit,
+    _overlapping_triangles,
     _simulate_batch,
-    _triangles_hit_box,
     gripper_boxes,
     label_pair,
     label_to_record,
@@ -173,7 +173,8 @@ def reference_mesh_hits(inst, pose, centers, halves):
     hit = np.zeros(len(verts), dtype=bool)
     for j in np.flatnonzero(~apart.all(axis=1)):
         tri = verts[j].take(inst.mesh.triangles, axis=0)
-        hit[j] = any(_triangles_hit_box(tri - centers[j, b], halves[j, b]) for b in np.flatnonzero(~apart[j]))
+        hit[j] = any(len(_overlapping_triangles(tri - centers[j, b], halves[j, b])) > 0
+                     for b in np.flatnonzero(~apart[j]))
     return hit
 
 
@@ -191,7 +192,7 @@ def reference_simulate(grasp, scene, gripper):
     to_grasp = Pose(grasp.rotation, grasp.center).inverse() * target.pose
     samples = target.mesh.contact_samples
     ok, _ = reference_pad_slab_contacts(tuple(to_grasp.transform(samples.points).T),
-                                        to_grasp.rotate_only(samples.normals)[:, 0], grasp.width, gripper)
+                                        to_grasp.rotation.rotate(samples.normals)[:, 0], grasp.width, gripper)
     return FailureReason.NONE if ok else FailureReason.ANTIPODAL_FAIL
 
 
@@ -230,7 +231,7 @@ def reference_simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel) 
     nrm_g = np.column_stack(_rotate(q, tuple(samples.normals.T)))
     ok, why = reference_pad_slab_contacts(tuple(pts_g.T), nrm_g[:, 0], grasp.width, gripper)
     if not ok:
-        return SimResult(False, FailureReason.ANTIPODAL_FAIL, why)
+        return SimResult(FailureReason.ANTIPODAL_FAIL, why)
     return _SUCCESS
 
 
@@ -263,7 +264,7 @@ def reference_label_pair(cluttered, gripper, count, seed):
                 and any(o not in ("table", cluttered.target_index)
                         for o in shared_offenders(g, cluttered, gripper))):
             reason = FailureReason.OCCLUDER_COLLISION
-        labels.append(GraspLabel(g, sim_s.success, reason == FailureReason.NONE, reason))
+        labels.append(GraspLabel(g, sim_s.success, reason))
     return labels
 
 
@@ -439,18 +440,23 @@ class TestTypes:
     def test_label_grasp_must_be_a_grasp(self, grasp):
         # a label of a string grasp raised a bare AttributeError in `label_to_record`
         with pytest.raises(InputError, match="grasp"):
-            GraspLabel(grasp, True, True, FailureReason.NONE)
+            GraspLabel(grasp, True, FailureReason.NONE)
 
     @pytest.mark.parametrize("reason", ["none", None, 0])
     def test_label_reason_must_be_a_failure_reason(self, reason):
         # "none" equals FailureReason.NONE, a str enum, but has no `.value` for `label_to_record`
         with pytest.raises(InputError, match="failure_reason"):
-            GraspLabel(side_grasp((0.15, 0.15, 0.05)), True, True, reason)
+            GraspLabel(side_grasp((0.15, 0.15, 0.05)), True, reason)
 
     def test_label_subset_enforced(self):
         g = side_grasp((0.15, 0.15, 0.05))
         with pytest.raises(InputError):
-            GraspLabel(g, False, True, FailureReason.NONE)
+            GraspLabel(g, False, FailureReason.NONE)
+
+    @pytest.mark.parametrize("reason", list(FailureReason))
+    def test_success_follows_from_the_reason(self, reason):
+        label = GraspLabel(side_grasp((0.15, 0.15, 0.05)), True, reason)
+        assert SimResult(reason).success is label.success_cluttered is (reason is FailureReason.NONE)
 
     def test_grasp_frame_orthonormal(self):
         q = frame((1, 0, 0), (0, 0, -1))
@@ -700,7 +706,7 @@ class TestStagedSat:
     def check(self, tri, expected=None):
         tri = np.asarray(tri, dtype=float)
         for tris in (tri[None], np.concatenate([_FAR[:2], tri[None], _FAR[2:]])):
-            got = _triangles_hit_box(tris, HALF)
+            got = len(_overlapping_triangles(tris, HALF)) > 0
             assert got == reference_hits(tris, HALF)
             if expected is not None:
                 assert got == expected
@@ -712,14 +718,14 @@ class TestStagedSat:
             m = int(rng.integers(1, 9))
             half = rng.uniform(0.05, 1.0, size=3)
             tris = rng.normal(size=3) * 0.8 + rng.normal(size=(m, 3, 3)) * rng.uniform(0.02, 1.0)
-            got = _triangles_hit_box(tris, half)
+            got = len(_overlapping_triangles(tris, half)) > 0
             assert got == reference_hits(tris, half), trial
             lo, hi = tris.min(axis=1), tris.max(axis=1)
             face_overlap = ((lo <= half) & (hi >= -half)).all(axis=1)
             decided_late += bool(face_overlap.any() and not got)
             if trial < 200:
                 per_triangle = reference_tri_aabb_overlap(tris[:, 0], tris[:, 1], tris[:, 2], half)
-                assert [_triangles_hit_box(t[None], half) for t in tris] == per_triangle.tolist()
+                assert [len(_overlapping_triangles(t[None], half)) > 0 for t in tris] == per_triangle.tolist()
         # sets the face axes cannot clear, cleared by the plane or an edge axis
         assert decided_late > 100
 
@@ -764,9 +770,9 @@ class TestStagedSat:
         self.check(np.array([[1.8, 0.0, 0.0], [0.0, 1.8, 0.0], [3.0, 3.0, 0.0]]) * HALF, expected=True)
 
 
-FREE = SimResult(True, FailureReason.NONE)
-TABLE = SimResult(False, FailureReason.TABLE_BLOCK, "gripper hits the table")
-OCCLUDER_1 = SimResult(False, FailureReason.OCCLUDER_COLLISION, "gripper hits occluder 1")
+FREE = SimResult(FailureReason.NONE)
+TABLE = SimResult(FailureReason.TABLE_BLOCK, "gripper hits the table")
+OCCLUDER_1 = SimResult(FailureReason.OCCLUDER_COLLISION, "gripper hits occluder 1")
 
 
 class TestCollision:
@@ -827,7 +833,7 @@ class TestCollision:
         scene = make_scene([target, occ], target=0)
         # past a cleared occluder the contacts decide: the pad slab reaches the
         # target's top edge, whose normals lie outside the cone
-        cone = SimResult(False, FailureReason.ANTIPODAL_FAIL, "low-side contact outside the friction cone")
+        cone = SimResult(FailureReason.ANTIPODAL_FAIL, "low-side contact outside the friction cone")
         assert simulate_grasp(g, scene, grip) == (OCCLUDER_1 if offenders else cone)
         assert reference_offenders(g, scene, grip) == list(offenders)
 
@@ -973,7 +979,7 @@ class TestGraspSlot:
                 want = [ws, reference_simulate_grasp(g, other, GRIP), wc, reference_simulate_grasp(g, other_single, GRIP)]
                 assert got == want, seed
 
-    def test_occluder_hit_leaves_the_target_stage_unfilled(self):
+    def test_occluder_hit_fills_the_target_stage(self):
         target = box_instance(0.05, 0.05, 0.1, 0.15, 0.15)
         occ = box_instance(0.04, 0.05, 0.1, 0.15 + 0.045 + 1e-4, 0.15)
         scene = make_scene([target, occ], target=0)
@@ -981,11 +987,23 @@ class TestGraspSlot:
         g = side_grasp((0.15, 0.15, 0.05))
         blocked = simulate_grasp(g, scene, GRIP)
         assert blocked == reference_simulate_grasp(g, scene, GRIP) == _occluder_hit(1)
-        assert grasping._slot[0] is g and grasping._slot[2] is target and grasping._slot[4] is None
+        slot = grasping._slot
+        assert slot[0] is g and slot[2] is target and slot[4] == _SUCCESS
         assert simulate_grasp(g, single, GRIP) == reference_simulate_grasp(g, single, GRIP) == _SUCCESS
-        assert grasping._slot[2] is target and grasping._slot[4] == _SUCCESS
-        # the target stage is filled now, and the occluder is still tested
+        # the occluder is still tested, and neither call published again
         assert simulate_grasp(g, scene, GRIP) == blocked
+        assert grasping._slot is slot
+
+    @pytest.mark.parametrize("single_first", [True, False])
+    def test_a_call_that_finds_its_key_keeps_the_slot(self, dense_cases, dense_refs, single_first):
+        (seed, scene, single, grasps, _, _), (want_s, want_c) = dense_cases[0], dense_refs[0]
+        scenes, wants = ((single, scene), (want_s, want_c)) if single_first else ((scene, single), (want_c, want_s))
+        assert FailureReason.OCCLUDER_COLLISION in {r.reason for r in want_c}
+        for g, first, second in zip(grasps, *wants):
+            assert simulate_grasp(g, scenes[0], GRIP) == first, seed
+            slot = grasping._slot
+            assert simulate_grasp(g, scenes[1], GRIP) == second, seed
+            assert grasping._slot is slot, seed
 
     def test_slot_holds_one_grasp_and_one_target(self):
         def one_box_scene(x):
@@ -1233,7 +1251,7 @@ class TestContactPrefilter:
         parts = tuple(np.array([[c]]) for c in (q.w, q.x, q.y, q.z)), tuple(np.array([[c]]) for c in t)
         [code] = _contacts(samples, parts, [self.WIDTH], GRIP)
         want = reference_pad_slab_contacts(tuple(pose.transform(samples.points).T),
-                                           pose.rotate_only(samples.normals)[:, 0], self.WIDTH, GRIP)
+                                           pose.rotation.rotate(samples.normals)[:, 0], self.WIDTH, GRIP)
         got = _CONTACT_RESULTS[code]
         assert (got.success, got.detail) == want
         return want
@@ -1274,7 +1292,7 @@ class TestLabelPair:
         with pytest.raises(InputError, match="cluttered"):
             label_pair(bad, GRIP, 5, 1)
 
-    @pytest.mark.parametrize("labels", ["abc", None, ["x"], [GraspLabel(side_grasp((0.15, 0.15, 0.05)), True, True,
+    @pytest.mark.parametrize("labels", ["abc", None, ["x"], [GraspLabel(side_grasp((0.15, 0.15, 0.05)), True,
                                                                        FailureReason.NONE), 5]])
     def test_taxonomy_of_labels_only(self, labels):
         # "abc" raised a bare AttributeError: no attribute 'success_cluttered'
@@ -1333,19 +1351,39 @@ class TestLabelPair:
 
 
 def label_from_record(rec: dict) -> GraspLabel:
-    """The label a labels-file record holds, rebuilt from its fields."""
+    """The label a labels-file record holds, rebuilt from its fields; its
+    `success_cluttered` must be the bool that its reason gives."""
     grasp = Grasp(np.array(rec["t"]), Quaternion.from_array(rec["r"]), rec["w"])
-    return GraspLabel(grasp, rec["success_single"], rec["success_cluttered"], FailureReason(rec["reason"]))
+    label = GraspLabel(grasp, rec["success_single"], FailureReason(rec["reason"]))
+    if rec["success_cluttered"] is not label.success_cluttered:
+        raise InputError(f"success flags must be bools that agree with the reason, got {rec['success_cluttered']!r}")
+    return label
 
 
 class TestJsonl:
-    @pytest.mark.parametrize("labels", ["abc", None, ["x"], [GraspLabel(side_grasp((0.15, 0.15, 0.05)), True, True,
+    @pytest.mark.parametrize("labels", ["abc", None, ["x"], [GraspLabel(side_grasp((0.15, 0.15, 0.05)), True,
                                                                        FailureReason.NONE), "x"]])
     def test_labels_checked_before_the_file_is_opened(self, labels, tmp_path):
         # a bad label raised a bare AttributeError and left a partial file behind
         path = tmp_path / "labels.jsonl"
         with pytest.raises(InputError, match="labels"):
             write_labels_jsonl(path, "scene_009", 0, labels)
+        assert not path.exists()
+
+    def test_numpy_target_index_written_as_an_int(self, tmp_path):
+        # np.int64(3) raised a bare TypeError from `json` and left an empty file
+        path = tmp_path / "labels.jsonl"
+        labels = [GraspLabel(side_grasp((0.15, 0.15, 0.05)), True, FailureReason.NONE)]
+        write_labels_jsonl(path, "scene_009", np.int64(3), labels)
+        assert [rec["target_index"] for rec in read_labels_jsonl(path)] == [3]
+
+    @pytest.mark.parametrize("scene_id, target_index", [(object(), 0), (None, 0), ("s", True), ("s", 1.0), ("s", "0")])
+    def test_scene_id_and_target_index_checked_before_the_file_is_opened(self, scene_id, target_index, tmp_path):
+        # an object() scene id raised a bare TypeError from `json` and left an empty file
+        path = tmp_path / "labels.jsonl"
+        labels = [GraspLabel(side_grasp((0.15, 0.15, 0.05)), True, FailureReason.NONE)]
+        with pytest.raises(InputError, match="scene_id|target_index"):
+            write_labels_jsonl(path, scene_id, target_index, labels)
         assert not path.exists()
 
     @pytest.mark.parametrize("label", ["x", None, 3])
@@ -1377,7 +1415,7 @@ class TestJsonl:
         assert any(lab.grasp.rotation != lab.grasp.rotation.canonical() for lab in labels)
 
     def test_short_center_rejected(self):
-        rec = label_to_record("scene_000", 0, GraspLabel(side_grasp((0.15, 0.15, 0.05)), True, True,
+        rec = label_to_record("scene_000", 0, GraspLabel(side_grasp((0.15, 0.15, 0.05)), True,
                                                          FailureReason.NONE))
         rec["t"] = rec["t"][:2]
         with pytest.raises(InputError, match="center"):
@@ -1385,7 +1423,7 @@ class TestJsonl:
 
     @pytest.mark.parametrize("r", [[float("nan"), 0.0, 0.0, 1.0], [0.0, float("inf"), 0.0, 0.0]])
     def test_non_finite_rotation_rejected(self, r):
-        rec = label_to_record("scene_000", 0, GraspLabel(side_grasp((0.15, 0.15, 0.05)), True, True,
+        rec = label_to_record("scene_000", 0, GraspLabel(side_grasp((0.15, 0.15, 0.05)), True,
                                                          FailureReason.NONE))
         rec["r"] = r
         with pytest.raises(InputError, match="finite"):
@@ -1394,7 +1432,7 @@ class TestJsonl:
     @pytest.mark.parametrize("key", ["success_single", "success_cluttered"])
     @pytest.mark.parametrize("value", ["yes", 1, None])
     def test_non_bool_success_rejected(self, key, value):
-        rec = label_to_record("scene_000", 0, GraspLabel(side_grasp((0.15, 0.15, 0.05)), False, False,
+        rec = label_to_record("scene_000", 0, GraspLabel(side_grasp((0.15, 0.15, 0.05)), False,
                                                          FailureReason.OCCLUDER_COLLISION))
         rec[key] = value
         with pytest.raises(InputError, match="bools"):

@@ -314,7 +314,7 @@ class TestGeneratePacked:
         scene = corpus.scene((5, 5), 11)
         up = np.array([0.0, 0.0, 1.0])
         for inst in scene.instances:
-            assert np.allclose(inst.pose.rotate_only(up), up, atol=1e-12)
+            assert np.allclose(inst.pose.rotation.rotate(up), up, atol=1e-12)
 
     def test_no_interpenetration_brute_force(self):
         # scaled-down version of the exhaustive pairwise oracle sweep
@@ -481,6 +481,15 @@ class TestSceneFields:
         scene = corpus.scene((2, 2), 1)
         with pytest.raises(InputError, match="seed"):
             Scene(scene.instances, 0, seed)
+
+    def test_numpy_integers_stored_as_ints(self, tmp_path):
+        # NumPy integers passed the checks, then `save_scene` raised a bare
+        # TypeError: Object of type int64 is not JSON serializable
+        scene = Scene(corpus.scene((4, 4), 21).instances, np.int64(1), np.int64(3))
+        assert (type(scene.target_index), type(scene.seed)) == (int, int)
+        save_scene(tmp_path / "scene.json", scene, CatalogConfig())
+        loaded = load_scene(tmp_path / "scene.json")
+        assert (loaded.target_index, loaded.seed) == (1, 3)
 
 
 class TestManifest:
