@@ -10,7 +10,6 @@ instances of a scene in one array pass and gives each its own depth layer;
 
 from __future__ import annotations
 
-import numbers
 import zipfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -18,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, _check_type, _finite_non_negative, _finite_positive, _positive_int, _rng
+from .errors import (InputError, _check_type, _finite_array, _finite_non_negative, _finite_positive, _finite_real,
+                     _integer, _positive_int, _rng)
 from .geometry import PointCloud, Pose, Quaternion, _rotate
 from .scenes import WORKSPACE_EXTENT, ObjectInstance, Scene
 
@@ -27,7 +27,7 @@ BACKGROUND_ID = 65535
 
 def _check_instance(index, name: str) -> None:
     """Raise `InputError` unless `index` is an integer, not a bool, in [0, BACKGROUND_ID)."""
-    if not (isinstance(index, numbers.Integral) and not isinstance(index, bool) and 0 <= index < BACKGROUND_ID):
+    if not (_integer(index) and 0 <= index < BACKGROUND_ID):
         raise InputError(f"{name} must be an integer in [0, {BACKGROUND_ID}), got {index!r}")
 
 
@@ -84,8 +84,7 @@ def default_camera(width: int = 640, height: int = 480, focal: float = 540.0,
         raise InputError(f"width and height must be positive integers, got {(width, height)!r}")
     if not _finite_positive(focal):
         raise InputError(f"focal must be finite and positive, got {focal!r}")
-    if not (isinstance(elevation_deg, numbers.Real) and not isinstance(elevation_deg, bool)
-            and np.isfinite(elevation_deg)):
+    if not _finite_real(elevation_deg):
         raise InputError(f"elevation_deg must be a finite number, got {elevation_deg!r}")
     c = WORKSPACE_EXTENT / 2.0
     el = np.deg2rad(elevation_deg)
@@ -536,14 +535,14 @@ def save_frame(dir_path, stem: str, frame: DepthFrame) -> list[Path]:
 
 
 def load_frame(dir_path, stem: str) -> DepthFrame:
-    """The frame `save_frame` wrote as `<stem>.frame.npz`; intrinsics that are
-    not 6 finite numbers, a fractional width or height, or a pose that is not
-    7 numbers raise `InputError`."""
+    """The frame `save_frame` wrote as `<stem>.frame.npz`; depth that is not
+    finite and >= 0, intrinsics that are not 6 finite numbers, a fractional
+    width or height, or a pose that is not 7 numbers raise `InputError`."""
     path = Path(dir_path) / f"{stem}.frame.npz"
     depth, inst, intrinsics, pose = read_npz(path, ("depth", "instance_id", "intrinsics", "pose"))
-    if intrinsics.shape != (6,) or not np.isfinite(intrinsics).all():
-        raise InputError(f"{path}: intrinsics must be 6 finite numbers, got {intrinsics!r}")
-    w, h, fx, fy, cx, cy = intrinsics.tolist()
+    if not ((depth >= 0) & (depth < np.inf)).all():  # NaN fails both
+        raise InputError(f"{path}: depth must be finite and >= 0")
+    w, h, fx, fy, cx, cy = _finite_array(intrinsics, (6,), f"{path}: intrinsics must be 6 finite numbers").tolist()
     if not (float(w).is_integer() and float(h).is_integer()):
         raise InputError(f"{path}: width and height must be whole numbers, got {(w, h)}")
     return DepthFrame(depth, inst, CameraModel(int(w), int(h), fx, fy, cx, cy, Pose.from_7floats(pose)))

@@ -1,6 +1,13 @@
-"""Exception types shared across the toolkit, and the checks that callers
-use to raise `InputError`: a positive or a non-negative number, a positive integer, a type, the
-type of each item of a list, and a seed."""
+"""Exception types shared across the toolkit, and the checks that raise `InputError`.
+
+Constructors and loaders turn outside values into numbers through `_finite_array`,
+`_finite_real` and `_integer`, and the checks built on the last two. A bool or a
+bool array is not a number, NaN and infinity are refused, and an array is copied
+into a new read-only float64 array, so no caller's array can change a value that
+holds it. Only `ObjectInstance.footprint_poly` is kept uncopied: placed instances
+share their catalog object's read-only polygon, `Scene` equality compares it by
+`==`, and a copy would hold a polygon per kept instance.
+"""
 
 import math
 import numbers
@@ -20,19 +27,49 @@ class MeasurementError(RuntimeError):
     """A measurement (e.g. occlusion level) is undefined for the given frames."""
 
 
+def _finite_array(value, shape: tuple, what: str) -> np.ndarray:
+    """`value` as a new read-only float64 array of `shape`, where -1 matches
+    any length; anything else raises `InputError` that starts with `what`."""
+    try:
+        a = np.array(value)
+    except (TypeError, ValueError) as exc:  # ragged
+        raise InputError(f"{what}: {exc}") from exc
+    if a.dtype.kind not in "iuf":  # bools, strings, objects and complex numbers
+        problem = f"dtype {a.dtype}"
+    elif a.ndim != len(shape) or any(n not in (-1, m) for n, m in zip(shape, a.shape)):
+        problem = f"shape {a.shape}"
+    else:
+        a = a.astype(np.float64, copy=False)
+        if np.isfinite(a).all():
+            a.flags.writeable = False
+            return a
+        problem = "a value that is not finite"
+    raise InputError(f"{what}, got {problem}")
+
+
+def _finite_real(x) -> bool:
+    """Whether `x` is a finite real number, not a bool; float and int are tested before the slower ABC."""
+    return isinstance(x, (float, int, numbers.Real)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _integer(x) -> bool:
+    """Whether `x` is an integer, not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _finite_positive(x) -> bool:
-    """Whether `x` is a real number, not a bool, that is finite and > 0."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x) and x > 0
+    """Whether `x` is a finite real number > 0."""
+    return _finite_real(x) and x > 0
 
 
 def _finite_non_negative(x) -> bool:
-    """Whether `x` is a real number, not a bool, that is finite and >= 0."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x) and x >= 0
+    """Whether `x` is a finite real number >= 0."""
+    return _finite_real(x) and x >= 0
 
 
 def _positive_int(x) -> bool:
-    """Whether `x` is an integer, not a bool, that is > 0."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x > 0
+    """Whether `x` is an integer > 0."""
+    return _integer(x) and x > 0
 
 
 def _check_type(value, cls: type, name: str) -> None:
@@ -51,8 +88,8 @@ def _check_items(values, cls: type, name: str) -> None:
 
 
 def _seed(seed) -> int:
-    """`seed` as an int; one that is not a non-negative integer (bools are not) raises `InputError`."""
-    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+    """`seed` as an int; one that is not a non-negative integer raises `InputError`."""
+    if not (_integer(seed) and seed >= 0):
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, _check_type
+from .errors import InputError, _check_type, _finite_array, _finite_real
 
 
 def _cross(a, b) -> tuple:
@@ -128,12 +128,8 @@ class Quaternion:
 
     def __post_init__(self):
         # a NaN or infinite component would turn every rotated vector into NaN
-        try:
-            finite = math.isfinite(self.w) and math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
-        except TypeError as exc:
-            raise InputError(f"quaternion components must be numbers: {exc}") from exc
-        if not finite:
-            raise InputError(f"quaternion components must be finite, got {(self.w, self.x, self.y, self.z)}")
+        if not all(map(_finite_real, (self.w, self.x, self.y, self.z))):
+            raise InputError(f"quaternion components must be finite numbers, got {(self.w, self.x, self.y, self.z)}")
 
     @staticmethod
     def identity() -> "Quaternion":
@@ -141,10 +137,7 @@ class Quaternion:
 
     @staticmethod
     def from_array(a) -> "Quaternion":
-        a = np.asarray(a, dtype=float)
-        if a.shape != (4,):
-            raise InputError(f"quaternion needs 4 components, got shape {a.shape}")
-        q = Quaternion(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
+        q = Quaternion(*_finite_array(a, (4,), "quaternion needs 4 finite components").tolist())
         # keep already-unit inputs bit-exact so serialization round-trips
         return q if abs(q.norm() - 1.0) < 1e-12 else q.normalized()
 
@@ -223,14 +216,7 @@ class Pose:
 
     def __post_init__(self):
         _check_type(self.rotation, Quaternion, "pose rotation")
-        try:
-            t = np.array(self.translation, dtype=float)  # a copy: no caller's array can change it
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"pose translation must be numbers: {exc}") from exc
-        if t.size != 3 or not np.isfinite(t).all():
-            raise InputError(f"pose translation must be 3 finite numbers, got {self.translation!r}")
-        t = t.reshape(3)
-        t.flags.writeable = False
+        t = _finite_array(self.translation, (3,), "pose translation must be 3 finite numbers")
         object.__setattr__(self, "translation", t)
 
     def __eq__(self, other) -> bool:
@@ -270,10 +256,7 @@ class Pose:
 
     @staticmethod
     def from_7floats(v) -> "Pose":
-        v = np.asarray(v, dtype=float)
-        if v.size != 7:
-            raise InputError(f"pose needs 7 floats, got {v.size}")
-        v = v.reshape(7)
+        v = _finite_array(v, (7,), "pose needs 7 floats")
         return Pose(Quaternion.from_array(v[:4]), v[4:])
 
 
@@ -285,22 +268,13 @@ class PointCloud:
     normals: np.ndarray
 
     def __post_init__(self):
-        try:
-            pts = np.array(self.points, dtype=float).reshape(-1, 3)  # a copy: no caller's array can change it
-            nrm = np.array(self.normals, dtype=float)  # None gives one NaN, so the size check catches it
-        except (TypeError, ValueError) as exc:  # ragged, not numbers, or points not a multiple of 3
-            raise InputError(f"points and normals must be (n, 3) arrays of numbers: {exc}") from exc
-        if not np.isfinite(pts).all():
-            raise InputError("point cloud contains NaN/Inf coordinates")
-        if nrm.size != pts.size:
+        what = "points and normals must be (n, 3) arrays of numbers"
+        pts, nrm = (_finite_array(a, (-1, 3), what) for a in (self.points, self.normals))
+        if nrm.shape != pts.shape:
             raise InputError("normals shape must match points")
-        nrm = nrm.reshape(-1, 3)
-        if not np.isfinite(nrm).all():
-            raise InputError("normals contain NaN/Inf")
         lens = np.linalg.norm(nrm, axis=1)
         if len(lens) and np.abs(lens - 1.0).max() > 1e-6:
             raise InputError("normals must be unit length within 1e-6")
-        pts.flags.writeable = nrm.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "normals", nrm)
 

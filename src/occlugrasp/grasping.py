@@ -70,14 +70,14 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, _check_items, _check_type, _finite_positive, _positive_int, _rng, _seed
+from .errors import (InputError, _check_items, _check_type, _finite_array, _finite_non_negative, _finite_positive,
+                     _finite_real, _integer, _positive_int, _rng, _seed)
 from .geometry import (PointCloud, Pose, Quaternion, _compose, _cross, _from_matrix, _inverse, _matrix, _rotate,
                        _rotate_x, orthonormal_tangents)
 from .meshes import surface_sample
@@ -126,24 +126,12 @@ class Grasp:
     quality: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.width, (bool, np.bool_)) or isinstance(self.quality, (bool, np.bool_)):
-            raise InputError(f"grasp width and quality must be numbers, not bools, got {self.width!r}, {self.quality!r}")
-        try:
-            c = np.array(self.center, dtype=float)  # a copy: no caller's array can change it
-            width_ok = math.isfinite(self.width) and self.width >= 0
-            quality_ok = 0.0 <= self.quality <= 1.0
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"grasp center, width and quality must be numbers: {exc}") from exc
-        if c.size != 3 or not np.isfinite(c).all():
-            raise InputError(f"grasp center must be 3 finite numbers, got {self.center!r}")
-        if not width_ok:
+        object.__setattr__(self, "center", _finite_array(self.center, (3,), "grasp center must be 3 finite numbers"))
+        if not _finite_non_negative(self.width):
             raise InputError(f"grasp width must be finite and >= 0, got {self.width!r}")
         _check_type(self.rotation, Quaternion, "grasp rotation")
-        c = c.reshape(3)
-        c.flags.writeable = False
-        object.__setattr__(self, "center", c)
-        if not quality_ok:
-            raise InputError("grasp quality must be in [0, 1]")
+        if not (_finite_real(self.quality) and 0.0 <= self.quality <= 1.0):
+            raise InputError(f"grasp quality must be a number in [0, 1], got {self.quality!r}")
 
     def __eq__(self, other) -> bool:
         """Exact equality by value; the pose compares as in `Pose.__eq__`."""
@@ -711,12 +699,17 @@ def taxonomy_counts(labels: list[GraspLabel]) -> dict[str, int]:
 # JSONL serialization
 
 
+def _check_record_key(scene_id: str, target_index: int) -> None:
+    """Raise `InputError` unless `scene_id` is a str and `target_index` an integer."""
+    _check_type(scene_id, str, "scene_id")
+    if not _integer(target_index):
+        raise InputError(f"target_index must be an integer, got {target_index!r}")
+
+
 def label_to_record(scene_id: str, target_index: int, label: GraspLabel) -> dict:
     """The JSON record of one label; a `scene_id` that is not a str or a
-    `target_index` that is not an integer (bools are not) raises `InputError`."""
-    _check_type(scene_id, str, "scene_id")
-    if not isinstance(target_index, numbers.Integral) or isinstance(target_index, bool):
-        raise InputError(f"target_index must be an integer, got {target_index!r}")
+    `target_index` that is not an integer raises `InputError`."""
+    _check_record_key(scene_id, target_index)
     _check_type(label, GraspLabel, "label")
     q = label.grasp.rotation.canonical()
     return {
@@ -733,6 +726,7 @@ def label_to_record(scene_id: str, target_index: int, label: GraspLabel) -> dict
 
 def write_labels_jsonl(path, scene_id: str, target_index: int, labels: list[GraspLabel]) -> None:
     _check_items(labels, GraspLabel, "labels")
+    _check_record_key(scene_id, target_index)  # here too, for a file of no labels
     # every record before the file is opened, so a bad input leaves none
     Path(path).write_text("".join(json.dumps(label_to_record(scene_id, target_index, lab), sort_keys=True) + "\n"
                                   for lab in labels))

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, _check_type, _positive_int, _rng
+from .errors import InputError, _check_type, _finite_array, _positive_int, _rng
 from .geometry import PointCloud, Pose
 
 _EPS = 1e-12
@@ -35,20 +35,11 @@ class TriMesh:
     """Immutable triangle mesh with outward per-face normals from winding."""
 
     def __init__(self, vertices, triangles):
-        # copies, so that no caller's array can change the mesh
-        try:
-            v = np.array(vertices, dtype=float)
-            t = np.array(triangles, dtype=float)
-        except (TypeError, ValueError) as exc:  # ragged or not numbers
-            raise InputError(f"vertices and triangles must be (n, 3) arrays of numbers: {exc}") from exc
-        if v.ndim != 2 or v.shape[1] != 3 or t.ndim != 2 or t.shape[1] != 3:
-            raise InputError(f"vertices and triangles must be (n, 3) arrays of numbers, got {v.shape} and {t.shape}")
-        if not np.isfinite(v).all():
-            raise InputError("mesh vertices must be finite")
-        if t.size and not ((t == np.floor(t)).all() and t.min() >= 0 and t.max() < len(v)):  # NaN fails too
+        what = "vertices and triangles must be (n, 3) arrays of finite numbers"
+        v, t = (_finite_array(a, (-1, 3), what) for a in (vertices, triangles))
+        if t.size and not ((t == np.floor(t)).all() and t.min() >= 0 and t.max() < len(v)):
             raise InputError(f"triangle indices must be whole numbers in [0, {len(v)})")
         t = t.astype(np.int32)
-        v.flags.writeable = False
         t.flags.writeable = False
         self.vertices = v
         self.triangles = t
@@ -223,10 +214,8 @@ def ray_cast(mesh_set: list[tuple[TriMesh, Pose]], origin, direction) -> RayHit 
         if not (isinstance(item, tuple) and len(item) == 2
                 and isinstance(item[0], TriMesh) and isinstance(item[1], Pose)):
             raise InputError(f"mesh_set must hold (TriMesh, Pose) pairs, got {item!r}")
-    origin = np.asarray(origin, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    if origin.shape != (3,) or direction.shape != (3,) or not np.isfinite([origin, direction]).all():
-        raise InputError(f"origin and direction must be 3 finite numbers each, got {origin}, {direction}")
+    what = "origin and direction must be 3 finite numbers each"
+    origin, direction = (_finite_array(a, (3,), what) for a in (origin, direction))
     n = float(np.linalg.norm(direction))
     if abs(n - 1.0) > 1e-6:
         raise InputError(f"direction must be unit length, norm={n}")

@@ -8,13 +8,12 @@ counts its pixels in the cluttered render.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .camera import DepthFrame, _check_instance
-from .errors import InputError, MeasurementError, _check_type, _finite_non_negative
+from .errors import InputError, MeasurementError, _check_type, _finite_array, _finite_non_negative
 
 
 @dataclass(frozen=True)
@@ -30,15 +29,10 @@ class BinScheme:
     edges: tuple[float, ...]
 
     def __post_init__(self):
-        e = self.edges
-        try:
-            # a NaN edge would pass every comparison below
-            ok = (len(e) >= 2 and all(map(math.isfinite, e)) and e[0] == 0.0
-                  and all(b > a for a, b in zip(e, e[1:])) and e[-1] <= 1.0)
-        except TypeError:
-            ok = False
-        if not ok:
-            raise InputError(f"bin edges must be finite numbers ascending from 0 and ending <= 1, got {e}")
+        what = "bin edges must be finite numbers ascending from 0 and ending <= 1"
+        e = _finite_array(self.edges, (-1,), what)  # a NaN edge would pass every comparison below
+        if not (len(e) >= 2 and e[0] == 0.0 and (e[1:] > e[:-1]).all() and e[-1] <= 1.0):
+            raise InputError(f"{what}, got {self.edges}")
 
     @staticmethod
     def training() -> "BinScheme":

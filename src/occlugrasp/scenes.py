@@ -25,15 +25,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (GenerationError, InputError, _check_items, _check_type, _finite_positive, _positive_int, _rng,
-                     _seed)
+from .errors import (GenerationError, InputError, _check_items, _check_type, _finite_array, _finite_positive, _integer,
+                     _positive_int, _rng, _seed)
 from .geometry import Pose, Quaternion, quaternion_about_axis
 from .meshes import (CYLINDER_SEGMENTS, TriMesh, _regular_polygon, make_box, make_cylinder, make_hex_prism,
                      make_sphere)
@@ -130,16 +129,10 @@ class ObjectInstance:
         _check_type(self.catalog_id, str, "catalog_id")
         _check_type(self.mesh, TriMesh, "instance mesh")
         _check_type(self.pose, Pose, "instance pose")
-        if self.footprint_poly is not None:
-            # placement builds one instance per placed object, so a float
-            # array passes as it is, with no copy, in a few us
-            try:
-                poly = np.asarray(self.footprint_poly, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"footprint_poly must be a (k, 2) array of numbers: {exc}") from exc
-            if poly.ndim != 2 or poly.shape[1] != 2 or len(poly) < 3 or not np.isfinite(poly).all():
-                raise InputError(f"footprint_poly must be (k >= 3, 2) finite numbers, got shape {poly.shape}")
-            object.__setattr__(self, "footprint_poly", poly)
+        # checked, but kept as given (see `errors`)
+        what = "footprint_poly must be (k >= 3, 2) finite numbers"
+        if self.footprint_poly is not None and len(_finite_array(self.footprint_poly, (-1, 2), what)) < 3:
+            raise InputError(f"{what}, got {len(self.footprint_poly)} rows")
 
     def world_footprint_poly(self) -> np.ndarray:
         if self.footprint_poly is None:
@@ -179,7 +172,7 @@ class Scene:
         _check_items(self.instances, ObjectInstance, "scene instances")
         # Python ints, so that a NumPy integer reaches no JSON manifest
         object.__setattr__(self, "seed", _seed(self.seed))
-        if not isinstance(self.target_index, numbers.Integral) or isinstance(self.target_index, bool):
+        if not _integer(self.target_index):
             raise InputError(f"target_index must be an integer, got {self.target_index!r}")
         if not 0 <= self.target_index < len(self.instances):
             raise InputError(f"target_index {self.target_index} out of range")
@@ -387,12 +380,8 @@ def scene_from_manifest(data: dict, catalog: list[CatalogObject] | None = None) 
             cid = rec["catalog_id"]
             if cid not in by_id:
                 raise InputError(f"unknown catalog id {cid!r}")
-            try:
-                pose = Pose.from_7floats(rec["pose"])
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"pose of {cid!r} must be 7 floats, got {rec['pose']!r}: {exc}") from exc
             obj = by_id[cid]
-            instances.append(ObjectInstance(cid, obj.mesh, pose, obj.footprint_poly))
+            instances.append(ObjectInstance(cid, obj.mesh, Pose.from_7floats(rec["pose"]), obj.footprint_poly))
         return Scene(tuple(instances), data["target_index"], data["seed"])
     except KeyError as exc:
         raise InputError(f"scene manifest lacks the key {exc}") from exc

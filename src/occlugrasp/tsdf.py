@@ -25,7 +25,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .camera import CameraModel, DepthFrame, read_npz
-from .errors import InputError, _check_type, _finite_positive, _positive_int
+from .errors import InputError, _check_type, _finite_array, _finite_positive, _positive_int
 from .geometry import PointCloud
 from .scenes import WORKSPACE_EXTENT
 
@@ -189,13 +189,16 @@ def save_grid(dir_path, stem: str, grid: TsdfGrid) -> list[Path]:
 
 
 def load_grid(dir_path, stem: str) -> TsdfGrid:
-    """The grid `save_grid` wrote as `<stem>.tsdf.npz`; a config that is not 3
-    finite numbers, or a fractional resolution, raises `InputError`."""
+    """The grid `save_grid` wrote as `<stem>.tsdf.npz`; values that are not
+    finite and in [-1, 1], weights that are not finite and >= 0, a config
+    that is not 3 finite numbers, or a fractional resolution raise `InputError`."""
     path = Path(dir_path) / f"{stem}.tsdf.npz"
     values, weights, config = read_npz(path, ("values", "weights", "config"))
-    if config.shape != (3,) or not np.isfinite(config).all():
-        raise InputError(f"{path}: config must be 3 finite numbers, got {config!r}")
-    r, extent, truncation = config.tolist()
+    if not (abs(values) <= 1).all():  # NaN fails every comparison
+        raise InputError(f"{path}: values must be finite and in [-1, 1]")
+    if not ((weights >= 0) & (weights < np.inf)).all():
+        raise InputError(f"{path}: weights must be finite and >= 0")
+    r, extent, truncation = _finite_array(config, (3,), f"{path}: config must be 3 finite numbers").tolist()
     if not float(r).is_integer():
         raise InputError(f"{path}: resolution must be a whole number, got {r}")
     return TsdfGrid(values, weights, TsdfConfig(int(r), extent, truncation))

@@ -383,6 +383,14 @@ class TestPersistence:
         with pytest.raises(InputError, match="finite"):
             load_frame(tmp_path, "frame")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_saved_depth_not_finite_or_negative_rejected(self, tmp_path, bad):
+        # an all-NaN depth loaded without complaint, and `fuse` of it gave a grid of mostly NaN voxels
+        cam = CameraModel(32, 24, 30.0, 30.0, 16.0, 12.0, Pose.identity())
+        save_frame(tmp_path, "frame", DepthFrame(np.full((24, 32), bad), np.zeros((24, 32)), cam))
+        with pytest.raises(InputError, match="depth must be finite and >= 0"):
+            load_frame(tmp_path, "frame")
+
     def test_not_an_npz_archive_rejected(self, tmp_path):
         (tmp_path / "frame.frame.npz").write_text('{"width": 32}')
         with pytest.raises(InputError):
@@ -563,12 +571,9 @@ def reference_rasterise(instances: list[ObjectInstance], camera: CameraModel) ->
     return layers
 
 
-def reference_back_project(frame: DepthFrame, instance_filter=None):
+def reference_back_project(frame: DepthFrame, instance_filter: int):
     cam = frame.camera
-    if instance_filter is None:
-        mask = frame.valid
-    else:
-        mask = frame.instance_id == instance_filter
+    mask = frame.instance_id == instance_filter
     if not mask.any():
         return PointCloud.empty()
     h, w = frame.depth.shape

@@ -494,7 +494,7 @@ class TestPointCloud:
         moved = cloud.transformed(Pose(quaternion_about_axis((0.0, 0.0, 1.0), 0.3), (1.0, 2.0, 3.0)))
         assert moved.points.shape == moved.normals.shape == (0, 3)
 
-    @pytest.mark.parametrize("shape", [(4, 3), (12,)], ids=["rows", "flat"])
+    @pytest.mark.parametrize("shape", [(4, 3)], ids=["rows"])
     def test_cloud_owns_its_arrays(self, shape):
         # a view of the caller's array would let a later write change the cloud
         points = np.arange(12, dtype=float).reshape(shape)
@@ -505,6 +505,14 @@ class TestPointCloud:
         assert np.array_equal(cloud.points, np.arange(12, dtype=float).reshape(4, 3))
         assert np.array_equal(cloud.normals, np.tile([0.0, 0.0, 1.0], (4, 1)))
         assert not cloud.points.flags.writeable and not cloud.normals.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(2, 6), (12,)], ids=["rows_of_six", "flat"])
+    def test_arrays_of_another_layout_rejected(self, shape):
+        # each was reshaped to 4 points; `TriMesh` refuses the same layouts
+        points = np.arange(12, dtype=float).reshape(shape)
+        normals = np.tile([0.0, 0.0, 1.0], 4).reshape(shape)
+        with pytest.raises(InputError, match="arrays of numbers"):
+            PointCloud(points, normals)
 
 
 class TestPrimitives:

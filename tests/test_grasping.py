@@ -1386,6 +1386,17 @@ class TestJsonl:
             write_labels_jsonl(path, scene_id, target_index, labels)
         assert not path.exists()
 
+    def test_scene_id_and_target_index_checked_without_labels(self, tmp_path):
+        # with no labels no record was made, so no check ran and an empty file was written
+        path = tmp_path / "labels.jsonl"
+        with pytest.raises(InputError, match="scene_id must be a str"):
+            write_labels_jsonl(path, object(), 0, [])
+        with pytest.raises(InputError, match="target_index must be an integer"):
+            write_labels_jsonl(path, "scene_009", True, [])
+        assert not path.exists()
+        write_labels_jsonl(path, "scene_009", 0, [])
+        assert read_labels_jsonl(path) == []
+
     @pytest.mark.parametrize("label", ["x", None, 3])
     def test_record_needs_a_label(self, label):
         with pytest.raises(InputError, match="label"):

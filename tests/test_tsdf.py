@@ -314,6 +314,16 @@ class TestPersistence:
         np.savez(tmp_path / "whole.tsdf.npz", values=zeros, weights=zeros, config=np.array([4.0, 0.3, 0.03]))
         assert load_grid(tmp_path, "whole").config.resolution == 4
 
+    @pytest.mark.parametrize("key, bad", [("values", np.nan), ("values", -np.inf), ("values", 1.5), ("weights", np.nan),
+                                          ("weights", np.inf), ("weights", -1.0)])
+    def test_saved_arrays_out_of_range_rejected(self, tmp_path, key, bad):
+        # each passed `load_grid`, and NaN and inf weights reached every later use of the grid
+        arrays = {"values": np.zeros((4, 4, 4), np.float32), "weights": np.ones((4, 4, 4), np.float32)}
+        arrays[key][1, 2, 3] = bad
+        np.savez(tmp_path / "grid.tsdf.npz", **arrays, config=np.array([4, 0.3, 0.03]))
+        with pytest.raises(InputError, match=f"{key} must be finite"):
+            load_grid(tmp_path, "grid")
+
     def test_not_an_npz_archive_rejected(self, tmp_path):
         (tmp_path / "grid.tsdf.npz").write_bytes(b"PK\x03\x04 truncated")
         with pytest.raises(InputError):
