@@ -59,10 +59,13 @@ class CameraModel:
 
 def look_at_pose(eye, target, up=(0.0, 0.0, 1.0)) -> Pose:
     """Camera-to-world pose: +z looks at target, +x right, +y down."""
-    eye = np.asarray(eye, dtype=float)
-    forward = np.asarray(target, dtype=float) - eye
-    forward = forward / np.linalg.norm(forward)
-    up = np.asarray(up, dtype=float)
+    eye, target, up = (_finite_array(v, (3,), "eye, target and up must be 3 finite numbers each")
+                       for v in (eye, target, up))
+    forward = target - eye
+    length = np.linalg.norm(forward)
+    if length == 0.0:
+        raise InputError("eye and target must differ")
+    forward = forward / length
     x = np.cross(forward, up)
     n = np.linalg.norm(x)
     if n < 1e-12:

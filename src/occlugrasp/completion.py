@@ -14,11 +14,10 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .camera import CameraModel
 from .errors import InputError, _check_type, _seed
-from .geometry import PointCloud
+from .geometry import PointCloud, _nearest_distances
 from .meshes import surface_sample
 from .scenes import Scene
 
@@ -97,11 +96,8 @@ class MirrorCompleter:
         depth = partial.points @ normal
         offsets = depth - (depth.min() + half_width)
         reflected = partial.points - 2.0 * offsets[:, None] * normal
-        # a reflection beyond the bound comes back at distance inf, which is
-        # kept as well; the bound is exclusive, so nextafter keeps a distance
-        # of exactly the radius a duplicate
-        bound = np.nextafter(DEDUPE_RADIUS, np.inf)
-        keep = cKDTree(partial.points).query(reflected, k=1, distance_upper_bound=bound)[0] > DEDUPE_RADIUS
+        # a reflection beyond the radius comes back at distance inf, which is kept as well
+        keep = _nearest_distances(partial.points, reflected, DEDUPE_RADIUS) > DEDUPE_RADIUS
         if not keep.any():
             return partial
         refl_n = partial.normals - 2.0 * (partial.normals @ normal)[:, None] * normal
@@ -113,18 +109,13 @@ class MirrorCompleter:
 
 
 def chamfer_l1(a: PointCloud, b: PointCloud) -> float:
-    """Symmetric mean nearest-neighbor distance: 0.5 * (mean_a NN_b + mean_b NN_a).
-
-    Each tree is built unbalanced and without shrinking its node boxes, which
-    builds faster; a nearest-neighbour distance is the same exact minimum over
-    the same points in any tree.
-    """
+    """Symmetric mean nearest-neighbor distance: 0.5 * (mean_a NN_b + mean_b NN_a)."""
     _check_type(a, PointCloud, "a")
     _check_type(b, PointCloud, "b")
     if len(a) == 0 or len(b) == 0:
         raise InputError("chamfer distance is undefined for empty clouds")
-    d_ab = cKDTree(b.points, balanced_tree=False, compact_nodes=False).query(a.points, k=1)[0]
-    d_ba = cKDTree(a.points, balanced_tree=False, compact_nodes=False).query(b.points, k=1)[0]
+    d_ab = _nearest_distances(b.points, a.points)
+    d_ba = _nearest_distances(a.points, b.points)
     return 0.5 * (float(d_ab.mean()) + float(d_ba.mean()))
 
 

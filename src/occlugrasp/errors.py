@@ -2,11 +2,12 @@
 
 Constructors and loaders turn outside values into numbers through `_finite_array`,
 `_finite_real` and `_integer`, and the checks built on the last two. A bool or a
-bool array is not a number, NaN and infinity are refused, and an array is copied
-into a new read-only float64 array, so no caller's array can change a value that
-holds it. Only `ObjectInstance.footprint_poly` is kept uncopied: placed instances
-share their catalog object's read-only polygon, `Scene` equality compares it by
-`==`, and a copy would hold a polygon per kept instance.
+bool array is not a number, not even in a list of numbers that NumPy promotes; NaN
+and infinity are refused, and an array is copied into a new read-only float64
+array, so no caller's array can change a value that holds it. Only
+`ObjectInstance.footprint_poly` is kept uncopied: placed instances share their
+catalog object's read-only polygon, `Scene` equality compares it by `==`, and a
+copy would hold a polygon per kept instance.
 """
 
 import math
@@ -36,6 +37,8 @@ def _finite_array(value, shape: tuple, what: str) -> np.ndarray:
         raise InputError(f"{what}: {exc}") from exc
     if a.dtype.kind not in "iuf":  # bools, strings, objects and complex numbers
         problem = f"dtype {a.dtype}"
+    elif isinstance(value, (list, tuple)) and _holds_bool(value):  # NumPy promotes a bool among numbers
+        problem = "a bool"
     elif a.ndim != len(shape) or any(n not in (-1, m) for n, m in zip(shape, a.shape)):
         problem = f"shape {a.shape}"
     else:
@@ -45,6 +48,12 @@ def _finite_array(value, shape: tuple, what: str) -> np.ndarray:
             return a
         problem = "a value that is not finite"
     raise InputError(f"{what}, got {problem}")
+
+
+def _holds_bool(items) -> bool:
+    """Whether a list or tuple holds a bool, an `np.bool_` or a bool array at any depth; floats are skipped first."""
+    return any(isinstance(x, (bool, np.bool_)) or isinstance(x, np.ndarray) and x.dtype.kind == "b"
+               or isinstance(x, (list, tuple)) and _holds_bool(x) for x in items if type(x) is not float)
 
 
 def _finite_real(x) -> bool:

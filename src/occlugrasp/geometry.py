@@ -7,6 +7,9 @@ picks the w >= 0 representative for hashing and serialization.
 The functions on component tuples, `_cross` to `_from_matrix`, are the one
 implementation that `Quaternion`, `Pose` and the grasp oracle share, on floats
 or on arrays of many poses, so all of them get the same bits.
+
+`_nearest_distances` is the one KD-tree query, of completion, its metrics and
+`splat`; it loads `scipy.spatial` at its first call, and never at import.
 """
 
 from __future__ import annotations
@@ -192,13 +195,13 @@ class Quaternion:
     @staticmethod
     def from_matrix(m) -> "Quaternion":
         """Rotation matrix (3x3, orthonormal) to quaternion: `_from_matrix` of one."""
-        m = np.asarray(m, dtype=float)
+        m = _finite_array(m, (3, 3), "rotation matrix must be 3 x 3 finite numbers")
         return Quaternion(*(float(c[0]) for c in _from_matrix(m[:, :, None])))
 
 
 def quaternion_about_axis(axis, angle: float) -> Quaternion:
     """Rotation of `angle` radians about a unit `axis`."""
-    axis = np.asarray(axis, dtype=float)
+    axis = _finite_array(axis, (3,), "axis must be 3 finite numbers")
     n = float(np.linalg.norm(axis))
     if abs(n - 1.0) > 1e-6:
         raise InputError(f"axis must be unit length, norm={n}")
@@ -291,9 +294,20 @@ class PointCloud:
 
 def orthonormal_tangents(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic right-handed (u, v) basis perpendicular to a unit axis."""
-    a = np.asarray(axis, dtype=float).tolist()
+    a = _finite_array(axis, (3,), "axis must be 3 finite numbers").tolist()
     helper = (0.0, 0.0, 1.0) if abs(a[2]) < 0.9 else (1.0, 0.0, 0.0)
     u = np.array(_cross(a, helper))
     u /= np.linalg.norm(u)
     v = np.array(_cross(a, u.tolist()))
     return u, v
+
+
+def _nearest_distances(points: np.ndarray, queries: np.ndarray, reach: float = math.inf) -> np.ndarray:
+    """Distance from each of `queries` to its nearest of `points`, or inf where that is beyond `reach`.
+
+    An unbalanced tree without shrunk node boxes builds and queries faster, and a nearest distance is
+    the same exact minimum over the same points in any tree. The query's bound is exclusive, hence one
+    step above `reach`: a distance of exactly `reach` is returned."""
+    from scipy.spatial import cKDTree  # at the first tree, not at import
+    tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
+    return tree.query(queries, k=1, distance_upper_bound=np.nextafter(reach, np.inf))[0]

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .camera import CameraModel, DepthFrame, read_npz
 from .errors import InputError, _check_type, _finite_array, _finite_positive, _positive_int
-from .geometry import PointCloud
+from .geometry import PointCloud, _nearest_distances
 from .scenes import WORKSPACE_EXTENT
 
 
@@ -136,9 +135,7 @@ def splat(cloud: PointCloud, config: TsdfConfig = TsdfConfig()) -> TsdfGrid:
     bounding box grown by `reach` and one voxel of slack for rounding; every
     voxel outside it is farther than `reach` along one axis alone. The box's
     centres are slices of the same axis `voxel_centers` spans, so each equals
-    its full-grid entry. The KD-tree is built unbalanced and without
-    shrinking its node boxes, which builds and queries faster; a nearest
-    distance is the same exact minimum over the same points in any tree.
+    its full-grid entry.
     """
     _check_type(cloud, PointCloud, "cloud")
     _check_type(config, TsdfConfig, "config")
@@ -147,8 +144,7 @@ def splat(cloud: PointCloud, config: TsdfConfig = TsdfConfig()) -> TsdfGrid:
     r = config.resolution
     vs = config.voxel_size
     kernel = KERNEL_RADIUS_VOXELS * vs
-    # the query may return inf beyond `reach`; its bound is exclusive, hence
-    # one step up to keep a distance exactly at a radius
+    # the query returns inf beyond `reach`
     reach = max(config.truncation, kernel)
     values = np.ones((r, r, r), dtype=np.float64)
     weights = np.zeros((r, r, r), dtype=np.float64)
@@ -159,9 +155,7 @@ def splat(cloud: PointCloud, config: TsdfConfig = TsdfConfig()) -> TsdfGrid:
     box = tuple(slice(a, b) for a, b in zip(lo, hi))
     gx, gy, gz = np.meshgrid(axis[box[0]], axis[box[1]], axis[box[2]], indexing="ij")
     centers = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
-    tree = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
-    dist, _ = tree.query(centers, k=1, distance_upper_bound=np.nextafter(reach, np.inf))
-    dist = dist.reshape(gx.shape)
+    dist = _nearest_distances(cloud.points, centers, reach).reshape(gx.shape)
     values[box] = np.minimum(dist / config.truncation, 1.0)
     weights[box] = dist <= kernel
     return TsdfGrid(values, weights, config)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.spatial import cKDTree
 
 from occlugrasp import completion
@@ -13,10 +14,11 @@ from occlugrasp.completion import (
     volumetric_iou,
 )
 from occlugrasp.errors import InputError
-from occlugrasp.geometry import PointCloud, Pose, Quaternion
+from occlugrasp.geometry import PointCloud, Pose, Quaternion, _nearest_distances
 from occlugrasp.meshes import make_cylinder, surface_sample
 from occlugrasp.occlusion import BinScheme, occlusion_level
 from occlugrasp.scenes import ObjectInstance, derive_single_scene
+from occlugrasp.tsdf import KERNEL_RADIUS_VOXELS, TsdfConfig
 
 from . import corpus
 from .corpus import make_scene, with_normals
@@ -322,7 +324,7 @@ class _UnboundedTree(cKDTree):
 
 def _mirror_unbounded(completer, partial, scene, cam, monkeypatch):
     with monkeypatch.context() as mp:
-        mp.setattr(completion, "cKDTree", _UnboundedTree)
+        mp.setattr(scipy.spatial, "cKDTree", _UnboundedTree)
         return completer(partial, scene, cam)
 
 
@@ -360,7 +362,7 @@ class TestMirrorDedupeBound:
                 return out
 
         with monkeypatch.context() as mp:
-            mp.setattr(completion, "cKDTree", Recording)
+            mp.setattr(scipy.spatial, "cKDTree", Recording)
             MirrorCompleter()(partial, scene, cam)
         dist = np.sort(distances[0])
         # radii equal to reflected points' exact nearest distances; the tree
@@ -372,6 +374,32 @@ class TestMirrorDedupeBound:
             bounded = completer(partial, scene, cam)
             _assert_same_cloud(bounded, _mirror_unbounded(completer, partial, scene, cam, monkeypatch))
             assert len(bounded) == len(partial) + int((dist > radius).sum())
+
+
+class TestNearestDistancesMatchesReference:
+    def test_episode_target_clouds(self):
+        # the partial, kept reflected and completed clouds of the episode
+        # targets, each queried against the others at no reach, the dedupe
+        # radius and `splat`'s reach, against a tree of scipy's defaults
+        cam, config = default_camera(width=320, height=240, focal=270.0), TsdfConfig()
+        reaches = (np.inf, completion.DEDUPE_RADIUS, max(config.truncation, KERNEL_RADIUS_VOXELS * config.voxel_size))
+        compared = 0
+        for seed in corpus.EPISODE_SEEDS:
+            partial = rendered_partial(corpus.episode_scene(seed), cam)
+            completed = MirrorCompleter()(partial, None, cam)
+            clouds = (partial.points, completed.points[len(partial):], completed.points)
+            for points in clouds:
+                if len(points) == 0:
+                    continue
+                tree = cKDTree(points)
+                for queries in clouds:
+                    if queries is points:
+                        continue
+                    for reach in reaches:
+                        expected = tree.query(queries, k=1, distance_upper_bound=np.nextafter(reach, np.inf))[0]
+                        assert _nearest_distances(points, queries, reach).tobytes() == expected.tobytes()
+                        compared += len(queries)
+        assert compared > 0
 
 
 class TestOrdering:

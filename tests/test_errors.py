@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from occlugrasp import errors
+from occlugrasp.camera import look_at_pose
 from occlugrasp.errors import InputError, _finite_array
-from occlugrasp.geometry import PointCloud, Pose, Quaternion
+from occlugrasp.geometry import PointCloud, Pose, Quaternion, orthonormal_tangents, quaternion_about_axis
 from occlugrasp.grasping import Grasp
 from occlugrasp.meshes import TriMesh, make_box, ray_cast
 from occlugrasp.occlusion import BinScheme
@@ -36,6 +38,52 @@ BOX = make_box(1.0, 1.0, 1.0)
 def test_bools_are_not_numbers(build):
     # each of these was accepted, a bool read as 0.0 or 1.0
     with pytest.raises(InputError):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Pose(Quaternion.identity(), [0.0, True, 0.0]),
+    lambda: Pose(Quaternion.identity(), (0.0, np.bool_(True), 0.0)),
+    lambda: Pose.from_7floats([1.0, 0.0, 0.0, False, 0.1, 0.2, 0.3]),
+    lambda: PointCloud([[0.1, 0.2, 0.3]], [[0.0, 0.0, True]]),
+    lambda: TriMesh([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, True, 0.0]], [[0, 1, 2]]),
+    lambda: _finite_array([np.array([1.0, 2.0]), np.array([True, False])], (2, 2), "value"),
+    lambda: _finite_array([[[1.0], (2,)], ([3.0], [np.bool_(False)])], (2, 2, 1), "value"),
+], ids=["list", "tuple_np_bool", "pose_7floats", "cloud_normals", "mesh_vertices", "bool_array_in_list", "deep"])
+def test_a_bool_among_numbers_is_refused(build):
+    # NumPy promotes a bool among numbers, so each of these was accepted:
+    # the first built a pose at (0, 1, 0)
+    with pytest.raises(InputError, match="bool"):
+        build()
+
+
+def test_numeric_arrays_are_not_walked(monkeypatch):
+    # lists and tuples of numbers pass the walk; an array of numbers skips it
+    assert _finite_array([1, 2.0, np.float32(3), np.int64(4)], (4,), "value").tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert _finite_array(([1.0], (np.array(2.0),)), (2, 1), "value").tolist() == [[1.0], [2.0]]
+    monkeypatch.setattr(errors, "_holds_bool", None)
+    assert _finite_array(np.arange(6).reshape(2, 3), (2, 3), "value").tolist() == [[0, 1, 2], [3, 4, 5]]
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: quaternion_about_axis((True, False, False), 0.5), "axis"),
+    (lambda: quaternion_about_axis((0.0, 0.0, 1.0, 0.0), 0.5), "axis"),
+    (lambda: quaternion_about_axis("z", 0.5), "axis"),
+    (lambda: look_at_pose((True, False, True), (0, 0, 0)), "eye, target and up"),
+    (lambda: look_at_pose((0.5, 0.5, 0.5), (math.nan, 0.0, 0.0)), "eye, target and up"),
+    (lambda: look_at_pose((0.5, 0.5, 0.5), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)), "eye, target and up"),
+    (lambda: look_at_pose((0.5, 0.5, 0.5), (0.5, 0.5, 0.5)), "eye and target must differ"),
+    (lambda: Quaternion.from_matrix(np.eye(3, dtype=bool)), "rotation matrix"),
+    (lambda: Quaternion.from_matrix(np.full((3, 3), math.nan)), "rotation matrix"),
+    (lambda: Quaternion.from_matrix(np.eye(4)), "rotation matrix"),
+    (lambda: orthonormal_tangents((False, False, True)), "axis"),
+    (lambda: orthonormal_tangents((0.0, 0.0, math.inf)), "axis"),
+], ids=["axis_bools", "axis_4", "axis_text", "eye_bools", "target_nan", "up_4", "eye_at_target", "matrix_bools",
+        "matrix_nan", "matrix_4x4", "tangent_axis_bools", "tangent_axis_inf"])
+def test_vector_arguments_are_read_as_numbers(build, match):
+    # each of these was accepted, read a bool as a number, raised a bare
+    # exception, or was caught later as a quaternion error
+    with pytest.raises(InputError, match=match):
         build()
 
 

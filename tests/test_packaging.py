@@ -2,12 +2,37 @@ import ast
 import collections
 import importlib
 import importlib.metadata
+import os
 import re
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
+
+# a fresh interpreter that renders a scene pair and measures its occlusion,
+# then completes nothing but one chamfer distance
+OCCLUSION_ONLY = """
+import importlib, pkgutil, sys
+import occlugrasp
+for module in pkgutil.iter_modules(occlugrasp.__path__):
+    importlib.import_module(f"occlugrasp.{module.name}")
+from occlugrasp.camera import back_project, default_camera, render
+from occlugrasp.completion import chamfer_l1
+from occlugrasp.occlusion import BinScheme, occlusion_level
+from occlugrasp.scenes import SceneConfig, derive_single_scene, generate_packed_scene
+scene = generate_packed_scene(SceneConfig(object_count_range=(4, 6), seed=1))
+cam = default_camera(width=160, height=120, focal=135.0)
+cluttered = render(scene, cam)
+single = render(derive_single_scene(scene, scene.target_index), cam)
+occlusion_level(single, cluttered, scene.target_index, BinScheme.test())
+assert "scipy.spatial" not in sys.modules
+partial = back_project(cluttered, scene.target_index)
+chamfer_l1(partial, partial)
+assert "scipy.spatial" in sys.modules
+"""
 
 
 def test_console_script_targets_import():
@@ -30,6 +55,14 @@ def test_perfbench_imports_resolve():
                     assert hasattr(module, alias.name), f"{path.name}: from {node.module} import {alias.name}"
                     imported += 1
     assert imported > 0
+
+
+def test_scipy_spatial_loads_at_the_first_kd_tree():
+    # no module loads scipy.spatial at import: a process that only renders
+    # and measures occlusion never pays for it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", OCCLUSION_ONLY], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def _canonical(distribution: str) -> str:
