@@ -121,6 +121,15 @@ class DepthFrame:
 # the temporaries to a few hundred kilobytes.
 _CHUNK_PAIRS = 4096
 
+# `_row_spans` pads the row crossings of a triangle whose gate exceeds the
+# camera's `_span_gate` by `_SPAN_PAD` pixels times 1 + |du/dv| of the edge,
+# and every other triangle's by one whole pixel; `_nearest_hits` defines the
+# gate and bounds the error that the sliver covers. The gate is at least
+# `_SPAN_GATE`, and higher where the camera's bound at that gate would exceed a
+# hundredth of the pad.
+_SPAN_PAD = 1e-3
+_SPAN_GATE = 1e-3
+
 # A triangle of a culled instance, with vertices a, b, c in camera
 # coordinates and normal n = cross(b - a, c - a), is a back face when n . a
 # exceeds this fraction of |n| |a|. A face nearer edge-on than that is kept.
@@ -260,8 +269,30 @@ def _nearest_hits(camera: CameraModel, size: int, tv, u, v, u0, u1, v0, v1, base
     A (triangle, pixel) pair hits when the ray through the pixel center
     meets the triangle (Moller-Trumbore, barycentric tolerance 1e-12,
     determinant above 1e-14, t above 1e-9). A triangle is tested only on
-    its row spans (`_row_spans`). The crossings round by far less than the
-    pad, so the spans skip only misses.
+    its row spans (`_row_spans`), and a row or a triangle left with no pixel
+    to test is dropped.
+
+    The spans of a triangle with vertices a, b, c in camera coordinates,
+    e1 = b - a, e2 = c - a, n = e1 x e2 and r the largest of |a|, |b|, |c|
+    are padded by a sliver, `_SPAN_PAD`, where its gate
+    g = |n . a| / (|e1| |e2| r) exceeds the camera's `_span_gate`. As
+    n . p = n . a for every point p of the plane, g is the sine of the corner
+    angle at a times the least cosine between n and the ray to a point of
+    the triangle, so the relative error of the Moller-Trumbore determinant
+    is at most about 5 eps / g (eps = 2^-53). Rounding thus moves the point
+    a ray is taken to hit by at most about 30 eps r / g, and the tolerance
+    by 6e-12 r. Seen at depth z >= g r / sec, with sec = |ray| / z the
+    secant of the ray's angle to the optical axis, a hit thus lies within
+    f sec^2 (30 eps / g^2 + 6e-12 / g) pixels of the exact triangle, f the
+    larger focal length: below 1e-5 px at g > 1e-3, f = 540 and
+    sec^2 < 1.6. `_span_gate` raises the gate above `_SPAN_GATE` where the
+    camera's largest f sec^2 over its pixel centres would take the bound
+    past a hundredth of the pad (f sec^2 above about 1,070, as at a long
+    focal length or a very wide view). A point that near the triangle lies,
+    along a row, within that distance times 1 + |du/dv| of a crossing of an
+    edge with slope du/dv, which is the pad `_row_spans` gives it; the
+    crossings themselves round by about 1e-13 px. Every other triangle
+    keeps the whole-pixel pad.
 
     A triangle's spans, row after row, are one batch element. Triangles,
     sorted by pair count, fill chunks of about `_CHUNK_PAIRS` pairs, and a
@@ -282,21 +313,29 @@ def _nearest_hits(camera: CameraModel, size: int, tv, u, v, u0, u1, v0, v1, base
     a = tv[:, 0]
     e1 = tv[:, 1] - a
     e2 = tv[:, 2] - a
+    n_dot_a = np.einsum("ij,ij->i", np.cross(e1, e2), a)
+    r = np.linalg.norm(tv, axis=2).max(axis=1)
+    tight = np.abs(n_dot_a) > _span_gate(camera) * np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1) * r
+    # one segment per box row: the row's span of pixels; the rows, and then
+    # the triangles, with no pixel to test are dropped
+    heights = v1 - v0 + 1
+    first = np.cumsum(heights) - heights
+    seg_row = np.arange(heights.sum()) - np.repeat(first - v0, heights)
+    seg_lo, seg_n = _row_spans(u, v, u0, u1, heights, seg_row, tight)
+    live = seg_n > 0
+    heights = np.add.reduceat(live, first, dtype=int)
+    seg_row, seg_lo, seg_n = seg_row[live], seg_lo[live], seg_n[live]
+    drawn = heights > 0
+    a, e1, e2, heights, column, base, stride = (x[drawn] for x in (a, e1, e2, heights, u0 == u1, base, stride))
+    first = np.cumsum(heights) - heights
+    pairs = np.add.reduceat(seg_n, first)
     s = -a  # ray origin is the camera center
     qvec = np.cross(s, e1)
     t_num = np.matmul(e2[:, None, :], qvec[:, :, None])[:, 0, 0]
     # pixel-center rays in camera frame, z component 1 => t equals depth
     dx, dy = _pixel_rays(camera, np.arange(camera.width), np.arange(camera.height))
-
-    # one segment per box row: the row's span of pixels
-    heights = v1 - v0 + 1
-    first = np.cumsum(heights) - heights
-    seg_row = np.arange(heights.sum()) - np.repeat(first - v0, heights)
-    seg_lo, seg_n = _row_spans(u, v, u0, u1, heights, seg_row)
-    pairs = np.add.reduceat(seg_n, first)
     # triangles in batch order, 1-column boxes first, the rest by pair count;
     # segments and pairs are numbered in that order
-    column = u0 == u1
     order = np.argsort(np.where(column, 0, pairs), kind="stable")
     heights, pairs, column = heights[order], pairs[order], column[order]
     seg = np.arange(len(seg_row)) + np.repeat(first[order] - (np.cumsum(heights) - heights), heights)
@@ -365,17 +404,29 @@ def _ray_hits(x, y, e1, e2, s, qvec, t_num):
     return hits, t.ravel()[hits]
 
 
-def _row_spans(u, v, u0, u1, heights, seg_row):
-    """First pixel and pixel count of each box row that the row's triangle can hit.
+def _span_gate(camera: CameraModel) -> float:
+    """The least gate g at or above `_SPAN_GATE` where `_nearest_hits`'s error bound,
+    f sec^2 (30 eps / g^2 + 6e-12 / g) pixels, is at most a hundredth of `_SPAN_PAD`."""
+    dx, dy = _pixel_rays(camera, np.array([0, camera.width - 1]), np.array([0, camera.height - 1]))
+    f_sec2 = max(camera.fx, camera.fy) * (1.0 + float(np.abs(dx).max()) ** 2 + float(np.abs(dy).max()) ** 2)
+    # the root of budget g^2 - c2 g - c1
+    budget, c1, c2 = _SPAN_PAD / 100, 30 * 2.0 ** -53 * f_sec2, 6e-12 * f_sec2
+    return max(_SPAN_GATE, (c2 + (c2 * c2 + 4 * budget * c1) ** 0.5) / (2 * budget))
+
+
+def _row_spans(u, v, u0, u1, heights, seg_row, tight):
+    """First pixel and pixel count, possibly 0, of each box row that the row's triangle can hit.
 
     u and v hold each triangle's projected vertices, u0 and u1 its box
     columns, heights its number of box rows; seg_row lists the rows, triangle
     by triangle. The row-centre line meets the projected edges between the
     smallest and the largest crossing. An edge's crossing is taken from its
     first vertex, so a horizontal edge on the line adds its first endpoint and
-    the next edge its second. The interval is padded by one pixel on each
-    side and clipped to the box. A row that meets no edge keeps the whole box
-    row.
+    the next edge its second. Where `tight` holds for the triangle, each
+    crossing is padded by `_SPAN_PAD` times 1 + |du/dv| of its edge, and the
+    row's pixels are those whose centres lie within the padded interval;
+    elsewhere the interval is padded by one pixel on each side. The span is
+    clipped to the box. A row that meets no edge keeps the whole box row.
     """
     y = seg_row + 0.5
     xmin = np.full(len(y), np.inf)
@@ -384,16 +435,17 @@ def _row_spans(u, v, u0, u1, heights, seg_row):
         ua, va, ub, vb = u[:, i], v[:, i], u[:, j], v[:, j]
         flat = va == vb
         slope = np.where(flat, 0.0, (ub - ua) / np.where(flat, 1.0, vb - va))
+        pad = np.repeat(np.where(tight, _SPAN_PAD * (1.0 + np.abs(slope)), 0.0), heights)
         meets = (np.repeat(np.minimum(va, vb), heights) <= y) & (y <= np.repeat(np.maximum(va, vb), heights))
         x = np.repeat(ua, heights) + (y - np.repeat(va, heights)) * np.repeat(slope, heights)
-        xmin = np.where(meets, np.minimum(xmin, x), xmin)
-        xmax = np.where(meets, np.maximum(xmax, x), xmax)
+        xmin = np.where(meets, np.minimum(xmin, x - pad), xmin)
+        xmax = np.where(meets, np.maximum(xmax, x + pad), xmax)
     none = xmin > xmax
     xmin[none], xmax[none] = -np.inf, np.inf
-    box0, box1 = np.repeat(u0, heights), np.repeat(u1, heights)
-    lo = np.clip(np.ceil(xmin - 0.5) - 1, box0, box1).astype(int)
-    hi = np.clip(np.floor(xmax - 0.5) + 1, box0, box1).astype(int)
-    return lo, hi - lo + 1
+    whole = np.repeat(~tight, heights)
+    lo = np.maximum(np.ceil(xmin - 0.5) - whole, np.repeat(u0, heights)).astype(int)
+    hi = np.minimum(np.floor(xmax - 0.5) + whole, np.repeat(u1, heights)).astype(int)
+    return lo, np.maximum(hi - lo + 1, 0)
 
 
 def _chunks(widths, cap: int):

@@ -201,6 +201,8 @@ class Quaternion:
 
 def quaternion_about_axis(axis, angle: float) -> Quaternion:
     """Rotation of `angle` radians about a unit `axis`."""
+    if not _finite_real(angle):
+        raise InputError(f"angle must be a finite number, got {angle!r}")
     axis = _finite_array(axis, (3,), "axis must be 3 finite numbers")
     n = float(np.linalg.norm(axis))
     if abs(n - 1.0) > 1e-6:
@@ -302,12 +304,18 @@ def orthonormal_tangents(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
+# points per leaf of `_nearest_distances`'s tree; 48-64 built and queried fastest on the `episode`
+# corpus, on a 2-vCPU x86 VM (mirror dedupe, chamfer and splat 15.8 -> 14.5 ms per scene against
+# scipy's default of 16, and the `episode` benchmark's scenes per second +4%)
+_KD_LEAF_SIZE = 48
+
+
 def _nearest_distances(points: np.ndarray, queries: np.ndarray, reach: float = math.inf) -> np.ndarray:
     """Distance from each of `queries` to its nearest of `points`, or inf where that is beyond `reach`.
 
-    An unbalanced tree without shrunk node boxes builds and queries faster, and a nearest distance is
-    the same exact minimum over the same points in any tree. The query's bound is exclusive, hence one
-    step above `reach`: a distance of exactly `reach` is returned."""
+    An unbalanced tree of `_KD_LEAF_SIZE` points per leaf without shrunk node boxes builds and queries
+    faster, and a nearest distance is the same exact minimum over the same points in any tree. The
+    query's bound is exclusive, hence one step above `reach`: a distance of exactly `reach` is returned."""
     from scipy.spatial import cKDTree  # at the first tree, not at import
-    tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
+    tree = cKDTree(points, leafsize=_KD_LEAF_SIZE, balanced_tree=False, compact_nodes=False)
     return tree.query(queries, k=1, distance_upper_bound=np.nextafter(reach, np.inf))[0]

@@ -10,14 +10,20 @@ mesh's bottom ring, the first vertices, rounded to 12 decimals and started at
 its lowest (x, y); the sphere's is a 24-gon circumscribing its equator.
 An object keeps id, mesh, height, footprint; an instance swaps height for pose.
 
-A placement attempt is tested in two phases. The broad phase is one array
-pass: the attempt's xy box against the xy box of every placed instance, which
-each instance caches (`ObjectInstance.world_footprint_box`). A box gap is a
-lower bound on the polygon distance, so an instance whose gap exceeds the
-margin cannot reject the attempt. The others go on, in placement order, to
-`polygon_distance`, which looks for a separating axis before it measures any
-distance. These are the pairs, the order and the arithmetic of a loop that
-tests each placed instance in turn, so every scene is the same.
+A placement attempt is tested in two phases. The broad phase decides both
+certain cases in array passes over what `_Placed` keeps of the placed
+instances. First the discs of the footprints' inradii
+(`CatalogObject.footprint_inradius`) about the objects' origins: lying inside
+the footprints, two discs nearer than the margin reject the attempt at once.
+An object whose origin lies outside its footprint has no disc and is left to
+the next phases. Then the xy boxes: a box
+gap is a lower bound on the polygon distance, so an instance whose gap
+exceeds the margin cannot reject the attempt. The near instances that remain
+go on, in placement order, to `polygon_distance`, which looks for a separating
+axis before it measures any distance. A loop that tests each placed instance
+in turn rejects every attempt that the discs reject, and otherwise makes the
+same calls in the same order with the same arithmetic, so every scene is the
+same.
 """
 
 from __future__ import annotations
@@ -74,6 +80,16 @@ class CatalogObject:
     mesh: TriMesh
     height: float  # top of the mesh, which placement tests against the workspace size
     footprint_poly: np.ndarray  # convex CCW xy polygon bounding the solid, read-only
+
+    @cached_property
+    def footprint_inradius(self) -> float:
+        """Radius of the largest disc about the origin inside the footprint, or -inf if the origin lies
+        outside it, so that no disc of this object can reject a placement."""
+        p = self.footprint_poly
+        q = np.roll(p, -1, axis=0)
+        # each edge's distance from the origin, positive on the inner side of a CCW edge
+        inner = float(((p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]) / np.linalg.norm(q - p, axis=1)).min())
+        return inner if inner >= 0.0 else -math.inf
 
 
 # per kind, in catalog order: name, config ranges in draw order, mesh maker of the
@@ -139,19 +155,6 @@ class ObjectInstance:
             raise InputError(f"instance {self.catalog_id!r} has no footprint_poly")
         yaw_rot = self.pose.rotation.as_matrix()[:2, :2]
         return self.footprint_poly @ yaw_rot.T + self.pose.translation[:2]
-
-    @cached_property
-    def world_footprint_box(self) -> np.ndarray:
-        """(2, 2) xy box of `world_footprint_poly()`: rows lo and hi, read-only.
-
-        Placement reads the box of every placed instance on every attempt, so
-        it is cached. The polygon is not: placement needs it only for the few
-        instances whose box is near, and a kept scene would carry it.
-        """
-        poly = self.world_footprint_poly()
-        box = np.array([poly.min(axis=0), poly.max(axis=0)])
-        box.flags.writeable = False
-        return box
 
     @cached_property
     def world_aabb(self) -> tuple[np.ndarray, np.ndarray]:
@@ -252,12 +255,31 @@ def _footprint_gap(lo: np.ndarray, hi: np.ndarray, boxes: np.ndarray) -> np.ndar
     return np.maximum(boxes[:, 0] - hi, lo - boxes[:, 1]).max(axis=1)
 
 
-def _place_instance(
-    obj: CatalogObject,
-    extent: float,
-    placed: list[ObjectInstance],
-    rng: np.random.Generator,
-) -> ObjectInstance | None:
+class _Placed:
+    """The instances placed so far, and what every attempt reads of them:
+    their xy origins, footprint inradii, footprint boxes (rows lo and hi) and
+    `world_footprint_poly()` polygons. Each array grows once per instance."""
+
+    def __init__(self):
+        self.instances: list[ObjectInstance] = []
+        self.origins = np.empty((0, 2))
+        self.radii = np.empty(0)
+        self.boxes = np.empty((0, 2, 2))
+        self.polys: list[np.ndarray] = []
+
+    def add(self, obj: CatalogObject, pose: Pose) -> None:
+        """Place an instance of `obj` at `pose`."""
+        instance = ObjectInstance(obj.catalog_id, obj.mesh, pose, obj.footprint_poly)
+        poly = instance.world_footprint_poly()
+        self.instances.append(instance)
+        self.origins = np.concatenate((self.origins, [pose.translation[:2]]))
+        self.radii = np.append(self.radii, obj.footprint_inradius)
+        self.boxes = np.concatenate((self.boxes, [(poly.min(axis=0), poly.max(axis=0))]))
+        self.polys.append(poly)
+
+
+def _place_instance(obj: CatalogObject, extent: float, placed: _Placed, rng: np.random.Generator) -> Pose | None:
+    """The pose of an accepted attempt to place `obj`, or None."""
     if obj.height > extent:
         return None
     yaw = rng.uniform(0.0, 2.0 * math.pi)
@@ -275,18 +297,21 @@ def _place_instance(
     # numbers one draw over both axes gives, without its array set-up
     position = np.array([rng.uniform(span_lo[0], span_hi[0]), rng.uniform(span_lo[1], span_hi[1])])
     # all objects rest on z=0, so z-intervals always overlap and the
-    # footprint separation decides collision. A box gap above the margin
-    # decides it too: the 1e-9 slack lies far above the rounding error of
-    # coordinates within the workspace, so no `< margin` outcome changes.
-    if placed:
-        boxes = np.array([other.world_footprint_box for other in placed])
-        near = np.flatnonzero(_footprint_gap(lo + position, hi + position, boxes) <= PLACEMENT_MARGIN + 1e-9)
+    # footprint separation decides collision. Inradius discs nearer than the
+    # margin, or a box gap above it, decide it too: the 1e-9 slack lies far
+    # above the rounding error of coordinates within the workspace, so no
+    # `< margin` outcome changes. A radius of -inf (no disc) rejects nothing.
+    if placed.instances:
+        apart = placed.origins - position
+        reach = placed.radii + (obj.footprint_inradius + PLACEMENT_MARGIN - 1e-9)
+        if (np.hypot(apart[:, 0], apart[:, 1]) < reach).any():
+            return None
+        near = np.flatnonzero(_footprint_gap(lo + position, hi + position, placed.boxes) <= PLACEMENT_MARGIN + 1e-9)
         world_poly = poly + position
         for k in near.tolist():
-            if polygon_distance(world_poly, placed[k].world_footprint_poly()) < PLACEMENT_MARGIN:
+            if polygon_distance(world_poly, placed.polys[k]) < PLACEMENT_MARGIN:
                 return None
-    pose = Pose(quaternion_about_axis((0.0, 0.0, 1.0), yaw), np.array([position[0], position[1], 0.0]))
-    return ObjectInstance(obj.catalog_id, obj.mesh, pose, obj.footprint_poly)
+    return Pose(quaternion_about_axis((0.0, 0.0, 1.0), yaw), np.array([position[0], position[1], 0.0]))
 
 
 def generate_packed_scene(config: SceneConfig, catalog: list[CatalogObject] | None = None) -> Scene:
@@ -306,20 +331,20 @@ def generate_packed_scene(config: SceneConfig, catalog: list[CatalogObject] | No
             raise InputError("the catalog to place from is empty")
     rng = _rng(config.seed, 0)
     count = int(rng.integers(lo, hi + 1))
-    placed: list[ObjectInstance] = []
+    placed = _Placed()
     for i in range(count):
         inst_rng = _rng(config.seed, 1, i)
-        inst = None
+        pose = None
         for _ in range(MAX_PLACEMENT_ATTEMPTS):
             obj = catalog[int(inst_rng.integers(len(catalog)))]
-            inst = _place_instance(obj, config.workspace_extent, placed, inst_rng)
-            if inst is not None:
+            pose = _place_instance(obj, config.workspace_extent, placed, inst_rng)
+            if pose is not None:
                 break
-        if inst is None:
+        if pose is None:
             raise GenerationError(f"could not place instance {i} after {MAX_PLACEMENT_ATTEMPTS} attempts")
-        placed.append(inst)
+        placed.add(obj, pose)
     target_index = int(_rng(config.seed, 2).integers(count))
-    return Scene(tuple(placed), target_index, config.seed)
+    return Scene(tuple(placed.instances), target_index, config.seed)
 
 
 def derive_single_scene(scene: Scene, target_index: int) -> Scene:

@@ -812,6 +812,9 @@ FULL_CAMERA = CameraModel(640, 480, 400.0, 400.0, 320.0, 240.0, Pose.identity())
 # focal length 128: a row centre v + 0.5 is y / z = (v + 0.5 - 60) / 128, a
 # binary fraction, so a vertex can project onto it exactly
 ROW_CAMERA = CameraModel(160, 120, 128.0, 128.0, 80.0, 60.0, Pose.identity())
+# f sec^2 of about 2e5 and 4.9e3 at the corner pixels, against the default camera's 835
+LONG_CAMERA = CameraModel(160, 120, 2e5, 2e5, 80.0, 60.0, Pose.identity())
+WIDE_CAMERA = CameraModel(160, 120, 2.0, 2.0, 80.0, 60.0, Pose.identity())
 # every 4th `occlusion_sweep` scene: tracing makes the reference about eight times slower
 TRACED_SEEDS = range(2, 40, 4)
 
@@ -853,7 +856,8 @@ class TestRasteriseMatchesReference:
         # centre clips to column 11 alone: an element of one pair, padded to two
         uvz = [(10.2, 20.0, 1.0), (12.2, 20.0, 1.0), (12.3, 20.6, 1.0)]
         u, v = np.array([[10.2, 12.2, 12.3]]), np.array([[20.0, 20.0, 20.6]])
-        lo, count = camera_module._row_spans(u, v, np.array([10]), np.array([11]), np.array([1]), np.array([20]))
+        lo, count = camera_module._row_spans(u, v, np.array([10]), np.array([11]), np.array([1]), np.array([20]),
+                                             np.array([False]))
         assert (lo[0], count[0]) == (11, 1)
         (layer,) = rasterise_both([mesh_instance(pixel_vertices(AXIS_CAMERA, uvz), [[0, 1, 2]])], AXIS_CAMERA)
         assert (layer.row, layer.col, layer.t.shape) == (20, 10, (1, 2))
@@ -946,8 +950,118 @@ class TestRasteriseMatchesReference:
         # the triangle lies between rows 19 and 20's centres; asked for row
         # 25, which no edge meets, the span is the whole box row
         u, v = np.array([[10.0, 14.0, 12.0]]), np.array([[20.2, 20.2, 20.4]])
-        lo, count = camera_module._row_spans(u, v, np.array([10]), np.array([13]), np.array([1]), np.array([25]))
+        lo, count = camera_module._row_spans(u, v, np.array([10]), np.array([13]), np.array([1]), np.array([25]),
+                                             np.array([False]))
         assert (lo[0], count[0]) == (10, 4)
+
+
+class TestRowSpans:
+    """A well-conditioned triangle's row spans hold the pixel centres within a
+    sliver of the row's edge crossings; every other triangle's are padded by a
+    whole pixel."""
+
+    @pytest.mark.parametrize("k", [0.5, 0.99, 1.01, 2.0])
+    def test_sliver_span_holds_the_centres_within_the_pad(self, k):
+        # row 20 of each triangle crosses a vertical edge, padded by P, and an
+        # edge of slope du/dv = +-2, padded by 3 P; the box is wider than the
+        # triangles. One crossing of each lies k pads beyond a pixel centre.
+        pad = camera_module._SPAN_PAD
+        left = 12.5 + k * pad         # vertical edge; then 31.5 + k P
+        slanted = 12.5 - 3 * k * pad  # vertical edge; then 31.5 - 3 k P
+        right = 30.5 - k * pad        # 11.5 - k P; then the vertical edge
+        u = np.array([[left, left, left + 20.0], [slanted, slanted, slanted + 20.0], [right, right, right - 20.0]])
+        v = np.tile([10.0, 30.0, 20.0], (3, 1))
+        box = (np.zeros(3, dtype=int), np.full(3, 60))
+        rows = (np.ones(3, dtype=int), np.full(3, 20))
+        lo, count = camera_module._row_spans(u, v, *box, *rows, np.ones(3, dtype=bool))
+        near = k <= 1
+        assert lo.tolist() == [12 if near else 13, 12, 11]
+        assert (lo + count - 1).tolist() == [31, 31 if near else 30, 30 if near else 29]
+        lo, count = camera_module._row_spans(u, v, *box, *rows, np.zeros(3, dtype=bool))
+        assert lo.tolist() == [12, 11, 10] and (lo + count - 1).tolist() == [32, 31, 30]
+
+    def test_near_horizontal_edge_across_a_row_centre(self):
+        # the top edge rises 2e-11 px over 70 columns across row 40's centre,
+        # which it crosses at column 55: rays through row 40 out to column 89
+        # pass within the barycentric tolerance, beyond a one-pixel pad (the
+        # slope factor of the sliver covers them)
+        uvz = [(20.0, 40.5 - 1e-11, 1.0), (90.0, 40.5 + 1e-11, 1.0), (60.0, 70.0, 1.0)]
+        (layer,) = rasterise_both([mesh_instance(pixel_vertices(AXIS_CAMERA, uvz), [[0, 1, 2]])], AXIS_CAMERA)
+        assert layer.row == 40 and np.isfinite(layer.t[0]).sum() > 60
+
+    def test_near_edge_on_triangle_keeps_the_whole_pixel_pad(self, monkeypatch):
+        # the camera centre lies 1e-5 off the second triangle's plane
+        p, q = np.array([0.1, 0.05, 1.0]), np.array([0.3, 0.2, 1.5])
+        normal = np.cross(p, q) / np.linalg.norm(np.cross(p, q))
+        face_on = pixel_vertices(AXIS_CAMERA, [(30.0, 20.0, 1.0), (70.0, 25.0, 1.2), (40.0, 90.0, 0.9)])
+        tilted = np.array([p, q, 0.5 * p + 0.7 * q + 1e-5 * normal])
+        a, e1, e2 = tilted[0], tilted[1] - tilted[0], tilted[2] - tilted[0]
+        gate = abs(np.cross(e1, e2) @ a) / (np.linalg.norm(e1) * np.linalg.norm(e2) * np.linalg.norm(tilted, axis=1).max())
+        assert 0.0 < gate < camera_module._SPAN_GATE
+        seen = []
+        row_spans = camera_module._row_spans
+
+        def spy(*args):
+            seen.append(args)
+            return row_spans(*args)
+
+        monkeypatch.setattr(camera_module, "_row_spans", spy)
+        scene = make_scene([mesh_instance(np.vstack([face_on, tilted]), [[0, 1, 2], [3, 4, 5]])])
+        rasterise_both(scene.instances, AXIS_CAMERA)
+        ((u, v, u0, u1, heights, seg_row, tight),) = seen
+        assert tight.tolist() == [True, False]
+        lo, count = row_spans(u, v, u0, u1, heights, seg_row, tight)
+        second = slice(heights[0], None)  # the rows of the tilted triangle
+        args = (u[1:], v[1:], u0[1:], u1[1:], heights[1:], seg_row[second])
+        whole_lo, whole_count = row_spans(*args, np.array([False]))
+        assert np.array_equal(lo[second], whole_lo) and np.array_equal(count[second], whole_count)
+        assert whole_count.sum() > row_spans(*args, np.array([True]))[1].sum()
+
+    def test_gate_bounds_the_error_by_a_hundredth_of_the_pad(self):
+        pad, floor = camera_module._SPAN_PAD, camera_module._SPAN_GATE
+        for camera, raised in ((default_camera(), False), (AXIS_CAMERA, False), (LONG_CAMERA, True),
+                               (WIDE_CAMERA, True)):
+            x = max(camera.cx - 0.5, camera.width - 0.5 - camera.cx) / camera.fx
+            y = max(camera.cy - 0.5, camera.height - 0.5 - camera.cy) / camera.fy
+            f_sec2 = max(camera.fx, camera.fy) * (1.0 + x * x + y * y)
+            gate = camera_module._span_gate(camera)
+            bound = f_sec2 * (30 * 2.0 ** -53 / gate ** 2 + 6e-12 / gate)
+            assert (gate > floor) == raised
+            assert bound == pytest.approx(pad / 100, rel=1e-9) if raised else bound < pad / 100
+
+    @pytest.mark.parametrize("camera", [LONG_CAMERA, WIDE_CAMERA], ids=["long", "wide"])
+    def test_cameras_far_from_the_default_match_the_reference(self, camera, small_chunks):
+        # random triangles at depth about 1, from face-on to near edge-on;
+        # some gates lie between `_SPAN_GATE` and the camera's raised gate
+        rng = np.random.default_rng(3)
+        tris = []
+        for spread in np.repeat([1.0, 1e-2, 1e-3, 1e-4, 1e-5], 12):
+            uv = rng.uniform([4.0, 4.0], [156.0, 116.0], (3, 2))
+            z = 1.0 + spread * rng.uniform(-0.5, 0.5, 3)
+            tris.append(pixel_vertices(camera, [(u, v, depth) for (u, v), depth in zip(uv, z)]))
+        tv = np.array(tris)
+        e1, e2 = tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]
+        gates = np.abs(np.einsum("ij,ij->i", np.cross(e1, e2), tv[:, 0])) / (
+            np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1) * np.linalg.norm(tv, axis=2).max(axis=1))
+        assert ((camera_module._SPAN_GATE < gates) & (gates <= camera_module._span_gate(camera))).sum() >= 3
+        instances = [mesh_instance(t, [[0, 1, 2]]) for t in tris]
+        layers = rasterise_both(instances, camera)
+        assert sum(np.isfinite(layer.t).sum() for layer in layers if layer is not None) > 1000
+
+    def test_row_without_a_coverable_centre_is_dropped(self, monkeypatch):
+        # row 20's centre line crosses the triangle between 11.95 and 12.28:
+        # within the box, columns 10 and 11, no centre lies a sliver from it
+        uvz = [(10.2, 20.0, 1.0), (12.2, 20.0, 1.0), (12.3, 20.6, 1.0)]
+        u, v = np.array([[10.2, 12.2, 12.3]]), np.array([[20.0, 20.0, 20.6]])
+        lo, count = camera_module._row_spans(u, v, np.array([10]), np.array([11]), np.array([1]), np.array([20]),
+                                             np.array([True]))
+        assert count.tolist() == [0]
+        tested = []
+        ray_hits = camera_module._ray_hits
+        monkeypatch.setattr(camera_module, "_ray_hits", lambda *args: tested.append(args) or ray_hits(*args))
+        (layer,) = rasterise_both([mesh_instance(pixel_vertices(AXIS_CAMERA, uvz), [[0, 1, 2]])], AXIS_CAMERA)
+        assert tested == [] and (layer.row, layer.col, layer.t.shape) == (20, 10, (1, 2))
+        assert np.isinf(layer.t).all()
 
 
 class TestRasteriseMemory:

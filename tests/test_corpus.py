@@ -36,7 +36,7 @@ def test_shared_inputs_are_read_only_and_equal_fresh_ones():
         assert scene_key(scene) == scene_key(generate_packed_scene(SceneConfig(object_count_range=count_range, seed=seed)))
     for inst in (inst for scene in scenes for inst in scene.instances):
         # fill the lazy arrays, so that the walk meets them too
-        inst.world_footprint_box, inst.world_aabb, inst.mesh.face_normals, inst.mesh.contact_samples
+        inst.world_aabb, inst.mesh.face_normals, inst.mesh.contact_samples
     cam = default_camera(width=160, height=120, focal=135.0)
     scene = scenes[1]
     frame = corpus.shared(reference_render)(scene, cam)
@@ -47,7 +47,6 @@ def test_shared_inputs_are_read_only_and_equal_fresh_ones():
     found = list(arrays([scenes, corpus.catalog(), frame, layers, offenders], set()))
     named = [frame.depth, frame.instance_id, *(layer.t for layer in layers if layer is not None)]
     for inst in scene.instances:
-        named += [inst.mesh.vertices, inst.mesh.triangles, inst.footprint_poly, inst.world_footprint_box,
-                  *inst.world_aabb]
+        named += [inst.mesh.vertices, inst.mesh.triangles, inst.footprint_poly, *inst.world_aabb]
     assert {id(a) for a in named} <= {id(a) for a in found}
     assert [a.shape for a in found if a.flags.writeable] == []

@@ -87,6 +87,13 @@ def test_vector_arguments_are_read_as_numbers(build, match):
         build()
 
 
+@pytest.mark.parametrize("angle", [True, math.inf, "x"])
+def test_angle_must_be_a_finite_number(angle):
+    # True gave a rotation of 1 rad, inf a bare ValueError from `math.sin`, "x" a bare TypeError
+    with pytest.raises(InputError, match="angle"):
+        quaternion_about_axis((0.0, 0.0, 1.0), angle)
+
+
 ARRAY_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
 SPECIAL_FLOATS = hnp.arrays("f8", ARRAY_SHAPES,
                             elements=st.sampled_from([0.0, -1.5, 2.0, math.nan, math.inf, -math.inf]))

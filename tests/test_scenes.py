@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occlugrasp import scenes as scenes_module
 from occlugrasp.errors import GenerationError, InputError
@@ -458,7 +461,7 @@ class TestSceneFields:
                                               ("footprint_poly", [[0.0, 0.0], [0.1, 0.0], [0.0, np.inf]])])
     def test_object_instance_fields_typed(self, field, value):
         # ObjectInstance("x", "m", pose) in a scene raised a bare AttributeError in `render`;
-        # a footprint "abc" raised a bare UFuncTypeError from `world_footprint_box`, and a
+        # a footprint "abc" raised a bare UFuncTypeError from the footprint's box, and a
         # (2,) array gave a [0, 0] box, a NaN vertex a NaN box
         fields = {"catalog_id": "box", "mesh": make_box(0.1, 0.1, 0.1), "pose": Pose.identity()}
         with pytest.raises(InputError, match=field.split("_")[-1]):
@@ -466,15 +469,13 @@ class TestSceneFields:
 
     def test_footprint_poly_of_numbers_accepted(self):
         inst = ObjectInstance("box", make_box(0.1, 0.1, 0.1), Pose.identity(), [[0, 0], [0.1, 0], [0.1, 0.1]])
-        assert inst.world_footprint_box.tolist() == [[0.0, 0.0], [0.1, 0.1]]
+        assert inst.world_footprint_poly().tolist() == [[0.0, 0.0], [0.1, 0.0], [0.1, 0.1]]
 
     def test_instance_without_a_footprint_poly(self):
-        # placement reads the box of every placed instance; None raised a bare ValueError
+        # placement reads the polygon of every placed instance; None raised a bare ValueError
         inst = ObjectInstance("box", make_box(0.1, 0.1, 0.1), Pose.identity())
         with pytest.raises(InputError, match="footprint_poly"):
             inst.world_footprint_poly()
-        with pytest.raises(InputError, match="footprint_poly"):
-            inst.world_footprint_box
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
@@ -601,8 +602,8 @@ def scene_key(scene: Scene) -> list:
 
 # ---------------------------------------------------------------------------
 # reference oracle: the placement loop that tested each placed instance in
-# turn, before the instances cached their footprint boxes and the broad phase
-# became one array pass; it builds the pose before the tests
+# turn, before the broad phase became array passes over the placed
+# instances; it builds the pose before the tests
 
 
 def reference_footprint_gap(lo: np.ndarray, hi: np.ndarray, other: np.ndarray) -> float:
@@ -636,14 +637,13 @@ def reference_place_instance(obj, extent, placed, rng, position=None, yaw=None):
             return None
     world_poly = poly + position
     world_lo, world_hi = lo + position, hi + position
-    for other in placed:
+    for other in placed.instances:
         other_poly = other.world_footprint_poly()
         if reference_footprint_gap(world_lo, world_hi, other_poly) > margin + 1e-9:
             continue
         if scenes_module.polygon_distance(world_poly, other_poly) < margin:
             return None
-    pose = Pose(rot, np.array([position[0], position[1], 0.0]))
-    return ObjectInstance(obj.catalog_id, obj.mesh, pose, obj.footprint_poly)
+    return Pose(rot, np.array([position[0], position[1], 0.0]))
 
 
 class ScriptedRng:
@@ -662,25 +662,28 @@ class TestPlacementBroadPhase:
     def test_matches_every_pair_loop(self, count_range, seeds, monkeypatch):
         catalog = corpus.catalog()
         configs = [SceneConfig(object_count_range=count_range, seed=seed) for seed in seeds]
-        calls = [0]
+        calls = []
         distance = scenes_module.polygon_distance
 
-        def counted(p, q):
-            calls[0] += 1
+        def recorded(p, q):
+            calls.append((p.tobytes(), q.tobytes()))
             return distance(p, q)
 
-        monkeypatch.setattr(scenes_module, "polygon_distance", counted)
+        monkeypatch.setattr(scenes_module, "polygon_distance", recorded)
         fast = [scene_key(generate_packed_scene(c, catalog)) for c in configs]
-        fast_calls, calls[0] = calls[0], 0
+        fast_calls, calls[:] = calls[:], []
         monkeypatch.setattr(scenes_module, "_place_instance", reference_place_instance)
         assert [scene_key(generate_packed_scene(c, catalog)) for c in configs] == fast
-        # the same pairs, in the same order, reach polygon_distance
-        assert calls[0] == fast_calls
-        calls[0] = 0
+        # the pairs that reach polygon_distance are the loop's, in its order,
+        # less those of the attempts that the inradius discs reject
+        loop_calls = iter(calls[:])
+        assert all(call in loop_calls for call in fast_calls)
+        assert len(fast_calls) < len(calls) / 2
+        calls.clear()
         # a gap of -inf skips no pair: every placed instance meets polygon_distance
         monkeypatch.setitem(globals(), "reference_footprint_gap", lambda *args: -math.inf)
         assert [scene_key(generate_packed_scene(c, catalog)) for c in configs] == fast
-        assert fast_calls < calls[0] / 2
+        assert len(fast_calls) < len(calls) / 2
 
     def test_pose_built_for_accepted_attempts_only(self, monkeypatch):
         catalog = corpus.catalog()
@@ -707,10 +710,92 @@ class TestPlacementBroadPhase:
         # two axis-aligned boxes side by side: the footprint distance is the x gap
         box = build_catalog(CatalogConfig(size=1))[0]
         length = box.mesh.vertices[:, 0].max() - box.mesh.vertices[:, 0].min()
-        first = scenes_module._place_instance(box, 0.3, [], ScriptedRng(0.0, 0.1, 0.15))
+        placed = scenes_module._Placed()
+        placed.add(box, scenes_module._place_instance(box, 0.3, scenes_module._Placed(), ScriptedRng(0.0, 0.1, 0.15)))
         for gap, fits in ((0.5e-3, False), (0.95e-3, False), (0.999e-3, False), (1.001e-3, True), (5e-3, True)):
-            second = scenes_module._place_instance(box, 0.3, [first], ScriptedRng(0.0, 0.1 + length + gap, 0.15))
+            second = scenes_module._place_instance(box, 0.3, placed, ScriptedRng(0.0, 0.1 + length + gap, 0.15))
             assert (second is not None) == fits, gap
+
+    def test_inradius_of_every_catalog_footprint(self):
+        # the distance from the origin to the nearest edge line, taken edge by edge
+        for obj in corpus.catalog():
+            poly = obj.footprint_poly.tolist()
+            inner = []
+            for (px, py), (qx, qy) in zip(poly, poly[1:] + poly[:1]):
+                inner.append((px * qy - py * qx) / math.hypot(qx - px, qy - py))
+            assert obj.footprint_inradius == pytest.approx(min(inner), rel=1e-12, abs=0.0)
+            assert obj.footprint_inradius > 0.0
+        square = build_catalog(CatalogConfig(size=1))[0]
+        aside = dataclasses.replace(square, footprint_poly=square.footprint_poly + 1.0)
+        assert aside.footprint_inradius == -math.inf
+        # an origin on an edge has a disc of radius 0: the origin itself
+        on_edge = dataclasses.replace(square, footprint_poly=square.footprint_poly - square.footprint_poly[0])
+        assert on_edge.footprint_inradius == 0.0
+
+    def test_origin_outside_the_footprint_rejects_nothing(self):
+        # two footprints 0.1 beyond their origins, at opposite yaws with the
+        # origins 0.5 mm apart: the footprints lie 0.2 apart, and the second
+        # is placed; with a disc of radius 0 at each origin it was rejected
+        square = build_catalog(CatalogConfig(size=1))[0]
+        aside = dataclasses.replace(square, footprint_poly=square.footprint_poly + 0.1)
+        placed = scenes_module._Placed()
+        placed.add(aside, scenes_module._place_instance(aside, 1.0, placed, ScriptedRng(0.0, 0.5, 0.5)))
+        assert scenes_module._place_instance(aside, 1.0, placed, ScriptedRng(math.pi, 0.5005, 0.5)) is not None
+        assert reference_place_instance(aside, 1.0, placed, None, (0.5005, 0.5), math.pi) is not None
+
+    @pytest.mark.parametrize("count_range", [(4, 6), (8, 10)])
+    def test_off_origin_footprints_match_every_pair_loop(self, count_range, monkeypatch):
+        # every footprint shifted off its object's origin: no disc rejects, and
+        # the scenes and the pairs that reach polygon_distance are the loop's
+        catalog = [dataclasses.replace(obj, footprint_poly=obj.footprint_poly + (0.01 - obj.footprint_poly[:, 0].min(), 0.0))
+                   for obj in corpus.catalog()]
+        assert all(obj.footprint_inradius == -math.inf for obj in catalog)
+        configs = [SceneConfig(object_count_range=count_range, seed=seed) for seed in range(40)]
+        calls = []
+        distance = scenes_module.polygon_distance
+        monkeypatch.setattr(scenes_module, "polygon_distance", lambda p, q: calls.append((p.tobytes(), q.tobytes()))
+                            or distance(p, q))
+        fast = [scene_key(generate_packed_scene(c, catalog)) for c in configs]
+        fast_calls, calls[:] = calls[:], []
+        monkeypatch.setattr(scenes_module, "_place_instance", reference_place_instance)
+        assert [scene_key(generate_packed_scene(c, catalog)) for c in configs] == fast
+        assert fast_calls == calls
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.integers(0, 99), st.integers(0, 99), st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi),
+           st.floats(0.0, 2 * math.pi),
+           st.one_of(st.tuples(st.just(True), st.floats(-4e-9, 4e-9)), st.tuples(st.just(False), st.floats(0.0, 2.0))))
+    def test_inradius_discs_reject_only_overlaps(self, i, j, yaw1, yaw2, heading, distance_draw):
+        # the origins lie within 4e-9 of the sum of the radii and the margin,
+        # or anywhere within twice the sum of the radii
+        catalog = corpus.catalog()
+        first, second = catalog[i], catalog[j]
+        radii = first.footprint_inradius + second.footprint_inradius
+        margin = scenes_module.PLACEMENT_MARGIN
+        near, draw = distance_draw
+        apart = radii + margin + draw if near else draw * radii
+        x, y = 0.5 + apart * math.cos(heading), 0.5 + apart * math.sin(heading)
+        placed = scenes_module._Placed()
+        placed.add(first, scenes_module._place_instance(first, 1.0, scenes_module._Placed(), ScriptedRng(yaw1, 0.5, 0.5)))
+        calls = []
+
+        def recorded(p, q):
+            calls.append(polygon_distance(p, q))
+            return calls[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenes_module, "polygon_distance", recorded)
+            attempt = scenes_module._place_instance(second, 1.0, placed, ScriptedRng(yaw2, x, y))
+        alone = scenes_module._Placed()
+        alone.add(second, scenes_module._place_instance(second, 1.0, alone, ScriptedRng(yaw2, x, y)))
+        distance = polygon_distance(alone.polys[0], placed.polys[0])
+        fired = attempt is None and not calls
+        if fired:
+            assert distance < margin
+        if math.hypot(x - 0.5, y - 0.5) < radii + margin - 2e-9:
+            assert fired
+        elif not fired:
+            assert (attempt is None) == (distance < margin)
 
     def test_gap_is_a_lower_bound_on_distance(self):
         sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1.0]])
@@ -742,7 +827,7 @@ class TestSharedCatalog:
         scene = corpus.scene((3, 3), 4)
         for poly in [obj.footprint_poly for obj in build_catalog(CatalogConfig(size=8))] + [
             inst.footprint_poly for inst in scene.instances
-        ] + [inst.world_footprint_box for inst in scene.instances]:
+        ]:
             with pytest.raises(ValueError):
                 poly[0, 0] = 1.0
 
@@ -753,11 +838,19 @@ class TestSharedCatalog:
                 with pytest.raises(ValueError):
                     corner[0] = 1.0
 
-    def test_world_footprint_box_cached_and_equal_to_the_posed_polygon_box(self):
+    def test_placed_arrays_hold_the_posed_polygons_and_boxes(self):
         scene = corpus.dense_scene(4)
+        by_id = {obj.catalog_id: obj for obj in corpus.catalog()}
+        placed = scenes_module._Placed()
         for inst in scene.instances:
+            placed.add(by_id[inst.catalog_id], inst.pose)
+        for k, inst in enumerate(scene.instances):
+            assert scene_key(Scene(tuple(placed.instances), 0, 0))[k + 1] == (inst.catalog_id, inst.pose.as_7floats())
+            assert placed.instances[k].mesh is inst.mesh and placed.instances[k].footprint_poly is inst.footprint_poly
             yaw_rot = inst.pose.rotation.as_matrix()[:2, :2]
             world = inst.footprint_poly @ yaw_rot.T + inst.pose.translation[:2]
             assert np.array_equal(inst.world_footprint_poly(), world)
-            assert np.array_equal(inst.world_footprint_box, [world.min(axis=0), world.max(axis=0)])
-            assert inst.world_footprint_box is inst.world_footprint_box
+            assert np.array_equal(placed.polys[k], world)
+            assert np.array_equal(placed.boxes[k], [world.min(axis=0), world.max(axis=0)])
+            assert np.array_equal(placed.origins[k], inst.pose.translation[:2])
+            assert placed.radii[k] == by_id[inst.catalog_id].footprint_inradius
