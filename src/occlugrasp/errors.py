@@ -4,10 +4,7 @@ Constructors and loaders turn outside values into numbers through `_finite_array
 `_finite_real` and `_integer`, and the checks built on the last two. A bool or a
 bool array is not a number, not even in a list of numbers that NumPy promotes; NaN
 and infinity are refused, and an array is copied into a new read-only float64
-array, so no caller's array can change a value that holds it. Only
-`ObjectInstance.footprint_poly` is kept uncopied: placed instances share their
-catalog object's read-only polygon, `Scene` equality compares it by `==`, and a
-copy would hold a polygon per kept instance.
+array, so no caller's array can change a value that holds it.
 """
 
 import math

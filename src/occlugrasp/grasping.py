@@ -32,32 +32,34 @@ all three boxes (`_mesh_hits`).
 Only test 3 sees the clutter; tests 1, 2, 4 and 5 see the target and the
 table alone. So the cluttered result is the single-scene result, except that
 an occluder hit after tests 1 and 2 pass makes it `OCCLUDER_COLLISION`.
-`label_pair` derives both labels that way from one pass over the cluttered
-scene, and cluttered successes are a subset of single-scene successes by
-construction. `simulate_grasp` splits one grasp's tests the same way, in a
-slot that keeps the result without the occluders.
+`label_candidates` derives both labels that way from one pass over the
+cluttered scene, and cluttered successes are a subset of single-scene
+successes by construction. `label_pair` is a surface sample, the candidates
+`sample_candidate_grasps` draws from it, and that call. `simulate_grasp`
+splits one grasp's tests the same way, in a slot that keeps the result
+without the occluders.
 
-`label_pair` runs each test over all candidates at once (`_simulate_batch`),
-in array passes; the one loop over candidates hands out the results. The
-widths are compared together, and the 24 corners of every candidate are
-rotated in one elementwise pass, in the operation order of `Quaternion.rotate`
-(a matrix product would round differently). The broad phase is one candidates
-x instances matrix. `_mesh_hits` tests each instance on all candidates near it
-at once, the occluders in index order, each on the candidates no lower one
-hit: its narrow phase is one separating-axis pass per distinct box half-extent
-vector over all (candidate, box) pairs left, since the radii of one pass are
-one matrix-vector product with one half vector. `_contacts` takes all
-candidates that reach test 5 and decides them with one reduction per quantity
-over their pad-slab samples sorted by candidate. Each row of those products
-and reductions is computed as on its own, so every result, detail included,
-equals `simulate_grasp`'s, which runs `_mesh_hits` and `_contacts` as a batch
-of one; at one grasp both take the cheaper per-box and whole-array path. The
-set-up and the broad phase stay separate, as sharing them costs time (2-vCPU
-x86 VM): a batch set-up of one grasp took 202 us against 74 us for the scalar
-one, and a `label_pair` built on per-grasp calls 37.6 ms per `episode`
-benchmark scene against 17.2 ms. Both drivers move meshes into grasp frames
-with `geometry`'s `_inverse`, `_compose` and `_matrix`, which `Pose` and
-`Quaternion` are built on, so the bits are theirs.
+`label_candidates` runs each test over all candidates at once
+(`_simulate_batch`), in array passes; the one loop over candidates hands out
+the results. The widths are compared together, and the 24 corners of every
+candidate are rotated in one elementwise pass, in the operation order of
+`Quaternion.rotate` (a matrix product would round differently). The broad
+phase is one candidates x instances matrix. `_mesh_hits` tests each instance
+on all candidates near it at once, the occluders in index order, each on the
+candidates no lower one hit: its narrow phase is one separating-axis pass per
+distinct box half-extent vector over all (candidate, box) pairs left, since
+the radii of one pass are one matrix-vector product with one half vector.
+`_contacts` takes all candidates that reach test 5 and decides them with one
+reduction per quantity over their pad-slab samples sorted by candidate. Each
+row of those products and reductions is computed as on its own, so every
+result, detail included, equals `simulate_grasp`'s, which runs `_mesh_hits`
+and `_contacts` as a batch of one; at one grasp both take the cheaper per-box
+and whole-array path. The set-up and the broad phase stay separate, as sharing
+them costs time (2-vCPU x86 VM): a batch set-up of one grasp took 202 us
+against 74 us for the scalar one, and a `label_pair` built on per-grasp calls
+37.6 ms per `episode` benchmark scene against 17.2 ms. Both drivers move
+meshes into grasp frames with `geometry`'s `_inverse`, `_compose` and
+`_matrix`, which `Pose` and `Quaternion` are built on, so the bits are theirs.
 
 Grasp frame: x is the closing axis joining the antipodal pair, z is the
 approach (travel) direction, y completes the right-handed frame. The grasp
@@ -664,21 +666,28 @@ def sample_candidate_grasps(
 # paired labeling
 
 
-def label_pair(cluttered: Scene, gripper: GripperModel, count: int, seed: int) -> list[GraspLabel]:
-    """Label candidates in both the derived single scene and the cluttered scene.
+def label_candidates(grasps: list[Grasp], cluttered: Scene, gripper: GripperModel) -> list[GraspLabel]:
+    """Label `grasps` in both the derived single scene and the cluttered scene.
 
-    One batched pass over the cluttered scene gives each candidate's
+    One batched pass over the cluttered scene gives each grasp's
     single-scene result and its first occluder hit (see the module docstring).
     """
+    _check_items(grasps, Grasp, "grasps")
     _check_type(cluttered, Scene, "cluttered")
-    target = cluttered.target
-    cloud = surface_sample(target.mesh, 1024, seed=_seed(seed) ^ 0x9E3779B9).transformed(target.pose)
-    candidates = sample_candidate_grasps(cloud, gripper, count, seed)
+    _check_type(gripper, GripperModel, "gripper")
     labels = []
-    for g, (single, hit) in zip(candidates, _simulate_batch(candidates, cluttered, gripper)):
+    for g, (single, hit) in zip(grasps, _simulate_batch(grasps, cluttered, gripper)):
         cluttered_result = single if hit is None else _occluder_hit(hit)
         labels.append(GraspLabel(g, single.success, cluttered_result.reason, cluttered_result.detail))
     return labels
+
+
+def label_pair(cluttered: Scene, gripper: GripperModel, count: int, seed: int) -> list[GraspLabel]:
+    """`label_candidates` of the candidates sampled from the target's surface."""
+    _check_type(cluttered, Scene, "cluttered")
+    target = cluttered.target
+    cloud = surface_sample(target.mesh, 1024, seed=_seed(seed) ^ 0x9E3779B9).transformed(target.pose)
+    return label_candidates(sample_candidate_grasps(cloud, gripper, count, seed), cluttered, gripper)
 
 
 def taxonomy_counts(labels: list[GraspLabel]) -> dict[str, int]:

@@ -3,7 +3,9 @@
 The level is the occluded fraction of the target: 1 - visible/total, where
 `total` counts the target's pixels in the paired single-scene render (the
 complete target at this camera pose, self-occlusion included) and `visible`
-counts its pixels in the cluttered render.
+counts its pixels in the cluttered render. `occlusion_levels` measures every
+instance of a scene from one rasterisation: an instance's single-scene frame
+is its own depth layer alone, so its total is that layer's hit pixels.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import DepthFrame, _check_instance
+from .camera import CameraModel, DepthFrame, _check_instance, _frame_from_layers, _rasterise
 from .errors import InputError, MeasurementError, _check_type, _finite_array, _finite_non_negative
+from .scenes import Scene
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,30 @@ def occlusion_level(
     if total == 0:
         raise MeasurementError("target absent from the single-scene render")
     visible = int(np.count_nonzero(cluttered_frame.instance_id == target_index))
+    return _record(visible, total, scheme)
+
+
+def occlusion_levels(scene: Scene, camera: CameraModel,
+                     scheme: BinScheme) -> tuple[DepthFrame, list[OcclusionRecord | None]]:
+    """The frame of `scene` and each instance's record, in index order, from one `_rasterise`.
+
+    Each record is `occlusion_level`'s of `render` of the instance's
+    `derive_single_scene` and of `scene`; an instance with no pixel of its
+    own gets None where `occlusion_level` raises. The render slot is neither
+    read nor written.
+    """
+    _check_type(scene, Scene, "scene")
+    _check_type(camera, CameraModel, "camera")
+    _check_type(scheme, BinScheme, "scheme")
+    layers = _rasterise(list(scene.instances), camera)
+    frame = _frame_from_layers(layers, camera)
+    visible = np.bincount(frame.instance_id.ravel(), minlength=len(layers))[:len(layers)].tolist()
+    totals = [0 if layer is None else int(np.count_nonzero(layer.t < np.inf)) for layer in layers]
+    return frame, [_record(v, total, scheme) if total else None for v, total in zip(visible, totals)]
+
+
+def _record(visible: int, total: int, scheme: BinScheme) -> OcclusionRecord:
+    """The record of a target with `visible` of its `total` pixels in view."""
     # integer subtraction first: the result is the correctly rounded
     # occluded fraction (e.g. 30/100 compares equal to 0.3)
     level = (total - visible) / total

@@ -8,22 +8,22 @@ footprint disk), which makes footprint-polygon separation a sound
 non-penetration certificate for placement. An extrusion's footprint is its
 mesh's bottom ring, the first vertices, rounded to 12 decimals and started at
 its lowest (x, y); the sphere's is a 24-gon circumscribing its equator.
-An object keeps id, mesh, height, footprint; an instance swaps height for pose.
+An object keeps id, mesh, height and footprint; an instance keeps id, mesh
+and pose, as only placement reads footprints.
 
-A placement attempt is tested in two phases. The broad phase decides both
-certain cases in array passes over what `_Placed` keeps of the placed
-instances. First the discs of the footprints' inradii
+A placement attempt is tested against what `_Placed` keeps of each placed
+instance, in Python floats: its origin, footprint inradius and footprint box,
+and its world footprint polygon. First the discs of the footprints' inradii
 (`CatalogObject.footprint_inradius`) about the objects' origins: lying inside
 the footprints, two discs nearer than the margin reject the attempt at once.
-An object whose origin lies outside its footprint has no disc and is left to
-the next phases. Then the xy boxes: a box
-gap is a lower bound on the polygon distance, so an instance whose gap
-exceeds the margin cannot reject the attempt. The near instances that remain
-go on, in placement order, to `polygon_distance`, which looks for a separating
-axis before it measures any distance. A loop that tests each placed instance
-in turn rejects every attempt that the discs reject, and otherwise makes the
-same calls in the same order with the same arithmetic, so every scene is the
-same.
+An object whose origin lies outside its footprint has no disc. Then one loop
+over the instances in placement order: a box gap is a lower bound on the
+polygon distance, so an instance whose gap exceeds the margin cannot reject
+the attempt, and a near one goes to `polygon_distance`, which looks for a
+separating axis before it measures any distance. A loop that tests each
+placed instance in turn rejects every attempt that the discs reject, and
+otherwise makes the same calls in the same order with the same arithmetic, so
+every scene is the same.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (GenerationError, InputError, _check_items, _check_type, _finite_array, _finite_positive, _integer,
-                     _positive_int, _rng, _seed)
+from .errors import (GenerationError, InputError, _check_items, _check_type, _finite_positive, _integer, _positive_int,
+                     _rng, _seed)
 from .geometry import Pose, Quaternion, quaternion_about_axis
 from .meshes import (CYLINDER_SEGMENTS, TriMesh, _regular_polygon, make_box, make_cylinder, make_hex_prism,
                      make_sphere)
@@ -134,27 +134,16 @@ def _shared_catalog(config: CatalogConfig) -> tuple[CatalogObject, ...]:
 
 @dataclass(frozen=True)
 class ObjectInstance:
-    """A catalog object at a pose; only placement reads its footprint polygon."""
+    """A catalog object, by its id and mesh, at a pose."""
 
     catalog_id: str
     mesh: TriMesh
     pose: Pose
-    footprint_poly: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         _check_type(self.catalog_id, str, "catalog_id")
         _check_type(self.mesh, TriMesh, "instance mesh")
         _check_type(self.pose, Pose, "instance pose")
-        # checked, but kept as given (see `errors`)
-        what = "footprint_poly must be (k >= 3, 2) finite numbers"
-        if self.footprint_poly is not None and len(_finite_array(self.footprint_poly, (-1, 2), what)) < 3:
-            raise InputError(f"{what}, got {len(self.footprint_poly)} rows")
-
-    def world_footprint_poly(self) -> np.ndarray:
-        if self.footprint_poly is None:
-            raise InputError(f"instance {self.catalog_id!r} has no footprint_poly")
-        yaw_rot = self.pose.rotation.as_matrix()[:2, :2]
-        return self.footprint_poly @ yaw_rot.T + self.pose.translation[:2]
 
     @cached_property
     def world_aabb(self) -> tuple[np.ndarray, np.ndarray]:
@@ -246,36 +235,22 @@ class SceneConfig:
     seed: int = 0
 
 
-def _footprint_gap(lo: np.ndarray, hi: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-    """Gap between the xy box (lo, hi) and each of `boxes` (n, 2, 2), rows lo
-    and hi: the larger of the x and y gaps, one per box.
-
-    The distance between two polygons is at least the gap between their boxes.
-    """
-    return np.maximum(boxes[:, 0] - hi, lo - boxes[:, 1]).max(axis=1)
-
-
 class _Placed:
-    """The instances placed so far, and what every attempt reads of them:
-    their xy origins, footprint inradii, footprint boxes (rows lo and hi) and
-    `world_footprint_poly()` polygons. Each array grows once per instance."""
+    """The instances placed so far, and what every attempt reads of each, in
+    placement order: the disc (origin x, y and footprint inradius) and the
+    footprint (box lo x, lo y, hi x, hi y and world polygon)."""
 
     def __init__(self):
         self.instances: list[ObjectInstance] = []
-        self.origins = np.empty((0, 2))
-        self.radii = np.empty(0)
-        self.boxes = np.empty((0, 2, 2))
-        self.polys: list[np.ndarray] = []
+        self.discs: list[tuple[float, float, float]] = []
+        self.footprints: list[tuple[float, float, float, float, np.ndarray]] = []
 
     def add(self, obj: CatalogObject, pose: Pose) -> None:
         """Place an instance of `obj` at `pose`."""
-        instance = ObjectInstance(obj.catalog_id, obj.mesh, pose, obj.footprint_poly)
-        poly = instance.world_footprint_poly()
-        self.instances.append(instance)
-        self.origins = np.concatenate((self.origins, [pose.translation[:2]]))
-        self.radii = np.append(self.radii, obj.footprint_inradius)
-        self.boxes = np.concatenate((self.boxes, [(poly.min(axis=0), poly.max(axis=0))]))
-        self.polys.append(poly)
+        poly = obj.footprint_poly @ pose.rotation.as_matrix()[:2, :2].T + pose.translation[:2]
+        self.instances.append(ObjectInstance(obj.catalog_id, obj.mesh, pose))
+        self.discs.append((*pose.translation[:2].tolist(), obj.footprint_inradius))
+        self.footprints.append((*poly.min(axis=0).tolist(), *poly.max(axis=0).tolist(), poly))
 
 
 def _place_instance(obj: CatalogObject, extent: float, placed: _Placed, rng: np.random.Generator) -> Pose | None:
@@ -284,34 +259,27 @@ def _place_instance(obj: CatalogObject, extent: float, placed: _Placed, rng: np.
         return None
     yaw = rng.uniform(0.0, 2.0 * math.pi)
     cos, sin = math.cos(yaw), math.sin(yaw)
-    rot2d = np.array([[cos, -sin], [sin, cos]])
-    poly = obj.footprint_poly @ rot2d.T
-    lo = poly.min(axis=0)
-    hi = poly.max(axis=0)
-    span_lo = -lo
-    span_hi = extent - hi
-    if (span_hi <= span_lo).any():
+    poly = obj.footprint_poly @ np.array([[cos, -sin], [sin, cos]]).T
+    (lo_x, lo_y), (hi_x, hi_y) = poly.min(axis=0).tolist(), poly.max(axis=0).tolist()
+    if extent - hi_x <= -lo_x or extent - hi_y <= -lo_y:
         return None
-    # a scalar draw per axis: `Generator.uniform` takes low + (high - low) * u
-    # with u the next double, element by element for arrays, so these are the
-    # numbers one draw over both axes gives, without its array set-up
-    position = np.array([rng.uniform(span_lo[0], span_hi[0]), rng.uniform(span_lo[1], span_hi[1])])
+    # one scalar draw per axis gives the numbers of one draw over both axes
+    x, y = rng.uniform(-lo_x, extent - hi_x), rng.uniform(-lo_y, extent - hi_y)
     # all objects rest on z=0, so z-intervals always overlap and the
     # footprint separation decides collision. Inradius discs nearer than the
     # margin, or a box gap above it, decide it too: the 1e-9 slack lies far
     # above the rounding error of coordinates within the workspace, so no
     # `< margin` outcome changes. A radius of -inf (no disc) rejects nothing.
-    if placed.instances:
-        apart = placed.origins - position
-        reach = placed.radii + (obj.footprint_inradius + PLACEMENT_MARGIN - 1e-9)
-        if (np.hypot(apart[:, 0], apart[:, 1]) < reach).any():
+    reach = obj.footprint_inradius + PLACEMENT_MARGIN - 1e-9
+    if any(math.hypot(ox - x, oy - y) < r + reach for ox, oy, r in placed.discs):
+        return None
+    lo_x, lo_y, hi_x, hi_y = lo_x + x, lo_y + y, hi_x + x, hi_y + y
+    world_poly = poly + (x, y)
+    for other_lo_x, other_lo_y, other_hi_x, other_hi_y, other in placed.footprints:
+        if (max(other_lo_x - hi_x, lo_x - other_hi_x, other_lo_y - hi_y, lo_y - other_hi_y) <= PLACEMENT_MARGIN + 1e-9
+                and polygon_distance(world_poly, other) < PLACEMENT_MARGIN):
             return None
-        near = np.flatnonzero(_footprint_gap(lo + position, hi + position, placed.boxes) <= PLACEMENT_MARGIN + 1e-9)
-        world_poly = poly + position
-        for k in near.tolist():
-            if polygon_distance(world_poly, placed.polys[k]) < PLACEMENT_MARGIN:
-                return None
-    return Pose(quaternion_about_axis((0.0, 0.0, 1.0), yaw), np.array([position[0], position[1], 0.0]))
+    return Pose(quaternion_about_axis((0.0, 0.0, 1.0), yaw), np.array([x, y, 0.0]))
 
 
 def generate_packed_scene(config: SceneConfig, catalog: list[CatalogObject] | None = None) -> Scene:
@@ -406,7 +374,7 @@ def scene_from_manifest(data: dict, catalog: list[CatalogObject] | None = None) 
             if cid not in by_id:
                 raise InputError(f"unknown catalog id {cid!r}")
             obj = by_id[cid]
-            instances.append(ObjectInstance(cid, obj.mesh, Pose.from_7floats(rec["pose"]), obj.footprint_poly))
+            instances.append(ObjectInstance(cid, obj.mesh, Pose.from_7floats(rec["pose"])))
         return Scene(tuple(instances), data["target_index"], data["seed"])
     except KeyError as exc:
         raise InputError(f"scene manifest lacks the key {exc}") from exc

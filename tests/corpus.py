@@ -14,6 +14,10 @@ what it sees.
   `grasp_clutter`'s 16 are 0-15), at 400-419 (the grasp oracle's cases) and at
   `RENDER_SEEDS` (500-509, the render cases); `generation_scenes()`, both
   counts at 0-199, the placements `tests/test_scenes.py` checks.
+- `pair_labels(count_range, scene_seed, count, seed)`: `label_pair` of a corpus
+  scene with the default gripper, for the tests that label one input twice.
+- `clutter_cloud(seed)`: the mirror-completed target cloud of `dense_scene(seed)`
+  at the default camera, the cloud `grasp_clutter` samples its candidates from.
 - `box_instance`, `mesh_instance`, `make_scene` and `with_normals` build new
   inputs by hand; `lone_box` and the full-screen triangles are the hand-made
   inputs that two tests read.
@@ -25,7 +29,10 @@ import functools
 
 import numpy as np
 
+from occlugrasp.camera import back_project, default_camera, render
+from occlugrasp.completion import MirrorCompleter
 from occlugrasp.geometry import PointCloud, Pose, quaternion_about_axis
+from occlugrasp.grasping import GraspLabel, GripperModel, label_pair
 from occlugrasp.meshes import TriMesh, make_box
 from occlugrasp.scenes import CatalogConfig, ObjectInstance, Scene, SceneConfig, _shared_catalog, generate_packed_scene
 
@@ -54,11 +61,22 @@ def generation_scenes() -> list[Scene]:
     return [scene(count_range, seed) for count_range in (EPISODE_OBJECTS, DENSE_OBJECTS) for seed in GENERATION_SEEDS]
 
 
+@functools.lru_cache(maxsize=64)  # more than the labelled inputs the tests share
+def pair_labels(count_range: tuple[int, int], scene_seed: int, count: int, seed: int) -> tuple[GraspLabel, ...]:
+    return tuple(label_pair(scene(count_range, scene_seed), GripperModel(), count, seed))
+
+
+@functools.lru_cache(maxsize=16)  # the 16 scenes of `grasp_clutter`
+def clutter_cloud(seed: int) -> PointCloud:
+    target_scene, camera = dense_scene(seed), default_camera()
+    partial = back_project(render(target_scene, camera), target_scene.target_index)
+    return MirrorCompleter()(partial, target_scene, camera)
+
+
 def box_instance(lx, ly, lz, x, y, yaw=0.0) -> ObjectInstance:
     mesh = make_box(lx, ly, lz)
     pose = Pose(quaternion_about_axis((0, 0, 1), yaw), np.array([x, y, 0.0]))
-    poly = np.array([[-lx / 2, -ly / 2], [lx / 2, -ly / 2], [lx / 2, ly / 2], [-lx / 2, ly / 2]])
-    return ObjectInstance(f"box_{lx}x{ly}", mesh, pose, poly)
+    return ObjectInstance(f"box_{lx}x{ly}", mesh, pose)
 
 
 def mesh_instance(vertices, triangles) -> ObjectInstance:

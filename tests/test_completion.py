@@ -239,10 +239,7 @@ class TestMirrorCompleter:
         from occlugrasp.scenes import ObjectInstance
         from occlugrasp.geometry import Pose, Quaternion
 
-        poly = 0.035 * np.column_stack(
-            [np.cos(np.linspace(0, 2 * np.pi, 12, endpoint=False)), np.sin(np.linspace(0, 2 * np.pi, 12, endpoint=False))]
-        )
-        inst = ObjectInstance("cyl", cyl, Pose(Quaternion.identity(), np.array([0.15, 0.15, 0.0])), poly)
+        inst = ObjectInstance("cyl", cyl, Pose(Quaternion.identity(), np.array([0.15, 0.15, 0.0])))
         scene = make_scene([inst])
         cam = default_camera(width=320, height=240, focal=270.0, elevation_deg=30.0)
         partial = rendered_partial(scene, cam)
@@ -258,7 +255,7 @@ class TestMirrorCompleter:
 
     def test_reflections_land_behind_the_visible_front(self):
         inst = ObjectInstance("cyl", make_cylinder(0.035, 0.1),
-                              Pose(Quaternion.identity(), np.array([0.15, 0.15, 0.0])), None)
+                              Pose(Quaternion.identity(), np.array([0.15, 0.15, 0.0])))
         cam = default_camera(width=320, height=240, focal=270.0, elevation_deg=30.0)
         partial = rendered_partial(make_scene([inst]), cam)
         completed = MirrorCompleter()(partial, None, cam)

@@ -46,7 +46,8 @@ def test_shared_inputs_are_read_only_and_equal_fresh_ones():
     offenders = corpus.shared(reference_offenders)(grasp, scene, GripperModel())
     found = list(arrays([scenes, corpus.catalog(), frame, layers, offenders], set()))
     named = [frame.depth, frame.instance_id, *(layer.t for layer in layers if layer is not None)]
+    by_id = {obj.catalog_id: obj for obj in corpus.catalog()}
     for inst in scene.instances:
-        named += [inst.mesh.vertices, inst.mesh.triangles, inst.footprint_poly, *inst.world_aabb]
+        named += [inst.mesh.vertices, inst.mesh.triangles, by_id[inst.catalog_id].footprint_poly, *inst.world_aabb]
     assert {id(a) for a in named} <= {id(a) for a in found}
     assert [a.shape for a in found if a.flags.writeable] == []

@@ -15,7 +15,6 @@ from occlugrasp.geometry import PointCloud, Pose, Quaternion, orthonormal_tangen
 from occlugrasp.grasping import Grasp
 from occlugrasp.meshes import TriMesh, make_box, ray_cast
 from occlugrasp.occlusion import BinScheme
-from occlugrasp.scenes import ObjectInstance
 
 BOX = make_box(1.0, 1.0, 1.0)
 
@@ -28,13 +27,12 @@ BOX = make_box(1.0, 1.0, 1.0)
     lambda: PointCloud([[True, False, False]], [[False, False, True]]),
     lambda: TriMesh(np.eye(3, dtype=bool), [[0, 1, 2]]),
     lambda: TriMesh(np.eye(3), [[False, True, True]]),
-    lambda: ObjectInstance("box", BOX, Pose.identity(), np.array([[False, False], [True, False], [True, True]])),
     lambda: Grasp(np.array([True, False, True]), Quaternion.identity(), 0.05),
     lambda: ray_cast([(BOX, Pose.identity())], (True, False, True), (0.0, 0.0, -1.0)),
     lambda: ray_cast([(BOX, Pose.identity())], (0.0, 0.0, 2.0), (False, False, True)),
     lambda: BinScheme((False, True)),
 ], ids=["pose_translation", "pose_7floats", "quaternion", "quaternion_array", "cloud", "mesh_vertices",
-        "mesh_triangles", "footprint_poly", "grasp_center", "ray_origin", "ray_direction", "bin_edges"])
+        "mesh_triangles", "grasp_center", "ray_origin", "ray_direction", "bin_edges"])
 def test_bools_are_not_numbers(build):
     # each of these was accepted, a bool read as 0.0 or 1.0
     with pytest.raises(InputError):

@@ -33,6 +33,7 @@ from occlugrasp.grasping import (
     _overlapping_triangles,
     _simulate_batch,
     gripper_boxes,
+    label_candidates,
     label_pair,
     label_to_record,
     read_labels_jsonl,
@@ -42,6 +43,7 @@ from occlugrasp.grasping import (
     write_labels_jsonl,
 )
 from occlugrasp.meshes import make_box, make_sphere, surface_sample
+from occlugrasp.occlusion import BinScheme, occlusion_levels
 from occlugrasp.scenes import (ObjectInstance, Scene, SceneConfig, derive_single_scene, enumerate_targets,
                                 generate_packed_scene)
 
@@ -282,7 +284,7 @@ def dense_cases():
     for seed in range(20):
         scene = corpus.dense_scene(400 + seed)
         single = derive_single_scene(scene, scene.target_index)
-        grasps = [lab.grasp for lab in label_pair(scene, GRIP, 120, seed)]
+        grasps = [lab.grasp for lab in corpus.pair_labels(corpus.DENSE_OBJECTS, 400 + seed, 120, seed)]
         ref_single = [reference_simulate(g, single, GRIP) for g in grasps]
         ref_cluttered = [reference_simulate(g, scene, GRIP) for g in grasps]
         cases.append((seed, scene, single, grasps, ref_single, ref_cluttered))
@@ -295,7 +297,7 @@ def episode_cases():
     cases = []
     for seed in range(16):
         scene = corpus.episode_scene(seed)
-        cases.append((seed, scene, [lab.grasp for lab in label_pair(scene, GRIP, 120, seed)]))
+        cases.append((seed, scene, [lab.grasp for lab in corpus.pair_labels(corpus.EPISODE_OBJECTS, seed, 120, seed)]))
     return cases
 
 
@@ -597,11 +599,9 @@ class TestSampling:
 
     def test_matches_reference_on_the_grasp_clutter_corpus(self):
         # the completed clouds the benchmark samples, at its 640x480 camera
-        cam = default_camera()
         sizes = []
         for seed in range(16):
-            scene = corpus.dense_scene(seed)
-            cloud = completed_target_cloud(scene, cam)
+            cloud = corpus.clutter_cloud(seed)
             grasps = sample_candidate_grasps(cloud, GRIP, 120, seed)
             assert_same_grasps(grasps, reference_sample(cloud, GRIP, 120, seed))
             sizes.append(len(grasps))
@@ -908,7 +908,7 @@ class TestMatchesReference:
 
     def test_label_pair_matches_two_pass_labels(self, dense_cases):
         for seed, scene, single, grasps, ref_single, ref_cluttered in dense_cases:
-            labels = label_pair(scene, GRIP, 120, seed)
+            labels = corpus.pair_labels(corpus.DENSE_OBJECTS, 400 + seed, 120, seed)
             assert len(labels) == 120
             assert [_grasp_key(lab.grasp) for lab in labels] == [_grasp_key(g) for g in grasps]
             assert [lab.success_single for lab in labels] == [r == FailureReason.NONE for r in ref_single]
@@ -1041,7 +1041,7 @@ class TestBatchedOracle:
 
     def test_label_pair_matches_reference_loop(self, dense_cases, dense_sims):
         for (seed, scene, *_), (_, want_cluttered) in zip(dense_cases, dense_sims):
-            labels = label_pair(scene, GRIP, 120, seed)
+            labels = corpus.pair_labels(corpus.DENSE_OBJECTS, 400 + seed, 120, seed)
             want = reference_label_pair(scene, GRIP, 120, seed)
             assert [_label_key(lab) for lab in labels] == [_label_key(lab) for lab in want], seed
             # each label keeps the cause `simulate_grasp` names in the cluttered scene
@@ -1053,11 +1053,30 @@ class TestBatchedOracle:
         seen = set()
         for seed in range(16):
             scene = corpus.episode_scene(seed)
-            got = label_pair(scene, GRIP, 120, seed)
+            got = corpus.pair_labels(corpus.EPISODE_OBJECTS, seed, 120, seed)
             want = reference_label_pair(scene, GRIP, 120, seed)
             assert [_label_key(lab) for lab in got] == [_label_key(lab) for lab in want], seed
             seen.update(lab.failure_reason for lab in got)
         assert len(seen) >= 4
+
+    def test_label_candidates_on_the_grasp_clutter_corpus(self):
+        # the candidates `grasp_clutter` samples from the completed clouds of its
+        # binned targets: each label, detail included, is its pair of calls
+        cam, scheme = default_camera(), BinScheme.test()
+        labelled = 0
+        for seed in range(16):
+            scene = corpus.dense_scene(seed)
+            if occlusion_levels(scene, cam, scheme)[1][scene.target_index].bin_index is None:
+                continue
+            grasps = sample_candidate_grasps(corpus.clutter_cloud(seed), GRIP, 120, seed)
+            single = derive_single_scene(scene, scene.target_index)
+            want = []
+            for g in grasps:
+                alone, cluttered = simulate_grasp(g, single, GRIP), simulate_grasp(g, scene, GRIP)
+                want.append(GraspLabel(g, alone.success, cluttered.reason, cluttered.detail))
+            assert label_candidates(grasps, scene, GRIP) == want, seed
+            labelled += len(grasps)
+        assert labelled == 1800
 
     def test_label_pair_memory(self):
         # the contact stage's matrix products run a chunk of candidates at a time;
@@ -1292,6 +1311,14 @@ class TestLabelPair:
         with pytest.raises(InputError, match="cluttered"):
             label_pair(bad, GRIP, 5, 1)
 
+    def test_label_candidates_arguments_must_have_their_types(self):
+        scene, g = corpus.lone_box(), side_grasp((0.15, 0.15, 0.05))
+        for args, match in [(("g", scene, GRIP), "grasps"), (([g, "g"], scene, GRIP), "grasps"),
+                            (([g], "s", GRIP), "cluttered"), (([g], scene, None), "gripper")]:
+            with pytest.raises(InputError, match=match):
+                label_candidates(*args)
+        assert label_candidates([], scene, GRIP) == []
+
     @pytest.mark.parametrize("labels", ["abc", None, ["x"], [GraspLabel(side_grasp((0.15, 0.15, 0.05)), True,
                                                                        FailureReason.NONE), 5]])
     def test_taxonomy_of_labels_only(self, labels):
@@ -1404,7 +1431,7 @@ class TestJsonl:
 
     def test_round_trip(self, tmp_path):
         scene = corpus.scene((3, 3), 9)
-        labels = label_pair(scene, GRIP, 24, seed=7)
+        labels = corpus.pair_labels((3, 3), 9, 24, 7)
         path = tmp_path / "labels.jsonl"
         write_labels_jsonl(path, "scene_009", scene.target_index, labels)
         records = read_labels_jsonl(path)
@@ -1419,7 +1446,7 @@ class TestJsonl:
     def test_grasps_read_back_compare_equal(self, tmp_path):
         # the records hold the canonical sign of each rotation
         scene = corpus.scene((3, 3), 9)
-        labels = label_pair(scene, GRIP, 24, seed=7)
+        labels = corpus.pair_labels((3, 3), 9, 24, 7)
         write_labels_jsonl(tmp_path / "labels.jsonl", "scene_009", scene.target_index, labels)
         back = [label_from_record(rec) for rec in read_labels_jsonl(tmp_path / "labels.jsonl")]
         assert [lab.grasp for lab in back] == [lab.grasp for lab in labels]
@@ -1465,7 +1492,7 @@ class TestJsonl:
 
     def test_grasps_read_back_found_in_a_set(self, tmp_path):
         scene = corpus.scene((3, 3), 9)
-        labels = label_pair(scene, GRIP, 24, seed=7)
+        labels = corpus.pair_labels((3, 3), 9, 24, 7)
         write_labels_jsonl(tmp_path / "labels.jsonl", "scene_009", scene.target_index, labels)
         originals = {lab.grasp for lab in labels}
         for rec in read_labels_jsonl(tmp_path / "labels.jsonl"):

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from occlugrasp import camera as camera_module
 from occlugrasp.camera import BACKGROUND_ID, CameraModel, DepthFrame, default_camera, load_frame, render, save_frame
 from occlugrasp.errors import InputError, MeasurementError
 from occlugrasp.geometry import Pose
@@ -11,6 +12,7 @@ from occlugrasp.occlusion import (
     BinScheme,
     assign_bin,
     occlusion_level,
+    occlusion_levels,
 )
 from occlugrasp.scenes import derive_single_scene, enumerate_targets
 
@@ -169,6 +171,50 @@ class TestOcclusionLevel:
         empty = DepthFrame(np.zeros((20, 20), np.float32), np.full((20, 20), BACKGROUND_ID, np.uint16), cam)
         with pytest.raises(MeasurementError):
             occlusion_level(empty, empty, 0, BinScheme.test())
+
+
+class TestOcclusionLevels:
+    def test_every_target_of_the_three_corpora(self):
+        # `episode`'s 16 scenes and `occlusion_sweep`'s 40, the first 16 of
+        # which are `grasp_clutter`'s, at the benchmark's 640x480 camera
+        cam, scheme = default_camera(), BinScheme.test()
+        targets = 0
+        for scene in ([corpus.episode_scene(seed) for seed in corpus.EPISODE_SEEDS]
+                      + [corpus.dense_scene(seed) for seed in corpus.SWEEP_SEEDS]):
+            slot = camera_module._slot
+            frame, records = occlusion_levels(scene, cam, scheme)
+            assert camera_module._slot is slot
+            cluttered = render(scene, cam)
+            assert frame.depth.tobytes() == cluttered.depth.tobytes()
+            assert frame.instance_id.tobytes() == cluttered.instance_id.tobytes()
+            assert records == [occlusion_level(render(derive_single_scene(target, target.target_index), cam),
+                                               cluttered, target.target_index, scheme)
+                               for target in enumerate_targets(scene)]
+            assert all(type(r.visible_pixels) is int and type(r.total_pixels) is int for r in records)
+            targets += len(records)
+        assert targets == 428
+
+    def test_hidden_and_unseen_instances(self):
+        # a box wholly behind another is seen by no pixel of the frame, and one
+        # behind the camera has no pixel of its own
+        cam = default_camera(width=160, height=120, focal=135.0)
+        scene = make_scene([box_instance(0.1, 0.02, 0.14, 0.15, 0.1), box_instance(0.03, 0.03, 0.05, 0.15, 0.14),
+                            box_instance(0.05, 0.05, 0.1, 0.15, -1.0)])
+        frame, records = occlusion_levels(scene, cam, BinScheme.test())
+        hidden = records[1]
+        assert (hidden.level, hidden.bin_index, hidden.visible_pixels) == (1.0, None, 0) and hidden.total_pixels > 0
+        assert records[2] is None
+        assert records[:2] == [occlusion_level(render(derive_single_scene(scene, i), cam), frame, i, BinScheme.test())
+                               for i in range(2)]
+        with pytest.raises(MeasurementError):
+            occlusion_level(render(derive_single_scene(scene, 2), cam), frame, 2, BinScheme.test())
+
+    def test_arguments_must_have_their_types(self):
+        scene, cam, scheme = corpus.lone_box(), default_camera(width=160, height=120, focal=135.0), BinScheme.test()
+        for args, match in [(("s", cam, scheme), "scene"), ((scene, None, scheme), "camera"),
+                            ((scene, cam, (0.0, 0.5)), "scheme")]:
+            with pytest.raises(InputError, match=match):
+                occlusion_levels(*args)
 
 
 class TestBins:

@@ -143,6 +143,7 @@ ENTRY_POINTS = {
     "BinScheme.real_world": "the bins of `evaluate`'s noisy rows (the paper's table)",
     "PassthroughCompleter": "the no-completion source of `evaluate` (the paper's table)",
     "OracleCompleter": "the upper-bound source of `evaluate` (the paper's table)",
+    "occlusion_levels": "every target's level from one rasterisation in `occlusion_sweep` (one rasterisation)",
 }
 
 

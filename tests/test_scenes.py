@@ -454,28 +454,12 @@ class TestSceneFields:
             Scene(scene.instances + (item,), 0, 0)
 
     @pytest.mark.parametrize("field, value", [("catalog_id", 7), ("catalog_id", None), ("mesh", "m"),
-                                              ("mesh", None), ("pose", "p"), ("pose", np.zeros(7)),
-                                              ("footprint_poly", "abc"), ("footprint_poly", np.zeros(2)),
-                                              ("footprint_poly", np.zeros((2, 2))), ("footprint_poly", np.zeros((4, 3))),
-                                              ("footprint_poly", [[0.0, 0.0], [0.1, 0.0], [np.nan, 0.1]]),
-                                              ("footprint_poly", [[0.0, 0.0], [0.1, 0.0], [0.0, np.inf]])])
+                                              ("mesh", None), ("pose", "p"), ("pose", np.zeros(7))])
     def test_object_instance_fields_typed(self, field, value):
-        # ObjectInstance("x", "m", pose) in a scene raised a bare AttributeError in `render`;
-        # a footprint "abc" raised a bare UFuncTypeError from the footprint's box, and a
-        # (2,) array gave a [0, 0] box, a NaN vertex a NaN box
+        # ObjectInstance("x", "m", pose) in a scene raised a bare AttributeError in `render`
         fields = {"catalog_id": "box", "mesh": make_box(0.1, 0.1, 0.1), "pose": Pose.identity()}
         with pytest.raises(InputError, match=field.split("_")[-1]):
             ObjectInstance(**{**fields, field: value})
-
-    def test_footprint_poly_of_numbers_accepted(self):
-        inst = ObjectInstance("box", make_box(0.1, 0.1, 0.1), Pose.identity(), [[0, 0], [0.1, 0], [0.1, 0.1]])
-        assert inst.world_footprint_poly().tolist() == [[0.0, 0.0], [0.1, 0.0], [0.1, 0.1]]
-
-    def test_instance_without_a_footprint_poly(self):
-        # placement reads the polygon of every placed instance; None raised a bare ValueError
-        inst = ObjectInstance("box", make_box(0.1, 0.1, 0.1), Pose.identity())
-        with pytest.raises(InputError, match="footprint_poly"):
-            inst.world_footprint_poly()
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
@@ -600,6 +584,12 @@ def scene_key(scene: Scene) -> list:
     return [scene.target_index] + [(inst.catalog_id, inst.pose.as_7floats()) for inst in scene.instances]
 
 
+def scene_bits(scene: Scene) -> list:
+    """`scene_key` with each pose as the bytes of its rotation and translation."""
+    return [scene.target_index] + [(inst.catalog_id, inst.pose.rotation.as_array().tobytes(),
+                                    inst.pose.translation.tobytes()) for inst in scene.instances]
+
+
 # ---------------------------------------------------------------------------
 # reference oracle: the placement loop that tested each placed instance in
 # turn, before the broad phase became array passes over the placed
@@ -637,13 +627,62 @@ def reference_place_instance(obj, extent, placed, rng, position=None, yaw=None):
             return None
     world_poly = poly + position
     world_lo, world_hi = lo + position, hi + position
-    for other in placed.instances:
-        other_poly = other.world_footprint_poly()
+    for *_, other_poly in placed.footprints:
         if reference_footprint_gap(world_lo, world_hi, other_poly) > margin + 1e-9:
             continue
         if scenes_module.polygon_distance(world_poly, other_poly) < margin:
             return None
     return Pose(rot, np.array([position[0], position[1], 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the placement before `_Placed` kept Python floats, with
+# NumPy arrays of the placed origins, radii and boxes that grew once per
+# instance, and array passes over them
+
+
+class ReferenceArrayPlaced:
+    def __init__(self):
+        self.instances = []
+        self.origins = np.empty((0, 2))
+        self.radii = np.empty(0)
+        self.boxes = np.empty((0, 2, 2))
+        self.polys = []
+
+    def add(self, obj, pose):
+        poly = obj.footprint_poly @ pose.rotation.as_matrix()[:2, :2].T + pose.translation[:2]
+        self.instances.append(ObjectInstance(obj.catalog_id, obj.mesh, pose))
+        self.origins = np.concatenate((self.origins, [pose.translation[:2]]))
+        self.radii = np.append(self.radii, obj.footprint_inradius)
+        self.boxes = np.concatenate((self.boxes, [(poly.min(axis=0), poly.max(axis=0))]))
+        self.polys.append(poly)
+
+
+def reference_array_place_instance(obj, extent, placed, rng):
+    margin = scenes_module.PLACEMENT_MARGIN
+    if obj.height > extent:
+        return None
+    yaw = rng.uniform(0.0, 2.0 * math.pi)
+    cos, sin = math.cos(yaw), math.sin(yaw)
+    poly = obj.footprint_poly @ np.array([[cos, -sin], [sin, cos]]).T
+    lo = poly.min(axis=0)
+    hi = poly.max(axis=0)
+    span_lo = -lo
+    span_hi = extent - hi
+    if (span_hi <= span_lo).any():
+        return None
+    position = np.array([rng.uniform(span_lo[0], span_hi[0]), rng.uniform(span_lo[1], span_hi[1])])
+    if placed.instances:
+        apart = placed.origins - position
+        reach = placed.radii + (obj.footprint_inradius + margin - 1e-9)
+        if (np.hypot(apart[:, 0], apart[:, 1]) < reach).any():
+            return None
+        gaps = np.maximum(placed.boxes[:, 0] - (hi + position), (lo + position) - placed.boxes[:, 1]).max(axis=1)
+        world_poly = poly + position
+        for k in np.flatnonzero(gaps <= margin + 1e-9).tolist():
+            if scenes_module.polygon_distance(world_poly, placed.polys[k]) < margin:
+                return None
+    return Pose(quaternion_about_axis((0.0, 0.0, 1.0), yaw), np.array([position[0], position[1], 0.0]))
 
 
 class ScriptedRng:
@@ -684,6 +723,16 @@ class TestPlacementBroadPhase:
         monkeypatch.setitem(globals(), "reference_footprint_gap", lambda *args: -math.inf)
         assert [scene_key(generate_packed_scene(c, catalog)) for c in configs] == fast
         assert len(fast_calls) < len(calls) / 2
+
+    def test_matches_the_array_placement(self, monkeypatch):
+        # 1,200 configs: every pose bit for bit, every catalog id and target
+        catalog = corpus.catalog()
+        configs = [SceneConfig(object_count_range=count_range, seed=seed)
+                   for count_range in ((4, 6), (8, 10), (10, 10)) for seed in range(400)]
+        fast = [scene_bits(generate_packed_scene(c, catalog)) for c in configs]
+        monkeypatch.setattr(scenes_module, "_Placed", ReferenceArrayPlaced)
+        monkeypatch.setattr(scenes_module, "_place_instance", reference_array_place_instance)
+        assert [scene_bits(generate_packed_scene(c, catalog)) for c in configs] == fast
 
     def test_pose_built_for_accepted_attempts_only(self, monkeypatch):
         catalog = corpus.catalog()
@@ -788,7 +837,7 @@ class TestPlacementBroadPhase:
             attempt = scenes_module._place_instance(second, 1.0, placed, ScriptedRng(yaw2, x, y))
         alone = scenes_module._Placed()
         alone.add(second, scenes_module._place_instance(second, 1.0, alone, ScriptedRng(yaw2, x, y)))
-        distance = polygon_distance(alone.polys[0], placed.polys[0])
+        distance = polygon_distance(alone.footprints[0][-1], placed.footprints[0][-1])
         fired = attempt is None and not calls
         if fired:
             assert distance < margin
@@ -797,16 +846,30 @@ class TestPlacementBroadPhase:
         elif not fired:
             assert (attempt is None) == (distance < margin)
 
-    def test_gap_is_a_lower_bound_on_distance(self):
+    def test_gap_is_a_lower_bound_on_distance(self, monkeypatch):
+        # a unit square placed at the origin, then attempts at each shift: an
+        # attempt reaches polygon_distance iff its box gap is within the margin
+        box = build_catalog(CatalogConfig(size=1))[0]
         sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1.0]])
+        square = dataclasses.replace(box, footprint_poly=sq)
         lo, hi = sq.min(axis=0), sq.max(axis=0)
-        others = [sq + np.array(shift) for shift in ([2.0, 0.0], [2.0, 2.0], [0.5, 3.0], [0.5, 0.5], [-1.5, 0.2])]
-        gaps = scenes_module._footprint_gap(lo, hi, np.array([[o.min(axis=0), o.max(axis=0)] for o in others]))
-        assert gaps.shape == (len(others),)
-        for gap, other in zip(gaps, others):
+        shifts = ([2.0, 0.0], [2.0, 2.0], [0.5, 3.0], [0.5, 0.5], [-1.5, 0.2])
+        others = [sq + np.array(shift) for shift in shifts]
+        placed = scenes_module._Placed()
+        placed.add(square, Pose.identity())
+        assert placed.footprints[0][:4] == (0.0, 0.0, 1.0, 1.0)
+        calls = []
+        monkeypatch.setattr(scenes_module, "polygon_distance", lambda p, q: calls.append((p, q)) or math.inf)
+        reached = []
+        for shift in shifts + ([2.0, 0.5],):
+            calls.clear()
+            assert scenes_module._place_instance(square, 10.0, placed, ScriptedRng(0.0, *shift)) is not None
+            reached.append(bool(calls))
+        for near, other in zip(reached, others):
+            gap = reference_footprint_gap(lo, hi, other)
             assert gap <= polygon_distance(sq, other) + 1e-15
-            assert gap == reference_footprint_gap(lo, hi, other)
-        assert scenes_module._footprint_gap(lo, hi, np.array([[[2.0, 0.5], [3.0, 1.5]]])).tolist() == [1.0]
+            assert near == (gap <= scenes_module.PLACEMENT_MARGIN + 1e-9)
+        assert reached == [False, False, False, True, False, False]
 
 
 class TestSharedCatalog:
@@ -815,9 +878,10 @@ class TestSharedCatalog:
         a = generate_packed_scene(cfg)
         b = generate_packed_scene(cfg)
         loaded = scene_from_manifest(scene_to_manifest(a, cfg.catalog))
+        by_id = {obj.catalog_id: obj for obj in scenes_module._shared_catalog(cfg.catalog)}
         for ia, ib, il in zip(a.instances, b.instances, loaded.instances):
             assert ia.mesh is ib.mesh is il.mesh
-            assert ia.footprint_poly is ib.footprint_poly
+            assert by_id[ia.catalog_id] is by_id[ib.catalog_id] and by_id[ia.catalog_id].mesh is ia.mesh
 
     def test_build_catalog_returns_a_fresh_catalog(self):
         cfg = CatalogConfig(seed=3, size=4)
@@ -825,8 +889,9 @@ class TestSharedCatalog:
 
     def test_footprints_are_read_only(self):
         scene = corpus.scene((3, 3), 4)
+        by_id = {obj.catalog_id: obj for obj in corpus.catalog()}
         for poly in [obj.footprint_poly for obj in build_catalog(CatalogConfig(size=8))] + [
-            inst.footprint_poly for inst in scene.instances
+            by_id[inst.catalog_id].footprint_poly for inst in scene.instances
         ]:
             with pytest.raises(ValueError):
                 poly[0, 0] = 1.0
@@ -845,12 +910,15 @@ class TestSharedCatalog:
         for inst in scene.instances:
             placed.add(by_id[inst.catalog_id], inst.pose)
         for k, inst in enumerate(scene.instances):
+            obj = by_id[inst.catalog_id]
             assert scene_key(Scene(tuple(placed.instances), 0, 0))[k + 1] == (inst.catalog_id, inst.pose.as_7floats())
-            assert placed.instances[k].mesh is inst.mesh and placed.instances[k].footprint_poly is inst.footprint_poly
+            assert placed.instances[k].mesh is inst.mesh is obj.mesh
             yaw_rot = inst.pose.rotation.as_matrix()[:2, :2]
-            world = inst.footprint_poly @ yaw_rot.T + inst.pose.translation[:2]
-            assert np.array_equal(inst.world_footprint_poly(), world)
-            assert np.array_equal(placed.polys[k], world)
-            assert np.array_equal(placed.boxes[k], [world.min(axis=0), world.max(axis=0)])
-            assert np.array_equal(placed.origins[k], inst.pose.translation[:2])
-            assert placed.radii[k] == by_id[inst.catalog_id].footprint_inradius
+            world = obj.footprint_poly @ yaw_rot.T + inst.pose.translation[:2]
+            *box, poly = placed.footprints[k]
+            assert np.array_equal(poly, world)
+            assert box == [*world.min(axis=0).tolist(), *world.max(axis=0).tolist()]
+            x, y, radius = placed.discs[k]
+            assert [x, y] == inst.pose.translation[:2].tolist()
+            assert radius == obj.footprint_inradius
+            assert all(type(v) is float for v in (*box, x, y, radius))

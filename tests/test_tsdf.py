@@ -135,8 +135,7 @@ class TestFuse:
         lx, ly, lz = 0.16, 0.16, 0.06
         rot = quaternion_about_axis((0, 1, 0), np.deg2rad(15))
         pose = Pose(rot, np.array([0.15, 0.15, 0.05]))
-        poly = np.array([[-lx / 2, -ly / 2], [lx / 2, -ly / 2], [lx / 2, ly / 2], [-lx / 2, ly / 2]])
-        inst = ObjectInstance("tilted", make_box(lx, ly, lz), pose, poly)
+        inst = ObjectInstance("tilted", make_box(lx, ly, lz), pose)
         scene = make_scene([inst])
         cam_pose = look_at_pose((0.15, 0.15, 0.7), (0.15, 0.15, 0.0), up=(0.0, 1.0, 0.0))
         cam = CameraModel(640, 480, 800.0, 800.0, 320.0, 240.0, cam_pose)
