@@ -5,7 +5,7 @@ through the pixel center, so the result is identical to per-pixel ray
 casting; depth is the camera-frame z coordinate. `_rasterise` sets up all
 instances of a scene in one array pass and gives each its own depth layer;
 `_frame_from_layers` composes a frame from the layers with masked copies.
-`back_project` works inside the bounding box of the retained pixels.
+`back_project` works on the retained pixels alone.
 """
 
 from __future__ import annotations
@@ -467,6 +467,14 @@ def _frame_from_layers(layers: list[_Layer | None], camera: CameraModel) -> Dept
     drawn = [(index, layer) for index, layer in enumerate(layers) if layer is not None]
     if not drawn:
         return DepthFrame(depth, inst, camera)
+    if len(drawn) == 1:
+        # one layer: its hits are the frame's, with no z-buffer
+        (index, layer), = drawn
+        box = (slice(layer.row, layer.row + layer.t.shape[0]), slice(layer.col, layer.col + layer.t.shape[1]))
+        hit = layer.t < np.inf
+        np.copyto(depth[box], layer.t, where=hit)
+        np.copyto(inst[box], index, where=hit)
+        return DepthFrame(depth, inst, camera)
     # z-buffer over the union of the layers' boxes
     r0 = min(layer.row for _, layer in drawn)
     c0 = min(layer.col for _, layer in drawn)
@@ -506,50 +514,53 @@ def back_project(frame: DepthFrame, instance_filter: int) -> PointCloud:
     """World point and screen-space normal per pixel of instance `instance_filter`."""
     _check_type(frame, DepthFrame, "frame")
     _check_instance(instance_filter, "instance_filter")
-    mask = frame.instance_id == instance_filter
-    if not mask.any():
+    pixels = np.flatnonzero(frame.instance_id == instance_filter)
+    if not len(pixels):
         return PointCloud.empty()
-    # the box-sized temporaries die with `_masked_points`, before the cloud copies its arrays
-    points, normals = _masked_points(frame, mask)
+    points, normals = _masked_points(frame, pixels)
     normals /= np.linalg.norm(normals, axis=1)[:, None]
     return PointCloud(points, normals)
 
 
-def _masked_points(frame: DepthFrame, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The world points and the world normals, not yet unit, of the pixels of `mask`, all of one instance."""
-    cam = frame.camera
-    # work inside the mask's bounding box: a neighbor outside the mask never
-    # contributes to a normal, and every value is computed per pixel
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
-    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-    mask = mask[box]
-    vs_all, us_all = np.mgrid[box]
-    z = frame.depth[box].astype(np.float64)
-    dx, dy = _pixel_rays(cam, us_all, vs_all)
-    pts_cam = np.stack([dx * z, dy * z, z], axis=-1)
+def _masked_points(frame: DepthFrame, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The world points and the world normals, not yet unit, of the image's
+    flat `pixels`, ascending and all of one instance.
 
+    Every value is computed on those pixels alone, as (n, 3) rows, with the
+    per-pixel arithmetic of the whole image. A pixel's right and down
+    neighbours are found through an index map over the pixels' bounding box,
+    padded with one row and one column that hold no pixel; a pixel without a
+    neighbour among them takes itself, whose difference is exactly 0.
+    """
+    cam = frame.camera
+    rows, cols = np.divmod(pixels, cam.width)
+    own = np.arange(len(pixels))
+    c0 = cols.min()
+    stride = cols.max() - c0 + 2
+    cell = (rows - rows[0]) * stride + (cols - c0)
+    index = np.full((rows[-1] - rows[0] + 2) * stride, -1, dtype=np.intp)
+    index[cell] = own
+
+    z = frame.depth.ravel()[pixels].astype(np.float64)
+    dx, dy = _pixel_rays(cam, cols, rows)
+    pts_cam = np.stack([dx * z, dy * z, z], axis=-1)
     rot = cam.pose.rotation.as_matrix()
     pts_world = pts_cam @ rot.T + cam.pose.translation
     # screen-space normals: cross of horizontal/vertical neighbor differences,
-    # restricted to neighbors in the mask, which are all of one instance;
-    # fallback points at the camera
-    du = np.zeros_like(pts_cam)
-    dv = np.zeros_like(pts_cam)
-    same_u = mask[:, :-1] & mask[:, 1:]
-    same_v = mask[:-1, :] & mask[1:, :]
-    du[:, :-1][same_u] = (pts_cam[:, 1:] - pts_cam[:, :-1])[same_u]
-    dv[:-1, :][same_v] = (pts_cam[1:, :] - pts_cam[:-1, :])[same_v]
+    # restricted to neighbors among the pixels; fallback points at the camera
+    du, dv = (pts_cam.take(np.where(nb < 0, own, nb), axis=0) - pts_cam
+              for nb in (index[cell + 1], index[cell + stride]))
     n_cam = np.cross(du, dv)
     lens = np.linalg.norm(n_cam, axis=-1)
     good = lens > 1e-12
-    n_cam[good] /= lens[good][..., None]
+    np.divide(n_cam, lens[:, None], out=n_cam, where=good[:, None])
     # orient toward the camera (camera sits at the origin of the cam frame)
-    flip = np.einsum("hwc,hwc->hw", n_cam, pts_cam) > 0
-    n_cam[flip] *= -1.0
-    view = pts_cam / np.maximum(np.linalg.norm(pts_cam, axis=-1), 1e-12)[..., None]
-    n_cam[~good] = -view[~good]
-    return pts_world[mask], (n_cam @ rot.T)[mask]
+    flip = np.einsum("nc,nc->n", n_cam, pts_cam) > 0
+    np.negative(n_cam, out=n_cam, where=flip[:, None])
+    bad = np.flatnonzero(~good)
+    view = pts_cam[bad]
+    n_cam[bad] = -(view / np.maximum(np.linalg.norm(view, axis=-1), 1e-12)[:, None])
+    return pts_world, n_cam @ rot.T
 
 
 # ---------------------------------------------------------------------------

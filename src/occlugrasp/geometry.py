@@ -46,6 +46,17 @@ def _hamilton(a, b) -> tuple:
     )
 
 
+def _flips_sign(w, x, y, z) -> bool:
+    """Whether the sign-canonical representative of (w, x, y, z) is its
+    negation: the first nonzero component is negative."""
+    for c in (w, x, y, z):
+        if c > 0.0:
+            return False
+        if c < 0.0:
+            return True
+    return False
+
+
 def _rotate(q, v) -> tuple:
     """v + 2 (w (u x v) + u x (u x v)) with u = (x, y, z), on component
     tuples q = (w, x, y, z) and v = (v0, v1, v2) of floats or arrays."""
@@ -158,11 +169,8 @@ class Quaternion:
 
     def canonical(self) -> "Quaternion":
         """Sign-canonical representative: w > 0, ties broken by x, y, z."""
-        for c in (self.w, self.x, self.y, self.z):
-            if c > 0.0:
-                return self
-            if c < 0.0:
-                return Quaternion(-self.w, -self.x, -self.y, -self.z)
+        if _flips_sign(self.w, self.x, self.y, self.z):
+            return Quaternion(-self.w, -self.x, -self.y, -self.z)
         return self
 
     def inverse(self) -> "Quaternion":

@@ -80,8 +80,8 @@ import numpy as np
 
 from .errors import (InputError, _check_items, _check_type, _finite_array, _finite_non_negative, _finite_positive,
                      _finite_real, _integer, _positive_int, _rng, _seed)
-from .geometry import (PointCloud, Pose, Quaternion, _compose, _cross, _from_matrix, _inverse, _matrix, _rotate,
-                       _rotate_x, orthonormal_tangents)
+from .geometry import (PointCloud, Pose, Quaternion, _compose, _cross, _flips_sign, _from_matrix, _inverse, _matrix,
+                       _rotate, _rotate_x, orthonormal_tangents)
 from .meshes import surface_sample
 from .scenes import ObjectInstance, Scene
 
@@ -708,37 +708,46 @@ def taxonomy_counts(labels: list[GraspLabel]) -> dict[str, int]:
 # JSONL serialization
 
 
-def _check_record_key(scene_id: str, target_index: int) -> None:
-    """Raise `InputError` unless `scene_id` is a str and `target_index` an integer."""
+def label_to_record(scene_id: str, target_index: int, label: GraspLabel) -> dict:
+    """The JSON record of one label, in the one record layout that
+    `write_labels_jsonl` writes; a `scene_id` that is not a str or a
+    `target_index` that is not an integer raises `InputError`."""
+    _check_type(label, GraspLabel, "label")
+    return _label_records(scene_id, target_index, [label])[0]
+
+
+def _label_records(scene_id: str, target_index: int, labels) -> list[dict]:
+    """The JSON records of `labels`, each with its keys in sorted order, so
+    that `json.dumps` writes the bytes of `sort_keys=True`. The rotation has
+    the sign `Quaternion.canonical` gives, flipped on the stored components
+    without building a quaternion per label."""
     _check_type(scene_id, str, "scene_id")
     if not _integer(target_index):
         raise InputError(f"target_index must be an integer, got {target_index!r}")
-
-
-def label_to_record(scene_id: str, target_index: int, label: GraspLabel) -> dict:
-    """The JSON record of one label; a `scene_id` that is not a str or a
-    `target_index` that is not an integer raises `InputError`."""
-    _check_record_key(scene_id, target_index)
-    _check_type(label, GraspLabel, "label")
-    q = label.grasp.rotation.canonical()
-    return {
-        "scene_id": scene_id,
-        "target_index": int(target_index),
-        "t": [float(x) for x in label.grasp.center],
-        "r": [q.w, q.x, q.y, q.z],
-        "w": label.grasp.width,
-        "success_single": label.success_single,
-        "success_cluttered": label.success_cluttered,
-        "reason": label.failure_reason.value,
-    }
+    target_index = int(target_index)
+    records = []
+    for label in labels:
+        grasp = label.grasp
+        q = grasp.rotation
+        r = [-q.w, -q.x, -q.y, -q.z] if _flips_sign(q.w, q.x, q.y, q.z) else [q.w, q.x, q.y, q.z]
+        records.append({
+            "r": r,
+            "reason": label.failure_reason.value,
+            "scene_id": scene_id,
+            "success_cluttered": label.success_cluttered,
+            "success_single": label.success_single,
+            "t": grasp.center.tolist(),
+            "target_index": target_index,
+            "w": grasp.width,
+        })
+    return records
 
 
 def write_labels_jsonl(path, scene_id: str, target_index: int, labels: list[GraspLabel]) -> None:
+    """Write one `label_to_record` record per line, its keys sorted; a bad
+    input raises `InputError` before the file is opened, so it leaves none."""
     _check_items(labels, GraspLabel, "labels")
-    _check_record_key(scene_id, target_index)  # here too, for a file of no labels
-    # every record before the file is opened, so a bad input leaves none
-    Path(path).write_text("".join(json.dumps(label_to_record(scene_id, target_index, lab), sort_keys=True) + "\n"
-                                  for lab in labels))
+    Path(path).write_text("".join(json.dumps(rec) + "\n" for rec in _label_records(scene_id, target_index, labels)))
 
 
 def read_labels_jsonl(path) -> list[dict]:

@@ -12,7 +12,9 @@ normalized unsigned distance field, observed only within
 
 Both builders skip the work that cannot change their output
 (`_voxel_projection`, and `splat`'s query box), and give the grids of the
-plain per-voxel computation bit for bit.
+plain per-voxel computation bit for bit. They build the grids in float32:
+each voxel's value is computed in float64 and rounded once, as it is
+assigned, which is the rounding of a float64 grid cast to float32.
 """
 
 from __future__ import annotations
@@ -118,8 +120,8 @@ def fuse(frame: DepthFrame, config: TsdfConfig = TsdfConfig()) -> TsdfGrid:
     measured = frame.depth.ravel()[pixels].astype(np.float64)
     background = measured == 0.0
     sdf = measured - z
-    values = np.zeros(r**3, dtype=np.float64)
-    weights = np.zeros(r**3, dtype=np.float64)
+    values = np.zeros(r**3, dtype=np.float32)
+    weights = np.zeros(r**3, dtype=np.float32)
     values[voxels] = np.where(background, 1.0, np.clip(sdf / config.truncation, -1.0, 1.0))
     weights[voxels] = background | (sdf > -config.truncation)
     return TsdfGrid(values.reshape(r, r, r), weights.reshape(r, r, r), config)
@@ -146,8 +148,8 @@ def splat(cloud: PointCloud, config: TsdfConfig = TsdfConfig()) -> TsdfGrid:
     kernel = KERNEL_RADIUS_VOXELS * vs
     # the query returns inf beyond `reach`
     reach = max(config.truncation, kernel)
-    values = np.ones((r, r, r), dtype=np.float64)
-    weights = np.zeros((r, r, r), dtype=np.float64)
+    values = np.ones((r, r, r), dtype=np.float32)
+    weights = np.zeros((r, r, r), dtype=np.float32)
     # the box is empty for a cloud far outside the grid
     lo = np.clip(np.floor((cloud.points.min(axis=0) - reach) / vs) - 1, 0, r).astype(np.int64)
     hi = np.clip(np.ceil((cloud.points.max(axis=0) + reach) / vs) + 1, 0, r).astype(np.int64)

@@ -14,6 +14,8 @@ what it sees.
   `grasp_clutter`'s 16 are 0-15), at 400-419 (the grasp oracle's cases) and at
   `RENDER_SEEDS` (500-509, the render cases); `generation_scenes()`, both
   counts at 0-199, the placements `tests/test_scenes.py` checks.
+- `frame(count_range, seed)`: `render` of a corpus scene at the default
+  640x480 camera, the cluttered frame the benchmark renders.
 - `pair_labels(count_range, scene_seed, count, seed)`: `label_pair` of a corpus
   scene with the default gripper, for the tests that label one input twice.
 - `clutter_cloud(seed)`: the mirror-completed target cloud of `dense_scene(seed)`
@@ -29,7 +31,7 @@ import functools
 
 import numpy as np
 
-from occlugrasp.camera import back_project, default_camera, render
+from occlugrasp.camera import DepthFrame, back_project, default_camera, render
 from occlugrasp.completion import MirrorCompleter
 from occlugrasp.geometry import PointCloud, Pose, quaternion_about_axis
 from occlugrasp.grasping import GraspLabel, GripperModel, label_pair
@@ -61,6 +63,11 @@ def generation_scenes() -> list[Scene]:
     return [scene(count_range, seed) for count_range in (EPISODE_OBJECTS, DENSE_OBJECTS) for seed in GENERATION_SEEDS]
 
 
+@functools.lru_cache(maxsize=56)  # the episode and dense corpora, 1.8 MB each
+def frame(count_range: tuple[int, int], seed: int) -> DepthFrame:
+    return render(scene(count_range, seed), default_camera())
+
+
 @functools.lru_cache(maxsize=64)  # more than the labelled inputs the tests share
 def pair_labels(count_range: tuple[int, int], scene_seed: int, count: int, seed: int) -> tuple[GraspLabel, ...]:
     return tuple(label_pair(scene(count_range, scene_seed), GripperModel(), count, seed))
@@ -68,9 +75,9 @@ def pair_labels(count_range: tuple[int, int], scene_seed: int, count: int, seed:
 
 @functools.lru_cache(maxsize=16)  # the 16 scenes of `grasp_clutter`
 def clutter_cloud(seed: int) -> PointCloud:
-    target_scene, camera = dense_scene(seed), default_camera()
-    partial = back_project(render(target_scene, camera), target_scene.target_index)
-    return MirrorCompleter()(partial, target_scene, camera)
+    target_scene = dense_scene(seed)
+    partial = back_project(frame(DENSE_OBJECTS, seed), target_scene.target_index)
+    return MirrorCompleter()(partial, target_scene, default_camera())
 
 
 def box_instance(lx, ly, lz, x, y, yaw=0.0) -> ObjectInstance:

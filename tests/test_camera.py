@@ -405,7 +405,9 @@ class TestPersistence:
 # reference oracles: the per-triangle render loop and the full-image
 # back-projection that `render` and `back_project` replaced, and the
 # rasteriser that evaluated every pixel of a triangle's box, one batch
-# element per box row (its chunk size is its own, fixed at import)
+# element per box row (its chunk size is its own, fixed at import); and
+# `back_project` on the mask's bounding box and the z-buffer compose of one
+# layer, which the code on the mask's own pixels and the one-layer copy replaced
 
 
 def reference_render(scene: Scene, camera: CameraModel) -> DepthFrame:
@@ -606,6 +608,71 @@ def reference_back_project(frame: DepthFrame, instance_filter: int):
     n_sel = n_world[mask]
     n_sel /= np.linalg.norm(n_sel, axis=1)[:, None]
     return PointCloud(pts_world[mask], n_sel)
+
+
+def reference_masked_points(frame: DepthFrame, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_masked_points` as it was on the mask's bounding box: the world points
+    and the world normals, not yet unit, of the pixels of `mask`."""
+    cam = frame.camera
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    mask = mask[box]
+    vs_all, us_all = np.mgrid[box]
+    z = frame.depth[box].astype(np.float64)
+    dx, dy = _pixel_rays(cam, us_all, vs_all)
+    pts_cam = np.stack([dx * z, dy * z, z], axis=-1)
+
+    rot = cam.pose.rotation.as_matrix()
+    pts_world = pts_cam @ rot.T + cam.pose.translation
+    du = np.zeros_like(pts_cam)
+    dv = np.zeros_like(pts_cam)
+    same_u = mask[:, :-1] & mask[:, 1:]
+    same_v = mask[:-1, :] & mask[1:, :]
+    du[:, :-1][same_u] = (pts_cam[:, 1:] - pts_cam[:, :-1])[same_u]
+    dv[:-1, :][same_v] = (pts_cam[1:, :] - pts_cam[:-1, :])[same_v]
+    n_cam = np.cross(du, dv)
+    lens = np.linalg.norm(n_cam, axis=-1)
+    good = lens > 1e-12
+    n_cam[good] /= lens[good][..., None]
+    flip = np.einsum("hwc,hwc->hw", n_cam, pts_cam) > 0
+    n_cam[flip] *= -1.0
+    view = pts_cam / np.maximum(np.linalg.norm(pts_cam, axis=-1), 1e-12)[..., None]
+    n_cam[~good] = -view[~good]
+    return pts_world[mask], (n_cam @ rot.T)[mask]
+
+
+def reference_box_back_project(frame: DepthFrame, instance_filter: int) -> PointCloud:
+    """`back_project` as it was, over `reference_masked_points`."""
+    mask = frame.instance_id == instance_filter
+    if not mask.any():
+        return PointCloud.empty()
+    points, normals = reference_masked_points(frame, mask)
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    return PointCloud(points, normals)
+
+
+def reference_frame_from_layers(layers: list[_Layer | None], camera: CameraModel) -> DepthFrame:
+    """`_frame_from_layers` as it was: every frame through a z-buffer, one layer too."""
+    depth = np.zeros((camera.height, camera.width), dtype=np.float32)
+    inst = np.full((camera.height, camera.width), BACKGROUND_ID, dtype=np.uint16)
+    drawn = [(index, layer) for index, layer in enumerate(layers) if layer is not None]
+    if not drawn:
+        return DepthFrame(depth, inst, camera)
+    r0 = min(layer.row for _, layer in drawn)
+    c0 = min(layer.col for _, layer in drawn)
+    r1 = max(layer.row + layer.t.shape[0] for _, layer in drawn)
+    c1 = max(layer.col + layer.t.shape[1] for _, layer in drawn)
+    zbuf = np.full((r1 - r0, c1 - c0), np.inf)
+    ids = inst[r0:r1, c0:c1]
+    for index, layer in drawn:
+        rows, cols = layer.t.shape
+        box = (slice(layer.row - r0, layer.row - r0 + rows), slice(layer.col - c0, layer.col - c0 + cols))
+        nearer = layer.t < zbuf[box]
+        np.copyto(zbuf[box], layer.t, where=nearer)
+        np.copyto(ids[box], index, where=nearer)
+    np.copyto(depth[r0:r1, c0:c1], zbuf, where=np.isfinite(zbuf))
+    return DepthFrame(depth, inst, camera)
 
 
 def assert_same_frame(got: DepthFrame, want: DepthFrame):
@@ -1167,6 +1234,107 @@ class TestBackProjectMatchesReference:
         assert len(cloud) == 12_372
         assert_same_cloud(cloud, reference_back_project(frame, scene.target_index))
         assert peak < 5.2e6
+
+
+def thin_masks(h: int, w: int) -> dict[str, np.ndarray]:
+    """Masks one pixel, one row or one column thick, a diagonal of pixels
+    with no neighbour, and masks along the image border."""
+    cases = {}
+
+    def add(name, *index):
+        mask = np.zeros((h, w), dtype=bool)
+        for i in index:
+            mask[i] = True
+        cases[name] = mask
+
+    for v, u in [(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1), (h // 2, w // 3), (0, w // 2), (h // 2, 0)]:
+        add(f"pixel {v},{u}", (v, u))
+    add("top row", (0, slice(None)))
+    add("bottom row", (h - 1, slice(None)))
+    add("middle row", (h // 2, slice(None)))
+    add("row segment", (5, slice(3, 21)))
+    add("row segment at the right border", (h // 3, slice(w - 9, None)))
+    add("two pixels of a row", (7, slice(10, 12)))
+    add("left column", (slice(None), 0))
+    add("right column", (slice(None), w - 1))
+    add("middle column", (slice(None), w // 2))
+    add("column segment", (slice(4, 30), 9))
+    add("column segment at the bottom border", (slice(h - 11, None), w // 4))
+    add("two pixels of a column", (slice(20, 22), 13))
+    add("every 7th diagonal", (np.arange(0, min(h, w), 7), np.arange(0, min(h, w), 7)))
+    add("every 7th anti-diagonal", (np.arange(0, min(h, w), 7), w - 1 - np.arange(0, min(h, w), 7)))
+    add("row and column crossing", (h // 2, slice(None)), (slice(None), w // 2))
+    add("image border", (0, slice(None)), (h - 1, slice(None)), (slice(None), 0), (slice(None), w - 1))
+    add("top-left corner block", (slice(0, 9), slice(0, 13)))
+    add("bottom-right corner block", (slice(h - 9, None), slice(w - 13, None)))
+    add("L along the left and bottom borders", (slice(None), slice(0, 2)), (slice(h - 2, None), slice(None)))
+    add("two rows at the top", (slice(0, 2), slice(5, w - 5)))
+    return cases
+
+
+class TestBackProjectOnTheMasksPixels:
+    """`back_project` computes on the mask's own pixels; every point and normal
+    equals the bounding-box computation's, `reference_masked_points`, byte for byte."""
+
+    def test_every_instance_of_the_benchmark_corpora(self):
+        # the 16 scenes of `episode` and the 40 of `occlusion_sweep` at 640x480
+        points = 0
+        for count_range, seeds in ((corpus.EPISODE_OBJECTS, corpus.EPISODE_SEEDS),
+                                   (corpus.DENSE_OBJECTS, corpus.SWEEP_SEEDS)):
+            for seed in seeds:
+                frame = corpus.frame(count_range, seed)
+                for i in range(len(corpus.scene(count_range, seed).instances)):
+                    cloud = back_project(frame, i)
+                    assert_same_cloud(cloud, reference_box_back_project(frame, i))
+                    points += len(cloud)
+        assert points > 1_900_000
+
+    @pytest.mark.parametrize("shape, surround", [((48, 64), BACKGROUND_ID), ((48, 64), 0), ((480, 640), 0)])
+    def test_thin_masks(self, shape, surround):
+        # the world and normal products are one (n, 3) product here, one (w, 3)
+        # product per box row in the reference, which BLAS might round otherwise
+        # for a single row or column; the rest of the image is background or an
+        # instance whose pixels must not reach a normal
+        for name, mask in thin_masks(*shape).items():
+            inst = np.where(mask, 1, surround).astype(np.uint16)
+            frame = synthetic_frame(inst, seed=len(name))
+            cloud = back_project(frame, 1)
+            assert len(cloud) == mask.sum(), name
+            assert_same_cloud(cloud, reference_box_back_project(frame, 1))
+            if shape == (48, 64):
+                assert_same_cloud(cloud, reference_back_project(frame, 1))
+
+    def test_peak_below_the_box_reference(self):
+        # instance 3 of dense seed 35 covers 15,353 pixels at 640x480, the most
+        # of any instance of the `episode` and `occlusion_sweep` corpora
+        frame = corpus.frame(corpus.DENSE_OBJECTS, 35)
+        assert (frame.instance_id == 3).sum() == 15_353
+        peaks = {}
+        for name, project in (("box", reference_box_back_project), ("pixels", back_project)):
+            project(frame, 3)
+            tracemalloc.start()
+            try:
+                project(frame, 3)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["pixels"] < peaks["box"]
+
+
+class TestFrameFromLayers:
+    def test_one_layer_equals_the_z_buffer_on_the_dense_corpus(self):
+        # each instance of `occlusion_sweep`'s 40 scenes alone, as a slot-served
+        # single render composes it, against the z-buffer compose
+        cam = default_camera()
+        composed = 0
+        for seed in corpus.SWEEP_SEEDS:
+            layers = camera_module._rasterise(list(dense_scene(seed).instances), cam)
+            for i, layer in enumerate(layers):
+                one = [None] * len(layers)
+                one[i] = layer
+                assert_same_frame(camera_module._frame_from_layers(one, cam), reference_frame_from_layers(one, cam))
+                composed += layer is not None
+        assert composed > 300
 
 
 class TestLayerSlot:

@@ -95,7 +95,7 @@ class TestChamferMatchesReference:
         for count_range, seeds in (((4, 6), range(16)), ((8, 10), range(40))):
             for seed in seeds:
                 scene = corpus.scene(count_range, seed)
-                cluttered = render(scene, cam)
+                cluttered = corpus.frame(count_range, seed)
                 single = render(derive_single_scene(scene, scene.target_index), cam)
                 if occlusion_level(single, cluttered, scene.target_index, scheme).bin_index is None:
                     continue

@@ -3,7 +3,7 @@ nothing a test reads from it can be changed."""
 
 import numpy as np
 
-from occlugrasp.camera import default_camera
+from occlugrasp.camera import default_camera, render
 from occlugrasp.grasping import GripperModel, sample_candidate_grasps
 from occlugrasp.meshes import surface_sample
 from occlugrasp.scenes import SceneConfig, generate_packed_scene
@@ -44,8 +44,12 @@ def test_shared_inputs_are_read_only_and_equal_fresh_ones():
     cloud = surface_sample(scene.target.mesh, 256, seed=1).transformed(scene.target.pose)
     grasp = sample_candidate_grasps(cloud, GripperModel(), 1, seed=1)[0]
     offenders = corpus.shared(reference_offenders)(grasp, scene, GripperModel())
-    found = list(arrays([scenes, corpus.catalog(), frame, layers, offenders], set()))
-    named = [frame.depth, frame.instance_id, *(layer.t for layer in layers if layer is not None)]
+    full = corpus.frame(*configs[0])
+    fresh = render(scenes[0], default_camera())
+    assert (full.depth.tobytes(), full.instance_id.tobytes()) == (fresh.depth.tobytes(), fresh.instance_id.tobytes())
+    found = list(arrays([scenes, corpus.catalog(), frame, layers, offenders, full], set()))
+    named = [frame.depth, frame.instance_id, full.depth, full.instance_id,
+             *(layer.t for layer in layers if layer is not None)]
     by_id = {obj.catalog_id: obj for obj in corpus.catalog()}
     for inst in scene.instances:
         named += [inst.mesh.vertices, inst.mesh.triangles, by_id[inst.catalog_id].footprint_poly, *inst.world_aabb]

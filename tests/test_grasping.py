@@ -1,9 +1,11 @@
 import collections
 import gc
+import json
 import logging
 import math
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1385,6 +1387,80 @@ def label_from_record(rec: dict) -> GraspLabel:
     if rec["success_cluttered"] is not label.success_cluttered:
         raise InputError(f"success flags must be bools that agree with the reason, got {rec['success_cluttered']!r}")
     return label
+
+
+def reference_label_to_record(scene_id: str, target_index: int, label: GraspLabel) -> dict:
+    """`label_to_record` as it was: the canonical sign by `Quaternion.canonical`'s
+    loop, which built a checked quaternion for each flip, and `float` of each centre component."""
+    q = label.grasp.rotation
+    for c in (q.w, q.x, q.y, q.z):
+        if c > 0.0:
+            break
+        if c < 0.0:
+            q = Quaternion(-q.w, -q.x, -q.y, -q.z)
+            break
+    return {
+        "scene_id": scene_id,
+        "target_index": int(target_index),
+        "t": [float(x) for x in label.grasp.center],
+        "r": [q.w, q.x, q.y, q.z],
+        "w": label.grasp.width,
+        "success_single": label.success_single,
+        "success_cluttered": label.success_cluttered,
+        "reason": label.failure_reason.value,
+    }
+
+
+def reference_write_labels_jsonl(path, scene_id: str, target_index: int, labels) -> None:
+    """`write_labels_jsonl` as it was: one `json.dumps(..., sort_keys=True)` line per record."""
+    Path(path).write_text("".join(json.dumps(reference_label_to_record(scene_id, target_index, lab), sort_keys=True)
+                                  + "\n" for lab in labels))
+
+
+def assert_labels_file_as_before(tmp_path, scene_id: str, target_index, labels) -> None:
+    write_labels_jsonl(tmp_path / "got.jsonl", scene_id, target_index, labels)
+    reference_write_labels_jsonl(tmp_path / "want.jsonl", scene_id, target_index, labels)
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    for lab in labels:
+        rec = label_to_record(scene_id, target_index, lab)
+        assert rec == reference_label_to_record(scene_id, target_index, lab)
+        assert list(rec) == sorted(rec)
+
+
+class TestLabelRecordsAsBefore:
+    """`write_labels_jsonl` and `label_to_record` share one record builder; the
+    files and the records equal the per-label `sort_keys` writer's."""
+
+    def test_episode_corpus(self, tmp_path):
+        # the 120 labels of each of the 16 `episode` scenes
+        for seed in corpus.EPISODE_SEEDS:
+            scene = corpus.episode_scene(seed)
+            labels = corpus.pair_labels(corpus.EPISODE_OBJECTS, seed, 120, seed)
+            assert_labels_file_as_before(tmp_path, f"scene_{seed:03d}", scene.target_index, labels)
+
+    @pytest.mark.parametrize("rotation, written", [
+        (Quaternion(-0.6, 0.0, 0.0, 0.8), [0.6, -0.0, -0.0, -0.8]),
+        (Quaternion(0.0, -0.6, 0.8, 0.0), [-0.0, 0.6, -0.8, -0.0]),
+        (Quaternion(-0.0, -0.0, -0.6, -0.8), [0.0, 0.0, 0.6, 0.8]),
+        (Quaternion(-0.0, 0.6, -0.0, 0.8), [-0.0, 0.6, -0.0, 0.8]),
+        (Quaternion(0.0, -0.0, 0.0, -1.0), [-0.0, 0.0, -0.0, 1.0]),
+        (Quaternion(-0.0, -0.0, -0.0, -0.0), [-0.0, -0.0, -0.0, -0.0]),
+        (Quaternion(-1, 0, 0, 0), [1, 0, 0, 0]),
+        (Quaternion(*np.array([-0.6, 0.0, 0.8, 0.0])), [0.6, -0.0, -0.8, -0.0]),
+    ])
+    @pytest.mark.parametrize("target_index", [3, np.int64(3), np.uint16(3)])
+    def test_hand_built_quaternions(self, rotation, written, target_index, tmp_path):
+        labels = [GraspLabel(Grasp(np.array([0.1, 0.2, 0.05]), rotation, 0.04), True, FailureReason.NONE),
+                  GraspLabel(Grasp(np.array([0.1, -0.0, 0.05]), rotation, 0.04), False, FailureReason.ANTIPODAL_FAIL)]
+        assert_labels_file_as_before(tmp_path, "scene_000", target_index, labels)
+        rec = read_labels_jsonl(tmp_path / "got.jsonl")[0]
+        assert rec["target_index"] == 3 and type(rec["target_index"]) is int
+        assert [(x, math.copysign(1.0, x), type(x)) for x in rec["r"]] == [
+            (x, math.copysign(1.0, x), type(x)) for x in written]
+
+    def test_no_labels(self, tmp_path):
+        assert_labels_file_as_before(tmp_path, "scene_000", np.int64(0), [])
+        assert (tmp_path / "got.jsonl").read_bytes() == b""
 
 
 class TestJsonl:

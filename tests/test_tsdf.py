@@ -436,9 +436,11 @@ def reference_splat(cloud: PointCloud, config: TsdfConfig | None = None,
 
 
 def assert_same_grid(grid: TsdfGrid, want: TsdfGrid):
+    """`grid` equals `want` byte for byte, and its arrays are float32, C-contiguous and read-only."""
     assert grid.config == want.config
-    assert grid.values.tobytes() == want.values.tobytes()
-    assert grid.weights.tobytes() == want.weights.tobytes()
+    for got, ref in ((grid.values, want.values), (grid.weights, want.weights)):
+        assert got.dtype == np.float32 and got.flags.c_contiguous and not got.flags.writeable
+        assert got.tobytes() == ref.tobytes()
 
 
 # the explicit truncation (1.5 voxels) is below a 2.5 voxel kernel, which a
@@ -473,6 +475,14 @@ class TestMatchesReference:
         for frame, _ in corpus:
             for config in CONFIGS:
                 assert_same_grid(fuse(frame, config), reference_fuse(frame, config))
+
+    def test_grid_keeps_float32_arrays_without_a_copy(self):
+        r = TsdfConfig().resolution
+        values, weights = np.zeros((r, r, r), dtype=np.float32), np.ones((r, r, r), dtype=np.float32)
+        grid = TsdfGrid(values, weights, TsdfConfig())
+        assert np.shares_memory(grid.values, values) and np.shares_memory(grid.weights, weights)
+        cast = TsdfGrid(values.astype(np.float64), weights, TsdfConfig())
+        assert cast.values.dtype == np.float32 and cast.values.tobytes() == values.tobytes()
 
     def test_fuse_camera_inside_the_grid(self):
         # voxel centres on the image plane, 0.5 mm and 1e-10 m in front of it
