@@ -48,8 +48,9 @@ class CameraModel:
                 raise InputError(f"{name} must be a positive integer, got {size!r}")
         if not (_finite_positive(self.fx) and _finite_positive(self.fy)):
             raise InputError(f"focal lengths must be finite and positive, got {(self.fx, self.fy)}")
-        if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
-            raise InputError("principal point must lie inside the image")
+        if not (_finite_real(self.cx) and _finite_real(self.cy) and 0 <= self.cx < self.width
+                and 0 <= self.cy < self.height):
+            raise InputError(f"principal point must be two numbers inside the image, got {(self.cx, self.cy)!r}")
         _check_type(self.pose, Pose, "camera pose")
 
     def same_view(self, other: "CameraModel") -> bool:

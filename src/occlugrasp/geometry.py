@@ -82,7 +82,7 @@ def _inverse(q, t) -> tuple:
 
 
 def _compose(a, pose: "Pose") -> tuple:
-    """`Pose.__mul__` of `a`, a pose as ((w, x, y, z), (t0, t1, t2)), and `pose`."""
+    """`a`, a pose as ((w, x, y, z), (t0, t1, t2)), composed with `pose`: `pose` first, then `a`."""
     q, t = a
     r = pose.rotation
     return _hamilton(q, (r.w, r.x, r.y, r.z)), tuple(p + c for p, c in zip(_rotate(q, pose.translation.tolist()), t))
@@ -173,14 +173,6 @@ class Quaternion:
             return Quaternion(-self.w, -self.x, -self.y, -self.z)
         return self
 
-    def inverse(self) -> "Quaternion":
-        # unit quaternion: inverse == conjugate
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        """Hamilton product; (a * b).rotate(v) == a.rotate(b.rotate(v))."""
-        return Quaternion(*_hamilton((self.w, self.x, self.y, self.z), (other.w, other.x, other.y, other.z)))
-
     def rotate(self, v) -> np.ndarray:
         """Rotate vector(s) of shape (3,) or (n, 3).
 
@@ -202,19 +194,28 @@ class Quaternion:
 
     @staticmethod
     def from_matrix(m) -> "Quaternion":
-        """Rotation matrix (3x3, orthonormal) to quaternion: `_from_matrix` of one."""
+        """Rotation matrix to quaternion: `_from_matrix` of one. A matrix that is not
+        orthonormal with determinant +1, within 1e-6, raises `InputError`."""
         m = _finite_array(m, (3, 3), "rotation matrix must be 3 x 3 finite numbers")
+        if np.abs(m @ m.T - np.eye(3)).max() > 1e-6 or abs(np.linalg.det(m) - 1.0) > 1e-6:
+            raise InputError(f"rotation matrix must be orthonormal with determinant +1 within 1e-6, got {m.tolist()}")
         return Quaternion(*(float(c[0]) for c in _from_matrix(m[:, :, None])))
+
+
+def _unit_axis(axis) -> np.ndarray:
+    """`axis` as a checked array; one that is not 3 finite numbers of norm 1 within 1e-6 raises `InputError`."""
+    axis = _finite_array(axis, (3,), "axis must be 3 finite numbers")
+    n = float(np.linalg.norm(axis))
+    if abs(n - 1.0) > 1e-6:
+        raise InputError(f"axis must be unit length, norm={n}")
+    return axis
 
 
 def quaternion_about_axis(axis, angle: float) -> Quaternion:
     """Rotation of `angle` radians about a unit `axis`."""
     if not _finite_real(angle):
         raise InputError(f"angle must be a finite number, got {angle!r}")
-    axis = _finite_array(axis, (3,), "axis must be 3 finite numbers")
-    n = float(np.linalg.norm(axis))
-    if abs(n - 1.0) > 1e-6:
-        raise InputError(f"axis must be unit length, norm={n}")
+    axis = _unit_axis(axis)
     h = 0.5 * angle
     s = math.sin(h)
     return Quaternion(math.cos(h), axis[0] * s, axis[1] * s, axis[2] * s)
@@ -251,12 +252,6 @@ class Pose:
 
     def transform(self, pts) -> np.ndarray:
         return self.rotation.rotate(pts) + self.translation
-
-    def __mul__(self, other: "Pose") -> "Pose":
-        """Compose: (a * b).transform(p) == a.transform(b.transform(p))."""
-        r = self.rotation
-        q, t = _compose(((r.w, r.x, r.y, r.z), self.translation.tolist()), other)
-        return Pose(Quaternion(*q), t)
 
     def inverse(self) -> "Pose":
         r = self.rotation
@@ -304,7 +299,7 @@ class PointCloud:
 
 def orthonormal_tangents(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic right-handed (u, v) basis perpendicular to a unit axis."""
-    a = _finite_array(axis, (3,), "axis must be 3 finite numbers").tolist()
+    a = _unit_axis(axis).tolist()
     helper = (0.0, 0.0, 1.0) if abs(a[2]) < 0.9 else (1.0, 0.0, 0.0)
     u = np.array(_cross(a, helper))
     u /= np.linalg.norm(u)

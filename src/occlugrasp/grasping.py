@@ -53,8 +53,8 @@ the radii of one pass are one matrix-vector product with one half vector.
 reduction per quantity over their pad-slab samples sorted by candidate. Each
 row of those products and reductions is computed as on its own, so every
 result, detail included, equals `simulate_grasp`'s, which runs `_mesh_hits`
-and `_contacts` as a batch of one; at one grasp both take the cheaper per-box
-and whole-array path. The set-up and the broad phase stay separate, as sharing
+and `_contacts` as a batch of one; at one grasp `_mesh_hits` takes the cheaper
+per-box path. The set-up and the broad phase stay separate, as sharing
 them costs time (2-vCPU x86 VM): a batch set-up of one grasp took 202 us
 against 74 us for the scalar one, and a `label_pair` built on per-grasp calls
 37.6 ms per `episode` benchmark scene against 17.2 ms. Both drivers move
@@ -334,10 +334,9 @@ def simulate_grasp(grasp: Grasp, scene: Scene, gripper: GripperModel) -> SimResu
     or the new; each decision is the one the call would compute.
     """
     global _slot
-    if not (isinstance(grasp, Grasp) and isinstance(scene, Scene) and isinstance(gripper, GripperModel)):
-        _check_type(grasp, Grasp, "grasp")
-        _check_type(scene, Scene, "scene")
-        _check_type(gripper, GripperModel, "gripper")
+    _check_type(grasp, Grasp, "grasp")
+    _check_type(scene, Scene, "scene")
+    _check_type(gripper, GripperModel, "gripper")
     if grasp.width > gripper.max_width + 1e-12:
         return _WIDE
     target = scene.target
@@ -466,25 +465,18 @@ def _contacts(samples: PointCloud, pose, widths: list[float], gripper: GripperMo
         return code
     xs = px[slab]
     ns = _rotate_x(q, tuple(samples.normals[sample_i].T))[slab]
+    # each grasp's run of slab samples: where it starts, and each sample's run
+    first = np.empty(len(g), dtype=bool)
+    first[0] = True
+    np.not_equal(g[1:], g[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    run = np.cumsum(first) - 1
     # per grasp: the ends lo and hi of its contacts along x, and the least
     # normal x in the low band and the greatest in the high band
-    if len(widths) == 1:
-        # one grasp, one run: whole-array reductions cost less than `reduceat`
-        starts = 0
-        lo, hi = xs.min(), xs.max()
-        low = ns[xs <= lo + CONTACT_BAND].min()
-        high = ns[xs >= hi - CONTACT_BAND].max()
-    else:
-        # each grasp's run of slab samples: where it starts, and each sample's run
-        first = np.empty(len(g), dtype=bool)
-        first[0] = True
-        np.not_equal(g[1:], g[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        run = np.cumsum(first) - 1
-        lo = np.minimum.reduceat(xs, starts)
-        hi = np.maximum.reduceat(xs, starts)
-        low = np.minimum.reduceat(np.where(xs <= (lo + CONTACT_BAND)[run], ns, np.inf), starts)
-        high = np.maximum.reduceat(np.where(xs >= (hi - CONTACT_BAND)[run], ns, -np.inf), starts)
+    lo = np.minimum.reduceat(xs, starts)
+    hi = np.maximum.reduceat(xs, starts)
+    low = np.minimum.reduceat(np.where(xs <= (lo + CONTACT_BAND)[run], ns, np.inf), starts)
+    high = np.maximum.reduceat(np.where(xs >= (hi - CONTACT_BAND)[run], ns, -np.inf), starts)
     touched = g[starts]
     w = np.array(widths)[touched]
     wide = (lo < -w / 2 - 1e-9) | (hi > w / 2 + 1e-9)

@@ -37,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (GenerationError, InputError, _check_items, _check_type, _finite_positive, _integer, _positive_int,
-                     _rng, _seed)
+from .errors import (GenerationError, InputError, _check_items, _check_type, _finite_array, _finite_positive, _integer,
+                     _positive_int, _rng, _seed)
 from .geometry import Pose, Quaternion, quaternion_about_axis
 from .meshes import (CYLINDER_SEGMENTS, TriMesh, _regular_polygon, make_box, make_cylinder, make_hex_prism,
                      make_sphere)
@@ -104,6 +104,7 @@ _KINDS = (
 
 def build_catalog(config: CatalogConfig) -> list[CatalogObject]:
     """Deterministic procedural catalog of box/cylinder/hex-prism/sphere primitives."""
+    _check_type(config, CatalogConfig, "config")
     rng = _rng(config.seed)
     out = []
     for i in range(config.size):
@@ -195,8 +196,12 @@ def polygon_distance(p: np.ndarray, q: np.ndarray) -> float:
     dense scenes most pairs that reach this function overlap. Each side is one
     pass over all its edges and (edge, vertex) pairs; the dot products are
     stacks of per-edge matrix-vector products, the ones a loop over the edges
-    would take.
+    would take. Polygons that are not (n, 2) arrays of finite numbers with n >= 3
+    raise `InputError`.
     """
+    p, q = (_finite_array(a, (-1, 2), "polygons must be (n, 2) arrays of finite numbers") for a in (p, q))
+    if min(len(p), len(q)) < 3:
+        raise InputError(f"polygons need at least 3 vertices, got {len(p)} and {len(q)}")
     sides, apart = [], False
     for a, b in ((p, q), (q, p)):
         edges = np.concatenate((a[1:], a[:1])) - a
@@ -285,9 +290,12 @@ def _place_instance(obj: CatalogObject, extent: float, placed: _Placed, rng: np.
 def generate_packed_scene(config: SceneConfig, catalog: list[CatalogObject] | None = None) -> Scene:
     """Rejection-sampled collision-free packed scene; pure function of config."""
     _check_type(config, SceneConfig, "config")
-    lo, hi = config.object_count_range
+    try:
+        lo, hi = config.object_count_range
+    except (TypeError, ValueError):  # not a pair
+        lo = hi = None
     if not (_positive_int(lo) and _positive_int(hi) and lo <= hi <= 10):
-        raise InputError(f"object_count_range must be integers within [1, 10], got {config.object_count_range}")
+        raise InputError(f"object_count_range must be two integers within [1, 10], got {config.object_count_range!r}")
     if not _finite_positive(config.workspace_extent):
         raise InputError(f"workspace_extent must be finite and positive, got {config.workspace_extent!r}")
     if catalog is None:

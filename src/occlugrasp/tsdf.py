@@ -2,9 +2,9 @@
 
 `fuse` integrates a single depth frame: per voxel, signed distance along the
 camera ray (measured depth minus voxel depth), clamped to the truncation
-band and normalized to [-1, 1]. Positive values are observed free space in
-front of the surface; voxels hidden deeper than one truncation behind a
-surface, or outside the frustum, carry weight 0.
+band of `TRUNCATION_VOXELS` voxel widths and normalized to [-1, 1]. Positive
+values are observed free space in front of the surface; voxels hidden deeper
+than one truncation behind a surface, or outside the frustum, carry weight 0.
 
 `splat` builds a target grid from a completed point cloud: a truncated,
 normalized unsigned distance field, observed only within
@@ -35,7 +35,6 @@ from .scenes import WORKSPACE_EXTENT
 class TsdfConfig:
     resolution: int = 40
     extent: float = WORKSPACE_EXTENT
-    truncation: float | None = None  # meters; default 4 voxel widths
 
     def __post_init__(self):
         r = self.resolution
@@ -44,21 +43,21 @@ class TsdfConfig:
         object.__setattr__(self, "resolution", int(r))
         if not _finite_positive(self.extent):
             raise InputError(f"extent must be finite and positive, got {self.extent!r}")
-        if self.truncation is None:
-            object.__setattr__(self, "truncation", 4.0 * self.voxel_size)
-        elif not _finite_positive(self.truncation):
-            raise InputError(f"truncation must be finite and positive, got {self.truncation!r}")
 
     @property
     def voxel_size(self) -> float:
         return self.extent / self.resolution
 
-    def voxel_centers(self) -> np.ndarray:
-        """(res^3, 3) world coordinates in C order (x-major first axis)."""
-        r = self.resolution
-        axis = (np.arange(r) + 0.5) * self.voxel_size
-        gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-        return np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
+    @property
+    def truncation(self) -> float:
+        return TRUNCATION_VOXELS * self.voxel_size
+
+
+def _voxel_centers(config: TsdfConfig, box: tuple[slice, ...] = (slice(None),) * 3) -> np.ndarray:
+    """World coordinates of the centres of the voxels in `box`, one slice per
+    grid axis, as (n, 3) rows in C order (the first axis is x)."""
+    axis = (np.arange(config.resolution) + 0.5) * config.voxel_size
+    return np.stack(np.meshgrid(*(axis[s] for s in box), indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -78,6 +77,7 @@ class TsdfGrid:
 
 
 _PROJECTION_CACHE_SIZE = 4
+TRUNCATION_VOXELS = 4.0  # `TsdfConfig.truncation` in voxel widths, the four of VGN (Breyer et al., CoRL 2020)
 KERNEL_RADIUS_VOXELS = 1.0  # `splat`'s observed radius around each point, in voxel widths
 
 
@@ -99,7 +99,7 @@ def _voxel_projection(config: TsdfConfig, camera: CameraModel) -> tuple[np.ndarr
     along the optical axis. The arrays are read-only: every caller with an
     equal (config, camera) pair gets the same ones.
     """
-    pts = camera.pose.inverse().transform(config.voxel_centers())
+    pts = camera.pose.inverse().transform(_voxel_centers(config))
     in_front = np.nonzero(pts[:, 2] > 1e-9)[0]
     x, y, z = pts[in_front].T
     u = np.floor(x / z * camera.fx + camera.cx).astype(np.int64)
@@ -136,8 +136,8 @@ def splat(cloud: PointCloud, config: TsdfConfig = TsdfConfig()) -> TsdfGrid:
     distance. So the KD-tree is queried only for the voxels of the cloud's
     bounding box grown by `reach` and one voxel of slack for rounding; every
     voxel outside it is farther than `reach` along one axis alone. The box's
-    centres are slices of the same axis `voxel_centers` spans, so each equals
-    its full-grid entry.
+    centres are `_voxel_centers` of slices of the whole grid's axis, so each
+    equals its full-grid entry.
     """
     _check_type(cloud, PointCloud, "cloud")
     _check_type(config, TsdfConfig, "config")
@@ -153,11 +153,8 @@ def splat(cloud: PointCloud, config: TsdfConfig = TsdfConfig()) -> TsdfGrid:
     # the box is empty for a cloud far outside the grid
     lo = np.clip(np.floor((cloud.points.min(axis=0) - reach) / vs) - 1, 0, r).astype(np.int64)
     hi = np.clip(np.ceil((cloud.points.max(axis=0) + reach) / vs) + 1, 0, r).astype(np.int64)
-    axis = (np.arange(r) + 0.5) * vs
     box = tuple(slice(a, b) for a, b in zip(lo, hi))
-    gx, gy, gz = np.meshgrid(axis[box[0]], axis[box[1]], axis[box[2]], indexing="ij")
-    centers = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
-    dist = _nearest_distances(cloud.points, centers, reach).reshape(gx.shape)
+    dist = _nearest_distances(cloud.points, _voxel_centers(config, box), reach).reshape(values[box].shape)
     values[box] = np.minimum(dist / config.truncation, 1.0)
     weights[box] = dist <= kernel
     return TsdfGrid(values, weights, config)
@@ -187,7 +184,8 @@ def save_grid(dir_path, stem: str, grid: TsdfGrid) -> list[Path]:
 def load_grid(dir_path, stem: str) -> TsdfGrid:
     """The grid `save_grid` wrote as `<stem>.tsdf.npz`; values that are not
     finite and in [-1, 1], weights that are not finite and >= 0, a config
-    that is not 3 finite numbers, or a fractional resolution raise `InputError`."""
+    that is not 3 finite numbers, a fractional resolution, or a truncation
+    other than the config's raise `InputError`."""
     path = Path(dir_path) / f"{stem}.tsdf.npz"
     values, weights, config = read_npz(path, ("values", "weights", "config"))
     if not (abs(values) <= 1).all():  # NaN fails every comparison
@@ -197,4 +195,7 @@ def load_grid(dir_path, stem: str) -> TsdfGrid:
     r, extent, truncation = _finite_array(config, (3,), f"{path}: config must be 3 finite numbers").tolist()
     if not float(r).is_integer():
         raise InputError(f"{path}: resolution must be a whole number, got {r}")
-    return TsdfGrid(values, weights, TsdfConfig(int(r), extent, truncation))
+    config = TsdfConfig(int(r), extent)
+    if truncation != config.truncation:
+        raise InputError(f"{path}: truncation must be {TRUNCATION_VOXELS:g} voxel widths, got {truncation}")
+    return TsdfGrid(values, weights, config)

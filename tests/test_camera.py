@@ -53,6 +53,13 @@ class TestCameraModel:
         with pytest.raises(InputError, match="positive integer"):
             CameraModel(**size)
 
+    @pytest.mark.parametrize("point", [{"cx": "1"}, {"cy": "1"}, {"cx": True}, {"cy": False}, {"cx": math.nan},
+                                       {"cy": None}])
+    def test_principal_point_is_two_numbers(self, point):
+        # "1" raised a bare TypeError from the comparison, and True was kept as the bool
+        with pytest.raises(InputError, match="principal point"):
+            CameraModel(**point)
+
     def test_numpy_integer_size_accepted(self):
         assert CameraModel(np.int64(640), np.int32(480)) == CameraModel()
 

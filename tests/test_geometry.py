@@ -13,6 +13,7 @@ from occlugrasp.geometry import (
     Quaternion,
     _compose,
     _from_matrix,
+    _hamilton,
     _inverse,
     _matrix,
     _rotate,
@@ -108,6 +109,18 @@ class TestQuaternion:
         with pytest.raises(InputError):
             quaternion_about_axis((0, 0, 0), 1.0)
 
+    @pytest.mark.parametrize("m", [np.zeros((3, 3)), np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3), -np.eye(3),
+                                   np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                                   np.eye(3) + np.diag([2e-6, 0.0, 0.0])])
+    def test_from_matrix_needs_a_rotation(self, m):
+        # zeros gave (0, 0, 0, 1), and diag(1, 1, -1) and 2 I the identity
+        with pytest.raises(InputError, match="orthonormal"):
+            Quaternion.from_matrix(m)
+
+    def test_from_matrix_accepts_a_rotation_within_tolerance(self):
+        m = quaternion_about_axis((0.0, 0.0, 1.0), 0.7).as_matrix() + np.diag([5e-7, 0.0, 0.0])
+        assert rotation_equal(Quaternion.from_matrix(m), quaternion_about_axis((0.0, 0.0, 1.0), 0.7), tol=1e-6)
+
     def test_norm_after_construction(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -119,7 +132,7 @@ class TestQuaternion:
         for _ in range(1000):
             q = random_quat(rng)
             v = rng.normal(size=3)
-            back = q.inverse().rotate(q.rotate(v))
+            back = Pose(q).inverse().rotation.rotate(q.rotate(v))
             assert np.abs(back - v).max() < 1e-9
 
     def test_q_vs_minus_q_rotate_exactly_equal(self):
@@ -139,9 +152,9 @@ class TestQuaternion:
     @given(unit_quats, unit_quats)
     @settings(max_examples=50)
     def test_matrix_round_trip(self, a, b):
-        m = (a * b).as_matrix()
-        back = Quaternion.from_matrix(m)
-        assert rotation_equal(back, a * b, tol=1e-9)
+        ab = reference_quaternion_mul(a, b)
+        back = Quaternion.from_matrix(ab.as_matrix())
+        assert rotation_equal(back, ab, tol=1e-9)
 
     def test_matrix_matches_rotate(self):
         rng = np.random.default_rng(5)
@@ -208,6 +221,12 @@ class TestRotateMatchesCross:
         ints = [[1, 2, 3], [4, 5, 6]]
         assert quat.rotate(ints).tobytes() == reference_rotate(np.tile(q[5], (2, 1)), np.array(ints, float)).tobytes()
 
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 0.0), (0.0, 0.0, 2.0), (-2.0, 0.0, 0.0), (0.6, 0.8, 2e-3)])
+    def test_orthonormal_tangents_need_a_unit_axis(self, axis):
+        # the zero axis gave NaN, and (0, 0, 2) a v of (-2, 0, 0)
+        with pytest.raises(InputError, match="unit length"):
+            orthonormal_tangents(axis)
+
     def test_orthonormal_tangents(self):
         rng = np.random.default_rng(24)
         axes = rng.normal(size=(2000, 3))
@@ -219,17 +238,38 @@ class TestRotateMatchesCross:
             assert got[1].tobytes() == expected[1].tobytes()
 
 
-# The bodies of `Pose.__mul__`, `Pose.inverse`, `Quaternion.as_matrix` and
-# `Quaternion.from_matrix` before they were built on `_compose`, `_inverse`,
-# `_matrix` and `_from_matrix`, verbatim.
+# The bodies of `Quaternion.__mul__`, `Quaternion.inverse`, `Pose.__mul__`,
+# `Pose.inverse`, `Quaternion.as_matrix` and `Quaternion.from_matrix` before
+# they were built on `_hamilton`, `_compose`, `_inverse`, `_matrix` and
+# `_from_matrix`, verbatim; the two products and `Quaternion.inverse` have
+# since left the package, as nothing in it called them.
+
+
+def reference_quaternion_mul(self: Quaternion, other: Quaternion) -> Quaternion:
+    """Hamilton product; (a * b).rotate(v) == a.rotate(b.rotate(v))."""
+    w1, x1, y1, z1 = self.w, self.x, self.y, self.z
+    w2, x2, y2, z2 = other.w, other.x, other.y, other.z
+    return Quaternion(
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def reference_quaternion_inverse(self: Quaternion) -> Quaternion:
+    # unit quaternion: inverse == conjugate
+    return Quaternion(self.w, -self.x, -self.y, -self.z)
 
 
 def reference_pose_mul(self: Pose, other: Pose) -> Pose:
-    return Pose(self.rotation * other.rotation, self.rotation.rotate(other.translation) + self.translation)
+    """Compose: (a * b).transform(p) == a.transform(b.transform(p))."""
+    return Pose(reference_quaternion_mul(self.rotation, other.rotation),
+                self.rotation.rotate(other.translation) + self.translation)
 
 
 def reference_pose_inverse(self: Pose) -> Pose:
-    rinv = self.rotation.inverse()
+    rinv = reference_quaternion_inverse(self.rotation)
     return Pose(rinv, -rinv.rotate(self.translation))
 
 
@@ -307,11 +347,26 @@ def row_pose(parts: tuple, i: int) -> Pose:
     return Pose(Quaternion(*(float(c[i, 0]) for c in q)), np.array([c[i, 0] for c in t]))
 
 
+def compose(a: Pose, b: Pose) -> Pose:
+    """The pose `_compose` makes of `a` and `b`."""
+    q, t = _compose(parts(a), b)
+    return Pose(Quaternion(*q), np.array(t))
+
+
 class TestComponentFunctions:
-    """`_compose`, `_inverse`, `_matrix` and `_from_matrix` give the bits of
-    the reference bodies above, on float components and on (m, 1) components
-    ((m,) for `_from_matrix`), and so do the `Pose` and `Quaternion` methods
-    built on them."""
+    """`_hamilton`, `_compose`, `_inverse`, `_matrix` and `_from_matrix` give
+    the bits of the reference bodies above, on float components and on (m, 1)
+    components ((m,) for `_from_matrix`), and so do the `Pose` and
+    `Quaternion` methods built on them."""
+
+    def test_hamilton(self):
+        rng = np.random.default_rng(30)
+        a, b = random_pairs(rng, 400)[0], random_pairs(rng, 400)[0][::-1]
+        pairs = list(zip(a.tolist(), b.tolist()))
+        want = [quaternion_bits(reference_quaternion_mul(Quaternion(*qa), Quaternion(*qb))) for qa, qb in pairs]
+        assert [quaternion_bits(Quaternion(*_hamilton(qa, qb))) for qa, qb in pairs] == want
+        got = _hamilton(tuple(a.T[:, :, None]), tuple(b.T[:, :, None]))
+        assert [quaternion_bits(Quaternion(*(float(c[i, 0]) for c in got))) for i in range(len(pairs))] == want
 
     def test_compose(self):
         rng = np.random.default_rng(31)
@@ -319,9 +374,7 @@ class TestComponentFunctions:
         others = random_poses(rng, 400)[::-1]
         for a, b in zip(poses, others):
             want = pose_bits(reference_pose_mul(a, b))
-            q, t = _compose(parts(a), b)
-            assert pose_bits(Pose(Quaternion(*q), np.array(t))) == want
-            assert pose_bits(a * b) == want
+            assert pose_bits(compose(a, b)) == want
         b = others[7]
         got = _compose(stacked(poses), b)
         for i, a in enumerate(poses):
@@ -392,15 +445,15 @@ class TestPose:
         rng = np.random.default_rng(2)
         for _ in range(100):
             p = Pose(random_quat(rng), rng.normal(size=3))
-            ident = p * p.inverse()
+            ident = compose(p, p.inverse())
             assert rotation_equal(ident.rotation, Quaternion.identity(), tol=1e-9)
             assert np.linalg.norm(ident.translation) < 1e-9
 
     def test_composition_associative(self):
         rng = np.random.default_rng(4)
         a, b, c = (Pose(random_quat(rng), rng.normal(size=3)) for _ in range(3))
-        p1 = (a * b) * c
-        p2 = a * (b * c)
+        p1 = compose(compose(a, b), c)
+        p2 = compose(a, compose(b, c))
         v = rng.normal(size=3)
         assert np.allclose(p1.transform(v), p2.transform(v), atol=1e-12)
 

@@ -120,7 +120,7 @@ def reference_tri_aabb_overlap(v0, v1, v2, half):
 def _reference_box_hits_mesh(box, grasp, mesh, pose):
     center_local = (box[0] + box[1]) / 2.0
     half = (box[1] - box[0]) / 2.0
-    to_grasp = Pose(grasp.rotation, grasp.center).inverse() * pose
+    to_grasp = reference_pose_mul(Pose(grasp.rotation, grasp.center).inverse(), pose)
     verts = to_grasp.transform(mesh.vertices) - center_local
     if (verts.min(axis=0) > half).any() or (verts.max(axis=0) < -half).any():
         return False
@@ -193,7 +193,7 @@ def reference_simulate(grasp, scene, gripper):
     if offenders:
         return FailureReason.ANTIPODAL_FAIL
     target = scene.target
-    to_grasp = Pose(grasp.rotation, grasp.center).inverse() * target.pose
+    to_grasp = reference_pose_mul(Pose(grasp.rotation, grasp.center).inverse(), target.pose)
     samples = target.mesh.contact_samples
     ok, _ = reference_pad_slab_contacts(tuple(to_grasp.transform(samples.points).T),
                                         to_grasp.rotation.rotate(samples.normals)[:, 0], grasp.width, gripper)
@@ -1220,7 +1220,8 @@ class TestArrayPasses:
         overlapping_triangles = grasping._overlapping_triangles
         monkeypatch.setattr(grasping, "_overlapping_triangles", overlapping)
         for rows in ([0, 1, 2, 3], [2, 1], [0, 2], [1, 3], [0], [1], [2]):
-            pose = batch_pose([Pose(g.rotation, g.center).inverse() * target.pose for g in [grasps[r] for r in rows]])
+            pose = batch_pose([reference_pose_mul(Pose(g.rotation, g.center).inverse(), target.pose)
+                               for g in [grasps[r] for r in rows]])
             want = reference_mesh_hits(target, pose, centers[rows], halves[rows])
             passes.clear()
             got = _mesh_hits(target, pose, centers[rows], halves[rows])
@@ -1236,8 +1237,8 @@ class TestArrayPasses:
 
 class TestComposedPoses:
     """`_compose` of `_inverse`, which moves meshes into grasp frames in both
-    drivers, gives the bits of the reference `Pose.inverse` and `Pose.__mul__`
-    kept in `tests/test_geometry.py`, for float and (m, 1) components."""
+    drivers, gives the bits of the reference pose inverse and product kept in
+    `tests/test_geometry.py`, for float and (m, 1) components."""
 
     def test_matches_pose_product(self):
         rng = np.random.default_rng(43)

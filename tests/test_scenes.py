@@ -99,6 +99,12 @@ class TestCatalog:
         with pytest.raises(InputError):
             scene_from_manifest(data)
 
+    @pytest.mark.parametrize("config", ["cfg", None, {"seed": 0}])
+    def test_config_must_be_a_catalog_config(self, config):
+        # "cfg" raised a bare AttributeError: no attribute 'seed'
+        with pytest.raises(InputError, match="CatalogConfig"):
+            build_catalog(config)
+
     def test_range_must_be_a_tuple(self):
         # a list would pass `build_catalog` but leave the config unhashable for the shared catalog
         with pytest.raises(InputError):
@@ -190,6 +196,21 @@ class TestPolygonDistance:
         sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1.0]])
         d = polygon_distance(sq, sq + np.array([2.0, 2.0]))
         assert abs(d - np.sqrt(2.0)) < 1e-12
+
+    def test_lists_read_as_arrays(self):
+        # lists raised a bare AttributeError: 'list' object has no attribute 'T'
+        sq = [[0, 0], [1, 0], [1, 1], [0, 1.0]]
+        assert polygon_distance(sq, [[x + 2.0, y] for x, y in sq]) == polygon_distance(np.array(sq), np.array(sq) + (2, 0))
+
+    @pytest.mark.parametrize("bad", [[[0, 0], [1, 0], [1, math.nan], [0, 1.0]], [[0, 0], [1, 0.0]],
+                                     [[0, 0, 0], [1, 0, 0], [1, 1, 0]], [[0, 0], [1, True], [1, 1.0]], "square", None])
+    def test_polygons_must_be_finite_with_three_vertices(self, bad):
+        # a NaN vertex returned 0.0, which reads as overlap
+        sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1.0]]) + 5.0
+        with pytest.raises(InputError, match="polygons"):
+            polygon_distance(bad, sq)
+        with pytest.raises(InputError, match="polygons"):
+            polygon_distance(sq, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +357,8 @@ class TestGeneratePacked:
         with pytest.raises(InputError):
             generate_packed_scene(SceneConfig(object_count_range=(2, 11)))
 
-    @pytest.mark.parametrize("count_range", [(1.5, 3), (2, 3.0), (True, 3), ("2", 3), (2, None)])
+    @pytest.mark.parametrize("count_range", [(1.5, 3), (2, 3.0), (True, 3), ("2", 3), (2, None), (1, 2, 3), (2,), 5,
+                                             None])
     def test_count_range_of_integers(self, count_range):
         # (1.5, 3) built a scene
         with pytest.raises(InputError, match="object_count_range"):

@@ -22,8 +22,10 @@ from occlugrasp.geometry import PointCloud, Pose, Quaternion
 from occlugrasp.meshes import make_box, make_cylinder, make_sphere, surface_sample
 from occlugrasp.scenes import WORKSPACE_EXTENT, SceneConfig
 from occlugrasp.tsdf import (
+    TRUNCATION_VOXELS,
     TsdfConfig,
     TsdfGrid,
+    _voxel_centers,
     _voxel_projection,
     fuse,
     load_grid,
@@ -44,6 +46,15 @@ def straight_down_camera(extent=0.3, h=0.6):
     return CameraModel(160, 120, 200.0, 200.0, 80.0, 60.0, pose)
 
 
+def voxel_centers(config: TsdfConfig) -> np.ndarray:
+    """The body of `TsdfConfig.voxel_centers` before it became `tsdf._voxel_centers`:
+    (res^3, 3) world coordinates in C order (x-major first axis)."""
+    r = config.resolution
+    axis = (np.arange(r) + 0.5) * config.voxel_size
+    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
+    return np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = TsdfConfig()
@@ -51,6 +62,13 @@ class TestConfig:
         assert cfg.extent == 0.3
         assert abs(cfg.voxel_size - 0.0075) < 1e-12
         assert abs(cfg.truncation - 0.03) < 1e-12
+
+    def test_truncation_is_four_voxel_widths(self):
+        # VGN's band; derived from the grid, so no config can set another
+        assert TRUNCATION_VOXELS == 4.0
+        assert "truncation" not in {f.name for f in dataclasses.fields(TsdfConfig)}
+        for cfg in (TsdfConfig(), TsdfConfig(32, 0.4), TsdfConfig(7, 1.0)):
+            assert cfg.truncation == 4.0 * cfg.voxel_size
 
     def test_extent_is_the_workspace_extent(self):
         assert TsdfConfig().extent == SceneConfig().workspace_extent == WORKSPACE_EXTENT
@@ -198,7 +216,7 @@ class TestSplatAndMask:
         mask = near_surface_mask(grid, 1.0)
         # independent shell estimate: voxels whose center is within one voxel
         # of the analytic sphere surface
-        centers = cfg.voxel_centers()
+        centers = voxel_centers(cfg)
         d = np.abs(np.linalg.norm(centers - np.array([0.15, 0.15, 0.1]), axis=1) - 0.05)
         shell = (d <= cfg.voxel_size).sum()
         assert 0.5 * shell <= mask.sum() <= 1.5 * shell
@@ -236,7 +254,7 @@ def splat_with(cloud: PointCloud, config: TsdfConfig, kernel_radius_voxels: floa
 
 
 def unbounded_distances(cloud: PointCloud, config: TsdfConfig) -> np.ndarray:
-    return cKDTree(cloud.points).query(config.voxel_centers(), k=1)[0]
+    return cKDTree(cloud.points).query(voxel_centers(config), k=1)[0]
 
 
 class TestSplatMatchesUnboundedQuery:
@@ -290,10 +308,10 @@ class TestPersistence:
         loaded = load_grid(tmp_path, "scene")
         assert np.array_equal(grid.values, loaded.values)
         assert np.array_equal(grid.weights, loaded.weights)
-        assert loaded.config.resolution == 40
+        assert loaded.config == grid.config and loaded.config.resolution == 40
 
     def test_missing_array_rejected(self, tmp_path):
-        np.savez(tmp_path / "grid.tsdf.npz", values=np.zeros((4, 4, 4), np.float32), config=np.array([4, 0.3, 0.03]))
+        np.savez(tmp_path / "grid.tsdf.npz", values=np.zeros((4, 4, 4), np.float32), config=np.array([4, 0.3, 0.3]))
         with pytest.raises(InputError, match="weights"):
             load_grid(tmp_path, "grid")
 
@@ -307,11 +325,21 @@ class TestPersistence:
     def test_fractional_resolution_rejected(self, tmp_path):
         # int() would truncate 4.5 to a resolution that matches the (4, 4, 4) arrays
         zeros = np.zeros((4, 4, 4), np.float32)
-        np.savez(tmp_path / "grid.tsdf.npz", values=zeros, weights=zeros, config=np.array([4.5, 0.3, 0.03]))
+        np.savez(tmp_path / "grid.tsdf.npz", values=zeros, weights=zeros, config=np.array([4.5, 0.3, 0.3]))
         with pytest.raises(InputError, match="resolution"):
             load_grid(tmp_path, "grid")
-        np.savez(tmp_path / "whole.tsdf.npz", values=zeros, weights=zeros, config=np.array([4.0, 0.3, 0.03]))
+        np.savez(tmp_path / "whole.tsdf.npz", values=zeros, weights=zeros, config=np.array([4.0, 0.3, 0.3]))
         assert load_grid(tmp_path, "whole").config.resolution == 4
+
+    @pytest.mark.parametrize("truncation", [math.nan, math.inf, 0.0, -0.01, 0.3, np.nextafter(1.2, 2.0)])
+    def test_stored_truncation_must_be_four_voxel_widths(self, tmp_path, truncation):
+        # the grid's config derives it, so a file that stores another holds a grid of another band
+        zeros = np.zeros((4, 4, 4), np.float32)
+        np.savez(tmp_path / "grid.tsdf.npz", values=zeros, weights=zeros, config=np.array([4, 1.2, truncation]))
+        with pytest.raises(InputError, match="truncation must|config must be 3 finite"):
+            load_grid(tmp_path, "grid")
+        np.savez(tmp_path / "grid.tsdf.npz", values=zeros, weights=zeros, config=np.array([4, 1.2, 1.2]))
+        assert TsdfConfig(4, 1.2).truncation == 1.2 and load_grid(tmp_path, "grid").config == TsdfConfig(4, 1.2)
 
     @pytest.mark.parametrize("key, bad", [("values", np.nan), ("values", -np.inf), ("values", 1.5), ("weights", np.nan),
                                           ("weights", np.inf), ("weights", -1.0)])
@@ -319,7 +347,7 @@ class TestPersistence:
         # each passed `load_grid`, and NaN and inf weights reached every later use of the grid
         arrays = {"values": np.zeros((4, 4, 4), np.float32), "weights": np.ones((4, 4, 4), np.float32)}
         arrays[key][1, 2, 3] = bad
-        np.savez(tmp_path / "grid.tsdf.npz", **arrays, config=np.array([4, 0.3, 0.03]))
+        np.savez(tmp_path / "grid.tsdf.npz", **arrays, config=np.array([4, 0.3, 0.3]))
         with pytest.raises(InputError, match=f"{key} must be finite"):
             load_grid(tmp_path, "grid")
 
@@ -355,11 +383,6 @@ class TestBadInput:
     def test_extent_must_be_finite_and_positive(self, extent):
         with pytest.raises(InputError, match="extent"):
             TsdfConfig(extent=extent)
-
-    @pytest.mark.parametrize("truncation", [math.nan, math.inf, 0.0, -0.01])
-    def test_truncation_must_be_finite_and_positive(self, truncation):
-        with pytest.raises(InputError, match="truncation"):
-            TsdfConfig(truncation=truncation)
 
     @pytest.mark.parametrize("config", ["cfg", None, 40, (40, 0.3, 0.03)])
     def test_config_must_be_a_tsdf_config(self, config):
@@ -397,7 +420,7 @@ class TestBadInput:
 def reference_fuse(frame: DepthFrame, config: TsdfConfig | None = None) -> TsdfGrid:
     config = TsdfConfig() if config is None else config
     r = config.resolution
-    centers = config.voxel_centers()
+    centers = voxel_centers(config)
     cam = frame.camera
     world_to_cam = cam.pose.inverse()
     pts = world_to_cam.transform(centers)
@@ -427,7 +450,7 @@ def reference_splat(cloud: PointCloud, config: TsdfConfig | None = None,
                     kernel_radius_voxels: float = 1.0) -> TsdfGrid:
     config = TsdfConfig() if config is None else config
     r = config.resolution
-    centers = config.voxel_centers()
+    centers = voxel_centers(config)
     reach = max(config.truncation, kernel_radius_voxels * config.voxel_size)
     dist, _ = cKDTree(cloud.points).query(centers, k=1, distance_upper_bound=np.nextafter(reach, np.inf))
     values = np.minimum(dist / config.truncation, 1.0)
@@ -443,9 +466,8 @@ def assert_same_grid(grid: TsdfGrid, want: TsdfGrid):
         assert got.tobytes() == ref.tobytes()
 
 
-# the explicit truncation (1.5 voxels) is below a 2.5 voxel kernel, which a
-# kernel of 6 voxels reaches past for the other configs
-CONFIGS = [TsdfConfig(), TsdfConfig(32, 0.4), TsdfConfig(40, 0.3, 0.01125)]
+# the truncation is 4 voxel widths, which a kernel of 6 voxels reaches past
+CONFIGS = [TsdfConfig(), TsdfConfig(32, 0.4), TsdfConfig(24, 0.25)]
 KERNEL_RADII = [1.0, 2.5, 6.0]
 SMALL_CAMERA = default_camera(width=160, height=120, focal=135.0)
 
@@ -471,6 +493,15 @@ def corpus():
 
 
 class TestMatchesReference:
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_voxel_centers(self, config):
+        want = voxel_centers(config)
+        assert _voxel_centers(config).tobytes() == want.tobytes()
+        r = config.resolution
+        grid = want.reshape(r, r, r, 3)
+        for box in [(slice(0, r),) * 3, (slice(3, 9), slice(0, 1), slice(r - 5, r)), (slice(2, 2),) * 3]:
+            assert _voxel_centers(config, box).tobytes() == grid[box].reshape(-1, 3).tobytes()
+
     def test_fuse(self, corpus):
         for frame, _ in corpus:
             for config in CONFIGS:
