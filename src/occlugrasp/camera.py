@@ -512,20 +512,27 @@ def _pixel_rays(camera: CameraModel, us, vs):
 
 
 def back_project(frame: DepthFrame, instance_filter: int) -> PointCloud:
-    """World point and screen-space normal per pixel of instance `instance_filter`."""
+    """World point and screen-space normal per pixel of instance `instance_filter`.
+
+    A depth of the instance that is not finite and > 0 raises `InputError`
+    before any arithmetic: depth 0 marks no hit, and a lone such pixel's normal is 0 / 0.
+    """
     _check_type(frame, DepthFrame, "frame")
     _check_instance(instance_filter, "instance_filter")
     pixels = np.flatnonzero(frame.instance_id == instance_filter)
     if not len(pixels):
         return PointCloud.empty()
-    points, normals = _masked_points(frame, pixels)
+    depth = frame.depth.ravel()[pixels]
+    if not (depth.min() > 0 and depth.max() < np.inf):  # a NaN fails both
+        raise InputError(f"depth of instance {instance_filter} must be finite and > 0")
+    points, normals = _masked_points(frame.camera, pixels, depth.astype(np.float64))
     normals /= np.linalg.norm(normals, axis=1)[:, None]
-    return PointCloud(points, normals)
+    return PointCloud._computed(points, normals)
 
 
-def _masked_points(frame: DepthFrame, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _masked_points(cam: CameraModel, pixels: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The world points and the world normals, not yet unit, of the image's
-    flat `pixels`, ascending and all of one instance.
+    flat `pixels`, ascending and all of one instance, at depths `z`.
 
     Every value is computed on those pixels alone, as (n, 3) rows, with the
     per-pixel arithmetic of the whole image. A pixel's right and down
@@ -533,7 +540,6 @@ def _masked_points(frame: DepthFrame, pixels: np.ndarray) -> tuple[np.ndarray, n
     padded with one row and one column that hold no pixel; a pixel without a
     neighbour among them takes itself, whose difference is exactly 0.
     """
-    cam = frame.camera
     rows, cols = np.divmod(pixels, cam.width)
     own = np.arange(len(pixels))
     c0 = cols.min()
@@ -542,7 +548,6 @@ def _masked_points(frame: DepthFrame, pixels: np.ndarray) -> tuple[np.ndarray, n
     index = np.full((rows[-1] - rows[0] + 2) * stride, -1, dtype=np.intp)
     index[cell] = own
 
-    z = frame.depth.ravel()[pixels].astype(np.float64)
     dx, dy = _pixel_rays(cam, cols, rows)
     pts_cam = np.stack([dx * z, dy * z, z], axis=-1)
     rot = cam.pose.rotation.as_matrix()

@@ -25,6 +25,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_COMPLETION_POINTS = 2048
 IOU_VOXEL_SIZE = 0.0075  # edge (m) of the voxels `volumetric_iou` compares
+_IOU_VOXEL_REACH = 2**19  # how far (voxels) a point of `volumetric_iou` may lie from the origin on an axis
 DEDUPE_RADIUS = 1e-3  # a reflection this close (m) to an observed point duplicates it
 # the mirror plane is vertical: it contains the table normal
 TABLE_NORMAL = np.array([0.0, 0.0, 1.0])
@@ -97,11 +98,12 @@ class MirrorCompleter:
         offsets = depth - (depth.min() + half_width)
         reflected = partial.points - 2.0 * offsets[:, None] * normal
         # a reflection beyond the radius comes back at distance inf, which is kept as well
-        keep = _nearest_distances(partial.points, reflected, DEDUPE_RADIUS) > DEDUPE_RADIUS
+        keep = _nearest_distances(partial, reflected, DEDUPE_RADIUS) > DEDUPE_RADIUS
         if not keep.any():
             return partial
         refl_n = partial.normals - 2.0 * (partial.normals @ normal)[:, None] * normal
-        return PointCloud(np.vstack([partial.points, reflected[keep]]), np.vstack([partial.normals, refl_n[keep]]))
+        return PointCloud._computed(np.vstack([partial.points, reflected[keep]]),
+                                   np.vstack([partial.normals, refl_n[keep]]))
 
 
 # ---------------------------------------------------------------------------
@@ -114,20 +116,30 @@ def chamfer_l1(a: PointCloud, b: PointCloud) -> float:
     _check_type(b, PointCloud, "b")
     if len(a) == 0 or len(b) == 0:
         raise InputError("chamfer distance is undefined for empty clouds")
-    d_ab = _nearest_distances(b.points, a.points)
-    d_ba = _nearest_distances(a.points, b.points)
+    d_ab = _nearest_distances(b, a.points)
+    d_ba = _nearest_distances(a, b.points)
     return 0.5 * (float(d_ab.mean()) + float(d_ba.mean()))
 
 
 def volumetric_iou(a: PointCloud, b: PointCloud) -> float:
-    """Occupancy IoU on a grid of `IOU_VOXEL_SIZE` voxels anchored at the workspace origin."""
+    """Occupancy IoU on a grid of `IOU_VOXEL_SIZE` voxels anchored at the workspace origin.
+
+    A point farther than `_IOU_VOXEL_REACH` voxels from the origin on an axis
+    raises `InputError`: within that reach, the box around both clouds holds at
+    most 2**60 voxels, so a voxel's index in it is an int64.
+    """
     _check_type(a, PointCloud, "a")
     _check_type(b, PointCloud, "b")
     if len(a) == 0 and len(b) == 0:
         raise InputError("IoU is undefined when both clouds are empty")
+    vox_a = np.floor(a.points / IOU_VOXEL_SIZE)
+    vox_b = np.floor(b.points / IOU_VOXEL_SIZE)
+    reach = _IOU_VOXEL_REACH
+    if not all(-reach <= v.min(initial=0.0) and v.max(initial=0.0) < reach for v in (vox_a, vox_b)):
+        raise InputError(f"IoU needs every point within {reach} voxels ({reach * IOU_VOXEL_SIZE:g} m) "
+                         "of the origin on each axis")
     # one int64 key per occupied voxel, over the box that holds both clouds' voxels
-    vox_a = np.floor(a.points / IOU_VOXEL_SIZE).astype(np.int64)
-    vox_b = np.floor(b.points / IOU_VOXEL_SIZE).astype(np.int64)
+    vox_a, vox_b = vox_a.astype(np.int64), vox_b.astype(np.int64)
     both = np.vstack([vox_a, vox_b])
     lo = both.min(axis=0)
     dims = both.max(axis=0) - lo + 1

@@ -4,7 +4,9 @@ Constructors and loaders turn outside values into numbers through `_finite_array
 `_finite_real` and `_integer`, and the checks built on the last two. A bool or a
 bool array is not a number, not even in a list of numbers that NumPy promotes; NaN
 and infinity are refused, and an array is copied into a new read-only float64
-array, so no caller's array can change a value that holds it.
+array, so no caller's array can change a value that holds it. The one exception
+is a cloud the package computes from checked values (`PointCloud._computed`):
+its fresh arrays are made read-only in place, neither copied nor checked again.
 """
 
 import math
@@ -91,6 +93,14 @@ def _check_items(values, cls: type, name: str) -> None:
     for value in values:
         if not isinstance(value, cls):
             raise InputError(f"each of {name} must be a {cls.__name__}, got {value!r}")
+
+
+def _unchecked(cls: type, **fields):
+    """A `cls`, a frozen dataclass, holding `fields` without running its
+    `__post_init__`: for values already checked together."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _seed(seed) -> int:

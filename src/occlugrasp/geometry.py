@@ -8,18 +8,21 @@ The functions on component tuples, `_cross` to `_from_matrix`, are the one
 implementation that `Quaternion`, `Pose` and the grasp oracle share, on floats
 or on arrays of many poses, so all of them get the same bits.
 
-`_nearest_distances` is the one KD-tree query, of completion, its metrics and
-`splat`; it loads `scipy.spatial` at its first call, and never at import.
+A cloud owns its KD-tree: `_nearest_distances`, the one tree query of
+completion, its metrics and `splat`, builds it at the cloud's first query and
+keeps it with the cloud, so every later query of that cloud reuses it. The
+first tree loads `scipy.spatial`, never the import.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, _check_type, _finite_array, _finite_real
+from .errors import InputError, _check_type, _finite_array, _finite_real, _unchecked
 
 
 def _cross(a, b) -> tuple:
@@ -286,11 +289,31 @@ class PointCloud:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "normals", nrm)
 
+    @staticmethod
+    def _computed(points: np.ndarray, normals: np.ndarray) -> "PointCloud":
+        """A cloud of fresh C-contiguous (n, 3) float64 arrays that package code
+        computed from checked values, so finite and with unit normals: they are
+        made read-only in place, without the copy and the checks of `PointCloud(...)`."""
+        points.flags.writeable = False
+        normals.flags.writeable = False
+        return _unchecked(PointCloud, points=points, normals=normals)
+
     def __len__(self) -> int:
         return self.points.shape[0]
 
+    @cached_property
+    def _tree(self):
+        """The KD-tree of the points, built at the cloud's first `_nearest_distances` query and kept with it."""
+        from scipy.spatial import cKDTree  # at the first tree, not at import
+        return cKDTree(self.points, leafsize=_KD_LEAF_SIZE, balanced_tree=False, compact_nodes=False)
+
     def transformed(self, pose: Pose) -> "PointCloud":
-        return PointCloud(pose.transform(self.points), pose.rotation.rotate(self.normals))
+        """The cloud moved by `pose`. A rotation whose norm is not 1 within
+        1e-9 raises `InputError`, as it would not keep the normals unit."""
+        _check_type(pose, Pose, "pose")
+        if abs(pose.rotation.norm() - 1.0) > 1e-9:
+            raise InputError(f"pose rotation must be a unit quaternion, got norm {pose.rotation.norm()}")
+        return PointCloud._computed(pose.transform(self.points), pose.rotation.rotate(self.normals))
 
     @staticmethod
     def empty() -> "PointCloud":
@@ -313,12 +336,11 @@ def orthonormal_tangents(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _KD_LEAF_SIZE = 48
 
 
-def _nearest_distances(points: np.ndarray, queries: np.ndarray, reach: float = math.inf) -> np.ndarray:
-    """Distance from each of `queries` to its nearest of `points`, or inf where that is beyond `reach`.
+def _nearest_distances(cloud: PointCloud, queries: np.ndarray, reach: float = math.inf) -> np.ndarray:
+    """Distance from each of `queries` to its nearest point of `cloud`, or inf where that is beyond `reach`.
 
-    An unbalanced tree of `_KD_LEAF_SIZE` points per leaf without shrunk node boxes builds and queries
-    faster, and a nearest distance is the same exact minimum over the same points in any tree. The
-    query's bound is exclusive, hence one step above `reach`: a distance of exactly `reach` is returned."""
-    from scipy.spatial import cKDTree  # at the first tree, not at import
-    tree = cKDTree(points, leafsize=_KD_LEAF_SIZE, balanced_tree=False, compact_nodes=False)
-    return tree.query(queries, k=1, distance_upper_bound=np.nextafter(reach, np.inf))[0]
+    The query runs on the cloud's own tree. An unbalanced tree of `_KD_LEAF_SIZE` points per leaf
+    without shrunk node boxes builds and queries faster, and a nearest distance is the same exact
+    minimum over the same points in any tree, so one tree serves every query of a cloud. The query's
+    bound is exclusive, hence one step above `reach`: a distance of exactly `reach` is returned."""
+    return cloud._tree.query(queries, k=1, distance_upper_bound=np.nextafter(reach, np.inf))[0]

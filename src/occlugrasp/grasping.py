@@ -79,7 +79,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (InputError, _check_items, _check_type, _finite_array, _finite_non_negative, _finite_positive,
-                     _finite_real, _integer, _positive_int, _rng, _seed)
+                     _finite_real, _integer, _positive_int, _rng, _seed, _unchecked)
 from .geometry import (PointCloud, Pose, Quaternion, _compose, _cross, _flips_sign, _from_matrix, _inverse, _matrix,
                        _rotate, _rotate_x, orthonormal_tangents)
 from .meshes import surface_sample
@@ -394,6 +394,7 @@ def _mesh_hits(inst: ObjectInstance, pose, centers: np.ndarray, halves: np.ndarr
     every pair whose box has the same half-extents, so that the pass's radii
     are one matrix-vector product with that half vector. Each row of such a
     product rounds alone, so every pair gets the decision it gets on its own.
+    A pass leaves out the grasps that an earlier pass hit, as one hit decides.
     """
     q, t = pose
     verts = np.dstack([v + c for v, c in zip(_rotate(q, tuple(inst.mesh.vertices.T)), t)])
@@ -414,6 +415,9 @@ def _mesh_hits(inst: ObjectInstance, pose, centers: np.ndarray, halves: np.ndarr
     group = (half[:, None] == half).all(axis=2).argmax(axis=1)
     for g in np.flatnonzero(group == np.arange(len(group))):
         pairs = np.flatnonzero(group == g)
+        pairs = pairs[~hit[j[pairs]]]
+        if not len(pairs):
+            continue
         rows = j[pairs]
         tri = verts[rows].take(triangles, axis=1) - centers[rows, b[pairs], None, None]
         hit[rows[_overlapping_triangles(tri.reshape(-1, 3, 3), half[g]) // len(triangles)]] = True
@@ -556,14 +560,6 @@ def _draws(rng: np.random.Generator, n: int):
     alone, so the draws left unused change nothing."""
     while True:
         yield from rng.integers(n, size=_DRAW_BLOCK).tolist()
-
-
-def _unchecked(cls: type, **fields):
-    """A `cls`, a frozen dataclass, holding `fields` without running its
-    `__post_init__`: for values already checked together."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def sample_candidate_grasps(
@@ -737,9 +733,17 @@ def _label_records(scene_id: str, target_index: int, labels) -> list[dict]:
 
 def write_labels_jsonl(path, scene_id: str, target_index: int, labels: list[GraspLabel]) -> None:
     """Write one `label_to_record` record per line, its keys sorted; a bad
-    input raises `InputError` before the file is opened, so it leaves none."""
+    input raises `InputError` before the file is opened, so it leaves none.
+
+    One `json.dumps` call encodes the list of all records, and each ", "
+    between two records becomes a line break. A record opens with '{"r": ',
+    and that text occurs nowhere else: inside an encoded string every '"' is
+    escaped. So the lines are the bytes of one `json.dumps` per record.
+    """
     _check_items(labels, GraspLabel, "labels")
-    Path(path).write_text("".join(json.dumps(rec) + "\n" for rec in _label_records(scene_id, target_index, labels)))
+    records = _label_records(scene_id, target_index, labels)
+    text = json.dumps(records)[1:-1].replace('}, {"r": ', '}\n{"r": ')
+    Path(path).write_text(text + "\n" if records else "")
 
 
 def read_labels_jsonl(path) -> list[dict]:

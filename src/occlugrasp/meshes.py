@@ -278,4 +278,4 @@ def surface_sample(mesh: TriMesh, count: int, seed: int) -> PointCloud:
     r2 = u[first + base[faces]]
     a, b, c = (mesh.vertices[mesh.triangles[faces, i]] for i in range(3))
     pts = (1 - r1)[:, None] * a + (r1 * (1 - r2))[:, None] * b + (r1 * r2)[:, None] * c
-    return PointCloud(pts, mesh.face_normals[faces])
+    return PointCloud._computed(pts, mesh.face_normals[faces])

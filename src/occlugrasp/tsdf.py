@@ -112,12 +112,18 @@ def _voxel_projection(config: TsdfConfig, camera: CameraModel) -> tuple[np.ndarr
 
 
 def fuse(frame: DepthFrame, config: TsdfConfig = TsdfConfig()) -> TsdfGrid:
-    """Single-view TSDF of one depth frame on `config`'s grid, by default the `WORKSPACE_EXTENT` cube."""
+    """Single-view TSDF of one depth frame on `config`'s grid, by default the `WORKSPACE_EXTENT` cube.
+
+    A depth that a voxel reads and that is not finite and >= 0 raises `InputError` before any arithmetic.
+    """
     _check_type(frame, DepthFrame, "frame")
     _check_type(config, TsdfConfig, "config")
     r = config.resolution
     voxels, pixels, z = _voxel_projection(config, frame.camera)
-    measured = frame.depth.ravel()[pixels].astype(np.float64)
+    measured = frame.depth.ravel()[pixels]
+    if not (measured.min(initial=0.0) >= 0 and measured.max(initial=0.0) < np.inf):  # a NaN fails both
+        raise InputError("depth must be finite and >= 0 where the grid's voxels project")
+    measured = measured.astype(np.float64)
     background = measured == 0.0
     sdf = measured - z
     values = np.zeros(r**3, dtype=np.float32)
@@ -133,9 +139,10 @@ def splat(cloud: PointCloud, config: TsdfConfig = TsdfConfig()) -> TsdfGrid:
 
     A voxel farther than `reach` (the larger of the truncation and the kernel
     radius) from every point gets value 1.0 and weight 0 whatever its
-    distance. So the KD-tree is queried only for the voxels of the cloud's
-    bounding box grown by `reach` and one voxel of slack for rounding; every
-    voxel outside it is farther than `reach` along one axis alone. The box's
+    distance. So the cloud's KD-tree, which `chamfer_l1` may have built
+    already, is queried only for the voxels of the cloud's bounding box grown
+    by `reach` and one voxel of slack for rounding; every voxel outside it is
+    farther than `reach` along one axis alone. The box's
     centres are `_voxel_centers` of slices of the whole grid's axis, so each
     equals its full-grid entry.
     """
@@ -154,7 +161,7 @@ def splat(cloud: PointCloud, config: TsdfConfig = TsdfConfig()) -> TsdfGrid:
     lo = np.clip(np.floor((cloud.points.min(axis=0) - reach) / vs) - 1, 0, r).astype(np.int64)
     hi = np.clip(np.ceil((cloud.points.max(axis=0) + reach) / vs) + 1, 0, r).astype(np.int64)
     box = tuple(slice(a, b) for a, b in zip(lo, hi))
-    dist = _nearest_distances(cloud.points, _voxel_centers(config, box), reach).reshape(values[box].shape)
+    dist = _nearest_distances(cloud, _voxel_centers(config, box), reach).reshape(values[box].shape)
     values[box] = np.minimum(dist / config.truncation, 1.0)
     weights[box] = dist <= kernel
     return TsdfGrid(values, weights, config)

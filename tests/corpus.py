@@ -20,6 +20,8 @@ what it sees.
   scene with the default gripper, for the tests that label one input twice.
 - `clutter_cloud(seed)`: the mirror-completed target cloud of `dense_scene(seed)`
   at the default camera, the cloud `grasp_clutter` samples its candidates from.
+  A cloud keeps the KD-tree of its first query, so a test that patches
+  `cKDTree` queries a cloud of its own.
 - `box_instance`, `mesh_instance`, `make_scene` and `with_normals` build new
   inputs by hand; `lone_box` and the full-screen triangles are the hand-made
   inputs that two tests read.

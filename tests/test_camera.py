@@ -263,6 +263,23 @@ class TestBackProject:
         with pytest.raises(InputError, match="frame"):
             back_project(frame, 0)
 
+    @pytest.mark.parametrize("depth", [math.nan, math.inf, -0.2, 0.0], ids=["nan", "inf", "negative", "zero"])
+    def test_depth_of_the_instance_must_be_finite_and_positive(self, depth):
+        # NaN raised "a value that is not finite" from the cloud, inf a RuntimeWarning
+        # from NumPy, and a lone pixel at 0 one from 0 / 0; a negative depth was read
+        f = self.one_instance_frame()
+        for row, col in ((12, 16), (20, 2)):  # a pixel among the others, and a lone one
+            d, inst = f.depth.copy(), f.instance_id.copy()
+            d[row, col], inst[row, col] = depth, 1
+            with pytest.raises(InputError, match="depth of instance 1 must be finite and > 0"):
+                back_project(DepthFrame(d, inst, f.camera), 1)
+
+    def test_depth_outside_the_instance_is_not_read(self):
+        f = self.one_instance_frame()
+        d = f.depth.copy()
+        d[0, 0], d[0, 1], d[0, 2] = math.nan, math.inf, -1.0
+        assert_same_cloud(back_project(DepthFrame(d, f.instance_id, f.camera), 1), back_project(f, 1))
+
     def test_numpy_integer_instance_filter(self):
         f = self.one_instance_frame()
         assert_same_cloud(back_project(f, np.uint16(1)), back_project(f, 1))

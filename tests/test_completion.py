@@ -18,7 +18,7 @@ from occlugrasp.geometry import PointCloud, Pose, Quaternion, _nearest_distances
 from occlugrasp.meshes import make_cylinder, surface_sample
 from occlugrasp.occlusion import BinScheme, occlusion_level
 from occlugrasp.scenes import ObjectInstance, derive_single_scene
-from occlugrasp.tsdf import KERNEL_RADIUS_VOXELS, TsdfConfig
+from occlugrasp.tsdf import KERNEL_RADIUS_VOXELS, TsdfConfig, splat
 
 from . import corpus
 from .corpus import make_scene, with_normals
@@ -146,10 +146,14 @@ class TestIou:
             volumetric_iou(PointCloud.empty(), PointCloud.empty())
 
 
+def voxel_set(cloud: PointCloud, voxel_size: float = 0.0075) -> set:
+    """The index tuples of the voxels `cloud` occupies."""
+    return {tuple(v) for v in np.floor(cloud.points / voxel_size).astype(np.int64)}
+
+
 def reference_iou(a: PointCloud, b: PointCloud, voxel_size: float = 0.0075) -> float:
     """`volumetric_iou` as sets of voxel index tuples, before one int64 key per voxel."""
-    occ_a = {tuple(v) for v in np.floor(a.points / voxel_size).astype(np.int64)}
-    occ_b = {tuple(v) for v in np.floor(b.points / voxel_size).astype(np.int64)}
+    occ_a, occ_b = voxel_set(a, voxel_size), voxel_set(b, voxel_size)
     return len(occ_a & occ_b) / len(occ_a | occ_b)
 
 
@@ -179,6 +183,34 @@ class TestIouMatchesReference:
             iou = iou_with(a, b, voxel_size)
             assert iou == reference_iou(a, b, voxel_size)
             assert 0.0 < iou < 1.0
+
+    def test_clouds_far_apart(self):
+        # the box around both clouds' voxels held more voxels than an int64 index
+        # reaches: a bare ValueError from `ravel_multi_index`
+        rng = np.random.default_rng(6)
+        a = with_normals(rng.uniform(0.0, 0.3, size=(300, 3)))
+        far = with_normals(rng.uniform(0.0, 0.3, size=(300, 3)) + 1e6)
+        for pair in ((a, far), (far, a)):
+            with pytest.raises(InputError, match=r"within 524288 voxels \(3932.16 m\) of the origin"):
+                volumetric_iou(*pair)
+
+    @pytest.mark.parametrize("corner", [(1e6, 1e6, 1e6), (0.1, -1e6, 0.1), (1e300, -1e300, 0.1)])
+    def test_one_cloud_spanning_far(self, corner):
+        rng = np.random.default_rng(7)
+        a = with_normals(rng.uniform(0.0, 0.1, size=(200, 3)))
+        b = with_normals(np.vstack([rng.uniform(0.05, 0.15, size=(200, 3)), corner]))
+        with pytest.raises(InputError, match="of the origin on each axis"):
+            volumetric_iou(a, b)
+
+    def test_points_at_the_reach(self):
+        # the last voxel within reach on either side of the origin, and the first beyond
+        reach = 2**19 * completion.IOU_VOXEL_SIZE
+        a = with_normals(np.random.default_rng(8).uniform(0.0, 0.1, size=(50, 3)))
+        inside = with_normals(np.vstack([a.points, [[-reach, reach - 0.01, 0.0]]]))
+        assert volumetric_iou(a, inside) == reference_iou(a, inside) == len(voxel_set(a)) / (len(voxel_set(a)) + 1)
+        for corner in ([reach, 0.0, 0.0], [0.0, 0.0, -reach - 0.01]):
+            with pytest.raises(InputError, match="of the origin on each axis"):
+                volumetric_iou(a, with_normals(np.vstack([a.points, [corner]])))
 
     def test_points_on_voxel_faces(self):
         vox = 0.0075
@@ -315,14 +347,25 @@ class TestPassthroughCompleter:
 class _UnboundedTree(cKDTree):
     """A `cKDTree` whose queries drop `distance_upper_bound`: the unbounded dedupe query."""
 
+    queries = 0
+
     def query(self, x, k=1, distance_upper_bound=np.inf, **kwargs):
+        _UnboundedTree.queries += 1
         return super().query(x, k=k, **kwargs)
 
 
+def _fresh(cloud: PointCloud) -> PointCloud:
+    """A new cloud of `cloud`'s arrays, without the tree `cloud` keeps from its first query."""
+    return PointCloud(cloud.points, cloud.normals)
+
+
 def _mirror_unbounded(completer, partial, scene, cam, monkeypatch):
+    queries = _UnboundedTree.queries
     with monkeypatch.context() as mp:
         mp.setattr(scipy.spatial, "cKDTree", _UnboundedTree)
-        return completer(partial, scene, cam)
+        completed = completer(_fresh(partial), scene, cam)
+    assert _UnboundedTree.queries == queries + 1  # the dedupe queried the patched tree
+    return completed
 
 
 def _assert_same_cloud(a, b):
@@ -360,7 +403,8 @@ class TestMirrorDedupeBound:
 
         with monkeypatch.context() as mp:
             mp.setattr(scipy.spatial, "cKDTree", Recording)
-            MirrorCompleter()(partial, scene, cam)
+            MirrorCompleter()(_fresh(partial), scene, cam)
+        assert len(distances) == 1
         dist = np.sort(distances[0])
         # radii equal to reflected points' exact nearest distances; the tree
         # compares squared distances, so some of these lie just inside the
@@ -374,29 +418,100 @@ class TestMirrorDedupeBound:
 
 
 class TestNearestDistancesMatchesReference:
+    """Every query of a cloud runs on the one tree the cloud keeps; each equals a
+    fresh tree of scipy's defaults per query."""
+
+    REACHES = (np.inf, completion.DEDUPE_RADIUS,
+               max(TsdfConfig().truncation, KERNEL_RADIUS_VOXELS * TsdfConfig().voxel_size))
+
+    def assert_fresh_tree_distances(self, clouds) -> int:
+        """Queries each cloud with the points of the others, at every reach; the number of queries."""
+        compared = 0
+        for cloud in clouds:
+            for other in clouds:
+                if other is cloud:
+                    continue
+                for reach in self.REACHES:
+                    want = cKDTree(cloud.points).query(other.points, k=1,
+                                                       distance_upper_bound=np.nextafter(reach, np.inf))[0]
+                    assert _nearest_distances(cloud, other.points, reach).tobytes() == want.tobytes()
+                    compared += len(other)
+            assert cloud._tree is cloud._tree
+        return compared
+
     def test_episode_target_clouds(self):
-        # the partial, kept reflected and completed clouds of the episode
-        # targets, each queried against the others at no reach, the dedupe
-        # radius and `splat`'s reach, against a tree of scipy's defaults
-        cam, config = default_camera(width=320, height=240, focal=270.0), TsdfConfig()
-        reaches = (np.inf, completion.DEDUPE_RADIUS, max(config.truncation, KERNEL_RADIUS_VOXELS * config.voxel_size))
+        # the partial, kept reflected and completed clouds of the episode targets
+        cam = default_camera(width=320, height=240, focal=270.0)
         compared = 0
         for seed in corpus.EPISODE_SEEDS:
             partial = rendered_partial(corpus.episode_scene(seed), cam)
             completed = MirrorCompleter()(partial, None, cam)
-            clouds = (partial.points, completed.points[len(partial):], completed.points)
-            for points in clouds:
-                if len(points) == 0:
-                    continue
-                tree = cKDTree(points)
-                for queries in clouds:
-                    if queries is points:
-                        continue
-                    for reach in reaches:
-                        expected = tree.query(queries, k=1, distance_upper_bound=np.nextafter(reach, np.inf))[0]
-                        assert _nearest_distances(points, queries, reach).tobytes() == expected.tobytes()
-                        compared += len(queries)
+            kept = PointCloud(completed.points[len(partial):], completed.normals[len(partial):])
+            compared += self.assert_fresh_tree_distances([c for c in (partial, kept, completed) if len(c)])
         assert compared > 0
+
+    def test_dense_target_clouds(self):
+        # the completed clouds `grasp_clutter` samples from, against their ground truth, at 640x480
+        compared = 0
+        for seed in range(0, 16, 3):
+            gt = completion_ground_truth(corpus.dense_scene(seed))
+            compared += self.assert_fresh_tree_distances([corpus.clutter_cloud(seed), gt])
+        assert compared > 0
+
+
+class _CountingTree(cKDTree):
+    """A `cKDTree` that counts the trees built and the queries made."""
+
+    built = queried = 0
+
+    def __init__(self, *args, **kwargs):
+        _CountingTree.built += 1
+        super().__init__(*args, **kwargs)
+
+    def query(self, *args, **kwargs):
+        _CountingTree.queried += 1
+        return super().query(*args, **kwargs)
+
+
+class TestOneTreePerCloud:
+    def test_episode_chain_builds_three_trees(self, monkeypatch):
+        # `episode`'s completion, metrics and target grid query four times: the mirror
+        # dedupe on the partial cloud, `chamfer_l1` on the ground truth and on the
+        # completed cloud, and `splat` on the completed cloud again, whose tree it
+        # reuses; a tree per query built four
+        monkeypatch.setattr(scipy.spatial, "cKDTree", _CountingTree)
+        cam, scheme = default_camera(), BinScheme.test()
+        chains = 0
+        for seed in range(6):
+            scene = corpus.episode_scene(seed)
+            cluttered = corpus.frame(corpus.EPISODE_OBJECTS, seed)
+            single = render(derive_single_scene(scene, scene.target_index), cam)
+            if occlusion_level(single, cluttered, scene.target_index, scheme).bin_index is None:
+                continue
+            _CountingTree.built = _CountingTree.queried = 0
+            partial = back_project(cluttered, scene.target_index)
+            completed = MirrorCompleter()(partial, scene, cam)
+            assert len(completed) > len(partial), seed
+            gt = completion_ground_truth(scene)
+            chamfer_l1(completed, gt)
+            volumetric_iou(completed, gt)
+            splat(completed)
+            assert (_CountingTree.built, _CountingTree.queried) == (3, 4), seed
+            chains += 1
+        assert chains >= 4
+
+    def test_a_passed_through_cloud_keeps_its_tree(self, monkeypatch):
+        monkeypatch.setattr(scipy.spatial, "cKDTree", _CountingTree)
+        _CountingTree.built = 0
+        cloud = with_normals(np.random.default_rng(9).uniform(0.1, 0.2, size=(64, 3)))
+        _nearest_distances(cloud, cloud.points[:5])
+        tree = cloud._tree
+        other = with_normals(cloud.points[::-1])
+        chamfer_l1(cloud, other)
+        assert PassthroughCompleter()(cloud)._tree is tree
+        assert _CountingTree.built == 2
+        # an equal cloud is another cloud, with a tree of its own
+        assert _fresh(cloud)._tree is not tree
 
 
 class TestOrdering:

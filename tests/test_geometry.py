@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from occlugrasp.camera import back_project, default_camera
+from occlugrasp.completion import MirrorCompleter, completion_ground_truth
 from occlugrasp.errors import InputError, _rng
 from occlugrasp.geometry import (
     Pose,
@@ -566,6 +568,50 @@ class TestPointCloud:
         normals = np.tile([0.0, 0.0, 1.0], 4).reshape(shape)
         with pytest.raises(InputError, match="arrays of numbers"):
             PointCloud(points, normals)
+
+
+def package_made_clouds():
+    """The clouds package code computes, of the `episode` and dense corpora at
+    640x480: each target's partial and mirror-completed cloud, its ground truth,
+    and the surface sample that truth moves, with each producer's name."""
+    cam = default_camera()
+    for count_range, seeds in ((corpus.EPISODE_OBJECTS, range(0, 16, 5)), (corpus.DENSE_OBJECTS, range(0, 40, 13))):
+        for seed in seeds:
+            scene = corpus.scene(count_range, seed)
+            partial = back_project(corpus.frame(count_range, seed), scene.target_index)
+            yield "back_project", partial
+            yield "MirrorCompleter", MirrorCompleter()(partial, scene, cam)
+            yield "surface_sample", surface_sample(scene.target.mesh, 2048, seed)
+            yield "transformed", completion_ground_truth(scene)
+
+
+class TestPackageMadeClouds:
+    def test_equal_to_the_checked_constructor(self):
+        # each cloud skipped the copy and the checks of `PointCloud(...)`, which
+        # the same arrays pass, giving the same bytes
+        seen = collections.Counter()
+        for producer, cloud in package_made_clouds():
+            checked = PointCloud(cloud.points, cloud.normals)
+            for got, want in ((cloud.points, checked.points), (cloud.normals, checked.normals)):
+                assert got.dtype == np.float64 and got.flags.c_contiguous and not got.flags.writeable, producer
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), producer
+            seen[producer] += len(cloud) > 0
+        assert seen == dict.fromkeys(("back_project", "MirrorCompleter", "surface_sample", "transformed"), 8)
+
+    def test_computed_cloud_holds_the_arrays_it_is_given(self):
+        points, normals = np.zeros((4, 3)), np.tile([0.0, 0.0, 1.0], (4, 1))
+        cloud = PointCloud._computed(points, normals)
+        assert cloud.points is points and cloud.normals is normals
+        assert not points.flags.writeable and not normals.flags.writeable
+
+    def test_transformed_keeps_the_normals_unit(self):
+        cloud = PointCloud([[0.1, 0.2, 0.3]], [[0.0, 0.0, 1.0]])
+        with pytest.raises(InputError, match="unit quaternion"):
+            cloud.transformed(Pose(Quaternion(2.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
+        with pytest.raises(InputError, match="pose must be a Pose"):
+            cloud.transformed("pose")
+        moved = cloud.transformed(Pose(Quaternion(0.0, 1.0, 0.0, 0.0), (1.0, 0.0, 0.0)))
+        assert moved.points.tolist() == [[1.1, -0.2, -0.3]] and moved.normals.tolist() == [[0.0, 0.0, -1.0]]
 
 
 class TestPrimitives:

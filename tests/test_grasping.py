@@ -1227,12 +1227,35 @@ class TestArrayPasses:
             got = _mesh_hits(target, pose, centers[rows], halves[rows])
             assert got.tolist() == want.tolist() == [r in (1, 2) for r in rows], rows
             if len(rows) > 1 and 1 in rows:
-                # one pass per half vector: both fingers of grasp 1, its palm, and grasp 2's palm
-                fingers, palm = (tuple(h) for h in halves[1, 1:].tolist())
-                want = {(fingers, 2): 1, (palm, 1): 1}
+                # one pass per half vector: both fingers of grasp 1, and grasp 2's palm; the
+                # fingers' pass hit grasp 1, so the pass of its palm's half vector is left out
+                want = {(tuple(halves[1, 1].tolist()), 2): 1}
                 if 2 in rows:
                     want[tuple(halves[2, 2].tolist()), 1] = 1
                 assert passes == want, rows
+
+    def test_a_grasp_an_earlier_pass_hit_leaves_the_later_passes(self, monkeypatch):
+        # two grasps of one width, so their palms share a half vector: grasp 0's fingers
+        # and palm reach into the box, grasp 1, from below, reaches its top with the palm alone
+        target = box_instance(0.05, 0.05, 0.1, 0.15, 0.15)
+        grasps = [side_grasp((0.15, 0.15, -0.005), width=0.04),
+                  side_grasp((0.15, 0.15, 0.205), approach=(0, 0, 1), width=0.04)]
+        boxes = np.array([gripper_boxes(g.width, GRIP) for g in grasps])
+        centers, halves = (boxes[:, :, 0] + boxes[:, :, 1]) / 2.0, (boxes[:, :, 1] - boxes[:, :, 0]) / 2.0
+        pose = batch_pose([reference_pose_mul(Pose(g.rotation, g.center).inverse(), target.pose) for g in grasps])
+        for box, want in ((0, [True, False]), (2, [True, True])):  # each box kind alone
+            assert reference_mesh_hits(target, pose, centers[:, [box]], halves[:, [box]]).tolist() == want
+        passes = []  # (half vector, number of boxes) of each pass
+
+        def overlapping(tri, half):
+            passes.append((tuple(half.tolist()), len(tri) // len(target.mesh.triangles)))
+            return overlapping_triangles(tri, half)
+
+        overlapping_triangles = grasping._overlapping_triangles
+        monkeypatch.setattr(grasping, "_overlapping_triangles", overlapping)
+        assert _mesh_hits(target, pose, centers, halves).tolist() == [True, True]
+        # the palms' pass holds grasp 1's palm alone; it held both palms before
+        assert passes == [(tuple(halves[0, 0].tolist()), 2), (tuple(halves[0, 2].tolist()), 1)]
 
 
 class TestComposedPoses:
@@ -1458,6 +1481,18 @@ class TestLabelRecordsAsBefore:
         assert rec["target_index"] == 3 and type(rec["target_index"]) is int
         assert [(x, math.copysign(1.0, x), type(x)) for x in rec["r"]] == [
             (x, math.copysign(1.0, x), type(x)) for x in written]
+
+    @pytest.mark.parametrize("scene_id", ['s}, {"r": [1.0', '}, {"r": ', 'a"\n\\"}, {"r": ', "sc\u00e8ne \u2603", ""])
+    def test_scene_ids_that_hold_the_record_boundary(self, scene_id, tmp_path):
+        # the file is one encoding of all records, broken into lines where one record
+        # ends and the next opens with '{"r": '; a scene id holding that text stays whole
+        rotation = frame((1, 0, 0), (0, 0, -1))
+        labels = [GraspLabel(Grasp(np.array([0.1, 0.2, 0.05]), rotation, np.float64(0.04)), True, FailureReason.NONE),
+                  GraspLabel(Grasp(np.array([-0.0, 0.2, 1e-300]), Quaternion(1, 0, 0, 0), 0), False,
+                             FailureReason.TABLE_BLOCK),
+                  GraspLabel(Grasp(np.array([0.1, 0.2, 0.05]), rotation, 1e20), False, FailureReason.WIDTH_EXCEEDED)]
+        assert_labels_file_as_before(tmp_path, scene_id, 7, labels)
+        assert [rec["scene_id"] for rec in read_labels_jsonl(tmp_path / "got.jsonl")] == [scene_id] * 3
 
     def test_no_labels(self, tmp_path):
         assert_labels_file_as_before(tmp_path, "scene_000", np.int64(0), [])

@@ -401,6 +401,18 @@ class TestBadInput:
         with pytest.raises(InputError, match="cloud"):
             splat(value)
 
+    @pytest.mark.parametrize("depth", [math.nan, math.inf, -0.2], ids=["nan", "inf", "negative"])
+    def test_depth_must_be_finite_and_non_negative(self, depth):
+        # one NaN pixel of a hand-built 160x120 frame wrote NaN voxels into a grid that
+        # `load_grid` refuses; a negative depth was read as a surface, inf as free space
+        cam = default_camera(width=160, height=120, focal=135.0)
+        _, pixels, _ = _voxel_projection(TsdfConfig(), cam)
+        depth_map = np.full(120 * 160, 0.5, np.float32)
+        depth_map[pixels[len(pixels) // 2]] = depth  # a pixel some voxel reads
+        frame = DepthFrame(depth_map.reshape(120, 160), np.zeros((120, 160), np.uint16), cam)
+        with pytest.raises(InputError, match="depth must be finite and >= 0"):
+            fuse(frame)
+
     @pytest.mark.parametrize("grid", ["grid", None, np.zeros((40, 40, 40))])
     def test_grid_must_be_a_tsdf_grid(self, grid, tmp_path):
         # "grid" raised a bare AttributeError: no attribute 'values', or 'config'
